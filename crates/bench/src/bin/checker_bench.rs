@@ -19,7 +19,17 @@
 //!    workload at `jobs` ∈ {1, 2, 4, 8}, where units outnumber workers
 //!    only at the low end, so the curve exercises the per-function
 //!    fan-out, not just unit-level parallelism. On a 1-core host the
-//!    curve is honestly flat (the `host` block records the core count).
+//!    curve is honestly flat (the `host` block records the core count);
+//! 6. **realistic edits** — a 48-function Mixed `synth` unit edited the
+//!    ways a person edits it ([`vault_corpus::edits`]: body line
+//!    inserts and deletes, literals, local renames, added functions,
+//!    signature and brace edits, two-body and syntax-breaking edits,
+//!    undos), each edit checked by the incremental engine on a 2-worker
+//!    pool right after the version it was made from. It records the
+//!    function-cache hit rate and median latency per kind, and the
+//!    median cost of one length-changing body edit down the fast path,
+//!    down the full path with every unchanged verdict cached (the
+//!    environment evicted), and down the full path cold.
 //!
 //! The cold run also audits its own phase accounting: lex + parse +
 //! elaborate + lower + check + other must equal the measured wall
@@ -36,8 +46,17 @@
 //! commit before this overhaul) is recorded in the output so the
 //! speedup claims stay auditable.
 
-use std::time::Instant;
-use vault_server::{CheckService, Json, ServiceConfig, UnitIn};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use vault_core::Limits;
+use vault_corpus::edits::{EditKind, EditSession};
+use vault_corpus::synth::{self, Shape, SynthConfig};
+use vault_server::{
+    CheckPool, CheckService, IncrementalEngine, Json, Metrics, ServiceConfig, UnitIn,
+};
 
 /// Pre-optimization numbers, measured with this binary's `cold` loop on
 /// this exact workload at the commit preceding the zero-copy front end
@@ -394,6 +413,9 @@ fn main() {
     }
     let jobs1_secs = curve[0].1;
 
+    println!("realistic edits (48-function unit, jobs 2):");
+    let realistic = realistic_edits(iters);
+
     let sparse_speedup = SPARSE_BASELINE_CHECK_MICROS as f64 / phases.check_micros.max(1) as f64;
     println!(
         "sparse fixpoint: check {}us vs {}us baseline ({:.2}x)",
@@ -477,6 +499,7 @@ fn main() {
                 ),
             ]),
         ),
+        ("realistic_edits".to_string(), realistic),
         (
             "cold_speedup_vs_baseline".to_string(),
             Json::Num(round2(BASELINE_COLD_SECS / cold)),
@@ -547,6 +570,144 @@ fn main() {
     text.push_str("}\n");
     std::fs::write(&out_path, &text).expect("write bench json");
     println!("wrote {out_path}");
+}
+
+/// Median of `times`, in milliseconds.
+fn median_ms(times: &mut [Duration]) -> f64 {
+    times.sort();
+    (times[times.len() / 2].as_secs_f64() * 1e6).round() / 1e3
+}
+
+/// The `realistic_edits` scenario (see the module docs). Every edited
+/// check is asserted equal to the monolithic checker.
+fn realistic_edits(iters: usize) -> Json {
+    const NAME: &str = "ide.vlt";
+    let program = synth::generate(&SynthConfig {
+        functions: 48,
+        stmts_per_fn: 12,
+        seed: 0x1de,
+        bug_rate: 0.1,
+        shape: Shape::Mixed,
+    });
+    let base = EditSession::new(program.source.clone());
+    let limits = Limits::default();
+    let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+    let mut rng = StdRng::seed_from_u64(0xed17);
+    let check = |engine: &Arc<IncrementalEngine>, m: &Metrics, source: &str| {
+        let t = Instant::now();
+        let got = engine.check_unit_parallel(NAME, source, &limits, m, &pool);
+        let took = t.elapsed();
+        assert_eq!(
+            got,
+            vault_core::check_summary(NAME, source),
+            "incremental result diverged after an edit"
+        );
+        took
+    };
+
+    // Per kind: a fresh engine has checked the version the edit is made
+    // from (for an undo, a body edit away from the base), so the only
+    // cached verdicts are that version's.
+    let samples = 12 * iters;
+    let mut per_kind = Vec::new();
+    for kind in EditKind::ALL {
+        let mut times = Vec::new();
+        let (mut hits, mut misses) = (0u64, 0u64);
+        while times.len() < samples {
+            let mut s = base.clone();
+            if kind == EditKind::Undo {
+                s.apply(EditKind::BodyLine, &mut rng);
+            }
+            let engine = Arc::new(IncrementalEngine::new(4, 4096));
+            let m = Metrics::default();
+            check(&engine, &m, s.source());
+            if !s.apply(kind, &mut rng) {
+                continue;
+            }
+            let before = m.snapshot();
+            times.push(check(&engine, &m, s.source()));
+            let after = m.snapshot();
+            hits += after.fn_cache_hits - before.fn_cache_hits;
+            misses += after.fn_cache_misses - before.fn_cache_misses;
+        }
+        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+        let median = median_ms(&mut times);
+        println!(
+            "  {:<22} median {median:.3} ms, fn-cache hit rate {hit_rate:.3}",
+            kind.name()
+        );
+        per_kind.push(Json::Obj(vec![
+            ("kind".to_string(), Json::str(kind.name())),
+            ("median_ms".to_string(), Json::Num(median)),
+            (
+                "fn_hit_rate".to_string(),
+                Json::Num((hit_rate * 1e3).round() / 1e3),
+            ),
+        ]));
+    }
+
+    // One length-changing body edit, three ways.
+    let other = synth::generate(&SynthConfig {
+        seed: 0x07e,
+        ..SynthConfig::default()
+    });
+    let path_samples = 60 * iters;
+    let (mut fast, mut full_hits, mut full_cold) = (Vec::new(), Vec::new(), Vec::new());
+    while fast.len() < path_samples {
+        let mut s = base.clone();
+        if !s.apply(EditKind::BodyLine, &mut rng) {
+            continue;
+        }
+        let m = Metrics::default();
+        // Fast path: the base version is the cached environment.
+        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        check(&engine, &m, base.source());
+        fast.push(check(&engine, &m, s.source()));
+        // Full path, every unchanged verdict cached: another unit
+        // evicts the one-slot environment cache first.
+        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        check(&engine, &m, base.source());
+        engine.check_unit_parallel("other.vlt", &other.source, &limits, &m, &pool);
+        full_hits.push(check(&engine, &m, s.source()));
+        // Full path, nothing cached.
+        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        full_cold.push(check(&engine, &m, s.source()));
+    }
+    let (fast, full_hits, full_cold) = (
+        median_ms(&mut fast),
+        median_ms(&mut full_hits),
+        median_ms(&mut full_cold),
+    );
+    println!(
+        "  body edit: fast path {fast:.3} ms, full path with all hits {full_hits:.3} ms, \
+         full path cold {full_cold:.3} ms ({:.1}x)",
+        full_hits / fast
+    );
+    Json::Obj(vec![
+        (
+            "unit".to_string(),
+            Json::str(format!(
+                "synth Mixed, 48 functions x 12 statements, {} bytes, bug rate 0.1",
+                program.source.len()
+            )),
+        ),
+        ("jobs".to_string(), Json::num(2)),
+        ("samples_per_kind".to_string(), Json::num(samples as u64)),
+        ("kinds".to_string(), Json::Arr(per_kind)),
+        (
+            "body_edit_paths".to_string(),
+            Json::Obj(vec![
+                ("samples".to_string(), Json::num(path_samples as u64)),
+                ("fast_ms".to_string(), Json::Num(fast)),
+                ("full_all_hits_ms".to_string(), Json::Num(full_hits)),
+                ("full_cold_ms".to_string(), Json::Num(full_cold)),
+                (
+                    "fast_speedup_vs_full_all_hits".to_string(),
+                    Json::Num(round2(full_hits / fast)),
+                ),
+            ]),
+        ),
+    ])
 }
 
 fn round6(x: f64) -> f64 {

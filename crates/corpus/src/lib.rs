@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 
+pub mod edits;
 pub mod exec;
 pub mod extensions;
 pub mod figures;

@@ -7,35 +7,61 @@
 //!
 //! 1. **Declaration environment.** Parsing + elaboration produce an
 //!    [`Elaborated`] (declaration tables, frozen interner, base keys)
-//!    that depends only on the unit's *declarations*, never on function
-//!    body content. Its fingerprint (`env_hash`) therefore hashes the
-//!    source with every top-level function body blanked out.
-//! 2. **Per-function verdicts.** Checking one function is a pure
-//!    function of the environment plus that function's own declaration
-//!    text and position (rendered diagnostics embed line numbers and
-//!    source lines, so position matters). Each body gets a fingerprint
-//!    (`fn_fp`) over `env_hash`, the declaration's byte offsets and
-//!    start line/column, and the line-expanded declaration text; the
-//!    verdict — the function's diagnostics as [`DiagView`]s plus its
-//!    [`CheckStats`] — is memoized under that key in an LRU.
+//!    that depends only on the unit's *signatures*, never on function
+//!    body content. Its fingerprint (`env_hash`) covers the unit name,
+//!    the limits, the prelude length, and the signature text: the
+//!    segments of the checked text between function bodies, each
+//!    prefixed by its length, so every body counts as one separator
+//!    whatever its length.
+//! 2. **Per-function verdicts.** As in the paper, a function is checked
+//!    on its own, against the declared effect clauses of its callees, so
+//!    its verdict is a pure function of the environment and the
+//!    declaration's own text — not of where the declaration sits. Each
+//!    body's fingerprint (`fn_fp`) is `env_hash` plus the declaration's
+//!    bytes, with no offsets and no line/column. The verdict — the raw
+//!    [`Diagnostic`]s with every span relative to the declaration start,
+//!    plus the function's [`CheckStats`] — is memoized under that key in
+//!    an LRU. At assembly each verdict is re-based to the declaration's
+//!    current start and rendered through the unit's [`Attribution`] (the
+//!    re-basing path project mode uses), so line numbers and quoted
+//!    source lines always come from the text being checked. A verdict
+//!    with a span or label outside its own declaration would depend on
+//!    more than that text; it is used once and never cached.
 //!
 //! On a re-check, two paths exist:
 //!
-//! * **Fast path** — the edit preserved source length, left every byte
-//!   outside function bodies intact, and the cached parse was clean: the
-//!   cached [`Elaborated`] is reused outright (no parse, no elaboration)
-//!   and only functions whose fingerprint misses are re-checked, each
-//!   via a *mini-parse* of just its own declaration (everything else
-//!   blanked to spaces, newlines preserved so spans and line numbers
-//!   stay absolute).
-//! * **Full path** — anything else: parse + elaborate fresh, but still
-//!   probe the per-function cache before checking each body.
+//! * **Fast path** — the environment cache holds a clean parse of an
+//!   earlier text under this unit name, and a common-prefix/suffix scan
+//!   against that text finds the edit confined strictly inside one
+//!   function body (both braces untouched). The cached [`Elaborated`] is
+//!   reused outright (no parse, no elaboration); later declarations'
+//!   spans shift by the length delta; only functions whose fingerprint
+//!   misses are re-checked, each via a *mini-parse* of just its own
+//!   declaration at its new offsets (everything else blanked to spaces,
+//!   newlines preserved). The edited declaration is mini-parsed even
+//!   when its verdict hits: a verdict cached from a recovered parse of
+//!   the same text cannot tell that the text does not parse. A
+//!   mini-parse must be pristine: no diagnostic, exactly the expected
+//!   span, a body, and no identifier the frozen interner lacks. The
+//!   environment entry is then refreshed
+//!   with the new text and slots. The cached [`Elaborated`]'s body ASTs
+//!   describe the text it was parsed from, so they are never checked
+//!   after a shift: only its declaration tables and interner are read.
+//! * **Full path** — anything else (an edit outside bodies or spanning
+//!   two, a brace edit, a new identifier, a syntax error, an evicted
+//!   environment): parse + elaborate fresh, but still probe the
+//!   per-function cache before checking each body, so every function
+//!   whose text and environment are unchanged hits wherever it moved.
+//!
+//! The fast path counts its function-cache hits and misses only when it
+//! answers; after a fallback, the full path's counts are the unit's only
+//! ones.
 //!
 //! Either way the assembled [`CheckSummary`] is **byte-identical** to
 //! what a monolithic [`vault_core::check_summary_with_limits`] run would
 //! produce — same diagnostics in the same order with the same rendering,
-//! same counters, same verdict. The differential test suite holds the
-//! engine to that.
+//! same counters, same verdict. The differential and edit-sequence test
+//! suites hold the engine to that.
 //!
 //! Deadline-bounded checks bypass the engine entirely: a wall-clock
 //! verdict is not a pure function of the input, so caching any part of
@@ -77,7 +103,7 @@ use vault_core::{
 };
 use vault_syntax::{
     ast, parse_program_with_depth, parse_program_with_depth_timed, Attribution, Code, DiagSink,
-    DiagView, Severity, SourceMap, Span,
+    DiagView, Diagnostic, Severity, Span,
 };
 
 use crate::cache::{fnv1a_64, fnv1a_absorb, LruCache};
@@ -95,30 +121,180 @@ const MINI_PARSE_DEPTH_MARGIN: usize = 8;
 
 /// The memoized front half of the pipeline for one unit name.
 struct CachedEnv {
-    /// Fingerprint of the declaration environment (name, limits, and the
-    /// body-blanked source).
+    /// Hash of the unit name, limits and prelude length: the part of
+    /// `env_hash` the fast path cannot read off the text.
+    base_hash: u64,
+    /// Fingerprint of the declaration environment (see [`env_hash`]).
     env_hash: u64,
-    /// Length of the source this entry was built from; the fast path
-    /// only applies to same-length edits (so every cached span is still
-    /// a valid byte range).
-    source_len: usize,
+    /// The checked text (prelude + unit source) this entry describes.
+    source: Arc<str>,
     /// `(whole-declaration span, body span including braces)` for each
-    /// checked function, in check order.
+    /// checked function, in check order, in `source` coordinates.
     slots: Vec<(Span, Span)>,
-    /// The reusable elaboration output.
+    /// Per-function fingerprints, parallel to `slots`.
+    fps: Vec<u64>,
+    /// The reusable elaboration output. After a fast-path refresh its
+    /// body ASTs describe an older text; only its declaration tables
+    /// and interner are ever read.
     elaborated: Arc<Elaborated>,
-    /// Parse + elaboration diagnostics. The fast path requires this to
-    /// be empty: partial parses have unstable declaration tables, and
-    /// the monolithic checker's early-exit rules key off these.
-    pre_views: Vec<DiagView>,
+    /// Whether parse + elaboration reported nothing. The fast path
+    /// requires it: partial parses have unstable declaration tables, and
+    /// the monolithic checker's early-exit rules key off these
+    /// diagnostics.
+    clean: bool,
 }
 
-/// The memoized verdict for one function body.
+impl CachedEnv {
+    /// The slots and fingerprints of `source` when it differs from this
+    /// entry's text only strictly inside one function body (or not at
+    /// all), plus that body's index; `None` otherwise.
+    ///
+    /// A common-prefix/suffix scan bounds the replaced region. The
+    /// signature text is then unchanged, so `env_hash` still holds;
+    /// every offset past the region moves by the length delta, and only
+    /// the edited declaration needs a new fingerprint.
+    fn edited_to(&self, source: &str) -> Option<EditedSlots> {
+        let (old, new) = (self.source.as_bytes(), source.as_bytes());
+        let prefix = common_prefix(old, new);
+        if prefix == old.len() && prefix == new.len() {
+            return Some((self.slots.clone(), self.fps.clone(), None));
+        }
+        let suffix = common_suffix(&old[prefix..], &new[prefix..]);
+        // `old[prefix..old_end]` was replaced; the opening brace must sit
+        // in the common prefix and the closing one in the common suffix.
+        let old_end = old.len() - suffix;
+        let k = self
+            .slots
+            .iter()
+            .position(|&(_, body)| (body.start as usize) < prefix && old_end < body.end as usize)?;
+        let delta = new.len() as i64 - old.len() as i64;
+        // Every slot endpoint lies before the region or after it, never
+        // inside: declarations do not nest.
+        let moved = |o: u32| {
+            if o as usize > prefix {
+                (o as i64 + delta) as u32
+            } else {
+                o
+            }
+        };
+        let slots: Vec<(Span, Span)> = self
+            .slots
+            .iter()
+            .map(|&(d, b)| {
+                (
+                    Span::new(moved(d.start), moved(d.end)),
+                    Span::new(moved(b.start), moved(b.end)),
+                )
+            })
+            .collect();
+        let mut fps = self.fps.clone();
+        fps[k] = fn_fingerprint(self.env_hash, source, slots[k].0);
+        Some((slots, fps, Some(k)))
+    }
+}
+
+/// Slots and fingerprints after an edit, plus the index of the edited
+/// function (`None` when the text is unchanged).
+type EditedSlots = (Vec<(Span, Span)>, Vec<u64>, Option<usize>);
+
+/// Length of the longest common prefix of `a` and `b`.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    const W: usize = 16;
+    let n = a.len().min(b.len());
+    let mut i = 0;
+    // Whole chunks first: slice equality compiles to a wide compare.
+    while i + W <= n && a[i..i + W] == b[i..i + W] {
+        i += W;
+    }
+    while i < n && a[i] == b[i] {
+        i += 1;
+    }
+    i
+}
+
+/// Length of the longest common suffix of `a` and `b`.
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    const W: usize = 16;
+    let n = a.len().min(b.len());
+    let (la, lb) = (a.len(), b.len());
+    let mut i = 0;
+    while i + W <= n && a[la - i - W..la - i] == b[lb - i - W..lb - i] {
+        i += W;
+    }
+    while i < n && a[la - i - 1] == b[lb - i - 1] {
+        i += 1;
+    }
+    i
+}
+
+/// The memoized verdict for one function body, independent of where
+/// its declaration sits.
 struct FnVerdict {
-    /// The function's diagnostics, rendered, in discovery order.
-    views: Vec<DiagView>,
+    /// The function's diagnostics in discovery order, every span taken
+    /// relative to the declaration start (modulo 2^32, so a span before
+    /// the start survives the round trip; see [`Self::self_contained`]).
+    diags: Vec<Diagnostic>,
     /// The function's checker counters.
     stats: CheckStats,
+}
+
+/// Apply `f` to every offset of `d`'s primary span and labels. Spans are
+/// rebuilt field by field: a relative span that wrapped below zero is
+/// transiently "inverted", which `Span::new` would reject.
+fn map_offsets(d: &mut Diagnostic, f: impl Fn(u32) -> u32) {
+    d.span = Span {
+        start: f(d.span.start),
+        end: f(d.span.end),
+    };
+    for l in &mut d.labels {
+        l.span = Span {
+            start: f(l.span.start),
+            end: f(l.span.end),
+        };
+    }
+}
+
+impl FnVerdict {
+    /// A verdict from diagnostics reported for a declaration starting at
+    /// `start`.
+    fn at(start: u32, mut diags: Vec<Diagnostic>, stats: CheckStats) -> Self {
+        for d in &mut diags {
+            map_offsets(d, |o| o.wrapping_sub(start));
+        }
+        FnVerdict { diags, stats }
+    }
+
+    /// Whether every span and label lies inside a declaration of
+    /// `decl_len` bytes. Only such a verdict depends on nothing but the
+    /// declaration's text and may be cached or persisted.
+    fn self_contained(&self, decl_len: u32) -> bool {
+        let inside = |s: Span| s.start <= s.end && s.end <= decl_len;
+        self.diags
+            .iter()
+            .all(|d| inside(d.span) && d.labels.iter().all(|l| inside(l.span)))
+    }
+}
+
+/// Render `verdict`'s diagnostics re-based at `start`, the declaration's
+/// current offset, and fold them plus its stats into the running
+/// summary state. Returns `true` when checking must stop after this
+/// function (the monolithic checker breaks its loop on the first
+/// [`Code::LimitExceeded`] anywhere in the sink).
+fn splice(
+    views: &mut Vec<DiagView>,
+    stats: &mut CheckStats,
+    attr: &Attribution,
+    start: u32,
+    verdict: &FnVerdict,
+    pre_limit: bool,
+) -> bool {
+    for d in &verdict.diags {
+        let mut d = d.clone();
+        map_offsets(&mut d, |o| o.wrapping_add(start));
+        views.push(attr.view(&d));
+    }
+    stats.absorb(verdict.stats);
+    pre_limit || verdict.diags.iter().any(|d| d.code == Code::LimitExceeded)
 }
 
 /// Shared function-granular incremental checking state.
@@ -146,55 +322,51 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Fingerprint of the declaration environment: the unit name, the
-/// limits that shape parsing/checking, the prelude length (project mode
-/// prepends dependency signatures; two different prelude/unit splits of
-/// the same concatenation must not share attributed verdicts), and the
-/// checked text with every function body blanked.
-fn env_hash(name: &str, limits: &Limits, prelude_len: u32, excised: &[u8]) -> u64 {
+/// Hash of what shapes the environment besides the text: the unit name,
+/// the limits that shape parsing/checking, and the prelude length
+/// (project mode prepends dependency signatures; two prelude/unit
+/// splits of one concatenation attribute diagnostics differently).
+fn base_hash(name: &str, limits: &Limits, prelude_len: u32) -> u64 {
     let h = fnv1a_64(name.as_bytes());
     let h = fnv1a_absorb(h, &[0x00]);
     let h = fnv1a_absorb(h, &(limits.parser_depth as u64).to_le_bytes());
     let h = fnv1a_absorb(h, &(limits.fixpoint_iters as u64).to_le_bytes());
-    let h = fnv1a_absorb(h, &(prelude_len as u64).to_le_bytes());
-    fnv1a_absorb(h, excised)
+    fnv1a_absorb(h, &(prelude_len as u64).to_le_bytes())
 }
 
-/// The source with every function-body byte range overwritten by `0x00`
-/// (the length is preserved, so declaration offsets stay comparable).
-fn excise_bodies(source: &str, slots: &[(Span, Span)]) -> Vec<u8> {
-    let mut bytes = source.as_bytes().to_vec();
-    for &(_, body) in slots {
-        for b in &mut bytes[body.start as usize..body.end as usize] {
-            *b = 0x00;
-        }
+/// Fingerprint of the declaration environment: `base` plus the
+/// signature text — the segments of `source` around the function bodies
+/// in `slots`, each prefixed by its length. A body contributes only the
+/// boundary between two segments, never its length, so an edit inside
+/// a body leaves the hash unchanged.
+fn env_hash(base: u64, source: &str, slots: &[(Span, Span)]) -> u64 {
+    fn absorb_segment(h: u64, seg: &[u8]) -> u64 {
+        fnv1a_absorb(fnv1a_absorb(h, &(seg.len() as u64).to_le_bytes()), seg)
     }
-    bytes
+    let bytes = source.as_bytes();
+    let mut h = base;
+    let mut cursor = 0usize;
+    for &(_, body) in slots {
+        let start = (body.start as usize).max(cursor);
+        h = absorb_segment(h, &bytes[cursor..start]);
+        cursor = cursor.max(body.end as usize);
+    }
+    absorb_segment(h, &bytes[cursor..])
 }
 
-/// Fingerprint of one function: everything its diagnostics and stats
-/// can depend on besides the environment. Byte offsets and the start
-/// line/column pin the position; the *line-expanded* declaration text
-/// (whole source lines, because rendered diagnostics quote whole lines)
-/// pins the content.
-fn fn_fingerprint(env_hash: u64, source: &str, sm: &SourceMap, decl: Span) -> u64 {
-    let lc = sm.line_col(decl.start);
-    let line_start = source[..decl.start as usize]
-        .rfind('\n')
-        .map_or(0, |i| i + 1);
-    let line_end = source[decl.end as usize..]
-        .find('\n')
-        .map_or(source.len(), |i| decl.end as usize + i + 1);
-    let h = fnv1a_absorb(env_hash, &decl.start.to_le_bytes());
-    let h = fnv1a_absorb(h, &decl.end.to_le_bytes());
-    let h = fnv1a_absorb(h, &lc.line.to_le_bytes());
-    let h = fnv1a_absorb(h, &lc.col.to_le_bytes());
-    fnv1a_absorb(h, source[line_start..line_end].as_bytes())
+/// Fingerprint of one function: the environment plus the declaration's
+/// own bytes. Everything its relative verdict can depend on, and
+/// nothing about where it sits.
+fn fn_fingerprint(env_hash: u64, source: &str, decl: Span) -> u64 {
+    fnv1a_absorb(
+        env_hash,
+        &source.as_bytes()[decl.start as usize..decl.end as usize],
+    )
 }
 
 /// The source with everything *outside* `keep` blanked to spaces
 /// (newlines preserved), so a parse of the result sees one declaration
-/// at its original offsets and line numbers.
+/// at its offsets and line numbers in `source`.
 fn blank_outside(source: &str, keep: Span) -> String {
     let keep = keep.start as usize..keep.end as usize;
     let mut bytes = source.as_bytes().to_vec();
@@ -206,25 +378,6 @@ fn blank_outside(source: &str, keep: Span) -> String {
     // Every replacement is ASCII and the kept range is untouched, so
     // the result is still valid UTF-8.
     String::from_utf8(bytes).expect("blanking preserves UTF-8")
-}
-
-/// Fold a function's absorbed diagnostics + stats into the running
-/// summary state. Returns `true` when checking must stop after this
-/// function (the monolithic checker breaks its loop on the first
-/// [`Code::LimitExceeded`] anywhere in the sink).
-fn splice(
-    views: &mut Vec<DiagView>,
-    stats: &mut CheckStats,
-    verdict: &FnVerdict,
-    pre_limit: bool,
-) -> bool {
-    views.extend(verdict.views.iter().cloned());
-    stats.absorb(verdict.stats);
-    pre_limit
-        || verdict
-            .views
-            .iter()
-            .any(|d| d.code == Code::LimitExceeded.as_str())
 }
 
 /// Recompute the verdict from assembled diagnostics, mirroring
@@ -239,14 +392,9 @@ fn verdict_of(views: &[DiagView]) -> Verdict {
     }
 }
 
-/// Check one elaborated function body and render its diagnostics.
-/// Pure given its inputs; safe to run on any thread.
-fn check_body(
-    elab: &Elaborated,
-    attr: &Attribution,
-    f: &ast::FunDecl,
-    limits: &Limits,
-) -> FnVerdict {
+/// Check one function body against an elaborated environment. Pure
+/// given its inputs; safe to run on any thread.
+fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> FnVerdict {
     let mut sink = DiagSink::new();
     let stats = check_function_with_limits(
         &elab.world,
@@ -258,10 +406,7 @@ fn check_body(
         &mut sink,
         limits,
     );
-    FnVerdict {
-        views: sink.into_vec().iter().map(|d| attr.view(d)).collect(),
-        stats,
-    }
+    FnVerdict::at(f.span.start, sink.into_vec(), stats)
 }
 
 /// The front half of a full check: parse + elaborate, plus everything
@@ -271,6 +416,7 @@ struct FrontEnd {
     pre_views: Vec<DiagView>,
     pre_limit: bool,
     slots: Vec<(Span, Span)>,
+    base_hash: u64,
     env_hash: u64,
     /// Per-function fingerprints, in check order.
     fps: Vec<u64>,
@@ -282,7 +428,7 @@ struct FrontEnd {
 enum FnOutcome {
     /// The per-function cache already had the verdict.
     Hit(Arc<FnVerdict>),
-    /// Freshly checked (and now cached).
+    /// Freshly checked (and cached when self-contained).
     Fresh(Arc<FnVerdict>),
     /// The check panicked; the payload re-panics at assembly, in
     /// function order, so containment matches the sequential path.
@@ -296,7 +442,6 @@ enum FnOutcome {
 struct FanOut {
     engine: Arc<IncrementalEngine>,
     elaborated: Arc<Elaborated>,
-    attr: Arc<Attribution>,
     fps: Vec<u64>,
     limits: Limits,
     next: AtomicUsize,
@@ -326,21 +471,12 @@ impl FanOut {
         if let Some(v) = probed {
             return FnOutcome::Hit(v);
         }
+        let f = &self.elaborated.bodies[i];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            check_body(
-                &self.elaborated,
-                &self.attr,
-                &self.elaborated.bodies[i],
-                &self.limits,
-            )
+            check_body(&self.elaborated, f, &self.limits)
         }));
         match outcome {
-            Ok(v) => {
-                let v = Arc::new(v);
-                lock(&self.engine.fns).put(fp, Arc::clone(&v));
-                self.engine.note_dirty(fp, &v);
-                FnOutcome::Fresh(v)
-            }
+            Ok(v) => FnOutcome::Fresh(self.engine.remember(fp, f.span, v)),
             Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
         }
     }
@@ -364,28 +500,38 @@ impl IncrementalEngine {
         self.track_dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Record a fresh verdict for the persistence layer, when enabled.
-    fn note_dirty(&self, fp: u64, verdict: &Arc<FnVerdict>) {
-        if self.track_dirty.load(Ordering::Relaxed) {
-            lock(&self.dirty).push((fp, Arc::clone(verdict)));
+    /// Cache a freshly checked verdict under `fp` (and queue it for the
+    /// persistence layer, when enabled) if it is self-contained within
+    /// `decl`. Returns it shared either way.
+    fn remember(&self, fp: u64, decl: Span, verdict: FnVerdict) -> Arc<FnVerdict> {
+        let verdict = Arc::new(verdict);
+        if verdict.self_contained(decl.len()) {
+            lock(&self.fns).put(fp, Arc::clone(&verdict));
+            if self.track_dirty.load(Ordering::Relaxed) {
+                lock(&self.dirty).push((fp, Arc::clone(&verdict)));
+            }
         }
+        verdict
     }
 
     /// Drain every function verdict computed since the last drain, as
-    /// `(fingerprint, diagnostics, stats)` rows ready to journal.
-    pub fn take_dirty(&self) -> Vec<(u64, Vec<DiagView>, CheckStats)> {
+    /// `(fingerprint, declaration-relative diagnostics, stats)` rows
+    /// ready to journal.
+    pub fn take_dirty(&self) -> Vec<(u64, Vec<Diagnostic>, CheckStats)> {
         std::mem::take(&mut *lock(&self.dirty))
             .into_iter()
-            .map(|(fp, v)| (fp, v.views.clone(), v.stats))
+            .map(|(fp, v)| (fp, v.diags.clone(), v.stats))
             .collect()
     }
 
-    /// Install a function verdict replayed from the persistent cache.
-    /// The fingerprint recipe is stable across restarts (environment
-    /// hash plus declaration text), so a later check of the same
-    /// function under the same declarations hits this entry.
-    pub fn seed_fn(&self, fp: u64, views: Vec<DiagView>, stats: CheckStats) {
-        lock(&self.fns).put(fp, Arc::new(FnVerdict { views, stats }));
+    /// Install a function verdict replayed from the persistent cache;
+    /// `diags` carry spans relative to the declaration start. The
+    /// fingerprint recipe is stable across restarts (environment hash
+    /// plus declaration text), so a later check of the same function
+    /// under the same declarations hits this entry wherever the function
+    /// has moved.
+    pub fn seed_fn(&self, fp: u64, diags: Vec<Diagnostic>, stats: CheckStats) {
+        lock(&self.fns).put(fp, Arc::new(FnVerdict { diags, stats }));
     }
 
     /// Check one unit, reusing whatever the caches already know.
@@ -405,10 +551,9 @@ impl IncrementalEngine {
     /// [`Self::check_unit`] against a dependency-signature prelude
     /// (project mode). The checker runs over `prelude + source`, every
     /// diagnostic is re-attributed to unit coordinates through
-    /// [`Attribution`], and both the environment hash and the
-    /// per-function fingerprints absorb the prelude, so a unit keeps its
-    /// per-function cache across body edits even inside a project. With
-    /// an empty prelude the result is byte-identical to
+    /// [`Attribution`], and the environment hash absorbs the prelude, so
+    /// a unit keeps its per-function cache across body edits even inside
+    /// a project. With an empty prelude the result is byte-identical to
     /// [`vault_core::check_summary_with_limits`].
     pub fn check_unit_with_prelude(
         &self,
@@ -446,9 +591,10 @@ impl IncrementalEngine {
         lock(&self.dirty).clear();
     }
 
-    /// Same-length edit path: reuse the cached elaboration, re-check
-    /// only the functions whose fingerprints miss. `None` means the
-    /// preconditions failed and the full path must run.
+    /// Edit-region path: reuse the cached elaboration, re-check only the
+    /// functions whose fingerprints miss. `None` means the preconditions
+    /// failed and the full path must run; nothing is counted then, so
+    /// the full path's counts are the unit's only ones.
     fn try_fast_path(
         &self,
         name: &str,
@@ -458,24 +604,27 @@ impl IncrementalEngine {
     ) -> Option<CheckSummary> {
         let source = attr.full_text();
         let env = lock(&self.envs).get(fnv1a_64(name.as_bytes()))?;
-        if env.source_len != source.len() || !env.pre_views.is_empty() {
+        if !env.clean || env.base_hash != base_hash(name, limits, attr.prelude_len()) {
             return None;
         }
-        // Same length, so every cached span is still in range; equal
-        // excised hashes mean the edit stayed inside function bodies.
-        let excised = excise_bodies(source, &env.slots);
-        if env_hash(name, limits, attr.prelude_len(), &excised) != env.env_hash {
-            return None;
-        }
+        let (slots, fps, edited) = env.edited_to(source)?;
+        let parse = |decl| self.mini_parse(attr, decl, &env.elaborated, limits);
+        // The edited declaration must parse pristine even when its
+        // verdict is cached: a verdict cached from a recovered parse of
+        // the same text says nothing about the syntax error. `None`
+        // from a mini-parse (syntax error, span drift, or a brand-new
+        // identifier) means only the full pipeline can say what the
+        // unit means now.
+        let mut edited_fn = match edited {
+            Some(k) => Some(parse(slots[k].0)?),
+            None => None,
+        };
 
-        let sm = attr.full_map();
         let mut views: Vec<DiagView> = Vec::new();
         let mut stats = CheckStats::default();
         let mut hits = 0u64;
         let mut misses = 0u64;
-        let mut aborted = false;
-        for &(decl, _) in &env.slots {
-            let fp = fn_fingerprint(env.env_hash, source, sm, decl);
+        for (i, (&(decl, _), &fp)) in slots.iter().zip(&fps).enumerate() {
             // Bind the probe result first: a guard living in a match
             // scrutinee would still be held when the miss arm re-locks.
             let probed = lock(&self.fns).get(fp);
@@ -486,32 +635,37 @@ impl IncrementalEngine {
                 }
                 None => {
                     misses += 1;
-                    match self.check_standalone(attr, decl, &env.elaborated, limits) {
-                        Some(v) => {
-                            lock(&self.fns).put(fp, Arc::clone(&v));
-                            self.note_dirty(fp, &v);
-                            v
-                        }
-                        None => {
-                            // The edit confused the mini-parse (syntax
-                            // error, span drift, or a brand-new
-                            // identifier): only the full pipeline can
-                            // say what the unit means now.
-                            aborted = true;
-                            break;
-                        }
+                    let f = match edited_fn.take_if(|_| edited == Some(i)) {
+                        Some(f) => f,
+                        None => parse(decl)?,
+                    };
+                    // A verdict reaching outside its declaration may
+                    // point at text this entry has shifted.
+                    let v = check_body(&env.elaborated, &f, limits);
+                    if !v.self_contained(decl.len()) {
+                        return None;
                     }
+                    self.remember(fp, decl, v)
                 }
             };
-            if splice(&mut views, &mut stats, &verdict, false) {
+            if splice(&mut views, &mut stats, attr, decl.start, &verdict, false) {
                 break;
             }
         }
         metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
         metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        if aborted {
-            return None;
-        }
+        lock(&self.envs).put(
+            fnv1a_64(name.as_bytes()),
+            Arc::new(CachedEnv {
+                base_hash: env.base_hash,
+                env_hash: env.env_hash,
+                source: Arc::from(source),
+                slots,
+                fps,
+                elaborated: Arc::clone(&env.elaborated),
+                clean: true,
+            }),
+        );
         Some(CheckSummary {
             name: name.to_string(),
             verdict: verdict_of(&views),
@@ -520,20 +674,19 @@ impl IncrementalEngine {
         })
     }
 
-    /// Parse and check exactly one declaration of `source` (everything
-    /// else blanked), against a cached environment. `None` when the
-    /// mini-parse is not pristine — any diagnostic, a span that moved,
-    /// a vanished body, or an identifier the frozen interner has never
-    /// seen.
-    fn check_standalone(
+    /// Parse exactly one declaration of the checked text (everything
+    /// else blanked) and intern it against a cached environment. `None`
+    /// when the mini-parse is not pristine — any diagnostic, a span that
+    /// moved, a vanished body, or an identifier the frozen interner has
+    /// never seen.
+    fn mini_parse(
         &self,
         attr: &Attribution,
         decl: Span,
         elab: &Elaborated,
         limits: &Limits,
-    ) -> Option<Arc<FnVerdict>> {
-        let source = attr.full_text();
-        let mini = blank_outside(source, decl);
+    ) -> Option<ast::FunDecl> {
+        let mini = blank_outside(attr.full_text(), decl);
         let mut parse_diags = DiagSink::new();
         let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
         let program = parse_program_with_depth(&mini, &mut parse_diags, depth);
@@ -562,29 +715,13 @@ impl IncrementalEngine {
             id.sym = elab.syms.sym(&id.name);
             unknown |= id.sym == vault_syntax::Symbol::UNKNOWN;
         });
-        if unknown {
-            return None;
-        }
-        let mut sink = DiagSink::new();
-        let stats = check_function_with_limits(
-            &elab.world,
-            &elab.syms,
-            &elab.aliases,
-            &elab.qualifiers,
-            &elab.base_keys,
-            &f,
-            &mut sink,
-            limits,
-        );
-        let views = sink.into_vec().iter().map(|d| attr.view(d)).collect();
-        Some(Arc::new(FnVerdict { views, stats }))
+        (!unknown).then_some(f)
     }
 
     /// Parse + elaborate the unit and fingerprint every function body:
     /// everything a full check does before touching a body.
     fn front(&self, name: &str, attr: &Attribution, limits: &Limits) -> FrontEnd {
         let source = attr.full_text();
-        let sm = attr.full_map();
         let mut pre = DiagSink::new();
         let (program, front) =
             parse_program_with_depth_timed(source, &mut pre, limits.parser_depth);
@@ -597,12 +734,11 @@ impl IncrementalEngine {
             .iter()
             .map(|f| (f.span, f.body.as_ref().expect("collected with body").span))
             .collect();
-        let excised = excise_bodies(source, &slots);
-        let eh = env_hash(name, limits, attr.prelude_len(), &excised);
-        let fps = elaborated
-            .bodies
+        let base = base_hash(name, limits, attr.prelude_len());
+        let eh = env_hash(base, source, &slots);
+        let fps = slots
             .iter()
-            .map(|f| fn_fingerprint(eh, source, sm, f.span))
+            .map(|&(decl, _)| fn_fingerprint(eh, source, decl))
             .collect();
         let stats = CheckStats {
             lex_micros: front.lex_micros,
@@ -616,6 +752,7 @@ impl IncrementalEngine {
             pre_views,
             pre_limit,
             slots,
+            base_hash: base,
             env_hash: eh,
             fps,
             stats,
@@ -623,15 +760,17 @@ impl IncrementalEngine {
     }
 
     /// Refresh the environment cache from a finished front end.
-    fn store_env(&self, name: &str, source_len: usize, fe: FrontEnd) {
+    fn store_env(&self, name: &str, source: &str, fe: FrontEnd) {
         lock(&self.envs).put(
             fnv1a_64(name.as_bytes()),
             Arc::new(CachedEnv {
+                base_hash: fe.base_hash,
                 env_hash: fe.env_hash,
-                source_len,
+                source: Arc::from(source),
                 slots: fe.slots,
+                fps: fe.fps,
                 elaborated: fe.elaborated,
-                pre_views: fe.pre_views,
+                clean: fe.pre_views.is_empty(),
             }),
         );
     }
@@ -672,19 +811,23 @@ impl IncrementalEngine {
                 }
                 None => {
                     misses += 1;
-                    let v = Arc::new(check_body(&fe.elaborated, attr, f, limits));
-                    lock(&self.fns).put(fp, Arc::clone(&v));
-                    self.note_dirty(fp, &v);
-                    v
+                    self.remember(fp, f.span, check_body(&fe.elaborated, f, limits))
                 }
             };
-            if splice(&mut views, &mut stats, &verdict, fe.pre_limit) {
+            if splice(
+                &mut views,
+                &mut stats,
+                attr,
+                f.span.start,
+                &verdict,
+                fe.pre_limit,
+            ) {
                 break;
             }
         }
         metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
         metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_env(name, attr.full_text().len(), fe);
+        self.store_env(name, attr.full_text(), fe);
         CheckSummary {
             name: name.to_string(),
             verdict: verdict_of(&views),
@@ -726,7 +869,7 @@ impl IncrementalEngine {
             }
             return check_summary_with_prelude(name, prelude, source, limits);
         }
-        let attr = Arc::new(Attribution::with_prelude(name, prelude, source));
+        let attr = Attribution::with_prelude(name, prelude, source);
         if let Some(summary) = self.try_fast_path(name, &attr, limits, metrics) {
             return summary;
         }
@@ -738,7 +881,7 @@ impl IncrementalEngine {
     fn full_check_parallel(
         self: &Arc<Self>,
         name: &str,
-        attr: &Arc<Attribution>,
+        attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
         pool: &Arc<CheckPool>,
@@ -755,9 +898,8 @@ impl IncrementalEngine {
         let fan = Arc::new(FanOut {
             engine: Arc::clone(self),
             elaborated: Arc::clone(&fe.elaborated),
-            attr: Arc::clone(attr),
             fps: fe.fps.clone(),
-            limits: limits.clone(),
+            limits: *limits,
             next: AtomicUsize::new(0),
         });
         let (tx, rx) = channel::<(usize, FnOutcome)>();
@@ -812,7 +954,8 @@ impl IncrementalEngine {
                     break;
                 }
             };
-            if splice(&mut views, &mut stats, &verdict, false) {
+            let start = fe.slots[i].0.start;
+            if splice(&mut views, &mut stats, attr, start, &verdict, false) {
                 break;
             }
         }
@@ -825,7 +968,7 @@ impl IncrementalEngine {
         }
         metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
         metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_env(name, attr.full_text().len(), fe);
+        self.store_env(name, attr.full_text(), fe);
         CheckSummary {
             name: name.to_string(),
             verdict: verdict_of(&views),
@@ -1062,6 +1205,156 @@ void beta() {
         assert_eq!(envs, 1);
         assert_eq!(fns, 2);
         eng.clear();
+        assert_eq!(eng.entries(), (0, 0));
+    }
+
+    /// The elaboration the unit's cached environment holds: the fast
+    /// path keeps it, the full path replaces it.
+    fn cached_elaboration(eng: &IncrementalEngine, name: &str) -> Arc<Elaborated> {
+        let env = lock(&eng.envs)
+            .get(fnv1a_64(name.as_bytes()))
+            .expect("environment cached");
+        Arc::clone(&env.elaborated)
+    }
+
+    #[test]
+    fn length_changing_body_edit_takes_the_fast_path() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let elab = cached_elaboration(&eng, "u.vlt");
+        let before = m.snapshot();
+        // A line inserted into `alpha` moves `beta` down by one line.
+        let edited = UNIT.replace(
+            "  if (flag) { p.x++; }",
+            "  p.y = p.y + 1;\n  if (flag) { p.x++; }",
+        );
+        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        assert_eq!(got, reference("u.vlt", &edited, &limits));
+        let snap = m.snapshot();
+        assert_eq!(
+            snap.fn_cache_hits - before.fn_cache_hits,
+            1,
+            "beta moved, still hit"
+        );
+        assert_eq!(
+            snap.fn_cache_misses - before.fn_cache_misses,
+            1,
+            "alpha re-checked"
+        );
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+    }
+
+    #[test]
+    fn successive_fast_path_edits_track_shifted_declarations() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let elab = cached_elaboration(&eng, "u.vlt");
+        // Shrink `alpha`, then edit `beta` at its shifted offsets, then
+        // grow `alpha` again: each step diffs against the refreshed
+        // environment, never the stale body ASTs.
+        let v1 = UNIT.replace("  if (flag) { p.x++; } else { p.y++; }\n", "");
+        let v2 = v1.replace("  p.x++;\n}", "  p.x = p.x + 2;\n}");
+        let v3 = v2.replace("{x=1; y=2;};", "{x=1; y=2;};\n  p.x = 5;");
+        for v in [&v1, &v2, &v3] {
+            let before = m.snapshot();
+            let got = eng.check_unit("u.vlt", v, &limits, &m);
+            assert_eq!(got, reference("u.vlt", v, &limits));
+            let snap = m.snapshot();
+            assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1);
+            assert_eq!(snap.fn_cache_misses - before.fn_cache_misses, 1);
+        }
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+    }
+
+    #[test]
+    fn fast_path_fallback_counts_each_function_once() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let before = m.snapshot();
+        // Confined to `beta`'s body, but `q` is a new identifier: the
+        // fast path gives up on `beta` after `alpha` hit, and the full
+        // path answers. Only the full path's counts may land.
+        let edited = UNIT.replace("  p.x++;\n}\n", "  q.x++;\n}\n");
+        assert_eq!(edited.len(), UNIT.len());
+        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        assert_eq!(got, reference("u.vlt", &edited, &limits));
+        let snap = m.snapshot();
+        let counted = (snap.fn_cache_hits + snap.fn_cache_misses)
+            - (before.fn_cache_hits + before.fn_cache_misses);
+        assert_eq!(counted, 2, "one count per function");
+        assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1, "alpha hit");
+    }
+
+    #[test]
+    fn returning_to_a_broken_body_reports_its_syntax_error() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        // The broken text goes through the full path first, which caches
+        // `alpha`'s verdict from the recovered parse. Returning to that
+        // text from a clean one is confined to `alpha`'s body, and the
+        // cached verdict hits: the fast path must still see the error.
+        let broken = UNIT.replace(
+            "  Region.delete(r);\n}\nvoid beta",
+            "  @@;\n  Region.delete(r);\n}\nvoid beta",
+        );
+        for v in [&broken, UNIT, &broken] {
+            let got = eng.check_unit("u.vlt", v, &limits, &m);
+            assert_eq!(got, reference("u.vlt", v, &limits));
+        }
+    }
+
+    #[test]
+    fn full_path_reuses_functions_whose_text_is_unchanged() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        // A comment ahead of every declaration moves all of them and
+        // changes the signature text, so nothing may be reused.
+        let moved = format!("// header\n{UNIT}");
+        let before = m.snapshot();
+        let got = eng.check_unit("u.vlt", &moved, &limits, &m);
+        assert_eq!(got, reference("u.vlt", &moved, &limits));
+        assert_eq!(m.snapshot().fn_cache_hits, before.fn_cache_hits);
+        // Touching `beta`'s opening brace takes the full path, which
+        // still reuses `alpha` under the unchanged signature text.
+        let brace = moved.replace("void beta() {", "void beta() {  ");
+        let before = m.snapshot();
+        let got = eng.check_unit("u.vlt", &brace, &limits, &m);
+        assert_eq!(got, reference("u.vlt", &brace, &limits));
+        let snap = m.snapshot();
+        assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1);
+        assert_eq!(snap.fn_cache_misses - before.fn_cache_misses, 1);
+    }
+
+    #[test]
+    fn verdicts_reaching_outside_their_declaration_are_not_cached() {
+        let decl = Span::new(100, 140);
+        let inside = Diagnostic::error(Code::KeyLeak, Span::new(120, 125), "leak")
+            .with_label(Span::new(100, 101), "here");
+        let v = FnVerdict::at(decl.start, vec![inside.clone()], CheckStats::default());
+        assert!(v.self_contained(decl.len()));
+        assert_eq!(v.diags[0].span, Span::new(20, 25));
+        let before = Diagnostic::error(Code::KeyLeak, Span::new(120, 125), "leak")
+            .with_label(Span::new(40, 45), "declared earlier");
+        let after = Diagnostic::error(Code::KeyLeak, Span::new(130, 150), "leak");
+        for d in [before, after] {
+            let v = FnVerdict::at(decl.start, vec![d.clone()], CheckStats::default());
+            assert!(!v.self_contained(decl.len()));
+            // Re-basing at the same start restores the exact spans.
+            let mut back = v.diags[0].clone();
+            map_offsets(&mut back, |o| o.wrapping_add(decl.start));
+            assert_eq!(back, d);
+        }
+        let eng = IncrementalEngine::new(4, 4);
+        let outside = FnVerdict::at(
+            decl.start,
+            vec![Diagnostic::error(Code::KeyLeak, Span::new(0, 1), "x")],
+            CheckStats::default(),
+        );
+        eng.remember(7, decl, outside);
         assert_eq!(eng.entries(), (0, 0));
     }
 }

@@ -88,7 +88,8 @@ use std::sync::Mutex;
 
 use vault_core::check::CheckStats;
 use vault_core::{CheckSummary, Verdict};
-use vault_syntax::{DiagView, LabelView};
+use vault_syntax::diag::Label;
+use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Severity, Span};
 
 use crate::json::{self, Json};
 
@@ -97,7 +98,9 @@ const MAGIC: &[u8; 8] = b"VAULTCCH";
 
 /// Format version; a mismatch (older or newer) quarantines the segment.
 /// Bump whenever the payload schema or the fingerprint recipe changes.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2: per-function records hold declaration-relative
+/// diagnostics under position-independent fingerprints.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic plus version.
 const HEADER_LEN: u64 = 12;
@@ -173,8 +176,9 @@ pub enum Record {
     Fn {
         /// The function fingerprint.
         fp: u64,
-        /// The function's diagnostics.
-        views: Vec<DiagView>,
+        /// The function's diagnostics, every span relative to the
+        /// declaration start; rendered only when a check assembles them.
+        views: Vec<Diagnostic>,
         /// The function's checker counters.
         stats: CheckStats,
     },
@@ -186,8 +190,9 @@ pub enum Record {
 pub struct Loaded {
     /// Whole-unit records, in append order (later wins on duplicates).
     pub units: Vec<(u64, CheckSummary)>,
-    /// Per-function records, in append order.
-    pub fns: Vec<(u64, Vec<DiagView>, CheckStats)>,
+    /// Per-function records (declaration-relative diagnostics), in
+    /// append order.
+    pub fns: Vec<(u64, Vec<Diagnostic>, CheckStats)>,
     /// Load failures survived: bad headers, truncated, corrupt, or
     /// schema-violating frames.
     pub errors: u64,
@@ -1173,20 +1178,20 @@ fn scan_segment(bytes: &[u8], is_tail: bool) -> Scan {
 /// Whether a record is a pure function of the source and safe to
 /// replay on a later boot. `V501` depends on the wall clock / fuel and
 /// `V502` may be chaos-injected; neither may survive a restart.
-fn persistable(verdict: Option<Verdict>, views: &[DiagView]) -> bool {
-    if !matches!(
+fn persistable<'a>(verdict: Option<Verdict>, mut codes: impl Iterator<Item = &'a str>) -> bool {
+    matches!(
         verdict,
         None | Some(Verdict::Accepted) | Some(Verdict::Rejected)
-    ) {
-        return false;
-    }
-    views.iter().all(|d| d.code != "V501" && d.code != "V502")
+    ) && codes.all(|c| c != "V501" && c != "V502")
 }
 
 fn encode_record(record: &Record) -> Option<Json> {
     match record {
         Record::Unit { fp, summary } => {
-            if !persistable(Some(summary.verdict), &summary.diagnostics) {
+            if !persistable(
+                Some(summary.verdict),
+                summary.diagnostics.iter().map(|d| d.code.as_str()),
+            ) {
                 return None;
             }
             Some(Json::Obj(vec![
@@ -1208,15 +1213,15 @@ fn encode_record(record: &Record) -> Option<Json> {
             ]))
         }
         Record::Fn { fp, views, stats } => {
-            if !persistable(None, views) {
+            if !persistable(None, views.iter().map(|d| d.code.as_str())) {
                 return None;
             }
             Some(Json::Obj(vec![
                 ("kind".to_string(), Json::str("fn")),
                 ("fp".to_string(), Json::str(format!("{fp:016x}"))),
                 (
-                    "views".to_string(),
-                    Json::Arr(views.iter().map(encode_diag).collect()),
+                    "diags".to_string(),
+                    Json::Arr(views.iter().map(encode_relative_diag).collect()),
                 ),
                 ("stats".to_string(), encode_stats(stats)),
             ]))
@@ -1240,14 +1245,22 @@ fn decode_record(j: &Json) -> Option<Record> {
                 diagnostics,
                 stats: decode_stats(j.get("stats")?)?,
             };
-            if !persistable(Some(summary.verdict), &summary.diagnostics) {
+            if !persistable(
+                Some(summary.verdict),
+                summary.diagnostics.iter().map(|d| d.code.as_str()),
+            ) {
                 return None;
             }
             Some(Record::Unit { fp, summary })
         }
         "fn" => {
-            let views = decode_diags(j.get("views")?)?;
-            if !persistable(None, &views) {
+            let views = j
+                .get("diags")?
+                .as_arr()?
+                .iter()
+                .map(decode_relative_diag)
+                .collect::<Option<Vec<_>>>()?;
+            if !persistable(None, views.iter().map(|d| d.code.as_str())) {
                 return None;
             }
             Some(Record::Fn {
@@ -1286,6 +1299,63 @@ fn encode_diag(d: &DiagView) -> Json {
         ),
         ("rendered".to_string(), Json::str(&d.rendered)),
     ])
+}
+
+/// A declaration-relative diagnostic: spans as offsets from the
+/// declaration start, no line/column and no rendering (both depend on
+/// where the declaration sits when a check assembles it).
+fn encode_relative_diag(d: &Diagnostic) -> Json {
+    let span = |s: Span| {
+        [
+            ("start".to_string(), Json::num(s.start as u64)),
+            ("end".to_string(), Json::num(s.end as u64)),
+        ]
+    };
+    let mut fields = vec![
+        ("code".to_string(), Json::str(d.code.as_str())),
+        ("severity".to_string(), Json::str(d.severity.as_str())),
+        ("message".to_string(), Json::str(&d.message)),
+    ];
+    fields.extend(span(d.span));
+    fields.push((
+        "labels".to_string(),
+        Json::Arr(
+            d.labels
+                .iter()
+                .map(|l| {
+                    let mut label = vec![("message".to_string(), Json::str(&l.message))];
+                    label.extend(span(l.span));
+                    Json::Obj(label)
+                })
+                .collect(),
+        ),
+    ));
+    Json::Obj(fields)
+}
+
+fn decode_relative_diag(j: &Json) -> Option<Diagnostic> {
+    let span = |j: &Json| {
+        let start = j.get("start")?.as_u64()? as u32;
+        let end = j.get("end")?.as_u64()? as u32;
+        (start <= end).then(|| Span::new(start, end))
+    };
+    Some(Diagnostic {
+        code: Code::from_str_code(j.get("code")?.as_str()?)?,
+        severity: Severity::from_str_severity(j.get("severity")?.as_str()?)?,
+        span: span(j)?,
+        message: j.get("message")?.as_str()?.to_string(),
+        labels: j
+            .get("labels")?
+            .as_arr()?
+            .iter()
+            .map(|l| {
+                Some(Label {
+                    span: span(l)?,
+                    message: l.get("message")?.as_str()?.to_string(),
+                })
+            })
+            .collect::<Option<Vec<_>>>()?,
+    })
 }
 
 fn decode_diags(j: &Json) -> Option<Vec<DiagView>> {
@@ -1447,21 +1517,8 @@ mod tests {
                 unit(0xDEAD_BEEF_0000_0001, "a.vlt", Verdict::Accepted),
                 Record::Fn {
                     fp: 2,
-                    views: vec![DiagView {
-                        code: "V301".to_string(),
-                        severity: "error".to_string(),
-                        message: "leak".to_string(),
-                        start: 1,
-                        end: 2,
-                        line: 3,
-                        col: 4,
-                        labels: vec![LabelView {
-                            message: "opened here".to_string(),
-                            line: 1,
-                            col: 1,
-                        }],
-                        rendered: "error: leak".to_string(),
-                    }],
+                    views: vec![Diagnostic::error(Code::KeyNotHeld, Span::new(1, 2), "leak")
+                        .with_label(Span::new(0, 1), "opened here")],
                     stats: CheckStats {
                         calls: 3,
                         ..Default::default()
@@ -1479,7 +1536,11 @@ mod tests {
         assert_eq!(loaded.units[0].1, summary("a.vlt", Verdict::Accepted));
         assert_eq!(loaded.fns.len(), 1);
         assert_eq!(loaded.fns[0].0, 2);
-        assert_eq!(loaded.fns[0].1[0].labels[0].message, "opened here");
+        assert_eq!(
+            loaded.fns[0].1,
+            vec![Diagnostic::error(Code::KeyNotHeld, Span::new(1, 2), "leak")
+                .with_label(Span::new(0, 1), "opened here")]
+        );
         assert_eq!(loaded.fns[0].2.calls, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1494,17 +1555,11 @@ mod tests {
                 unit(2, "b.vlt", Verdict::InternalError),
                 Record::Fn {
                     fp: 3,
-                    views: vec![DiagView {
-                        code: "V501".to_string(),
-                        severity: "error".to_string(),
-                        message: "deadline exceeded".to_string(),
-                        start: 0,
-                        end: 0,
-                        line: 1,
-                        col: 1,
-                        labels: Vec::new(),
-                        rendered: String::new(),
-                    }],
+                    views: vec![Diagnostic::error(
+                        Code::LimitExceeded,
+                        Span::new(0, 0),
+                        "deadline exceeded",
+                    )],
                     stats: CheckStats::default(),
                 },
             ])

@@ -124,8 +124,8 @@ fn lock_cache(cache: &Mutex<UnitCache>) -> std::sync::MutexGuard<'_, UnitCache> 
 }
 
 /// How many per-function verdicts to keep per whole-unit cache slot.
-/// Function entries are small (rendered diagnostics plus counters), and
-/// a typical unit holds many functions.
+/// Function entries are small (declaration-relative diagnostics plus
+/// counters), and a typical unit holds many functions.
 const FN_CACHE_FACTOR: usize = 16;
 
 /// A parallel, incremental protocol-checking service.
@@ -916,6 +916,41 @@ void two() {
             svc.status().fn_cache_hits >= 1,
             "the unedited function must hit the replayed per-function cache"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restart_keeps_function_verdicts_across_a_length_changing_edit() {
+        let dir = tmp_dir("warm-moved");
+        let program = vault_corpus::synth::generate(&vault_corpus::synth::SynthConfig {
+            functions: 48,
+            stmts_per_fn: 12,
+            seed: 12,
+            bug_rate: 0.1,
+            shape: vault_corpus::synth::Shape::Mixed,
+        });
+        assert!(
+            !program.seeded.is_empty(),
+            "some verdicts carry diagnostics"
+        );
+        {
+            let svc = CheckService::new(persistent_config(&dir));
+            svc.check_unit(unit("m.vlt", &program.source));
+        }
+        // A line inserted into the first body moves the other 47
+        // functions; their persisted, declaration-relative verdicts must
+        // still hit after the restart and re-render at the new offsets.
+        let header = "void synth_fn_0(bool flag, int n) {\n";
+        let edited = program
+            .source
+            .replace(header, &format!("{header}  n = n + 1;\n"));
+        let svc = CheckService::new(persistent_config(&dir));
+        assert_eq!(svc.status().cache_load_errors, 0);
+        let report = svc.check_unit(unit("m.vlt", &edited));
+        assert!(!report.cached);
+        assert_eq!(*report.summary, vault_core::check_summary("m.vlt", &edited));
+        let status = svc.status();
+        assert_eq!((status.fn_cache_hits, status.fn_cache_misses), (47, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -30,7 +30,7 @@ use std::sync::Mutex;
 use vault_core::check::CheckStats;
 use vault_core::{CheckSummary, Verdict};
 use vault_server::persist::{Loaded, Record, StoreConfig, VerdictStore, INDEX_FILE_NAME};
-use vault_syntax::{DiagView, LabelView};
+use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Span};
 
 /// Chaos faults are armed process-wide, so every test in this binary
 /// serializes on this lock; an armed schedule must never bleed into a
@@ -115,12 +115,18 @@ fn diag_for(fp: u64) -> DiagView {
     }
 }
 
-/// The one true per-function record for fingerprint `fp`.
-fn fn_views_for(fp: u64) -> Vec<DiagView> {
+/// The one true per-function record for fingerprint `fp`: diagnostics
+/// relative to the declaration start.
+fn fn_views_for(fp: u64) -> Vec<Diagnostic> {
     if fp % 3 == 0 {
         Vec::new()
     } else {
-        vec![diag_for(fp)]
+        vec![Diagnostic::error(
+            Code::KeyLeak,
+            Span::new(10, 20),
+            format!("value of key F leaks (fn {fp})"),
+        )
+        .with_label(Span::new(0, 4), format!("opened here (fn {fp})"))]
     }
 }
 

@@ -629,11 +629,6 @@ impl Attribution {
         self.full_map.text()
     }
 
-    /// The source map over [`Self::full_text`].
-    pub fn full_map(&self) -> &SourceMap {
-        &self.full_map
-    }
-
     /// Byte length of the prelude (0 for a plain attribution).
     pub fn prelude_len(&self) -> u32 {
         self.prelude_len
