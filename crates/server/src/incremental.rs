@@ -234,8 +234,22 @@ struct FnVerdict {
     /// relative to the declaration start (modulo 2^32, so a span before
     /// the start survives the round trip; see [`Self::self_contained`]).
     diags: Vec<Diagnostic>,
-    /// The function's checker counters.
+    /// The function's checker counters, every phase timing zero: a
+    /// request that reuses the verdict did none of that work, so only
+    /// the request that checked the body counts its time.
     stats: CheckStats,
+}
+
+/// `stats` with every phase timing zeroed.
+fn untimed(stats: CheckStats) -> CheckStats {
+    CheckStats {
+        lex_micros: 0,
+        parse_micros: 0,
+        elaborate_micros: 0,
+        lower_micros: 0,
+        check_micros: 0,
+        ..stats
+    }
 }
 
 /// Apply `f` to every offset of `d`'s primary span and labels. Spans are
@@ -307,9 +321,9 @@ pub struct IncrementalEngine {
     envs: Mutex<LruCache<Arc<CachedEnv>>>,
     fns: Mutex<LruCache<Arc<FnVerdict>>>,
     /// When set (persistence enabled), every fresh function verdict is
-    /// also pushed onto `dirty` for the service to drain into the
-    /// on-disk log. Off by default so a daemon without `--cache-dir`
-    /// never accumulates an unbounded list.
+    /// also pushed onto `dirty` for the service's journal writer to
+    /// drain into the on-disk store. Off by default so a daemon without
+    /// `--cache-dir` never accumulates an unbounded list.
     track_dirty: std::sync::atomic::AtomicBool,
     /// Fresh `(fingerprint, verdict)` pairs not yet persisted.
     dirty: Mutex<Vec<(u64, Arc<FnVerdict>)>>,
@@ -393,8 +407,9 @@ fn verdict_of(views: &[DiagView]) -> Verdict {
 }
 
 /// Check one function body against an elaborated environment. Pure
-/// given its inputs; safe to run on any thread.
-fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> FnVerdict {
+/// given its inputs; safe to run on any thread. Returns the untimed
+/// verdict and the microseconds the check took.
+fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> (FnVerdict, u64) {
     let mut sink = DiagSink::new();
     let stats = check_function_with_limits(
         &elab.world,
@@ -406,7 +421,10 @@ fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> FnVerdict
         &mut sink,
         limits,
     );
-    FnVerdict::at(f.span.start, sink.into_vec(), stats)
+    (
+        FnVerdict::at(f.span.start, sink.into_vec(), untimed(stats)),
+        stats.check_micros,
+    )
 }
 
 /// The front half of a full check: parse + elaborate, plus everything
@@ -428,8 +446,9 @@ struct FrontEnd {
 enum FnOutcome {
     /// The per-function cache already had the verdict.
     Hit(Arc<FnVerdict>),
-    /// Freshly checked (and cached when self-contained).
-    Fresh(Arc<FnVerdict>),
+    /// Freshly checked (and cached when self-contained), with the
+    /// microseconds the check took.
+    Fresh(Arc<FnVerdict>, u64),
     /// The check panicked; the payload re-panics at assembly, in
     /// function order, so containment matches the sequential path.
     Panicked(String),
@@ -476,7 +495,7 @@ impl FanOut {
             check_body(&self.elaborated, f, &self.limits)
         }));
         match outcome {
-            Ok(v) => FnOutcome::Fresh(self.engine.remember(fp, f.span, v)),
+            Ok((v, micros)) => FnOutcome::Fresh(self.engine.remember(fp, f.span, v), micros),
             Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
         }
     }
@@ -529,9 +548,15 @@ impl IncrementalEngine {
     /// fingerprint recipe is stable across restarts (environment hash
     /// plus declaration text), so a later check of the same function
     /// under the same declarations hits this entry wherever the function
-    /// has moved.
+    /// has moved. Any phase timings in `stats` are dropped.
     pub fn seed_fn(&self, fp: u64, diags: Vec<Diagnostic>, stats: CheckStats) {
-        lock(&self.fns).put(fp, Arc::new(FnVerdict { diags, stats }));
+        lock(&self.fns).put(
+            fp,
+            Arc::new(FnVerdict {
+                diags,
+                stats: untimed(stats),
+            }),
+        );
     }
 
     /// Check one unit, reusing whatever the caches already know.
@@ -641,10 +666,11 @@ impl IncrementalEngine {
                     };
                     // A verdict reaching outside its declaration may
                     // point at text this entry has shifted.
-                    let v = check_body(&env.elaborated, &f, limits);
+                    let (v, micros) = check_body(&env.elaborated, &f, limits);
                     if !v.self_contained(decl.len()) {
                         return None;
                     }
+                    stats.check_micros += micros;
                     self.remember(fp, decl, v)
                 }
             };
@@ -811,7 +837,9 @@ impl IncrementalEngine {
                 }
                 None => {
                     misses += 1;
-                    self.remember(fp, f.span, check_body(&fe.elaborated, f, limits))
+                    let (v, micros) = check_body(&fe.elaborated, f, limits);
+                    stats.check_micros += micros;
+                    self.remember(fp, f.span, v)
                 }
             };
             if splice(
@@ -945,8 +973,9 @@ impl IncrementalEngine {
                     hits += 1;
                     v
                 }
-                FnOutcome::Fresh(v) => {
+                FnOutcome::Fresh(v, micros) => {
                     misses += 1;
+                    stats.check_micros += micros;
                     v
                 }
                 FnOutcome::Panicked(msg) => {
@@ -1206,6 +1235,53 @@ void beta() {
         assert_eq!(fns, 2);
         eng.clear();
         assert_eq!(eng.entries(), (0, 0));
+    }
+
+    fn timings(s: &CheckStats) -> [u64; 5] {
+        [
+            s.lex_micros,
+            s.parse_micros,
+            s.elaborate_micros,
+            s.lower_micros,
+            s.check_micros,
+        ]
+    }
+
+    #[test]
+    fn cached_function_verdicts_carry_no_phase_timings() {
+        // One environment slot: checking a second unit evicts the first
+        // one's environment, so its re-check takes the full path.
+        let eng = Arc::new(IncrementalEngine::new(1, 1024));
+        let m = Metrics::default();
+        let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+        eng.enable_dirty_tracking();
+        let limits = Limits::default();
+        let cold = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        eng.check_unit_parallel("v.vlt", UNIT, &limits, &m, &pool);
+        let timed = CheckStats {
+            lex_micros: 3,
+            check_micros: 99,
+            ..CheckStats::default()
+        };
+        eng.seed_fn(42, Vec::new(), timed);
+
+        // Every verdict the cache holds: the four remembered by the two
+        // checks (sequential and fanned out), plus the seeded one.
+        let dirty = eng.take_dirty();
+        assert_eq!(dirty.len(), 4);
+        for (_, _, stats) in &dirty {
+            assert_eq!(timings(stats), [0; 5]);
+        }
+        let seeded = lock(&eng.fns).get(42).expect("seeded");
+        assert_eq!(timings(&seeded.stats), [0; 5]);
+
+        let before = m.snapshot();
+        let warm = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let after = m.snapshot();
+        assert_eq!(after.fn_cache_hits - before.fn_cache_hits, 2);
+        assert_eq!(after.fn_cache_misses, before.fn_cache_misses);
+        assert_eq!(warm, cold);
+        assert_eq!(warm.stats.check_micros, 0, "every function hit");
     }
 
     /// The elaboration the unit's cached environment holds: the fast

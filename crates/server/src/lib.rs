@@ -58,6 +58,7 @@ pub mod cache;
 pub mod chaos;
 pub mod client;
 pub mod incremental;
+mod journal;
 pub mod json;
 pub mod metrics;
 pub mod mux;

@@ -6,7 +6,9 @@
 //! `--cache-dir` the service journals every deterministic verdict
 //! (whole-unit summaries and per-function verdicts) to disk and
 //! replays it at boot, so the first request after a restart is
-//! answered at warm-cache speed.
+//! answered at warm-cache speed. The service's journal writer thread
+//! is the store's only appender; it groups the verdicts of concurrent
+//! requests into one [`VerdictStore::append`].
 //!
 //! ## On-disk layout
 //!
@@ -15,8 +17,8 @@
 //!
 //! * `seg-NNNNNN.vseg` — append-only segment files. The highest id is
 //!   the active tail; all lower ids are sealed (immutable except for
-//!   compaction and eviction). Every segment carries the same header
-//!   and framing the v1 single-file log used:
+//!   compaction and eviction). Every segment carries one header and a
+//!   run of CRC-framed payloads:
 //!
 //!   ```text
 //!   [8-byte magic "VAULTCCH"][u32 LE format version]
@@ -33,8 +35,8 @@
 //!   header or CRC mid-file is renamed aside (never deleted, never
 //!   fatal) and counted in `status` as `segments_quarantined`.
 //!
-//! A v1 `verdicts.vcache` file found in the directory is adopted as
-//! segment zero, so upgrading keeps the accumulated warmth.
+//! Any other file in the directory (such as the single-file
+//! `verdicts.vcache` log of format version 1) is ignored.
 //!
 //! Each payload is one JSON object (the same hand-rolled [`Json`] the
 //! wire protocol uses) describing either a whole-unit record
@@ -47,7 +49,7 @@
 //!
 //! Appending a verdict for a fingerprint that already has one leaves
 //! the old frame on disk as dead bytes. [`VerdictStore::maintain`]
-//! (scheduled on the worker pool by the service) rewrites any sealed
+//! (run by the journal writer after a commit) rewrites any sealed
 //! segment that is mostly dead into a temp file holding only its live
 //! frames, fsyncs, and atomically renames it into place — a crash at
 //! any point leaves either the old segment or the new one, never a
@@ -108,9 +110,6 @@ const HEADER_LEN: u64 = 12;
 /// Frames larger than this are treated as corruption (a length field
 /// hit by a bit flip can claim gigabytes; no real record comes close).
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-
-/// The v1 single-file log name; adopted as segment zero when found.
-pub const LEGACY_FILE_NAME: &str = "verdicts.vcache";
 
 /// The live-frame index file's name inside the cache directory.
 pub const INDEX_FILE_NAME: &str = "index.vidx";
@@ -217,6 +216,10 @@ pub struct StoreHealth {
     pub live_frames: u64,
     /// Total bytes across all segment files.
     pub disk_bytes: u64,
+    /// Appends that wrote and fsynced at least one frame since boot.
+    /// The service's journal writer makes one per group commit, so
+    /// fewer commits than journaled requests means grouping happened.
+    pub journal_commits: u64,
 }
 
 /// What a live frame is keyed by. Unit and function fingerprints are
@@ -273,6 +276,7 @@ pub struct VerdictStore {
     compactions_run: AtomicU64,
     bytes_reclaimed: AtomicU64,
     segments_quarantined: AtomicU64,
+    journal_commits: AtomicU64,
 }
 
 fn other(msg: &str) -> io::Error {
@@ -345,13 +349,6 @@ impl VerdictStore {
             }
         }
         seg_ids.sort_unstable();
-
-        // Adopt a v1 single-file log as segment zero.
-        let legacy = dir.join(LEGACY_FILE_NAME);
-        if seg_ids.is_empty() && legacy.exists() {
-            fs::rename(&legacy, dir.join(segment_file_name(0)))?;
-            seg_ids.push(0);
-        }
 
         let index = read_index(&dir.join(INDEX_FILE_NAME));
 
@@ -478,6 +475,7 @@ impl VerdictStore {
             compactions_run: AtomicU64::new(0),
             bytes_reclaimed: AtomicU64::new(0),
             segments_quarantined: AtomicU64::new(preexisting_bad + loaded.quarantined),
+            journal_commits: AtomicU64::new(0),
         };
         // Refresh the index so the next boot takes the fast path
         // (best effort: an unwritable index only costs a scan).
@@ -506,13 +504,16 @@ impl VerdictStore {
             segments_quarantined: self.segments_quarantined.load(Ordering::Relaxed),
             live_frames: inner.live.len() as u64,
             disk_bytes: inner.metas.values().map(|m| m.len).sum(),
+            journal_commits: self.journal_commits.load(Ordering::Relaxed),
         }
     }
 
     /// Append a batch of records as CRC-framed payloads, then fsync
     /// once. Records that must never be persisted (non-deterministic
     /// verdicts, `V501`/`V502` diagnostics) are silently skipped.
-    /// Seals the tail first when the batch would overflow it.
+    /// Seals the tail first when the batch would overflow it. The fsync
+    /// runs after the store's lock is released, so [`Self::health`]
+    /// never waits for it.
     pub fn append(&self, records: &[Record]) -> io::Result<()> {
         let mut frames: Vec<(RecKey, Vec<u8>)> = Vec::new();
         for record in records {
@@ -603,7 +604,11 @@ impl VerdictStore {
         if chaos_fault("append.sync").is_some() {
             return Err(other("chaos: injected fsync failure"));
         }
-        inner.tail.sync_data()
+        let tail = inner.tail.try_clone()?;
+        drop(inner);
+        tail.sync_data()?;
+        self.journal_commits.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Seal the current tail (fsync it, refresh the index) and start a
@@ -1740,24 +1745,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_log_is_adopted_as_segment_zero() {
-        let dir = tmp_dir("legacy");
-        // Build a store, then disguise its single segment as a v1 log
-        // (same header and framing, so this *is* a v1 file).
-        let (store, _) = open(&dir);
-        store
-            .append(&[unit(7, "a.vlt", Verdict::Accepted)])
-            .unwrap();
-        let seg = store.tail_path();
-        drop(store);
-        std::fs::rename(&seg, dir.join(LEGACY_FILE_NAME)).unwrap();
-        let _ = std::fs::remove_file(dir.join(INDEX_FILE_NAME));
-
+    fn leftover_v1_log_is_ignored() {
+        let dir = tmp_dir("v1-leftover");
+        std::fs::create_dir_all(&dir).unwrap();
+        let v1 = dir.join("verdicts.vcache");
+        std::fs::write(&v1, b"VAULTCCH\x01\x00\x00\x00").unwrap();
         let (store, loaded) = open(&dir);
-        assert_eq!(loaded.errors, 0);
-        assert_eq!(unit_fps(&loaded), vec![7]);
-        assert!(!dir.join(LEGACY_FILE_NAME).exists());
-        assert!(dir.join(segment_file_name(0)).exists());
+        assert_eq!((loaded.errors, loaded.quarantined), (0, 0));
+        assert!(loaded.units.is_empty() && loaded.fns.is_empty());
+        assert!(v1.exists(), "an unknown file is left alone");
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -309,8 +309,8 @@ pub fn encode_stats_response(id: Option<u64>, report: &UnitReport) -> Json {
 
 /// Encode the response to a `status` request. `store` carries the
 /// verdict store's health counters (on-disk size, sealed/compacted/
-/// quarantined segments, live frames); those keys are present only
-/// when the daemon runs with `--cache-dir`.
+/// quarantined segments, live frames, journal commits); those keys are
+/// present only when the daemon runs with `--cache-dir`.
 pub fn encode_status(
     id: Option<u64>,
     snap: &StatusSnapshot,
@@ -358,6 +358,7 @@ pub fn encode_status(
         for (key, value) in [
             ("cache_disk_bytes", h.disk_bytes),
             ("segments_sealed", h.segments_sealed),
+            ("journal_commits", h.journal_commits),
             ("compactions_run", h.compactions_run),
             ("bytes_reclaimed", h.bytes_reclaimed),
             ("segments_quarantined", h.segments_quarantined),
@@ -460,6 +461,7 @@ mod tests {
         for key in [
             "cache_disk_bytes",
             "segments_sealed",
+            "journal_commits",
             "compactions_run",
             "bytes_reclaimed",
             "segments_quarantined",
@@ -470,6 +472,7 @@ mod tests {
         // With --cache-dir: every store-health key is carried.
         let health = crate::persist::StoreHealth {
             segments_sealed: 3,
+            journal_commits: 7,
             compactions_run: 2,
             bytes_reclaimed: 512,
             segments_quarantined: 1,
@@ -480,6 +483,7 @@ mod tests {
         for (key, want) in [
             ("cache_disk_bytes", 4096),
             ("segments_sealed", 3),
+            ("journal_commits", 7),
             ("compactions_run", 2),
             ("bytes_reclaimed", 512),
             ("segments_quarantined", 1),

@@ -9,8 +9,9 @@
 
 use crate::cache::{unit_fingerprint, LruCache};
 use crate::incremental::IncrementalEngine;
+use crate::journal::{Journal, Pending};
 use crate::metrics::{Metrics, StatusSnapshot};
-use crate::persist::{Record, StoreConfig, StoreHealth, VerdictStore};
+use crate::persist::{StoreConfig, StoreHealth, VerdictStore};
 use crate::pool::{panic_payload, CheckPool, UnitIn};
 use crate::proto::UnitReport;
 use crate::singleflight::{Claim, InFlight, LeaderGuard, SingleFlight};
@@ -138,13 +139,12 @@ pub struct CheckService {
     cache_capacity: usize,
     limits: ServiceLimits,
     metrics: Arc<Metrics>,
-    /// The on-disk verdict store, when `--cache-dir` was given and the
-    /// directory was usable. Purely best-effort: append failures only
-    /// tick `cache_append_errors` (the in-memory caches still answer),
-    /// and a failure to open falls back to memory-only with a
-    /// `cache_load_errors` tick. Shared (`Arc`) because compaction
-    /// runs as background jobs on the worker pool.
-    persist: Option<Arc<VerdictStore>>,
+    /// The on-disk verdict store and its journal writer, when
+    /// `--cache-dir` was given and the directory was usable. Purely
+    /// best-effort: append failures only tick `cache_append_errors`
+    /// (the in-memory caches still answer), and a failure to open falls
+    /// back to memory-only with a `cache_load_errors` tick.
+    journal: Option<Journal>,
     /// In-flight dedup table, when `config.singleflight` is on.
     singleflight: Option<SingleFlight>,
 }
@@ -162,7 +162,7 @@ impl CheckService {
             cache_capacity,
             cache_capacity.saturating_mul(FN_CACHE_FACTOR),
         ));
-        let mut persist = None;
+        let mut journal = None;
         if let Some(dir) = &config.cache_dir {
             let store_cfg = StoreConfig {
                 max_bytes: config.cache_max_bytes,
@@ -180,7 +180,12 @@ impl CheckService {
                         incremental.seed_fn(fp, views, stats);
                     }
                     incremental.enable_dirty_tracking();
-                    persist = Some(Arc::new(store));
+                    match Journal::start(store, Arc::clone(&incremental), Arc::clone(&metrics)) {
+                        Ok(j) => journal = Some(j),
+                        Err(_) => {
+                            metrics.cache_load_errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
                 }
                 Err(_) => {
                     // An unusable directory must not take the daemon
@@ -197,7 +202,7 @@ impl CheckService {
             cache_capacity,
             limits: config.limits,
             metrics,
-            persist,
+            journal,
             singleflight: config.singleflight.then(SingleFlight::default),
         }
     }
@@ -217,10 +222,17 @@ impl CheckService {
         self.pool.workers()
     }
 
-    /// Stop accepting work and wait up to `grace` for in-flight jobs.
+    /// Stop accepting work, wait up to `grace` for in-flight jobs, then
+    /// wait for the journal writer to commit every verdict queued so
+    /// far. The writer itself stays up until the service is dropped, so
+    /// a request still finishing on another thread is committed too.
     /// Returns `true` if the queue drained within the grace period.
     pub fn drain(&self, grace: Duration) -> bool {
-        self.pool.shutdown(grace)
+        let drained = self.pool.shutdown(grace);
+        if let Some(journal) = &self.journal {
+            journal.flush();
+        }
+        drained
     }
 
     /// Check a batch of units: cache hits answer immediately, misses fan
@@ -358,7 +370,7 @@ impl CheckService {
             // Insert in slot order so concurrent batches populate the
             // recency list deterministically given identical traffic.
             fresh.sort_by_key(|(i, _, _)| *i);
-            let mut to_persist: Vec<Record> = Vec::new();
+            let mut to_journal: Vec<Pending> = Vec::new();
             {
                 let mut cache = lock_cache(&self.cache);
                 for (index, summary, micros) in fresh {
@@ -366,11 +378,8 @@ impl CheckService {
                         // Deterministic verdicts are worth memoizing.
                         Verdict::Accepted | Verdict::Rejected => {
                             cache.put(fingerprints[index], Arc::clone(&summary));
-                            if self.persist.is_some() {
-                                to_persist.push(Record::Unit {
-                                    fp: fingerprints[index],
-                                    summary: (*summary).clone(),
-                                });
+                            if self.journal.is_some() {
+                                to_journal.push((fingerprints[index], Arc::clone(&summary)));
                             }
                         }
                         // A deadline overrun depends on the wall clock and a
@@ -390,10 +399,9 @@ impl CheckService {
                     });
                 }
             }
-            // Journal the batch (plus any fresh function verdicts the
-            // incremental engine produced) outside the cache lock; one
-            // fsync covers the whole batch. Best-effort by design.
-            self.journal(to_persist);
+            // Hand the batch to the journal writer outside the cache
+            // lock; the reply does not wait for the disk.
+            self.journal(to_journal);
             // Retire in-flight entries only now, after the verdicts hit
             // the LRU: a late arrival either joins the flight or hits
             // the cache — there is no window where it re-runs.
@@ -630,18 +638,15 @@ impl CheckService {
                 .fetch_add(fresh_results, Ordering::Relaxed);
             let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = rx.into_iter().collect();
             fresh.sort_by_key(|(i, _, _)| *i);
-            let mut to_persist: Vec<Record> = Vec::new();
+            let mut to_journal: Vec<Pending> = Vec::new();
             {
                 let mut cache = lock_cache(&self.cache);
                 for (index, summary, micros) in fresh {
                     match summary.verdict {
                         Verdict::Accepted | Verdict::Rejected => {
                             cache.put(fingerprints[index], Arc::clone(&summary));
-                            if self.persist.is_some() {
-                                to_persist.push(Record::Unit {
-                                    fp: fingerprints[index],
-                                    summary: (*summary).clone(),
-                                });
+                            if self.journal.is_some() {
+                                to_journal.push((fingerprints[index], Arc::clone(&summary)));
                             }
                         }
                         Verdict::ResourceLimit => self.metrics.deadline_hit(),
@@ -658,7 +663,7 @@ impl CheckService {
                     });
                 }
             }
-            self.journal(to_persist);
+            self.journal(to_journal);
             if let Some(sf) = &self.singleflight {
                 for fp in leader_fps {
                     sf.complete(fp);
@@ -724,63 +729,46 @@ impl CheckService {
         }
     }
 
-    /// Journal a batch of fresh verdicts (plus any per-function
-    /// verdicts the incremental engine produced) to the verdict store,
-    /// then schedule a background maintenance pass on the worker pool
-    /// when the store has accumulated enough dead bytes — or exceeds
-    /// its size bound — to be worth compacting. Best-effort by design:
-    /// an append failure ticks `cache_append_errors` and the in-memory
-    /// caches keep answering.
-    fn journal(&self, mut to_persist: Vec<Record>) {
-        let Some(store) = &self.persist else {
-            return;
-        };
-        to_persist.extend(
-            self.incremental
-                .take_dirty()
-                .into_iter()
-                .map(|(fp, views, stats)| Record::Fn { fp, views, stats }),
-        );
-        if store.append(&to_persist).is_err() {
-            self.metrics.cache_append_error();
-        }
-        if store.needs_maintenance() {
-            let store = Arc::clone(store);
-            let metrics = Arc::clone(&self.metrics);
-            // `maintain` is single-flight, so over-scheduling is cheap;
-            // a full pool refusing the job just defers compaction to
-            // the next batch.
-            let _ = self.pool.submit(move || {
-                if store.maintain().is_err() {
-                    metrics.cache_append_error();
-                }
-            });
+    /// Hand a batch of fresh whole-unit verdicts to the journal writer
+    /// and return at once. The writer commits them, together with the
+    /// function verdicts the incremental engine produced meanwhile and
+    /// the batches of concurrent requests, in one append and one fsync,
+    /// then runs store maintenance. A crash before that commit loses
+    /// only warmth. Best-effort by design: an append failure ticks
+    /// `cache_append_errors` and the in-memory caches keep answering.
+    fn journal(&self, units: Vec<Pending>) {
+        if let Some(journal) = &self.journal {
+            journal.submit(units);
         }
     }
 
     /// Drop every memoized verdict — whole-unit summaries, cached
     /// elaboration environments, per-function verdicts, and the
     /// persistent on-disk store, if one is attached (counters are
-    /// unaffected). The store's generation counter makes this atomic
-    /// with respect to an in-flight compaction: a compaction that
-    /// planned before the wipe abandons its commit instead of
-    /// resurrecting wiped verdicts.
+    /// unaffected). Verdicts queued for the journal are discarded and
+    /// an in-flight commit finishes before the store is wiped, so no
+    /// verdict checked before the wipe reappears after a restart; the
+    /// store's generation counter makes an in-flight compaction abandon
+    /// its commit for the same reason.
     pub fn clear_cache(&self) {
         lock_cache(&self.cache).clear();
-        self.incremental.clear();
-        if let Some(store) = &self.persist {
-            let _ = store.wipe();
+        match &self.journal {
+            // The journal clears the engine under its commit lock.
+            Some(journal) => journal.wipe(),
+            None => self.incremental.clear(),
         }
     }
 
-    /// Run one verdict-store maintenance pass synchronously (tests and
-    /// the bench harness call this for deterministic compaction; the
-    /// daemon itself schedules passes on the worker pool). Returns
-    /// `false` when no store is attached.
+    /// Run one verdict-store maintenance pass synchronously, after the
+    /// journal writer has committed everything queued (tests and the
+    /// bench harness call this for deterministic compaction; the writer
+    /// itself maintains the store after each commit). Returns `false`
+    /// when no store is attached.
     pub fn maintain_store(&self) -> bool {
-        match &self.persist {
-            Some(store) => {
-                if store.maintain().is_err() {
+        match &self.journal {
+            Some(journal) => {
+                journal.flush();
+                if journal.store().maintain().is_err() {
                     self.metrics.cache_append_error();
                 }
                 true
@@ -790,9 +778,10 @@ impl CheckService {
     }
 
     /// Verdict-store health counters for `status`, when a store is
-    /// attached (`None` when running memory-only).
+    /// attached (`None` when running memory-only). Never waits for the
+    /// journal writer: verdicts still queued are not counted yet.
     pub fn store_health(&self) -> Option<StoreHealth> {
-        self.persist.as_ref().map(|s| s.health())
+        self.journal.as_ref().map(|j| j.store().health())
     }
 
     /// Live cache entry count.
@@ -810,10 +799,13 @@ impl CheckService {
         self.metrics.snapshot()
     }
 
-    /// On-disk size of the persistent verdict store in bytes, when a
-    /// `--cache-dir` is attached (`None` when running memory-only).
+    /// On-disk size of the persistent verdict store in bytes once every
+    /// queued verdict is committed, when a `--cache-dir` is attached
+    /// (`None` when running memory-only).
     pub fn cache_disk_bytes(&self) -> Option<u64> {
-        self.store_health().map(|h| h.disk_bytes)
+        let journal = self.journal.as_ref()?;
+        journal.flush();
+        Some(journal.store().health().disk_bytes)
     }
 }
 
@@ -1136,6 +1128,184 @@ void two() {
         assert!(svc.status().deadline_exceeded >= 1);
         let again = svc.check_unit(unit("slow.vlt", GOOD));
         assert!(!again.cached, "resource-limit verdicts must be re-checked");
+    }
+
+    /// Distinct units (the name is part of the fingerprint) over three
+    /// sources, so verdicts, diagnostics and function counts vary.
+    fn varied_unit(tag: &str, k: usize) -> UnitIn {
+        let source = [GOOD, LEAKY, TWO_FNS][k % 3];
+        unit(&format!("{tag}_{k}.vlt"), source)
+    }
+
+    fn assert_from_source(report: &UnitReport, unit: &UnitIn) {
+        assert_eq!(
+            *report.summary,
+            vault_core::check_summary(&unit.name, &unit.source),
+            "`{}` diverged from the from-source check",
+            unit.name
+        );
+    }
+
+    #[test]
+    fn journal_wipe_raced_by_concurrent_checks_resurrects_nothing() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 40;
+        let dir = tmp_dir("journal-wipe");
+        let config = ServiceConfig {
+            cache_capacity: 1024,
+            ..persistent_config(&dir)
+        };
+        let svc = Arc::new(CheckService::new(config.clone()));
+        let started = Arc::new(AtomicBool::new(false));
+        let finished = Arc::new(AtomicBool::new(false));
+        let checked = Arc::new(AtomicUsize::new(0));
+        // Per thread: units whose check returned before the wipe began,
+        // and units whose check began after it ended.
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (svc, started, finished, checked) = (
+                    Arc::clone(&svc),
+                    Arc::clone(&started),
+                    Arc::clone(&finished),
+                    Arc::clone(&checked),
+                );
+                std::thread::spawn(move || {
+                    let (mut before, mut after) = (Vec::new(), Vec::new());
+                    for k in 0..PER_THREAD {
+                        let u = varied_unit(&format!("t{t}"), k);
+                        let late = finished.load(Ordering::SeqCst);
+                        let report = svc.check_unit(u.clone());
+                        assert_from_source(&report, &u);
+                        checked.fetch_add(1, Ordering::SeqCst);
+                        if late {
+                            after.push(u);
+                        } else if !started.load(Ordering::SeqCst) {
+                            before.push(u);
+                        }
+                    }
+                    (before, after)
+                })
+            })
+            .collect();
+        while checked.load(Ordering::SeqCst) < THREADS * PER_THREAD / 2 {
+            std::thread::yield_now();
+        }
+        started.store(true, Ordering::SeqCst);
+        svc.clear_cache();
+        finished.store(true, Ordering::SeqCst);
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        for h in handles {
+            let (b, a) = h.join().expect("checker thread");
+            before.extend(b);
+            after.extend(a);
+        }
+        assert!(svc.drain(Duration::from_secs(5)));
+        drop(svc);
+        assert!(!before.is_empty() && !after.is_empty());
+
+        let svc = CheckService::new(config);
+        assert_eq!(svc.status().cache_load_errors, 0);
+        for u in &before {
+            let report = svc.check_unit(u.clone());
+            assert!(!report.cached, "`{}` was wiped but came back", u.name);
+            assert_from_source(&report, u);
+        }
+        for u in &after {
+            let report = svc.check_unit(u.clone());
+            assert!(
+                report.cached,
+                "`{}`, checked after the wipe, was lost",
+                u.name
+            );
+            assert_from_source(&report, u);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_burst_then_drain_commits_every_verdict() {
+        let dir = tmp_dir("journal-burst");
+        let units: Vec<UnitIn> = (0..48).map(|k| varied_unit("burst", k)).collect();
+        {
+            let svc = CheckService::new(persistent_config(&dir));
+            for u in &units {
+                svc.check_unit(u.clone());
+            }
+            assert!(svc.drain(Duration::from_secs(5)));
+            // Committed by the drain itself, not by the drop.
+            let live = svc.store_health().expect("store attached").live_frames;
+            assert_eq!(live, units.len() as u64 + svc.status().fn_cache_misses);
+        }
+        let svc = CheckService::new(ServiceConfig {
+            cache_capacity: 64,
+            ..persistent_config(&dir)
+        });
+        for u in &units {
+            let report = svc.check_unit(u.clone());
+            assert!(report.cached, "`{}` lost by the drain", u.name);
+            assert_from_source(&report, u);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_groups_concurrent_checks_and_loses_none() {
+        const THREADS: usize = 8;
+        const CALLS: usize = 12;
+        let dir = tmp_dir("journal-group");
+        let config = ServiceConfig {
+            cache_capacity: 1024,
+            ..persistent_config(&dir)
+        };
+        let svc = Arc::new(CheckService::new(config.clone()));
+        let mut units: Vec<UnitIn> = Vec::new();
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let svc = Arc::clone(&svc);
+                let mine: Vec<UnitIn> = (0..CALLS * 2)
+                    .map(|k| varied_unit(&format!("g{t}"), k))
+                    .collect();
+                units.extend(mine.clone());
+                std::thread::spawn(move || {
+                    // Every call carries two never-seen units, so every
+                    // call journals one batch.
+                    for pair in mine.chunks(2) {
+                        let (reports, _) = svc.check_units(pair.to_vec());
+                        for (r, u) in reports.iter().zip(pair) {
+                            assert!(!r.cached);
+                            assert_from_source(r, u);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("checker thread");
+        }
+        assert!(svc.drain(Duration::from_secs(5)));
+        let health = svc.store_health().expect("store attached");
+        let batches = (THREADS * CALLS) as u64;
+        assert!(health.journal_commits >= 1);
+        assert!(
+            health.journal_commits <= batches,
+            "{} commits for {batches} batches",
+            health.journal_commits
+        );
+        // Every unit verdict and every function verdict is live.
+        let fn_verdicts = svc.status().fn_cache_misses;
+        assert_eq!(health.live_frames, units.len() as u64 + fn_verdicts);
+        drop(svc);
+
+        let svc = CheckService::new(config);
+        assert_eq!(svc.status().cache_load_errors, 0);
+        for u in &units {
+            let report = svc.check_unit(u.clone());
+            assert!(report.cached, "`{}` lost", u.name);
+            assert_from_source(&report, u);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! 4. Every unit chaos did **not** hit reports a verdict and rendered
 //!    diagnostics byte-identical to a chaos-free sequential check.
 //! 5. The fault counters in `status` account for what was injected.
+//! 6. Verdict-store append faults, which fire on the journal writer
+//!    thread, tick `cache_append_errors` and never change an answer.
 
 #![cfg(feature = "chaos")]
 
@@ -314,4 +316,62 @@ fn accept_faults_are_counted_and_outlasted_by_a_retrying_client() {
 
     let _ = client.shutdown();
     server_thread.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn journal_append_faults_tick_errors_and_never_change_an_answer() {
+    let _guard = exclusive();
+    let units: Vec<UnitIn> = workload().into_iter().map(|(u, _, _)| u).collect();
+    for point in ["append.write", "append.sync"] {
+        let dir = std::env::temp_dir().join(format!(
+            "vault_chaos_journal_{}_{}",
+            point.replace('.', "_"),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            jobs: 2,
+            cache_capacity: 16,
+            cache_dir: Some(dir.clone()),
+            ..Default::default()
+        };
+        chaos::arm(ChaosConfig {
+            seed: 0x10_0A1,
+            panic_prob: 0.0,
+            delay_prob: 0.0,
+            short_write_chunk: None,
+            persist_fault_prob: 1.0,
+            persist_fault_only: Some(point),
+            ..Default::default()
+        });
+        let svc = CheckService::new(config.clone());
+        for u in &units {
+            let report = svc.check_unit(u.clone());
+            assert_eq!(
+                *report.summary,
+                vault_core::check_summary(&u.name, &u.source),
+                "{point}: `{}`",
+                u.name
+            );
+        }
+        assert!(svc.drain(Duration::from_secs(5)));
+        let errors = svc.status().cache_append_errors;
+        assert!(errors >= 1, "{point}: no append error was counted");
+        chaos::disarm();
+        drop(svc);
+
+        // The next boot may find torn or missing frames: warmth only.
+        let svc = CheckService::new(config);
+        for u in &units {
+            let report = svc.check_unit(u.clone());
+            assert_eq!(
+                *report.summary,
+                vault_core::check_summary(&u.name, &u.source),
+                "{point} after restart: `{}`",
+                u.name
+            );
+        }
+        drop(svc);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

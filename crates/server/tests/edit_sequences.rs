@@ -16,6 +16,13 @@
 //! With the roomy cache, an edit confined to one body of a parseable
 //! unit must reuse the verdict of every other function, wherever the
 //! edit moved it: 47 of 48 on the 48-function units.
+//!
+//! The restart leg drives the same sessions through a `CheckService`
+//! with a `cache_dir` at jobs 1 and 2, dropping and reopening the
+//! service at seeded points. Every answer must still equal the
+//! monolithic checker, and the first body-confined edit after a reopen
+//! must hit n−1 of n function verdicts from the replayed store, which
+//! holds only if dropping the service committed its journal.
 
 use std::sync::Arc;
 
@@ -25,7 +32,7 @@ use vault_core::{check_summary_with_limits, check_summary_with_prelude, CheckSum
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
 use vault_project::{ProjectPlan, ProjectUnit};
-use vault_server::{CheckPool, IncrementalEngine, Metrics};
+use vault_server::{CheckPool, CheckService, IncrementalEngine, Metrics, ServiceConfig, UnitIn};
 use vault_syntax::{ast, DiagSink};
 
 /// Edits per seed.
@@ -165,6 +172,16 @@ impl Engine {
     }
 }
 
+/// The next edit of a session: mostly the weighted mix, but a broken
+/// unit is usually repaired soon after.
+fn next_kind(was_clean: bool, rng: &mut StdRng) -> EditKind {
+    if !was_clean && rng.gen_bool(0.5) {
+        EditKind::Undo
+    } else {
+        draw(rng)
+    }
+}
+
 fn draw(rng: &mut StdRng) -> EditKind {
     let total: u32 = MIX.iter().map(|&(_, w)| w).sum();
     let mut at = rng.gen_range(0..total);
@@ -191,12 +208,7 @@ fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> usi
     let mut asserted = 0;
     for step in 0..EDITS {
         let was_clean = parses_cleanly(&want);
-        // A broken unit is usually repaired soon after.
-        let kind = if !was_clean && rng.gen_bool(0.5) {
-            EditKind::Undo
-        } else {
-            draw(&mut rng)
-        };
+        let kind = next_kind(was_clean, &mut rng);
         let applied = session.apply(kind, &mut rng);
         let src = session.source();
         want = reference(&name, &prelude, src, &limits);
@@ -278,4 +290,103 @@ fn forty_eight_function_units_reuse_47_of_48_verdicts() {
         }
     }
     assert!(asserted > 6 * EDITS / 4, "{asserted}");
+}
+
+/// A service journaling to `dir`, as a daemon with `--cache-dir` runs.
+fn service(dir: &std::path::Path, jobs: usize) -> CheckService {
+    CheckService::new(ServiceConfig {
+        jobs,
+        cache_capacity: 64,
+        cache_dir: Some(dir.to_path_buf()),
+        ..Default::default()
+    })
+}
+
+/// One seeded session through a persistent service that is dropped and
+/// reopened before about one edit in five. Returns how many reopens had
+/// their function-verdict hits asserted.
+fn run_restart_session(family: Family, seed: u64, jobs: usize) -> usize {
+    let limits = Limits::default();
+    let (name, prelude, source) = subject(family, seed, (8, 6));
+    assert!(prelude.is_empty(), "the restart leg checks plain units");
+    let dir = std::env::temp_dir().join(format!(
+        "vault-edit-restart-{family:?}-{seed}-{jobs}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let check = |svc: &CheckService, source: &str| {
+        svc.check_unit(UnitIn {
+            name: name.clone(),
+            source: source.to_string(),
+        })
+    };
+    let mut session = EditSession::new(source);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5e57);
+    let mut svc = service(&dir, jobs);
+    let mut want = reference(&name, &prelude, session.source(), &limits);
+    assert_eq!(*check(&svc, session.source()).summary, want);
+    let mut reopened = false;
+    let mut asserted = 0;
+    for step in 0..EDITS {
+        if rng.gen_bool(0.2) {
+            drop(svc);
+            svc = service(&dir, jobs);
+            assert_eq!(svc.status().cache_load_errors, 0);
+            reopened = true;
+        }
+        let was_clean = parses_cleanly(&want);
+        let kind = next_kind(was_clean, &mut rng);
+        let applied = session.apply(kind, &mut rng);
+        let src = session.source();
+        want = reference(&name, &prelude, src, &limits);
+        let before = svc.status();
+        let report = check(&svc, src);
+        assert!(
+            *report.summary == want,
+            "{family:?} seed {seed} step {step} ({}) [jobs {jobs}]: service diverged\n\
+             got:  {:?}\nwant: {want:?}\nsource:\n{src}",
+            kind.name(),
+            report.summary,
+        );
+        if report.cached {
+            continue; // nothing was checked: the reopen is still untested
+        }
+        if reopened && applied && kind.body_confined() && was_clean && parses_cleanly(&want) {
+            let after = svc.status();
+            let h = after.fn_cache_hits - before.fn_cache_hits;
+            let m = after.fn_cache_misses - before.fn_cache_misses;
+            let n = bodies(src);
+            assert!(
+                h + m == n && h + 1 >= n,
+                "{family:?} seed {seed} step {step} ({}) [jobs {jobs}]: {h} hits, {m} misses \
+                 over {n} functions after a reopen",
+                kind.name(),
+            );
+            asserted += 1;
+        }
+        // A fresh check refills the in-memory caches; a later edit's
+        // hits would no longer prove anything about the store.
+        reopened = false;
+    }
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+    asserted
+}
+
+/// Seeds per family and job count in the restart leg.
+const RESTART_SEEDS: u64 = 12;
+
+#[test]
+fn service_edit_sequences_survive_restarts_part_way_through() {
+    let mut asserted = 0;
+    for family in [Family::Mixed, Family::Sockets] {
+        for jobs in [1, 2] {
+            for seed in 0..RESTART_SEEDS {
+                asserted += run_restart_session(family, 2000 + seed, jobs);
+            }
+        }
+    }
+    // Reopens land before about six edits of each of the 48 sessions;
+    // make sure the hit assertion after a reopen really ran.
+    assert!(asserted as u64 > 8 * RESTART_SEEDS, "{asserted}");
 }
