@@ -29,7 +29,13 @@
 //!    function-cache hit rate and median latency per kind, and the
 //!    median cost of one length-changing body edit down the fast path,
 //!    down the full path with every unchanged verdict cached (the
-//!    environment evicted), and down the full path cold.
+//!    environment evicted), and down the full path cold;
+//! 7. **memory** — the heap bytes the incremental engine's caches
+//!    retain per unit, on the realistic-edits unit and on a cold
+//!    workload unit: one cached environment and the mean cached
+//!    function verdict, read off a counting global allocator that is
+//!    switched on only for this section (every timed section runs with
+//!    it off, paying one relaxed load per allocation).
 //!
 //! The cold run also audits its own phase accounting: lex + parse +
 //! elaborate + lower + check + other must equal the measured wall
@@ -46,6 +52,8 @@
 //! commit before this overhaul) is recorded in the output so the
 //! speedup claims stay auditable.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,6 +81,68 @@ const BASELINE_COMMIT: &str = "33ddf53 (pre-overhaul)";
 /// 1-core host that recorded the current numbers.
 const SPARSE_BASELINE_CHECK_MICROS: u64 = 95757;
 const SPARSE_BASELINE_COMMIT: &str = "b28fa92 (pre-sparse)";
+
+/// The system allocator, counting live heap bytes while [`COUNTING`] is
+/// set.
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+
+fn count(delta: isize) {
+    if COUNTING.load(Relaxed) {
+        LIVE_BYTES.fetch_add(delta, Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments;
+// the counter never touches the memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let p = System.alloc_zeroed(layout);
+        if !p.is_null() {
+            count(layout.size() as isize);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        count(-(layout.size() as isize));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let p = System.realloc(ptr, layout, new_size);
+        if !p.is_null() {
+            count(new_size as isize - layout.size() as isize);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap bytes allocated by `f` and still live when it returns (what its
+/// result holds), and those still live once the result is dropped
+/// (what `f` left behind elsewhere).
+fn heap_bytes<T>(f: impl FnOnce() -> T) -> (i64, i64) {
+    LIVE_BYTES.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let result = f();
+    let held = LIVE_BYTES.load(Relaxed);
+    drop(result);
+    COUNTING.store(false, Relaxed);
+    (held as i64, LIVE_BYTES.load(Relaxed) as i64)
+}
 
 const PRELUDE: &str = r#"
 interface REGION {
@@ -416,6 +486,18 @@ fn main() {
     println!("realistic edits (48-function unit, jobs 2):");
     let realistic = realistic_edits(iters);
 
+    println!("memory retained by the incremental caches:");
+    let memory = Json::Obj(vec![
+        (
+            "realistic_edits_unit".to_string(),
+            cache_memory("ide.vlt", &realistic_edits_unit().source),
+        ),
+        (
+            "cold_workload_unit".to_string(),
+            cache_memory(&units[0].name, &units[0].source),
+        ),
+    ]);
+
     let sparse_speedup = SPARSE_BASELINE_CHECK_MICROS as f64 / phases.check_micros.max(1) as f64;
     println!(
         "sparse fixpoint: check {}us vs {}us baseline ({:.2}x)",
@@ -500,6 +582,7 @@ fn main() {
             ]),
         ),
         ("realistic_edits".to_string(), realistic),
+        ("memory".to_string(), memory),
         (
             "cold_speedup_vs_baseline".to_string(),
             Json::Num(round2(BASELINE_COLD_SECS / cold)),
@@ -578,17 +661,61 @@ fn median_ms(times: &mut [Duration]) -> f64 {
     (times[times.len() / 2].as_secs_f64() * 1e6).round() / 1e3
 }
 
-/// The `realistic_edits` scenario (see the module docs). Every edited
-/// check is asserted equal to the monolithic checker.
-fn realistic_edits(iters: usize) -> Json {
-    const NAME: &str = "ide.vlt";
-    let program = synth::generate(&SynthConfig {
+/// The unit the realistic edits are made to.
+fn realistic_edits_unit() -> synth::SynthProgram {
+    synth::generate(&SynthConfig {
         functions: 48,
         stmts_per_fn: 12,
         seed: 0x1de,
         bug_rate: 0.1,
         shape: Shape::Mixed,
-    });
+    })
+}
+
+/// The `memory` section (see the module docs) for one unit: what a
+/// cold check leaves in a fresh engine's caches. One engine keeps every
+/// function verdict, a second keeps one; their difference over the
+/// other verdicts is the mean verdict, and the rest of the second
+/// engine's retention is the environment. Sequential checks, so no
+/// pool thread allocates inside the window.
+fn cache_memory(name: &str, source: &str) -> Json {
+    let limits = Limits::default();
+    let check = |engine: &IncrementalEngine| {
+        let m = Metrics::default();
+        heap_bytes(|| engine.check_unit(name, source, &limits, &m)).1
+    };
+    // Warm every lazily initialized global first.
+    check(&IncrementalEngine::new(1, 1));
+    let all = IncrementalEngine::new(1, 4096);
+    let all_bytes = check(&all);
+    let verdicts = all.entries().1 as i64;
+    let one_bytes = check(&IncrementalEngine::new(1, 1));
+    let per_fn = (all_bytes - one_bytes) / (verdicts - 1).max(1);
+    let env = one_bytes - per_fn;
+    let (ast, _) =
+        heap_bytes(|| vault_syntax::parse_program(source, &mut vault_syntax::DiagSink::new()));
+    println!(
+        "  {name}: {} source bytes, {ast} B parsed, env {env} B, \
+         {verdicts} fn verdicts at {per_fn} B each",
+        source.len()
+    );
+    Json::Obj(vec![
+        ("source_bytes".to_string(), Json::num(source.len() as u64)),
+        ("env_bytes".to_string(), Json::num(env.max(0) as u64)),
+        ("fn_verdicts".to_string(), Json::num(verdicts as u64)),
+        (
+            "fn_verdict_bytes_mean".to_string(),
+            Json::num(per_fn.max(0) as u64),
+        ),
+        ("ast_bytes".to_string(), Json::num(ast.max(0) as u64)),
+    ])
+}
+
+/// The `realistic_edits` scenario (see the module docs). Every edited
+/// check is asserted equal to the monolithic checker.
+fn realistic_edits(iters: usize) -> Json {
+    const NAME: &str = "ide.vlt";
+    let program = realistic_edits_unit();
     let base = EditSession::new(program.source.clone());
     let limits = Limits::default();
     let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));

@@ -27,7 +27,8 @@ pub struct Elaborated {
     pub aliases: BTreeMap<Symbol, AliasEntry>,
     /// Global keys pre-allocated; function checks clone this generator.
     pub base_keys: KeyGen,
-    /// Function declarations that have bodies, in source order.
+    /// Function declarations that have bodies, in source order
+    /// (interfaces inlined, duplicates kept).
     pub bodies: Vec<ast::FunDecl>,
     /// Names of interfaces/modules, accepted as call qualifiers.
     pub qualifiers: BTreeSet<Symbol>,
@@ -38,8 +39,48 @@ pub struct Elaborated {
     pub lower_micros: u64,
 }
 
-/// Elaborate a parsed program.
+/// Elaborate a parsed program the caller keeps: `bodies` holds clones of
+/// the program's function declarations.
 pub fn elaborate(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
+    let mut elaborated = elaborate_decls(program, diags);
+    let started = std::time::Instant::now();
+    fn clone_bodies(ds: &[ast::Decl], out: &mut Vec<ast::FunDecl>) {
+        for d in ds {
+            match d {
+                ast::Decl::Interface(i) => clone_bodies(&i.decls, out),
+                ast::Decl::Fun(f) if f.body.is_some() => out.push(f.clone()),
+                _ => {}
+            }
+        }
+    }
+    clone_bodies(&program.decls, &mut elaborated.bodies);
+    elaborated.lower_micros += started.elapsed().as_micros() as u64;
+    elaborated
+}
+
+/// Elaborate a parsed program the caller gives up: its function
+/// declarations move into `bodies` without a copy, in the same order
+/// [`elaborate`] clones them in.
+pub fn elaborate_owned(program: ast::Program, diags: &mut DiagSink) -> Elaborated {
+    let mut elaborated = elaborate_decls(&program, diags);
+    let started = std::time::Instant::now();
+    fn take_bodies(ds: Vec<ast::Decl>, out: &mut Vec<ast::FunDecl>) {
+        for d in ds {
+            match d {
+                ast::Decl::Interface(i) => take_bodies(i.decls, out),
+                ast::Decl::Fun(f) if f.body.is_some() => out.push(f),
+                _ => {}
+            }
+        }
+    }
+    take_bodies(program.decls, &mut elaborated.bodies);
+    elaborated.lower_micros += started.elapsed().as_micros() as u64;
+    elaborated
+}
+
+/// Passes 1–5 over the flattened declarations. `bodies` is left empty
+/// for the caller to fill: by clone or by move.
+fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
     // The parser interned every identifier at lex time — plus the
     // `<error>`/`<fn>` sentinels lowering error paths can introduce —
     // and froze the interner into string order, so elaboration reuses
@@ -59,7 +100,6 @@ pub fn elaborate(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
     let mut world = World::new();
     let mut aliases: BTreeMap<Symbol, AliasEntry> = BTreeMap::new();
     let mut base_keys = KeyGen::new();
-    let mut bodies = Vec::new();
     let mut qualifiers = BTreeSet::new();
 
     // Flatten interfaces.
@@ -345,9 +385,6 @@ pub fn elaborate(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
                     format!("function `{}` is declared twice", f.name),
                 );
             }
-            if f.body.is_some() {
-                bodies.push(f.clone());
-            }
         }
     }
 
@@ -356,7 +393,7 @@ pub fn elaborate(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
         syms,
         aliases,
         base_keys,
-        bodies,
+        bodies: Vec::new(),
         qualifiers,
         elaborate_micros,
         lower_micros: started.elapsed().as_micros() as u64,

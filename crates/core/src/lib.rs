@@ -53,7 +53,7 @@ use vault_syntax::diag::{Code, DiagSink, Diagnostic, Severity};
 use vault_syntax::{ast, SourceMap};
 
 pub use check::CheckStats;
-pub use elaborate::{elaborate, Elaborated};
+pub use elaborate::{elaborate, elaborate_owned, Elaborated};
 
 /// The closed capability universe for the capability-effect discipline
 /// (`uses c` items, `V7xx` diagnostics). A closed set keeps corpus
@@ -147,17 +147,7 @@ pub struct CheckResult {
 impl CheckResult {
     /// Accepted or rejected?
     pub fn verdict(&self) -> Verdict {
-        if self.has_code(Code::LimitExceeded) {
-            Verdict::ResourceLimit
-        } else if self
-            .diagnostics
-            .iter()
-            .any(|d| d.severity == Severity::Error)
-        {
-            Verdict::Rejected
-        } else {
-            Verdict::Accepted
-        }
+        verdict_of(&self.diagnostics)
     }
 
     /// Whether some diagnostic carries the given code.
@@ -204,6 +194,37 @@ pub fn check_source_with_limits(name: &str, src: &str, limits: &Limits) -> Check
     let (program, front) =
         vault_syntax::parse_program_with_depth_timed(src, &mut diags, limits.parser_depth);
     let elaborated = elaborate(&program, &mut diags);
+    let stats = check_bodies(&elaborated, front, &mut diags, limits);
+    CheckResult {
+        source,
+        program,
+        elaborated,
+        diagnostics: diags.into_vec(),
+        stats,
+    }
+}
+
+/// The whole pipeline over `src` for callers that keep no AST: the
+/// program's bodies move into elaboration and are freed with it.
+/// Diagnostics and counters equal [`check_source_with_limits`]'s.
+fn check_text(src: &str, limits: &Limits) -> (Vec<Diagnostic>, CheckStats) {
+    let mut diags = DiagSink::new();
+    let (program, front) =
+        vault_syntax::parse_program_with_depth_timed(src, &mut diags, limits.parser_depth);
+    let elaborated = elaborate_owned(program, &mut diags);
+    let stats = check_bodies(&elaborated, front, &mut diags, limits);
+    (diags.into_vec(), stats)
+}
+
+/// Check every body of `elaborated` in order, stopping at the first
+/// [`Code::LimitExceeded`] (or a passed deadline). Returns the unit's
+/// counters, seeded with the front-end phase timings.
+fn check_bodies(
+    elaborated: &Elaborated,
+    front: vault_syntax::FrontEndTiming,
+    diags: &mut DiagSink,
+    limits: &Limits,
+) -> CheckStats {
     let mut stats = CheckStats {
         lex_micros: front.lex_micros,
         parse_micros: front.parse_micros,
@@ -227,19 +248,24 @@ pub fn check_source_with_limits(name: &str, src: &str, limits: &Limits) -> Check
             &elaborated.qualifiers,
             &elaborated.base_keys,
             f,
-            &mut diags,
+            diags,
             limits,
         ));
         if diags.has_code(Code::LimitExceeded) {
             break;
         }
     }
-    CheckResult {
-        source,
-        program,
-        elaborated,
-        diagnostics: diags.into_vec(),
-        stats,
+    stats
+}
+
+/// The verdict a set of diagnostics amounts to.
+fn verdict_of(diagnostics: &[Diagnostic]) -> Verdict {
+    if diagnostics.iter().any(|d| d.code == Code::LimitExceeded) {
+        Verdict::ResourceLimit
+    } else if diagnostics.iter().any(|d| d.severity == Severity::Error) {
+        Verdict::Rejected
+    } else {
+        Verdict::Accepted
     }
 }
 
@@ -335,12 +361,22 @@ impl CheckSummary {
 /// across its worker pool: it takes `&str`s, touches no shared state,
 /// and returns a [`CheckSummary`] that is `Send + Sync`.
 pub fn check_summary(name: &str, src: &str) -> CheckSummary {
-    CheckSummary::of(name, &check_source(name, src))
+    check_summary_with_limits(name, src, &Limits::default())
 }
 
 /// [`check_summary`] under explicit resource bounds.
 pub fn check_summary_with_limits(name: &str, src: &str, limits: &Limits) -> CheckSummary {
-    CheckSummary::of(name, &check_source_with_limits(name, src, limits))
+    let (diagnostics, stats) = check_text(src, limits);
+    let source = SourceMap::new(name, src);
+    CheckSummary {
+        name: name.to_string(),
+        verdict: verdict_of(&diagnostics),
+        diagnostics: diagnostics
+            .iter()
+            .map(|d| vault_syntax::DiagView::new(d, &source))
+            .collect(),
+        stats,
+    }
 }
 
 /// Check a unit *against a prelude* of its dependencies' export surfaces.
@@ -364,11 +400,11 @@ pub fn check_summary_with_prelude(
     limits: &Limits,
 ) -> CheckSummary {
     let attr = vault_syntax::Attribution::with_prelude(name, prelude, src);
-    let r = check_source_with_limits(name, attr.full_text(), limits);
+    let (diagnostics, stats) = check_text(attr.full_text(), limits);
     CheckSummary {
         name: name.to_string(),
-        verdict: r.verdict(),
-        diagnostics: r.diagnostics.iter().map(|d| attr.view(d)).collect(),
-        stats: r.stats,
+        verdict: verdict_of(&diagnostics),
+        diagnostics: diagnostics.iter().map(|d| attr.view(d)).collect(),
+        stats,
     }
 }

@@ -267,8 +267,20 @@ impl<W: Write> Write for ChaosWriter<W> {
 mod tests {
     use super::*;
 
+    /// Serializes the tests that arm chaos or assume it disarmed: the
+    /// fault state is process-wide, and the test harness runs tests on
+    /// parallel threads. The integration suite holds its own lock.
+    fn test_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        match LOCK.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     #[test]
     fn disarmed_chaos_is_inert() {
+        let _serial = test_lock();
         disarm();
         assert!(!armed());
         perturb_job(); // must not panic
@@ -279,6 +291,7 @@ mod tests {
 
     #[test]
     fn short_writes_still_deliver_every_byte_through_write_all() {
+        let _serial = test_lock();
         arm(ChaosConfig {
             panic_prob: 0.0,
             delay_prob: 0.0,

@@ -28,7 +28,20 @@
 //!    with a span or label outside its own declaration would depend on
 //!    more than that text; it is used once and never cached.
 //!
-//! On a re-check, two paths exist:
+//! # What the environment cache holds
+//!
+//! A function body is needed only while its unit is being checked, so
+//! the environment cache keeps only the declarations. A full check
+//! parses the unit once and elaborates the program *by value*
+//! ([`vault_core::elaborate_owned`]): the function bodies move out of
+//! the parse into the check's front end, never copied, and are freed
+//! when the check ends. A `CachedEnv` holds the checked text, the
+//! declaration slots and fingerprints, and an [`Elaborated`] whose
+//! `bodies` is empty — declaration tables, frozen interner and base
+//! keys. On a 24 KB, 48-function unit that is about 69 KB (23 KB of it
+//! the text), against the 0.5 MB a cached copy of the body ASTs cost.
+//!
+//! # Two paths
 //!
 //! * **Fast path** — the environment cache holds a clean parse of an
 //!   earlier text under this unit name, and a common-prefix/suffix scan
@@ -37,16 +50,16 @@
 //!   reused outright (no parse, no elaboration); later declarations'
 //!   spans shift by the length delta; only functions whose fingerprint
 //!   misses are re-checked, each via a *mini-parse* of just its own
-//!   declaration at its new offsets (everything else blanked to spaces,
-//!   newlines preserved). The edited declaration is mini-parsed even
-//!   when its verdict hits: a verdict cached from a recovered parse of
-//!   the same text cannot tell that the text does not parse. A
-//!   mini-parse must be pristine: no diagnostic, exactly the expected
-//!   span, a body, and no identifier the frozen interner lacks. The
-//!   environment entry is then refreshed
-//!   with the new text and slots. The cached [`Elaborated`]'s body ASTs
-//!   describe the text it was parsed from, so they are never checked
-//!   after a shift: only its declaration tables and interner are read.
+//!   declaration. A mini-parse lexes only the declaration's byte range
+//!   of the checked text, with spans in whole-text coordinates, and
+//!   yields exactly what a parse of the text blanked outside that range
+//!   would ([`vault_syntax::parse_range_with_depth`]). The edited
+//!   declaration is mini-parsed even when its verdict hits: a verdict
+//!   cached from a recovered parse of the same text cannot tell that the
+//!   text does not parse. A mini-parse must be pristine: no diagnostic,
+//!   exactly the expected span, a body, and no identifier the frozen
+//!   interner lacks. The environment entry is then refreshed with the
+//!   new text and slots, sharing the same [`Elaborated`].
 //! * **Full path** — anything else (an edit outside bodies or spanning
 //!   two, a brace edit, a new identifier, a syntax error, an evicted
 //!   environment): parse + elaborate fresh, but still probe the
@@ -98,11 +111,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use vault_core::check::{check_function_with_limits, CheckStats};
 use vault_core::{
-    check_summary_with_limits, check_summary_with_prelude, elaborate, CheckSummary, Elaborated,
-    Limits, Verdict,
+    check_summary_with_limits, check_summary_with_prelude, elaborate_owned, CheckSummary,
+    Elaborated, Limits, Verdict,
 };
 use vault_syntax::{
-    ast, parse_program_with_depth, parse_program_with_depth_timed, Attribution, Code, DiagSink,
+    ast, parse_program_with_depth_timed, parse_range_with_depth, Attribution, Code, DiagSink,
     DiagView, Diagnostic, Severity, Span,
 };
 
@@ -133,9 +146,9 @@ struct CachedEnv {
     slots: Vec<(Span, Span)>,
     /// Per-function fingerprints, parallel to `slots`.
     fps: Vec<u64>,
-    /// The reusable elaboration output. After a fast-path refresh its
-    /// body ASTs describe an older text; only its declaration tables
-    /// and interner are ever read.
+    /// The reusable elaboration output: declaration tables and frozen
+    /// interner only. Its `bodies` is always empty; a body AST lives
+    /// only while its unit is being checked.
     elaborated: Arc<Elaborated>,
     /// Whether parse + elaboration reported nothing. The fast path
     /// requires it: partial parses have unstable declaration tables, and
@@ -378,20 +391,53 @@ fn fn_fingerprint(env_hash: u64, source: &str, decl: Span) -> u64 {
     )
 }
 
-/// The source with everything *outside* `keep` blanked to spaces
-/// (newlines preserved), so a parse of the result sees one declaration
-/// at its offsets and line numbers in `source`.
-fn blank_outside(source: &str, keep: Span) -> String {
-    let keep = keep.start as usize..keep.end as usize;
-    let mut bytes = source.as_bytes().to_vec();
-    for (i, b) in bytes.iter_mut().enumerate() {
-        if !keep.contains(&i) && *b != b'\n' {
-            *b = b' ';
-        }
+/// Parse exactly one declaration of the checked text `text` — only its
+/// byte range is lexed, spans stay in whole-text coordinates — and
+/// intern it against a cached environment. `None` when the mini-parse
+/// is not [`pristine`].
+fn mini_parse(text: &str, decl: Span, elab: &Elaborated, limits: &Limits) -> Option<ast::FunDecl> {
+    let mut diags = DiagSink::new();
+    let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
+    let program = parse_range_with_depth(text, decl, &mut diags, depth);
+    pristine(program, &diags, decl, elab)
+}
+
+/// The one function a mini-parse of `decl` must yield, re-interned
+/// against `elab`'s frozen interner; `None` on any diagnostic, anything
+/// but one function declaration, a span that moved, a vanished body, or
+/// an identifier the frozen interner has never seen.
+fn pristine(
+    program: ast::Program,
+    diags: &DiagSink,
+    decl: Span,
+    elab: &Elaborated,
+) -> Option<ast::FunDecl> {
+    if !diags.diagnostics().is_empty() {
+        return None;
     }
-    // Every replacement is ASCII and the kept range is untouched, so
-    // the result is still valid UTF-8.
-    String::from_utf8(bytes).expect("blanking preserves UTF-8")
+    let mut decls = program.decls;
+    if decls.len() != 1 {
+        return None;
+    }
+    let Some(ast::Decl::Fun(mut f)) = decls.pop() else {
+        return None;
+    };
+    if f.span != decl || f.body.is_none() {
+        return None;
+    }
+    // The mini-parse interned into its own throwaway interner, so the
+    // declaration's symbols live in the wrong symbol space. Re-intern
+    // every identifier against the cached unit's frozen interner. An
+    // edit that introduces a brand-new identifier cannot be interned
+    // into a frozen table (symbols are numbered in string order); it
+    // would check as `Symbol::UNKNOWN` and could alias another new name,
+    // so fall back to the full path.
+    let mut unknown = false;
+    vault_syntax::remap_idents_fun(&mut f, &mut |id| {
+        id.sym = elab.syms.sym(&id.name);
+        unknown |= id.sym == vault_syntax::Symbol::UNKNOWN;
+    });
+    (!unknown).then_some(f)
 }
 
 /// Recompute the verdict from assembled diagnostics, mirroring
@@ -430,7 +476,12 @@ fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> (FnVerdic
 /// The front half of a full check: parse + elaborate, plus everything
 /// derived from them that body checking needs.
 struct FrontEnd {
+    /// The declaration environment, without bodies: what the
+    /// environment cache keeps.
     elaborated: Arc<Elaborated>,
+    /// The unit's function bodies, in check order, moved out of the
+    /// parse. Freed when the unit's check ends.
+    bodies: Vec<ast::FunDecl>,
     pre_views: Vec<DiagView>,
     pre_limit: bool,
     slots: Vec<(Span, Span)>,
@@ -461,6 +512,8 @@ enum FnOutcome {
 struct FanOut {
     engine: Arc<IncrementalEngine>,
     elaborated: Arc<Elaborated>,
+    /// The unit's bodies, moved from its [`FrontEnd`].
+    bodies: Vec<ast::FunDecl>,
     fps: Vec<u64>,
     limits: Limits,
     next: AtomicUsize,
@@ -490,7 +543,7 @@ impl FanOut {
         if let Some(v) = probed {
             return FnOutcome::Hit(v);
         }
-        let f = &self.elaborated.bodies[i];
+        let f = &self.bodies[i];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             check_body(&self.elaborated, f, &self.limits)
         }));
@@ -633,7 +686,7 @@ impl IncrementalEngine {
             return None;
         }
         let (slots, fps, edited) = env.edited_to(source)?;
-        let parse = |decl| self.mini_parse(attr, decl, &env.elaborated, limits);
+        let parse = |decl| mini_parse(attr.full_text(), decl, &env.elaborated, limits);
         // The edited declaration must parse pristine even when its
         // verdict is cached: a verdict cached from a recovered parse of
         // the same text says nothing about the syntax error. `None`
@@ -700,63 +753,21 @@ impl IncrementalEngine {
         })
     }
 
-    /// Parse exactly one declaration of the checked text (everything
-    /// else blanked) and intern it against a cached environment. `None`
-    /// when the mini-parse is not pristine — any diagnostic, a span that
-    /// moved, a vanished body, or an identifier the frozen interner has
-    /// never seen.
-    fn mini_parse(
-        &self,
-        attr: &Attribution,
-        decl: Span,
-        elab: &Elaborated,
-        limits: &Limits,
-    ) -> Option<ast::FunDecl> {
-        let mini = blank_outside(attr.full_text(), decl);
-        let mut parse_diags = DiagSink::new();
-        let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
-        let program = parse_program_with_depth(&mini, &mut parse_diags, depth);
-        if !parse_diags.diagnostics().is_empty() {
-            return None;
-        }
-        let mut decls = program.decls;
-        if decls.len() != 1 {
-            return None;
-        }
-        let Some(ast::Decl::Fun(mut f)) = decls.pop() else {
-            return None;
-        };
-        if f.span != decl || f.body.is_none() {
-            return None;
-        }
-        // The mini-parse interned into its own throwaway interner, so
-        // the declaration's symbols live in the wrong symbol space.
-        // Re-intern every identifier against the cached unit's frozen
-        // interner. An edit that introduces a brand-new identifier
-        // cannot be interned into a frozen table (symbols are numbered
-        // in string order); it would check as `Symbol::UNKNOWN` and
-        // could alias another new name, so fall back to the full path.
-        let mut unknown = false;
-        vault_syntax::remap_idents_fun(&mut f, &mut |id| {
-            id.sym = elab.syms.sym(&id.name);
-            unknown |= id.sym == vault_syntax::Symbol::UNKNOWN;
-        });
-        (!unknown).then_some(f)
-    }
-
     /// Parse + elaborate the unit and fingerprint every function body:
-    /// everything a full check does before touching a body.
+    /// everything a full check does before touching a body. The parsed
+    /// program is consumed: its bodies move into the front end, the rest
+    /// is dropped once elaborated.
     fn front(&self, name: &str, attr: &Attribution, limits: &Limits) -> FrontEnd {
         let source = attr.full_text();
         let mut pre = DiagSink::new();
         let (program, front) =
             parse_program_with_depth_timed(source, &mut pre, limits.parser_depth);
-        let elaborated = Arc::new(elaborate(&program, &mut pre));
+        let mut elaborated = elaborate_owned(program, &mut pre);
+        let bodies = std::mem::take(&mut elaborated.bodies);
         let pre_limit = pre.has_code(Code::LimitExceeded);
         let pre_views: Vec<DiagView> = pre.into_vec().iter().map(|d| attr.view(d)).collect();
 
-        let slots: Vec<(Span, Span)> = elaborated
-            .bodies
+        let slots: Vec<(Span, Span)> = bodies
             .iter()
             .map(|f| (f.span, f.body.as_ref().expect("collected with body").span))
             .collect();
@@ -774,7 +785,8 @@ impl IncrementalEngine {
             ..CheckStats::default()
         };
         FrontEnd {
-            elaborated,
+            elaborated: Arc::new(elaborated),
+            bodies,
             pre_views,
             pre_limit,
             slots,
@@ -828,7 +840,7 @@ impl IncrementalEngine {
         let mut stats = fe.stats;
         let mut hits = 0u64;
         let mut misses = 0u64;
-        for (f, &fp) in fe.elaborated.bodies.iter().zip(&fe.fps) {
+        for (f, &fp) in fe.bodies.iter().zip(&fe.fps) {
             let probed = lock(&self.fns).get(fp);
             let verdict = match probed {
                 Some(v) => {
@@ -914,8 +926,8 @@ impl IncrementalEngine {
         metrics: &Metrics,
         pool: &Arc<CheckPool>,
     ) -> CheckSummary {
-        let fe = self.front(name, attr, limits);
-        let n = fe.elaborated.bodies.len();
+        let mut fe = self.front(name, attr, limits);
+        let n = fe.bodies.len();
         // A pre-existing `LimitExceeded` stops the sequential loop at
         // the first body; nothing to parallelize there (or for tiny
         // units, or on a single-worker pool).
@@ -926,6 +938,7 @@ impl IncrementalEngine {
         let fan = Arc::new(FanOut {
             engine: Arc::clone(self),
             elaborated: Arc::clone(&fe.elaborated),
+            bodies: std::mem::take(&mut fe.bodies),
             fps: fe.fps.clone(),
             limits: *limits,
             next: AtomicUsize::new(0),
@@ -1285,12 +1298,202 @@ void beta() {
     }
 
     /// The elaboration the unit's cached environment holds: the fast
-    /// path keeps it, the full path replaces it.
+    /// path keeps it, the full path replaces it. It never holds a body.
     fn cached_elaboration(eng: &IncrementalEngine, name: &str) -> Arc<Elaborated> {
         let env = lock(&eng.envs)
             .get(fnv1a_64(name.as_bytes()))
             .expect("environment cached");
+        assert!(env.elaborated.bodies.is_empty(), "a cached body AST");
         Arc::clone(&env.elaborated)
+    }
+
+    #[test]
+    fn cached_environments_hold_no_bodies() {
+        let eng = Arc::new(IncrementalEngine::new(8, 1024));
+        let m = Metrics::default();
+        let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+        let limits = Limits::default();
+        // Full path, sequential and fanned out.
+        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        eng.check_unit_parallel("v.vlt", UNIT, &limits, &m, &pool);
+        let elab = cached_elaboration(&eng, "u.vlt");
+        cached_elaboration(&eng, "v.vlt");
+        // Fast-path refresh: the same body-free environment is reused.
+        let edited = UNIT.replace("{x=1; y=2;};", "{x=1; y=2;};\n  p.x = 4;");
+        let before = m.snapshot();
+        eng.check_unit("u.vlt", &edited, &limits, &m);
+        assert_eq!(m.snapshot().fn_cache_hits - before.fn_cache_hits, 1);
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+        // Project mode: a unit checked against a prelude.
+        let prelude = "interface FS {\n  type FILE;\n  tracked(F) FILE fopen() [new F];\n  void fclose(tracked(F) FILE f) [-F];\n}\n";
+        let unit = "void use_file() {\n  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n}\n";
+        eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
+        eng.check_unit_with_prelude_parallel("app2", prelude, unit, &limits, &m, &pool);
+        cached_elaboration(&eng, "app");
+        cached_elaboration(&eng, "app2");
+    }
+
+    /// The source with everything *outside* `keep` blanked to spaces
+    /// (newlines preserved): the text whose full parse a range
+    /// mini-parse of `keep` must reproduce.
+    fn blank_outside(source: &str, keep: Span) -> String {
+        let keep = keep.start as usize..keep.end as usize;
+        let mut bytes = source.as_bytes().to_vec();
+        for (i, b) in bytes.iter_mut().enumerate() {
+            if !keep.contains(&i) && *b != b'\n' {
+                *b = b' ';
+            }
+        }
+        // Every replacement is ASCII and the kept range is untouched, so
+        // the result is still valid UTF-8.
+        String::from_utf8(bytes).expect("blanking preserves UTF-8")
+    }
+
+    /// Parse `range` of `text` both ways — the range parse and the full
+    /// parse of the blanked text — and assert they agree: the same
+    /// declarations (symbols included), the same diagnostics, and the
+    /// same [`pristine`] outcome. Returns whether the range was pristine.
+    fn assert_range_parse_matches_oracle(text: &str, range: Span, elab: &Elaborated) -> bool {
+        let depth = Limits::default()
+            .parser_depth
+            .saturating_sub(MINI_PARSE_DEPTH_MARGIN);
+        let mut ranged_diags = DiagSink::new();
+        let ranged = parse_range_with_depth(text, range, &mut ranged_diags, depth);
+        let mut oracle_diags = DiagSink::new();
+        let oracle = vault_syntax::parse_program_with_depth(
+            &blank_outside(text, range),
+            &mut oracle_diags,
+            depth,
+        );
+        let context = || format!("range {range:?} of:\n{text}");
+        assert_eq!(
+            format!("{:?}", ranged.decls),
+            format!("{:?}", oracle.decls),
+            "{}",
+            context()
+        );
+        assert_eq!(
+            ranged_diags.diagnostics(),
+            oracle_diags.diagnostics(),
+            "{}",
+            context()
+        );
+        let ranged = pristine(ranged, &ranged_diags, range, elab);
+        let oracle = pristine(oracle, &oracle_diags, range, elab);
+        assert_eq!(
+            format!("{ranged:?}"),
+            format!("{oracle:?}"),
+            "{}",
+            context()
+        );
+        assert_eq!(
+            mini_parse(text, range, elab, &Limits::default()).is_some(),
+            ranged.is_some()
+        );
+        ranged.is_some()
+    }
+
+    /// Every declaration of `text`, mini-parsed at its own range and at
+    /// ranges that cut it (a missing closing brace, a split first token,
+    /// the bare body, an end inside its first string literal or
+    /// comment), against the blanked-text oracle. Returns `(pristine
+    /// declarations, declarations)`.
+    fn oracle_check_unit(text: &str) -> (usize, usize) {
+        let mut diags = DiagSink::new();
+        let program = vault_syntax::parse_program(text, &mut diags);
+        let elab = vault_core::elaborate(&program, &mut diags);
+        let mut clean = 0;
+        for f in &elab.bodies {
+            let body = f.body.as_ref().expect("collected with body").span;
+            let (s, e) = (f.span.start, f.span.end);
+            clean += usize::from(assert_range_parse_matches_oracle(text, f.span, &elab));
+            let decl_text = &text[s as usize..e as usize];
+            let inside = ["\"", "//", "/*"]
+                .iter()
+                .filter_map(|open| decl_text.find(open))
+                .map(|at| Span::new(s, s + at as u32 + 2));
+            for cut in [Span::new(s, e - 1), Span::new(s + 1, e), body]
+                .into_iter()
+                .chain(inside)
+            {
+                let on_chars = text.is_char_boundary(cut.start as usize)
+                    && text.is_char_boundary(cut.end as usize);
+                if on_chars {
+                    assert!(!assert_range_parse_matches_oracle(text, cut, &elab));
+                }
+            }
+        }
+        (clean, elab.bodies.len())
+    }
+
+    #[test]
+    fn range_mini_parse_matches_the_blanked_text_oracle() {
+        use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
+        let mut units: Vec<String> = vault_corpus::all_programs()
+            .into_iter()
+            .map(|p| p.source)
+            .collect();
+        for shape in [
+            Shape::Mixed,
+            Shape::Straight,
+            Shape::Branchy,
+            Shape::Loopy,
+            Shape::VariantHeavy,
+            Shape::Sockets,
+        ] {
+            for seed in 1..=3 {
+                units.push(
+                    synth::generate(&SynthConfig {
+                        functions: 12,
+                        stmts_per_fn: 8,
+                        seed,
+                        bug_rate: 0.3,
+                        shape,
+                    })
+                    .source,
+                );
+            }
+        }
+        // Project units, each prefixed by its import prelude.
+        let project = synth::generate_project(&ProjectConfig {
+            units: 3,
+            fns_per_unit: 4,
+            stmts_per_fn: 8,
+            seed: 7,
+            bug_rate: 0.5,
+        });
+        let project_units: Vec<vault_project::ProjectUnit> = project
+            .units
+            .iter()
+            .map(|(n, s)| vault_project::ProjectUnit::new(n.as_str(), s.as_str()))
+            .collect();
+        let plan =
+            vault_project::ProjectPlan::build(&project_units, Limits::default().parser_depth);
+        for (planned, (name, source)) in plan.units.iter().zip(&project.units) {
+            let attr = Attribution::with_prelude(name, &planned.prelude, source);
+            units.push(attr.full_text().to_string());
+        }
+
+        // Strings and comments inside bodies, which the cut ranges end in.
+        units.push(
+            "type FILE;\n\
+             tracked(F) FILE fopen(string p) [new F];\n\
+             void fclose(tracked(F) FILE f) [-F];\n\
+             void a() {\n  // open it\n  tracked(F) FILE f = fopen(\"a \\\"b\\\" é\");\n  fclose(f);\n}\n\
+             void b() {\n  /* then */ tracked(F) FILE f = fopen(\"x\");\n  fclose(f); }\n"
+                .to_string(),
+        );
+
+        let (mut clean, mut total) = (0, 0);
+        for text in &units {
+            let (c, t) = oracle_check_unit(text);
+            clean += c;
+            total += t;
+        }
+        assert!(total > 400, "only {total} declarations");
+        // Nearly every declaration of a parseable unit mini-parses
+        // pristine on its own; the oracle must see both outcomes.
+        assert!(clean * 10 > total * 9, "{clean} of {total} pristine");
     }
 
     #[test]

@@ -698,6 +698,11 @@ impl DiagSink {
         self.diags.iter().any(|d| d.code == code)
     }
 
+    /// Drop every diagnostic after the first `len` (a parser rollback).
+    pub fn truncate(&mut self, len: usize) {
+        self.diags.truncate(len);
+    }
+
     /// Consume the sink, yielding its diagnostics.
     pub fn into_vec(self) -> Vec<Diagnostic> {
         self.diags

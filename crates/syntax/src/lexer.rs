@@ -28,10 +28,26 @@ pub fn lex(src: &str, diags: &mut DiagSink) -> Vec<Token> {
 /// [`Interner::freeze_sorted`] afterwards to establish the checker's
 /// ordering discipline).
 pub fn lex_into(src: &str, diags: &mut DiagSink, interner: &mut Interner) -> Vec<Token> {
+    lex_range_into(src, Span::new(0, src.len() as u32), diags, interner)
+}
+
+/// [`lex_into`] over only the bytes of `src` inside `range`, as if every
+/// byte outside it were a space (newlines kept): the tokens and
+/// diagnostics equal those of lexing that blanked copy, with spans in
+/// `src` coordinates and the end-of-input token at `src.len()`. Costs
+/// time in the range's length, plus at most the rest of its last line
+/// when a string or line comment runs past the range. `range` must lie
+/// on character boundaries.
+pub fn lex_range_into(
+    src: &str,
+    range: Span,
+    diags: &mut DiagSink,
+    interner: &mut Interner,
+) -> Vec<Token> {
     Lexer {
         src,
-        bytes: src.as_bytes(),
-        pos: 0,
+        bytes: &src.as_bytes()[..range.end as usize],
+        pos: range.start as usize,
         diags,
         interner,
     }
@@ -39,7 +55,10 @@ pub fn lex_into(src: &str, diags: &mut DiagSink, interner: &mut Interner) -> Vec
 }
 
 struct Lexer<'a, 'd> {
+    /// The whole text; positions index into it.
     src: &'a str,
+    /// The text up to the end of the lexed range. Past it, every byte
+    /// reads as a space except a newline.
     bytes: &'a [u8],
     pos: usize,
     diags: &'d mut DiagSink,
@@ -70,11 +89,30 @@ impl<'a, 'd> Lexer<'a, 'd> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.byte_at(self.pos)
     }
 
     fn peek2(&self) -> Option<u8> {
-        self.bytes.get(self.pos + 1).copied()
+        self.byte_at(self.pos + 1)
+    }
+
+    fn byte_at(&self, i: usize) -> Option<u8> {
+        match self.bytes.get(i) {
+            Some(&b) => Some(b),
+            None => self.blanked_at(i),
+        }
+    }
+
+    /// A byte past the lexed range, as its blanked copy reads.
+    #[cold]
+    fn blanked_at(&self, i: usize) -> Option<u8> {
+        let b = *self.src.as_bytes().get(i)?;
+        Some(if b == b'\n' { b'\n' } else { b' ' })
+    }
+
+    /// Whether `pos` is past the lexed range, where only blanks remain.
+    fn past_range(&self) -> bool {
+        self.pos >= self.bytes.len()
     }
 
     fn bump(&mut self) {
@@ -84,6 +122,8 @@ impl<'a, 'd> Lexer<'a, 'd> {
     fn skip_trivia(&mut self) {
         loop {
             match self.peek() {
+                // Past the range every byte is whitespace: skip to the end.
+                Some(_) if self.past_range() => self.pos = self.src.len(),
                 Some(b) if b.is_ascii_whitespace() => self.bump(),
                 Some(b'/') if self.peek2() == Some(b'/') => {
                     while let Some(b) = self.peek() {
@@ -99,6 +139,11 @@ impl<'a, 'd> Lexer<'a, 'd> {
                     self.bump();
                     let mut closed = false;
                     while let Some(b) = self.peek() {
+                        if self.past_range() {
+                            // No `*/` among the blanks.
+                            self.pos = self.src.len();
+                            break;
+                        }
                         if b == b'*' && self.peek2() == Some(b'/') {
                             self.bump();
                             self.bump();
@@ -338,6 +383,10 @@ impl<'a, 'd> Lexer<'a, 'd> {
                         self.pos += utf8_len(b);
                     }
                 }
+                Some(b) if self.past_range() => {
+                    value.push(b as char);
+                    self.bump();
+                }
                 Some(b) => {
                     // Multi-byte UTF-8 passes through unchanged.
                     let ch_len = utf8_len(b);
@@ -531,5 +580,25 @@ mod tests {
         assert_eq!(toks[1].span, Span::new(4, 5));
         assert_eq!(toks[2].span, Span::new(5, 6));
         assert_eq!(toks[3].span, Span::new(6, 7));
+    }
+
+    #[test]
+    fn range_lex_reads_blanks_past_the_range() {
+        // A string the range cuts runs on through the blanks to the end
+        // of its line, exactly as in the text blanked outside the range.
+        let src = "x \"abc def\" y\nz";
+        let blanked: String = src
+            .bytes()
+            .enumerate()
+            .map(|(i, b)| if i < 5 || b == b'\n' { b as char } else { ' ' })
+            .collect();
+        let (mut d1, mut d2) = (DiagSink::new(), DiagSink::new());
+        let mut i1 = Interner::new();
+        let ranged = lex_range_into(src, Span::new(0, 5), &mut d1, &mut i1);
+        let whole = lex(&blanked, &mut d2);
+        assert_eq!(ranged, whole);
+        assert_eq!(d1.diagnostics(), d2.diagnostics());
+        assert!(d1.has_code(Code::LexUnterminated));
+        assert_eq!(ranged.last().unwrap().span, Span::new(15, 15));
     }
 }

@@ -42,6 +42,6 @@ pub use idents::{ident_names, remap_idents, remap_idents_expr, remap_idents_fun}
 pub use intern::{FnvBuildHasher, IStr, Interner, Symbol};
 pub use parser::{
     parse_expr, parse_program, parse_program_with_depth, parse_program_with_depth_timed,
-    FrontEndTiming, DEFAULT_PARSER_DEPTH,
+    parse_range_with_depth, FrontEndTiming, DEFAULT_PARSER_DEPTH,
 };
 pub use span::{SourceMap, Span};

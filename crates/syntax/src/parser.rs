@@ -10,7 +10,7 @@ use crate::ast::*;
 use crate::diag::{Code, DiagSink};
 use crate::idents::{remap_idents, remap_idents_expr};
 use crate::intern::{Interner, Symbol};
-use crate::lexer::lex_into;
+use crate::lexer::{lex_into, lex_range_into};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::sync::Arc;
@@ -52,21 +52,37 @@ pub fn parse_program_with_depth_timed(
     diags: &mut DiagSink,
     max_depth: usize,
 ) -> (Program, FrontEndTiming) {
+    parse_range_timed(src, Span::new(0, src.len() as u32), diags, max_depth)
+}
+
+/// [`parse_program_with_depth`] over only the bytes of `src` inside
+/// `range`, as if every byte outside it were blanked to a space
+/// (newlines kept). The program and diagnostics equal those of parsing
+/// that blanked copy, spans in `src` coordinates, but the lexer reads
+/// only the range (see [`crate::lexer::lex_range_into`]). `range` must
+/// lie on character boundaries.
+pub fn parse_range_with_depth(
+    src: &str,
+    range: Span,
+    diags: &mut DiagSink,
+    max_depth: usize,
+) -> Program {
+    parse_range_timed(src, range, diags, max_depth).0
+}
+
+fn parse_range_timed(
+    src: &str,
+    range: Span,
+    diags: &mut DiagSink,
+    max_depth: usize,
+) -> (Program, FrontEndTiming) {
     let mut timing = FrontEndTiming::default();
     let started = std::time::Instant::now();
     let mut interner = Interner::new();
-    let tokens = lex_into(src, diags, &mut interner);
+    let tokens = lex_range_into(src, range, diags, &mut interner);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        diags,
-        depth: 0,
-        max_depth: max_depth.max(1),
-        depth_exceeded: false,
-        interner,
-    };
+    let mut p = Parser::new(tokens, diags, max_depth.max(1), interner);
     let mut program = p.program();
     // Depth overruns inside `speculate` have their diagnostics rolled
     // back with the speculation; make sure the limit is reported exactly
@@ -100,18 +116,10 @@ pub fn parse_program_with_depth_timed(
 pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
     let mut interner = Interner::new();
     let tokens = lex_into(src, diags, &mut interner);
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        diags,
-        depth: 0,
-        max_depth: DEFAULT_PARSER_DEPTH,
-        depth_exceeded: false,
-        interner,
-    };
+    let mut p = Parser::new(tokens, diags, DEFAULT_PARSER_DEPTH, interner);
     let mut e = p.expr()?;
     if !p.at(&TokenKind::Eof) {
-        p.error_here("expected end of input after expression");
+        p.error_here(|_| "expected end of input after expression".into());
     }
     let mut interner = p.interner;
     let remap = interner.freeze_sorted();
@@ -137,9 +145,35 @@ struct Parser<'d> {
     /// The unit's interner: grown by the lexer, consulted here to turn
     /// token symbols back into shared text, frozen after the parse.
     interner: Interner,
+    /// Nesting depth of [`Self::ty_quiet`]. While positive, errors are
+    /// counted in `suppressed` instead of being formatted and reported:
+    /// a quiet parse discards every diagnostic it would produce.
+    quiet: u32,
+    /// Errors swallowed in quiet mode. A rollback restores it, exactly
+    /// as it truncates the reported diagnostics.
+    suppressed: usize,
 }
 
 impl<'d> Parser<'d> {
+    fn new(
+        tokens: Vec<Token>,
+        diags: &'d mut DiagSink,
+        max_depth: usize,
+        interner: Interner,
+    ) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            diags,
+            depth: 0,
+            max_depth,
+            depth_exceeded: false,
+            interner,
+            quiet: 0,
+            suppressed: 0,
+        }
+    }
+
     // ------------------------------------------------------------------
     // Token plumbing
     // ------------------------------------------------------------------
@@ -185,11 +219,13 @@ impl<'d> Parser<'d> {
         if self.at(kind) {
             Some(self.bump().span)
         } else {
-            self.error_here(format!(
-                "expected {}, found {}",
-                kind.describe(&self.interner),
-                self.peek().describe(&self.interner)
-            ));
+            self.error_here(|p| {
+                format!(
+                    "expected {}, found {}",
+                    kind.describe(&p.interner),
+                    p.peek().describe(&p.interner)
+                )
+            });
             None
         }
     }
@@ -205,15 +241,24 @@ impl<'d> Parser<'d> {
             let t = self.bump();
             Some(self.mk_ident(sym, t.span))
         } else {
-            self.error_here(format!(
-                "expected identifier, found {}",
-                self.peek().describe(&self.interner)
-            ));
+            self.error_here(|p| {
+                format!(
+                    "expected identifier, found {}",
+                    p.peek().describe(&p.interner)
+                )
+            });
             None
         }
     }
 
-    fn error_here(&mut self, msg: impl Into<String>) {
+    /// Report a parse error at the current token; `msg` is formatted
+    /// only outside quiet mode.
+    fn error_here(&mut self, msg: impl FnOnce(&Self) -> String) {
+        if self.quiet > 0 {
+            self.suppressed += 1;
+            return;
+        }
+        let msg = msg(self);
         self.diags
             .error(Code::ParseUnexpected, self.span_here(), msg);
     }
@@ -236,20 +281,14 @@ impl<'d> Parser<'d> {
     /// Run `f` speculatively: on `None`, restore the token position and drop
     /// any diagnostics it produced.
     fn speculate<T>(&mut self, f: impl FnOnce(&mut Self) -> Option<T>) -> Option<T> {
-        let pos = self.pos;
-        let ndiags = self.diags.diagnostics().len();
-        match f(self) {
-            Some(v) => Some(v),
-            None => {
-                self.pos = pos;
-                let mut kept = std::mem::take(self.diags).into_vec();
-                kept.truncate(ndiags);
-                for d in kept {
-                    self.diags.push(d);
-                }
-                None
-            }
+        let (pos, ndiags, suppressed) = (self.pos, self.diags.diagnostics().len(), self.suppressed);
+        let v = f(self);
+        if v.is_none() {
+            self.pos = pos;
+            self.diags.truncate(ndiags);
+            self.suppressed = suppressed;
         }
+        v
     }
 
     /// Skip tokens until a likely declaration/statement boundary.
@@ -430,10 +469,12 @@ impl<'d> Parser<'d> {
                 (self.mk_ident(n, t.span), t.span)
             }
             other => {
-                self.error_here(format!(
-                    "expected constructor, found {}",
-                    other.describe(&self.interner)
-                ));
+                self.error_here(|p| {
+                    format!(
+                        "expected constructor, found {}",
+                        other.describe(&p.interner)
+                    )
+                });
                 return None;
             }
         };
@@ -631,10 +672,12 @@ impl<'d> Parser<'d> {
                     params.push(TParam::State { name, bound });
                 }
                 other => {
-                    self.error_here(format!(
-                        "expected `type`, `key`, or `state` parameter, found {}",
-                        other.describe(&self.interner)
-                    ));
+                    self.error_here(|p| {
+                        format!(
+                            "expected `type`, `key`, or `state` parameter, found {}",
+                            other.describe(&p.interner)
+                        )
+                    });
                     return None;
                 }
             }
@@ -764,10 +807,12 @@ impl<'d> Parser<'d> {
                 Some(EffectItem::Keep { key, from, to })
             }
             other => {
-                self.error_here(format!(
-                    "expected effect item, found {}",
-                    other.describe(&self.interner)
-                ));
+                self.error_here(|p| {
+                    format!(
+                        "expected effect item, found {}",
+                        other.describe(&p.interner)
+                    )
+                });
                 None
             }
         }
@@ -928,10 +973,9 @@ impl<'d> Parser<'d> {
                 }
             }
             other => {
-                self.error_here(format!(
-                    "expected a type, found {}",
-                    other.describe(&self.interner)
-                ));
+                self.error_here(|p| {
+                    format!("expected a type, found {}", other.describe(&p.interner))
+                });
                 return None;
             }
         };
@@ -971,19 +1015,19 @@ impl<'d> Parser<'d> {
         Some(parsed.unwrap_or_default())
     }
 
-    /// Type parse that fails without emitting diagnostics (for speculation).
+    /// Type parse that fails without emitting diagnostics (for
+    /// speculation): any error it would report, and not roll back, makes
+    /// it fail. Runs in quiet mode, so no message is ever formatted.
     fn ty_quiet(&mut self) -> Option<Type> {
-        let n_before = self.diags.diagnostics().len();
-        let pos = self.pos;
-        match self.ty() {
-            Some(t) if self.diags.diagnostics().len() == n_before => Some(t),
+        let (pos, suppressed) = (self.pos, self.suppressed);
+        self.quiet += 1;
+        let t = self.ty();
+        self.quiet -= 1;
+        match t {
+            Some(t) if self.suppressed == suppressed => Some(t),
             _ => {
                 self.pos = pos;
-                let mut kept = std::mem::take(self.diags).into_vec();
-                kept.truncate(n_before);
-                for d in kept {
-                    self.diags.push(d);
-                }
+                self.suppressed = suppressed;
                 None
             }
         }
@@ -1230,10 +1274,12 @@ impl<'d> Parser<'d> {
                     self.mk_ident(n, t.span)
                 }
                 other => {
-                    self.error_here(format!(
-                        "expected constructor pattern after `case`, found {}",
-                        other.describe(&self.interner)
-                    ));
+                    self.error_here(|p| {
+                        format!(
+                            "expected constructor pattern after `case`, found {}",
+                            other.describe(&p.interner)
+                        )
+                    });
                     return None;
                 }
             };
@@ -1251,10 +1297,12 @@ impl<'d> Parser<'d> {
                                 binders.push(PatBinder::Name(self.mk_ident(n, t.span)));
                             }
                             other => {
-                                self.error_here(format!(
-                                    "expected pattern binder, found {}",
-                                    other.describe(&self.interner)
-                                ));
+                                self.error_here(|p| {
+                                    format!(
+                                        "expected pattern binder, found {}",
+                                        other.describe(&p.interner)
+                                    )
+                                });
                                 return None;
                             }
                         }
@@ -1609,10 +1657,12 @@ impl<'d> Parser<'d> {
                 Some(e)
             }
             other => {
-                self.error_here(format!(
-                    "expected an expression, found {}",
-                    other.describe(&self.interner)
-                ));
+                self.error_here(|p| {
+                    format!(
+                        "expected an expression, found {}",
+                        other.describe(&p.interner)
+                    )
+                });
                 None
             }
         }
@@ -1913,5 +1963,64 @@ mod tests {
         assert!(diags.has_errors());
         // g still parsed.
         assert!(p.functions().iter().any(|f| f.name.name == "g"));
+    }
+
+    /// A parser over `src` with a throwaway interner.
+    fn parser<'d>(src: &str, diags: &'d mut DiagSink) -> Parser<'d> {
+        let mut interner = Interner::new();
+        let tokens = lex_into(src, diags, &mut interner);
+        Parser::new(tokens, diags, DEFAULT_PARSER_DEPTH, interner)
+    }
+
+    #[test]
+    fn quiet_type_parse_rolls_back_what_a_failed_speculation_suppressed() {
+        // `K@(x)` opens a guard whose bounded state lacks `<=`: the guard
+        // speculation suppresses an error and fails, then the base type
+        // `K` parses. The rollback must forget the suppressed error, or
+        // the quiet parse would fail on a type that parses.
+        let mut diags = DiagSink::new();
+        let mut p = parser("K@(x) v", &mut diags);
+        let ty = p.ty_quiet().expect("the base type parses");
+        assert!(matches!(&ty.kind, TypeKind::Named { name, .. } if name.name == "K"));
+        assert_eq!((p.pos, p.suppressed, p.quiet), (1, 0, 0));
+        assert!(diags.diagnostics().is_empty());
+
+        // A local whose type goes through a failed guard speculation
+        // (here inside type arguments) still parses as a local.
+        let prog = parse_ok("void f() { box<K> v; K@open : int w = 1; }");
+        let body = prog.functions()[0].body.as_ref().unwrap();
+        assert!(body
+            .stmts
+            .iter()
+            .all(|s| matches!(s.kind, StmtKind::Local { .. })));
+    }
+
+    #[test]
+    fn failed_quiet_type_parse_reports_nothing() {
+        let mut diags = DiagSink::new();
+        let mut p = parser("tracked( ) v", &mut diags);
+        assert!(p.ty_quiet().is_none());
+        assert_eq!((p.pos, p.suppressed, p.quiet), (0, 0, 0));
+        assert!(diags.diagnostics().is_empty());
+    }
+
+    #[test]
+    fn range_parse_keeps_whole_text_coordinates() {
+        let src = "type T;\nvoid f() { int x = 1; }\nvoid g() { }\n";
+        let start = src.find("void f").unwrap() as u32;
+        let end = src.find("\nvoid g").unwrap() as u32;
+        let mut diags = DiagSink::new();
+        let p = parse_range_with_depth(src, Span::new(start, end), &mut diags, 64);
+        assert!(diags.diagnostics().is_empty());
+        assert_eq!(p.decls.len(), 1);
+        assert_eq!(p.functions()[0].span, Span::new(start, end));
+
+        // A range cut before the closing brace reports it missing at the
+        // end of the whole text, as a parse of the blanked text would.
+        let mut diags = DiagSink::new();
+        parse_range_with_depth(src, Span::new(start, end - 1), &mut diags, 64);
+        let d = &diags.diagnostics()[0];
+        assert_eq!(d.span, Span::new(src.len() as u32, src.len() as u32));
+        assert!(d.message.contains("end of input"), "{}", d.message);
     }
 }
