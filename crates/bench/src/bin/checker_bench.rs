@@ -722,7 +722,7 @@ fn realistic_edits(iters: usize) -> Json {
     let mut rng = StdRng::seed_from_u64(0xed17);
     let check = |engine: &Arc<IncrementalEngine>, m: &Metrics, source: &str| {
         let t = Instant::now();
-        let got = engine.check_unit_parallel(NAME, source, &limits, m, &pool);
+        let got = engine.check_unit_with_prelude_parallel(NAME, "", source, &limits, m, &pool);
         let took = t.elapsed();
         assert_eq!(
             got,
@@ -794,7 +794,7 @@ fn realistic_edits(iters: usize) -> Json {
         // evicts the one-slot environment cache first.
         let engine = Arc::new(IncrementalEngine::new(1, 4096));
         check(&engine, &m, base.source());
-        engine.check_unit_parallel("other.vlt", &other.source, &limits, &m, &pool);
+        engine.check_unit_with_prelude_parallel("other.vlt", "", &other.source, &limits, &m, &pool);
         full_hits.push(check(&engine, &m, s.source()));
         // Full path, nothing cached.
         let engine = Arc::new(IncrementalEngine::new(1, 4096));

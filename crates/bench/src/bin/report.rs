@@ -226,6 +226,41 @@ fn main() {
             }
         );
         let _ = (f0, f1);
+
+        // Ablation: what do the checker's individual mechanisms cost?
+        // Each shape isolates one feature — joins (key abstraction),
+        // loops (invariant iteration), keyed variants (pack/unpack) —
+        // against a straight-line baseline of the same statement budget.
+        println!("\n─── E13 ablation: checker throughput by statement shape ───");
+        println!(
+            "{:>14} {:>10} {:>12} {:>14}",
+            "shape", "LoC", "check (ms)", "LoC/ms"
+        );
+        for shape in [
+            Shape::Straight,
+            Shape::Branchy,
+            Shape::Loopy,
+            Shape::VariantHeavy,
+            Shape::Mixed,
+        ] {
+            let p = synth::generate(&synth::SynthConfig {
+                functions: 20,
+                stmts_per_fn: 20,
+                seed: 0xAB1A,
+                bug_rate: 0.0,
+                shape,
+            });
+            let loc = count_loc(&p.source);
+            let ms = 1e3
+                * time_secs(10, || {
+                    std::hint::black_box(check_source("synth", &p.source));
+                });
+            println!(
+                "{:>14} {loc:>10} {ms:>12.2} {:>14.0}",
+                format!("{shape:?}"),
+                loc as f64 / ms
+            );
+        }
     }
 
     println!("\n(done — see EXPERIMENTS.md for the recorded expectations)");

@@ -24,7 +24,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 use vault_corpus::synth::{generate, Shape, SynthConfig};
 use vault_server::{
-    serve_connection, CheckService, Json, MuxConfig, MuxServer, ServiceConfig, UnitIn, UnixServer,
+    serve_connection, CheckService, Json, MuxConfig, MuxServer, ServiceConfig, UnitIn,
 };
 
 /// The replayed workload: every corpus program plus `20 * scale`
@@ -121,13 +121,6 @@ fn strip_speed_fields(v: Json) -> Json {
     }
 }
 
-enum Frontend {
-    /// The pre-change serving model: one detached thread per connection.
-    ThreadPerConn,
-    /// The event-driven multiplexer.
-    Mux,
-}
-
 struct MultiClientRun {
     wall_secs: f64,
     /// Pipeline runs the service actually performed (cache misses).
@@ -138,48 +131,29 @@ struct MultiClientRun {
     transcripts: Vec<Vec<String>>,
 }
 
-/// Drive `clients` concurrent connections, one request per round with a
-/// barrier before each round so duplicate fingerprints really are in
-/// flight together. `lines[c]` is client `c`'s request sequence.
-fn multi_client_run(
-    frontend: Frontend,
-    singleflight: bool,
-    lines: &[Vec<String>],
-) -> MultiClientRun {
+/// Drive `clients` concurrent connections to a fresh multiplexed
+/// server, one request per round with a barrier before each round so
+/// duplicate fingerprints really are in flight together. `lines[c]` is
+/// client `c`'s request sequence.
+fn multi_client_run(lines: &[Vec<String>]) -> MultiClientRun {
     let clients = lines.len();
     let rounds = lines[0].len();
     let svc = Arc::new(CheckService::new(ServiceConfig {
         jobs: 4,
         cache_capacity: (clients * rounds).max(64),
-        singleflight,
         ..Default::default()
     }));
-    let tag = match frontend {
-        Frontend::ThreadPerConn => "tpc",
-        Frontend::Mux => "mux",
-    };
-    let path = std::env::temp_dir().join(format!(
-        "vault_bench_{tag}_{}_{singleflight}.sock",
-        std::process::id()
-    ));
+    let path = std::env::temp_dir().join(format!("vault_bench_mux_{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let server_thread = match frontend {
-        Frontend::ThreadPerConn => {
-            let server = UnixServer::bind(Arc::clone(&svc), &path).expect("bind");
-            std::thread::spawn(move || server.run().expect("serve"))
-        }
-        Frontend::Mux => {
-            let mut mux = MuxServer::new(
-                Arc::clone(&svc),
-                MuxConfig {
-                    executors: 8,
-                    ..Default::default()
-                },
-            );
-            mux.bind_unix(&path).expect("bind");
-            std::thread::spawn(move || mux.run().expect("serve"))
-        }
-    };
+    let mut mux = MuxServer::new(
+        Arc::clone(&svc),
+        MuxConfig {
+            executors: 8,
+            ..Default::default()
+        },
+    );
+    mux.bind_unix(&path).expect("bind");
+    let server_thread = std::thread::spawn(move || mux.run().expect("serve"));
 
     let barrier = Arc::new(Barrier::new(clients));
     let start = Instant::now();
@@ -332,7 +306,7 @@ fn main() {
     assert_eq!(snap.cache_hits, units.len() as u64);
     assert_eq!(snap.cache_misses, units.len() as u64);
 
-    // --- multi-client multiplexed serving (ISSUE 9) -------------------
+    // --- multi-client multiplexed serving ------------------------------
     // 32 concurrent clients over a shared corpus, one request per
     // barrier-synchronized round. Two shapes:
     //   dup-heavy: every client requests the SAME unit each round, so
@@ -340,13 +314,11 @@ fn main() {
     //     the singleflight case;
     //   distinct: every client requests its own renamed copy, so every
     //     fingerprint is unique — pure multiplexing, no dedup to win.
-    // Baseline is the pre-change serving model: thread-per-connection
-    // with singleflight off.
     const CLIENTS: usize = 32;
     const ROUNDS: usize = 12;
     const DISTINCT_ROUNDS: usize = 6;
     // Dup-heavy wants units whose front end dwarfs per-request wire
-    // overhead (that front end is exactly what the baseline re-pays per
+    // overhead (that front end is what singleflight saves per
     // duplicate); distinct re-checks every unit fresh per client, so it
     // uses smaller units and fewer rounds to stay affordable.
     let dup_units = multi_client_units(ROUNDS, 192);
@@ -395,72 +367,46 @@ fn main() {
             .collect()
     };
 
-    // Best-of-2 per server: one core juggling 32 client threads makes
-    // single measurements noisy; the best run is the scheduler-luckiest
-    // one for each side.
-    let dup_base = [
-        multi_client_run(Frontend::ThreadPerConn, false, &dup_lines),
-        multi_client_run(Frontend::ThreadPerConn, false, &dup_lines),
-    ]
-    .into_iter()
-    .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-    .unwrap();
-    let dup_mux = [
-        multi_client_run(Frontend::Mux, true, &dup_lines),
-        multi_client_run(Frontend::Mux, true, &dup_lines),
-    ]
-    .into_iter()
-    .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
-    .unwrap();
-    for (c, transcript) in dup_mux.transcripts.iter().enumerate() {
+    // Best-of-2: one core juggling 32 client threads makes single
+    // measurements noisy. Every run must reproduce the sequential
+    // transcript and collapse duplicates to one pipeline run each.
+    let dup_runs = [multi_client_run(&dup_lines), multi_client_run(&dup_lines)];
+    for run in &dup_runs {
+        for (c, transcript) in run.transcripts.iter().enumerate() {
+            assert_eq!(
+                *transcript, sequential,
+                "mux client {c} diverged from the sequential transcript"
+            );
+        }
         assert_eq!(
-            *transcript, sequential,
-            "mux client {c} diverged from the sequential transcript"
+            run.pipeline_runs, ROUNDS as u64,
+            "singleflight must collapse duplicate fingerprints to one run each"
         );
     }
-    assert_eq!(
-        dup_mux.pipeline_runs, ROUNDS as u64,
-        "singleflight must collapse duplicate fingerprints to one run each"
-    );
+    let dup_mux = dup_runs
+        .into_iter()
+        .min_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs))
+        .unwrap();
     let requests = (CLIENTS * ROUNDS) as f64;
-    let dup_base_ups = requests / dup_base.wall_secs;
-    let dup_mux_ups = requests / dup_mux.wall_secs;
     println!(
-        "multi-client dup-heavy: thread-per-conn {:.3} s ({:.0} req/s, {} pipeline runs) vs \
-         mux+singleflight {:.3} s ({:.0} req/s, {} pipeline runs, {} joins): {:.1}x",
-        dup_base.wall_secs,
-        dup_base_ups,
-        dup_base.pipeline_runs,
+        "multi-client dup-heavy: mux+singleflight {:.3} s ({:.0} req/s, {} pipeline runs, {} joins)",
         dup_mux.wall_secs,
-        dup_mux_ups,
+        requests / dup_mux.wall_secs,
         dup_mux.pipeline_runs,
         dup_mux.singleflight_joins,
-        dup_mux_ups / dup_base_ups
-    );
-    assert!(
-        dup_mux_ups >= 2.0 * dup_base_ups,
-        "dup-heavy throughput must improve >= 2x over thread-per-connection \
-         (got {:.2}x)",
-        dup_mux_ups / dup_base_ups
     );
 
-    let distinct_base = multi_client_run(Frontend::ThreadPerConn, false, &distinct_lines);
-    let distinct_mux = multi_client_run(Frontend::Mux, true, &distinct_lines);
+    let distinct_mux = multi_client_run(&distinct_lines);
     assert_eq!(
         distinct_mux.pipeline_runs,
         (CLIENTS * DISTINCT_ROUNDS) as u64,
         "distinct fingerprints must each run the pipeline once"
     );
     let distinct_requests = (CLIENTS * DISTINCT_ROUNDS) as f64;
-    let distinct_base_ups = distinct_requests / distinct_base.wall_secs;
-    let distinct_mux_ups = distinct_requests / distinct_mux.wall_secs;
     println!(
-        "multi-client distinct: thread-per-conn {:.3} s ({:.0} req/s) vs mux {:.3} s ({:.0} req/s): {:.2}x",
-        distinct_base.wall_secs,
-        distinct_base_ups,
+        "multi-client distinct: mux {:.3} s ({:.0} req/s)",
         distinct_mux.wall_secs,
-        distinct_mux_ups,
-        distinct_mux_ups / distinct_base_ups
+        distinct_requests / distinct_mux.wall_secs,
     );
 
     // --- write BENCH_server.json --------------------------------------
@@ -525,14 +471,6 @@ fn main() {
                         ("rounds".to_string(), Json::num(ROUNDS as u64)),
                         ("requests".to_string(), Json::num((CLIENTS * ROUNDS) as u64)),
                         (
-                            "thread_per_conn_secs".to_string(),
-                            Json::Num((dup_base.wall_secs * 1e4).round() / 1e4),
-                        ),
-                        (
-                            "thread_per_conn_pipeline_runs".to_string(),
-                            Json::num(dup_base.pipeline_runs),
-                        ),
-                        (
                             "mux_singleflight_secs".to_string(),
                             Json::Num((dup_mux.wall_secs * 1e4).round() / 1e4),
                         ),
@@ -543,10 +481,6 @@ fn main() {
                         (
                             "singleflight_joins".to_string(),
                             Json::num(dup_mux.singleflight_joins),
-                        ),
-                        (
-                            "speedup".to_string(),
-                            Json::Num((dup_mux_ups / dup_base_ups * 100.0).round() / 100.0),
                         ),
                     ]),
                 ),
@@ -559,18 +493,8 @@ fn main() {
                             Json::num((CLIENTS * DISTINCT_ROUNDS) as u64),
                         ),
                         (
-                            "thread_per_conn_secs".to_string(),
-                            Json::Num((distinct_base.wall_secs * 1e4).round() / 1e4),
-                        ),
-                        (
                             "mux_secs".to_string(),
                             Json::Num((distinct_mux.wall_secs * 1e4).round() / 1e4),
-                        ),
-                        (
-                            "speedup".to_string(),
-                            Json::Num(
-                                (distinct_mux_ups / distinct_base_ups * 100.0).round() / 100.0,
-                            ),
                         ),
                     ]),
                 ),

@@ -84,13 +84,13 @@
 //!
 //! Function bodies are independent given the environment, so a full
 //! check can fan them out across the worker pool
-//! ([`IncrementalEngine::check_unit_parallel`]): the *driver* (the
-//! thread already running the unit's job) and up to `workers - 1`
-//! helper jobs claim function indices from a shared atomic counter
-//! (work stealing — the driver always participates, so the fan-out
-//! makes progress even when every other worker is busy and can never
-//! deadlock on its own queue). Outcomes are collected per index and
-//! **assembled strictly in function order**, replicating the
+//! ([`IncrementalEngine::check_unit_with_prelude_parallel`]): the
+//! *driver* (the thread already running the unit's job) and up to
+//! `workers - 1` helper jobs claim function indices from a shared
+//! atomic counter (work stealing — the driver always participates, so
+//! the fan-out makes progress even when every other worker is busy and
+//! can never deadlock on its own queue). Outcomes are collected per
+//! index and **assembled strictly in function order**, replicating the
 //! sequential loop byte for byte: cache hits/misses are counted only
 //! up to the point where assembly stops (the sequential loop's
 //! early-exit on [`Code::LimitExceeded`]), per-function
@@ -876,22 +876,10 @@ impl IncrementalEngine {
         }
     }
 
-    /// [`Self::check_unit`], with cache misses fanned out per function
-    /// across `pool`. Byte-identical to the sequential entry on every
-    /// input (see the module docs for the determinism argument).
-    pub fn check_unit_parallel(
-        self: &Arc<Self>,
-        name: &str,
-        source: &str,
-        limits: &Limits,
-        metrics: &Metrics,
-        pool: &Arc<CheckPool>,
-    ) -> CheckSummary {
-        self.check_unit_with_prelude_parallel(name, "", source, limits, metrics, pool)
-    }
-
     /// [`Self::check_unit_with_prelude`], with cache misses fanned out
-    /// per function across `pool`.
+    /// per function across `pool`. Byte-identical to the sequential
+    /// entry on every input (see the module docs for the determinism
+    /// argument); an empty `prelude` checks a plain unit.
     pub fn check_unit_with_prelude_parallel(
         self: &Arc<Self>,
         name: &str,
@@ -1270,7 +1258,7 @@ void beta() {
         eng.enable_dirty_tracking();
         let limits = Limits::default();
         let cold = eng.check_unit("u.vlt", UNIT, &limits, &m);
-        eng.check_unit_parallel("v.vlt", UNIT, &limits, &m, &pool);
+        eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
         let timed = CheckStats {
             lex_micros: 3,
             check_micros: 99,
@@ -1315,7 +1303,7 @@ void beta() {
         let limits = Limits::default();
         // Full path, sequential and fanned out.
         eng.check_unit("u.vlt", UNIT, &limits, &m);
-        eng.check_unit_parallel("v.vlt", UNIT, &limits, &m, &pool);
+        eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
         let elab = cached_elaboration(&eng, "u.vlt");
         cached_elaboration(&eng, "v.vlt");
         // Fast-path refresh: the same body-free environment is reused.

@@ -79,5 +79,5 @@ pub use mux::{MuxConfig, MuxServer};
 pub use persist::{StoreConfig, StoreHealth, VerdictStore};
 pub use pool::{CheckPool, SubmitError, ThreadPool, UnitIn};
 pub use proto::{Request, UnitReport};
-pub use server::{serve_connection, serve_stdio, UnixServer, SHUTDOWN_GRACE};
+pub use server::{serve_connection, serve_stdio, SHUTDOWN_GRACE};
 pub use service::{CheckService, ServiceConfig, ServiceLimits};

@@ -8,104 +8,118 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Shared counters describing the life of the service.
-#[derive(Debug)]
-pub struct Metrics {
+/// Declares every `status` counter once, in wire order. Each entry
+/// becomes a [`Metrics`] atomic, a [`StatusSnapshot`] field with the
+/// same name and doc, a load in [`Metrics::snapshot`], and a pair in
+/// [`StatusSnapshot::counters`], which `status` replies serialize.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $name:ident,)+) => {
+        /// Shared counters describing the life of the service.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $($(#[doc = $doc])+ pub $name: AtomicU64,)+
+            started: Instant,
+        }
+
+        impl Default for Metrics {
+            fn default() -> Self {
+                Metrics {
+                    $($name: AtomicU64::new(0),)+
+                    started: Instant::now(),
+                }
+            }
+        }
+
+        /// Point-in-time counter values, as served by the `status` request.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatusSnapshot {
+            $($(#[doc = $doc])+ pub $name: u64,)+
+            /// Microseconds since the service started.
+            pub uptime_micros: u64,
+        }
+
+        impl Metrics {
+            /// A consistent-enough point-in-time read of every counter.
+            pub fn snapshot(&self) -> StatusSnapshot {
+                StatusSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)+
+                    uptime_micros: self.started.elapsed().as_micros() as u64,
+                }
+            }
+        }
+
+        impl StatusSnapshot {
+            /// Every counter as `(status key, value)`, in wire order
+            /// (`uptime_micros` excluded).
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)+]
+            }
+        }
+    };
+}
+
+counters! {
     /// Requests handled, by kind.
-    pub requests: AtomicU64,
+    requests,
     /// Compilation units received for checking (hits + misses).
-    pub units_checked: AtomicU64,
+    units_checked,
     /// Units answered from the verdict cache.
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Units that had to run the checker.
-    pub cache_misses: AtomicU64,
-    /// Function bodies answered from the per-function verdict cache
-    /// during an incremental (unit-cache-miss) re-check.
-    pub fn_cache_hits: AtomicU64,
-    /// Function bodies that had to be re-checked.
-    pub fn_cache_misses: AtomicU64,
-    /// Jobs currently queued or running in the pool.
-    pub queue_depth: AtomicU64,
-    /// High-water mark of `queue_depth`.
-    pub queue_peak: AtomicU64,
-    /// Total wall time spent inside the checker, in microseconds.
-    pub check_micros: AtomicU64,
-    /// Total wall time spent serving requests, in microseconds.
-    pub request_micros: AtomicU64,
-    /// Requests answered with `"ok":false` (bad JSON, malformed or
-    /// oversized requests, internal failures).
-    pub requests_failed: AtomicU64,
-    /// Listener `accept` calls that failed (the connection was never
-    /// established; the listener backs off briefly on repeated failure).
-    pub accept_errors: AtomicU64,
+    cache_misses,
     /// Units answered by joining another request's in-flight check of
     /// the same fingerprint instead of running the pipeline again.
-    pub singleflight_joins: AtomicU64,
-    /// Panics caught and contained (worker jobs or per-unit checks).
-    pub panics_caught: AtomicU64,
-    /// Units whose check hit a resource limit (deadline or fuel).
-    pub deadline_exceeded: AtomicU64,
-    /// Worker threads respawned after an unwind escaped a job.
-    pub workers_respawned: AtomicU64,
-    /// Cumulative microseconds spent lexing (cache misses only).
-    pub lex_micros: AtomicU64,
-    /// Cumulative microseconds spent parsing.
-    pub parse_micros: AtomicU64,
-    /// Cumulative microseconds spent elaborating declarations.
-    pub elaborate_micros: AtomicU64,
-    /// Cumulative microseconds spent lowering signatures and types.
-    pub lower_micros: AtomicU64,
-    /// Frames of the persistent cache that failed to load (truncated,
-    /// corrupt, or version-mismatched — each such frame fell back cold).
-    pub cache_load_errors: AtomicU64,
-    /// Verdict-store appends or maintenance passes that failed (the
-    /// in-memory caches keep answering; only warmth is at risk).
-    pub cache_append_errors: AtomicU64,
+    singleflight_joins,
+    /// Function bodies answered from the per-function verdict cache
+    /// during an incremental (unit-cache-miss) re-check.
+    fn_cache_hits,
+    /// Function bodies that had to be re-checked.
+    fn_cache_misses,
     /// Project-mode units fanned out to the worker pool (cache misses
     /// plus cyclic rejections are excluded; this counts real checks).
-    pub units_scheduled: AtomicU64,
+    units_scheduled,
     /// Project-mode units answered from the verdict cache without
     /// re-checking.
-    pub units_reused: AtomicU64,
+    units_reused,
     /// Project-mode cache reuses that happened *while at least one
     /// transitive dependency was re-checked in the same request* — the
     /// early-cutoff wins: a body edit upstream left this unit's
     /// interface-derived key unchanged.
-    pub cutoff_hits: AtomicU64,
-    started: Instant,
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics {
-            requests: AtomicU64::new(0),
-            units_checked: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            fn_cache_hits: AtomicU64::new(0),
-            fn_cache_misses: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_peak: AtomicU64::new(0),
-            check_micros: AtomicU64::new(0),
-            request_micros: AtomicU64::new(0),
-            requests_failed: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            singleflight_joins: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            workers_respawned: AtomicU64::new(0),
-            lex_micros: AtomicU64::new(0),
-            parse_micros: AtomicU64::new(0),
-            elaborate_micros: AtomicU64::new(0),
-            lower_micros: AtomicU64::new(0),
-            cache_load_errors: AtomicU64::new(0),
-            cache_append_errors: AtomicU64::new(0),
-            units_scheduled: AtomicU64::new(0),
-            units_reused: AtomicU64::new(0),
-            cutoff_hits: AtomicU64::new(0),
-            started: Instant::now(),
-        }
-    }
+    cutoff_hits,
+    /// Jobs currently queued or running in the pool.
+    queue_depth,
+    /// High-water mark of `queue_depth`.
+    queue_peak,
+    /// Total wall time spent inside the checker, in microseconds.
+    check_micros,
+    /// Total wall time spent serving requests, in microseconds.
+    request_micros,
+    /// Requests answered with `"ok":false` (bad JSON, malformed or
+    /// oversized requests, internal failures).
+    requests_failed,
+    /// Listener `accept` calls that failed (the connection was never
+    /// established; the listener backs off briefly on repeated failure).
+    accept_errors,
+    /// Panics caught and contained (worker jobs or per-unit checks).
+    panics_caught,
+    /// Units whose check hit a resource limit (deadline or fuel).
+    deadline_exceeded,
+    /// Worker threads respawned after an unwind escaped a job.
+    workers_respawned,
+    /// Cumulative microseconds spent lexing (cache misses only).
+    lex_micros,
+    /// Cumulative microseconds spent parsing.
+    parse_micros,
+    /// Cumulative microseconds spent elaborating declarations.
+    elaborate_micros,
+    /// Cumulative microseconds spent lowering signatures and types.
+    lower_micros,
+    /// Frames of the persistent cache that failed to load (truncated,
+    /// corrupt, or version-mismatched — each such frame fell back cold).
+    cache_load_errors,
+    /// Verdict-store appends or maintenance passes that failed (the
+    /// in-memory caches keep answering; only warmth is at risk).
+    cache_append_errors,
 }
 
 impl Metrics {
@@ -155,38 +169,6 @@ impl Metrics {
         self.cache_append_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A consistent-enough point-in-time read of every counter.
-    pub fn snapshot(&self) -> StatusSnapshot {
-        StatusSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            units_checked: self.units_checked.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            fn_cache_hits: self.fn_cache_hits.load(Ordering::Relaxed),
-            fn_cache_misses: self.fn_cache_misses.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_peak: self.queue_peak.load(Ordering::Relaxed),
-            check_micros: self.check_micros.load(Ordering::Relaxed),
-            request_micros: self.request_micros.load(Ordering::Relaxed),
-            requests_failed: self.requests_failed.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            singleflight_joins: self.singleflight_joins.load(Ordering::Relaxed),
-            panics_caught: self.panics_caught.load(Ordering::Relaxed),
-            deadline_exceeded: self.deadline_exceeded.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            lex_micros: self.lex_micros.load(Ordering::Relaxed),
-            parse_micros: self.parse_micros.load(Ordering::Relaxed),
-            elaborate_micros: self.elaborate_micros.load(Ordering::Relaxed),
-            lower_micros: self.lower_micros.load(Ordering::Relaxed),
-            cache_load_errors: self.cache_load_errors.load(Ordering::Relaxed),
-            cache_append_errors: self.cache_append_errors.load(Ordering::Relaxed),
-            units_scheduled: self.units_scheduled.load(Ordering::Relaxed),
-            units_reused: self.units_reused.load(Ordering::Relaxed),
-            cutoff_hits: self.cutoff_hits.load(Ordering::Relaxed),
-            uptime_micros: self.started.elapsed().as_micros() as u64,
-        }
-    }
-
     /// Accumulate one unit's per-phase front-end timings.
     pub fn absorb_phases(&self, stats: &vault_core::check::CheckStats) {
         self.lex_micros
@@ -198,63 +180,4 @@ impl Metrics {
         self.lower_micros
             .fetch_add(stats.lower_micros, Ordering::Relaxed);
     }
-}
-
-/// Point-in-time counter values, as served by the `status` request.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatusSnapshot {
-    /// Requests handled.
-    pub requests: u64,
-    /// Units received for checking.
-    pub units_checked: u64,
-    /// Units answered from the cache.
-    pub cache_hits: u64,
-    /// Units that ran the checker.
-    pub cache_misses: u64,
-    /// Function bodies answered from the per-function verdict cache.
-    pub fn_cache_hits: u64,
-    /// Function bodies that had to be re-checked.
-    pub fn_cache_misses: u64,
-    /// Jobs queued or running right now.
-    pub queue_depth: u64,
-    /// Highest simultaneous queue depth seen.
-    pub queue_peak: u64,
-    /// Microseconds spent inside the checker.
-    pub check_micros: u64,
-    /// Microseconds spent serving requests.
-    pub request_micros: u64,
-    /// Requests answered with an error reply.
-    pub requests_failed: u64,
-    /// Listener `accept` calls that failed.
-    pub accept_errors: u64,
-    /// Units answered by joining an in-flight check of their
-    /// fingerprint (singleflight dedup).
-    pub singleflight_joins: u64,
-    /// Panics caught and contained.
-    pub panics_caught: u64,
-    /// Units that hit a resource limit.
-    pub deadline_exceeded: u64,
-    /// Workers respawned after an unwind.
-    pub workers_respawned: u64,
-    /// Microseconds spent lexing (cache misses only).
-    pub lex_micros: u64,
-    /// Microseconds spent parsing.
-    pub parse_micros: u64,
-    /// Microseconds spent elaborating declarations.
-    pub elaborate_micros: u64,
-    /// Microseconds spent lowering signatures and types.
-    pub lower_micros: u64,
-    /// Persistent-cache frames that failed to load (cold fallback).
-    pub cache_load_errors: u64,
-    /// Verdict-store appends or maintenance passes that failed.
-    pub cache_append_errors: u64,
-    /// Project-mode units fanned out to the worker pool.
-    pub units_scheduled: u64,
-    /// Project-mode units answered from the verdict cache.
-    pub units_reused: u64,
-    /// Project-mode cache reuses with a re-checked transitive
-    /// dependency in the same request (interface-cutoff wins).
-    pub cutoff_hits: u64,
-    /// Microseconds since the service started.
-    pub uptime_micros: u64,
 }

@@ -1,15 +1,15 @@
 //! The event-driven front end: one readiness loop, thousands of clients.
 //!
-//! The original socket server ([`crate::server::UnixServer`]) spawns a
-//! detached thread per connection — fine for a handful of IDEs, fatal
-//! for a build farm. [`MuxServer`] multiplexes instead: a single event
-//! loop `poll(2)`s a Unix listener, an optional TCP listener
-//! (`--listen addr:port`), and every live connection, frames request
-//! lines incrementally, and dispatches them to a small, fixed
-//! *executor* pool that runs the usual request handler (which in turn
-//! fans check work across the service's worker pool). Completed
-//! responses come back over a queue and a [waker][crate::poll::Waker],
-//! get buffered per connection, and are flushed as sockets accept them.
+//! `vaultd`'s socket server. A thread per connection would be fine for
+//! a handful of IDEs and fatal for a build farm, so [`MuxServer`]
+//! multiplexes instead: a single event loop `poll(2)`s a Unix listener,
+//! an optional TCP listener (`--listen addr:port`), and every live
+//! connection, frames request lines incrementally, and dispatches them
+//! to a small, fixed *executor* pool that runs the usual request
+//! handler (which in turn fans check work across the service's worker
+//! pool). Completed responses come back over a queue and a
+//! [waker][crate::poll::Waker], get buffered per connection, and are
+//! flushed as sockets accept them.
 //!
 //! ```text
 //!            poll(2) readiness loop (one thread)
@@ -29,8 +29,9 @@
 //! * **Per-connection order.** Each connection runs at most one request
 //!   at a time; parsed-but-undispatched lines wait in that connection's
 //!   bounded `pending` queue. Responses therefore come back in request
-//!   order with no reorder buffer, exactly like the thread-per-
-//!   connection server — concurrency changes speed, never answers.
+//!   order with no reorder buffer, exactly like the sequential
+//!   [`crate::server::serve_connection`] loop — concurrency changes
+//!   speed, never answers.
 //! * **Backpressure.** A connection stops being *read* (its `POLLIN`
 //!   interest is dropped, bytes stay in the kernel buffer) once its
 //!   pending queue or its un-drained write buffer hits the configured
@@ -50,7 +51,7 @@ use crate::json::Json;
 use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
 use crate::pool::ThreadPool;
 use crate::proto;
-use crate::server::{respond_to_line, SHUTDOWN_GRACE};
+use crate::server::{respond_to_line, too_long_reply, SHUTDOWN_GRACE};
 use crate::service::CheckService;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -87,26 +88,27 @@ impl Default for MuxConfig {
 }
 
 /// One framed item out of a connection's byte stream.
-enum Framed {
+pub(crate) enum Framed {
     /// A complete line within the bound (may still be blank/invalid).
     Request(String),
     /// An over-long line, already skipped; carries its running length.
     TooLong(usize),
 }
 
-/// Incremental, bounded JSON-lines framing: the nonblocking counterpart
-/// of `read_bounded_line`, byte-for-byte the same semantics — a line
-/// over `max` bytes is *skipped* (consumed to its newline, never
-/// buffered) and surfaces as [`Framed::TooLong`], so one hostile
-/// request can neither balloon memory nor desynchronize the stream.
-struct LineAssembler {
+/// Incremental, bounded JSON-lines framing, shared with the blocking
+/// [`crate::server::serve_connection`] loop so every transport frames
+/// alike: a line over `max` bytes is *skipped* (consumed to its
+/// newline, never buffered) and surfaces as [`Framed::TooLong`], so one
+/// hostile request can neither balloon memory nor desynchronize the
+/// stream.
+pub(crate) struct LineAssembler {
     max: usize,
     buf: Vec<u8>,
     overflowed: usize,
 }
 
 impl LineAssembler {
-    fn new(max: usize) -> Self {
+    pub(crate) fn new(max: usize) -> Self {
         LineAssembler {
             max,
             buf: Vec::new(),
@@ -115,7 +117,7 @@ impl LineAssembler {
     }
 
     /// Feed one chunk read off the socket; push every completed frame.
-    fn feed(&mut self, chunk: &[u8], out: &mut VecDeque<Framed>) {
+    pub(crate) fn feed(&mut self, chunk: &[u8], out: &mut VecDeque<Framed>) {
         let mut rest = chunk;
         while !rest.is_empty() {
             let newline = rest.iter().position(|&b| b == b'\n');
@@ -149,8 +151,8 @@ impl LineAssembler {
     }
 
     /// The partial tail at EOF, if any (an unterminated final line is
-    /// still served, matching the blocking reader).
-    fn finish(&mut self) -> Option<Framed> {
+    /// still served).
+    pub(crate) fn finish(&mut self) -> Option<Framed> {
         if self.overflowed > 0 {
             let n = self.overflowed;
             self.overflowed = 0;
@@ -668,17 +670,7 @@ fn dispatch(
             break;
         };
         match framed {
-            Framed::TooLong(n) => {
-                svc.metrics().request_failed();
-                let max = svc.limits().max_request_bytes;
-                let response = proto::encode_error(
-                    None,
-                    &format!(
-                        "request line of {n}+ bytes exceeds the {max}-byte limit; line skipped"
-                    ),
-                );
-                conn.push_response(&response.to_line());
-            }
+            Framed::TooLong(n) => conn.push_response(&too_long_reply(svc, n).to_line()),
             Framed::Request(line) => {
                 if line.trim().is_empty() {
                     continue;

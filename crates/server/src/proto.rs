@@ -90,35 +90,23 @@ pub fn parse_request(v: &Json) -> (Option<u64>, Result<Request, String>) {
             .get("op")
             .and_then(Json::as_str)
             .ok_or("request missing string field `op`")?;
+        // The non-empty `units` array of a `check` or `check-project`.
+        let units = |op: &str| -> Result<Vec<UnitIn>, String> {
+            let units = v
+                .get("units")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| format!("`{op}` missing array field `units`"))?
+                .iter()
+                .map(parse_unit)
+                .collect::<Result<Vec<_>, _>>()?;
+            if units.is_empty() {
+                return Err(format!("`{op}` requires at least one unit"));
+            }
+            Ok(units)
+        };
         match op {
-            "check" => {
-                let units = v
-                    .get("units")
-                    .and_then(Json::as_arr)
-                    .ok_or("`check` missing array field `units`")?;
-                let units = units
-                    .iter()
-                    .map(parse_unit)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if units.is_empty() {
-                    return Err("`check` requires at least one unit".to_string());
-                }
-                Ok(Request::Check { units })
-            }
-            "check-project" => {
-                let units = v
-                    .get("units")
-                    .and_then(Json::as_arr)
-                    .ok_or("`check-project` missing array field `units`")?;
-                let units = units
-                    .iter()
-                    .map(parse_unit)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if units.is_empty() {
-                    return Err("`check-project` requires at least one unit".to_string());
-                }
-                Ok(Request::CheckProject { units })
-            }
+            "check" => Ok(Request::Check { units: units(op)? }),
+            "check-project" => Ok(Request::CheckProject { units: units(op)? }),
             "emit-c" => Ok(Request::EmitC {
                 unit: parse_unit(
                     v.get("unit")
@@ -320,38 +308,13 @@ pub fn encode_status(
     store: Option<crate::persist::StoreHealth>,
 ) -> Json {
     let mut pairs = base(id, "status", true);
-    for (key, value) in [
-        ("requests", snap.requests),
-        ("units_checked", snap.units_checked),
-        ("cache_hits", snap.cache_hits),
-        ("cache_misses", snap.cache_misses),
-        ("singleflight_joins", snap.singleflight_joins),
-        ("fn_cache_hits", snap.fn_cache_hits),
-        ("fn_cache_misses", snap.fn_cache_misses),
-        ("units_scheduled", snap.units_scheduled),
-        ("units_reused", snap.units_reused),
-        ("cutoff_hits", snap.cutoff_hits),
-        ("queue_depth", snap.queue_depth),
-        ("queue_peak", snap.queue_peak),
-        ("check_micros", snap.check_micros),
-        ("request_micros", snap.request_micros),
-        ("requests_failed", snap.requests_failed),
-        ("accept_errors", snap.accept_errors),
-        ("panics_caught", snap.panics_caught),
-        ("deadline_exceeded", snap.deadline_exceeded),
-        ("workers_respawned", snap.workers_respawned),
-        ("lex_micros", snap.lex_micros),
-        ("parse_micros", snap.parse_micros),
-        ("elaborate_micros", snap.elaborate_micros),
-        ("lower_micros", snap.lower_micros),
-        ("cache_load_errors", snap.cache_load_errors),
-        ("cache_append_errors", snap.cache_append_errors),
+    for (key, value) in snap.counters().into_iter().chain([
         ("uptime_micros", snap.uptime_micros),
         ("uptime_seconds", snap.uptime_micros / 1_000_000),
         ("workers", workers as u64),
         ("cache_entries", cache_entries as u64),
         ("cache_capacity", cache_capacity as u64),
-    ] {
+    ]) {
         pairs.push((key.to_string(), Json::num(value)));
     }
     if let Some(h) = store {
@@ -448,15 +411,41 @@ mod tests {
 
     #[test]
     fn status_reports_uptime_seconds_and_optional_store_health() {
+        // Distinct values, so the exact line below pins every key, its
+        // value and the wire order.
         let snap = StatusSnapshot {
-            uptime_micros: 3_500_000, // 3.5s → 3 whole seconds
-            ..StatusSnapshot::default()
+            requests: 1,
+            units_checked: 2,
+            cache_hits: 3,
+            cache_misses: 4,
+            fn_cache_hits: 5,
+            fn_cache_misses: 6,
+            queue_depth: 7,
+            queue_peak: 8,
+            check_micros: 9,
+            request_micros: 10,
+            requests_failed: 11,
+            accept_errors: 12,
+            singleflight_joins: 13,
+            panics_caught: 14,
+            deadline_exceeded: 15,
+            workers_respawned: 16,
+            lex_micros: 17,
+            parse_micros: 18,
+            elaborate_micros: 19,
+            lower_micros: 20,
+            cache_load_errors: 21,
+            cache_append_errors: 22,
+            units_scheduled: 23,
+            units_reused: 24,
+            cutoff_hits: 25,
+            uptime_micros: 26_500_000, // 26.5s → 26 whole seconds
         };
         // Memory-only daemon: no store-health keys at all.
         let without = encode_status(Some(1), &snap, 2, 0, 16, None);
         assert_eq!(
             without.get("uptime_seconds").and_then(Json::as_u64),
-            Some(3)
+            Some(26)
         );
         for key in [
             "cache_disk_bytes",
@@ -471,27 +460,30 @@ mod tests {
         }
         // With --cache-dir: every store-health key is carried.
         let health = crate::persist::StoreHealth {
-            segments_sealed: 3,
-            journal_commits: 7,
-            compactions_run: 2,
-            bytes_reclaimed: 512,
-            segments_quarantined: 1,
-            live_frames: 40,
-            disk_bytes: 4096,
+            segments_sealed: 31,
+            journal_commits: 32,
+            compactions_run: 33,
+            bytes_reclaimed: 34,
+            segments_quarantined: 35,
+            live_frames: 36,
+            disk_bytes: 30,
         };
-        let with = encode_status(Some(2), &snap, 2, 0, 16, Some(health));
-        for (key, want) in [
-            ("cache_disk_bytes", 4096),
-            ("segments_sealed", 3),
-            ("journal_commits", 7),
-            ("compactions_run", 2),
-            ("bytes_reclaimed", 512),
-            ("segments_quarantined", 1),
-            ("live_frames", 40),
-        ] {
-            assert_eq!(with.get(key).and_then(Json::as_u64), Some(want), "{key}");
-        }
-        assert_eq!(with.get("uptime_seconds").and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            encode_status(Some(9), &snap, 27, 28, 29, Some(health)).to_line(),
+            "{\"id\":9,\"op\":\"status\",\"ok\":true,\"requests\":1,\"units_checked\":2,\
+             \"cache_hits\":3,\"cache_misses\":4,\"singleflight_joins\":13,\
+             \"fn_cache_hits\":5,\"fn_cache_misses\":6,\"units_scheduled\":23,\
+             \"units_reused\":24,\"cutoff_hits\":25,\"queue_depth\":7,\"queue_peak\":8,\
+             \"check_micros\":9,\"request_micros\":10,\"requests_failed\":11,\
+             \"accept_errors\":12,\"panics_caught\":14,\"deadline_exceeded\":15,\
+             \"workers_respawned\":16,\"lex_micros\":17,\"parse_micros\":18,\
+             \"elaborate_micros\":19,\"lower_micros\":20,\"cache_load_errors\":21,\
+             \"cache_append_errors\":22,\"uptime_micros\":26500000,\"uptime_seconds\":26,\
+             \"workers\":27,\"cache_entries\":28,\"cache_capacity\":29,\
+             \"cache_disk_bytes\":30,\"segments_sealed\":31,\"journal_commits\":32,\
+             \"compactions_run\":33,\"bytes_reclaimed\":34,\"segments_quarantined\":35,\
+             \"live_frames\":36}"
+        );
     }
 
     #[test]

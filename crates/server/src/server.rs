@@ -1,21 +1,18 @@
-//! Serving the wire protocol: stdio and Unix-domain-socket front ends.
+//! Serving the wire protocol: request dispatch and the stdio front end.
 //!
-//! Both front ends speak the same JSON-lines protocol (see
-//! [`crate::proto`]) against one shared [`CheckService`]. The socket
-//! server accepts any number of concurrent connections, each on its own
-//! thread; pool, cache, and counters are shared, so one client's checks
-//! warm the cache for every other client.
+//! Every transport speaks the same JSON-lines protocol (see
+//! [`crate::proto`]) against one shared [`CheckService`]: the blocking
+//! [`serve_connection`] loop here drives stdio, and the socket server
+//! ([`crate::mux::MuxServer`]) runs [`respond_to_line`] on its executor
+//! threads, so every transport answers byte-identically.
 
 use crate::json::{parse, Json};
-use crate::poll::{self, PollFd, Waker, POLLIN};
+use crate::mux::{Framed, LineAssembler};
+use crate::pool::UnitIn;
 use crate::proto::{self, Request};
 use crate::service::CheckService;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixListener;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::io::{self, BufRead, Write};
 use std::time::{Duration, Instant};
 
 /// How long a shutting-down daemon waits for in-flight checks before
@@ -30,42 +27,20 @@ pub fn handle_request(svc: &CheckService, id: Option<u64>, req: Request) -> (Jso
         .requests
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let (response, shutdown) = match req {
-        Request::Check { units } => {
-            let cap = svc.limits().max_units_per_batch;
-            if units.len() > cap {
-                svc.metrics().request_failed();
-                (
-                    proto::encode_error(
-                        id,
-                        &format!(
-                            "`check` carries {} unit(s); this daemon accepts at most {cap} per request",
-                            units.len()
-                        ),
-                    ),
-                    false,
-                )
-            } else {
+        Request::Check { units } => match refuse_over_cap(svc, id, "check", &units) {
+            Some(refusal) => (refusal, false),
+            None => {
                 let (reports, wall) = svc.check_units(units);
                 (proto::encode_check(id, &reports, wall), false)
             }
-        }
+        },
         Request::CheckProject { units } => {
-            let cap = svc.limits().max_units_per_batch;
-            if units.len() > cap {
-                svc.metrics().request_failed();
-                (
-                    proto::encode_error(
-                        id,
-                        &format!(
-                            "`check-project` carries {} unit(s); this daemon accepts at most {cap} per request",
-                            units.len()
-                        ),
-                    ),
-                    false,
-                )
-            } else {
-                let (reports, wall) = svc.check_project(units);
-                (proto::encode_check_project(id, &reports, wall), false)
+            match refuse_over_cap(svc, id, "check-project", &units) {
+                Some(refusal) => (refusal, false),
+                None => {
+                    let (reports, wall) = svc.check_project(units);
+                    (proto::encode_check_project(id, &reports, wall), false)
+                }
             }
         }
         Request::EmitC { unit } => {
@@ -103,10 +78,33 @@ pub fn handle_request(svc: &CheckService, id: Option<u64>, req: Request) -> (Jso
     (response, shutdown)
 }
 
+/// The error reply for an `op` request carrying more units than
+/// `max_units_per_batch` allows (counted in `requests_failed`), or
+/// `None` when the request is within the bound.
+fn refuse_over_cap(
+    svc: &CheckService,
+    id: Option<u64>,
+    op: &str,
+    units: &[UnitIn],
+) -> Option<Json> {
+    let cap = svc.limits().max_units_per_batch;
+    if units.len() <= cap {
+        return None;
+    }
+    svc.metrics().request_failed();
+    Some(proto::encode_error(
+        id,
+        &format!(
+            "`{op}` carries {} unit(s); this daemon accepts at most {cap} per request",
+            units.len()
+        ),
+    ))
+}
+
 /// Answer one raw request line: parse failures and protocol errors get
 /// structured `"ok":false` replies (counted in `requests_failed`), and
 /// well-formed requests go through [`handle_request`]. Shared by the
-/// blocking front ends here and the multiplexer's executor jobs
+/// blocking front end here and the multiplexer's executor jobs
 /// ([`crate::mux`]) so every transport answers byte-identically.
 pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
     match parse(line) {
@@ -127,59 +125,15 @@ pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
     }
 }
 
-/// One request line, read under a byte bound.
-enum Line {
-    /// End of stream.
-    Eof,
-    /// A complete line within the bound.
-    Ok(String),
-    /// A line that exceeded the bound; it was discarded (stream is
-    /// positioned after its terminating newline, or at EOF). Carries at
-    /// least how many bytes it ran to.
-    TooLong(usize),
-}
-
-/// Read one `\n`-terminated line, refusing to buffer more than `max`
-/// bytes of it. An over-long line is *skipped* — consumed to its
-/// newline without being stored — so one hostile request can neither
-/// balloon memory nor desynchronize the framing for the rest of the
-/// connection.
-fn read_bounded_line<R: BufRead>(reader: &mut R, max: usize) -> io::Result<Line> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflowed = 0usize;
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(match (line.is_empty(), overflowed) {
-                (true, 0) => Line::Eof,
-                (_, 0) => Line::Ok(String::from_utf8_lossy(&line).into_owned()),
-                (_, n) => Line::TooLong(n + line.len()),
-            });
-        }
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let take = newline.map(|i| i + 1).unwrap_or(buf.len());
-        if overflowed == 0 {
-            if line.len() + take <= max + 1 {
-                line.extend_from_slice(&buf[..take]);
-            } else {
-                overflowed = line.len() + take;
-                line.clear();
-            }
-        } else {
-            overflowed += take;
-        }
-        let done = newline.is_some();
-        reader.consume(take);
-        if done {
-            if overflowed > 0 {
-                return Ok(Line::TooLong(overflowed));
-            }
-            while line.last().is_some_and(|&b| b == b'\n' || b == b'\r') {
-                line.pop();
-            }
-            return Ok(Line::Ok(String::from_utf8_lossy(&line).into_owned()));
-        }
-    }
+/// The error reply for a request line of `n`+ bytes that overran
+/// `max_request_bytes` and was skipped (counted in `requests_failed`).
+pub(crate) fn too_long_reply(svc: &CheckService, n: usize) -> Json {
+    svc.metrics().request_failed();
+    let max = svc.limits().max_request_bytes;
+    proto::encode_error(
+        None,
+        &format!("request line of {n}+ bytes exceeds the {max}-byte limit; line skipped"),
+    )
 }
 
 /// Serve one JSON-lines connection until EOF or a `shutdown` request.
@@ -193,29 +147,28 @@ pub fn serve_connection<R: BufRead, W: Write>(
     mut reader: R,
     mut writer: W,
 ) -> io::Result<bool> {
-    let max_bytes = svc.limits().max_request_bytes;
+    let mut lines = LineAssembler::new(svc.limits().max_request_bytes);
+    let mut frames = VecDeque::new();
     loop {
-        let line = match read_bounded_line(&mut reader, max_bytes)? {
-            Line::Eof => return Ok(false),
-            Line::TooLong(n) => {
-                svc.metrics().request_failed();
-                let response = proto::encode_error(
-                    None,
-                    &format!(
-                        "request line of {n}+ bytes exceeds the {max_bytes}-byte limit; line skipped"
-                    ),
-                );
-                writer.write_all(response.to_line().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                continue;
+        let Some(frame) = frames.pop_front() else {
+            let chunk = reader.fill_buf()?;
+            if chunk.is_empty() {
+                match lines.finish() {
+                    Some(last) => frames.push_back(last),
+                    None => return Ok(false),
+                }
+            } else {
+                let n = chunk.len();
+                lines.feed(chunk, &mut frames);
+                reader.consume(n);
             }
-            Line::Ok(line) => line,
-        };
-        if line.trim().is_empty() {
             continue;
-        }
-        let (response, shutdown) = respond_to_line(svc, &line);
+        };
+        let (response, shutdown) = match frame {
+            Framed::TooLong(n) => (too_long_reply(svc, n), false),
+            Framed::Request(line) if line.trim().is_empty() => continue,
+            Framed::Request(line) => respond_to_line(svc, &line),
+        };
         writer.write_all(response.to_line().as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -239,135 +192,6 @@ pub fn serve_stdio(svc: &CheckService) -> io::Result<()> {
     #[cfg(not(feature = "chaos"))]
     let result = serve_connection(svc, stdin.lock(), stdout.lock());
     result.map(|_| svc.drain(SHUTDOWN_GRACE)).map(|_| ())
-}
-
-/// A bound Unix-domain-socket server (socket file exists once this is
-/// constructed; call [`UnixServer::run`] to start accepting).
-pub struct UnixServer {
-    listener: UnixListener,
-    svc: Arc<CheckService>,
-    path: PathBuf,
-}
-
-impl UnixServer {
-    /// Bind `path`, replacing any stale socket file left by a previous
-    /// daemon.
-    pub fn bind(svc: Arc<CheckService>, path: impl AsRef<Path>) -> io::Result<UnixServer> {
-        let path = path.as_ref().to_path_buf();
-        if path.exists() {
-            std::fs::remove_file(&path)?;
-        }
-        let listener = UnixListener::bind(&path)?;
-        Ok(UnixServer {
-            listener,
-            svc,
-            path,
-        })
-    }
-
-    /// The bound socket path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Accept connections (one thread each) until some client sends
-    /// `shutdown`; then stop accepting, drain in-flight check jobs
-    /// (bounded by [`SHUTDOWN_GRACE`]), unlink the socket file, and
-    /// return. Connection threads are detached; jobs they had queued
-    /// are covered by the drain.
-    ///
-    /// The accept loop polls a nonblocking listener alongside a
-    /// [`Waker`]: the connection thread that serves `shutdown` sets the
-    /// stop flag and wakes the poll, so no phantom self-connection is
-    /// needed to unblock `accept`. Failed accepts are counted
-    /// (`accept_errors` in `status`) and a run of them backs the loop
-    /// off exponentially instead of spinning on a hot error like
-    /// `EMFILE`.
-    pub fn run(self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let waker = Arc::new(Waker::new()?);
-        let mut consecutive_errors = 0u32;
-        let mut backoff_until: Option<Instant> = None;
-        while !stop.load(Ordering::SeqCst) {
-            // During a backoff window the listener sits out of the poll
-            // set; the window's remainder becomes the poll timeout.
-            let mut timeout = -1i32;
-            let mut watch_listener = true;
-            if let Some(until) = backoff_until {
-                let now = Instant::now();
-                if now < until {
-                    timeout = (until - now).as_millis().max(1) as i32;
-                    watch_listener = false;
-                } else {
-                    backoff_until = None;
-                }
-            }
-            let mut fds = vec![PollFd::new(waker.fd(), POLLIN)];
-            if watch_listener {
-                fds.push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
-            }
-            poll::wait(&mut fds, timeout)?;
-            waker.drain();
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if !watch_listener || !fds[1].ready(POLLIN) {
-                continue;
-            }
-            loop {
-                match self.listener.accept() {
-                    Ok((stream, _)) => {
-                        consecutive_errors = 0;
-                        #[cfg(feature = "chaos")]
-                        if crate::chaos::accept_fault() {
-                            // An injected accept failure: the would-be
-                            // client sees an immediate hangup.
-                            self.svc.metrics().accept_error();
-                            drop(stream);
-                            continue;
-                        }
-                        if stream.set_nonblocking(false).is_err() {
-                            continue;
-                        }
-                        let svc = Arc::clone(&self.svc);
-                        let stop = Arc::clone(&stop);
-                        let waker = Arc::clone(&waker);
-                        std::thread::spawn(move || {
-                            let reader = BufReader::new(match stream.try_clone() {
-                                Ok(s) => s,
-                                Err(_) => return,
-                            });
-                            let writer = BufWriter::new(stream);
-                            #[cfg(feature = "chaos")]
-                            let writer = crate::chaos::ChaosWriter::new(writer);
-                            if let Ok(true) = serve_connection(&svc, reader, writer) {
-                                // Set the flag first, then wake the
-                                // accept loop so it observes the flag.
-                                stop.store(true, Ordering::SeqCst);
-                                waker.wake();
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        self.svc.metrics().accept_error();
-                        consecutive_errors += 1;
-                        if consecutive_errors >= 3 {
-                            let shift = (consecutive_errors - 3).min(6);
-                            backoff_until =
-                                Some(Instant::now() + Duration::from_millis(1 << shift));
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        self.svc.drain(SHUTDOWN_GRACE);
-        let _ = std::fs::remove_file(&self.path);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 //! runs on. It fans batches of compilation units across the worker
 //! pool, memoizes per-unit verdicts under a content-hash key, and keeps
 //! the counters the `status` request reports. It is `Send + Sync`; the
-//! socket server shares one instance across every connection thread, so
-//! all clients see one cache and one set of counters.
+//! multiplexer's executor threads share one instance, so all clients see
+//! one cache and one set of counters.
 
 use crate::cache::{unit_fingerprint, LruCache};
 use crate::incremental::IncrementalEngine;
@@ -21,6 +21,7 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vault_core::{check_source_with_limits, CheckSummary, Limits, Verdict};
+use vault_project::{ProjectPlan, ProjectUnit};
 
 /// Resource bounds on what one request may cost the daemon.
 ///
@@ -82,11 +83,6 @@ pub struct ServiceConfig {
     /// Background maintenance compacts and then evicts oldest segments
     /// first until the store fits. `None` leaves it unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Singleflight dedup: concurrent requests for the same fingerprint
-    /// join one in-flight check instead of racing the pipeline. On by
-    /// default; the bench harness turns it off to measure the racing
-    /// baseline.
-    pub singleflight: bool,
 }
 
 impl Default for ServiceConfig {
@@ -99,7 +95,6 @@ impl Default for ServiceConfig {
             limits: ServiceLimits::default(),
             cache_dir: None,
             cache_max_bytes: None,
-            singleflight: true,
         }
     }
 }
@@ -145,8 +140,9 @@ pub struct CheckService {
     /// (the in-memory caches still answer), and a failure to open falls
     /// back to memory-only with a `cache_load_errors` tick.
     journal: Option<Journal>,
-    /// In-flight dedup table, when `config.singleflight` is on.
-    singleflight: Option<SingleFlight>,
+    /// In-flight dedup table: concurrent requests for the same
+    /// fingerprint join one check instead of racing the pipeline.
+    in_flight: SingleFlight,
 }
 
 impl CheckService {
@@ -203,7 +199,7 @@ impl CheckService {
             limits: config.limits,
             metrics,
             journal,
-            singleflight: config.singleflight.then(SingleFlight::default),
+            in_flight: SingleFlight::default(),
         }
     }
 
@@ -240,201 +236,12 @@ impl CheckService {
     /// returned duration is the whole batch's wall time in microseconds.
     pub fn check_units(&self, units: Vec<UnitIn>) -> (Vec<UnitReport>, u64) {
         let start = Instant::now();
-        let n = units.len();
-        self.metrics
-            .units_checked
-            .fetch_add(n as u64, Ordering::Relaxed);
-
-        // Phase 1: consult the cache under one short lock.
-        let fingerprints: Vec<u64> = units
-            .iter()
-            .map(|u| unit_fingerprint(&u.name, &u.source))
-            .collect();
-        let mut reports: Vec<Option<UnitReport>> = (0..n).map(|_| None).collect();
-        let mut misses: Vec<(usize, UnitIn)> = Vec::new();
-        {
-            let mut cache = lock_cache(&self.cache);
-            for (i, unit) in units.into_iter().enumerate() {
-                if let Some(summary) = cache.get(fingerprints[i]) {
-                    reports[i] = Some(UnitReport {
-                        summary,
-                        cached: true,
-                        check_micros: 0,
-                    });
-                } else {
-                    misses.push((i, unit));
-                }
-            }
-        }
-        let hits = n - misses.len();
-        self.metrics
-            .cache_hits
-            .fetch_add(hits as u64, Ordering::Relaxed);
-
-        // Phase 2: fan misses out across the pool. Every unit gets its
-        // own deadline and panic containment: one hostile unit costs
-        // only its own verdict, never a worker or the batch. With
-        // singleflight on, each fingerprint is first *claimed*: the
-        // claim winner (leader) runs the pipeline; a miss whose
-        // fingerprint is already in flight — under another connection's
-        // request, or earlier in this very batch — joins the leader's
-        // result instead of racing it.
-        if !misses.is_empty() {
-            let (tx, rx) = channel::<(usize, Arc<CheckSummary>, u64)>();
-            let spawn = |index: usize, unit: UnitIn, publish: Option<Arc<InFlight>>| {
-                let job_tx = tx.clone();
-                let limits = self.limits.checker_limits(Instant::now());
-                let metrics = Arc::clone(&self.metrics);
-                let engine = Arc::clone(&self.incremental);
-                let pool = Arc::clone(&self.pool);
-                let name = unit.name.clone();
-                let guard = publish.map(|cell| LeaderGuard::new(cell, &unit.name));
-                let submitted = self.pool.submit(move || {
-                    let t = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "chaos")]
-                        crate::chaos::perturb_job();
-                        engine.check_unit_parallel(
-                            &unit.name,
-                            &unit.source,
-                            &limits,
-                            &metrics,
-                            &pool,
-                        )
-                    }));
-                    let summary = match outcome {
-                        Ok(summary) => summary,
-                        Err(e) => {
-                            metrics.panic_caught();
-                            CheckSummary::internal_error(&unit.name, &panic_payload(&*e))
-                        }
-                    };
-                    let summary = Arc::new(summary);
-                    if let Some(guard) = guard {
-                        guard.publish(Arc::clone(&summary), shareable(&summary));
-                    }
-                    let _ = job_tx.send((index, summary, t.elapsed().as_micros() as u64));
-                });
-                if let Err(e) = submitted {
-                    // Pool shutting down under us: answer rather than
-                    // hang (the dropped job's guard released any
-                    // waiters the same way).
-                    let _ = tx.send((
-                        index,
-                        Arc::new(CheckSummary::internal_error(&name, &e.to_string())),
-                        0,
-                    ));
-                }
-            };
-            let mut launched = 0u64;
-            let mut leader_fps: Vec<u64> = Vec::new();
-            let mut joiners: Vec<(usize, UnitIn, Arc<InFlight>)> = Vec::new();
-            for (index, unit) in misses {
-                match self
-                    .singleflight
-                    .as_ref()
-                    .map(|sf| sf.claim(fingerprints[index]))
-                {
-                    Some(Claim::Joiner(cell)) => joiners.push((index, unit, cell)),
-                    Some(Claim::Leader(cell)) => {
-                        leader_fps.push(fingerprints[index]);
-                        launched += 1;
-                        spawn(index, unit, Some(cell));
-                    }
-                    None => {
-                        launched += 1;
-                        spawn(index, unit, None);
-                    }
-                }
-            }
-            // Joiners block on their leaders (pool jobs, so no request
-            // can wait on another request's *thread*). A non-shareable
-            // result — the leader panicked or timed out — falls back to
-            // a private re-check: transient faults must not fan out.
-            let mut joined: Vec<(usize, Arc<CheckSummary>)> = Vec::new();
-            for (index, unit, cell) in joiners {
-                let (summary, ok_to_share) = cell.wait();
-                if ok_to_share {
-                    self.metrics.singleflight_join();
-                    joined.push((index, summary));
-                } else {
-                    launched += 1;
-                    spawn(index, unit, None);
-                }
-            }
-            self.metrics
-                .cache_misses
-                .fetch_add(launched, Ordering::Relaxed);
-            drop(tx);
-            let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = rx.into_iter().collect();
-            // Insert in slot order so concurrent batches populate the
-            // recency list deterministically given identical traffic.
-            fresh.sort_by_key(|(i, _, _)| *i);
-            let mut to_journal: Vec<Pending> = Vec::new();
-            {
-                let mut cache = lock_cache(&self.cache);
-                for (index, summary, micros) in fresh {
-                    match summary.verdict {
-                        // Deterministic verdicts are worth memoizing.
-                        Verdict::Accepted | Verdict::Rejected => {
-                            cache.put(fingerprints[index], Arc::clone(&summary));
-                            if self.journal.is_some() {
-                                to_journal.push((fingerprints[index], Arc::clone(&summary)));
-                            }
-                        }
-                        // A deadline overrun depends on the wall clock and a
-                        // panic may be chaos-injected: caching either would
-                        // pin a transient failure onto healthy re-checks.
-                        Verdict::ResourceLimit => self.metrics.deadline_hit(),
-                        Verdict::InternalError => {}
-                    }
-                    self.metrics
-                        .check_micros
-                        .fetch_add(micros, Ordering::Relaxed);
-                    self.metrics.absorb_phases(&summary.stats);
-                    reports[index] = Some(UnitReport {
-                        summary,
-                        cached: false,
-                        check_micros: micros,
-                    });
-                }
-            }
-            // Hand the batch to the journal writer outside the cache
-            // lock; the reply does not wait for the disk.
-            self.journal(to_journal);
-            // Retire in-flight entries only now, after the verdicts hit
-            // the LRU: a late arrival either joins the flight or hits
-            // the cache — there is no window where it re-runs.
-            if let Some(sf) = &self.singleflight {
-                for fp in leader_fps {
-                    sf.complete(fp);
-                }
-            }
-            for (index, summary) in joined {
-                reports[index] = Some(UnitReport {
-                    summary,
-                    cached: true,
-                    check_micros: 0,
-                });
-            }
-        }
-
-        let reports = reports
+        let jobs = units
             .into_iter()
             .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| UnitReport {
-                    // Unreachable with containment in place, but a lost
-                    // slot must answer, not panic the connection.
-                    summary: Arc::new(CheckSummary::internal_error(
-                        &format!("unit-{i}"),
-                        "no worker reported a result",
-                    )),
-                    cached: false,
-                    check_micros: 0,
-                })
-            })
+            .map(|(slot, unit)| (slot, unit_fingerprint(&unit.name, &unit.source), unit))
             .collect();
+        let (reports, _, _) = self.schedule(jobs, None);
         (reports, start.elapsed().as_micros() as u64)
     }
 
@@ -463,93 +270,132 @@ impl CheckService {
     /// only an interface edit invalidates dependents.
     pub fn check_project(&self, units: Vec<UnitIn>) -> (Vec<UnitReport>, u64) {
         let start = Instant::now();
-        let n = units.len();
+        let mut units: Vec<ProjectUnit> = units
+            .into_iter()
+            .map(|u| ProjectUnit::new(u.name, u.source))
+            .collect();
+        let plan = Arc::new(ProjectPlan::build(&units, self.limits.parser_depth));
+        // Every unit's verdict is a pure function of its own source and
+        // its precomputed prelude (export surfaces come from parsing,
+        // never from checking), so the schedule order cannot change any
+        // answer; topological order just starts the roots first. The
+        // cyclic units, which Kahn's order leaves out, go last.
+        let jobs = plan
+            .order
+            .iter()
+            .copied()
+            .chain((0..units.len()).filter(|&i| plan.units[i].cyclic))
+            .map(|i| {
+                let unit = UnitIn {
+                    name: std::mem::take(&mut units[i].name),
+                    source: std::mem::take(&mut units[i].source),
+                };
+                (i, plan.units[i].project_fingerprint, unit)
+            })
+            .collect();
+        let (reports, hit, launched) = self.schedule(jobs, Some(&plan));
+        let reused = hit.iter().filter(|&&h| h).count();
+        // A hit whose transitive closure contains a re-checked unit is a
+        // cutoff win: something upstream changed, but not its interface.
+        let cutoffs = (0..hit.len())
+            .filter(|&i| hit[i] && plan.units[i].transitive.iter().any(|&d| !hit[d]))
+            .count();
+        self.metrics
+            .units_reused
+            .fetch_add(reused as u64, Ordering::Relaxed);
+        self.metrics
+            .cutoff_hits
+            .fetch_add(cutoffs as u64, Ordering::Relaxed);
+        self.metrics
+            .units_scheduled
+            .fetch_add(launched, Ordering::Relaxed);
+        (reports, start.elapsed().as_micros() as u64)
+    }
+
+    /// The scheduling pipeline behind [`Self::check_units`] and
+    /// [`Self::check_project`]. `jobs` holds every unit of the request
+    /// as `(slot, fingerprint, unit)`, in schedule order. For a project,
+    /// `plan` supplies each slot's dependency prelude and the graph
+    /// diagnostics folded into its verdict, and cyclic units get their
+    /// `V601` rejection inline instead of a check.
+    ///
+    /// Returns the reports in slot order, which slots the verdict cache
+    /// answered, and how many checks went to the pool.
+    fn schedule(
+        &self,
+        jobs: Vec<(usize, u64, UnitIn)>,
+        plan: Option<&Arc<ProjectPlan>>,
+    ) -> (Vec<UnitReport>, Vec<bool>, u64) {
+        let n = jobs.len();
         self.metrics
             .units_checked
             .fetch_add(n as u64, Ordering::Relaxed);
 
-        let project_units: Vec<vault_project::ProjectUnit> = units
-            .iter()
-            .map(|u| vault_project::ProjectUnit::new(u.name.clone(), u.source.clone()))
-            .collect();
-        let plan = Arc::new(vault_project::ProjectPlan::build(
-            &project_units,
-            self.limits.parser_depth,
-        ));
-
-        // Phase 1: consult the cache under one short lock. The project
-        // fingerprint is a complete key of the unit's output (source,
-        // transitive export surfaces, and any graph diagnostics), so a
-        // hit is always the right answer regardless of which manifest
-        // computed it.
-        let fingerprints: Vec<u64> = plan.units.iter().map(|u| u.project_fingerprint).collect();
-        let mut reports: Vec<Option<UnitReport>> = (0..n).map(|_| None).collect();
-        let mut missed = vec![false; n];
-        {
+        // Phase 1: consult the cache under one short lock, in slot order
+        // whatever the schedule. A project fingerprint is a complete key
+        // of the unit's output (source, transitive export surfaces, and
+        // any graph diagnostics), so a hit is always the right answer
+        // regardless of which manifest computed it.
+        let mut fingerprints = vec![0u64; n];
+        for &(slot, fp, _) in &jobs {
+            fingerprints[slot] = fp;
+        }
+        let mut reports: Vec<Option<UnitReport>> = {
             let mut cache = lock_cache(&self.cache);
-            for i in 0..n {
-                if let Some(summary) = cache.get(fingerprints[i]) {
-                    reports[i] = Some(UnitReport {
+            fingerprints
+                .iter()
+                .map(|&fp| {
+                    cache.get(fp).map(|summary| UnitReport {
                         summary,
                         cached: true,
                         check_micros: 0,
-                    });
-                } else {
-                    missed[i] = true;
-                }
-            }
-        }
-        let miss_count = missed.iter().filter(|&&m| m).count();
-        let hits = n - miss_count;
+                    })
+                })
+                .collect()
+        };
+        let hit: Vec<bool> = reports.iter().map(Option::is_some).collect();
+        let hits = hit.iter().filter(|&&h| h).count();
         self.metrics
             .cache_hits
             .fetch_add(hits as u64, Ordering::Relaxed);
-        self.metrics
-            .units_reused
-            .fetch_add(hits as u64, Ordering::Relaxed);
-        // A hit whose transitive closure contains a re-checked unit is a
-        // cutoff win: something upstream changed, but not its interface.
-        let cutoffs = (0..n)
-            .filter(|&i| !missed[i])
-            .filter(|&i| plan.units[i].transitive.iter().any(|&d| missed[d]))
-            .count();
-        self.metrics
-            .cutoff_hits
-            .fetch_add(cutoffs as u64, Ordering::Relaxed);
 
-        // Phase 2: fan the misses out across the pool, in topological
-        // order. Every unit's verdict is a pure function of its own
-        // source and its precomputed prelude (export surfaces come from
-        // parsing, never from checking), so units carry no data
-        // dependencies at check time and the schedule order cannot
-        // change any answer — only the reassembly below is ordered.
-        if miss_count > 0 {
+        // Phase 2: fan misses out across the pool. Every unit gets its
+        // own deadline and panic containment: one hostile unit costs
+        // only its own verdict, never a worker or the request. Each
+        // fingerprint is first *claimed*: the claim winner (leader) runs
+        // the pipeline; a miss whose fingerprint is already in flight —
+        // under another connection's request, or earlier in this very
+        // request — joins the leader's result instead of racing it.
+        let mut launched = 0u64;
+        if hits < n {
             let (tx, rx) = channel::<(usize, Arc<CheckSummary>, u64)>();
-            let spawn = |index: usize, publish: Option<Arc<InFlight>>| {
+            let spawn = |slot: usize, unit: UnitIn, publish: Option<Arc<InFlight>>| {
                 let job_tx = tx.clone();
                 let limits = self.limits.checker_limits(Instant::now());
                 let metrics = Arc::clone(&self.metrics);
                 let engine = Arc::clone(&self.incremental);
                 let pool = Arc::clone(&self.pool);
-                let job_plan = Arc::clone(&plan);
-                let unit = project_units[index].clone();
+                let plan = plan.cloned();
                 let name = unit.name.clone();
                 let guard = publish.map(|cell| LeaderGuard::new(cell, &unit.name));
                 let submitted = self.pool.submit(move || {
                     let t = Instant::now();
-                    let up = &job_plan.units[index];
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(feature = "chaos")]
                         crate::chaos::perturb_job();
+                        let up = plan.as_ref().map(|p| &p.units[slot]);
                         let s = engine.check_unit_with_prelude_parallel(
                             &unit.name,
-                            &up.prelude,
+                            up.map_or("", |up| &up.prelude),
                             &unit.source,
                             &limits,
                             &metrics,
                             &pool,
                         );
-                        vault_project::fold_graph_diags(up, s)
+                        match up {
+                            Some(up) => vault_project::fold_graph_diags(up, s),
+                            None => s,
+                        }
                     }));
                     let summary = match outcome {
                         Ok(summary) => summary,
@@ -562,93 +408,81 @@ impl CheckService {
                     if let Some(guard) = guard {
                         guard.publish(Arc::clone(&summary), shareable(&summary));
                     }
-                    let _ = job_tx.send((index, summary, t.elapsed().as_micros() as u64));
+                    let _ = job_tx.send((slot, summary, t.elapsed().as_micros() as u64));
                 });
                 if let Err(e) = submitted {
+                    // Pool shutting down under us: answer rather than
+                    // hang (the dropped job's guard released any
+                    // waiters the same way).
                     let _ = tx.send((
-                        index,
+                        slot,
                         Arc::new(CheckSummary::internal_error(&name, &e.to_string())),
                         0,
                     ));
                 }
             };
-            let mut scheduled = 0u64;
-            let mut fresh_results = 0u64;
+            let mut inline = 0u64;
             let mut leader_fps: Vec<u64> = Vec::new();
-            let mut joiners: Vec<(usize, Arc<InFlight>)> = Vec::new();
-            let topo_then_cyclic: Vec<usize> = plan
-                .order
-                .iter()
-                .copied()
-                .chain((0..n).filter(|&i| plan.units[i].cyclic))
-                .collect();
-            for index in topo_then_cyclic {
-                if !missed[index] {
+            let mut joiners: Vec<(usize, UnitIn, Arc<InFlight>)> = Vec::new();
+            for (slot, fp, unit) in jobs {
+                if hit[slot] {
                     continue;
                 }
-                let up = &plan.units[index];
-                if up.cyclic {
-                    // Nothing to check: the V601 summary is assembled
-                    // inline on the connection thread (and is too cheap
-                    // to be worth deduplicating).
-                    fresh_results += 1;
-                    let _ = tx.send((index, Arc::new(vault_project::cyclic_summary(up)), 0));
+                if let Some(up) = plan.map(|p| &p.units[slot]).filter(|up| up.cyclic) {
+                    // Nothing to check: the V601 summary is assembled on
+                    // the calling thread (and is too cheap to be worth
+                    // deduplicating).
+                    inline += 1;
+                    let _ = tx.send((slot, Arc::new(vault_project::cyclic_summary(up)), 0));
                     continue;
                 }
-                match self
-                    .singleflight
-                    .as_ref()
-                    .map(|sf| sf.claim(fingerprints[index]))
-                {
-                    Some(Claim::Joiner(cell)) => joiners.push((index, cell)),
-                    Some(Claim::Leader(cell)) => {
-                        leader_fps.push(fingerprints[index]);
-                        scheduled += 1;
-                        fresh_results += 1;
-                        spawn(index, Some(cell));
-                    }
-                    None => {
-                        scheduled += 1;
-                        fresh_results += 1;
-                        spawn(index, None);
+                match self.in_flight.claim(fp) {
+                    Claim::Joiner(cell) => joiners.push((slot, unit, cell)),
+                    Claim::Leader(cell) => {
+                        leader_fps.push(fp);
+                        launched += 1;
+                        spawn(slot, unit, Some(cell));
                     }
                 }
             }
-            // Joiners: identical project fingerprints already in flight
-            // under a concurrent request. Non-shareable results fall
-            // back to a private re-check, as in `check_units`.
+            // Joiners block on their leaders (pool jobs, so no request
+            // can wait on another request's *thread*). A non-shareable
+            // result — the leader panicked or timed out — falls back to
+            // a private re-check: transient faults must not fan out.
             let mut joined: Vec<(usize, Arc<CheckSummary>)> = Vec::new();
-            for (index, cell) in joiners {
+            for (slot, unit, cell) in joiners {
                 let (summary, ok_to_share) = cell.wait();
                 if ok_to_share {
                     self.metrics.singleflight_join();
-                    joined.push((index, summary));
+                    joined.push((slot, summary));
                 } else {
-                    scheduled += 1;
-                    fresh_results += 1;
-                    spawn(index, None);
+                    launched += 1;
+                    spawn(slot, unit, None);
                 }
             }
-            drop(tx);
-            self.metrics
-                .units_scheduled
-                .fetch_add(scheduled, Ordering::Relaxed);
             self.metrics
                 .cache_misses
-                .fetch_add(fresh_results, Ordering::Relaxed);
+                .fetch_add(launched + inline, Ordering::Relaxed);
+            drop(tx);
             let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = rx.into_iter().collect();
-            fresh.sort_by_key(|(i, _, _)| *i);
+            // Insert in slot order so concurrent requests populate the
+            // recency list deterministically given identical traffic.
+            fresh.sort_by_key(|(slot, _, _)| *slot);
             let mut to_journal: Vec<Pending> = Vec::new();
             {
                 let mut cache = lock_cache(&self.cache);
-                for (index, summary, micros) in fresh {
+                for (slot, summary, micros) in fresh {
                     match summary.verdict {
+                        // Deterministic verdicts are worth memoizing.
                         Verdict::Accepted | Verdict::Rejected => {
-                            cache.put(fingerprints[index], Arc::clone(&summary));
+                            cache.put(fingerprints[slot], Arc::clone(&summary));
                             if self.journal.is_some() {
-                                to_journal.push((fingerprints[index], Arc::clone(&summary)));
+                                to_journal.push((fingerprints[slot], Arc::clone(&summary)));
                             }
                         }
+                        // A deadline overrun depends on the wall clock and a
+                        // panic may be chaos-injected: caching either would
+                        // pin a transient failure onto healthy re-checks.
                         Verdict::ResourceLimit => self.metrics.deadline_hit(),
                         Verdict::InternalError => {}
                     }
@@ -656,21 +490,24 @@ impl CheckService {
                         .check_micros
                         .fetch_add(micros, Ordering::Relaxed);
                     self.metrics.absorb_phases(&summary.stats);
-                    reports[index] = Some(UnitReport {
+                    reports[slot] = Some(UnitReport {
                         summary,
                         cached: false,
                         check_micros: micros,
                     });
                 }
             }
+            // Hand the verdicts to the journal writer outside the cache
+            // lock; the reply does not wait for the disk.
             self.journal(to_journal);
-            if let Some(sf) = &self.singleflight {
-                for fp in leader_fps {
-                    sf.complete(fp);
-                }
+            // Retire in-flight entries only now, after the verdicts hit
+            // the LRU: a late arrival either joins the flight or hits
+            // the cache — there is no window where it re-runs.
+            for fp in leader_fps {
+                self.in_flight.complete(fp);
             }
-            for (index, summary) in joined {
-                reports[index] = Some(UnitReport {
+            for (slot, summary) in joined {
+                reports[slot] = Some(UnitReport {
                     summary,
                     cached: true,
                     check_micros: 0,
@@ -683,6 +520,8 @@ impl CheckService {
             .enumerate()
             .map(|(i, r)| {
                 r.unwrap_or_else(|| UnitReport {
+                    // Unreachable with containment in place, but a lost
+                    // slot must answer, not panic the connection.
                     summary: Arc::new(CheckSummary::internal_error(
                         &format!("unit-{i}"),
                         "no worker reported a result",
@@ -692,7 +531,7 @@ impl CheckService {
                 })
             })
             .collect();
-        (reports, start.elapsed().as_micros() as u64)
+        (reports, hit, launched)
     }
 
     /// Check one unit and, when accepted, translate it to C.
@@ -1418,6 +1257,148 @@ void two() {
         let snap = svc.status();
         assert_eq!(snap.units_scheduled, 6); // 3 cold + all 3 again
         assert_eq!(snap.cutoff_hits, 0);
+    }
+
+    /// The request counters `check_units` and `check_project` tick, in
+    /// the order [`counter_delta`] lists them.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Counters {
+        units_checked: u64,
+        cache_hits: u64,
+        cache_misses: u64,
+        singleflight_joins: u64,
+        units_scheduled: u64,
+        units_reused: u64,
+        cutoff_hits: u64,
+        deadline_exceeded: u64,
+    }
+
+    /// Run `f` and return how far it moved each request counter.
+    fn counter_delta(svc: &CheckService, f: impl FnOnce()) -> Counters {
+        let a = svc.status();
+        f();
+        let b = svc.status();
+        Counters {
+            units_checked: b.units_checked - a.units_checked,
+            cache_hits: b.cache_hits - a.cache_hits,
+            cache_misses: b.cache_misses - a.cache_misses,
+            singleflight_joins: b.singleflight_joins - a.singleflight_joins,
+            units_scheduled: b.units_scheduled - a.units_scheduled,
+            units_reused: b.units_reused - a.units_reused,
+            cutoff_hits: b.cutoff_hits - a.cutoff_hits,
+            deadline_exceeded: b.deadline_exceeded - a.deadline_exceeded,
+        }
+    }
+
+    #[test]
+    fn batch_and_project_counters_are_pinned() {
+        // A batch under a 1 ms deadline. Units with no function body
+        // never poll the deadline, so only the large unit can trip it.
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 2,
+            cache_capacity: 16,
+            limits: ServiceLimits {
+                timeout: Some(Duration::from_millis(1)),
+                ..ServiceLimits::default()
+            },
+            ..Default::default()
+        });
+        let hit = unit("hit.vlt", "type H;\n");
+        assert!(!svc.check_unit(hit.clone()).cached);
+        let big = vault_corpus::synth::generate(&vault_corpus::synth::SynthConfig {
+            functions: 1000,
+            stmts_per_fn: 20,
+            seed: 7,
+            bug_rate: 0.0,
+            shape: vault_corpus::synth::Shape::Mixed,
+        });
+        let batch = vec![
+            hit,
+            unit("m1.vlt", "type A;\n"),
+            unit("m2.vlt", "type B;\nvoid g(int n);\n"),
+            unit("m1.vlt", "type A;\n"),
+            unit("big.vlt", &big.source),
+        ];
+        let mut reports = Vec::new();
+        let delta = counter_delta(&svc, || reports = svc.check_units(batch).0);
+        let cached: Vec<bool> = reports.iter().map(|r| r.cached).collect();
+        assert_eq!(cached, [true, false, false, true, false]);
+        assert_eq!(reports[4].summary.verdict, Verdict::ResourceLimit);
+        assert_eq!(
+            delta,
+            Counters {
+                units_checked: 5,
+                cache_hits: 1,
+                cache_misses: 3,
+                singleflight_joins: 1,
+                units_scheduled: 0,
+                units_reused: 0,
+                cutoff_hits: 0,
+                deadline_exceeded: 1,
+            }
+        );
+
+        // A project with an import cycle and an unresolved import, then
+        // an upstream body edit.
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 2,
+            cache_capacity: 16,
+            ..Default::default()
+        });
+        let mut units = vec![
+            unit("lib", "type T;\nvoid helper(int n) {\n  n = n + 1;\n}\n"),
+            unit("app", "import \"lib\";\nvoid run() {\n  helper(3);\n}\n"),
+            unit("c", "import \"d\";\ntype C;\n"),
+            unit("d", "import \"c\";\ntype D;\n"),
+            unit("orphan", "import \"missing\";\ntype O;\n"),
+        ];
+        let reference = |units: &[UnitIn]| {
+            let project: Vec<_> = units
+                .iter()
+                .map(|u| vault_project::ProjectUnit::new(&u.name, &u.source))
+                .collect();
+            vault_project::check_project(&project, &Limits::default())
+        };
+        let check = |units: &[UnitIn]| {
+            let mut reports = Vec::new();
+            let delta = counter_delta(&svc, || reports = svc.check_project(units.to_vec()).0);
+            let want = reference(units);
+            for (r, w) in reports.iter().zip(&want) {
+                assert_eq!(*r.summary, *w);
+            }
+            (reports.iter().map(|r| r.cached).collect::<Vec<_>>(), delta)
+        };
+        let (cached, delta) = check(&units);
+        assert_eq!(cached, [false; 5]);
+        assert_eq!(
+            delta,
+            Counters {
+                units_checked: 5,
+                cache_hits: 0,
+                cache_misses: 5,
+                singleflight_joins: 0,
+                units_scheduled: 3,
+                units_reused: 0,
+                cutoff_hits: 0,
+                deadline_exceeded: 0,
+            }
+        );
+        units[0].source = units[0].source.replace("n + 1", "n + 2");
+        let (cached, delta) = check(&units);
+        assert_eq!(cached, [false, true, true, true, true]);
+        assert_eq!(
+            delta,
+            Counters {
+                units_checked: 5,
+                cache_hits: 4,
+                cache_misses: 1,
+                singleflight_joins: 0,
+                units_scheduled: 1,
+                units_reused: 4,
+                cutoff_hits: 1,
+                deadline_exceeded: 0,
+            }
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use vault_server::chaos::{self, ChaosConfig};
 use vault_server::{
     CheckService, Client, Json, MuxConfig, MuxServer, RetryPolicy, ServiceConfig, ServiceLimits,
-    UnitIn, UnixServer,
+    UnitIn,
 };
 
 const REQUESTS: usize = 1000;
@@ -100,7 +100,8 @@ fn daemon_survives_a_thousand_chaos_requests_and_stays_correct() {
         ..Default::default()
     }));
     let path = std::env::temp_dir().join(format!("vaultd_chaos_{}.sock", std::process::id()));
-    let server = UnixServer::bind(Arc::clone(&svc), &path).expect("bind socket");
+    let mut server = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
+    server.bind_unix(&path).expect("bind socket");
     let server_thread = std::thread::spawn(move || server.run().expect("serve"));
 
     let mut client = Client::with_policy(

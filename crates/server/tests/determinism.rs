@@ -2,7 +2,7 @@
 //! built-in corpus through the worker pool (jobs = 1 and 4) must yield
 //! byte-identical verdicts and diagnostic sets to sequential
 //! `check_source`, and cache-hit re-checks must return identical
-//! diagnostics. (ISSUE 1 acceptance criterion.)
+//! diagnostics.
 
 use vault_core::{check_summary, CheckSummary};
 use vault_server::{CheckService, Json, ServiceConfig, UnitIn};

@@ -23,6 +23,12 @@
 //! monolithic checker, and the first body-confined edit after a reopen
 //! must hit n−1 of n function verdicts from the replayed store, which
 //! holds only if dropping the service committed its journal.
+//!
+//! The project leg edits the worker units of `synth` projects, one
+//! seeded edit per step, and re-checks the whole project through
+//! `CheckService::check_project` at jobs 1 and 2, with a roomy and a
+//! tiny (evicting) verdict cache. Every answer must equal the
+//! sequential `vault_project::check_project`.
 
 use std::sync::Arc;
 
@@ -371,6 +377,91 @@ fn run_restart_session(family: Family, seed: u64, jobs: usize) -> usize {
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
     asserted
+}
+
+/// Worker units per project in the project leg (the interface unit
+/// comes on top).
+const PROJECT_WORKERS: usize = 4;
+
+/// One seeded session over a whole `synth` project: each step edits one
+/// worker unit, then every service re-checks the project and must
+/// answer exactly what the sequential project checker does.
+fn run_project_session(seed: u64, services: &[(&str, CheckService)]) {
+    let limits = Limits::default();
+    let project = synth::generate_project(&ProjectConfig {
+        units: PROJECT_WORKERS,
+        fns_per_unit: 6,
+        stmts_per_fn: 6,
+        seed,
+        bug_rate: 0.5,
+    });
+    let names: Vec<String> = project.units.iter().map(|(n, _)| n.clone()).collect();
+    let mut sessions: Vec<EditSession> = project
+        .units
+        .iter()
+        .map(|(_, s)| EditSession::new(s.as_str()))
+        .collect();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e0f);
+    let mut clean = vec![true; sessions.len()];
+    for step in 0..=EDITS {
+        // Step 0 checks the project as generated.
+        if step > 0 {
+            let worker = rng.gen_range(1..sessions.len());
+            let kind = next_kind(clean[worker], &mut rng);
+            sessions[worker].apply(kind, &mut rng);
+        }
+        let units: Vec<ProjectUnit> = names
+            .iter()
+            .zip(&sessions)
+            .map(|(n, s)| ProjectUnit::new(n.as_str(), s.source()))
+            .collect();
+        let want = vault_project::check_project(&units, &limits);
+        for (i, s) in want.iter().enumerate() {
+            clean[i] = parses_cleanly(s);
+        }
+        for (label, svc) in services {
+            let request: Vec<UnitIn> = units
+                .iter()
+                .map(|u| UnitIn {
+                    name: u.name.clone(),
+                    source: u.source.clone(),
+                })
+                .collect();
+            let (reports, _) = svc.check_project(request);
+            let got: Vec<&CheckSummary> = reports.iter().map(|r| &*r.summary).collect();
+            let want: Vec<&CheckSummary> = want.iter().collect();
+            assert!(
+                got == want,
+                "project seed {seed} step {step} [{label}]: service diverged\n\
+                 got:  {got:?}\nwant: {want:?}",
+            );
+        }
+    }
+}
+
+#[test]
+fn project_edit_sequences_match_the_sequential_project_checker() {
+    let config = |jobs, cache_capacity| {
+        CheckService::new(ServiceConfig {
+            jobs,
+            cache_capacity,
+            ..Default::default()
+        })
+    };
+    // One set of services for every seed, so the caches carry over
+    // between sessions too; the tiny one evicts on every request.
+    let services = [
+        ("jobs 1, roomy", config(1, 1024)),
+        ("jobs 2, roomy", config(2, 1024)),
+        ("jobs 1, tiny", config(1, 2)),
+        ("jobs 2, tiny", config(2, 2)),
+    ];
+    for seed in 0..24 {
+        run_project_session(3000 + seed, &services);
+    }
+    // The roomy services answered most unedited units from the cache.
+    let status = services[0].1.status();
+    assert!(status.units_reused > status.units_scheduled, "{status:?}");
 }
 
 /// Seeds per family and job count in the restart leg.

@@ -1,4 +1,4 @@
-//! Determinism of project mode (ISSUE 5 acceptance criterion): checking
+//! Determinism of project mode: checking
 //! a multi-unit project through the parallel DAG scheduler at `--jobs 4`
 //! must be byte-identical to `--jobs 1` — and to the sequential
 //! reference in `vault-project` — for every manifest ordering. Fifty

@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
-use vault_server::{CheckService, Json, ServiceConfig, UnixServer};
+use vault_server::{CheckService, Json, MuxConfig, MuxServer, ServiceConfig};
 
 fn start_server(jobs: usize) -> (Arc<CheckService>, std::path::PathBuf) {
     let svc = Arc::new(CheckService::new(ServiceConfig {
@@ -18,7 +18,8 @@ fn start_server(jobs: usize) -> (Arc<CheckService>, std::path::PathBuf) {
         std::process::id(),
         std::thread::current().id()
     ));
-    let server = UnixServer::bind(Arc::clone(&svc), &path).expect("bind socket");
+    let mut server = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
+    server.bind_unix(&path).expect("bind socket");
     std::thread::spawn(move || server.run().expect("serve"));
     (svc, path)
 }
