@@ -7,9 +7,8 @@ use std::collections::BTreeSet;
 use vault_core::{check_summary_with_prelude, CheckStats, CheckSummary, Limits, Verdict};
 use vault_syntax::ast::Decl;
 use vault_syntax::diag::Diagnostic;
+use vault_syntax::intern::{fnv1a, FNV_OFFSET};
 use vault_syntax::{Attribution, Code, DiagSink, ImportDecl, Program, Span};
-
-use crate::fnv1a;
 
 /// Domain separator folded into every project fingerprint so project
 /// cache entries can never collide with single-unit fingerprints (the
@@ -252,18 +251,15 @@ impl ProjectPlan {
                 }
             }
 
-            let export_fingerprint = fnv1a(crate::FNV_OFFSET, surfaces[i].as_bytes());
-            let mut fp = fnv1a(crate::FNV_OFFSET, PROJECT_FP_TAG);
+            let export_fingerprint = fnv1a(FNV_OFFSET, surfaces[i].as_bytes());
+            let mut fp = fnv1a(FNV_OFFSET, PROJECT_FP_TAG);
             fp = fnv1a(fp, u.name.as_bytes());
             fp = fnv1a(fp, &[0]);
             fp = fnv1a(fp, u.source.as_bytes());
             for &d in &transitive[i] {
                 fp = fnv1a(fp, &[0]);
                 fp = fnv1a(fp, units[d].name.as_bytes());
-                fp = fnv1a(
-                    fp,
-                    &fnv1a(crate::FNV_OFFSET, surfaces[d].as_bytes()).to_le_bytes(),
-                );
+                fp = fnv1a(fp, &fnv1a(FNV_OFFSET, surfaces[d].as_bytes()).to_le_bytes());
             }
             // Graph diagnostics (V601/V602) are part of the unit's
             // output but depend on the *whole manifest*, not just the
@@ -391,6 +387,19 @@ mod tests {
         assert_eq!(plan.units[0].deps, vec![1]);
         assert!(plan.units[0].prelude.contains("fopen"));
         assert!(!plan.units[0].cyclic && !plan.units[1].cyclic);
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Project verdicts persist under these keys: a change to the
+        // hash or its framing must bump the store's format version.
+        let units = vec![
+            fs_unit(),
+            app_unit("  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n"),
+        ];
+        let plan = ProjectPlan::build(&units, vault_syntax::DEFAULT_PARSER_DEPTH);
+        assert_eq!(plan.units[0].export_fingerprint, 0x3d60_a2fb_4cae_041b);
+        assert_eq!(plan.units[1].project_fingerprint, 0xeb00_baca_88c0_4ed4);
     }
 
     #[test]

@@ -59,17 +59,3 @@ pub use graph::{
     imports_of, ProjectPlan, ProjectUnit, UnitPlan,
 };
 pub use manifest::{Manifest, ManifestEntry};
-
-/// FNV-1a offset basis (64-bit).
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime (64-bit).
-pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Fold `bytes` into a running FNV-1a hash.
-pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}

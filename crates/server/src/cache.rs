@@ -9,21 +9,11 @@
 
 use std::collections::HashMap;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Absorb a byte stream into a running FNV-1a state.
-pub fn fnv1a_absorb(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+use vault_syntax::intern::{fnv1a, FNV_OFFSET};
 
 /// 64-bit FNV-1a over an arbitrary byte stream.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_absorb(FNV_OFFSET, bytes)
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 /// Fingerprint of one compilation unit.
@@ -34,9 +24,9 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 /// between the fields keeps `("ab", "c")` and `("a", "bc")` distinct
 /// (unit names cannot contain NUL, so the framing is unambiguous).
 pub fn unit_fingerprint(name: &str, source: &str) -> u64 {
-    let h = fnv1a_absorb(FNV_OFFSET, name.as_bytes());
-    let h = fnv1a_absorb(h, &[0x00]);
-    fnv1a_absorb(h, source.as_bytes())
+    let h = fnv1a(FNV_OFFSET, name.as_bytes());
+    let h = fnv1a(h, &[0x00]);
+    fnv1a(h, source.as_bytes())
 }
 
 const NONE: usize = usize::MAX;
@@ -196,6 +186,16 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn unit_fingerprint_is_pinned() {
+        // Unit verdicts persist under this key: a change to the hash or
+        // its framing must bump the store's format version.
+        assert_eq!(
+            unit_fingerprint("a.vlt", "void f() { }"),
+            0x32c3_bc90_6e88_4915
+        );
     }
 
     #[test]

@@ -145,8 +145,8 @@ pub enum PersistFault {
 
 /// Called at every verdict-store fault point (`append.write`,
 /// `append.sync`, `seal`, `compact.write`, `compact.sync`,
-/// `compact.rename`, `index.write`). Returns the fault to inject, if
-/// any. Draws from the shared seeded stream only when
+/// `compact.rename`). Returns the fault to inject, if any. Draws from
+/// the shared seeded stream only when
 /// [`ChaosConfig::persist_fault_prob`] is nonzero.
 pub fn persist_fault(point: &str) -> Option<PersistFault> {
     let mut guard = state();

@@ -114,12 +114,13 @@ use vault_core::{
     check_summary_with_limits, check_summary_with_prelude, elaborate_owned, CheckSummary,
     Elaborated, Limits, Verdict,
 };
+use vault_syntax::intern::fnv1a;
 use vault_syntax::{
     ast, parse_program_with_depth_timed, parse_range_with_depth, Attribution, Code, DiagSink,
     DiagView, Diagnostic, Severity, Span,
 };
 
-use crate::cache::{fnv1a_64, fnv1a_absorb, LruCache};
+use crate::cache::{fnv1a_64, LruCache};
 use crate::metrics::Metrics;
 use crate::pool::{panic_payload, CheckPool};
 
@@ -355,10 +356,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// splits of one concatenation attribute diagnostics differently).
 fn base_hash(name: &str, limits: &Limits, prelude_len: u32) -> u64 {
     let h = fnv1a_64(name.as_bytes());
-    let h = fnv1a_absorb(h, &[0x00]);
-    let h = fnv1a_absorb(h, &(limits.parser_depth as u64).to_le_bytes());
-    let h = fnv1a_absorb(h, &(limits.fixpoint_iters as u64).to_le_bytes());
-    fnv1a_absorb(h, &(prelude_len as u64).to_le_bytes())
+    let h = fnv1a(h, &[0x00]);
+    let h = fnv1a(h, &(limits.parser_depth as u64).to_le_bytes());
+    let h = fnv1a(h, &(limits.fixpoint_iters as u64).to_le_bytes());
+    fnv1a(h, &(prelude_len as u64).to_le_bytes())
 }
 
 /// Fingerprint of the declaration environment: `base` plus the
@@ -368,7 +369,7 @@ fn base_hash(name: &str, limits: &Limits, prelude_len: u32) -> u64 {
 /// a body leaves the hash unchanged.
 fn env_hash(base: u64, source: &str, slots: &[(Span, Span)]) -> u64 {
     fn absorb_segment(h: u64, seg: &[u8]) -> u64 {
-        fnv1a_absorb(fnv1a_absorb(h, &(seg.len() as u64).to_le_bytes()), seg)
+        fnv1a(fnv1a(h, &(seg.len() as u64).to_le_bytes()), seg)
     }
     let bytes = source.as_bytes();
     let mut h = base;
@@ -385,7 +386,7 @@ fn env_hash(base: u64, source: &str, slots: &[(Span, Span)]) -> u64 {
 /// own bytes. Everything its relative verdict can depend on, and
 /// nothing about where it sits.
 fn fn_fingerprint(env_hash: u64, source: &str, decl: Span) -> u64 {
-    fnv1a_absorb(
+    fnv1a(
         env_hash,
         &source.as_bytes()[decl.start as usize..decl.end as usize],
     )

@@ -12,8 +12,8 @@
 //!
 //! ## On-disk layout
 //!
-//! The store is a directory of fixed-size **segments** plus one small
-//! **index**:
+//! The store is a directory of fixed-size **segments**, with no index
+//! or manifest beside them:
 //!
 //! * `seg-NNNNNN.vseg` — append-only segment files. The highest id is
 //!   the active tail; all lower ids are sealed (immutable except for
@@ -25,18 +25,18 @@
 //!   [u32 LE payload len][u32 LE CRC-32 of payload][payload bytes] ...
 //!   ```
 //!
-//! * `index.vidx` — a binary index of the *live* frames in every
-//!   sealed segment, rewritten via temp-file + fsync + atomic rename
-//!   whenever a segment seals or compaction runs. Warm boot reads only
-//!   the frames the index names instead of replaying full history; a
-//!   stale or missing index merely falls back to a full scan.
-//!
 //! * `*.bad` — quarantined segments: a sealed segment that fails its
 //!   header or CRC mid-file is renamed aside (never deleted, never
 //!   fatal) and counted in `status` as `segments_quarantined`.
 //!
 //! Any other file in the directory (such as the single-file
-//! `verdicts.vcache` log of format version 1) is ignored.
+//! `verdicts.vcache` log of format version 1, or the live-frame index
+//! older builds kept) is ignored.
+//!
+//! Every boot scans every frame of every segment, so every frame's CRC
+//! is checked on every boot, superseded frames included. Sealing a
+//! segment is just an fsync of the old tail and a fresh header for the
+//! new one; nothing else is rewritten.
 //!
 //! Each payload is one JSON object (the same hand-rolled [`Json`] the
 //! wire protocol uses) describing either a whole-unit record
@@ -83,7 +83,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -110,15 +110,6 @@ const HEADER_LEN: u64 = 12;
 /// Frames larger than this are treated as corruption (a length field
 /// hit by a bit flip can claim gigabytes; no real record comes close).
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
-
-/// The live-frame index file's name inside the cache directory.
-pub const INDEX_FILE_NAME: &str = "index.vidx";
-
-/// Identifies the live-frame index file.
-const INDEX_MAGIC: &[u8; 8] = b"VAULTIDX";
-
-/// Index format version; a mismatch discards the index (full scan).
-const INDEX_VERSION: u32 = 1;
 
 /// Suffix a quarantined segment is renamed under.
 const QUARANTINE_SUFFIX: &str = ".bad";
@@ -181,6 +172,15 @@ pub enum Record {
         /// The function's checker counters.
         stats: CheckStats,
     },
+}
+
+impl Record {
+    fn key(&self) -> RecKey {
+        match self {
+            Record::Unit { fp, .. } => RecKey::Unit(*fp),
+            Record::Fn { fp, .. } => RecKey::Fn(*fp),
+        }
+    }
 }
 
 /// Everything a successful load recovered, plus how many frames (or
@@ -331,9 +331,8 @@ impl VerdictStore {
         fs::create_dir_all(dir)?;
         let mut loaded = Loaded::default();
 
-        // Sweep temp files left by a crash mid-compaction or
-        // mid-index-write: they were never renamed, so they hold no
-        // committed data.
+        // Sweep temp files left by a crash mid-compaction: they were
+        // never renamed, so they hold no committed data.
         let mut seg_ids: Vec<u32> = Vec::new();
         let mut preexisting_bad = 0u64;
         for entry in fs::read_dir(dir)? {
@@ -350,8 +349,6 @@ impl VerdictStore {
         }
         seg_ids.sort_unstable();
 
-        let index = read_index(&dir.join(INDEX_FILE_NAME));
-
         // Records in global append order; `Loc` is `None` for frames
         // salvaged out of a quarantined segment (replayed into memory,
         // but without disk backing).
@@ -362,23 +359,6 @@ impl VerdictStore {
         for &id in &seg_ids {
             let is_tail = Some(id) == tail_id_on_disk;
             let path = dir.join(segment_file_name(id));
-            if !is_tail {
-                // Fast path: a sealed segment whose recorded length
-                // still matches can be loaded frame-by-frame from the
-                // index; any mismatch falls back to a full scan.
-                if let Some((idx_len, frames)) = index.as_ref().and_then(|m| m.get(&id)) {
-                    let actual = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-                    if *idx_len == actual {
-                        if let Some(rs) = load_indexed_segment(&path, frames) {
-                            for (key, off, len, rec) in rs {
-                                records.push((key, Some(Loc { seg: id, off, len }), rec));
-                            }
-                            metas.insert(id, SegMeta::default_with_len(actual));
-                            continue;
-                        }
-                    }
-                }
-            }
             let bytes = fs::read(&path).unwrap_or_default();
             if is_tail && bytes.is_empty() {
                 // A brand-new (or never-written) tail: initialized below.
@@ -477,9 +457,6 @@ impl VerdictStore {
             segments_quarantined: AtomicU64::new(preexisting_bad + loaded.quarantined),
             journal_commits: AtomicU64::new(0),
         };
-        // Refresh the index so the next boot takes the fast path
-        // (best effort: an unwritable index only costs a scan).
-        let _ = store.write_index_now();
         Ok((store, loaded))
     }
 
@@ -520,17 +497,13 @@ impl VerdictStore {
             let Some(payload) = encode_record(record) else {
                 continue;
             };
-            let key = match record {
-                Record::Unit { fp, .. } => RecKey::Unit(*fp),
-                Record::Fn { fp, .. } => RecKey::Fn(*fp),
-            };
             let line = payload.to_line();
             let bytes = line.as_bytes();
             let mut frame = Vec::with_capacity(8 + bytes.len());
             frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             frame.extend_from_slice(&crc32(bytes).to_le_bytes());
             frame.extend_from_slice(bytes);
-            frames.push((key, frame));
+            frames.push((record.key(), frame));
         }
         if frames.is_empty() {
             return Ok(());
@@ -611,8 +584,8 @@ impl VerdictStore {
         Ok(())
     }
 
-    /// Seal the current tail (fsync it, refresh the index) and start a
-    /// fresh segment. Called with the lock held.
+    /// Seal the current tail (fsync it) and start a fresh segment.
+    /// Called with the lock held.
     fn seal_tail(&self, inner: &mut Inner) -> io::Result<()> {
         if chaos_fault("seal").is_some() {
             return Err(other("chaos: injected seal failure"));
@@ -634,17 +607,13 @@ impl VerdictStore {
             .metas
             .insert(new_id, SegMeta::default_with_len(HEADER_LEN));
         self.segments_sealed.fetch_add(1, Ordering::Relaxed);
-        // Best effort: a missing index entry for the just-sealed
-        // segment only means a full scan of it at the next boot.
-        let snapshot = index_snapshot(inner);
-        let _ = write_index(&self.dir, &snapshot);
         Ok(())
     }
 
     /// Discard every persisted verdict (`clear-cache` reaches the disk
-    /// through this): sealed segments and the index are deleted, the
-    /// tail is truncated to a fresh header, and the generation bump
-    /// makes any in-flight compaction abandon its commit.
+    /// through this): sealed segments are deleted, the tail is
+    /// truncated to a fresh header, and the generation bump makes any
+    /// in-flight compaction abandon its commit.
     pub fn wipe(&self) -> io::Result<()> {
         let mut inner = lock(&self.inner);
         inner.generation += 1;
@@ -658,7 +627,6 @@ impl VerdictStore {
             let _ = fs::remove_file(self.dir.join(segment_file_name(id)));
             inner.metas.remove(&id);
         }
-        let _ = fs::remove_file(self.dir.join(INDEX_FILE_NAME));
         inner.tail.set_len(0)?;
         inner.tail.seek(SeekFrom::Start(0))?;
         inner.tail.write_all(MAGIC)?;
@@ -692,9 +660,9 @@ impl VerdictStore {
             .any(|(&id, m)| id != inner.tail_id && m.dead_bytes > 0 && m.dead_bytes * 2 >= m.len)
     }
 
-    /// Run one maintenance pass: compact dead sealed segments, enforce
-    /// the size bound, refresh the index. Single-flight — a pass that
-    /// finds another in progress returns immediately.
+    /// Run one maintenance pass: compact dead sealed segments, then
+    /// enforce the size bound. Single-flight — a pass that finds
+    /// another in progress returns immediately.
     pub fn maintain(&self) -> io::Result<()> {
         if self.compacting.swap(true, Ordering::SeqCst) {
             return Ok(());
@@ -705,8 +673,7 @@ impl VerdictStore {
                 let rewrite = self.compact_rewrite(plan)?;
                 self.compact_commit(rewrite)?;
             }
-            self.enforce_bound()?;
-            self.write_index_now()
+            self.enforce_bound()
         })();
         self.compacting.store(false, Ordering::SeqCst);
         result
@@ -921,19 +888,6 @@ impl VerdictStore {
         Ok(())
     }
 
-    /// Rewrite the live-frame index (temp file + fsync + rename).
-    #[doc(hidden)]
-    pub fn write_index_now(&self) -> io::Result<()> {
-        if chaos_fault("index.write").is_some() {
-            return Err(other("chaos: injected index write failure"));
-        }
-        let snapshot = {
-            let inner = lock(&self.inner);
-            index_snapshot(&inner)
-        };
-        write_index(&self.dir, &snapshot)
-    }
-
     fn tmp_path(&self, id: u32) -> PathBuf {
         self.dir.join(format!("{}.tmp", segment_file_name(id)))
     }
@@ -970,134 +924,6 @@ struct RewriteSeg {
     /// (key, old offset, new offset, payload len).
     frames: Vec<(RecKey, u64, u64, u32)>,
     new_len: u64,
-}
-
-/// The live frames of every sealed segment, for the index:
-/// (segment id, file length, [(offset, payload len)] in file order).
-fn index_snapshot(inner: &Inner) -> Vec<(u32, u64, Vec<(u64, u32)>)> {
-    let mut by_seg: BTreeMap<u32, Vec<(u64, u32)>> = inner
-        .metas
-        .keys()
-        .filter(|&&id| id != inner.tail_id)
-        .map(|&id| (id, Vec::new()))
-        .collect();
-    for loc in inner.live.values() {
-        if let Some(frames) = by_seg.get_mut(&loc.seg) {
-            frames.push((loc.off, loc.len));
-        }
-    }
-    by_seg
-        .into_iter()
-        .map(|(id, mut frames)| {
-            frames.sort_unstable();
-            let len = inner.metas.get(&id).map(|m| m.len).unwrap_or(0);
-            (id, len, frames)
-        })
-        .collect()
-}
-
-fn write_index(dir: &Path, segs: &[(u32, u64, Vec<(u64, u32)>)]) -> io::Result<()> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(INDEX_MAGIC);
-    buf.extend_from_slice(&INDEX_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(segs.len() as u32).to_le_bytes());
-    for (id, len, frames) in segs {
-        buf.extend_from_slice(&id.to_le_bytes());
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(&(frames.len() as u32).to_le_bytes());
-        for (off, flen) in frames {
-            buf.extend_from_slice(&off.to_le_bytes());
-            buf.extend_from_slice(&flen.to_le_bytes());
-        }
-    }
-    let crc = crc32(&buf);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join(format!("{INDEX_FILE_NAME}.tmp"));
-    let mut f = File::create(&tmp)?;
-    f.write_all(&buf)?;
-    f.sync_data()?;
-    drop(f);
-    fs::rename(&tmp, dir.join(INDEX_FILE_NAME))
-}
-
-/// Parse the index file: segment id → (file length, live frame list).
-/// Any defect at all returns `None` — the index is a pure accelerator,
-/// so a doubtful one is simply ignored.
-fn read_index(path: &Path) -> Option<HashMap<u32, (u64, Vec<(u64, u32)>)>> {
-    let bytes = fs::read(path).ok()?;
-    if bytes.len() < 20 || &bytes[..8] != INDEX_MAGIC {
-        return None;
-    }
-    let body = &bytes[..bytes.len() - 4];
-    let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().ok()?);
-    if crc32(body) != stored_crc {
-        return None;
-    }
-    let mut pos = 8;
-    let take4 = |pos: &mut usize| -> Option<u32> {
-        let v = u32::from_le_bytes(body.get(*pos..*pos + 4)?.try_into().ok()?);
-        *pos += 4;
-        Some(v)
-    };
-    let version = take4(&mut pos)?;
-    if version != INDEX_VERSION {
-        return None;
-    }
-    let seg_count = take4(&mut pos)?;
-    let mut map = HashMap::new();
-    for _ in 0..seg_count {
-        let id = take4(&mut pos)?;
-        let len = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        let n = take4(&mut pos)?;
-        let mut frames = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            let off = u64::from_le_bytes(body.get(pos..pos + 8)?.try_into().ok()?);
-            pos += 8;
-            let flen = take4(&mut pos)?;
-            frames.push((off, flen));
-        }
-        map.insert(id, (len, frames));
-    }
-    if pos != body.len() {
-        return None; // trailing garbage
-    }
-    Some(map)
-}
-
-/// Load only the indexed frames of a sealed segment, seeking straight
-/// to each one. Any mismatch — bounds, length field, CRC, schema —
-/// returns `None` and the caller falls back to a full scan.
-fn load_indexed_segment(
-    path: &Path,
-    frames: &[(u64, u32)],
-) -> Option<Vec<(RecKey, u64, u32, Record)>> {
-    let mut f = File::open(path).ok()?;
-    let mut out = Vec::with_capacity(frames.len());
-    for &(off, len) in frames {
-        if len > MAX_FRAME_LEN || off < HEADER_LEN {
-            return None;
-        }
-        let mut frame = vec![0u8; 8 + len as usize];
-        f.seek(SeekFrom::Start(off)).ok()?;
-        f.read_exact(&mut frame).ok()?;
-        let stored_len = u32::from_le_bytes(frame[..4].try_into().ok()?);
-        let stored_crc = u32::from_le_bytes(frame[4..8].try_into().ok()?);
-        let payload = &frame[8..];
-        if stored_len != len || crc32(payload) != stored_crc {
-            return None;
-        }
-        let record = std::str::from_utf8(payload)
-            .ok()
-            .and_then(|s| json::parse(s).ok())
-            .and_then(|j| decode_record(&j))?;
-        let key = match &record {
-            Record::Unit { fp, .. } => RecKey::Unit(*fp),
-            Record::Fn { fp, .. } => RecKey::Fn(*fp),
-        };
-        out.push((key, off, len, record));
-    }
-    Some(out)
 }
 
 /// Result of fully scanning one segment image.
@@ -1163,16 +989,8 @@ fn scan_segment(bytes: &[u8], is_tail: bool) -> Scan {
             .and_then(|s| json::parse(s).ok())
             .and_then(|j| decode_record(&j))
         {
-            Some(record) => {
-                let key = match &record {
-                    Record::Unit { fp, .. } => RecKey::Unit(*fp),
-                    Record::Fn { fp, .. } => RecKey::Fn(*fp),
-                };
-                scan.records.push((key, pos as u64, len, record));
-            }
-            None => {
-                scan.errors += 1; // CRC fine but schema violated: skip
-            }
+            Some(record) => scan.records.push((record.key(), pos as u64, len, record)),
+            None => scan.errors += 1, // CRC fine but schema violated: skip
         }
         pos += 8 + len as usize;
     }
@@ -1491,6 +1309,35 @@ mod tests {
         VerdictStore::open(dir, StoreConfig::default()).unwrap()
     }
 
+    /// Segments this small seal every one or two appends.
+    const SMALL: StoreConfig = StoreConfig {
+        segment_max_bytes: 300,
+        max_bytes: None,
+    };
+
+    /// One `append` of an accepted unit record per fingerprint.
+    fn append_units(store: &VerdictStore, fps: impl IntoIterator<Item = u64>) {
+        for fp in fps {
+            store
+                .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
+                .unwrap();
+        }
+    }
+
+    /// Names of every entry in `dir`, sorted.
+    fn dir_listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    fn no_tmp_files(dir: &Path) -> bool {
+        dir_listing(dir).iter().all(|name| !name.ends_with(".tmp"))
+    }
+
     fn unit_fps(loaded: &Loaded) -> Vec<u64> {
         loaded.units.iter().map(|(fp, _)| *fp).collect()
     }
@@ -1717,16 +1564,8 @@ mod tests {
     #[test]
     fn wipe_empties_the_store_on_disk() {
         let dir = tmp_dir("wipe");
-        let small = StoreConfig {
-            segment_max_bytes: 256,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, small).unwrap();
-        for fp in 1..=8 {
-            store
-                .append(&[unit(fp, "a.vlt", Verdict::Accepted)])
-                .unwrap();
-        }
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, 1..=8);
         assert!(
             store.health().segments_sealed > 0,
             "tiny segments must seal"
@@ -1738,7 +1577,7 @@ mod tests {
             .append(&[unit(9, "b.vlt", Verdict::Rejected)])
             .unwrap();
         drop(store);
-        let (_store, loaded) = VerdictStore::open(&dir, small).unwrap();
+        let (_store, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert_eq!(loaded.errors, 0);
         assert_eq!(unit_fps(&loaded), vec![9]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1755,66 +1594,100 @@ mod tests {
         assert!(loaded.units.is_empty() && loaded.fns.is_empty());
         assert!(v1.exists(), "an unknown file is left alone");
         drop(store);
+
+        // An older build also kept an `index.vidx` of live frames. A
+        // leftover one, however wrong, must not hide a single frame.
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, 1..=10);
+        assert!(store.health().segments_sealed >= 2);
+        drop(store);
+        let index = dir.join("index.vidx");
+        std::fs::write(&index, b"VAULTIDX\x01\x00\x00\x00garbage").unwrap();
+        let (store, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
+        assert_eq!((loaded.errors, loaded.quarantined), (0, 0));
+        assert_eq!(unit_fps(&loaded), (1..=10).collect::<Vec<_>>());
+        assert!(
+            index.exists() && v1.exists(),
+            "unknown files are left alone"
+        );
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_directory_holds_only_segments() {
+        let dir = tmp_dir("only-segments");
+        let only_segments = |when: &str| {
+            let names = dir_listing(&dir);
+            assert!(!names.is_empty(), "{when}: no tail segment");
+            for name in names {
+                assert!(
+                    parse_segment_id(&name).is_some(),
+                    "{when}: unexpected file `{name}`"
+                );
+            }
+        };
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        only_segments("after open");
+        // Write every fingerprint twice so sealed segments go dead.
+        append_units(&store, (1..=8).chain(1..=8));
+        assert!(store.health().segments_sealed >= 3);
+        only_segments("after sealing");
+        assert!(store.needs_maintenance());
+        store.maintain().unwrap();
+        assert!(store.health().compactions_run >= 1);
+        only_segments("after maintenance");
+        store.wipe().unwrap();
+        only_segments("after wipe");
+        drop(store);
+        let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
+        assert!(loaded.units.is_empty());
+        only_segments("after reopen");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn boot_crc_checks_superseded_frames() {
+        let dir = tmp_dir("dead-frame-flip");
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, 1..=10);
+        // Supersede fp 1: its frame in the first sealed segment is now
+        // dead, and nothing at boot needs to read it for its value.
+        store
+            .append(&[unit(1, "u.vlt", Verdict::Rejected)])
+            .unwrap();
+        assert!(store.health().segments_sealed >= 2);
+        drop(store);
+        // One clean boot first, so a boot that skipped frames it knew
+        // to be dead would skip this one.
+        drop(VerdictStore::open(&dir, SMALL).unwrap());
+        let seg0 = dir.join(segment_file_name(0));
+        let mut bytes = std::fs::read(&seg0).unwrap();
+        bytes[HEADER_LEN as usize + 8 + 5] ^= 0x10; // inside fp 1's dead frame
+        std::fs::write(&seg0, &bytes).unwrap();
+
+        let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
+        assert_eq!(loaded.errors, 1, "the dead frame's CRC was checked");
+        assert_eq!(loaded.quarantined, 1);
+        assert!(!seg0.exists(), "the segment was renamed aside");
+        let live = live_units(&loaded);
+        assert_eq!(live[&1].verdict, Verdict::Rejected, "the newer frame wins");
+        assert!(live.contains_key(&10), "later segments still load");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sealing_splits_the_store_and_reopen_loads_every_segment() {
         let dir = tmp_dir("seal");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for fp in 1..=10 {
-            store
-                .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                .unwrap();
-        }
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, 1..=10);
         let health = store.health();
         assert!(health.segments_sealed >= 2, "got {health:?}");
         assert_eq!(health.live_frames, 10);
         drop(store);
-        let (_store, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        let (_store, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert_eq!(loaded.errors, 0);
         assert_eq!(unit_fps(&loaded), (1..=10).collect::<Vec<_>>());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn index_fast_boot_matches_full_scan_and_survives_index_loss() {
-        let dir = tmp_dir("index");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for fp in 1..=10 {
-            store
-                .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                .unwrap();
-        }
-        drop(store);
-        assert!(dir.join(INDEX_FILE_NAME).exists());
-        let (_s, with_index) = VerdictStore::open(&dir, cfg).unwrap();
-        drop(_s);
-        // Corrupt the index: boot falls back to a full scan and the
-        // replay is identical.
-        let idx = dir.join(INDEX_FILE_NAME);
-        let mut bytes = std::fs::read(&idx).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&idx, &bytes).unwrap();
-        let (_s, scanned) = VerdictStore::open(&dir, cfg).unwrap();
-        drop(_s);
-        assert_eq!(unit_fps(&with_index), unit_fps(&scanned));
-        assert_eq!(live_units(&with_index), live_units(&scanned));
-        assert_eq!(scanned.errors, 0, "a doubtful index is not an error");
-        // Index deleted entirely: same story.
-        std::fs::remove_file(&idx).unwrap();
-        let (_s, scanned) = VerdictStore::open(&dir, cfg).unwrap();
-        drop(_s);
-        assert_eq!(live_units(&with_index), live_units(&scanned));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1861,19 +1734,8 @@ mod tests {
     #[test]
     fn wipe_during_compaction_abandons_the_commit() {
         let dir = tmp_dir("wipe-race");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for round in 0..2 {
-            for fp in 1..=6 {
-                let _ = round;
-                store
-                    .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                    .unwrap();
-            }
-        }
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, (1..=6).chain(1..=6));
         // Interleave: plan + rewrite, then a clear-cache, then commit.
         let plan = store.compact_plan();
         let rewrite = store.compact_rewrite(plan).unwrap();
@@ -1882,14 +1744,9 @@ mod tests {
         assert!(!committed, "a wiped store must not resurrect old frames");
         assert_eq!(store.health().live_frames, 0);
         // No temp files were left behind, and reopen sees the wipe.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty());
+        assert!(no_tmp_files(&dir));
         drop(store);
-        let (_s, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert!(
             loaded.units.is_empty(),
             "wipe wins over in-flight compaction"
@@ -1900,69 +1757,42 @@ mod tests {
     #[test]
     fn restart_between_temp_write_and_rename_keeps_the_old_view() {
         let dir = tmp_dir("crash-pre-rename");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for round in 0..2 {
-            for fp in 1..=6 {
-                let _ = round;
-                store
-                    .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                    .unwrap();
-            }
-        }
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, (1..=6).chain(1..=6));
         let expected = {
             drop(store);
-            let (s, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+            let (s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
             let plan = s.compact_plan();
             let _rewrite = s.compact_rewrite(plan).unwrap();
             // Crash here: temp files written, nothing renamed.
             drop(s);
             live_units(&loaded)
         };
-        let (_s, recovered) = VerdictStore::open(&dir, cfg).unwrap();
+        let (_s, recovered) = VerdictStore::open(&dir, SMALL).unwrap();
         assert_eq!(live_units(&recovered), expected, "old view, exactly");
         assert_eq!(recovered.errors, 0);
         // The orphaned temp files were swept.
-        let tmps: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(tmps.is_empty());
+        assert!(no_tmp_files(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn restart_between_rename_and_index_write_keeps_the_new_view() {
-        let dir = tmp_dir("crash-pre-index");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for round in 0..2 {
-            for fp in 1..=6 {
-                let _ = round;
-                store
-                    .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                    .unwrap();
-            }
-        }
+    fn restart_after_compaction_commit_keeps_the_new_view() {
+        let dir = tmp_dir("crash-post-commit");
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, (1..=6).chain(1..=6));
         let expected = {
             let plan = store.compact_plan();
             let rewrite = store.compact_rewrite(plan).unwrap();
             assert!(store.compact_commit(rewrite).unwrap());
-            // Crash here: segments renamed, index never rewritten — so
-            // the index on disk is stale and must be distrusted.
+            // Crash here: segments renamed, nothing else written. The
+            // next boot must see the compacted segments and nothing else.
             let h = store.health();
             drop(store);
             h
         };
-        let (s, recovered) = VerdictStore::open(&dir, cfg).unwrap();
-        assert_eq!(recovered.errors, 0, "stale index falls back silently");
+        let (s, recovered) = VerdictStore::open(&dir, SMALL).unwrap();
+        assert_eq!(recovered.errors, 0, "compacted segments scan cleanly");
         let live = live_units(&recovered);
         assert_eq!(live.len(), expected.live_frames as usize);
         for fp in 1..=6 {
@@ -1982,11 +1812,7 @@ mod tests {
         let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
         // Distinct fingerprints: nothing is superseded, so compaction
         // alone cannot shrink the store — eviction must.
-        for fp in 1..=40 {
-            store
-                .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                .unwrap();
-        }
+        append_units(&store, 1..=40);
         assert!(store.health().disk_bytes > 1000);
         assert!(store.needs_maintenance());
         store.maintain().unwrap();
@@ -2008,16 +1834,8 @@ mod tests {
     #[test]
     fn corrupt_sealed_segment_is_quarantined_and_the_rest_load() {
         let dir = tmp_dir("quarantine-sealed");
-        let cfg = StoreConfig {
-            segment_max_bytes: 300,
-            max_bytes: None,
-        };
-        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
-        for fp in 1..=10 {
-            store
-                .append(&[unit(fp, "u.vlt", Verdict::Accepted)])
-                .unwrap();
-        }
+        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+        append_units(&store, 1..=10);
         assert!(store.health().segments_sealed >= 2);
         drop(store);
         // Bit-flip the middle of the first sealed segment.
@@ -2026,12 +1844,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&seg0, &bytes).unwrap();
-        // Stale index would mask the corruption check? No: the frame
-        // CRC is verified either way. Drop the index to force the full
-        // scan path through the quarantine logic.
-        let _ = std::fs::remove_file(dir.join(INDEX_FILE_NAME));
 
-        let (store, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        let (store, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert_eq!(loaded.quarantined, 1);
         assert!(loaded.errors >= 1);
         assert!(!seg0.exists(), "bad segment renamed aside");
@@ -2045,7 +1859,7 @@ mod tests {
             .append(&[unit(99, "z.vlt", Verdict::Rejected)])
             .unwrap();
         drop(store);
-        let (_s, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert!(live_units(&loaded).contains_key(&99));
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,9 +4,10 @@
 //! The store's contract is *speed, not answers*: every record's content
 //! is a pure function of its fingerprint (exactly as the real cache's
 //! content is a pure function of the source it fingerprints), so after
-//! ANY sequence of crashes, torn writes, bit flips, truncations, index
-//! corruption, and evictions, a recovered store may know fewer keys —
-//! but every key it does know must carry exactly the right value.
+//! ANY sequence of crashes, torn writes, bit flips, truncations,
+//! smashed segment headers, leftover files of older builds, and
+//! evictions, a recovered store may know fewer keys — but every key it
+//! does know must carry exactly the right value.
 //!
 //! Three layers prove it:
 //!
@@ -29,7 +30,7 @@ use std::sync::Mutex;
 
 use vault_core::check::CheckStats;
 use vault_core::{CheckSummary, Verdict};
-use vault_server::persist::{Loaded, Record, StoreConfig, VerdictStore, INDEX_FILE_NAME};
+use vault_server::persist::{Loaded, Record, StoreConfig, VerdictStore};
 use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Span};
 
 /// Chaos faults are armed process-wide, so every test in this binary
@@ -177,8 +178,9 @@ fn assert_faithful(loaded: &Loaded, context: &str) {
     }
 }
 
-/// Damage the cache directory the way disks and crashes do: truncate,
-/// flip bits, corrupt or delete the index, drop whole segments, leave
+/// Damage the cache directory the way disks, crashes and downgrades do:
+/// truncate, flip bits, smash a segment header, leave a garbage
+/// `index.vidx` (an older build kept one), drop whole segments, leave
 /// stray temp files.
 fn mutilate(dir: &Path, rng: &mut Rng) {
     let segs: Vec<PathBuf> = std::fs::read_dir(dir)
@@ -218,19 +220,24 @@ fn mutilate(dir: &Path, rng: &mut Rng) {
             }
         }
         2 => {
-            // Corrupt the index in place.
-            let index = dir.join(INDEX_FILE_NAME);
-            if let Ok(mut bytes) = std::fs::read(&index) {
-                if !bytes.is_empty() {
-                    let at = rng.below(bytes.len() as u64) as usize;
-                    bytes[at] = bytes[at].wrapping_add(1);
-                    let _ = std::fs::write(&index, bytes);
-                }
-            }
+            // An older build's live-frame index, garbled: it is an
+            // unknown file now, and boot must not trust a byte of it.
+            let mut garbage = b"VAULTIDX".to_vec();
+            garbage.extend((0..rng.below(64)).map(|_| rng.next() as u8));
+            let _ = std::fs::write(dir.join("index.vidx"), garbage);
         }
         3 => {
-            // Delete the index outright.
-            let _ = std::fs::remove_file(dir.join(INDEX_FILE_NAME));
+            // Corrupt one segment's 12-byte header (magic or format
+            // version): boot must quarantine that segment, not fail.
+            if let Some(path) = pick(&segs, rng) {
+                if let Ok(mut bytes) = std::fs::read(path) {
+                    if bytes.len() >= 12 {
+                        let at = rng.below(12) as usize;
+                        bytes[at] = bytes[at].wrapping_add(1 + rng.below(255) as u8);
+                        let _ = std::fs::write(path, bytes);
+                    }
+                }
+            }
         }
         4 => {
             // Delete a whole segment.
@@ -421,9 +428,9 @@ mod chaos_schedules {
                         .collect();
                     let _ = store.append(&records);
                 }
-                // Maintenance under fire: compaction crash points
-                // (`compact.write`, `compact.sync`, `compact.rename`,
-                // `index.write`) all fire in here.
+                // Maintenance under fire: the compaction crash points
+                // (`compact.write`, `compact.sync`, `compact.rename`)
+                // and, when the bound forces one, `seal` fire in here.
                 55..=69 => {
                     let _ = store.maintain();
                 }
@@ -440,8 +447,8 @@ mod chaos_schedules {
                     arm(rng.next(), fault_prob);
                 }
                 // Plain crash + recover, faults still armed through
-                // boot (boot's index rewrite is best-effort and must
-                // shrug an injected failure off).
+                // boot (boot writes nothing but a tail header, which
+                // has no fault point, so it must always succeed).
                 _ => {
                     drop(store);
                     store = reopen(&dir, cfg, &format!("{context}: after crash"));

@@ -64,13 +64,30 @@ impl std::fmt::Debug for Symbol {
     }
 }
 
-/// 64-bit FNV-1a, the workspace's standard content hash (no external
-/// hasher crates; identifiers are short, where FNV shines).
+/// The 64-bit FNV-1a offset basis: the hash of no bytes, and the state
+/// every fresh [`fnv1a`] chain starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The 64-bit FNV-1a prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Fold `bytes` into a running 64-bit FNV-1a state `h` (start from
+/// [`FNV_OFFSET`]). FNV-1a is the workspace's one content hash: every
+/// fingerprint the project planner and the daemon compute is a chain of
+/// these folds.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// [`fnv1a`] as a `std::hash::Hasher` (no external hasher crates;
+/// identifiers are short, where FNV shines).
 #[derive(Default)]
 pub struct FnvHasher(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl Hasher for FnvHasher {
     fn finish(&self) -> u64 {
@@ -82,12 +99,7 @@ impl Hasher for FnvHasher {
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { FNV_OFFSET } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
+        self.0 = fnv1a(self.finish(), bytes);
     }
 }
 
