@@ -63,7 +63,7 @@ use vault_core::Limits;
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, Shape, SynthConfig};
 use vault_server::{
-    CheckPool, CheckService, IncrementalEngine, Json, Metrics, ServiceConfig, UnitIn,
+    CheckService, IncrementalEngine, Json, Metrics, ServiceConfig, ThreadPool, UnitIn,
 };
 
 /// Pre-optimization numbers, measured with this binary's `cold` loop on
@@ -718,9 +718,9 @@ fn realistic_edits(iters: usize) -> Json {
     let program = realistic_edits_unit();
     let base = EditSession::new(program.source.clone());
     let limits = Limits::default();
-    let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+    let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
     let mut rng = StdRng::seed_from_u64(0xed17);
-    let check = |engine: &Arc<IncrementalEngine>, m: &Metrics, source: &str| {
+    let check = |engine: &IncrementalEngine, m: &Metrics, source: &str| {
         let t = Instant::now();
         let got = engine.check_unit_with_prelude_parallel(NAME, "", source, &limits, m, &pool);
         let took = t.elapsed();
@@ -745,7 +745,7 @@ fn realistic_edits(iters: usize) -> Json {
             if kind == EditKind::Undo {
                 s.apply(EditKind::BodyLine, &mut rng);
             }
-            let engine = Arc::new(IncrementalEngine::new(4, 4096));
+            let engine = IncrementalEngine::new(4, 4096);
             let m = Metrics::default();
             check(&engine, &m, s.source());
             if !s.apply(kind, &mut rng) {
@@ -787,17 +787,17 @@ fn realistic_edits(iters: usize) -> Json {
         }
         let m = Metrics::default();
         // Fast path: the base version is the cached environment.
-        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        let engine = IncrementalEngine::new(1, 4096);
         check(&engine, &m, base.source());
         fast.push(check(&engine, &m, s.source()));
         // Full path, every unchanged verdict cached: another unit
         // evicts the one-slot environment cache first.
-        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        let engine = IncrementalEngine::new(1, 4096);
         check(&engine, &m, base.source());
         engine.check_unit_with_prelude_parallel("other.vlt", "", &other.source, &limits, &m, &pool);
         full_hits.push(check(&engine, &m, s.source()));
         // Full path, nothing cached.
-        let engine = Arc::new(IncrementalEngine::new(1, 4096));
+        let engine = IncrementalEngine::new(1, 4096);
         full_cold.push(check(&engine, &m, s.source()));
     }
     let (fast, full_hits, full_cold) = (

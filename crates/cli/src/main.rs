@@ -243,23 +243,15 @@ fn check_cmd(rest: &[String]) -> ExitCode {
         return check_remote(&remote, retries, units, any_unreadable);
     }
 
-    // jobs = 1 checks inline; jobs > 1 fans out across a worker pool.
-    // Both paths produce the same summaries in input order, so output
-    // is byte-identical regardless of parallelism.
-    let summaries: Vec<CheckSummary> = if args.jobs <= 1 {
-        units
-            .iter()
-            .map(|u| vault_core::check_summary(&u.name, &u.source))
-            .collect()
-    } else {
-        let svc = CheckService::new(ServiceConfig {
-            jobs: args.jobs,
-            cache_capacity: units.len().max(1),
-            ..Default::default()
-        });
-        let (reports, _) = svc.check_units(units);
-        reports.into_iter().map(|r| (*r.summary).clone()).collect()
-    };
+    // Summaries come back in input order, so output is byte-identical
+    // at any --jobs.
+    let svc = CheckService::new(ServiceConfig {
+        jobs: args.jobs,
+        cache_capacity: units.len().max(1),
+        ..Default::default()
+    });
+    let (reports, _) = svc.check_units(units);
+    let summaries: Vec<CheckSummary> = reports.into_iter().map(|r| (*r.summary).clone()).collect();
 
     let code = render_summaries(&summaries);
     if any_unreadable {

@@ -213,7 +213,7 @@ fn check_jobs_output_is_identical_to_sequential() {
     let good = write_temp("jobs_good.vlt", GOOD);
     let leaky = write_temp("jobs_leaky.vlt", LEAKY);
     let paths = [good.to_str().unwrap(), leaky.to_str().unwrap()];
-    let sequential = vaultc(&["check", paths[0], paths[1]]);
+    let sequential = vaultc(&["check", "--jobs", "1", paths[0], paths[1]]);
     let parallel = vaultc(&["check", "--jobs", "4", paths[0], paths[1]]);
     assert_eq!(sequential.status.code(), parallel.status.code());
     assert_eq!(

@@ -84,17 +84,12 @@ fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
     // The parser interned every identifier at lex time — plus the
     // `<error>`/`<fn>` sentinels lowering error paths can introduce —
     // and froze the interner into string order, so elaboration reuses
-    // it instead of re-walking the whole AST to collect names. ASTs
-    // built by hand (tests) bypass the parser and arrive with an empty
-    // interner; rebuild it from the AST in that case.
-    let syms: Arc<Interner> = if program.syms.is_empty() && !program.decls.is_empty() {
-        let mut names = vault_syntax::ident_names(program);
-        names.insert("<error>");
-        names.insert("<fn>");
-        Arc::new(Interner::from_sorted(names))
-    } else {
-        Arc::clone(&program.syms)
-    };
+    // it instead of re-walking the whole AST to collect names.
+    debug_assert!(
+        program.decls.is_empty() || !program.syms.is_empty(),
+        "elaborating a program the parser did not intern"
+    );
+    let syms: Arc<Interner> = Arc::clone(&program.syms);
 
     let started = std::time::Instant::now();
     let mut world = World::new();

@@ -5,8 +5,8 @@
 //! the same summaries from `check_summary*` as from `check_source*`.
 
 use vault_core::{
-    check_source, check_source_with_limits, check_summary, check_summary_with_prelude, elaborate,
-    elaborate_owned, CheckSummary, Limits,
+    check_source, check_source_with_limits, check_summary, check_summary_with_limits,
+    check_summary_with_prelude, elaborate, elaborate_owned, CheckSummary, Limits,
 };
 use vault_corpus::synth::{self, Shape, SynthConfig};
 use vault_syntax::{parse_program, Attribution, DiagSink};
@@ -119,4 +119,16 @@ fn summaries_without_an_ast_match_the_full_result() {
     let got = check_summary_with_prelude("app", prelude, unit, &limits);
     assert!(!got.diagnostics.is_empty(), "the leak is reported");
     assert_eq!(got, want);
+}
+
+#[test]
+fn an_empty_prelude_checks_the_plain_unit() {
+    let limits = Limits::default();
+    for (name, src) in units() {
+        assert_eq!(
+            check_summary_with_prelude(&name, "", &src, &limits),
+            check_summary_with_limits(&name, &src, &limits),
+            "{name}"
+        );
+    }
 }

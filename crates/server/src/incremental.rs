@@ -41,34 +41,39 @@
 //! keys. On a 24 KB, 48-function unit that is about 69 KB (23 KB of it
 //! the text), against the 0.5 MB a cached copy of the body ASTs cost.
 //!
-//! # Two paths
+//! # One body loop
+//!
+//! Every check runs one loop: take each function's outcome in order (a
+//! cached verdict or a fresh check), splice it into the summary, and
+//! stop where the monolithic checker stops, after the first
+//! [`Code::LimitExceeded`]. Hits and misses are counted in that order,
+//! only up to the stop. The two paths differ only in where an outcome
+//! comes from:
 //!
 //! * **Fast path** — the environment cache holds a clean parse of an
 //!   earlier text under this unit name, and a common-prefix/suffix scan
 //!   against that text finds the edit confined strictly inside one
 //!   function body (both braces untouched). The cached [`Elaborated`] is
 //!   reused outright (no parse, no elaboration); later declarations'
-//!   spans shift by the length delta; only functions whose fingerprint
-//!   misses are re-checked, each via a *mini-parse* of just its own
-//!   declaration. A mini-parse lexes only the declaration's byte range
-//!   of the checked text, with spans in whole-text coordinates, and
-//!   yields exactly what a parse of the text blanked outside that range
-//!   would ([`vault_syntax::parse_range_with_depth`]). The edited
-//!   declaration is mini-parsed even when its verdict hits: a verdict
-//!   cached from a recovered parse of the same text cannot tell that the
-//!   text does not parse. A mini-parse must be pristine: no diagnostic,
-//!   exactly the expected span, a body, and no identifier the frozen
-//!   interner lacks. The environment entry is then refreshed with the
-//!   new text and slots, sharing the same [`Elaborated`].
+//!   spans shift by the length delta; a function whose fingerprint
+//!   misses is checked from a *mini-parse* of just its own declaration.
+//!   A mini-parse lexes only the declaration's byte range of the checked
+//!   text, with spans in whole-text coordinates, and yields exactly what
+//!   a parse of the text blanked outside that range would
+//!   ([`vault_syntax::parse_range_with_depth`]). The edited declaration
+//!   is mini-parsed even when its verdict hits: a verdict cached from a
+//!   recovered parse of the same text cannot tell that the text does not
+//!   parse. A mini-parse must be pristine: no diagnostic, exactly the
+//!   expected span, a body, and no identifier the frozen interner lacks.
+//!   Otherwise, or when a fresh verdict reaches outside its declaration,
+//!   the fast path abandons the check with nothing counted. The
+//!   environment entry is then refreshed with the new text and slots,
+//!   sharing the same [`Elaborated`].
 //! * **Full path** — anything else (an edit outside bodies or spanning
 //!   two, a brace edit, a new identifier, a syntax error, an evicted
-//!   environment): parse + elaborate fresh, but still probe the
-//!   per-function cache before checking each body, so every function
-//!   whose text and environment are unchanged hits wherever it moved.
-//!
-//! The fast path counts its function-cache hits and misses only when it
-//! answers; after a fallback, the full path's counts are the unit's only
-//! ones.
+//!   environment): parse + elaborate fresh, then probe the per-function
+//!   cache before checking each body, so every function whose text and
+//!   environment are unchanged hits wherever it moved.
 //!
 //! Either way the assembled [`CheckSummary`] is **byte-identical** to
 //! what a monolithic [`vault_core::check_summary_with_limits`] run would
@@ -80,39 +85,32 @@
 //! verdict is not a pure function of the input, so caching any part of
 //! it could pin a transient timeout onto healthy re-checks.
 //!
-//! # Parallel per-function checking
+//! # Prefetch
 //!
-//! Function bodies are independent given the environment, so a full
-//! check can fan them out across the worker pool
-//! ([`IncrementalEngine::check_unit_with_prelude_parallel`]): the
-//! *driver* (the thread already running the unit's job) and up to
-//! `workers - 1` helper jobs claim function indices from a shared
-//! atomic counter (work stealing — the driver always participates, so
-//! the fan-out makes progress even when every other worker is busy and
-//! can never deadlock on its own queue). Outcomes are collected per
-//! index and **assembled strictly in function order**, replicating the
-//! sequential loop byte for byte: cache hits/misses are counted only
-//! up to the point where assembly stops (the sequential loop's
-//! early-exit on [`Code::LimitExceeded`]), per-function
-//! `frames_copied` counters are exact because each body runs start to
-//! finish on one thread against a thread-local counter (see
-//! [`vault_core::flow::FrameCopyScope`]) and are summed by
-//! `CheckStats::absorb` at assembly, and a panicking function re-panics
-//! on the driver in function order so the service's containment
-//! produces the same `internal-error` summary the sequential path
-//! would. The one divergence is warmth, not output: functions past a
-//! sequential early exit (or past a panic) may still be checked and
-//! cached by helpers that already claimed them.
+//! Bodies are independent given the environment, so helper jobs on the
+//! worker pool may fill the full path's outcome slots ahead of the loop
+//! ([`IncrementalEngine::check_unit_with_prelude_parallel`]). Helpers
+//! and loop claim function indices from one atomic counter, and the loop
+//! claims only while the slot it needs is empty, so each body is checked
+//! once and a helper still queued behind other work never holds the loop
+//! up. The sequential check is the zero-helper case: the loop claims
+//! exactly the index it needs, and nothing past an early exit is
+//! checked. Per-function `frames_copied` counters stay exact because
+//! each body runs start to finish on one thread (see
+//! [`vault_core::flow::FrameCopyScope`]). A panicking check is caught
+//! where it runs and re-raised by the loop in function order, before the
+//! metrics are added or the environment cache is written, so the
+//! service's containment produces the same `internal-error` summary
+//! whichever thread ran it. The one divergence is warmth, not output:
+//! helpers may check and cache functions past an early exit or a panic.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use vault_core::check::{check_function_with_limits, CheckStats};
 use vault_core::{
-    check_summary_with_limits, check_summary_with_prelude, elaborate_owned, CheckSummary,
-    Elaborated, Limits, Verdict,
+    check_summary_with_prelude, elaborate_owned, CheckSummary, Elaborated, Limits, Verdict,
 };
 use vault_syntax::intern::fnv1a;
 use vault_syntax::{
@@ -122,7 +120,7 @@ use vault_syntax::{
 
 use crate::cache::{fnv1a_64, LruCache};
 use crate::metrics::Metrics;
-use crate::pool::{panic_payload, CheckPool};
+use crate::pool::{panic_payload, ThreadPool};
 
 /// Headroom subtracted from the parser depth for a mini-parse. A
 /// declaration nested inside `interface { ... }` sits a few grammar
@@ -159,19 +157,27 @@ struct CachedEnv {
 }
 
 impl CachedEnv {
-    /// The slots and fingerprints of `source` when it differs from this
-    /// entry's text only strictly inside one function body (or not at
-    /// all), plus that body's index; `None` otherwise.
+    /// This entry refreshed for `source` when `source` differs from its
+    /// text only strictly inside one function body (or not at all), plus
+    /// that body's index; `None` otherwise. The refreshed entry shares
+    /// this one's [`Elaborated`].
     ///
     /// A common-prefix/suffix scan bounds the replaced region. The
     /// signature text is then unchanged, so `env_hash` still holds;
     /// every offset past the region moves by the length delta, and only
     /// the edited declaration needs a new fingerprint.
-    fn edited_to(&self, source: &str) -> Option<EditedSlots> {
+    fn edited_to(&self, source: &str) -> Option<(CachedEnv, Option<usize>)> {
+        let refreshed = |slots: Vec<(Span, Span)>, fps: Vec<u64>| CachedEnv {
+            source: Arc::from(source),
+            slots,
+            fps,
+            elaborated: Arc::clone(&self.elaborated),
+            ..*self
+        };
         let (old, new) = (self.source.as_bytes(), source.as_bytes());
         let prefix = common_prefix(old, new);
         if prefix == old.len() && prefix == new.len() {
-            return Some((self.slots.clone(), self.fps.clone(), None));
+            return Some((refreshed(self.slots.clone(), self.fps.clone()), None));
         }
         let suffix = common_suffix(&old[prefix..], &new[prefix..]);
         // `old[prefix..old_end]` was replaced; the opening brace must sit
@@ -203,13 +209,9 @@ impl CachedEnv {
             .collect();
         let mut fps = self.fps.clone();
         fps[k] = fn_fingerprint(self.env_hash, source, slots[k].0);
-        Some((slots, fps, Some(k)))
+        Some((refreshed(slots, fps), Some(k)))
     }
 }
-
-/// Slots and fingerprints after an edit, plus the index of the edited
-/// function (`None` when the text is unchanged).
-type EditedSlots = (Vec<(Span, Span)>, Vec<u64>, Option<usize>);
 
 /// Length of the longest common prefix of `a` and `b`.
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -314,7 +316,6 @@ fn splice(
     attr: &Attribution,
     start: u32,
     verdict: &FnVerdict,
-    pre_limit: bool,
 ) -> bool {
     for d in &verdict.diags {
         let mut d = d.clone();
@@ -322,7 +323,107 @@ fn splice(
         views.push(attr.view(&d));
     }
     stats.absorb(verdict.stats);
-    pre_limit || verdict.diags.iter().any(|d| d.code == Code::LimitExceeded)
+    verdict.diags.iter().any(|d| d.code == Code::LimitExceeded)
+}
+
+/// What one function contributes to a check.
+#[derive(Clone)]
+enum FnOutcome {
+    /// The per-function cache already had the verdict.
+    Hit(Arc<FnVerdict>),
+    /// Freshly checked (and cached when self-contained), with the
+    /// microseconds the check took.
+    Fresh(Arc<FnVerdict>, u64),
+    /// The check panicked; [`assemble`] re-raises the payload in
+    /// function order.
+    Panicked(String),
+}
+
+/// The one body loop every check runs. Takes each function's outcome
+/// in order, counts hits and misses, splices the verdict at its
+/// declaration's current start, and stops where the monolithic checker
+/// stops. `outcome` returning `None` abandons the check with nothing
+/// counted. A panicked outcome re-raises its payload before anything is
+/// counted; callers write the environment cache only after this
+/// returns.
+fn assemble(
+    name: &str,
+    attr: &Attribution,
+    slots: &[(Span, Span)],
+    mut views: Vec<DiagView>,
+    mut stats: CheckStats,
+    metrics: &Metrics,
+    mut outcome: impl FnMut(usize) -> Option<FnOutcome>,
+) -> Option<CheckSummary> {
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for (i, &(decl, _)) in slots.iter().enumerate() {
+        let verdict = match outcome(i)? {
+            FnOutcome::Hit(v) => {
+                hits += 1;
+                v
+            }
+            FnOutcome::Fresh(v, micros) => {
+                misses += 1;
+                stats.check_micros += micros;
+                v
+            }
+            FnOutcome::Panicked(msg) => resume_unwind(Box::new(msg)),
+        };
+        if splice(&mut views, &mut stats, attr, decl.start, &verdict) {
+            break;
+        }
+    }
+    metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
+    metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
+    Some(CheckSummary {
+        name: name.to_string(),
+        verdict: verdict_of(&views),
+        diagnostics: views,
+        stats,
+    })
+}
+
+/// The per-function verdict cache. Shared (`Arc`) with the prefetch
+/// helpers of a full check.
+struct FnCache {
+    lru: Mutex<LruCache<Arc<FnVerdict>>>,
+    /// When set (persistence enabled), every fresh function verdict is
+    /// also pushed onto `dirty` for the service's journal writer to
+    /// drain into the on-disk store. Off by default so a daemon without
+    /// `--cache-dir` never accumulates an unbounded list.
+    track_dirty: AtomicBool,
+    /// Fresh `(fingerprint, verdict)` pairs not yet persisted.
+    dirty: Mutex<Vec<(u64, Arc<FnVerdict>)>>,
+}
+
+impl FnCache {
+    fn get(&self, fp: u64) -> Option<Arc<FnVerdict>> {
+        lock(&self.lru).get(fp)
+    }
+
+    /// Cache a freshly checked verdict under `fp` (and queue it for the
+    /// persistence layer, when enabled) if it is self-contained within
+    /// `decl`. Returns it shared either way.
+    fn remember(&self, fp: u64, decl: Span, verdict: FnVerdict) -> Arc<FnVerdict> {
+        let verdict = Arc::new(verdict);
+        if verdict.self_contained(decl.len()) {
+            lock(&self.lru).put(fp, Arc::clone(&verdict));
+            if self.track_dirty.load(Ordering::Relaxed) {
+                lock(&self.dirty).push((fp, Arc::clone(&verdict)));
+            }
+        }
+        verdict
+    }
+
+    /// Check `f` against `elab` and remember the verdict under `fp`: the
+    /// miss step of every path. A panicking check is caught here, on
+    /// whichever thread ran it.
+    fn check(&self, fp: u64, elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> FnOutcome {
+        match catch_unwind(AssertUnwindSafe(|| check_body(elab, f, limits))) {
+            Ok((v, micros)) => FnOutcome::Fresh(self.remember(fp, f.span, v), micros),
+            Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
+        }
+    }
 }
 
 /// Shared function-granular incremental checking state.
@@ -333,14 +434,7 @@ fn splice(
 /// could break halfway, so the worst case is a missing entry.
 pub struct IncrementalEngine {
     envs: Mutex<LruCache<Arc<CachedEnv>>>,
-    fns: Mutex<LruCache<Arc<FnVerdict>>>,
-    /// When set (persistence enabled), every fresh function verdict is
-    /// also pushed onto `dirty` for the service's journal writer to
-    /// drain into the on-disk store. Off by default so a daemon without
-    /// `--cache-dir` never accumulates an unbounded list.
-    track_dirty: std::sync::atomic::AtomicBool,
-    /// Fresh `(fingerprint, verdict)` pairs not yet persisted.
-    dirty: Mutex<Vec<(u64, Arc<FnVerdict>)>>,
+    fns: Arc<FnCache>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -477,81 +571,70 @@ fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> (FnVerdic
 /// The front half of a full check: parse + elaborate, plus everything
 /// derived from them that body checking needs.
 struct FrontEnd {
-    /// The declaration environment, without bodies: what the
-    /// environment cache keeps.
-    elaborated: Arc<Elaborated>,
+    /// What the environment cache keeps once the check ends.
+    env: CachedEnv,
     /// The unit's function bodies, in check order, moved out of the
     /// parse. Freed when the unit's check ends.
     bodies: Vec<ast::FunDecl>,
     pre_views: Vec<DiagView>,
-    pre_limit: bool,
-    slots: Vec<(Span, Span)>,
-    base_hash: u64,
-    env_hash: u64,
-    /// Per-function fingerprints, in check order.
-    fps: Vec<u64>,
+    /// How many functions the body loop may reach: only the first after
+    /// a front-end [`Code::LimitExceeded`], as in the monolithic checker.
+    reach: usize,
     /// Stats seeded with the front-end phase timings.
     stats: CheckStats,
 }
 
-/// What one claimed function produced during a parallel fan-out.
-enum FnOutcome {
-    /// The per-function cache already had the verdict.
-    Hit(Arc<FnVerdict>),
-    /// Freshly checked (and cached when self-contained), with the
-    /// microseconds the check took.
-    Fresh(Arc<FnVerdict>, u64),
-    /// The check panicked; the payload re-panics at assembly, in
-    /// function order, so containment matches the sequential path.
-    Panicked(String),
-}
-
-/// Shared state of one unit's parallel fan-out. The driver and every
-/// helper claim function indices from `next` until the range is
-/// exhausted; results travel back over an `mpsc` channel keyed by
-/// index.
-struct FanOut {
-    engine: Arc<IncrementalEngine>,
+/// A full check's function bodies, with one outcome slot each. The
+/// body loop fills the slot it needs next; prefetch helpers on the pool
+/// fill slots ahead of it. Every slot is claimed from `next`, in order,
+/// so each function is checked at most once.
+struct Bodies {
+    fns: Arc<FnCache>,
     elaborated: Arc<Elaborated>,
     /// The unit's bodies, moved from its [`FrontEnd`].
     bodies: Vec<ast::FunDecl>,
     fps: Vec<u64>,
     limits: Limits,
+    /// The lowest index nobody has claimed yet.
     next: AtomicUsize,
+    /// One slot per function the loop may reach.
+    ready: Vec<OnceLock<FnOutcome>>,
 }
 
-impl FanOut {
-    /// Claim and check functions until none are left.
-    fn run(&self, tx: &Sender<(usize, FnOutcome)>) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.fps.len() {
-                return;
-            }
-            // The receiver only hangs up after collecting every
-            // result, and every claimed index sends exactly once, so a
-            // failed send is unreachable; ignoring it is still the
-            // right degradation.
-            let _ = tx.send((i, self.check_one(i)));
+impl Bodies {
+    /// Claim the next unclaimed function and fill its slot; `false` once
+    /// every function is claimed.
+    fn claim(&self) -> bool {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = self.ready.get(i) else {
+            return false;
+        };
+        slot.get_or_init(|| self.outcome(i));
+        true
+    }
+
+    /// Probe the per-function cache, checking on a miss.
+    fn outcome(&self, i: usize) -> FnOutcome {
+        let fp = self.fps[i];
+        match self.fns.get(fp) {
+            Some(v) => FnOutcome::Hit(v),
+            None => self
+                .fns
+                .check(fp, &self.elaborated, &self.bodies[i], &self.limits),
         }
     }
 
-    /// Probe the per-function cache, checking on a miss — the parallel
-    /// twin of one iteration of the sequential assembly loop.
-    fn check_one(&self, i: usize) -> FnOutcome {
-        let fp = self.fps[i];
-        let probed = lock(&self.engine.fns).get(fp);
-        if let Some(v) = probed {
-            return FnOutcome::Hit(v);
-        }
-        let f = &self.bodies[i];
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            check_body(&self.elaborated, f, &self.limits)
-        }));
-        match outcome {
-            Ok((v, micros)) => FnOutcome::Fresh(self.engine.remember(fp, f.span, v), micros),
-            Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
-        }
+    /// What a helper job runs: claim until nothing is left.
+    fn prefetch(&self) {
+        while self.claim() {}
+    }
+
+    /// Function `i`'s outcome. Claims in order while slot `i` is empty;
+    /// once every function is claimed, waits for whoever holds `i`, or
+    /// fills it here if its claimant has not started on it.
+    fn probe(&self, i: usize) -> FnOutcome {
+        while self.ready[i].get().is_none() && self.claim() {}
+        self.ready[i].get_or_init(|| self.outcome(i)).clone()
     }
 }
 
@@ -561,37 +644,25 @@ impl IncrementalEngine {
     pub fn new(env_capacity: usize, fn_capacity: usize) -> Self {
         IncrementalEngine {
             envs: Mutex::new(LruCache::new(env_capacity)),
-            fns: Mutex::new(LruCache::new(fn_capacity)),
-            track_dirty: std::sync::atomic::AtomicBool::new(false),
-            dirty: Mutex::new(Vec::new()),
+            fns: Arc::new(FnCache {
+                lru: Mutex::new(LruCache::new(fn_capacity)),
+                track_dirty: AtomicBool::new(false),
+                dirty: Mutex::new(Vec::new()),
+            }),
         }
     }
 
     /// Start recording fresh function verdicts for [`Self::take_dirty`].
     /// Called once by the service when a persistent cache is attached.
     pub fn enable_dirty_tracking(&self) {
-        self.track_dirty.store(true, Ordering::Relaxed);
-    }
-
-    /// Cache a freshly checked verdict under `fp` (and queue it for the
-    /// persistence layer, when enabled) if it is self-contained within
-    /// `decl`. Returns it shared either way.
-    fn remember(&self, fp: u64, decl: Span, verdict: FnVerdict) -> Arc<FnVerdict> {
-        let verdict = Arc::new(verdict);
-        if verdict.self_contained(decl.len()) {
-            lock(&self.fns).put(fp, Arc::clone(&verdict));
-            if self.track_dirty.load(Ordering::Relaxed) {
-                lock(&self.dirty).push((fp, Arc::clone(&verdict)));
-            }
-        }
-        verdict
+        self.fns.track_dirty.store(true, Ordering::Relaxed);
     }
 
     /// Drain every function verdict computed since the last drain, as
     /// `(fingerprint, declaration-relative diagnostics, stats)` rows
     /// ready to journal.
     pub fn take_dirty(&self) -> Vec<(u64, Vec<Diagnostic>, CheckStats)> {
-        std::mem::take(&mut *lock(&self.dirty))
+        std::mem::take(&mut *lock(&self.fns.dirty))
             .into_iter()
             .map(|(fp, v)| (fp, v.diags.clone(), v.stats))
             .collect()
@@ -604,7 +675,7 @@ impl IncrementalEngine {
     /// under the same declarations hits this entry wherever the function
     /// has moved. Any phase timings in `stats` are dropped.
     pub fn seed_fn(&self, fp: u64, diags: Vec<Diagnostic>, stats: CheckStats) {
-        lock(&self.fns).put(
+        lock(&self.fns.lru).put(
             fp,
             Arc::new(FnVerdict {
                 diags,
@@ -624,7 +695,7 @@ impl IncrementalEngine {
         limits: &Limits,
         metrics: &Metrics,
     ) -> CheckSummary {
-        self.check_unit_with_prelude(name, "", source, limits, metrics)
+        self.check(name, "", source, limits, metrics, None)
     }
 
     /// [`Self::check_unit`] against a dependency-signature prelude
@@ -632,8 +703,8 @@ impl IncrementalEngine {
     /// diagnostic is re-attributed to unit coordinates through
     /// [`Attribution`], and the environment hash absorbs the prelude, so
     /// a unit keeps its per-function cache across body edits even inside
-    /// a project. With an empty prelude the result is byte-identical to
-    /// [`vault_core::check_summary_with_limits`].
+    /// a project. The result is byte-identical to
+    /// [`vault_core::check_summary_with_prelude`].
     pub fn check_unit_with_prelude(
         &self,
         name: &str,
@@ -642,23 +713,27 @@ impl IncrementalEngine {
         limits: &Limits,
         metrics: &Metrics,
     ) -> CheckSummary {
-        if limits.deadline.is_some() {
-            // Wall-clock verdicts are not pure functions of the input.
-            if prelude.is_empty() {
-                return check_summary_with_limits(name, source, limits);
-            }
-            return check_summary_with_prelude(name, prelude, source, limits);
-        }
-        let attr = Attribution::with_prelude(name, prelude, source);
-        if let Some(summary) = self.try_fast_path(name, &attr, limits, metrics) {
-            return summary;
-        }
-        self.full_check(name, &attr, limits, metrics)
+        self.check(name, prelude, source, limits, metrics, None)
+    }
+
+    /// [`Self::check_unit_with_prelude`], with a full check's function
+    /// bodies prefetched by helper jobs on `pool` (see the module docs).
+    /// Byte-identical to the sequential entry on every input.
+    pub fn check_unit_with_prelude_parallel(
+        &self,
+        name: &str,
+        prelude: &str,
+        source: &str,
+        limits: &Limits,
+        metrics: &Metrics,
+        pool: &ThreadPool,
+    ) -> CheckSummary {
+        self.check(name, prelude, source, limits, metrics, Some(pool))
     }
 
     /// Live entry counts `(environments, function verdicts)`.
     pub fn entries(&self) -> (usize, usize) {
-        (lock(&self.envs).len(), lock(&self.fns).len())
+        (lock(&self.envs).len(), lock(&self.fns.lru).len())
     }
 
     /// Drop every cached environment and function verdict, plus any
@@ -666,14 +741,37 @@ impl IncrementalEngine {
     /// disk log too — journaling them afterwards would resurrect them).
     pub fn clear(&self) {
         lock(&self.envs).clear();
-        lock(&self.fns).clear();
-        lock(&self.dirty).clear();
+        lock(&self.fns.lru).clear();
+        lock(&self.fns.dirty).clear();
     }
 
-    /// Edit-region path: reuse the cached elaboration, re-check only the
-    /// functions whose fingerprints miss. `None` means the preconditions
-    /// failed and the full path must run; nothing is counted then, so
-    /// the full path's counts are the unit's only ones.
+    /// Every entry point: the fast path when it applies, else the full
+    /// path, prefetching on `pool` when given one.
+    fn check(
+        &self,
+        name: &str,
+        prelude: &str,
+        source: &str,
+        limits: &Limits,
+        metrics: &Metrics,
+        pool: Option<&ThreadPool>,
+    ) -> CheckSummary {
+        if limits.deadline.is_some() {
+            // Wall-clock verdicts are not pure functions of the input.
+            return check_summary_with_prelude(name, prelude, source, limits);
+        }
+        let attr = Attribution::with_prelude(name, prelude, source);
+        if let Some(summary) = self.try_fast_path(name, &attr, limits, metrics) {
+            return summary;
+        }
+        self.full_check(name, &attr, limits, metrics, pool)
+    }
+
+    /// Edit-region path: reuse the cached elaboration; a function whose
+    /// fingerprint misses is checked from a mini-parse of its own
+    /// declaration. `None` means the preconditions failed and the full
+    /// path must run; nothing is counted then, so the full path's counts
+    /// are the unit's only ones.
     fn try_fast_path(
         &self,
         name: &str,
@@ -682,12 +780,12 @@ impl IncrementalEngine {
         metrics: &Metrics,
     ) -> Option<CheckSummary> {
         let source = attr.full_text();
-        let env = lock(&self.envs).get(fnv1a_64(name.as_bytes()))?;
-        if !env.clean || env.base_hash != base_hash(name, limits, attr.prelude_len()) {
+        let cached = lock(&self.envs).get(fnv1a_64(name.as_bytes()))?;
+        if !cached.clean || cached.base_hash != base_hash(name, limits, attr.prelude_len()) {
             return None;
         }
-        let (slots, fps, edited) = env.edited_to(source)?;
-        let parse = |decl| mini_parse(attr.full_text(), decl, &env.elaborated, limits);
+        let (env, edited) = cached.edited_to(source)?;
+        let parse = |decl| mini_parse(source, decl, &env.elaborated, limits);
         // The edited declaration must parse pristine even when its
         // verdict is cached: a verdict cached from a recovered parse of
         // the same text says nothing about the syntax error. `None`
@@ -695,63 +793,29 @@ impl IncrementalEngine {
         // identifier) means only the full pipeline can say what the
         // unit means now.
         let mut edited_fn = match edited {
-            Some(k) => Some(parse(slots[k].0)?),
+            Some(k) => Some(parse(env.slots[k].0)?),
             None => None,
         };
-
-        let mut views: Vec<DiagView> = Vec::new();
-        let mut stats = CheckStats::default();
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (i, (&(decl, _), &fp)) in slots.iter().zip(&fps).enumerate() {
-            // Bind the probe result first: a guard living in a match
-            // scrutinee would still be held when the miss arm re-locks.
-            let probed = lock(&self.fns).get(fp);
-            let verdict = match probed {
-                Some(v) => {
-                    hits += 1;
-                    v
-                }
-                None => {
-                    misses += 1;
-                    let f = match edited_fn.take_if(|_| edited == Some(i)) {
-                        Some(f) => f,
-                        None => parse(decl)?,
-                    };
-                    // A verdict reaching outside its declaration may
-                    // point at text this entry has shifted.
-                    let (v, micros) = check_body(&env.elaborated, &f, limits);
-                    if !v.self_contained(decl.len()) {
-                        return None;
-                    }
-                    stats.check_micros += micros;
-                    self.remember(fp, decl, v)
-                }
-            };
-            if splice(&mut views, &mut stats, attr, decl.start, &verdict, false) {
-                break;
+        let outcome = |i: usize| {
+            if let Some(v) = self.fns.get(env.fps[i]) {
+                return Some(FnOutcome::Hit(v));
             }
-        }
-        metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        lock(&self.envs).put(
-            fnv1a_64(name.as_bytes()),
-            Arc::new(CachedEnv {
-                base_hash: env.base_hash,
-                env_hash: env.env_hash,
-                source: Arc::from(source),
-                slots,
-                fps,
-                elaborated: Arc::clone(&env.elaborated),
-                clean: true,
-            }),
-        );
-        Some(CheckSummary {
-            name: name.to_string(),
-            verdict: verdict_of(&views),
-            diagnostics: views,
-            stats,
-        })
+            let decl = env.slots[i].0;
+            let f = match edited_fn.take_if(|_| edited == Some(i)) {
+                Some(f) => f,
+                None => parse(decl)?,
+            };
+            match self.fns.check(env.fps[i], &env.elaborated, &f, limits) {
+                // A verdict reaching outside its declaration may point
+                // at text this entry has shifted.
+                FnOutcome::Fresh(v, _) if !v.self_contained(decl.len()) => None,
+                outcome => Some(outcome),
+            }
+        };
+        let stats = CheckStats::default();
+        let summary = assemble(name, attr, &env.slots, Vec::new(), stats, metrics, outcome)?;
+        lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
+        Some(summary)
     }
 
     /// Parse + elaborate the unit and fingerprint every function body:
@@ -765,7 +829,11 @@ impl IncrementalEngine {
             parse_program_with_depth_timed(source, &mut pre, limits.parser_depth);
         let mut elaborated = elaborate_owned(program, &mut pre);
         let bodies = std::mem::take(&mut elaborated.bodies);
-        let pre_limit = pre.has_code(Code::LimitExceeded);
+        let reach = if pre.has_code(Code::LimitExceeded) {
+            bodies.len().min(1)
+        } else {
+            bodies.len()
+        };
         let pre_views: Vec<DiagView> = pre.into_vec().iter().map(|d| attr.view(d)).collect();
 
         let slots: Vec<(Span, Span)> = bodies
@@ -786,232 +854,76 @@ impl IncrementalEngine {
             ..CheckStats::default()
         };
         FrontEnd {
-            elaborated: Arc::new(elaborated),
+            env: CachedEnv {
+                base_hash: base,
+                env_hash: eh,
+                source: Arc::from(source),
+                slots,
+                fps,
+                elaborated: Arc::new(elaborated),
+                clean: pre_views.is_empty(),
+            },
             bodies,
             pre_views,
-            pre_limit,
-            slots,
-            base_hash: base,
-            env_hash: eh,
-            fps,
+            reach,
             stats,
         }
     }
 
-    /// Refresh the environment cache from a finished front end.
-    fn store_env(&self, name: &str, source: &str, fe: FrontEnd) {
-        lock(&self.envs).put(
-            fnv1a_64(name.as_bytes()),
-            Arc::new(CachedEnv {
-                base_hash: fe.base_hash,
-                env_hash: fe.env_hash,
-                source: Arc::from(source),
-                slots: fe.slots,
-                fps: fe.fps,
-                elaborated: fe.elaborated,
-                clean: fe.pre_views.is_empty(),
-            }),
-        );
-    }
-
-    /// Parse + elaborate fresh, probe the per-function cache before
-    /// checking each body, and refresh the environment cache.
+    /// Parse + elaborate fresh, run the body loop over the per-function
+    /// cache (prefetching on `pool` when given one), and refresh the
+    /// environment cache.
     fn full_check(
         &self,
         name: &str,
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
+        pool: Option<&ThreadPool>,
     ) -> CheckSummary {
-        let fe = self.front(name, attr, limits);
-        self.assemble_sequential(name, attr, limits, metrics, fe)
-    }
-
-    /// The sequential body loop over a finished front end — the
-    /// reference order every parallel assembly must reproduce.
-    fn assemble_sequential(
-        &self,
-        name: &str,
-        attr: &Attribution,
-        limits: &Limits,
-        metrics: &Metrics,
-        fe: FrontEnd,
-    ) -> CheckSummary {
-        let mut views = fe.pre_views.clone();
-        let mut stats = fe.stats;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for (f, &fp) in fe.bodies.iter().zip(&fe.fps) {
-            let probed = lock(&self.fns).get(fp);
-            let verdict = match probed {
-                Some(v) => {
-                    hits += 1;
-                    v
-                }
-                None => {
-                    misses += 1;
-                    let (v, micros) = check_body(&fe.elaborated, f, limits);
-                    stats.check_micros += micros;
-                    self.remember(fp, f.span, v)
-                }
-            };
-            if splice(
-                &mut views,
-                &mut stats,
-                attr,
-                f.span.start,
-                &verdict,
-                fe.pre_limit,
-            ) {
-                break;
-            }
-        }
-        metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_env(name, attr.full_text(), fe);
-        CheckSummary {
-            name: name.to_string(),
-            verdict: verdict_of(&views),
-            diagnostics: views,
+        let FrontEnd {
+            env,
+            bodies,
+            pre_views,
+            reach,
             stats,
-        }
-    }
-
-    /// [`Self::check_unit_with_prelude`], with cache misses fanned out
-    /// per function across `pool`. Byte-identical to the sequential
-    /// entry on every input (see the module docs for the determinism
-    /// argument); an empty `prelude` checks a plain unit.
-    pub fn check_unit_with_prelude_parallel(
-        self: &Arc<Self>,
-        name: &str,
-        prelude: &str,
-        source: &str,
-        limits: &Limits,
-        metrics: &Metrics,
-        pool: &Arc<CheckPool>,
-    ) -> CheckSummary {
-        if limits.deadline.is_some() {
-            // Wall-clock verdicts bypass all memoization; they stay on
-            // the calling thread, same as the sequential entry.
-            if prelude.is_empty() {
-                return check_summary_with_limits(name, source, limits);
-            }
-            return check_summary_with_prelude(name, prelude, source, limits);
-        }
-        let attr = Attribution::with_prelude(name, prelude, source);
-        if let Some(summary) = self.try_fast_path(name, &attr, limits, metrics) {
-            return summary;
-        }
-        self.full_check_parallel(name, &attr, limits, metrics, pool)
-    }
-
-    /// Parallel twin of [`Self::full_check`]: claim-based fan-out over
-    /// the pool, in-order assembly.
-    fn full_check_parallel(
-        self: &Arc<Self>,
-        name: &str,
-        attr: &Attribution,
-        limits: &Limits,
-        metrics: &Metrics,
-        pool: &Arc<CheckPool>,
-    ) -> CheckSummary {
-        let mut fe = self.front(name, attr, limits);
-        let n = fe.bodies.len();
-        // A pre-existing `LimitExceeded` stops the sequential loop at
-        // the first body; nothing to parallelize there (or for tiny
-        // units, or on a single-worker pool).
-        if fe.pre_limit || n < 2 || pool.workers() < 2 {
-            return self.assemble_sequential(name, attr, limits, metrics, fe);
-        }
-
-        let fan = Arc::new(FanOut {
-            engine: Arc::clone(self),
-            elaborated: Arc::clone(&fe.elaborated),
-            bodies: std::mem::take(&mut fe.bodies),
-            fps: fe.fps.clone(),
+        } = self.front(name, attr, limits);
+        let bodies = Arc::new(Bodies {
+            fns: Arc::clone(&self.fns),
+            elaborated: Arc::clone(&env.elaborated),
+            bodies,
+            fps: env.fps.clone(),
             limits: *limits,
             next: AtomicUsize::new(0),
+            ready: (0..reach).map(|_| OnceLock::new()).collect(),
         });
-        let (tx, rx) = channel::<(usize, FnOutcome)>();
-        // The driver participates, so helpers are an accelerant, never
-        // a dependency: a refused submission (pool draining) or a
-        // helper stuck behind queued work just means the driver claims
-        // more itself.
-        let helpers = pool.workers().saturating_sub(1).min(n - 1);
-        for _ in 0..helpers {
-            let fan = Arc::clone(&fan);
-            let tx = tx.clone();
-            let _ = pool.submit(move || fan.run(&tx));
-        }
-        fan.run(&tx);
-        drop(tx);
-
-        // Collect exactly `n` results — every claimed index sends once
-        // — rather than draining the channel, so a helper closure still
-        // queued behind other units' work cannot delay assembly.
-        let mut outcomes: Vec<Option<FnOutcome>> = (0..n).map(|_| None).collect();
-        let mut received = 0usize;
-        while received < n {
-            match rx.recv() {
-                Ok((i, out)) => {
-                    outcomes[i] = Some(out);
-                    received += 1;
-                }
-                // Unreachable (senders outlive their claims); the
-                // in-order fallback below re-checks any missing slot.
-                Err(_) => break,
+        if let Some(pool) = pool {
+            // Helpers are an accelerant, never a dependency: a refused
+            // submission (pool draining) or a helper stuck behind queued
+            // work just means the loop claims more itself.
+            let helpers = pool
+                .workers()
+                .saturating_sub(1)
+                .min(reach.saturating_sub(1));
+            for _ in 0..helpers {
+                let bodies = Arc::clone(&bodies);
+                let _ = pool.submit(move || bodies.prefetch());
             }
         }
-
-        let mut views = fe.pre_views.clone();
-        let mut stats = fe.stats;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        let mut panicked: Option<String> = None;
-        for (i, slot) in outcomes.into_iter().enumerate() {
-            let outcome = slot.unwrap_or_else(|| fan.check_one(i));
-            let verdict = match outcome {
-                FnOutcome::Hit(v) => {
-                    hits += 1;
-                    v
-                }
-                FnOutcome::Fresh(v, micros) => {
-                    misses += 1;
-                    stats.check_micros += micros;
-                    v
-                }
-                FnOutcome::Panicked(msg) => {
-                    panicked = Some(msg);
-                    break;
-                }
-            };
-            let start = fe.slots[i].0.start;
-            if splice(&mut views, &mut stats, attr, start, &verdict, false) {
-                break;
-            }
-        }
-        if let Some(msg) = panicked {
-            // Sequentially, the panic unwinds out of the engine before
-            // the metrics adds and the env-cache write; re-panic at the
-            // same point so the service's containment sees the same
-            // payload.
-            resume_unwind(Box::new(msg));
-        }
-        metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
-        metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-        self.store_env(name, attr.full_text(), fe);
-        CheckSummary {
-            name: name.to_string(),
-            verdict: verdict_of(&views),
-            diagnostics: views,
-            stats,
-        }
+        let slots = &env.slots[..reach];
+        let summary = assemble(name, attr, slots, pre_views, stats, metrics, |i| {
+            Some(bodies.probe(i))
+        })
+        .expect("the full path never abandons");
+        lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
+        summary
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vault_core::check_summary_with_limits;
 
     const UNIT: &str = "\
 interface REGION {
@@ -1253,9 +1165,9 @@ void beta() {
     fn cached_function_verdicts_carry_no_phase_timings() {
         // One environment slot: checking a second unit evicts the first
         // one's environment, so its re-check takes the full path.
-        let eng = Arc::new(IncrementalEngine::new(1, 1024));
+        let eng = IncrementalEngine::new(1, 1024);
         let m = Metrics::default();
-        let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         eng.enable_dirty_tracking();
         let limits = Limits::default();
         let cold = eng.check_unit("u.vlt", UNIT, &limits, &m);
@@ -1274,7 +1186,7 @@ void beta() {
         for (_, _, stats) in &dirty {
             assert_eq!(timings(stats), [0; 5]);
         }
-        let seeded = lock(&eng.fns).get(42).expect("seeded");
+        let seeded = eng.fns.get(42).expect("seeded");
         assert_eq!(timings(&seeded.stats), [0; 5]);
 
         let before = m.snapshot();
@@ -1298,9 +1210,9 @@ void beta() {
 
     #[test]
     fn cached_environments_hold_no_bodies() {
-        let eng = Arc::new(IncrementalEngine::new(8, 1024));
+        let eng = IncrementalEngine::new(8, 1024);
         let m = Metrics::default();
-        let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         let limits = Limits::default();
         // Full path, sequential and fanned out.
         eng.check_unit("u.vlt", UNIT, &limits, &m);
@@ -1622,7 +1534,89 @@ void beta() {
             vec![Diagnostic::error(Code::KeyLeak, Span::new(0, 1), "x")],
             CheckStats::default(),
         );
-        eng.remember(7, decl, outside);
+        eng.fns.remember(7, decl, outside);
         assert_eq!(eng.entries(), (0, 0));
+    }
+
+    #[test]
+    fn limit_exceeded_mid_unit_stops_every_path_at_the_same_function() {
+        // Without fuel, `two`'s loop exceeds the limit: the monolithic
+        // checker stops there, so `three` and `four` are never checked.
+        const LOOPY: &str = "\
+void one(int a) { int x = a; }
+void two() {
+  int i = 0;
+  while (i < 10) { i = i + 1; }
+}
+void three(int b) { int y = b; }
+void four() { int z = 4; }
+";
+        let limits = Limits {
+            fixpoint_iters: 0,
+            ..Limits::default()
+        };
+        let edited = LOOPY.replace("int y = b;", "int y = b + b;");
+        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
+        for pool in [None, Some(&pool)] {
+            let (eng, m) = engine();
+            let mut elab: Option<Arc<Elaborated>> = None;
+            // Cold (full path), then a body edit in `three` (fast path).
+            for text in [LOOPY, &edited] {
+                let before = m.snapshot();
+                let got = match pool {
+                    Some(pool) => {
+                        eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
+                    }
+                    None => eng.check_unit("l.vlt", text, &limits, &m),
+                };
+                assert_eq!(got, reference("l.vlt", text, &limits));
+                assert_eq!(got.verdict, Verdict::ResourceLimit);
+                let after = m.snapshot();
+                let counted = (after.fn_cache_hits + after.fn_cache_misses)
+                    - (before.fn_cache_hits + before.fn_cache_misses);
+                assert_eq!(
+                    counted,
+                    2,
+                    "counted up to the stop, parallel: {}",
+                    pool.is_some()
+                );
+                let now = cached_elaboration(&eng, "l.vlt");
+                if let Some(prev) = elab.replace(Arc::clone(&now)) {
+                    assert!(Arc::ptr_eq(&prev, &now), "the edit took the fast path");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicked_outcome_re_raises_its_payload_before_anything_is_counted() {
+        let m = Metrics::default();
+        let attr = Attribution::plain("u.vlt", UNIT);
+        let slots = [(Span::new(0, 1), Span::new(0, 1)); 2];
+        let hit = Arc::new(FnVerdict {
+            diags: Vec::new(),
+            stats: CheckStats::default(),
+        });
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            let outcome = |i: usize| {
+                Some(match i {
+                    0 => FnOutcome::Hit(Arc::clone(&hit)),
+                    _ => FnOutcome::Panicked("boom".to_string()),
+                })
+            };
+            assemble(
+                "u.vlt",
+                &attr,
+                &slots,
+                Vec::new(),
+                CheckStats::default(),
+                &m,
+                outcome,
+            )
+        }))
+        .expect_err("the panic is re-raised");
+        assert_eq!(panic_payload(&*caught), "boom");
+        let snap = m.snapshot();
+        assert_eq!((snap.fn_cache_hits, snap.fn_cache_misses), (0, 0));
     }
 }

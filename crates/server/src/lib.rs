@@ -77,7 +77,7 @@ pub use json::{parse as parse_json, Json};
 pub use metrics::{Metrics, StatusSnapshot};
 pub use mux::{MuxConfig, MuxServer};
 pub use persist::{StoreConfig, StoreHealth, VerdictStore};
-pub use pool::{CheckPool, SubmitError, ThreadPool, UnitIn};
+pub use pool::{SubmitError, ThreadPool, UnitIn};
 pub use proto::{Request, UnitReport};
 pub use server::{serve_connection, serve_stdio, SHUTDOWN_GRACE};
 pub use service::{CheckService, ServiceConfig, ServiceLimits};

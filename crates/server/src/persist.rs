@@ -94,6 +94,7 @@ use vault_syntax::diag::Label;
 use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Severity, Span};
 
 use crate::json::{self, Json};
+use crate::proto;
 
 /// Identifies a Vault verdict segment file.
 const MAGIC: &[u8; 8] = b"VAULTCCH";
@@ -1030,9 +1031,12 @@ fn encode_record(record: &Record) -> Option<Json> {
                 ),
                 (
                     "diagnostics".to_string(),
-                    Json::Arr(summary.diagnostics.iter().map(encode_diag).collect()),
+                    Json::Arr(summary.diagnostics.iter().map(proto::encode_diag).collect()),
                 ),
-                ("stats".to_string(), encode_stats(&summary.stats)),
+                (
+                    "stats".to_string(),
+                    Json::Obj(counter_fields(&summary.stats)),
+                ),
             ]))
         }
         Record::Fn { fp, views, stats } => {
@@ -1046,7 +1050,7 @@ fn encode_record(record: &Record) -> Option<Json> {
                     "diags".to_string(),
                     Json::Arr(views.iter().map(encode_relative_diag).collect()),
                 ),
-                ("stats".to_string(), encode_stats(stats)),
+                ("stats".to_string(), Json::Obj(counter_fields(stats))),
             ]))
         }
     }
@@ -1094,34 +1098,6 @@ fn decode_record(j: &Json) -> Option<Record> {
         }
         _ => None,
     }
-}
-
-fn encode_diag(d: &DiagView) -> Json {
-    Json::Obj(vec![
-        ("code".to_string(), Json::str(&d.code)),
-        ("severity".to_string(), Json::str(&d.severity)),
-        ("message".to_string(), Json::str(&d.message)),
-        ("start".to_string(), Json::num(d.start as u64)),
-        ("end".to_string(), Json::num(d.end as u64)),
-        ("line".to_string(), Json::num(d.line as u64)),
-        ("col".to_string(), Json::num(d.col as u64)),
-        (
-            "labels".to_string(),
-            Json::Arr(
-                d.labels
-                    .iter()
-                    .map(|l| {
-                        Json::Obj(vec![
-                            ("message".to_string(), Json::str(&l.message)),
-                            ("line".to_string(), Json::num(l.line as u64)),
-                            ("col".to_string(), Json::num(l.col as u64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("rendered".to_string(), Json::str(&d.rendered)),
-    ])
 }
 
 /// A declaration-relative diagnostic: spans as offsets from the
@@ -1210,8 +1186,11 @@ fn decode_diag(j: &Json) -> Option<DiagView> {
     })
 }
 
-fn encode_stats(s: &CheckStats) -> Json {
-    Json::Obj(vec![
+/// The checker counters as object fields, without the phase timings: a
+/// replayed verdict did none of that work. The wire encoding of
+/// [`CheckStats`] extends these.
+pub(crate) fn counter_fields(s: &CheckStats) -> Vec<(String, Json)> {
+    vec![
         ("statements".to_string(), Json::num(s.statements as u64)),
         ("calls".to_string(), Json::num(s.calls as u64)),
         ("joins".to_string(), Json::num(s.joins as u64)),
@@ -1228,7 +1207,7 @@ fn encode_stats(s: &CheckStats) -> Json {
             "frames_copied".to_string(),
             Json::num(s.frames_copied as u64),
         ),
-    ])
+    ]
 }
 
 fn decode_stats(j: &Json) -> Option<CheckStats> {
@@ -1395,6 +1374,52 @@ mod tests {
         );
         assert_eq!(loaded.fns[0].2.calls, 3);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_encoding_is_byte_stable() {
+        // The frame payloads of one unit record (a diagnostic with a
+        // label) and one function record, byte for byte: a store must
+        // replay under every build of one format, so any change here
+        // needs a `FORMAT_VERSION` bump.
+        let src = "void f() {\n  tracked(F) FILE x = fopen();\n}\n";
+        let diag = Diagnostic::error(Code::KeyLeak, Span::new(13, 40), "key `F` leaks")
+            .with_label(Span::new(0, 8), "declared here");
+        let unit = Record::Unit {
+            fp: 0x0123_4567_89ab_cdef,
+            summary: CheckSummary {
+                name: "a.vlt".to_string(),
+                verdict: Verdict::Rejected,
+                diagnostics: vec![DiagView::new(
+                    &diag,
+                    &vault_syntax::SourceMap::new("a.vlt", src),
+                )],
+                stats: CheckStats {
+                    statements: 4,
+                    calls: 1,
+                    frames_copied: 2,
+                    check_micros: 99,
+                    ..Default::default()
+                },
+            },
+        };
+        let func = Record::Fn {
+            fp: 7,
+            views: vec![diag],
+            stats: CheckStats {
+                joins: 3,
+                lex_micros: 5,
+                ..Default::default()
+            },
+        };
+        assert_eq!(
+            encode_record(&unit).unwrap().to_line(),
+            r#"{"kind":"unit","fp":"0123456789abcdef","name":"a.vlt","verdict":"rejected","diagnostics":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"line":2,"col":3,"labels":[{"message":"declared here","line":1,"col":1}],"rendered":"error[V304]: key `F` leaks\n  --> a.vlt:2:3\n   |   tracked(F) FILE x = fopen();\n   |   ^^^^^^^^^^^^^^^^^^^^^^^^^^^\n   = note: declared here (at a.vlt:1:1)\n"}],"stats":{"statements":4,"calls":1,"joins":0,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":2}}"#
+        );
+        assert_eq!(
+            encode_record(&func).unwrap().to_line(),
+            r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0}}"#
+        );
     }
 
     #[test]

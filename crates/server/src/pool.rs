@@ -3,9 +3,9 @@
 //! `std::thread` workers pull boxed jobs off one shared `mpsc` channel
 //! (receiver behind a mutex — the standard single-consumer workaround).
 //! The pool is deliberately generic over `FnOnce` jobs rather than
-//! hard-wired to checking: the service submits check closures, the
-//! throughput bench submits its own workload, and the CLI's batch mode
-//! reuses it unchanged.
+//! hard-wired to checking: the service submits unit checks, the
+//! incremental engine submits per-function prefetch helpers, and the
+//! throughput bench submits its own workload.
 //!
 //! Fault containment (ISSUE 2): a panicking job must never cost a
 //! worker. Each job runs under `catch_unwind`, so the worker survives
@@ -18,7 +18,7 @@
 //!
 //! Determinism note: jobs complete in whatever order the scheduler
 //! picks, so anything order-sensitive must carry its index and let the
-//! caller reassemble (see [`CheckPool::check_batch`]).
+//! caller reassemble.
 
 use crate::metrics::Metrics;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,7 +26,6 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vault_core::{check_summary, CheckSummary};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -215,90 +214,6 @@ pub struct UnitIn {
     pub source: String,
 }
 
-/// A checking-specialized facade over [`ThreadPool`].
-pub struct CheckPool {
-    pool: ThreadPool,
-}
-
-impl CheckPool {
-    /// A pool of `jobs` checker workers.
-    pub fn new(jobs: usize, metrics: Arc<Metrics>) -> Self {
-        CheckPool {
-            pool: ThreadPool::new(jobs, metrics),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.pool.workers()
-    }
-
-    /// Queue one raw job on the underlying pool.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        self.pool.submit(job)
-    }
-
-    /// Stop accepting jobs; wait up to `grace` for in-flight work.
-    pub fn shutdown(&self, grace: Duration) -> bool {
-        self.pool.shutdown(grace)
-    }
-
-    /// Check every unit on the pool, returning summaries in **input
-    /// order** regardless of completion order, with the per-unit checker
-    /// wall time in microseconds. A unit whose check panics — or that
-    /// could not run because the pool is shutting down — reports an
-    /// `internal-error` summary instead of wedging the batch.
-    pub fn check_batch(&self, units: Vec<UnitIn>) -> Vec<(CheckSummary, u64)> {
-        let n = units.len();
-        let (tx, rx) = channel::<(usize, CheckSummary, u64)>();
-        for (index, unit) in units.into_iter().enumerate() {
-            let job_tx = tx.clone();
-            let name = unit.name.clone();
-            let submitted = self.pool.submit(move || {
-                let start = std::time::Instant::now();
-                let summary = match catch_unwind(AssertUnwindSafe(|| {
-                    check_summary(&unit.name, &unit.source)
-                })) {
-                    Ok(summary) => summary,
-                    Err(e) => CheckSummary::internal_error(&unit.name, &panic_payload(&*e)),
-                };
-                let micros = start.elapsed().as_micros() as u64;
-                // Receiver hanging up just means the caller gave up.
-                let _ = job_tx.send((index, summary, micros));
-            });
-            if let Err(e) = submitted {
-                let _ = tx.send((
-                    index,
-                    CheckSummary::internal_error(&name, &e.to_string()),
-                    0,
-                ));
-            }
-        }
-        drop(tx);
-        let mut out: Vec<Option<(CheckSummary, u64)>> = (0..n).map(|_| None).collect();
-        for (index, summary, micros) in rx {
-            out[index] = Some((summary, micros));
-        }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| {
-                    // A worker died so hard it never reported (should be
-                    // unreachable with catch_unwind): answer rather than
-                    // panic in the caller.
-                    (
-                        CheckSummary::internal_error(
-                            &format!("unit-{i}"),
-                            "worker never reported a result",
-                        ),
-                        0,
-                    )
-                })
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,23 +240,6 @@ mod tests {
         drop(pool);
         assert_eq!(metrics.snapshot().queue_depth, 0);
         assert!(metrics.snapshot().queue_peak >= 1);
-    }
-
-    #[test]
-    fn check_batch_preserves_input_order() {
-        let metrics = Arc::new(Metrics::default());
-        let pool = CheckPool::new(4, metrics);
-        let units: Vec<UnitIn> = (0..16)
-            .map(|i| UnitIn {
-                name: format!("u{i}.vlt"),
-                source: "void f() { }".to_string(),
-            })
-            .collect();
-        let results = pool.check_batch(units);
-        assert_eq!(results.len(), 16);
-        for (i, (summary, _)) in results.iter().enumerate() {
-            assert_eq!(summary.name, format!("u{i}.vlt"));
-        }
     }
 
     #[test]
@@ -405,32 +303,5 @@ mod tests {
         assert!(!pool.shutdown(Duration::from_millis(50)));
         assert!(start.elapsed() < Duration::from_secs(5));
         drop(hold_tx); // release the wedged worker so the process exits
-    }
-
-    #[test]
-    fn check_batch_maps_panics_to_internal_error() {
-        // A source that reaches the checker normally cannot panic it;
-        // simulate via a raw job that panics plus healthy units, then
-        // assert the healthy units are unaffected.
-        let metrics = Arc::new(Metrics::default());
-        let pool = CheckPool::new(2, Arc::clone(&metrics));
-        pool.submit(|| panic!("chaos")).unwrap();
-        let units: Vec<UnitIn> = (0..4)
-            .map(|i| UnitIn {
-                name: format!("u{i}.vlt"),
-                source: "void f() { }".to_string(),
-            })
-            .collect();
-        for (summary, _) in pool.check_batch(units) {
-            assert_eq!(summary.verdict, vault_core::Verdict::Accepted);
-        }
-        // The panicking job may still be unwinding on its worker when
-        // the batch (served by the other worker) completes; wait for
-        // the counter rather than racing it.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().panics_caught == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(metrics.snapshot().panics_caught, 1);
     }
 }

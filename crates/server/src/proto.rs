@@ -146,7 +146,8 @@ fn verdict_str(v: Verdict) -> &'static str {
     v.as_str()
 }
 
-fn encode_diag(d: &DiagView) -> Json {
+/// One rendered diagnostic, as replies and the verdict store carry it.
+pub(crate) fn encode_diag(d: &DiagView) -> Json {
     Json::Obj(vec![
         ("code".to_string(), Json::str(&d.code)),
         ("severity".to_string(), Json::str(&d.severity)),
@@ -174,24 +175,10 @@ fn encode_diag(d: &DiagView) -> Json {
     ])
 }
 
+/// The verdict store's counter fields plus the five phase timings.
 fn encode_stats(s: &CheckStats) -> Json {
-    Json::Obj(vec![
-        ("statements".to_string(), Json::num(s.statements as u64)),
-        ("calls".to_string(), Json::num(s.calls as u64)),
-        ("joins".to_string(), Json::num(s.joins as u64)),
-        (
-            "loop_iterations".to_string(),
-            Json::num(s.loop_iterations as u64),
-        ),
-        (
-            "keys_allocated".to_string(),
-            Json::num(s.keys_allocated as u64),
-        ),
-        ("snapshots".to_string(), Json::num(s.snapshots as u64)),
-        (
-            "frames_copied".to_string(),
-            Json::num(s.frames_copied as u64),
-        ),
+    let mut fields = crate::persist::counter_fields(s);
+    fields.extend([
         ("lex_micros".to_string(), Json::num(s.lex_micros)),
         ("parse_micros".to_string(), Json::num(s.parse_micros)),
         (
@@ -200,7 +187,8 @@ fn encode_stats(s: &CheckStats) -> Json {
         ),
         ("lower_micros".to_string(), Json::num(s.lower_micros)),
         ("check_micros".to_string(), Json::num(s.check_micros)),
-    ])
+    ]);
+    Json::Obj(fields)
 }
 
 /// The outcome of one unit within a `check` response.

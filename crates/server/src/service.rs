@@ -12,7 +12,7 @@ use crate::incremental::IncrementalEngine;
 use crate::journal::{Journal, Pending};
 use crate::metrics::{Metrics, StatusSnapshot};
 use crate::persist::{StoreConfig, StoreHealth, VerdictStore};
-use crate::pool::{panic_payload, CheckPool, UnitIn};
+use crate::pool::{panic_payload, ThreadPool, UnitIn};
 use crate::proto::UnitReport;
 use crate::singleflight::{Claim, InFlight, LeaderGuard, SingleFlight};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,9 +126,9 @@ const FN_CACHE_FACTOR: usize = 16;
 
 /// A parallel, incremental protocol-checking service.
 pub struct CheckService {
-    /// Shared (`Arc`) because unit-level check jobs fan their own
-    /// per-function work back out onto the same pool.
-    pool: Arc<CheckPool>,
+    /// Shared (`Arc`) because unit-level check jobs submit their own
+    /// per-function prefetch helpers to the same pool.
+    pool: Arc<ThreadPool>,
     cache: Mutex<UnitCache>,
     incremental: Arc<IncrementalEngine>,
     cache_capacity: usize,
@@ -192,7 +192,7 @@ impl CheckService {
             }
         }
         CheckService {
-            pool: Arc::new(CheckPool::new(config.jobs, Arc::clone(&metrics))),
+            pool: Arc::new(ThreadPool::new(config.jobs, Arc::clone(&metrics))),
             cache: Mutex::new(cache),
             incremental,
             cache_capacity,

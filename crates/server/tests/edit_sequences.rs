@@ -38,7 +38,7 @@ use vault_core::{check_summary_with_limits, check_summary_with_prelude, CheckSum
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
 use vault_project::{ProjectPlan, ProjectUnit};
-use vault_server::{CheckPool, CheckService, IncrementalEngine, Metrics, ServiceConfig, UnitIn};
+use vault_server::{CheckService, IncrementalEngine, Metrics, ServiceConfig, ThreadPool, UnitIn};
 use vault_syntax::{ast, DiagSink};
 
 /// Edits per seed.
@@ -135,20 +135,20 @@ fn parses_cleanly(s: &CheckSummary) -> bool {
 /// One engine configuration.
 struct Engine {
     label: &'static str,
-    engine: Arc<IncrementalEngine>,
+    engine: IncrementalEngine,
     metrics: Metrics,
     /// `Some` for jobs 2: checks go through the parallel entry.
-    pool: Option<Arc<CheckPool>>,
+    pool: Option<Arc<ThreadPool>>,
     /// Whether the function cache holds the whole unit (hit ratios are
     /// asserted only then).
     roomy: bool,
 }
 
 impl Engine {
-    fn new(label: &'static str, fn_capacity: usize, pool: Option<&Arc<CheckPool>>) -> Self {
+    fn new(label: &'static str, fn_capacity: usize, pool: Option<&Arc<ThreadPool>>) -> Self {
         Engine {
             label,
-            engine: Arc::new(IncrementalEngine::new(2, fn_capacity)),
+            engine: IncrementalEngine::new(2, fn_capacity),
             metrics: Metrics::default(),
             pool: pool.cloned(),
             roomy: fn_capacity >= 1024,
@@ -251,7 +251,7 @@ fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> usi
 const SEEDS: u64 = 67;
 
 fn run_family(family: Family) {
-    let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+    let pool = Arc::new(ThreadPool::new(2, Arc::new(Metrics::default())));
     let mut asserted = 0;
     for seed in 0..SEEDS {
         let engines = [
@@ -284,7 +284,7 @@ fn project_unit_edit_sequences_match_the_prelude_checker() {
 
 #[test]
 fn forty_eight_function_units_reuse_47_of_48_verdicts() {
-    let pool = Arc::new(CheckPool::new(2, Arc::new(Metrics::default())));
+    let pool = Arc::new(ThreadPool::new(2, Arc::new(Metrics::default())));
     let mut asserted = 0;
     for family in [Family::Mixed, Family::Sockets] {
         for seed in 0..3 {

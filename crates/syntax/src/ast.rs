@@ -71,9 +71,9 @@ impl fmt::Display for Ident {
 pub struct Program {
     /// Top-level declarations in source order.
     pub decls: Vec<Decl>,
-    /// The unit's interner, frozen into string order by the parser
-    /// (empty for hand-built programs). Shared with elaboration and the
-    /// checker, which no longer rebuild it from the AST.
+    /// The unit's interner, frozen into string order by the parser.
+    /// Shared with elaboration and the checker; a program that was not
+    /// parsed has an empty one and cannot be elaborated.
     pub syms: Arc<Interner>,
 }
 

@@ -1,354 +1,20 @@
-//! Exhaustive identifier collection over a parsed [`Program`].
+//! Exhaustive identifier walk over a parsed [`Program`].
 //!
 //! The checker interns identifiers into per-unit symbols whose ordering
-//! must match string ordering (see `vault-types::intern`); that only
-//! holds if the interner is seeded with **every** identifier the
-//! program can mention before checking begins. This walker visits every
-//! AST node that carries an [`Ident`] — declarations, type expressions,
-//! effect clauses, statements, patterns, and expressions — and collects
-//! the names into a sorted set.
+//! must match string ordering (see [`crate::intern`]). The parser lexes
+//! into a growable interner (first-seen order) and then freezes it into
+//! string-sorted order; this walk is how it rewrites every
+//! `Ident::sym` in the finished AST through the freeze's remap table.
+//! The incremental engine reuses it to re-intern a spliced `FunDecl`
+//! against a cached unit's interner.
 //!
-//! Exhaustiveness matters for correctness, not just performance: a name
-//! missed here would intern to the unknown sentinel, and two such names
-//! would collide. Every `match` below is non-wildcard over the node
-//! kinds that contain identifiers, so adding an AST variant is a
-//! compile error until this walker handles it.
+//! Exhaustiveness matters for correctness, not just performance: an
+//! identifier missed here would keep a symbol from the wrong numbering.
+//! Every `match` below is non-wildcard over the node kinds that contain
+//! identifiers, so adding an AST variant is a compile error until this
+//! walker handles it.
 
 use crate::ast::*;
-use std::collections::BTreeSet;
-
-/// Collect the name of every identifier appearing anywhere in `program`,
-/// in sorted order (the iteration order of the returned set).
-pub fn ident_names(program: &Program) -> BTreeSet<&str> {
-    let mut names = BTreeSet::new();
-    for d in &program.decls {
-        decl(d, &mut names);
-    }
-    names
-}
-
-fn decl<'a>(d: &'a Decl, out: &mut BTreeSet<&'a str>) {
-    match d {
-        Decl::Interface(i) => {
-            out.insert(&i.name.name);
-            for d in &i.decls {
-                decl(d, out);
-            }
-        }
-        Decl::Struct(s) => {
-            out.insert(&s.name.name);
-            tparams(&s.params, out);
-            for f in &s.fields {
-                out.insert(&f.name.name);
-                ty(&f.ty, out);
-            }
-        }
-        Decl::Variant(v) => {
-            out.insert(&v.name.name);
-            tparams(&v.params, out);
-            for c in &v.ctors {
-                out.insert(&c.name.name);
-                for t in &c.args {
-                    ty(t, out);
-                }
-                for k in &c.captures {
-                    key_state_ref(k, out);
-                }
-            }
-        }
-        Decl::TypeAlias(a) => {
-            out.insert(&a.name.name);
-            tparams(&a.params, out);
-            if let Some(t) = &a.body {
-                ty(t, out);
-            }
-        }
-        Decl::Stateset(s) => {
-            out.insert(&s.name.name);
-            for chain in &s.chains {
-                for state in chain {
-                    out.insert(&state.name);
-                }
-            }
-        }
-        Decl::GlobalKey(g) => {
-            out.insert(&g.name.name);
-            if let Some(s) = &g.stateset {
-                out.insert(&s.name);
-            }
-        }
-        Decl::Fun(f) => fun_decl(f, out),
-        // The import path is a string literal, not an identifier.
-        Decl::Import(_) => {}
-    }
-}
-
-fn fun_decl<'a>(f: &'a FunDecl, out: &mut BTreeSet<&'a str>) {
-    out.insert(&f.name.name);
-    ty(&f.ret, out);
-    tparams(&f.tparams, out);
-    for p in &f.params {
-        ty(&p.ty, out);
-        if let Some(n) = &p.name {
-            out.insert(&n.name);
-        }
-    }
-    if let Some(e) = &f.effect {
-        effect(e, out);
-    }
-    if let Some(b) = &f.body {
-        block(b, out);
-    }
-}
-
-fn tparams<'a>(ps: &'a [TParam], out: &mut BTreeSet<&'a str>) {
-    for p in ps {
-        match p {
-            TParam::Type(n) | TParam::Key(n) => {
-                out.insert(&n.name);
-            }
-            TParam::State { name, bound } => {
-                out.insert(&name.name);
-                if let Some(b) = bound {
-                    out.insert(&b.name);
-                }
-            }
-        }
-    }
-}
-
-fn key_state_ref<'a>(k: &'a KeyStateRef, out: &mut BTreeSet<&'a str>) {
-    out.insert(&k.key.name);
-    if let Some(s) = &k.state {
-        state_ref(s, out);
-    }
-}
-
-fn state_ref<'a>(s: &'a StateRef, out: &mut BTreeSet<&'a str>) {
-    match s {
-        StateRef::Name(n) => {
-            out.insert(&n.name);
-        }
-        StateRef::Bounded { var, bound } => {
-            out.insert(&var.name);
-            out.insert(&bound.name);
-        }
-    }
-}
-
-fn ty<'a>(t: &'a Type, out: &mut BTreeSet<&'a str>) {
-    match &t.kind {
-        TypeKind::Void | TypeKind::Int | TypeKind::Bool | TypeKind::Byte | TypeKind::Str => {}
-        TypeKind::Named { name, args } => {
-            out.insert(&name.name);
-            for a in args {
-                match a {
-                    TypeArg::Type(t) => ty(t, out),
-                }
-            }
-        }
-        TypeKind::Array(inner) => ty(inner, out),
-        TypeKind::Tuple(items) => {
-            for t in items {
-                ty(t, out);
-            }
-        }
-        TypeKind::Tracked { key, inner } => {
-            if let Some(k) = key {
-                out.insert(&k.name);
-            }
-            ty(inner, out);
-        }
-        TypeKind::Guarded { guards, inner } => {
-            for g in guards {
-                key_state_ref(g, out);
-            }
-            ty(inner, out);
-        }
-        TypeKind::Fn(f) => {
-            ty(&f.ret, out);
-            for p in &f.params {
-                ty(p, out);
-            }
-            if let Some(e) = &f.effect {
-                effect(e, out);
-            }
-        }
-    }
-}
-
-fn effect<'a>(e: &'a Effect, out: &mut BTreeSet<&'a str>) {
-    for item in &e.items {
-        match item {
-            EffectItem::Keep { key, from, to } => {
-                out.insert(&key.name);
-                if let Some(s) = from {
-                    state_ref(s, out);
-                }
-                if let Some(t) = to {
-                    out.insert(&t.name);
-                }
-            }
-            EffectItem::Consume { key, state } => {
-                out.insert(&key.name);
-                if let Some(s) = state {
-                    state_ref(s, out);
-                }
-            }
-            EffectItem::Produce { key, state } | EffectItem::Fresh { key, state } => {
-                out.insert(&key.name);
-                if let Some(s) = state {
-                    out.insert(&s.name);
-                }
-            }
-            EffectItem::Uses { cap } => {
-                out.insert(&cap.name);
-            }
-        }
-    }
-}
-
-fn block<'a>(b: &'a Block, out: &mut BTreeSet<&'a str>) {
-    for s in &b.stmts {
-        stmt(s, out);
-    }
-}
-
-fn stmt<'a>(s: &'a Stmt, out: &mut BTreeSet<&'a str>) {
-    match &s.kind {
-        StmtKind::Local { ty: t, name, init } => {
-            ty(t, out);
-            out.insert(&name.name);
-            if let Some(e) = init {
-                expr(e, out);
-            }
-        }
-        StmtKind::NestedFun(f) => fun_decl(f, out),
-        StmtKind::Expr(e) | StmtKind::Incr(e) | StmtKind::Decr(e) | StmtKind::Free(e) => {
-            expr(e, out)
-        }
-        StmtKind::Assign { lhs, rhs } => {
-            expr(lhs, out);
-            expr(rhs, out);
-        }
-        StmtKind::If {
-            cond,
-            then_branch,
-            else_branch,
-        } => {
-            expr(cond, out);
-            stmt(then_branch, out);
-            if let Some(e) = else_branch {
-                stmt(e, out);
-            }
-        }
-        StmtKind::While { cond, body } => {
-            expr(cond, out);
-            stmt(body, out);
-        }
-        StmtKind::Switch { scrutinee, arms } => {
-            expr(scrutinee, out);
-            for arm in arms {
-                out.insert(&arm.ctor.name);
-                for b in &arm.binders {
-                    match b {
-                        PatBinder::Name(n) => {
-                            out.insert(&n.name);
-                        }
-                        PatBinder::Wild(_) => {}
-                    }
-                }
-                for s in &arm.body {
-                    stmt(s, out);
-                }
-            }
-        }
-        StmtKind::Return(e) => {
-            if let Some(e) = e {
-                expr(e, out);
-            }
-        }
-        StmtKind::Block(b) => block(b, out),
-    }
-}
-
-fn expr<'a>(e: &'a Expr, out: &mut BTreeSet<&'a str>) {
-    match &e.kind {
-        ExprKind::IntLit(_) | ExprKind::BoolLit(_) | ExprKind::StrLit(_) => {}
-        ExprKind::Var(n) => {
-            out.insert(&n.name);
-        }
-        ExprKind::Field(base, name) => {
-            expr(base, out);
-            out.insert(&name.name);
-        }
-        ExprKind::Index(base, index) => {
-            expr(base, out);
-            expr(index, out);
-        }
-        ExprKind::Call {
-            callee,
-            targs,
-            args,
-        } => {
-            expr(callee, out);
-            for a in targs {
-                match a {
-                    TypeArg::Type(t) => ty(t, out),
-                }
-            }
-            for a in args {
-                expr(a, out);
-            }
-        }
-        ExprKind::Ctor { name, args, keys } => {
-            out.insert(&name.name);
-            for a in args {
-                expr(a, out);
-            }
-            for k in keys {
-                key_state_ref(k, out);
-            }
-        }
-        ExprKind::New {
-            region,
-            ty: name,
-            targs,
-            inits,
-        } => {
-            if let Some(r) = region {
-                expr(r, out);
-            }
-            out.insert(&name.name);
-            for a in targs {
-                match a {
-                    TypeArg::Type(t) => ty(t, out),
-                }
-            }
-            for init in inits {
-                out.insert(&init.name.name);
-                expr(&init.value, out);
-            }
-        }
-        ExprKind::Unary(_, inner) => expr(inner, out),
-        ExprKind::Binary(_, lhs, rhs) => {
-            expr(lhs, out);
-            expr(rhs, out);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Mutable walk: visit every `Ident` in place.
-//
-// The parser lexes into a growable interner (first-seen order) and then
-// freezes it into string-sorted order; this walk is how it rewrites every
-// `Ident::sym` in the finished AST through the freeze's remap table. The
-// incremental engine reuses it to re-intern a spliced `FunDecl` against a
-// cached unit's interner. Mirrors the collection walk above node for node,
-// with the same exhaustiveness discipline: every `match` is non-wildcard
-// over identifier-carrying variants.
-// ---------------------------------------------------------------------------
 
 /// Apply `f` to every [`Ident`] appearing anywhere in `program`.
 pub fn remap_idents(program: &mut Program, f: &mut impl FnMut(&mut Ident)) {
@@ -676,7 +342,7 @@ mod tests {
     #[test]
     fn collects_names_from_every_layer() {
         let mut diags = crate::diag::DiagSink::new();
-        let p = crate::parse_program(
+        let mut p = crate::parse_program(
             r#"
             interface REGION {
               type region;
@@ -698,7 +364,10 @@ mod tests {
             "#,
             &mut diags,
         );
-        let names = ident_names(&p);
+        let mut names = std::collections::BTreeSet::new();
+        remap_idents(&mut p, &mut |id| {
+            names.insert(id.name.to_string());
+        });
         for want in [
             "REGION", "region", "create", "delete", "R", "FS", "open", "closed", "IRQL", "point",
             "x", "y", "opt", "K", "None", "Some", "pair", "main", "flag", "rgn", "pt", "Region",
@@ -706,34 +375,6 @@ mod tests {
         ] {
             assert!(names.contains(want), "missing `{want}`");
         }
-        // Sorted iteration, by BTreeSet construction.
-        let v: Vec<&str> = names.iter().copied().collect();
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(v, sorted);
-    }
-
-    #[test]
-    fn remap_visits_the_same_idents_the_collector_sees() {
-        let mut diags = crate::diag::DiagSink::new();
-        let mut p = crate::parse_program(
-            r#"
-            stateset FS = [ open < closed ];
-            key IRQL @ FS;
-            variant opt<key K> [ 'None | 'Some {K@open} ];
-            void main(bool flag) {
-              tracked(R) region rgn = Region.create();
-              switch ('None) { case 'None: return; case 'Some(v): return; }
-            }
-            "#,
-            &mut diags,
-        );
-        let collected: BTreeSet<String> = ident_names(&p).iter().map(|s| s.to_string()).collect();
-        let mut visited = BTreeSet::new();
-        remap_idents(&mut p, &mut |id| {
-            visited.insert(id.name.to_string());
-        });
-        assert_eq!(collected, visited);
     }
 
     #[test]

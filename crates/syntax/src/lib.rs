@@ -38,7 +38,7 @@ pub mod token;
 
 pub use ast::{ImportDecl, Program};
 pub use diag::{Attribution, Code, DiagSink, DiagView, Diagnostic, LabelView, Severity};
-pub use idents::{ident_names, remap_idents, remap_idents_expr, remap_idents_fun};
+pub use idents::{remap_idents, remap_idents_expr, remap_idents_fun};
 pub use intern::{FnvBuildHasher, IStr, Interner, Symbol};
 pub use parser::{
     parse_expr, parse_program, parse_program_with_depth, parse_program_with_depth_timed,
