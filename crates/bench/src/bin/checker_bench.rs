@@ -24,9 +24,11 @@
 //!    ways a person edits it ([`vault_corpus::edits`]: body line
 //!    inserts and deletes, literals, local renames, added functions,
 //!    signature and brace edits, two-body and syntax-breaking edits,
-//!    undos), each edit checked by the incremental engine on a 2-worker
-//!    pool right after the version it was made from. It records the
-//!    function-cache hit rate and median latency per kind, and the
+//!    effect-clause changes, deleted callees, inserted types, undos),
+//!    each edit checked by the incremental engine on a 2-worker pool
+//!    right after the version it was made from. It records the
+//!    function-cache hit rate, the mean number of functions re-checked
+//!    and the median latency per kind, and the
 //!    median cost of one length-changing body edit down the fast path,
 //!    down the full path with every unchanged verdict cached (the
 //!    environment evicted), and down the full path cold;
@@ -758,9 +760,11 @@ fn realistic_edits(iters: usize) -> Json {
             misses += after.fn_cache_misses - before.fn_cache_misses;
         }
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+        let rechecked = misses as f64 / samples as f64;
         let median = median_ms(&mut times);
         println!(
-            "  {:<22} median {median:.3} ms, fn-cache hit rate {hit_rate:.3}",
+            "  {:<22} median {median:.3} ms, fn-cache hit rate {hit_rate:.3}, \
+             {rechecked:.2} fns re-checked",
             kind.name()
         );
         per_kind.push(Json::Obj(vec![
@@ -769,6 +773,10 @@ fn realistic_edits(iters: usize) -> Json {
             (
                 "fn_hit_rate".to_string(),
                 Json::Num((hit_rate * 1e3).round() / 1e3),
+            ),
+            (
+                "fns_rechecked_mean".to_string(),
+                Json::Num(round2(rechecked)),
             ),
         ]));
     }

@@ -15,6 +15,7 @@
 
 use crate::elaborate::lower_fn_decl_in;
 use crate::flow::{merge, states_agree, Binding, FlowState, Frame};
+use crate::interface::Decls;
 use crate::lower::{
     is_keyed_variant, param_map, subst_by_name, subst_eff_by_name, AliasEntry, LowerCtx, Scope,
 };
@@ -25,7 +26,8 @@ use vault_syntax::diag::{Code, DiagSink, Diagnostic};
 use vault_syntax::span::Span;
 use vault_types::{
     unify, Arg, Bindings, CtorDef, EffItem, FnSig, GuardAtom, Interner, KeyGen, KeyId, KeyInfo,
-    KeyOrigin, KeyRef, StateArg, StateReq, StateVal, Symbol, Ty, TypeDef, VariantDef, World,
+    KeyOrigin, KeyRef, StateArg, StateReq, StateVal, Symbol, Tables, Ty, TypeDef, VariantDef,
+    World,
 };
 
 /// Counters reported per function check (used by the scaling benches).
@@ -157,13 +159,23 @@ pub fn check_function_with_limits(
     diags: &mut DiagSink,
     limits: &crate::Limits,
 ) -> CheckStats {
+    let decls = Decls::new(world, syms, aliases, qualifiers, base_keys);
+    check_function_reading(&decls, f, diags, limits)
+}
+
+/// [`check_function_with_limits`] through a [`Decls`] accessor, which
+/// records every function signature the body looks up: the read set a
+/// cached verdict is validated against (see [`crate::interface`]).
+pub fn check_function_reading(
+    decls: &Decls<'_>,
+    f: &ast::FunDecl,
+    diags: &mut DiagSink,
+    limits: &crate::Limits,
+) -> CheckStats {
     let mut checker = FnChecker {
-        world,
-        syms,
-        aliases,
-        qualifiers,
+        decls,
         diags,
-        keys: base_keys.clone(),
+        keys: decls.base_keys().clone(),
         abs_counter: 0,
         local_fns: BTreeMap::new(),
         captured: Vec::new(),
@@ -194,11 +206,9 @@ pub fn check_function_with_limits(
 }
 
 struct FnChecker<'a, 'd> {
-    world: &'a World,
-    /// The unit's frozen interner (symbol order == string order).
-    syms: &'a Interner,
-    aliases: &'a BTreeMap<Symbol, AliasEntry>,
-    qualifiers: &'a BTreeSet<Symbol>,
+    /// The unit's declaration tables and frozen interner (symbol order
+    /// == string order), reached only through this accessor.
+    decls: &'a Decls<'a>,
     diags: &'d mut DiagSink,
     keys: KeyGen,
     abs_counter: u32,
@@ -228,11 +238,7 @@ struct FnChecker<'a, 'd> {
 
 impl<'a, 'd> FnChecker<'a, 'd> {
     fn ctx(&self) -> LowerCtx<'a> {
-        LowerCtx {
-            world: self.world,
-            syms: self.syms,
-            aliases: self.aliases,
-        }
+        self.decls.ctx()
     }
 
     /// Capability-effect discipline (`V7xx`). A function that declares a
@@ -374,7 +380,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         for v in &param_keyvars {
             let resource = key_resource(&sig.params, v).unwrap_or_else(|| "resource".into());
             let k = self.fresh_key(Some(v.clone()), resource, KeyOrigin::Param);
-            self.keyenv.insert(self.syms.sym(v), KeyRef::Id(k));
+            self.keyenv.insert(self.decls.syms().sym(v), KeyRef::Id(k));
             imap.insert(v.clone(), Arg::Key(KeyRef::Id(k)));
         }
 
@@ -384,7 +390,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             if let ast::TParam::State { name, bound } = tp {
                 let b = bound
                     .as_ref()
-                    .and_then(|b| self.world.states.state(&b.name));
+                    .and_then(|b| self.decls.tables().states.state(&b.name));
                 svars.insert(name.name.to_string(), b);
             }
         }
@@ -396,7 +402,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
         for (v, bound) in &svars {
             let val = self.fresh_abs(*bound);
-            self.statevars.insert(self.syms.sym(v), val);
+            self.statevars.insert(self.decls.syms().sym(v), val);
             imap.insert(v.clone(), Arg::State(StateArg::Val(val)));
         }
 
@@ -407,7 +413,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         for (ty, name) in sig.params.iter().zip(&sig.param_names) {
             let mut cty = subst_by_name(ty, &imap);
             if let Ty::TrackedAnon(inner) = &cty {
-                let k = self.fresh_key(name.clone(), inner.display(self.world), KeyOrigin::Param);
+                let k = self.fresh_key(
+                    name.clone(),
+                    inner.display(self.decls.tables()),
+                    KeyOrigin::Param,
+                );
                 entry_anon_keys.push(k);
                 cty = Ty::Tracked {
                     key: KeyRef::Id(k),
@@ -416,7 +426,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
             if let Some(n) = name {
                 if !st.declare(
-                    self.syms.sym(n),
+                    self.decls.syms().sym(n),
                     Binding {
                         decl_ty: cty.clone(),
                         ty: cty,
@@ -491,8 +501,9 @@ impl<'a, 'd> FnChecker<'a, 'd> {
 
         // Unmentioned global keys are held in a polymorphic state that the
         // function must not disturb.
-        for (name, g) in self.world.global_keys() {
-            self.keyenv.insert(self.syms.sym(name), KeyRef::Id(g.id));
+        for (name, g) in self.decls.tables().global_keys() {
+            self.keyenv
+                .insert(self.decls.syms().sym(name), KeyRef::Id(g.id));
             if !mentioned.contains(&g.id) {
                 let val = self.fresh_abs(None);
                 st.held.insert(g.id, val).expect("globals are distinct");
@@ -512,17 +523,17 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             StateReq::Any => self.fresh_abs(None),
             StateReq::Exact(t) => StateVal::Token(*t),
             StateReq::AtMost { var, bound } => match var {
-                Some(v) => match self.statevars.get(&self.syms.sym(v)) {
+                Some(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
                     Some(val) => *val,
                     None => {
                         let val = self.fresh_abs(Some(*bound));
-                        self.statevars.insert(self.syms.sym(v), val);
+                        self.statevars.insert(self.decls.syms().sym(v), val);
                         val
                     }
                 },
                 None => self.fresh_abs(Some(*bound)),
             },
-            StateReq::Var(v) => match self.statevars.get(&self.syms.sym(v)) {
+            StateReq::Var(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
                 Some(val) => *val,
                 None => {
                     self.diags.error(
@@ -540,7 +551,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         match arg {
             StateArg::Token(t) => StateVal::Token(*t),
             StateArg::Val(v) => *v,
-            StateArg::Var(v) => match self.statevars.get(&self.syms.sym(v)) {
+            StateArg::Var(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
                 Some(val) => *val,
                 None => {
                     self.diags.error(
@@ -568,7 +579,12 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         let mut binds = Bindings::new();
         if !actual.is_error() {
-            if let Err(e) = unify(&self.ret_ty.clone(), &actual, &mut binds, self.world) {
+            if let Err(e) = unify(
+                &self.ret_ty.clone(),
+                &actual,
+                &mut binds,
+                self.decls.tables(),
+            ) {
                 self.diags.error(
                     Code::TypeMismatch,
                     span,
@@ -589,7 +605,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         span,
                         format!(
                             "cannot return `{}`: its key {} is not held",
-                            actual.display(self.world),
+                            actual.display(self.decls.tables()),
                             self.keys.describe(*k)
                         ),
                     );
@@ -644,8 +660,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "key {} must be in state `{}` at exit, but is in `{}`",
                             self.keys.describe(*k),
-                            want.display(&self.world.states),
-                            cur.display(&self.world.states)
+                            want.display(&self.decls.tables().states),
+                            cur.display(&self.decls.tables().states)
                         ),
                     );
                 }
@@ -721,7 +737,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         e.span,
                         format!(
                             "`++`/`--` requires an integer, found `{}`",
-                            t.display(self.world)
+                            t.display(self.decls.tables())
                         ),
                     );
                 }
@@ -775,7 +791,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             e.span,
                             format!(
                                 "`free` requires a tracked value, found `{}`",
-                                other.display(self.world)
+                                other.display(self.decls.tables())
                             ),
                         );
                     }
@@ -787,7 +803,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
 
     fn join(&mut self, a: &FlowState, b: &FlowState, span: Span) -> FlowState {
         self.stats.joins += 1;
-        let m = merge(a, b, &self.keys, self.world, self.syms);
+        let m = merge(a, b, &self.keys, self.decls.tables(), self.decls.syms());
         for p in &m.problems {
             self.diags.error(Code::JoinMismatch, span, p.clone());
         }
@@ -817,9 +833,9 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 let mut binds = Bindings::new();
                 let ok = actual.is_error()
                     || lowered.is_error()
-                    || match unify(&lowered, &actual, &mut binds, self.world) {
+                    || match unify(&lowered, &actual, &mut binds, self.decls.tables()) {
                         Ok(()) => true,
-                        Err(_) if is_guarded_init(&lowered, &actual, self.world) => true,
+                        Err(_) if is_guarded_init(&lowered, &actual, self.decls.tables()) => true,
                         Err(err) => {
                             self.diags.error(
                                 Code::TypeMismatch,
@@ -833,7 +849,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 for b in &binders {
                     match binds.keys.get(b) {
                         Some(k) => {
-                            self.keyenv.insert(self.syms.sym(b), KeyRef::Id(*k));
+                            self.keyenv.insert(self.decls.syms().sym(b), KeyRef::Id(*k));
                             if self.keys.info(*k).name.is_none() {
                                 self.keys.info_mut(*k).name = Some(b.clone());
                             }
@@ -855,7 +871,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 for b in &state_binders {
                     match binds.states.get(b) {
                         Some(v) => {
-                            self.statevars.insert(self.syms.sym(b), *v);
+                            self.statevars.insert(self.decls.syms().sym(b), *v);
                         }
                         None if ok => {
                             self.diags.error(
@@ -904,7 +920,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
         };
         if !st.declare(
-            self.syms.sym(&name.name),
+            self.decls.syms().sym(&name.name),
             Binding {
                 decl_ty,
                 ty: final_ty,
@@ -922,7 +938,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     fn check_assign(&mut self, st: &mut FlowState, lhs: &Expr, rhs: &Expr, span: Span) {
         match &lhs.kind {
             ExprKind::Var(name) => {
-                let sym = self.syms.sym(&name.name);
+                let sym = self.decls.syms().sym(&name.name);
                 let Some(binding) = st.lookup(sym).cloned() else {
                     if self.captured.iter().any(|f| f.contains_key(&sym)) {
                         self.diags.error(
@@ -952,16 +968,16 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 let mut binds = Bindings::new();
                 let ok = actual.is_error()
                     || expected.is_error()
-                    || unify(&expected, &actual, &mut binds, self.world).is_ok()
-                    || is_guarded_init(&expected, &actual, self.world);
+                    || unify(&expected, &actual, &mut binds, self.decls.tables()).is_ok()
+                    || is_guarded_init(&expected, &actual, self.decls.tables());
                 if !ok {
                     self.diags.error(
                         Code::TypeMismatch,
                         span,
                         format!(
                             "cannot assign `{}` to `{name}` of type `{}`",
-                            actual.display(self.world),
-                            expected.display(self.world)
+                            actual.display(self.decls.tables()),
+                            expected.display(self.decls.tables())
                         ),
                     );
                 }
@@ -982,16 +998,22 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 let mut binds = Bindings::new();
                 if !lhs_ty.is_error()
                     && !actual.is_error()
-                    && unify(&lhs_ty, &actual, &mut binds, self.world).is_err()
-                    && unify(value_ty(&lhs_ty), value_ty(&actual), &mut binds, self.world).is_err()
+                    && unify(&lhs_ty, &actual, &mut binds, self.decls.tables()).is_err()
+                    && unify(
+                        value_ty(&lhs_ty),
+                        value_ty(&actual),
+                        &mut binds,
+                        self.decls.tables(),
+                    )
+                    .is_err()
                 {
                     self.diags.error(
                         Code::TypeMismatch,
                         span,
                         format!(
                             "cannot assign `{}` to a location of type `{}`",
-                            actual.display(self.world),
-                            lhs_ty.display(self.world)
+                            actual.display(self.decls.tables()),
+                            lhs_ty.display(self.decls.tables())
                         ),
                     );
                 }
@@ -1021,10 +1043,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         crate::elaborate::validate_signature(&sig, f, self.diags);
         let mut child = FnChecker {
-            world: self.world,
-            syms: self.syms,
-            aliases: self.aliases,
-            qualifiers: self.qualifiers,
+            decls: self.decls,
             diags: self.diags,
             keys: self.keys.clone(),
             abs_counter: self.abs_counter,
@@ -1044,7 +1063,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         child.run(f);
         let child_stats = child.stats;
         self.stats.absorb(child_stats);
-        self.local_fns.insert(self.syms.sym(&f.name.name), sig);
+        self.local_fns
+            .insert(self.decls.syms().sym(&f.name.name), sig);
     }
 
     /// The loop-invariant fixpoint, iterated sparsely.
@@ -1089,7 +1109,13 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let mut after_body = iter;
             self.check_stmt(&mut after_body, body);
             self.stats.joins += 1;
-            let m = merge(&cur, &after_body, &self.keys, self.world, self.syms);
+            let m = merge(
+                &cur,
+                &after_body,
+                &self.keys,
+                self.decls.tables(),
+                self.decls.syms(),
+            );
             if !m.problems.is_empty() {
                 // The back edge changes the held-key set every iteration:
                 // no invariant exists.
@@ -1111,7 +1137,13 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 return;
             }
             let joined = m.state;
-            if states_agree(&joined, &cur, &self.keys, self.world, self.syms) {
+            if states_agree(
+                &joined,
+                &cur,
+                &self.keys,
+                self.decls.tables(),
+                self.decls.syms(),
+            ) {
                 *st = exit_state;
                 return;
             }
@@ -1147,7 +1179,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         scrutinee.span,
                         format!(
                             "cannot switch on `{}`: its key {} is not held",
-                            sty.display(self.world),
+                            sty.display(self.decls.tables()),
                             self.keys.describe(*k)
                         ),
                     );
@@ -1161,7 +1193,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             scrutinee.span,
                             format!(
                                 "switch requires a variant, found `{}`",
-                                other.display(self.world)
+                                other.display(self.decls.tables())
                             ),
                         );
                         return;
@@ -1176,19 +1208,19 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     scrutinee.span,
                     format!(
                         "switch requires a variant, found `{}`",
-                        other.display(self.world)
+                        other.display(self.decls.tables())
                     ),
                 );
                 return;
             }
         };
-        let TypeDef::Variant(def) = self.world.typedef(vid) else {
+        let TypeDef::Variant(def) = self.decls.tables().typedef(vid) else {
             self.diags.error(
                 Code::TypeMismatch,
                 scrutinee.span,
                 format!(
                     "switch requires a variant, found `{}`",
-                    sty.display(self.world)
+                    sty.display(self.decls.tables())
                 ),
             );
             return;
@@ -1307,7 +1339,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let binder = arm.binders.get(i);
             // Anonymous tracked components unpack to fresh keys.
             if let Ty::TrackedAnon(inner) = &ty {
-                let k = self.fresh_key(None, inner.display(self.world), KeyOrigin::Unpacked);
+                let k = self.fresh_key(
+                    None,
+                    inner.display(self.decls.tables()),
+                    KeyOrigin::Unpacked,
+                );
                 let state = self.fresh_abs(None);
                 s.held.insert(k, state).expect("fresh key");
                 ty = Ty::Tracked {
@@ -1318,7 +1354,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             match binder {
                 Some(ast::PatBinder::Name(n)) => {
                     if !s.declare(
-                        self.syms.sym(&n.name),
+                        self.decls.syms().sym(&n.name),
                         Binding {
                             decl_ty: ty.clone(),
                             ty,
@@ -1339,7 +1375,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             *sp,
                             format!(
                                 "component of type `{}` carries keys and cannot be ignored",
-                                ty.display(self.world)
+                                ty.display(self.decls.tables())
                             ),
                         );
                     }
@@ -1352,7 +1388,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "unbound component of type `{}` carries keys; bind and \
                                  consume it",
-                                ty.display(self.world)
+                                ty.display(self.decls.tables())
                             ),
                         );
                     }
@@ -1387,7 +1423,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             self.diags.error(
                 Code::TypeMismatch,
                 e.span,
-                format!("condition must be bool, found `{}`", t.display(self.world)),
+                format!(
+                    "condition must be bool, found `{}`",
+                    t.display(self.decls.tables())
+                ),
             );
         }
     }
@@ -1420,7 +1459,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         self.diags.error(
                             Code::TypeMismatch,
                             base.span,
-                            format!("cannot index `{}`", other.display(self.world)),
+                            format!("cannot index `{}`", other.display(self.decls.tables())),
                         );
                         Ty::Error
                     }
@@ -1477,7 +1516,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // guard is checked where the value is *used* (field access,
         // arithmetic, assignment). Passing a guarded reference to a
         // function that will acquire the guard itself is legal.
-        let sym = self.syms.sym(&name.name);
+        let sym = self.decls.syms().sym(&name.name);
         if let Some(b) = st.lookup(sym) {
             // Clone only what escapes the borrow (skip `decl_ty`).
             let init = b.init;
@@ -1501,7 +1540,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         if let Some(sig) = self.local_fns.get(&sym) {
             return Ty::Fn(Box::new(sig.clone()));
         }
-        if let Some(sig) = self.world.fn_sig(&name.name) {
+        if let Some(sig) = self.decls.fn_sig(&name.name) {
             return Ty::Fn(Box::new(sig.clone()));
         }
         self.diags.error(
@@ -1541,14 +1580,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 "key {} must be in state `{}` to access this value, but \
                                  is in `{}`",
                                 self.keys.describe(k),
-                                self.world.states.state_name(*t),
-                                cur.display(&self.world.states)
+                                self.decls.tables().states.state_name(*t),
+                                cur.display(&self.decls.tables().states)
                             ),
                         );
                     }
                 }
                 StateReq::AtMost { bound, .. } => {
-                    if !cur.le_token(*bound, &self.world.states) {
+                    if !cur.le_token(*bound, &self.decls.tables().states) {
                         self.diags.error(
                             Code::StateBound,
                             span,
@@ -1556,14 +1595,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 "key {} must be at or below `{}` to access this value, \
                                  but is in `{}`",
                                 self.keys.describe(k),
-                                self.world.states.state_name(*bound),
-                                cur.display(&self.world.states)
+                                self.decls.tables().states.state_name(*bound),
+                                cur.display(&self.decls.tables().states)
                             ),
                         );
                     }
                 }
                 StateReq::Var(v) => {
-                    let want = self.statevars.get(&self.syms.sym(v)).copied();
+                    let want = self.statevars.get(&self.decls.syms().sym(v)).copied();
                     if want != Some(cur) {
                         self.diags.error(
                             Code::WrongKeyState,
@@ -1610,7 +1649,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     fn field_ty(&mut self, st: &mut FlowState, base_ty: &Ty, fname: &ast::Ident, span: Span) -> Ty {
         let core = self.place_core(st, base_ty, span);
         match core {
-            Ty::Named { id, args } => match self.world.typedef(id) {
+            Ty::Named { id, args } => match self.decls.tables().typedef(id) {
                 TypeDef::Struct(sd) => {
                     let Some((_, fty)) = sd.fields.iter().find(|(n, _)| n == &fname.name) else {
                         self.diags.error(
@@ -1627,7 +1666,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     self.diags.error(
                         Code::TypeMismatch,
                         fname.span,
-                        format!("type `{}` has no fields", self.world.type_name(id)),
+                        format!("type `{}` has no fields", self.decls.tables().type_name(id)),
                     );
                     Ty::Error
                 }
@@ -1637,7 +1676,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 self.diags.error(
                     Code::TypeMismatch,
                     span,
-                    format!("type `{}` has no fields", other.display(self.world)),
+                    format!(
+                        "type `{}` has no fields",
+                        other.display(self.decls.tables())
+                    ),
                 );
                 Ty::Error
             }
@@ -1659,8 +1701,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     format!(
                         "`{}` requires integer operands, found `{}` and `{}`",
                         op.symbol(),
-                        lt.display(self.world),
-                        rt.display(self.world)
+                        lt.display(self.decls.tables()),
+                        rt.display(self.decls.tables())
                     ),
                 );
             }
@@ -1683,8 +1725,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     span,
                     format!(
                         "cannot compare `{}` with `{}`",
-                        lt.display(self.world),
-                        rt.display(self.world)
+                        lt.display(self.decls.tables()),
+                        rt.display(self.decls.tables())
                     ),
                 );
             }
@@ -1731,7 +1773,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         for (decl, arg) in sig.params.iter().zip(args) {
             let aty = self.eval(st, arg, Some(decl));
             if !decl.is_error() && !aty.is_error() {
-                let direct = unify(decl, &aty, &mut binds, self.world);
+                let direct = unify(decl, &aty, &mut binds, self.decls.tables());
                 let ok = match direct {
                     Ok(()) => true,
                     // Passing a guarded value where the unguarded core is
@@ -1739,7 +1781,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     // guard must hold here.
                     Err(_) => {
                         let stripped_ok =
-                            unify(decl, value_ty(&aty), &mut binds, self.world).is_ok();
+                            unify(decl, value_ty(&aty), &mut binds, self.decls.tables()).is_ok();
                         if stripped_ok {
                             self.use_value(st, &aty, arg.span);
                         }
@@ -1761,8 +1803,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             "argument does not match parameter of `{}`: expected `{}`, \
                              found `{}`",
                             sig.name,
-                            decl.display(self.world),
-                            aty.display(self.world)
+                            decl.display(self.decls.tables()),
+                            aty.display(self.decls.tables())
                         ),
                     );
                 }
@@ -1804,7 +1846,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         // Returned anonymous tracked values unpack immediately.
         if let Ty::TrackedAnon(inner) = &ret {
-            let k = self.fresh_key(None, inner.display(self.world), KeyOrigin::Fresh);
+            let k = self.fresh_key(None, inner.display(self.decls.tables()), KeyOrigin::Fresh);
             let state = self.fresh_abs(None);
             st.held.insert(k, state).expect("fresh key");
             return Ty::Tracked {
@@ -1819,7 +1861,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         match &callee.kind {
             ExprKind::Var(name) => {
                 // A local variable holding a function value.
-                if let Some(b) = st.lookup(self.syms.sym(&name.name)) {
+                if let Some(b) = st.lookup(self.decls.syms().sym(&name.name)) {
                     if let Ty::Fn(sig) = &b.ty {
                         return Some((**sig).clone());
                     }
@@ -1830,10 +1872,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     );
                     return None;
                 }
-                if let Some(sig) = self.local_fns.get(&self.syms.sym(&name.name)) {
+                if let Some(sig) = self.local_fns.get(&self.decls.syms().sym(&name.name)) {
                     return Some(sig.clone());
                 }
-                if let Some(sig) = self.world.fn_sig(&name.name) {
+                if let Some(sig) = self.decls.fn_sig(&name.name) {
                     return Some(sig.clone());
                 }
                 self.diags.error(
@@ -1846,12 +1888,16 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             ExprKind::Field(base, fname) => {
                 // Module-qualified call `Region.create(...)`.
                 if let ExprKind::Var(q) = &base.kind {
-                    if st.lookup(self.syms.sym(&q.name)).is_none() {
-                        if !self.qualifiers.contains(&self.syms.sym(&q.name)) {
+                    if st.lookup(self.decls.syms().sym(&q.name)).is_none() {
+                        if !self
+                            .decls
+                            .qualifiers()
+                            .contains(&self.decls.syms().sym(&q.name))
+                        {
                             // Unknown qualifier: still resolve by final
                             // segment, but note the suspicious module.
                         }
-                        if let Some(sig) = self.world.fn_sig(&fname.name) {
+                        if let Some(sig) = self.decls.fn_sig(&fname.name) {
                             return Some(sig.clone());
                         }
                         self.diags.error(
@@ -2013,15 +2059,15 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "`{callee}` requires key {} in state `{}`, but it is in `{}`",
                             self.keys.describe(k),
-                            self.world.states.state_name(*t),
-                            cur.display(&self.world.states)
+                            self.decls.tables().states.state_name(*t),
+                            cur.display(&self.decls.tables().states)
                         ),
                     );
                     false
                 }
             }
             StateReq::AtMost { var, bound } => {
-                if cur.le_token(*bound, &self.world.states) {
+                if cur.le_token(*bound, &self.decls.tables().states) {
                     if let Some(v) = var {
                         let _ = binds.bind_state(v, cur);
                     }
@@ -2034,8 +2080,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             "`{callee}` requires key {} at or below `{}`, but it is in \
                              `{}`",
                             self.keys.describe(k),
-                            self.world.states.state_name(*bound),
-                            cur.display(&self.world.states)
+                            self.decls.tables().states.state_name(*bound),
+                            cur.display(&self.decls.tables().states)
                         ),
                     );
                     false
@@ -2046,7 +2092,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     .states
                     .get(v)
                     .copied()
-                    .or_else(|| self.statevars.get(&self.syms.sym(v)).copied());
+                    .or_else(|| self.statevars.get(&self.decls.syms().sym(v)).copied());
                 match want {
                     Some(w) if w == cur => true,
                     Some(w) => {
@@ -2057,8 +2103,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 "`{callee}` requires key {} in state `{}`, but it is in \
                                  `{}`",
                                 self.keys.describe(k),
-                                w.display(&self.world.states),
-                                cur.display(&self.world.states)
+                                w.display(&self.decls.tables().states),
+                                cur.display(&self.decls.tables().states)
                             ),
                         );
                         false
@@ -2080,7 +2126,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 .states
                 .get(v)
                 .copied()
-                .or_else(|| self.statevars.get(&self.syms.sym(v)).copied())
+                .or_else(|| self.statevars.get(&self.decls.syms().sym(v)).copied())
             {
                 Some(val) => val,
                 None => {
@@ -2108,7 +2154,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         expected: Option<&Ty>,
         span: Span,
     ) -> Ty {
-        let Some((vid, idx)) = self.world.ctor(&name.name) else {
+        let Some((vid, idx)) = self.decls.tables().ctor(&name.name) else {
             self.diags.error(
                 Code::UnknownName,
                 name.span,
@@ -2119,7 +2165,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
             return Ty::Error;
         };
-        let TypeDef::Variant(def) = self.world.typedef(vid) else {
+        let TypeDef::Variant(def) = self.decls.tables().typedef(vid) else {
             unreachable!("ctor table only points at variants");
         };
         let def = def.clone();
@@ -2152,10 +2198,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             for ((pname, _), kref) in cdef.captures.iter().zip(keys) {
                 let resolved = self
                     .keyenv
-                    .get(&self.syms.sym(&kref.key.name))
+                    .get(&self.decls.syms().sym(&kref.key.name))
                     .cloned()
                     .or_else(|| {
-                        self.world
+                        self.decls
+                            .tables()
                             .global_key(&kref.key.name)
                             .map(|g| KeyRef::Id(g.id))
                     });
@@ -2223,7 +2270,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let decl_inst = subst_by_name(decl, &pmap);
             let aty = self.eval(st, arg, Some(&decl_inst));
             if !aty.is_error() {
-                if let Err(e) = unify(&decl_inst, &aty, &mut binds, self.world) {
+                if let Err(e) = unify(&decl_inst, &aty, &mut binds, self.decls.tables()) {
                     self.diags.error(
                         Code::TypeMismatch,
                         arg.span,
@@ -2360,7 +2407,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             id: vid,
             args: result_args,
         };
-        if is_keyed_variant(self.world, vid) {
+        if is_keyed_variant(self.decls.tables(), vid) {
             let k = self.fresh_key(None, def.name.clone(), KeyOrigin::Fresh);
             st.held.insert(k, StateVal::DEFAULT).expect("fresh key");
             Ty::Tracked {
@@ -2402,7 +2449,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             return Ty::Error;
         };
         // Check the field initializers.
-        match self.world.typedef(*id) {
+        match self.decls.tables().typedef(*id) {
             TypeDef::Struct(sd) => {
                 let sd = sd.clone();
                 let map = param_map(&sd.params, args);
@@ -2421,9 +2468,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             let got = self.eval(st, &init.value, Some(&want));
                             let mut b = Bindings::new();
                             if !got.is_error()
-                                && unify(&want, &got, &mut b, self.world).is_err()
-                                && unify(value_ty(&want), value_ty(&got), &mut b, self.world)
-                                    .is_err()
+                                && unify(&want, &got, &mut b, self.decls.tables()).is_err()
+                                && unify(
+                                    value_ty(&want),
+                                    value_ty(&got),
+                                    &mut b,
+                                    self.decls.tables(),
+                                )
+                                .is_err()
                             {
                                 self.diags.error(
                                     Code::TypeMismatch,
@@ -2431,8 +2483,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                     format!(
                                         "field `{}` expects `{}`, found `{}`",
                                         init.name,
-                                        want.display(self.world),
-                                        got.display(self.world)
+                                        want.display(self.decls.tables()),
+                                        got.display(self.decls.tables())
                                     ),
                                 );
                             }
@@ -2508,7 +2560,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             r.span,
                             format!(
                                 "allocation requires a tracked region, found `{}`",
-                                other.display(self.world)
+                                other.display(self.decls.tables())
                             ),
                         );
                         Ty::Error
@@ -2552,7 +2604,7 @@ fn is_anon_decl(t: &Ty) -> bool {
 
 /// Initializing a guarded declaration from an unguarded value of the core
 /// type is permitted (`K:int x = 4;`).
-fn is_guarded_init(decl: &Ty, actual: &Ty, world: &World) -> bool {
+fn is_guarded_init(decl: &Ty, actual: &Ty, world: &Tables) -> bool {
     if let Ty::Guarded { inner, .. } = decl {
         let mut b = Bindings::new();
         return unify(inner, value_ty(actual), &mut b, world).is_ok();
@@ -2572,7 +2624,7 @@ impl FnChecker<'_, '_> {
             .collect();
         for (n, v) in &self.statevars {
             map.insert(
-                self.syms.resolve(*n).to_string(),
+                self.decls.syms().resolve(*n).to_string(),
                 Arg::State(StateArg::Val(*v)),
             );
         }

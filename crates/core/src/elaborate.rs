@@ -9,7 +9,7 @@ use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_types::{
     AbstractDef, CtorDef, FnSig, GlobalKey, Interner, KeyGen, KeyInfo, KeyOrigin, KeyRef,
-    ParamKind, StateTable, StructDef, Symbol, Ty, TypeDef, VariantDef, World,
+    ParamKind, StateTable, StructDef, Symbol, Tables, Ty, TypeDef, VariantDef, World,
 };
 
 /// The result of elaboration: the world plus everything the flow checker
@@ -550,7 +550,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
     }
 }
 
-fn lower_params(world: &World, params: &[ast::TParam], diags: &mut DiagSink) -> Vec<ParamKind> {
+fn lower_params(world: &Tables, params: &[ast::TParam], diags: &mut DiagSink) -> Vec<ParamKind> {
     params
         .iter()
         .map(|p| match p {

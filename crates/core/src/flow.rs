@@ -20,7 +20,7 @@
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vault_types::{ty_eq_mod_keys, HeldSet, Interner, KeyGen, KeyId, StateVal, Symbol, Ty, World};
+use vault_types::{ty_eq_mod_keys, HeldSet, Interner, KeyGen, KeyId, StateVal, Symbol, Tables, Ty};
 
 /// What the checker knows about one variable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -184,7 +184,13 @@ fn frames_identical(a: &FlowState, b: &FlowState) -> bool {
 }
 
 /// Merge two flow states at a join point.
-pub fn merge(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &World, syms: &Interner) -> Merge {
+pub fn merge(
+    a: &FlowState,
+    b: &FlowState,
+    keys: &KeyGen,
+    world: &Tables,
+    syms: &Interner,
+) -> Merge {
     if !a.reachable {
         return Merge {
             state: b.clone(),
@@ -314,7 +320,7 @@ fn poison(
     poisoned.push(syms.resolve(name).to_string());
 }
 
-fn held_disagreement(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &World) -> String {
+fn held_disagreement(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &Tables) -> String {
     let describe = |h: &HeldSet| -> String {
         let items: Vec<String> = h
             .iter()
@@ -373,7 +379,7 @@ pub fn states_agree(
     a: &FlowState,
     b: &FlowState,
     keys: &KeyGen,
-    world: &World,
+    world: &Tables,
     syms: &Interner,
 ) -> bool {
     if a.reachable != b.reachable {
@@ -393,7 +399,7 @@ pub fn states_agree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vault_types::{AbstractDef, KeyInfo, KeyOrigin, KeyRef, StateTable, TypeDef};
+    use vault_types::{AbstractDef, KeyInfo, KeyOrigin, KeyRef, StateTable, TypeDef, World};
 
     fn setup() -> (World, KeyGen, Ty, Interner) {
         let mut w = World::new();

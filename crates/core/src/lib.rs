@@ -47,6 +47,7 @@ pub mod check;
 pub mod codegen;
 pub mod elaborate;
 pub mod flow;
+pub mod interface;
 pub mod lower;
 
 use vault_syntax::diag::{Code, DiagSink, Diagnostic, Severity};

@@ -12,8 +12,8 @@ use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_syntax::span::Span;
 use vault_types::{
-    Arg, EffItem, FnSig, GuardAtom, Interner, KeyRef, ParamKind, StateArg, StateReq, Symbol, Ty,
-    TypeDef, World,
+    Arg, EffItem, FnSig, GuardAtom, Interner, KeyRef, ParamKind, StateArg, StateReq, Symbol,
+    Tables, Ty, TypeDef,
 };
 
 /// A recorded `type name<params> = body;` alias, expanded at use sites.
@@ -28,7 +28,7 @@ pub struct AliasEntry {
 /// Immutable lowering context.
 pub struct LowerCtx<'a> {
     /// The world built so far (named types, statesets, globals).
-    pub world: &'a World,
+    pub world: &'a Tables,
     /// Type aliases by name.
     pub aliases: &'a BTreeMap<Symbol, AliasEntry>,
     /// The unit's interner (scope maps are symbol-keyed).
@@ -716,6 +716,6 @@ pub fn param_map(params: &[ParamKind], args: &[Arg]) -> BTreeMap<String, Arg> {
 }
 
 /// Shorthand: is this declaration a variant whose values carry keys?
-pub fn is_keyed_variant(world: &World, id: vault_types::TypeId) -> bool {
+pub fn is_keyed_variant(world: &Tables, id: vault_types::TypeId) -> bool {
     matches!(world.typedef(id), TypeDef::Variant(v) if v.is_keyed())
 }

@@ -40,13 +40,22 @@ pub enum EditKind {
     /// unterminated comment or string, a stray character, a deleted
     /// semicolon.
     SyntaxBreaking,
+    /// Change the effect clause of a function another one calls: drop
+    /// its clause, add a `uses` item to it, or give it one.
+    EffectClause,
+    /// Delete a function another one calls.
+    DeleteCalled,
+    /// Insert a `struct` or a type alias ahead of every existing
+    /// declaration (after the imports), so every type id and most
+    /// symbol numbers shift.
+    InsertType,
     /// Go back to one of the session's recent versions.
     Undo,
 }
 
 impl EditKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EditKind; 10] = [
+    pub const ALL: [EditKind; 13] = [
         EditKind::BodyLine,
         EditKind::Literal,
         EditKind::RenameLocalFresh,
@@ -56,6 +65,9 @@ impl EditKind {
         EditKind::Brace,
         EditKind::TwoBodies,
         EditKind::SyntaxBreaking,
+        EditKind::EffectClause,
+        EditKind::DeleteCalled,
+        EditKind::InsertType,
         EditKind::Undo,
     ];
 
@@ -85,6 +97,9 @@ impl EditKind {
             EditKind::TwoBodies => "two_bodies",
             EditKind::SyntaxBreaking => "syntax_breaking",
             EditKind::Undo => "undo",
+            EditKind::EffectClause => "effect_clause",
+            EditKind::DeleteCalled => "delete_called",
+            EditKind::InsertType => "insert_type",
         }
     }
 }
@@ -161,6 +176,33 @@ fn functions(source: &str) -> Vec<FnSite> {
         i += 1;
     }
     out
+}
+
+/// The name of the function declared at `f`.
+fn fn_name(source: &str, f: FnSite) -> &str {
+    let header = &source[f.start + "void ".len()..f.body];
+    &header[..header.find('(').unwrap_or(0)]
+}
+
+/// Whether the body of `f` calls `name`.
+fn calls(source: &str, f: FnSite, name: &str) -> bool {
+    let body = &source[f.body..f.close];
+    body.match_indices(name).any(|(i, _)| {
+        let before = i.checked_sub(1).map(|j| body.as_bytes()[j]);
+        !before.is_some_and(is_ident) && body[i + name.len()..].starts_with('(')
+    })
+}
+
+/// The functions of `source` some other function calls.
+fn called(source: &str, fns: &[FnSite]) -> Vec<FnSite> {
+    fns.iter()
+        .copied()
+        .filter(|&g| {
+            let name = fn_name(source, g);
+            fns.iter()
+                .any(|&f| f.start != g.start && calls(source, f, name))
+        })
+        .collect()
 }
 
 /// The number of functions in `source` an edit can target.
@@ -413,6 +455,40 @@ impl EditSession {
                         splice(&src, (semi, semi + 1), "")
                     }
                 })
+            }
+            EditKind::EffectClause => {
+                let g = pick(&called(&src, &fns), rng)?;
+                let header = &src[g.start..g.body];
+                let open = header.rfind('{')?;
+                let clause = header[..open].rfind(" [");
+                let edited = match clause {
+                    Some(at) if rng.gen_bool(0.5) => format!("{} {{\n", &header[..at]),
+                    Some(_) => {
+                        let close = header.rfind(']')?;
+                        format!("{}, uses time{}", &header[..close], &header[close..])
+                    }
+                    None => format!("{}[uses time] {{\n", &header[..open]),
+                };
+                Some(splice(&src, (g.start, g.body), &edited))
+            }
+            EditKind::DeleteCalled => {
+                let g = pick(&called(&src, &fns), rng)?;
+                Some(splice(&src, (g.start, g.end), ""))
+            }
+            EditKind::InsertType => {
+                let decl = if rng.gen_bool(0.5) {
+                    format!("struct {} {{ int a; int b; }}\n", self.fresh_name("edit_s"))
+                } else {
+                    format!("type {} = int;\n", self.fresh_name("edit_t"))
+                };
+                let mut at = 0;
+                for line in src.split_inclusive('\n') {
+                    if !line.starts_with("import ") {
+                        break;
+                    }
+                    at += line.len();
+                }
+                Some(splice(&src, (at, at), &decl))
             }
             EditKind::Undo => None,
         }

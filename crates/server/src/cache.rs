@@ -34,6 +34,9 @@ const NONE: usize = usize::MAX;
 struct Entry<V> {
     key: u64,
     value: V,
+    /// How much of the capacity this entry takes (see
+    /// [`LruCache::put_weighted`]).
+    weight: usize,
     prev: usize,
     next: usize,
 }
@@ -49,10 +52,14 @@ pub struct LruCache<V> {
     head: usize, // most recently used
     tail: usize, // least recently used
     capacity: usize,
+    /// Sum of the live entries' weights; at most `capacity` unless one
+    /// entry alone outweighs it.
+    weight: usize,
 }
 
 impl<V: Clone> LruCache<V> {
-    /// An empty cache holding at most `capacity` entries (min 1).
+    /// An empty cache holding at most `capacity` entries (min 1), or
+    /// entries of at most that total weight.
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         LruCache {
@@ -62,12 +69,18 @@ impl<V: Clone> LruCache<V> {
             head: NONE,
             tail: NONE,
             capacity,
+            weight: 0,
         }
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.map.len()
+    }
+
+    /// Total weight of the live entries.
+    pub fn weight(&self) -> usize {
+        self.weight
     }
 
     /// Whether the cache is empty.
@@ -116,43 +129,56 @@ impl<V: Clone> LruCache<V> {
     /// Insert (or refresh) `key`, evicting the least recently used
     /// entry if the cache is full.
     pub fn put(&mut self, key: u64, value: V) {
-        if let Some(&i) = self.map.get(&key) {
-            self.slab[i].value = value;
-            if self.head != i {
-                self.unlink(i);
-                self.link_front(i);
+        self.put_weighted(key, value, 1);
+    }
+
+    /// Insert (or refresh) `key` as `weight` units of the capacity (at
+    /// least 1), evicting least recently used entries until the total
+    /// fits. An entry heavier than the whole capacity stays, alone.
+    pub fn put_weighted(&mut self, key: u64, value: V, weight: usize) {
+        let weight = weight.max(1);
+        let i = match self.map.get(&key) {
+            Some(&i) => {
+                self.weight -= self.slab[i].weight;
+                self.slab[i].value = value;
+                self.slab[i].weight = weight;
+                if self.head != i {
+                    self.unlink(i);
+                    self.link_front(i);
+                }
+                i
             }
-            return;
-        }
-        if self.map.len() == self.capacity {
-            let victim = self.tail;
-            debug_assert_ne!(victim, NONE);
-            self.unlink(victim);
-            self.map.remove(&self.slab[victim].key);
-            self.free.push(victim);
-        }
-        let i = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot] = Entry {
+            None => {
+                let entry = Entry {
                     key,
                     value,
+                    weight,
                     prev: NONE,
                     next: NONE,
                 };
-                slot
-            }
-            None => {
-                self.slab.push(Entry {
-                    key,
-                    value,
-                    prev: NONE,
-                    next: NONE,
-                });
-                self.slab.len() - 1
+                let i = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot] = entry;
+                        slot
+                    }
+                    None => {
+                        self.slab.push(entry);
+                        self.slab.len() - 1
+                    }
+                };
+                self.map.insert(key, i);
+                self.link_front(i);
+                i
             }
         };
-        self.map.insert(key, i);
-        self.link_front(i);
+        self.weight += weight;
+        while self.weight > self.capacity && self.tail != i {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.map.remove(&self.slab[victim].key);
+            self.weight -= self.slab[victim].weight;
+            self.free.push(victim);
+        }
     }
 
     /// Drop every entry (counters elsewhere are unaffected).
@@ -162,6 +188,7 @@ impl<V: Clone> LruCache<V> {
         self.free.clear();
         self.head = NONE;
         self.tail = NONE;
+        self.weight = 0;
     }
 }
 
@@ -249,6 +276,26 @@ mod tests {
         assert!(c.is_empty());
         c.put(42, summary("s"));
         assert!(c.get(42).is_some());
+    }
+
+    #[test]
+    fn weighted_entries_share_the_capacity() {
+        let mut c = LruCache::new(4);
+        c.put_weighted(1, summary("a"), 2);
+        c.put_weighted(2, summary("b"), 2);
+        assert_eq!((c.len(), c.weight()), (2, 4));
+        // Growing 2 to three units evicts 1, the least recently used.
+        c.put_weighted(2, summary("b'"), 3);
+        assert!(c.get(1).is_none());
+        assert_eq!((c.len(), c.weight()), (1, 3));
+        // An entry heavier than the capacity evicts the rest and stays.
+        c.put_weighted(3, summary("c"), 9);
+        assert!(c.get(2).is_none());
+        assert_eq!(c.get(3).unwrap().name, "c");
+        assert_eq!((c.len(), c.weight()), (1, 9));
+        c.put(4, summary("d"));
+        assert!(c.get(3).is_none());
+        assert_eq!((c.len(), c.weight()), (1, 1));
     }
 
     #[test]

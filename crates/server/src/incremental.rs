@@ -8,38 +8,39 @@
 //! 1. **Declaration environment.** Parsing + elaboration produce an
 //!    [`Elaborated`] (declaration tables, frozen interner, base keys)
 //!    that depends only on the unit's *signatures*, never on function
-//!    body content. Its fingerprint (`env_hash`) covers the unit name,
-//!    the limits, the prelude length, and the signature text: the
-//!    segments of the checked text between function bodies, each
-//!    prefixed by its length, so every body counts as one separator
-//!    whatever its length.
+//!    body content. It is cached per unit name together with its
+//!    [`Interface`] fingerprints.
 //! 2. **Per-function verdicts.** As in the paper, a function is checked
-//!    on its own, against the declared effect clauses of its callees, so
-//!    its verdict is a pure function of the environment and the
-//!    declaration's own text — not of where the declaration sits. Each
-//!    body's fingerprint (`fn_fp`) is `env_hash` plus the declaration's
-//!    bytes, with no offsets and no line/column. The verdict — the raw
-//!    [`Diagnostic`]s with every span relative to the declaration start,
-//!    plus the function's [`CheckStats`] — is memoized under that key in
-//!    an LRU. At assembly each verdict is re-based to the declaration's
-//!    current start and rendered through the unit's [`Attribution`] (the
-//!    re-basing path project mode uses), so line numbers and quoted
-//!    source lines always come from the text being checked. A verdict
-//!    with a span or label outside its own declaration would depend on
-//!    more than that text; it is used once and never cached.
+//!    on its own, against the declared effect clauses of the names it
+//!    uses, so its verdict is a pure function of the declaration's own
+//!    text and of what the check read of the environment — not of where
+//!    the declaration sits, nor of any declaration it never looked at. A
+//!    verdict is keyed by `base_hash` (unit name, limits, prelude length)
+//!    plus the declaration's bytes, with no offsets and no line/column.
+//!    It stores the raw [`Diagnostic`]s with every span relative to the
+//!    declaration start, the function's [`CheckStats`], and its
+//!    [`ReadSet`]: one fingerprint of every non-function declaration
+//!    table, plus each callee name the check looked up with that
+//!    signature's fingerprint (or absent). A probe reuses the verdict
+//!    only while the read set holds in the current environment, so
+//!    adding a function, or re-signing one, re-checks only the functions
+//!    that named it. At assembly each verdict is re-based to the
+//!    declaration's current start and rendered through the unit's
+//!    [`Attribution`] (the re-basing path project mode uses), so line
+//!    numbers and quoted source lines always come from the text being
+//!    checked. A verdict with a span or label outside its own declaration
+//!    would depend on more than that text; it is used once and never
+//!    cached.
 //!
 //! # What the environment cache holds
 //!
 //! A function body is needed only while its unit is being checked, so
-//! the environment cache keeps only the declarations. A full check
-//! parses the unit once and elaborates the program *by value*
-//! ([`vault_core::elaborate_owned`]): the function bodies move out of
-//! the parse into the check's front end, never copied, and are freed
-//! when the check ends. A `CachedEnv` holds the checked text, the
-//! declaration slots and fingerprints, and an [`Elaborated`] whose
-//! `bodies` is empty — declaration tables, frozen interner and base
-//! keys. On a 24 KB, 48-function unit that is about 69 KB (23 KB of it
-//! the text), against the 0.5 MB a cached copy of the body ASTs cost.
+//! the environment cache keeps only the declarations. A `CachedEnv`
+//! holds the checked text, the declaration slots and keys, the
+//! [`Interface`], and an [`Elaborated`] whose `bodies` is empty —
+//! declaration tables, frozen interner and base keys. On a 24 KB,
+//! 48-function unit that is about 69 KB (23 KB of it the text), against
+//! the 0.5 MB a cached copy of the body ASTs cost.
 //!
 //! # One body loop
 //!
@@ -47,17 +48,17 @@
 //! cached verdict or a fresh check), splice it into the summary, and
 //! stop where the monolithic checker stops, after the first
 //! [`Code::LimitExceeded`]. Hits and misses are counted in that order,
-//! only up to the stop. The two paths differ only in where an outcome
-//! comes from:
+//! only up to the stop. The paths differ only in where an outcome comes
+//! from:
 //!
 //! * **Fast path** — the environment cache holds a clean parse of an
 //!   earlier text under this unit name, and a common-prefix/suffix scan
 //!   against that text finds the edit confined strictly inside one
 //!   function body (both braces untouched). The cached [`Elaborated`] is
 //!   reused outright (no parse, no elaboration); later declarations'
-//!   spans shift by the length delta; a function whose fingerprint
-//!   misses is checked from a *mini-parse* of just its own declaration.
-//!   A mini-parse lexes only the declaration's byte range of the checked
+//!   spans shift by the length delta; a function whose verdict misses is
+//!   checked from a *mini-parse* of just its own declaration. A
+//!   mini-parse lexes only the declaration's byte range of the checked
 //!   text, with spans in whole-text coordinates, and yields exactly what
 //!   a parse of the text blanked outside that range would
 //!   ([`vault_syntax::parse_range_with_depth`]). The edited declaration
@@ -69,11 +70,29 @@
 //!   the fast path abandons the check with nothing counted. The
 //!   environment entry is then refreshed with the new text and slots,
 //!   sharing the same [`Elaborated`].
-//! * **Full path** — anything else (an edit outside bodies or spanning
-//!   two, a brace edit, a new identifier, a syntax error, an evicted
-//!   environment): parse + elaborate fresh, then probe the per-function
-//!   cache before checking each body, so every function whose text and
-//!   environment are unchanged hits wherever it moved.
+//! * **Full path, declarations first** — anything else (an edit outside
+//!   bodies or spanning two, a brace edit, a new identifier, an evicted
+//!   environment). The whole text is lexed once, so the frozen interner
+//!   is exactly the eager parse's, and only the declarations are parsed:
+//!   each function body is skipped by brace matching over the tokens
+//!   ([`vault_syntax::parse_outline`]). After elaboration, a body is
+//!   parsed from its tokens only when its verdict misses. A body left
+//!   unparsed could hide a syntax error, so only a *pristine* verdict —
+//!   one checked from a body whose parse reported nothing — may stand in
+//!   for it. The monolithic checker parses every body before checking
+//!   any, so when a verdict stops the loop ([`Code::LimitExceeded`]) the
+//!   bodies past it are parsed too. An environment is stored only once
+//!   every body was parsed or stood in for.
+//! * **Full path, eager** — the fallback. If the declaration pass or any
+//!   body parse reports anything, the declarations-first attempt is
+//!   abandoned with nothing counted, and the unit is parsed whole as the
+//!   monolithic checker parses it. The fallback takes over what the
+//!   attempt spent: its front-end timings join the request's, and a
+//!   function it checked counts as the miss it was, with that check's
+//!   time, not as a hit on its own verdict. Verdicts checked there are
+//!   pristine only when that parse reported nothing. A full check starts here
+//!   outright when the fast path's mini-parse of the edited declaration
+//!   reported a syntax error: declarations first would only fall back.
 //!
 //! Either way the assembled [`CheckSummary`] is **byte-identical** to
 //! what a monolithic [`vault_core::check_summary_with_limits`] run would
@@ -91,12 +110,12 @@
 //! worker pool may fill the full path's outcome slots ahead of the loop
 //! ([`IncrementalEngine::check_unit_with_prelude_parallel`]). Helpers
 //! and loop claim function indices from one atomic counter, and the loop
-//! claims only while the slot it needs is empty, so each body is checked
-//! once and a helper still queued behind other work never holds the loop
-//! up. The sequential check is the zero-helper case: the loop claims
-//! exactly the index it needs, and nothing past an early exit is
-//! checked. Per-function `frames_copied` counters stay exact because
-//! each body runs start to finish on one thread (see
+//! claims only while the slot it needs is empty, so each body is parsed
+//! and checked once and a helper still queued behind other work never
+//! holds the loop up. The sequential check is the zero-helper case: the
+//! loop claims exactly the index it needs, and nothing past an early
+//! exit is checked. Per-function `frames_copied` counters stay exact
+//! because each body runs start to finish on one thread (see
 //! [`vault_core::flow::FrameCopyScope`]). A panicking check is caught
 //! where it runs and re-raised by the loop in function order, before the
 //! metrics are added or the environment cache is written, so the
@@ -108,14 +127,15 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use vault_core::check::{check_function_with_limits, CheckStats};
+use vault_core::check::{check_function_reading, CheckStats};
+use vault_core::interface::{Decls, Interface, ReadSet};
 use vault_core::{
     check_summary_with_prelude, elaborate_owned, CheckSummary, Elaborated, Limits, Verdict,
 };
 use vault_syntax::intern::fnv1a;
 use vault_syntax::{
-    ast, parse_program_with_depth_timed, parse_range_with_depth, Attribution, Code, DiagSink,
-    DiagView, Diagnostic, Severity, Span,
+    ast, parse_outline, parse_program_with_depth_timed, parse_range_with_depth, Attribution, Code,
+    DiagSink, DiagView, Diagnostic, FrontEndTiming, Outline, Severity, Span,
 };
 
 use crate::cache::{fnv1a_64, LruCache};
@@ -134,22 +154,25 @@ const MINI_PARSE_DEPTH_MARGIN: usize = 8;
 /// The memoized front half of the pipeline for one unit name.
 struct CachedEnv {
     /// Hash of the unit name, limits and prelude length: the part of
-    /// `env_hash` the fast path cannot read off the text.
+    /// every function key the text does not hold (see [`base_hash`]).
     base_hash: u64,
-    /// Fingerprint of the declaration environment (see [`env_hash`]).
-    env_hash: u64,
     /// The checked text (prelude + unit source) this entry describes.
     source: Arc<str>,
     /// `(whole-declaration span, body span including braces)` for each
     /// checked function, in check order, in `source` coordinates.
     slots: Vec<(Span, Span)>,
-    /// Per-function fingerprints, parallel to `slots`.
-    fps: Vec<u64>,
+    /// Per-function verdict keys, parallel to `slots`.
+    keys: Vec<u64>,
     /// The reusable elaboration output: declaration tables and frozen
     /// interner only. Its `bodies` is always empty; a body AST lives
     /// only while its unit is being checked.
     elaborated: Arc<Elaborated>,
-    /// Whether parse + elaboration reported nothing. The fast path
+    /// `elaborated`'s fingerprints, which read sets are checked against.
+    iface: Arc<Interface>,
+    /// Whether parse + elaboration reported nothing, every body included:
+    /// a declarations-first check stores an entry only once each body was
+    /// parsed or stood in for by a pristine verdict (bodies past a
+    /// [`Code::LimitExceeded`] stop are parsed for this). The fast path
     /// requires it: partial parses have unstable declaration tables, and
     /// the monolithic checker's early-exit rules key off these
     /// diagnostics.
@@ -160,24 +183,25 @@ impl CachedEnv {
     /// This entry refreshed for `source` when `source` differs from its
     /// text only strictly inside one function body (or not at all), plus
     /// that body's index; `None` otherwise. The refreshed entry shares
-    /// this one's [`Elaborated`].
+    /// this one's [`Elaborated`] and [`Interface`].
     ///
     /// A common-prefix/suffix scan bounds the replaced region. The
-    /// signature text is then unchanged, so `env_hash` still holds;
-    /// every offset past the region moves by the length delta, and only
-    /// the edited declaration needs a new fingerprint.
+    /// declarations outside it are unchanged, so the environment still
+    /// holds; every offset past the region moves by the length delta,
+    /// and only the edited declaration needs a new key.
     fn edited_to(&self, source: &str) -> Option<(CachedEnv, Option<usize>)> {
-        let refreshed = |slots: Vec<(Span, Span)>, fps: Vec<u64>| CachedEnv {
+        let refreshed = |slots: Vec<(Span, Span)>, keys: Vec<u64>| CachedEnv {
             source: Arc::from(source),
             slots,
-            fps,
+            keys,
             elaborated: Arc::clone(&self.elaborated),
+            iface: Arc::clone(&self.iface),
             ..*self
         };
         let (old, new) = (self.source.as_bytes(), source.as_bytes());
         let prefix = common_prefix(old, new);
         if prefix == old.len() && prefix == new.len() {
-            return Some((refreshed(self.slots.clone(), self.fps.clone()), None));
+            return Some((refreshed(self.slots.clone(), self.keys.clone()), None));
         }
         let suffix = common_suffix(&old[prefix..], &new[prefix..]);
         // `old[prefix..old_end]` was replaced; the opening brace must sit
@@ -207,9 +231,9 @@ impl CachedEnv {
                 )
             })
             .collect();
-        let mut fps = self.fps.clone();
-        fps[k] = fn_fingerprint(self.env_hash, source, slots[k].0);
-        Some((refreshed(slots, fps), Some(k)))
+        let mut keys = self.keys.clone();
+        keys[k] = fn_key(self.base_hash, source, slots[k].0);
+        Some((refreshed(slots, keys), Some(k)))
     }
 }
 
@@ -244,19 +268,25 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 }
 
 /// The memoized verdict for one function body, independent of where
-/// its declaration sits.
-struct FnVerdict {
+/// its declaration sits, plus what says when it still holds. Shared
+/// (`Arc`) by the per-function cache, the assembly loop and the
+/// journal; its counters travel beside it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct FnVerdict {
     /// The function's diagnostics in discovery order, every span taken
     /// relative to the declaration start (modulo 2^32, so a span before
-    /// the start survives the round trip; see [`Self::self_contained`]).
-    diags: Vec<Diagnostic>,
-    /// The function's checker counters, every phase timing zero: a
-    /// request that reuses the verdict did none of that work, so only
-    /// the request that checked the body counts its time.
-    stats: CheckStats,
+    /// the start survives the round trip).
+    pub diags: Vec<Diagnostic>,
+    /// What the check read of the unit's declarations.
+    pub reads: ReadSet,
+    /// Whether the body was checked from a parse that reported nothing:
+    /// only such a verdict may stand in for a body left unparsed.
+    pub pristine: bool,
 }
 
-/// `stats` with every phase timing zeroed.
+/// `stats` with every phase timing zeroed: a request that reuses a
+/// verdict did none of that work, so only the request that checked the
+/// body counts its time.
 fn untimed(stats: CheckStats) -> CheckStats {
     CheckStats {
         lex_micros: 0,
@@ -287,16 +317,21 @@ fn map_offsets(d: &mut Diagnostic, f: impl Fn(u32) -> u32) {
 impl FnVerdict {
     /// A verdict from diagnostics reported for a declaration starting at
     /// `start`.
-    fn at(start: u32, mut diags: Vec<Diagnostic>, stats: CheckStats) -> Self {
+    fn at(start: u32, mut diags: Vec<Diagnostic>, reads: ReadSet, pristine: bool) -> Self {
         for d in &mut diags {
             map_offsets(d, |o| o.wrapping_sub(start));
         }
-        FnVerdict { diags, stats }
+        FnVerdict {
+            diags,
+            reads,
+            pristine,
+        }
     }
 
     /// Whether every span and label lies inside a declaration of
     /// `decl_len` bytes. Only such a verdict depends on nothing but the
-    /// declaration's text and may be cached or persisted.
+    /// declaration's text and its read set, and may be cached or
+    /// persisted.
     fn self_contained(&self, decl_len: u32) -> bool {
         let inside = |s: Span| s.start <= s.end && s.end <= decl_len;
         self.diags
@@ -304,6 +339,24 @@ impl FnVerdict {
             .all(|d| inside(d.span) && d.labels.iter().all(|l| inside(l.span)))
     }
 }
+
+/// A cached verdict and its untimed counters.
+type FnEntry = (Arc<FnVerdict>, CheckStats);
+
+/// How many verdicts with different read sets the cache keeps for one
+/// declaration text. An edit that flips a callee's signature back and
+/// forth, or an undo, finds the verdict of the environment it returns
+/// to instead of re-checking every caller. Every verdict counts against
+/// the cache's capacity, so this bounds only how much of it one
+/// declaration may take.
+///
+/// Measured by where in its key's list each hit was found: on a traced
+/// `edit_stream` run (seed 1) no hit lay past the third verdict (96% on
+/// the first); after a restart, the store replays verdicts in the order
+/// they were written, not last used, and the `edit_sequences` restart
+/// leg found hits as deep as the sixth. 6 is the smallest value that
+/// leg passes with.
+const MAX_VARIANTS: usize = 6;
 
 /// Render `verdict`'s diagnostics re-based at `start`, the declaration's
 /// current offset, and fold them plus its stats into the running
@@ -315,25 +368,26 @@ fn splice(
     stats: &mut CheckStats,
     attr: &Attribution,
     start: u32,
-    verdict: &FnVerdict,
+    (verdict, fn_stats): &FnEntry,
 ) -> bool {
     for d in &verdict.diags {
         let mut d = d.clone();
         map_offsets(&mut d, |o| o.wrapping_add(start));
         views.push(attr.view(&d));
     }
-    stats.absorb(verdict.stats);
+    stats.absorb(*fn_stats);
     verdict.diags.iter().any(|d| d.code == Code::LimitExceeded)
 }
 
 /// What one function contributes to a check.
 #[derive(Clone)]
 enum FnOutcome {
-    /// The per-function cache already had the verdict.
-    Hit(Arc<FnVerdict>),
+    /// The per-function cache already had a verdict that still holds.
+    Hit(FnEntry),
     /// Freshly checked (and cached when self-contained), with the
-    /// microseconds the check took.
-    Fresh(Arc<FnVerdict>, u64),
+    /// microseconds its body parse (zero when parsed before the loop)
+    /// and its check took.
+    Fresh(FnEntry, u64, u64),
     /// The check panicked; [`assemble`] re-raises the payload in
     /// function order.
     Panicked(String),
@@ -357,19 +411,20 @@ fn assemble(
 ) -> Option<CheckSummary> {
     let (mut hits, mut misses) = (0u64, 0u64);
     for (i, &(decl, _)) in slots.iter().enumerate() {
-        let verdict = match outcome(i)? {
-            FnOutcome::Hit(v) => {
+        let entry = match outcome(i)? {
+            FnOutcome::Hit(entry) => {
                 hits += 1;
-                v
+                entry
             }
-            FnOutcome::Fresh(v, micros) => {
+            FnOutcome::Fresh(entry, parse_micros, check_micros) => {
                 misses += 1;
-                stats.check_micros += micros;
-                v
+                stats.parse_micros += parse_micros;
+                stats.check_micros += check_micros;
+                entry
             }
             FnOutcome::Panicked(msg) => resume_unwind(Box::new(msg)),
         };
-        if splice(&mut views, &mut stats, attr, decl.start, &verdict) {
+        if splice(&mut views, &mut stats, attr, decl.start, &entry) {
             break;
         }
     }
@@ -386,41 +441,79 @@ fn assemble(
 /// The per-function verdict cache. Shared (`Arc`) with the prefetch
 /// helpers of a full check.
 struct FnCache {
-    lru: Mutex<LruCache<Arc<FnVerdict>>>,
+    /// Per key, up to [`MAX_VARIANTS`] verdicts, most recent first. Each
+    /// verdict counts against the capacity.
+    lru: Mutex<LruCache<Arc<[FnEntry]>>>,
     /// When set (persistence enabled), every fresh function verdict is
     /// also pushed onto `dirty` for the service's journal writer to
     /// drain into the on-disk store. Off by default so a daemon without
     /// `--cache-dir` never accumulates an unbounded list.
     track_dirty: AtomicBool,
-    /// Fresh `(fingerprint, verdict)` pairs not yet persisted.
-    dirty: Mutex<Vec<(u64, Arc<FnVerdict>)>>,
+    /// Fresh `(key, verdict)` pairs not yet persisted.
+    dirty: Mutex<Vec<(u64, FnEntry)>>,
 }
 
 impl FnCache {
-    fn get(&self, fp: u64) -> Option<Arc<FnVerdict>> {
-        lock(&self.lru).get(fp)
+    /// The verdict cached under `key` whose read set holds in `iface`.
+    fn get(&self, key: u64, iface: &Interface) -> Option<FnEntry> {
+        let variants = lock(&self.lru).get(key)?;
+        variants.iter().find(|(v, _)| v.reads.holds(iface)).cloned()
     }
 
-    /// Cache a freshly checked verdict under `fp` (and queue it for the
+    /// Make `entry` the most recent verdict under `key`, in place of
+    /// any with the same read set.
+    fn install(&self, key: u64, entry: FnEntry) {
+        let mut lru = lock(&self.lru);
+        let older = lru.get(key).unwrap_or_else(|| Arc::new([]));
+        let reads = &entry.0.reads;
+        let variants: Arc<[FnEntry]> = std::iter::once(entry.clone())
+            .chain(older.iter().filter(|(v, _)| v.reads != *reads).cloned())
+            .take(MAX_VARIANTS)
+            .collect();
+        let weight = variants.len();
+        lru.put_weighted(key, variants, weight);
+    }
+
+    /// Cache a freshly checked verdict under `key` (and queue it for the
     /// persistence layer, when enabled) if it is self-contained within
     /// `decl`. Returns it shared either way.
-    fn remember(&self, fp: u64, decl: Span, verdict: FnVerdict) -> Arc<FnVerdict> {
-        let verdict = Arc::new(verdict);
-        if verdict.self_contained(decl.len()) {
-            lock(&self.lru).put(fp, Arc::clone(&verdict));
+    fn remember(&self, key: u64, decl: Span, verdict: FnVerdict, stats: CheckStats) -> FnEntry {
+        let entry = (Arc::new(verdict), stats);
+        if entry.0.self_contained(decl.len()) {
+            self.install(key, entry.clone());
             if self.track_dirty.load(Ordering::Relaxed) {
-                lock(&self.dirty).push((fp, Arc::clone(&verdict)));
+                lock(&self.dirty).push((key, entry.clone()));
             }
         }
-        verdict
+        entry
     }
 
-    /// Check `f` against `elab` and remember the verdict under `fp`: the
-    /// miss step of every path. A panicking check is caught here, on
-    /// whichever thread ran it.
-    fn check(&self, fp: u64, elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> FnOutcome {
-        match catch_unwind(AssertUnwindSafe(|| check_body(elab, f, limits))) {
-            Ok((v, micros)) => FnOutcome::Fresh(self.remember(fp, f.span, v), micros),
+    /// Check `f` against `elab` and remember the verdict under `key`:
+    /// the miss step of every path. `pristine` says whether `f` came
+    /// from a parse that reported nothing. A panicking check is caught
+    /// here, on whichever thread ran it.
+    fn check(
+        &self,
+        key: u64,
+        elab: &Elaborated,
+        iface: &Interface,
+        f: &ast::FunDecl,
+        limits: &Limits,
+        pristine: bool,
+    ) -> FnOutcome {
+        let checked = catch_unwind(AssertUnwindSafe(|| {
+            let decls = Decls::of(elab);
+            let mut sink = DiagSink::new();
+            let stats = check_function_reading(&decls, f, &mut sink, limits);
+            let reads = iface.read_set(&decls.callees());
+            let verdict = FnVerdict::at(f.span.start, sink.into_vec(), reads, pristine);
+            (verdict, stats)
+        }));
+        match checked {
+            Ok((verdict, stats)) => {
+                let entry = self.remember(key, f.span, verdict, untimed(stats));
+                FnOutcome::Fresh(entry, 0, stats.check_micros)
+            }
             Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
         }
     }
@@ -444,10 +537,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// Hash of what shapes the environment besides the text: the unit name,
-/// the limits that shape parsing/checking, and the prelude length
-/// (project mode prepends dependency signatures; two prelude/unit
-/// splits of one concatenation attribute diagnostics differently).
+/// Hash of what shapes a check besides the text: the unit name, the
+/// limits that shape parsing/checking, and the prelude length (project
+/// mode prepends dependency signatures; two prelude/unit splits of one
+/// concatenation attribute diagnostics differently).
 fn base_hash(name: &str, limits: &Limits, prelude_len: u32) -> u64 {
     let h = fnv1a_64(name.as_bytes());
     let h = fnv1a(h, &[0x00]);
@@ -456,45 +549,31 @@ fn base_hash(name: &str, limits: &Limits, prelude_len: u32) -> u64 {
     fnv1a(h, &(prelude_len as u64).to_le_bytes())
 }
 
-/// Fingerprint of the declaration environment: `base` plus the
-/// signature text — the segments of `source` around the function bodies
-/// in `slots`, each prefixed by its length. A body contributes only the
-/// boundary between two segments, never its length, so an edit inside
-/// a body leaves the hash unchanged.
-fn env_hash(base: u64, source: &str, slots: &[(Span, Span)]) -> u64 {
-    fn absorb_segment(h: u64, seg: &[u8]) -> u64 {
-        fnv1a(fnv1a(h, &(seg.len() as u64).to_le_bytes()), seg)
-    }
-    let bytes = source.as_bytes();
-    let mut h = base;
-    let mut cursor = 0usize;
-    for &(_, body) in slots {
-        let start = (body.start as usize).max(cursor);
-        h = absorb_segment(h, &bytes[cursor..start]);
-        cursor = cursor.max(body.end as usize);
-    }
-    absorb_segment(h, &bytes[cursor..])
-}
-
-/// Fingerprint of one function: the environment plus the declaration's
-/// own bytes. Everything its relative verdict can depend on, and
-/// nothing about where it sits.
-fn fn_fingerprint(env_hash: u64, source: &str, decl: Span) -> u64 {
+/// The key of one function's verdict: `base` plus the declaration's own
+/// bytes. Nothing about where it sits, and nothing about the rest of
+/// the unit: the verdict's read set says which declarations it needs.
+fn fn_key(base: u64, source: &str, decl: Span) -> u64 {
     fnv1a(
-        env_hash,
+        base,
         &source.as_bytes()[decl.start as usize..decl.end as usize],
     )
 }
 
 /// Parse exactly one declaration of the checked text `text` — only its
 /// byte range is lexed, spans stay in whole-text coordinates — and
-/// intern it against a cached environment. `None` when the mini-parse
-/// is not [`pristine`].
-fn mini_parse(text: &str, decl: Span, elab: &Elaborated, limits: &Limits) -> Option<ast::FunDecl> {
+/// intern it against a cached environment. `Err` when the mini-parse is
+/// not [`pristine`], holding whether it reported a diagnostic.
+fn mini_parse(
+    text: &str,
+    decl: Span,
+    elab: &Elaborated,
+    limits: &Limits,
+) -> Result<ast::FunDecl, bool> {
     let mut diags = DiagSink::new();
     let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
     let program = parse_range_with_depth(text, decl, &mut diags, depth);
-    pristine(program, &diags, decl, elab)
+    let reported = !diags.diagnostics().is_empty();
+    pristine(program, &diags, decl, elab).ok_or(reported)
 }
 
 /// The one function a mini-parse of `decl` must yield, re-interned
@@ -547,25 +626,14 @@ fn verdict_of(views: &[DiagView]) -> Verdict {
     }
 }
 
-/// Check one function body against an elaborated environment. Pure
-/// given its inputs; safe to run on any thread. Returns the untimed
-/// verdict and the microseconds the check took.
-fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> (FnVerdict, u64) {
-    let mut sink = DiagSink::new();
-    let stats = check_function_with_limits(
-        &elab.world,
-        &elab.syms,
-        &elab.aliases,
-        &elab.qualifiers,
-        &elab.base_keys,
-        f,
-        &mut sink,
-        limits,
-    );
-    (
-        FnVerdict::at(f.span.start, sink.into_vec(), untimed(stats)),
-        stats.check_micros,
-    )
+/// Where a full check starts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Front {
+    /// Parse declarations first, and a body only when its verdict misses.
+    DeclarationsFirst,
+    /// Parse the whole unit up front: the edit broke a body's syntax, so
+    /// declarations first would only fall back.
+    Eager,
 }
 
 /// The front half of a full check: parse + elaborate, plus everything
@@ -573,9 +641,14 @@ fn check_body(elab: &Elaborated, f: &ast::FunDecl, limits: &Limits) -> (FnVerdic
 struct FrontEnd {
     /// What the environment cache keeps once the check ends.
     env: CachedEnv,
-    /// The unit's function bodies, in check order, moved out of the
-    /// parse. Freed when the unit's check ends.
+    /// The unit's function declarations, in check order, moved out of
+    /// the parse. Freed when the unit's check ends.
     bodies: Vec<ast::FunDecl>,
+    /// The lexed unit, when `bodies` were skipped by the declaration
+    /// pass and are parsed only on a miss; `None` when they are parsed.
+    outline: Option<Outline>,
+    /// Whether the parse behind `bodies` reported nothing.
+    pristine: bool,
     pre_views: Vec<DiagView>,
     /// How many functions the body loop may reach: only the first after
     /// a front-end [`Code::LimitExceeded`], as in the monolithic checker.
@@ -584,21 +657,43 @@ struct FrontEnd {
     stats: CheckStats,
 }
 
+/// What an abandoned declarations-first attempt already did. The eager
+/// fallback takes it over, so the request's timings include both front
+/// ends and a function checked before the abandonment counts as the miss
+/// it was, not as a hit on its own verdict.
+#[derive(Debug, Default)]
+struct Spent {
+    /// The abandoned attempt's front-end timings.
+    stats: CheckStats,
+    /// Verdicts it checked, with the microseconds their body parse and
+    /// check took.
+    fresh: Vec<(Arc<FnVerdict>, u64, u64)>,
+}
+
 /// A full check's function bodies, with one outcome slot each. The
 /// body loop fills the slot it needs next; prefetch helpers on the pool
 /// fill slots ahead of it. Every slot is claimed from `next`, in order,
-/// so each function is checked at most once.
+/// so each function is parsed and checked at most once.
 struct Bodies {
     fns: Arc<FnCache>,
     elaborated: Arc<Elaborated>,
-    /// The unit's bodies, moved from its [`FrontEnd`].
+    iface: Arc<Interface>,
+    /// The unit's declarations, moved from its [`FrontEnd`].
     bodies: Vec<ast::FunDecl>,
-    fps: Vec<u64>,
+    /// Where unparsed bodies are parsed from (see [`FrontEnd::outline`]).
+    outline: Option<Outline>,
+    /// Whether a body parsed before the loop came from a clean parse.
+    pristine: bool,
+    keys: Vec<u64>,
     limits: Limits,
     /// The lowest index nobody has claimed yet.
     next: AtomicUsize,
-    /// One slot per function the loop may reach.
-    ready: Vec<OnceLock<FnOutcome>>,
+    /// One slot per function the loop may reach; `None` once a body
+    /// parse reported something, which abandons the check.
+    ready: Vec<OnceLock<Option<FnOutcome>>>,
+    /// [`Spent::fresh`] of the attempt this check falls back from, each
+    /// taken by the first function that reuses its verdict.
+    spent: Mutex<Vec<(Arc<FnVerdict>, u64, u64)>>,
 }
 
 impl Bodies {
@@ -613,15 +708,108 @@ impl Bodies {
         true
     }
 
-    /// Probe the per-function cache, checking on a miss.
-    fn outcome(&self, i: usize) -> FnOutcome {
-        let fp = self.fps[i];
-        match self.fns.get(fp) {
-            Some(v) => FnOutcome::Hit(v),
-            None => self
-                .fns
-                .check(fp, &self.elaborated, &self.bodies[i], &self.limits),
+    /// Function `i`'s outcome (see [`Self::reuse_or_check`]). When its
+    /// verdict stops the loop and the declaration pass skipped bodies,
+    /// every later body is parsed too: the monolithic checker parses them
+    /// all before checking any, so their syntax errors are part of its
+    /// answer. `None` when any body parse reports anything: the check is
+    /// abandoned, so nobody claims further functions.
+    fn outcome(&self, i: usize) -> Option<FnOutcome> {
+        let outcome = self.reuse_or_check(i);
+        let stops = match &outcome {
+            Some(FnOutcome::Hit((v, _)) | FnOutcome::Fresh((v, _), ..)) => {
+                v.diags.iter().any(|d| d.code == Code::LimitExceeded)
+            }
+            _ => false,
+        };
+        if let (true, Some(outline)) = (stops, &self.outline) {
+            let rest = &self.bodies[i + 1..];
+            let body = |f: &ast::FunDecl| f.body.as_ref().expect("collected with body").span;
+            if !rest.iter().all(|f| outline.parse_body(body(f)).is_some()) {
+                self.next.fetch_max(self.ready.len(), Ordering::Relaxed);
+                return None;
+            }
         }
+        outcome
+    }
+
+    /// Probe the per-function cache; on a miss, parse the body if the
+    /// declaration pass skipped it, then check it. `None` when that
+    /// parse reports anything.
+    fn reuse_or_check(&self, i: usize) -> Option<FnOutcome> {
+        let key = self.keys[i];
+        let cached = self.fns.get(key, &self.iface);
+        let decl = &self.bodies[i];
+        let Some(outline) = &self.outline else {
+            if let Some(entry) = cached {
+                return Some(self.reused(entry));
+            }
+            return Some(self.fns.check(
+                key,
+                &self.elaborated,
+                &self.iface,
+                decl,
+                &self.limits,
+                self.pristine,
+            ));
+        };
+        // Only a pristine verdict may stand in for an unparsed body.
+        if let Some(entry) = cached.filter(|(v, _)| v.pristine) {
+            return Some(self.reused(entry));
+        }
+        let started = std::time::Instant::now();
+        let body = decl.body.as_ref().expect("collected with body").span;
+        let Some(body) = outline.parse_body(body) else {
+            self.next.fetch_max(self.ready.len(), Ordering::Relaxed);
+            return None;
+        };
+        let parsed = ast::FunDecl {
+            body: Some(body),
+            ..decl.clone()
+        };
+        let parse_micros = started.elapsed().as_micros() as u64;
+        let outcome = self.fns.check(
+            key,
+            &self.elaborated,
+            &self.iface,
+            &parsed,
+            &self.limits,
+            true,
+        );
+        Some(match outcome {
+            FnOutcome::Fresh(entry, _, check_micros) => {
+                FnOutcome::Fresh(entry, parse_micros, check_micros)
+            }
+            outcome => outcome,
+        })
+    }
+
+    /// A cache hit on `entry`, or the miss it was when the abandoned
+    /// attempt this check falls back from checked that very verdict.
+    fn reused(&self, entry: FnEntry) -> FnOutcome {
+        let mut spent = lock(&self.spent);
+        match spent.iter().position(|(v, ..)| Arc::ptr_eq(v, &entry.0)) {
+            Some(i) => {
+                let (_, parse_micros, check_micros) = spent.swap_remove(i);
+                FnOutcome::Fresh(entry, parse_micros, check_micros)
+            }
+            None => FnOutcome::Hit(entry),
+        }
+    }
+
+    /// What the check did before it was abandoned, for the fallback.
+    fn spent(&self, stats: CheckStats) -> Spent {
+        let fresh = self
+            .ready
+            .iter()
+            .filter_map(|slot| match slot.get() {
+                Some(Some(FnOutcome::Fresh((v, _), parse, check))) => {
+                    Some((Arc::clone(v), *parse, *check))
+                }
+                _ => None,
+            })
+            .collect();
+        Spent { stats, fresh }
     }
 
     /// What a helper job runs: claim until nothing is left.
@@ -632,7 +820,7 @@ impl Bodies {
     /// Function `i`'s outcome. Claims in order while slot `i` is empty;
     /// once every function is claimed, waits for whoever holds `i`, or
     /// fills it here if its claimant has not started on it.
-    fn probe(&self, i: usize) -> FnOutcome {
+    fn probe(&self, i: usize) -> Option<FnOutcome> {
         while self.ready[i].get().is_none() && self.claim() {}
         self.ready[i].get_or_init(|| self.outcome(i)).clone()
     }
@@ -659,29 +847,24 @@ impl IncrementalEngine {
     }
 
     /// Drain every function verdict computed since the last drain, as
-    /// `(fingerprint, declaration-relative diagnostics, stats)` rows
-    /// ready to journal.
-    pub fn take_dirty(&self) -> Vec<(u64, Vec<Diagnostic>, CheckStats)> {
+    /// `(key, verdict, counters)` rows ready to journal. The verdicts
+    /// are shared with the cache, not copied.
+    pub fn take_dirty(&self) -> Vec<(u64, Arc<FnVerdict>, CheckStats)> {
         std::mem::take(&mut *lock(&self.fns.dirty))
             .into_iter()
-            .map(|(fp, v)| (fp, v.diags.clone(), v.stats))
+            .map(|(key, (verdict, stats))| (key, verdict, stats))
             .collect()
     }
 
-    /// Install a function verdict replayed from the persistent cache;
-    /// `diags` carry spans relative to the declaration start. The
-    /// fingerprint recipe is stable across restarts (environment hash
-    /// plus declaration text), so a later check of the same function
-    /// under the same declarations hits this entry wherever the function
-    /// has moved. Any phase timings in `stats` are dropped.
-    pub fn seed_fn(&self, fp: u64, diags: Vec<Diagnostic>, stats: CheckStats) {
-        lock(&self.fns.lru).put(
-            fp,
-            Arc::new(FnVerdict {
-                diags,
-                stats: untimed(stats),
-            }),
-        );
+    /// Install a function verdict replayed from the persistent cache.
+    /// The key recipe is stable across restarts (base hash plus
+    /// declaration text), and the verdict's read set is checked against
+    /// the environment of whichever check probes it, so a later check of
+    /// the same function hits this entry wherever the function has moved
+    /// while what it read is unchanged. Any phase timings in `stats` are
+    /// dropped.
+    pub fn seed_fn(&self, key: u64, verdict: Arc<FnVerdict>, stats: CheckStats) {
+        self.fns.install(key, (verdict, untimed(stats)));
     }
 
     /// Check one unit, reusing whatever the caches already know.
@@ -701,7 +884,7 @@ impl IncrementalEngine {
     /// [`Self::check_unit`] against a dependency-signature prelude
     /// (project mode). The checker runs over `prelude + source`, every
     /// diagnostic is re-attributed to unit coordinates through
-    /// [`Attribution`], and the environment hash absorbs the prelude, so
+    /// [`Attribution`], and the base hash absorbs the prelude length, so
     /// a unit keeps its per-function cache across body edits even inside
     /// a project. The result is byte-identical to
     /// [`vault_core::check_summary_with_prelude`].
@@ -733,7 +916,7 @@ impl IncrementalEngine {
 
     /// Live entry counts `(environments, function verdicts)`.
     pub fn entries(&self) -> (usize, usize) {
-        (lock(&self.envs).len(), lock(&self.fns.lru).len())
+        (lock(&self.envs).len(), lock(&self.fns.lru).weight())
     }
 
     /// Drop every cached environment and function verdict, plus any
@@ -761,72 +944,131 @@ impl IncrementalEngine {
             return check_summary_with_prelude(name, prelude, source, limits);
         }
         let attr = Attribution::with_prelude(name, prelude, source);
-        if let Some(summary) = self.try_fast_path(name, &attr, limits, metrics) {
-            return summary;
+        match self.try_fast_path(name, &attr, limits, metrics) {
+            Ok(summary) => summary,
+            Err(front) => self.full_check(name, &attr, limits, metrics, pool, front),
         }
-        self.full_check(name, &attr, limits, metrics, pool)
     }
 
     /// Edit-region path: reuse the cached elaboration; a function whose
-    /// fingerprint misses is checked from a mini-parse of its own
-    /// declaration. `None` means the preconditions failed and the full
-    /// path must run; nothing is counted then, so the full path's counts
-    /// are the unit's only ones.
+    /// verdict misses is checked from a mini-parse of its own
+    /// declaration. `Err` means the preconditions failed and the full
+    /// path must run, starting with the front end it names; nothing is
+    /// counted then, so the full path's counts are the unit's only ones.
     fn try_fast_path(
         &self,
         name: &str,
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
-    ) -> Option<CheckSummary> {
+    ) -> Result<CheckSummary, Front> {
+        let full = Front::DeclarationsFirst;
         let source = attr.full_text();
-        let cached = lock(&self.envs).get(fnv1a_64(name.as_bytes()))?;
+        let cached = lock(&self.envs)
+            .get(fnv1a_64(name.as_bytes()))
+            .ok_or(full)?;
         if !cached.clean || cached.base_hash != base_hash(name, limits, attr.prelude_len()) {
-            return None;
+            return Err(full);
         }
-        let (env, edited) = cached.edited_to(source)?;
+        let (env, edited) = cached.edited_to(source).ok_or(full)?;
         let parse = |decl| mini_parse(source, decl, &env.elaborated, limits);
         // The edited declaration must parse pristine even when its
         // verdict is cached: a verdict cached from a recovered parse of
-        // the same text says nothing about the syntax error. `None`
-        // from a mini-parse (syntax error, span drift, or a brand-new
+        // the same text says nothing about the syntax error. A failed
+        // mini-parse (syntax error, span drift, or a brand-new
         // identifier) means only the full pipeline can say what the
-        // unit means now.
+        // unit means now; after a syntax error, its body would not parse
+        // on its own either, so the full path starts eager.
         let mut edited_fn = match edited {
-            Some(k) => Some(parse(env.slots[k].0)?),
+            Some(k) => match parse(env.slots[k].0) {
+                Ok(f) => Some(f),
+                Err(true) => return Err(Front::Eager),
+                Err(false) => return Err(full),
+            },
             None => None,
         };
         let outcome = |i: usize| {
-            if let Some(v) = self.fns.get(env.fps[i]) {
-                return Some(FnOutcome::Hit(v));
+            if let Some(entry) = self.fns.get(env.keys[i], &env.iface) {
+                return Some(FnOutcome::Hit(entry));
             }
             let decl = env.slots[i].0;
             let f = match edited_fn.take_if(|_| edited == Some(i)) {
                 Some(f) => f,
-                None => parse(decl)?,
+                None => parse(decl).ok()?,
             };
-            match self.fns.check(env.fps[i], &env.elaborated, &f, limits) {
+            let elab = &env.elaborated;
+            match self
+                .fns
+                .check(env.keys[i], elab, &env.iface, &f, limits, true)
+            {
                 // A verdict reaching outside its declaration may point
                 // at text this entry has shifted.
-                FnOutcome::Fresh(v, _) if !v.self_contained(decl.len()) => None,
+                FnOutcome::Fresh((v, _), ..) if !v.self_contained(decl.len()) => None,
                 outcome => Some(outcome),
             }
         };
         let stats = CheckStats::default();
-        let summary = assemble(name, attr, &env.slots, Vec::new(), stats, metrics, outcome)?;
+        let summary =
+            assemble(name, attr, &env.slots, Vec::new(), stats, metrics, outcome).ok_or(full)?;
         lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
-        Some(summary)
+        Ok(summary)
     }
 
-    /// Parse + elaborate the unit and fingerprint every function body:
-    /// everything a full check does before touching a body. The parsed
-    /// program is consumed: its bodies move into the front end, the rest
-    /// is dropped once elaborated.
-    fn front(&self, name: &str, attr: &Attribution, limits: &Limits) -> FrontEnd {
-        let source = attr.full_text();
+    /// The declarations-first front end: lex the whole text once and
+    /// parse only the declarations, skipping every function body. `Err`
+    /// when that pass reports anything, with what it spent.
+    fn outline_front(
+        &self,
+        name: &str,
+        attr: &Attribution,
+        limits: &Limits,
+    ) -> Result<FrontEnd, Spent> {
         let mut pre = DiagSink::new();
-        let (program, front) =
-            parse_program_with_depth_timed(source, &mut pre, limits.parser_depth);
+        let (program, outline, timing) =
+            parse_outline(attr.full_text(), &mut pre, limits.parser_depth);
+        if !pre.diagnostics().is_empty() {
+            let stats = CheckStats {
+                lex_micros: timing.lex_micros,
+                parse_micros: timing.parse_micros,
+                ..CheckStats::default()
+            };
+            return Err(Spent {
+                stats,
+                fresh: Vec::new(),
+            });
+        }
+        let front = self.elaborate(name, attr, limits, program, pre, timing);
+        Ok(FrontEnd {
+            outline: Some(outline),
+            ..front
+        })
+    }
+
+    /// The eager front end: parse the whole unit, bodies included, as
+    /// the monolithic checker does.
+    fn eager_front(&self, name: &str, attr: &Attribution, limits: &Limits) -> FrontEnd {
+        let mut pre = DiagSink::new();
+        let (program, timing) =
+            parse_program_with_depth_timed(attr.full_text(), &mut pre, limits.parser_depth);
+        let pristine = pre.diagnostics().is_empty();
+        let front = self.elaborate(name, attr, limits, program, pre, timing);
+        FrontEnd { pristine, ..front }
+    }
+
+    /// Elaborate a parsed program and key every function: everything a
+    /// full check does before touching a body. The program is consumed:
+    /// its function declarations move into the front end, the rest is
+    /// dropped once elaborated.
+    fn elaborate(
+        &self,
+        name: &str,
+        attr: &Attribution,
+        limits: &Limits,
+        program: ast::Program,
+        mut pre: DiagSink,
+        timing: FrontEndTiming,
+    ) -> FrontEnd {
+        let source = attr.full_text();
         let mut elaborated = elaborate_owned(program, &mut pre);
         let bodies = std::mem::take(&mut elaborated.bodies);
         let reach = if pre.has_code(Code::LimitExceeded) {
@@ -841,14 +1083,13 @@ impl IncrementalEngine {
             .map(|f| (f.span, f.body.as_ref().expect("collected with body").span))
             .collect();
         let base = base_hash(name, limits, attr.prelude_len());
-        let eh = env_hash(base, source, &slots);
-        let fps = slots
+        let keys = slots
             .iter()
-            .map(|&(decl, _)| fn_fingerprint(eh, source, decl))
+            .map(|&(decl, _)| fn_key(base, source, decl))
             .collect();
         let stats = CheckStats {
-            lex_micros: front.lex_micros,
-            parse_micros: front.parse_micros,
+            lex_micros: timing.lex_micros,
+            parse_micros: timing.parse_micros,
             elaborate_micros: elaborated.elaborate_micros,
             lower_micros: elaborated.lower_micros,
             ..CheckStats::default()
@@ -856,23 +1097,25 @@ impl IncrementalEngine {
         FrontEnd {
             env: CachedEnv {
                 base_hash: base,
-                env_hash: eh,
                 source: Arc::from(source),
                 slots,
-                fps,
+                keys,
+                iface: Arc::new(Interface::of(&elaborated)),
                 elaborated: Arc::new(elaborated),
                 clean: pre_views.is_empty(),
             },
             bodies,
+            outline: None,
+            pristine: true,
             pre_views,
             reach,
             stats,
         }
     }
 
-    /// Parse + elaborate fresh, run the body loop over the per-function
-    /// cache (prefetching on `pool` when given one), and refresh the
-    /// environment cache.
+    /// The full path from `front`: declarations first, falling back to
+    /// the eager front end when the declaration pass or a body parse
+    /// reports anything.
     fn full_check(
         &self,
         name: &str,
@@ -880,22 +1123,61 @@ impl IncrementalEngine {
         limits: &Limits,
         metrics: &Metrics,
         pool: Option<&ThreadPool>,
+        front: Front,
     ) -> CheckSummary {
+        let mut spent = Spent::default();
+        if front == Front::DeclarationsFirst {
+            let outline = self.outline_front(name, attr, limits);
+            match outline
+                .and_then(|front| self.run(front, name, attr, limits, metrics, pool, spent))
+            {
+                Ok(summary) => return summary,
+                Err(abandoned) => spent = abandoned,
+            }
+        }
+        let front = self.eager_front(name, attr, limits);
+        self.run(front, name, attr, limits, metrics, pool, spent)
+            .expect("a parsed unit never abandons")
+    }
+
+    /// Run the body loop over the per-function cache (prefetching on
+    /// `pool` when given one), taking over what an abandoned attempt
+    /// `spent`, and refresh the environment cache. `Err` with what this
+    /// attempt spent when a skipped body's parse reported something.
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &self,
+        front: FrontEnd,
+        name: &str,
+        attr: &Attribution,
+        limits: &Limits,
+        metrics: &Metrics,
+        pool: Option<&ThreadPool>,
+        spent: Spent,
+    ) -> Result<CheckSummary, Spent> {
         let FrontEnd {
             env,
             bodies,
+            outline,
+            pristine,
             pre_views,
             reach,
-            stats,
-        } = self.front(name, attr, limits);
+            mut stats,
+        } = front;
+        let front_stats = stats;
+        stats.absorb(spent.stats);
         let bodies = Arc::new(Bodies {
             fns: Arc::clone(&self.fns),
             elaborated: Arc::clone(&env.elaborated),
+            iface: Arc::clone(&env.iface),
             bodies,
-            fps: env.fps.clone(),
+            outline,
+            pristine,
+            keys: env.keys.clone(),
             limits: *limits,
             next: AtomicUsize::new(0),
             ready: (0..reach).map(|_| OnceLock::new()).collect(),
+            spent: Mutex::new(spent.fresh),
         });
         if let Some(pool) = pool {
             // Helpers are an accelerant, never a dependency: a refused
@@ -912,11 +1194,11 @@ impl IncrementalEngine {
         }
         let slots = &env.slots[..reach];
         let summary = assemble(name, attr, slots, pre_views, stats, metrics, |i| {
-            Some(bodies.probe(i))
+            bodies.probe(i)
         })
-        .expect("the full path never abandons");
+        .ok_or_else(|| bodies.spent(front_stats))?;
         lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
-        summary
+        Ok(summary)
     }
 }
 
@@ -989,30 +1271,44 @@ void beta() {
         let limits = Limits::default();
         eng.check_unit("u.vlt", UNIT, &limits, &m);
         // Same length, but the edit is outside every body (a struct
-        // field rename), so elaboration must rerun — and every function
-        // fingerprint changes with the environment.
+        // rename), so elaboration must rerun — and the non-function
+        // fingerprint every read set holds changes with it.
         let edited = UNIT.replace("struct point { int x;", "struct paint { int x;");
         assert_eq!(edited.len(), UNIT.len());
         let got = eng.check_unit("u.vlt", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
     }
 
-    #[test]
-    fn adding_a_declaration_invalidates_every_function() {
-        let (eng, m) = engine();
-        let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
-        // A new top-level function is a new *signature*: it changes the
-        // declaration environment every body is checked against, so no
-        // cached function verdict may survive — a new declaration can
-        // change name resolution anywhere in the unit.
-        let edited = format!("{UNIT}void gamma() {{ }}\n");
+    /// `(hits, misses)` counted while checking `text` as `u.vlt`, which
+    /// must match the monolithic checker.
+    fn counted(eng: &IncrementalEngine, m: &Metrics, text: &str) -> (u64, u64) {
         let before = m.snapshot();
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
-        assert_eq!(got, reference("u.vlt", &edited, &limits));
+        let got = eng.check_unit("u.vlt", text, &Limits::default(), m);
+        assert_eq!(got, reference("u.vlt", text, &Limits::default()));
         let snap = m.snapshot();
-        assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 0);
-        assert_eq!(snap.fn_cache_misses - before.fn_cache_misses, 3);
+        (
+            snap.fn_cache_hits - before.fn_cache_hits,
+            snap.fn_cache_misses - before.fn_cache_misses,
+        )
+    }
+
+    #[test]
+    fn adding_a_function_rechecks_only_it_and_what_named_it() {
+        let (eng, m) = engine();
+        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
+        // A new function no one calls: the others read nothing it
+        // changed, so only it is checked.
+        let added = format!("{UNIT}void gamma() {{ }}\n");
+        assert_eq!(counted(&eng, &m, &added), (2, 1));
+        // `delta` calls a function that does not exist yet: its read set
+        // records the name as absent, so declaring it re-checks `delta`.
+        let caller = format!("{added}void delta() {{ helper(); }}\n");
+        assert_eq!(counted(&eng, &m, &caller), (3, 1));
+        let declared = format!("void helper() {{ }}\n{caller}");
+        assert_eq!(counted(&eng, &m, &declared), (3, 2));
+        // Re-signing `helper` re-checks it and its one caller.
+        let resigned = declared.replace("void helper() {", "int helper() { return 1;");
+        assert_eq!(counted(&eng, &m, &resigned), (3, 2));
     }
 
     #[test]
@@ -1118,7 +1414,7 @@ void beta() {
         // `prelude + unit` concatenations that are byte-identical but
         // split at different offsets must not reuse each other's cached
         // views: attribution (line numbers in `rendered`) depends on the
-        // split, which the environment hash absorbs.
+        // split, which the base hash absorbs.
         let (eng, m) = engine();
         let limits = Limits::default();
         let iface = "interface FS {\n  type FILE;\n  tracked(F) FILE fopen() [new F];\n  void fclose(tracked(F) FILE f) [-F];\n}\n";
@@ -1177,7 +1473,12 @@ void beta() {
             check_micros: 99,
             ..CheckStats::default()
         };
-        eng.seed_fn(42, Vec::new(), timed);
+        let verdict = FnVerdict {
+            diags: Vec::new(),
+            reads: ReadSet::default(),
+            pristine: true,
+        };
+        eng.seed_fn(42, Arc::new(verdict), timed);
 
         // Every verdict the cache holds: the four remembered by the two
         // checks (sequential and fanned out), plus the seeded one.
@@ -1186,8 +1487,8 @@ void beta() {
         for (_, _, stats) in &dirty {
             assert_eq!(timings(stats), [0; 5]);
         }
-        let seeded = eng.fns.get(42).expect("seeded");
-        assert_eq!(timings(&seeded.stats), [0; 5]);
+        let seeded = lock(&eng.fns.lru).get(42).expect("seeded");
+        assert_eq!(timings(&seeded[0].1), [0; 5]);
 
         let before = m.snapshot();
         let warm = eng.check_unit("u.vlt", UNIT, &limits, &m);
@@ -1288,7 +1589,7 @@ void beta() {
             context()
         );
         assert_eq!(
-            mini_parse(text, range, elab, &Limits::default()).is_some(),
+            mini_parse(text, range, elab, &Limits::default()).is_ok(),
             ranged.is_some()
         );
         ranged.is_some()
@@ -1327,21 +1628,29 @@ void beta() {
         (clean, elab.bodies.len())
     }
 
-    #[test]
-    fn range_mini_parse_matches_the_blanked_text_oracle() {
-        use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
-        let mut units: Vec<String> = vault_corpus::all_programs()
-            .into_iter()
-            .map(|p| p.source)
-            .collect();
-        for shape in [
+    /// The synth shapes every front-end oracle covers.
+    const SHAPES: [vault_corpus::synth::Shape; 6] = {
+        use vault_corpus::synth::Shape;
+        [
             Shape::Mixed,
             Shape::Straight,
             Shape::Branchy,
             Shape::Loopy,
             Shape::VariantHeavy,
             Shape::Sockets,
-        ] {
+        ]
+    };
+
+    /// The checked texts every front-end oracle covers: each corpus
+    /// program, three units of each synth shape, and each unit of a synth
+    /// project prefixed by its import prelude.
+    fn oracle_units() -> Vec<String> {
+        use vault_corpus::synth::{self, ProjectConfig, SynthConfig};
+        let mut units: Vec<String> = vault_corpus::all_programs()
+            .into_iter()
+            .map(|p| p.source)
+            .collect();
+        for shape in SHAPES {
             for seed in 1..=3 {
                 units.push(
                     synth::generate(&SynthConfig {
@@ -1374,7 +1683,12 @@ void beta() {
             let attr = Attribution::with_prelude(name, &planned.prelude, source);
             units.push(attr.full_text().to_string());
         }
+        units
+    }
 
+    #[test]
+    fn range_mini_parse_matches_the_blanked_text_oracle() {
+        let mut units = oracle_units();
         // Strings and comments inside bodies, which the cut ranges end in.
         units.push(
             "type FILE;\n\
@@ -1395,6 +1709,91 @@ void beta() {
         // Nearly every declaration of a parseable unit mini-parses
         // pristine on its own; the oracle must see both outcomes.
         assert!(clean * 10 > total * 9, "{clean} of {total} pristine");
+    }
+
+    /// Parse `text` declarations first, then every skipped body, and
+    /// hold the result to the eager parse: when neither pass reported
+    /// anything, the same declarations and bodies (symbols included),
+    /// the same frozen interner and no diagnostics; otherwise the eager
+    /// parse reports something too, and the engine falls back to it.
+    /// Returns whether the declarations-first parse stood.
+    fn assert_outline_matches_eager(text: &str) -> bool {
+        let depth = Limits::default().parser_depth;
+        let mut eager_diags = DiagSink::new();
+        let eager = vault_syntax::parse_program_with_depth(text, &mut eager_diags, depth);
+        let mut diags = DiagSink::new();
+        let (mut program, outline, _) = parse_outline(text, &mut diags, depth);
+        fn fill(decls: &mut [ast::Decl], outline: &Outline) -> bool {
+            decls.iter_mut().all(|d| match d {
+                ast::Decl::Interface(i) => fill(&mut i.decls, outline),
+                ast::Decl::Fun(f) => match &mut f.body {
+                    Some(body) => match outline.parse_body(body.span) {
+                        Some(parsed) => {
+                            *body = parsed;
+                            true
+                        }
+                        None => false,
+                    },
+                    None => true,
+                },
+                _ => true,
+            })
+        }
+        let stood = diags.diagnostics().is_empty() && fill(&mut program.decls, &outline);
+        let clean = eager_diags.diagnostics().is_empty();
+        assert_eq!(
+            stood, clean,
+            "fell back on a clean parse, or stood on a broken one:\n{text}"
+        );
+        if stood {
+            assert_eq!(
+                format!("{:?}", program.decls),
+                format!("{:?}", eager.decls),
+                "{text}"
+            );
+            assert!(program.syms.names().eq(eager.syms.names()), "{text}");
+        }
+        stood
+    }
+
+    #[test]
+    fn declarations_first_parse_matches_the_eager_parse() {
+        use vault_corpus::edits::{EditKind, EditSession};
+        use vault_corpus::synth::{self, SynthConfig};
+        let units = oracle_units();
+        for text in &units {
+            assert!(assert_outline_matches_eager(text), "{text}");
+        }
+        // Brace and syntax-breaking edits: the parse either stands and
+        // equals the eager one, or falls back.
+        let (mut stood, mut fell_back) = (0, 0);
+        for shape in SHAPES {
+            let source = synth::generate(&SynthConfig {
+                functions: 8,
+                stmts_per_fn: 6,
+                seed: 3,
+                bug_rate: 0.2,
+                shape,
+            })
+            .source;
+            for kind in [EditKind::Brace, EditKind::SyntaxBreaking] {
+                for seed in 0..12 {
+                    let mut rng = rand::SeedableRng::seed_from_u64(seed);
+                    let mut session = EditSession::new(source.clone());
+                    assert!(session.apply(kind, &mut rng), "{kind:?} found no site");
+                    if assert_outline_matches_eager(session.source()) {
+                        stood += 1;
+                    } else {
+                        fell_back += 1;
+                    }
+                }
+            }
+        }
+        // Some brace edits keep the unit parseable; syntax breaks never do.
+        assert!(
+            stood > 0 && fell_back > 6 * 12,
+            "{stood} stood, {fell_back} fell back"
+        );
     }
 
     #[test]
@@ -1487,19 +1886,34 @@ void beta() {
     }
 
     #[test]
+    fn the_eager_fallback_counts_what_the_abandoned_attempt_checked() {
+        let (eng, m) = engine();
+        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
+        // `alpha`'s declaration changed, so declarations first checks it;
+        // then `beta`'s body fails to parse and the eager parse takes
+        // over. `alpha` is a miss there, not a hit on its own verdict.
+        let edited = UNIT
+            .replace("void alpha(bool flag) {", "void alpha(bool flag)  {")
+            .replace("  p.x++;\n}\n", "  p.x++\n}\n");
+        assert_eq!(counted(&eng, &m, &edited), (0, 2));
+    }
+
+    #[test]
     fn full_path_reuses_functions_whose_text_is_unchanged() {
         let (eng, m) = engine();
         let limits = Limits::default();
         eng.check_unit("u.vlt", UNIT, &limits, &m);
-        // A comment ahead of every declaration moves all of them and
-        // changes the signature text, so nothing may be reused.
+        // A comment ahead of every declaration moves all of them but
+        // changes no declaration: everything is reused.
         let moved = format!("// header\n{UNIT}");
         let before = m.snapshot();
         let got = eng.check_unit("u.vlt", &moved, &limits, &m);
         assert_eq!(got, reference("u.vlt", &moved, &limits));
-        assert_eq!(m.snapshot().fn_cache_hits, before.fn_cache_hits);
+        let snap = m.snapshot();
+        assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 2);
+        assert_eq!(snap.fn_cache_misses, before.fn_cache_misses);
         // Touching `beta`'s opening brace takes the full path, which
-        // still reuses `alpha` under the unchanged signature text.
+        // still reuses `alpha`.
         let brace = moved.replace("void beta() {", "void beta() {  ");
         let before = m.snapshot();
         let got = eng.check_unit("u.vlt", &brace, &limits, &m);
@@ -1514,14 +1928,15 @@ void beta() {
         let decl = Span::new(100, 140);
         let inside = Diagnostic::error(Code::KeyLeak, Span::new(120, 125), "leak")
             .with_label(Span::new(100, 101), "here");
-        let v = FnVerdict::at(decl.start, vec![inside.clone()], CheckStats::default());
+        let at = |d: Diagnostic| FnVerdict::at(decl.start, vec![d], ReadSet::default(), true);
+        let v = at(inside.clone());
         assert!(v.self_contained(decl.len()));
         assert_eq!(v.diags[0].span, Span::new(20, 25));
         let before = Diagnostic::error(Code::KeyLeak, Span::new(120, 125), "leak")
             .with_label(Span::new(40, 45), "declared earlier");
         let after = Diagnostic::error(Code::KeyLeak, Span::new(130, 150), "leak");
         for d in [before, after] {
-            let v = FnVerdict::at(decl.start, vec![d.clone()], CheckStats::default());
+            let v = at(d.clone());
             assert!(!v.self_contained(decl.len()));
             // Re-basing at the same start restores the exact spans.
             let mut back = v.diags[0].clone();
@@ -1529,12 +1944,8 @@ void beta() {
             assert_eq!(back, d);
         }
         let eng = IncrementalEngine::new(4, 4);
-        let outside = FnVerdict::at(
-            decl.start,
-            vec![Diagnostic::error(Code::KeyLeak, Span::new(0, 1), "x")],
-            CheckStats::default(),
-        );
-        eng.fns.remember(7, decl, outside);
+        let outside = at(Diagnostic::error(Code::KeyLeak, Span::new(0, 1), "x"));
+        eng.fns.remember(7, decl, outside, CheckStats::default());
         assert_eq!(eng.entries(), (0, 0));
     }
 
@@ -1589,18 +2000,70 @@ void four() { int z = 4; }
     }
 
     #[test]
+    fn a_syntax_error_past_a_limit_stop_is_still_reported() {
+        // `two` exceeds the limit, so no path checks `three`; but the
+        // monolithic checker parses every body first and reports its
+        // missing semicolon (braces balanced, so the declaration pass
+        // does not see it).
+        const BROKEN: &str = "\
+void one(int a) { int x = a; }
+void two() {
+  int i = 0;
+  while (i < 10) { i = i + 1; }
+}
+void three(int b) { int y = b }
+";
+        let limits = Limits {
+            fixpoint_iters: 0,
+            ..Limits::default()
+        };
+        let fixed = BROKEN.replace("int y = b }", "int y = b; }");
+        // Edits inside `one`'s body; the last text breaks `three` again.
+        let texts = [
+            BROKEN.to_string(),
+            BROKEN.replace("int x = a;", "int x = a + a;"),
+            fixed.clone(),
+            fixed.replace("int x = a;", "int x = a + 1;"),
+            BROKEN.replace("int x = a;", "int x = a + 1;"),
+        ];
+        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
+        for pool in [None, Some(&pool)] {
+            let (eng, m) = engine();
+            let mut elab: Option<Arc<Elaborated>> = None;
+            for (i, text) in texts.iter().enumerate() {
+                let got = match pool {
+                    Some(pool) => {
+                        eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
+                    }
+                    None => eng.check_unit("l.vlt", text, &limits, &m),
+                };
+                assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
+                assert_eq!(got.verdict, Verdict::ResourceLimit);
+                let now = cached_elaboration(&eng, "l.vlt");
+                let kept = elab
+                    .replace(Arc::clone(&now))
+                    .map(|prev| Arc::ptr_eq(&prev, &now));
+                // Only the fixed text is stored clean, so only the edit
+                // after it takes the fast path.
+                assert_eq!(kept, (i > 0).then_some(i == 3), "text {i}");
+            }
+        }
+    }
+
+    #[test]
     fn a_panicked_outcome_re_raises_its_payload_before_anything_is_counted() {
         let m = Metrics::default();
         let attr = Attribution::plain("u.vlt", UNIT);
         let slots = [(Span::new(0, 1), Span::new(0, 1)); 2];
         let hit = Arc::new(FnVerdict {
             diags: Vec::new(),
-            stats: CheckStats::default(),
+            reads: ReadSet::default(),
+            pristine: true,
         });
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let outcome = |i: usize| {
                 Some(match i {
-                    0 => FnOutcome::Hit(Arc::clone(&hit)),
+                    0 => FnOutcome::Hit((Arc::clone(&hit), CheckStats::default())),
                     _ => FnOutcome::Panicked("boom".to_string()),
                 })
             };

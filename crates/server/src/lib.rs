@@ -72,7 +72,7 @@ pub mod singleflight;
 
 pub use cache::{fnv1a_64, unit_fingerprint, LruCache};
 pub use client::{Client, RetryPolicy};
-pub use incremental::IncrementalEngine;
+pub use incremental::{FnVerdict, IncrementalEngine};
 pub use json::{parse as parse_json, Json};
 pub use metrics::{Metrics, StatusSnapshot};
 pub use mux::{MuxConfig, MuxServer};

@@ -86,13 +86,15 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use vault_core::check::CheckStats;
+use vault_core::interface::ReadSet;
 use vault_core::{CheckSummary, Verdict};
 use vault_syntax::diag::Label;
 use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Severity, Span};
 
+use crate::incremental::FnVerdict;
 use crate::json::{self, Json};
 use crate::proto;
 
@@ -102,8 +104,10 @@ const MAGIC: &[u8; 8] = b"VAULTCCH";
 /// Format version; a mismatch (older or newer) quarantines the segment.
 /// Bump whenever the payload schema or the fingerprint recipe changes.
 /// Version 2: per-function records hold declaration-relative
-/// diagnostics under position-independent fingerprints.
-pub const FORMAT_VERSION: u32 = 2;
+/// diagnostics under position-independent fingerprints. Version 3:
+/// per-function records are keyed by declaration text alone and carry
+/// their read set and pristine bit.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic plus version.
 const HEADER_LEN: u64 = 12;
@@ -163,13 +167,15 @@ pub enum Record {
         summary: CheckSummary,
     },
     /// A per-function verdict, keyed by the incremental engine's
-    /// `fn_fingerprint` (environment hash plus declaration text).
+    /// function key (base hash plus declaration text).
     Fn {
-        /// The function fingerprint.
+        /// The function key.
         fp: u64,
         /// The function's diagnostics, every span relative to the
-        /// declaration start; rendered only when a check assembles them.
-        views: Vec<Diagnostic>,
+        /// declaration start and rendered only when a check assembles
+        /// them, with the read set and pristine bit that say when they
+        /// still hold. Shared with the engine's cache, never copied.
+        views: Arc<FnVerdict>,
         /// The function's checker counters.
         stats: CheckStats,
     },
@@ -190,9 +196,8 @@ impl Record {
 pub struct Loaded {
     /// Whole-unit records, in append order (later wins on duplicates).
     pub units: Vec<(u64, CheckSummary)>,
-    /// Per-function records (declaration-relative diagnostics), in
-    /// append order.
-    pub fns: Vec<(u64, Vec<Diagnostic>, CheckStats)>,
+    /// Per-function records, in append order.
+    pub fns: Vec<(u64, Arc<FnVerdict>, CheckStats)>,
     /// Load failures survived: bad headers, truncated, corrupt, or
     /// schema-violating frames.
     pub errors: u64,
@@ -1040,7 +1045,7 @@ fn encode_record(record: &Record) -> Option<Json> {
             ]))
         }
         Record::Fn { fp, views, stats } => {
-            if !persistable(None, views.iter().map(|d| d.code.as_str())) {
+            if !persistable(None, views.diags.iter().map(|d| d.code.as_str())) {
                 return None;
             }
             Some(Json::Obj(vec![
@@ -1048,9 +1053,11 @@ fn encode_record(record: &Record) -> Option<Json> {
                 ("fp".to_string(), Json::str(format!("{fp:016x}"))),
                 (
                     "diags".to_string(),
-                    Json::Arr(views.iter().map(encode_relative_diag).collect()),
+                    Json::Arr(views.diags.iter().map(encode_relative_diag).collect()),
                 ),
                 ("stats".to_string(), Json::Obj(counter_fields(stats))),
+                ("reads".to_string(), Json::str(encode_reads(&views.reads))),
+                ("pristine".to_string(), Json::Bool(views.pristine)),
             ]))
         }
     }
@@ -1081,23 +1088,51 @@ fn decode_record(j: &Json) -> Option<Record> {
             Some(Record::Unit { fp, summary })
         }
         "fn" => {
-            let views = j
+            let diags = j
                 .get("diags")?
                 .as_arr()?
                 .iter()
                 .map(decode_relative_diag)
                 .collect::<Option<Vec<_>>>()?;
-            if !persistable(None, views.iter().map(|d| d.code.as_str())) {
+            if !persistable(None, diags.iter().map(|d| d.code.as_str())) {
                 return None;
             }
+            let views = FnVerdict {
+                diags,
+                reads: decode_reads(j.get("reads")?.as_str()?)?,
+                pristine: j.get("pristine")?.as_bool()?,
+            };
             Some(Record::Fn {
                 fp,
-                views,
+                views: Arc::new(views),
                 stats: decode_stats(j.get("stats")?)?,
             })
         }
         _ => None,
     }
+}
+
+/// A read set as one hex string: the non-function fingerprint, then a
+/// `(name hash, signature fingerprint)` pair per callee, 16 digits each.
+fn encode_reads(reads: &ReadSet) -> String {
+    let mut out = format!("{:016x}", reads.rest);
+    for (name, sig) in reads.fns.iter() {
+        out.push_str(&format!("{name:016x}{sig:016x}"));
+    }
+    out
+}
+
+fn decode_reads(hex: &str) -> Option<ReadSet> {
+    if !hex.is_ascii() || hex.len() % 32 != 16 {
+        return None;
+    }
+    let word = |i: usize| u64::from_str_radix(&hex[i * 16..(i + 1) * 16], 16).ok();
+    Some(ReadSet {
+        rest: word(0)?,
+        fns: (0..hex.len() / 32)
+            .map(|k| Some((word(1 + 2 * k)?, word(2 + 2 * k)?)))
+            .collect::<Option<_>>()?,
+    })
 }
 
 /// A declaration-relative diagnostic: spans as offsets from the
@@ -1337,6 +1372,18 @@ mod tests {
         );
     }
 
+    /// A pristine function verdict that read one callee.
+    fn fn_verdict(diags: Vec<Diagnostic>) -> Arc<FnVerdict> {
+        Arc::new(FnVerdict {
+            diags,
+            reads: ReadSet {
+                rest: 0x0123_4567_89ab_cdef,
+                fns: vec![(0xfeed, 0xbeef)].into(),
+            },
+            pristine: true,
+        })
+    }
+
     #[test]
     fn round_trips_unit_and_fn_records() {
         let dir = tmp_dir("roundtrip");
@@ -1348,8 +1395,12 @@ mod tests {
                 unit(0xDEAD_BEEF_0000_0001, "a.vlt", Verdict::Accepted),
                 Record::Fn {
                     fp: 2,
-                    views: vec![Diagnostic::error(Code::KeyNotHeld, Span::new(1, 2), "leak")
-                        .with_label(Span::new(0, 1), "opened here")],
+                    views: fn_verdict(vec![Diagnostic::error(
+                        Code::KeyNotHeld,
+                        Span::new(1, 2),
+                        "leak",
+                    )
+                    .with_label(Span::new(0, 1), "opened here")]),
                     stats: CheckStats {
                         calls: 3,
                         ..Default::default()
@@ -1369,8 +1420,12 @@ mod tests {
         assert_eq!(loaded.fns[0].0, 2);
         assert_eq!(
             loaded.fns[0].1,
-            vec![Diagnostic::error(Code::KeyNotHeld, Span::new(1, 2), "leak")
-                .with_label(Span::new(0, 1), "opened here")]
+            fn_verdict(vec![Diagnostic::error(
+                Code::KeyNotHeld,
+                Span::new(1, 2),
+                "leak"
+            )
+            .with_label(Span::new(0, 1), "opened here")])
         );
         assert_eq!(loaded.fns[0].2.calls, 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1405,7 +1460,7 @@ mod tests {
         };
         let func = Record::Fn {
             fp: 7,
-            views: vec![diag],
+            views: fn_verdict(vec![diag]),
             stats: CheckStats {
                 joins: 3,
                 lex_micros: 5,
@@ -1418,7 +1473,7 @@ mod tests {
         );
         assert_eq!(
             encode_record(&func).unwrap().to_line(),
-            r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0}}"#
+            r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0},"reads":"0123456789abcdef000000000000feed000000000000beef","pristine":true}"#
         );
     }
 
@@ -1432,11 +1487,11 @@ mod tests {
                 unit(2, "b.vlt", Verdict::InternalError),
                 Record::Fn {
                     fp: 3,
-                    views: vec![Diagnostic::error(
+                    views: fn_verdict(vec![Diagnostic::error(
                         Code::LimitExceeded,
                         Span::new(0, 0),
                         "deadline exceeded",
-                    )],
+                    )]),
                     stats: CheckStats::default(),
                 },
             ])

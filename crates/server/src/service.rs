@@ -172,8 +172,8 @@ impl CheckService {
                     for (fp, summary) in loaded.units {
                         cache.put(fp, Arc::new(summary));
                     }
-                    for (fp, views, stats) in loaded.fns {
-                        incremental.seed_fn(fp, views, stats);
+                    for (key, verdict, stats) in loaded.fns {
+                        incremental.seed_fn(key, verdict, stats);
                     }
                     incremental.enable_dirty_tracking();
                     match Journal::start(store, Arc::clone(&incremental), Arc::clone(&metrics)) {
@@ -802,6 +802,45 @@ void two() {
         assert_eq!(svc.status().cache_load_errors, 0);
         let report = svc.check_unit(unit("a.vlt", GOOD));
         assert!(!report.cached, "clear-cache must also purge the disk log");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn format_2_store_boots_cold_with_no_wrong_answers() {
+        use crate::persist::{crc32, segment_file_name};
+        let dir = tmp_dir("format-2");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A store an older build wrote: its unit record claims the leaky
+        // unit is accepted, and its function records carry no read set.
+        let stats = r#"{"statements":0,"calls":0,"joins":0,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0}"#;
+        let payloads = [
+            format!(
+                r#"{{"kind":"unit","fp":"{:016x}","name":"a.vlt","verdict":"accepted","diagnostics":[],"stats":{stats}}}"#,
+                crate::cache::unit_fingerprint("a.vlt", LEAKY)
+            ),
+            format!(r#"{{"kind":"fn","fp":"0000000000000001","diags":[],"stats":{stats}}}"#),
+        ];
+        let mut bytes = b"VAULTCCH".to_vec();
+        bytes.extend(2u32.to_le_bytes());
+        for p in &payloads {
+            bytes.extend((p.len() as u32).to_le_bytes());
+            bytes.extend(crc32(p.as_bytes()).to_le_bytes());
+            bytes.extend(p.as_bytes());
+        }
+        std::fs::write(dir.join(segment_file_name(0)), bytes).unwrap();
+
+        let svc = CheckService::new(persistent_config(&dir));
+        assert_eq!(
+            svc.status().cache_load_errors,
+            1,
+            "the old segment is set aside"
+        );
+        for (name, source) in [("a.vlt", LEAKY), ("b.vlt", GOOD), ("t.vlt", TWO_FNS)] {
+            let report = svc.check_unit(unit(name, source));
+            assert!(!report.cached, "{name} answered from the old store");
+            assert_eq!(*report.summary, vault_core::check_summary(name, source));
+        }
+        assert_eq!(svc.status().fn_cache_hits, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,7 +6,9 @@
 //! body line inserts and deletes, literal changes, local renames to a
 //! fresh name and to an existing one, added and removed functions,
 //! signature renames, brace edits, edits spanning two bodies,
-//! syntax-breaking edits, and undos. After every edit, engines in four
+//! syntax-breaking edits, effect-clause changes to a called function,
+//! deletions of a called function, a `struct` or type alias inserted
+//! ahead of every declaration, and undos. After every edit, engines in four
 //! configurations check the new text — a roomy function cache and a
 //! tiny one that forces eviction on every check, each at jobs 1 (the
 //! sequential entry) and jobs 2 (per-function fan-out over a 2-worker
@@ -15,7 +17,11 @@
 //!
 //! With the roomy cache, an edit confined to one body of a parseable
 //! unit must reuse the verdict of every other function, wherever the
-//! edit moved it: 47 of 48 on the 48-function units.
+//! edit moved it: 47 of 48 on the 48-function units. An interface edit
+//! between two parseable versions must re-check only what read the
+//! change, counted from the text: a renamed parameter re-checks its
+//! function and that function's callers, an added function only itself,
+//! a removed uncalled function nothing, and an inserted type everything.
 //!
 //! The restart leg drives the same sessions through a `CheckService`
 //! with a `cache_dir` at jobs 1 and 2, dropping and reopening the
@@ -45,7 +51,7 @@ use vault_syntax::{ast, DiagSink};
 const EDITS: usize = 30;
 
 /// The edit mix, by weight: mostly body edits, as in real typing.
-const MIX: [(EditKind, u32); 10] = [
+const MIX: [(EditKind, u32); 13] = [
     (EditKind::BodyLine, 4),
     (EditKind::Literal, 3),
     (EditKind::RenameLocalFresh, 2),
@@ -55,6 +61,9 @@ const MIX: [(EditKind, u32); 10] = [
     (EditKind::Brace, 1),
     (EditKind::TwoBodies, 1),
     (EditKind::SyntaxBreaking, 1),
+    (EditKind::EffectClause, 1),
+    (EditKind::DeleteCalled, 1),
+    (EditKind::InsertType, 1),
     (EditKind::Undo, 2),
 ];
 
@@ -132,6 +141,81 @@ fn parses_cleanly(s: &CheckSummary) -> bool {
     !s.diagnostics.iter().any(|d| d.code.starts_with("V1"))
 }
 
+/// Function name → declaration text, for every function with a body.
+fn declarations(source: &str) -> Vec<(String, String)> {
+    vault_syntax::parse_program(source, &mut DiagSink::new())
+        .functions()
+        .into_iter()
+        .filter(|f| f.body.is_some())
+        .map(|f| {
+            let span = f.span.start as usize..f.span.end as usize;
+            (f.name.name.to_string(), source[span].to_string())
+        })
+        .collect()
+}
+
+/// Whether `text` calls `name`: `name(` not preceded by an identifier
+/// character.
+fn calls(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(i, _)| {
+        let before = text[..i].chars().next_back();
+        !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+            && text[i + name.len()..].starts_with('(')
+    })
+}
+
+/// How many function verdicts an edit from `old` to `new` (both
+/// parseable) must miss with a roomy cache: `(fewest, most)`. Only the
+/// functions whose text changed, and those that read a changed
+/// signature, may miss; an earlier version's verdict may still hit
+/// where the edit can return to a signature seen before.
+fn expected_misses(kind: EditKind, old: &str, new: &str) -> Option<(u64, u64)> {
+    let (before, after) = (declarations(old), declarations(new));
+    let gone = |decls: &[(String, String)], of: &[(String, String)]| -> Vec<String> {
+        decls
+            .iter()
+            .filter(|(n, _)| !of.iter().any(|(m, _)| m == n))
+            .map(|(n, _)| n.clone())
+            .collect()
+    };
+    let changed: Vec<String> = after
+        .iter()
+        .filter(|(n, text)| before.iter().any(|(m, t)| m == n && t != text))
+        .map(|(n, _)| n.clone())
+        .collect();
+    // Functions other than `name` whose text calls it.
+    let callers = |decls: &[(String, String)], name: &str| {
+        decls
+            .iter()
+            .filter(|(n, text)| n != name && calls(text, name))
+            .count() as u64
+    };
+    match kind {
+        EditKind::Signature => {
+            let [name] = &changed[..] else { return None };
+            let n = 1 + callers(&after, name);
+            Some((n, n))
+        }
+        EditKind::AddRemoveFn => match (&gone(&after, &before)[..], &gone(&before, &after)[..]) {
+            ([_added], []) => Some((1, 1)),
+            ([], [removed]) => Some((0, callers(&before, removed))),
+            _ => None,
+        },
+        EditKind::EffectClause => {
+            let [name] = &changed[..] else { return None };
+            Some((0, 1 + callers(&after, name)))
+        }
+        EditKind::DeleteCalled => {
+            let [removed] = &gone(&before, &after)[..] else {
+                return None;
+            };
+            Some((0, callers(&before, removed)))
+        }
+        EditKind::InsertType => Some((after.len() as u64, after.len() as u64)),
+        _ => None,
+    }
+}
+
 /// One engine configuration.
 struct Engine {
     label: &'static str,
@@ -201,8 +285,9 @@ fn draw(rng: &mut StdRng) -> EditKind {
 }
 
 /// Run one seeded session through `engines`, asserting every answer.
-/// Returns how many body-confined edits had their hit count asserted.
-fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> usize {
+/// Returns how many body-confined edits had their hit count asserted,
+/// and how many interface edits their miss count.
+fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> (usize, usize) {
     let limits = Limits::default();
     let (name, prelude, source) = subject(family, seed, size);
     let mut session = EditSession::new(source);
@@ -211,15 +296,22 @@ fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> usi
     for e in engines {
         assert_eq!(e.check(&name, &prelude, session.source(), &limits), want);
     }
-    let mut asserted = 0;
+    let mut asserted = (0, 0);
     for step in 0..EDITS {
         let was_clean = parses_cleanly(&want);
         let kind = next_kind(was_clean, &mut rng);
+        let old = session.source().to_string();
         let applied = session.apply(kind, &mut rng);
         let src = session.source();
         want = reference(&name, &prelude, src, &limits);
-        let assert_hits = applied && kind.body_confined() && was_clean && parses_cleanly(&want);
+        let both_clean = applied && was_clean && parses_cleanly(&want);
+        let assert_hits = both_clean && kind.body_confined();
         let n = if assert_hits { bodies(src) } else { 0 };
+        let misses_bound = if both_clean {
+            expected_misses(kind, &old, src)
+        } else {
+            None
+        };
         for e in engines {
             let (hits, misses) = e.counts();
             let got = e.check(&name, &prelude, src, &limits);
@@ -241,8 +333,19 @@ fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> usi
                     e.label,
                 );
             }
+            if let (Some((fewest, most)), true) = (misses_bound, e.roomy) {
+                let m = e.counts().1 - misses;
+                assert!(
+                    (fewest..=most).contains(&m),
+                    "{family:?} seed {seed} step {step} ({}) [{}]: {m} misses, expected \
+                     {fewest}..={most}\nsource:\n{src}",
+                    kind.name(),
+                    e.label,
+                );
+            }
         }
-        asserted += usize::from(assert_hits);
+        asserted.0 += usize::from(assert_hits);
+        asserted.1 += usize::from(misses_bound.is_some());
     }
     asserted
 }
@@ -252,7 +355,7 @@ const SEEDS: u64 = 67;
 
 fn run_family(family: Family) {
     let pool = Arc::new(ThreadPool::new(2, Arc::new(Metrics::default())));
-    let mut asserted = 0;
+    let (mut asserted, mut interface) = (0, 0);
     for seed in 0..SEEDS {
         let engines = [
             Engine::new("jobs 1, roomy", 1024, None),
@@ -260,11 +363,14 @@ fn run_family(family: Family) {
             Engine::new("jobs 1, tiny", 4, None),
             Engine::new("jobs 2, tiny", 4, Some(&pool)),
         ];
-        asserted += run_session(family, seed, (8, 6), &engines);
+        let (body, iface) = run_session(family, seed, (8, 6), &engines);
+        asserted += body;
+        interface += iface;
     }
     // The mix makes body-confined edits of clean units common; make sure
-    // the hit assertion really ran.
+    // the hit assertion really ran, and the interface miss counts too.
     assert!(asserted as u64 > SEEDS * EDITS as u64 / 4, "{asserted}");
+    assert!(interface as u64 > SEEDS * EDITS as u64 / 20, "{interface}");
 }
 
 #[test]
@@ -292,7 +398,7 @@ fn forty_eight_function_units_reuse_47_of_48_verdicts() {
                 Engine::new("jobs 1, roomy", 1024, None),
                 Engine::new("jobs 2, roomy", 1024, Some(&pool)),
             ];
-            asserted += run_session(family, 1000 + seed, (48, 12), &engines);
+            asserted += run_session(family, 1000 + seed, (48, 12), &engines).0;
         }
     }
     assert!(asserted > 6 * EDITS / 4, "{asserted}");

@@ -26,11 +26,13 @@
 //!    succeed and replay only faithful records.
 
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use vault_core::check::CheckStats;
+use vault_core::interface::ReadSet;
 use vault_core::{CheckSummary, Verdict};
 use vault_server::persist::{Loaded, Record, StoreConfig, VerdictStore};
+use vault_server::FnVerdict;
 use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Span};
 
 /// Chaos faults are armed process-wide, so every test in this binary
@@ -117,9 +119,9 @@ fn diag_for(fp: u64) -> DiagView {
 }
 
 /// The one true per-function record for fingerprint `fp`: diagnostics
-/// relative to the declaration start.
-fn fn_views_for(fp: u64) -> Vec<Diagnostic> {
-    if fp % 3 == 0 {
+/// relative to the declaration start, a read set and a pristine bit.
+fn fn_views_for(fp: u64) -> Arc<FnVerdict> {
+    let diags = if fp.is_multiple_of(3) {
         Vec::new()
     } else {
         vec![Diagnostic::error(
@@ -128,7 +130,18 @@ fn fn_views_for(fp: u64) -> Vec<Diagnostic> {
             format!("value of key F leaks (fn {fp})"),
         )
         .with_label(Span::new(0, 4), format!("opened here (fn {fp})"))]
-    }
+    };
+    let reads = ReadSet {
+        rest: fp.rotate_left(17),
+        fns: (0..fp % 4)
+            .map(|k| (fp ^ k, fp.wrapping_mul(k + 1)))
+            .collect(),
+    };
+    Arc::new(FnVerdict {
+        diags,
+        reads,
+        pristine: fp.is_multiple_of(2),
+    })
 }
 
 fn fn_stats_for(fp: u64) -> CheckStats {

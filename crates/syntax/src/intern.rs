@@ -293,6 +293,11 @@ impl Interner {
         }
     }
 
+    /// Every interned name, in symbol order.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        self.names.iter().map(|n| &**n)
+    }
+
     /// Number of interned names.
     pub fn len(&self) -> usize {
         self.names.len()

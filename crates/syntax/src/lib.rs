@@ -41,7 +41,8 @@ pub use diag::{Attribution, Code, DiagSink, DiagView, Diagnostic, LabelView, Sev
 pub use idents::{remap_idents, remap_idents_expr, remap_idents_fun};
 pub use intern::{FnvBuildHasher, IStr, Interner, Symbol};
 pub use parser::{
-    parse_expr, parse_program, parse_program_with_depth, parse_program_with_depth_timed,
-    parse_range_with_depth, FrontEndTiming, DEFAULT_PARSER_DEPTH,
+    parse_expr, parse_outline, parse_program, parse_program_with_depth,
+    parse_program_with_depth_timed, parse_range_with_depth, FrontEndTiming, Outline,
+    DEFAULT_PARSER_DEPTH,
 };
 pub use span::{SourceMap, Span};

@@ -82,26 +82,13 @@ fn parse_range_timed(
     let tokens = lex_range_into(src, range, diags, &mut interner);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    let mut p = Parser::new(tokens, diags, max_depth.max(1), interner);
+    let mut p = Parser::new(&tokens, diags, max_depth.max(1), &interner);
     let mut program = p.program();
-    // Depth overruns inside `speculate` have their diagnostics rolled
-    // back with the speculation; make sure the limit is reported exactly
-    // once regardless of where it tripped.
-    if p.depth_exceeded && !p.diags.has_code(Code::LimitExceeded) {
-        let span = p.span_here();
-        p.diags.error(
-            Code::LimitExceeded,
-            span,
-            format!("nesting exceeds the parser recursion limit of {max_depth}"),
-        );
-    }
+    p.report_depth_exceeded(max_depth);
     // Freeze the interner: add the resolver's sentinel names, renumber
     // every symbol into string order (the checker's ordering
     // discipline), and rewrite the AST through the remap table.
-    let mut interner = p.interner;
-    interner.intern("<error>");
-    interner.intern("<fn>");
-    let remap = interner.freeze_sorted();
+    let remap = freeze(&mut interner);
     remap_idents(&mut program, &mut |id| {
         if id.sym != Symbol::UNKNOWN {
             id.sym = remap[id.sym.index()];
@@ -116,12 +103,11 @@ fn parse_range_timed(
 pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
     let mut interner = Interner::new();
     let tokens = lex_into(src, diags, &mut interner);
-    let mut p = Parser::new(tokens, diags, DEFAULT_PARSER_DEPTH, interner);
+    let mut p = Parser::new(&tokens, diags, DEFAULT_PARSER_DEPTH, &interner);
     let mut e = p.expr()?;
     if !p.at(&TokenKind::Eof) {
         p.error_here(|_| "expected end of input after expression".into());
     }
-    let mut interner = p.interner;
     let remap = interner.freeze_sorted();
     remap_idents_expr(&mut e, &mut |id| {
         if id.sym != Symbol::UNKNOWN {
@@ -131,8 +117,90 @@ pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
     Some(e)
 }
 
-struct Parser<'d> {
+/// Add the resolver's sentinel names to a lexed unit's interner and
+/// renumber every symbol into string order; returns the remap table.
+fn freeze(interner: &mut Interner) -> Vec<Symbol> {
+    interner.intern("<error>");
+    interner.intern("<fn>");
+    interner.freeze_sorted()
+}
+
+/// A unit lexed once and parsed declarations first: every function
+/// body was skipped by brace matching over the tokens, and
+/// [`Self::parse_body`] parses one on demand from the same tokens.
+///
+/// With every body parsed, the declarations, bodies, frozen interner
+/// and diagnostics equal [`parse_program_with_depth`]'s whenever neither
+/// the declaration pass nor any body parse reported anything: the
+/// parser reads the same tokens in the same state either way, since a
+/// function body always starts at nesting depth zero.
+pub struct Outline {
     tokens: Vec<Token>,
+    syms: Arc<Interner>,
+    max_depth: usize,
+}
+
+/// Lex `src` once and parse its declarations with every function body
+/// skipped. Each skipped body is a statement-less [`Block`] spanning its
+/// braces, to be replaced by [`Outline::parse_body`] before anything
+/// reads it. The program's interner is frozen and equals the eager
+/// parse's: the lexer interns every identifier of the text.
+pub fn parse_outline(
+    src: &str,
+    diags: &mut DiagSink,
+    max_depth: usize,
+) -> (Program, Outline, FrontEndTiming) {
+    let mut timing = FrontEndTiming::default();
+    let started = std::time::Instant::now();
+    let mut interner = Interner::new();
+    let mut tokens = lex_into(src, diags, &mut interner);
+    timing.lex_micros = started.elapsed().as_micros() as u64;
+    let started = std::time::Instant::now();
+    // Freeze before parsing, so the AST is built with final symbols and
+    // needs no remap walk.
+    let remap = freeze(&mut interner);
+    for t in &mut tokens {
+        if let TokenKind::Ident(sym) | TokenKind::CtorIdent(sym) = &mut t.kind {
+            *sym = remap[sym.index()];
+        }
+    }
+    let max_depth = max_depth.max(1);
+    let mut p = Parser::new(&tokens, diags, max_depth, &interner);
+    p.skip_bodies = true;
+    let mut program = p.program();
+    p.report_depth_exceeded(max_depth);
+    let syms = Arc::new(interner);
+    program.syms = Arc::clone(&syms);
+    timing.parse_micros = started.elapsed().as_micros() as u64;
+    let outline = Outline {
+        tokens,
+        syms,
+        max_depth,
+    };
+    (program, outline, timing)
+}
+
+impl Outline {
+    /// Parse the function body whose braces span `body`, exactly as the
+    /// eager parse would at that point. `None` unless the parse reports
+    /// nothing and ends at the brace that closed the skipped body.
+    pub fn parse_body(&self, body: Span) -> Option<Block> {
+        let open = self.tokens.partition_point(|t| t.span.start < body.start);
+        let t = self.tokens.get(open)?;
+        if t.kind != TokenKind::LBrace || t.span.start != body.start {
+            return None;
+        }
+        let mut diags = DiagSink::new();
+        let mut p = Parser::new(&self.tokens, &mut diags, self.max_depth, &self.syms);
+        p.pos = open;
+        let block = p.block()?;
+        let clean = !p.depth_exceeded && diags.diagnostics().is_empty();
+        (clean && block.span == body).then_some(block)
+    }
+}
+
+struct Parser<'t, 'd> {
+    tokens: &'t [Token],
     pos: usize,
     diags: &'d mut DiagSink,
     /// Current nesting depth across the recursive entry points
@@ -143,8 +211,8 @@ struct Parser<'d> {
     /// Whether the bound was ever hit (reported once, post-parse).
     depth_exceeded: bool,
     /// The unit's interner: grown by the lexer, consulted here to turn
-    /// token symbols back into shared text, frozen after the parse.
-    interner: Interner,
+    /// token symbols back into shared text.
+    interner: &'t Interner,
     /// Nesting depth of [`Self::ty_quiet`]. While positive, errors are
     /// counted in `suppressed` instead of being formatted and reported:
     /// a quiet parse discards every diagnostic it would produce.
@@ -152,14 +220,17 @@ struct Parser<'d> {
     /// Errors swallowed in quiet mode. A rollback restores it, exactly
     /// as it truncates the reported diagnostics.
     suppressed: usize,
+    /// Skip function bodies by brace matching instead of parsing them
+    /// (see [`parse_outline`]).
+    skip_bodies: bool,
 }
 
-impl<'d> Parser<'d> {
+impl<'t, 'd> Parser<'t, 'd> {
     fn new(
-        tokens: Vec<Token>,
+        tokens: &'t [Token],
         diags: &'d mut DiagSink,
         max_depth: usize,
-        interner: Interner,
+        interner: &'t Interner,
     ) -> Self {
         Parser {
             tokens,
@@ -171,6 +242,21 @@ impl<'d> Parser<'d> {
             interner,
             quiet: 0,
             suppressed: 0,
+            skip_bodies: false,
+        }
+    }
+
+    /// Depth overruns inside `speculate` have their diagnostics rolled
+    /// back with the speculation; make sure the limit is reported
+    /// exactly once regardless of where it tripped.
+    fn report_depth_exceeded(&mut self, max_depth: usize) {
+        if self.depth_exceeded && !self.diags.has_code(Code::LimitExceeded) {
+            let span = self.span_here();
+            self.diags.error(
+                Code::LimitExceeded,
+                span,
+                format!("nesting exceeds the parser recursion limit of {max_depth}"),
+            );
         }
     }
 
@@ -222,8 +308,8 @@ impl<'d> Parser<'d> {
             self.error_here(|p| {
                 format!(
                     "expected {}, found {}",
-                    kind.describe(&p.interner),
-                    p.peek().describe(&p.interner)
+                    kind.describe(p.interner),
+                    p.peek().describe(p.interner)
                 )
             });
             None
@@ -244,7 +330,7 @@ impl<'d> Parser<'d> {
             self.error_here(|p| {
                 format!(
                     "expected identifier, found {}",
-                    p.peek().describe(&p.interner)
+                    p.peek().describe(p.interner)
                 )
             });
             None
@@ -470,10 +556,7 @@ impl<'d> Parser<'d> {
             }
             other => {
                 self.error_here(|p| {
-                    format!(
-                        "expected constructor, found {}",
-                        other.describe(&p.interner)
-                    )
+                    format!("expected constructor, found {}", other.describe(p.interner))
                 });
                 return None;
             }
@@ -675,7 +758,7 @@ impl<'d> Parser<'d> {
                     self.error_here(|p| {
                         format!(
                             "expected `type`, `key`, or `state` parameter, found {}",
-                            other.describe(&p.interner)
+                            other.describe(p.interner)
                         )
                     });
                     return None;
@@ -713,7 +796,11 @@ impl<'d> Parser<'d> {
         self.expect(&TokenKind::RParen)?;
         let effect = self.opt_effect()?;
         let body = if self.at(&TokenKind::LBrace) {
-            Some(self.block()?)
+            Some(if self.skip_bodies {
+                self.skipped_block()?
+            } else {
+                self.block()?
+            })
         } else {
             self.expect(&TokenKind::Semi)?;
             None
@@ -808,10 +895,7 @@ impl<'d> Parser<'d> {
             }
             other => {
                 self.error_here(|p| {
-                    format!(
-                        "expected effect item, found {}",
-                        other.describe(&p.interner)
-                    )
+                    format!("expected effect item, found {}", other.describe(p.interner))
                 });
                 None
             }
@@ -974,7 +1058,7 @@ impl<'d> Parser<'d> {
             }
             other => {
                 self.error_here(|p| {
-                    format!("expected a type, found {}", other.describe(&p.interner))
+                    format!("expected a type, found {}", other.describe(p.interner))
                 });
                 return None;
             }
@@ -1057,6 +1141,32 @@ impl<'d> Parser<'d> {
             stmts,
             span: start.to(end),
         })
+    }
+
+    /// Skip a block by brace matching: a statement-less block spanning
+    /// it, or a missing-`}` error at the end of input.
+    fn skipped_block(&mut self) -> Option<Block> {
+        let (tokens, open) = (self.tokens, self.pos);
+        let mut depth = 0usize;
+        for (i, t) in tokens[open..].iter().enumerate() {
+            match t.kind {
+                TokenKind::LBrace => depth += 1,
+                TokenKind::RBrace => {
+                    depth -= 1;
+                    if depth == 0 {
+                        self.pos = open + i + 1;
+                        return Some(Block {
+                            stmts: Vec::new(),
+                            span: tokens[open].span.to(t.span),
+                        });
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.pos = tokens.len() - 1;
+        self.expect(&TokenKind::RBrace);
+        None
     }
 
     fn stmt(&mut self) -> Option<Stmt> {
@@ -1277,7 +1387,7 @@ impl<'d> Parser<'d> {
                     self.error_here(|p| {
                         format!(
                             "expected constructor pattern after `case`, found {}",
-                            other.describe(&p.interner)
+                            other.describe(p.interner)
                         )
                     });
                     return None;
@@ -1300,7 +1410,7 @@ impl<'d> Parser<'d> {
                                 self.error_here(|p| {
                                     format!(
                                         "expected pattern binder, found {}",
-                                        other.describe(&p.interner)
+                                        other.describe(p.interner)
                                     )
                                 });
                                 return None;
@@ -1660,7 +1770,7 @@ impl<'d> Parser<'d> {
                 self.error_here(|p| {
                     format!(
                         "expected an expression, found {}",
-                        other.describe(&p.interner)
+                        other.describe(p.interner)
                     )
                 });
                 None
@@ -1965,11 +2075,16 @@ mod tests {
         assert!(p.functions().iter().any(|f| f.name.name == "g"));
     }
 
-    /// A parser over `src` with a throwaway interner.
-    fn parser<'d>(src: &str, diags: &'d mut DiagSink) -> Parser<'d> {
+    /// Run `f` on a parser over `src` with a throwaway interner.
+    fn with_parser<R>(src: &str, diags: &mut DiagSink, f: impl FnOnce(&mut Parser) -> R) -> R {
         let mut interner = Interner::new();
         let tokens = lex_into(src, diags, &mut interner);
-        Parser::new(tokens, diags, DEFAULT_PARSER_DEPTH, interner)
+        f(&mut Parser::new(
+            &tokens,
+            diags,
+            DEFAULT_PARSER_DEPTH,
+            &interner,
+        ))
     }
 
     #[test]
@@ -1979,10 +2094,11 @@ mod tests {
         // `K` parses. The rollback must forget the suppressed error, or
         // the quiet parse would fail on a type that parses.
         let mut diags = DiagSink::new();
-        let mut p = parser("K@(x) v", &mut diags);
-        let ty = p.ty_quiet().expect("the base type parses");
-        assert!(matches!(&ty.kind, TypeKind::Named { name, .. } if name.name == "K"));
-        assert_eq!((p.pos, p.suppressed, p.quiet), (1, 0, 0));
+        with_parser("K@(x) v", &mut diags, |p| {
+            let ty = p.ty_quiet().expect("the base type parses");
+            assert!(matches!(&ty.kind, TypeKind::Named { name, .. } if name.name == "K"));
+            assert_eq!((p.pos, p.suppressed, p.quiet), (1, 0, 0));
+        });
         assert!(diags.diagnostics().is_empty());
 
         // A local whose type goes through a failed guard speculation
@@ -1998,9 +2114,10 @@ mod tests {
     #[test]
     fn failed_quiet_type_parse_reports_nothing() {
         let mut diags = DiagSink::new();
-        let mut p = parser("tracked( ) v", &mut diags);
-        assert!(p.ty_quiet().is_none());
-        assert_eq!((p.pos, p.suppressed, p.quiet), (0, 0, 0));
+        with_parser("tracked( ) v", &mut diags, |p| {
+            assert!(p.ty_quiet().is_none());
+            assert_eq!((p.pos, p.suppressed, p.quiet), (0, 0, 0));
+        });
         assert!(diags.diagnostics().is_empty());
     }
 

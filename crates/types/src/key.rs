@@ -51,7 +51,7 @@ impl fmt::Display for KeyRef {
 }
 
 /// Why a key exists — used in diagnostics ("key R (region created at ...)").
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum KeyOrigin {
     /// A `new tracked`/`new(rgn)` allocation or a `[new K]` effect.
     Fresh,
@@ -66,7 +66,7 @@ pub enum KeyOrigin {
 }
 
 /// Metadata about one key instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct KeyInfo {
     /// The surface name if the programmer gave one (`tracked(R) ...`).
     pub name: Option<String>,
@@ -81,7 +81,7 @@ pub struct KeyInfo {
 }
 
 /// Allocates fresh key ids and records their metadata.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 pub struct KeyGen {
     infos: Vec<KeyInfo>,
 }

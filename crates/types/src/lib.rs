@@ -47,7 +47,7 @@ pub use key::{KeyGen, KeyId, KeyInfo, KeyOrigin, KeyRef};
 pub use state::{StateId, StateReq, StateTable, StateVal, StatesetError, StatesetId};
 pub use ty::{
     AbstractDef, Arg, CtorDef, EffItem, FnSig, GlobalKey, GuardAtom, ParamKind, StateArg,
-    StructDef, Ty, TypeDef, TypeId, VariantDef, World,
+    StructDef, Tables, Ty, TypeDef, TypeId, VariantDef, World,
 };
 pub use unify::{subst_state, subst_ty, ty_eq_mod_keys, unify, Bindings, UnifyErr};
 pub use vault_syntax::intern::{FnvBuildHasher, Interner, Symbol};

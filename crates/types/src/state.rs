@@ -39,13 +39,13 @@ impl fmt::Display for StatesetError {
 
 impl std::error::Error for StatesetError {}
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 struct StateInfo {
     name: String,
     set: StatesetId,
 }
 
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 struct StatesetInfo {
     name: String,
     members: Vec<StateId>,
@@ -56,7 +56,7 @@ struct StatesetInfo {
 }
 
 /// Interns state tokens and statesets and answers partial-order queries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Hash)]
 pub struct StateTable {
     states: Vec<StateInfo>,
     sets: Vec<StatesetInfo>,
@@ -263,7 +263,7 @@ impl StateVal {
 
 /// A state *requirement* appearing in guards, effect preconditions, and
 /// constructor captures.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum StateReq {
     /// Any state is acceptable (the key merely has to be held).
     Any,

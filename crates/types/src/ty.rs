@@ -22,7 +22,7 @@ use std::fmt;
 pub struct TypeId(pub u32);
 
 /// An internal type.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// `void`
     Void,
@@ -138,7 +138,7 @@ impl Ty {
     }
 
     /// Human-readable rendering against a world's tables.
-    pub fn display(&self, world: &World) -> String {
+    pub fn display(&self, world: &Tables) -> String {
         match self {
             Ty::Void => "void".into(),
             Ty::Int => "int".into(),
@@ -178,7 +178,7 @@ impl Ty {
 }
 
 /// One atom of a guard conjunction.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GuardAtom {
     /// The guarding key.
     pub key: KeyRef,
@@ -202,7 +202,7 @@ impl GuardAtom {
 }
 
 /// An argument in a named-type instantiation.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Arg {
     /// A type argument.
     Ty(Ty),
@@ -214,7 +214,7 @@ pub enum Arg {
 
 impl Arg {
     /// Render for diagnostics.
-    pub fn display(&self, world: &World) -> String {
+    pub fn display(&self, world: &Tables) -> String {
         match self {
             Arg::Ty(t) => t.display(world),
             Arg::Key(k) => k.to_string(),
@@ -224,7 +224,7 @@ impl Arg {
 }
 
 /// A state argument in a type or effect postcondition.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum StateArg {
     /// A concrete state token.
     Token(StateId),
@@ -246,7 +246,7 @@ impl StateArg {
 }
 
 /// One item of an internal effect clause.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EffItem {
     /// Key held before and after, possibly changing state.
     Keep {
@@ -295,7 +295,7 @@ impl EffItem {
 
 /// An internal function signature: `(C, σ) → (C′, σ′)` with key/state/type
 /// polymorphism implicit in the variables it mentions.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FnSig {
     /// Function name (for diagnostics).
     pub name: String,
@@ -316,7 +316,7 @@ pub struct FnSig {
 }
 
 /// Kinds of parameters a named type declares.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ParamKind {
     /// `type T`
     Type(String),
@@ -342,7 +342,7 @@ impl ParamKind {
 }
 
 /// A struct declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct StructDef {
     /// The struct name.
     pub name: String,
@@ -353,7 +353,7 @@ pub struct StructDef {
 }
 
 /// One constructor of a variant.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CtorDef {
     /// Constructor name, without the tick.
     pub name: String,
@@ -368,7 +368,7 @@ pub struct CtorDef {
 }
 
 /// A variant (algebraic data type) declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct VariantDef {
     /// The variant type name.
     pub name: String,
@@ -406,7 +406,7 @@ pub fn ty_carries_keys(t: &Ty) -> bool {
 }
 
 /// An abstract type declaration (representation private to its module).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AbstractDef {
     /// The type name.
     pub name: String,
@@ -415,7 +415,7 @@ pub struct AbstractDef {
 }
 
 /// Any named type declaration.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum TypeDef {
     /// A struct.
     Struct(StructDef),
@@ -446,7 +446,7 @@ impl TypeDef {
 }
 
 /// A global key declaration (e.g. `IRQL`).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct GlobalKey {
     /// The key's fixed id.
     pub id: KeyId,
@@ -454,27 +454,76 @@ pub struct GlobalKey {
     pub stateset: StatesetId,
 }
 
-/// The elaborated program: every table the checker consults.
+/// Every declaration table except the function signatures: statesets,
+/// named types, constructors and global keys. What a type, constructor
+/// or key resolves against; code that needs no signature takes
+/// `&Tables`, and a `&World` coerces to it.
 #[derive(Clone, Debug, Default)]
-pub struct World {
+pub struct Tables {
     /// State tokens and statesets.
     pub states: StateTable,
     types: Vec<TypeDef>,
     types_by_name: BTreeMap<String, TypeId>,
-    fns: BTreeMap<String, FnSig>,
     ctors: BTreeMap<String, (TypeId, usize)>,
     globals: BTreeMap<String, GlobalKey>,
+}
+
+/// The elaborated program: the declaration [`Tables`] plus the function
+/// signatures. It dereferences to its tables; a signature is reachable
+/// only through a `World`, so code handed `&Tables` cannot look one up.
+#[derive(Clone, Debug, Default)]
+pub struct World {
+    tables: Tables,
+    fns: BTreeMap<String, FnSig>,
+}
+
+impl std::ops::Deref for World {
+    type Target = Tables;
+
+    fn deref(&self) -> &Tables {
+        &self.tables
+    }
+}
+
+impl std::ops::DerefMut for World {
+    fn deref_mut(&mut self) -> &mut Tables {
+        &mut self.tables
+    }
 }
 
 impl World {
     /// An empty world with the trivial stateset.
     pub fn new() -> Self {
         World {
-            states: StateTable::new(),
-            ..Default::default()
+            tables: Tables {
+                states: StateTable::new(),
+                ..Default::default()
+            },
+            fns: BTreeMap::new(),
         }
     }
 
+    /// Register a function signature. Returns false if the name is taken.
+    pub fn add_fn(&mut self, sig: FnSig) -> bool {
+        if self.fns.contains_key(&sig.name) {
+            return false;
+        }
+        self.fns.insert(sig.name.clone(), sig);
+        true
+    }
+
+    /// Look up a function signature by (unqualified) name.
+    pub fn fn_sig(&self, name: &str) -> Option<&FnSig> {
+        self.fns.get(name)
+    }
+
+    /// Iterate all function signatures.
+    pub fn fns(&self) -> impl Iterator<Item = &FnSig> {
+        self.fns.values()
+    }
+}
+
+impl Tables {
     /// Register a named type. Returns `None` if the name is taken.
     pub fn add_type(&mut self, def: TypeDef) -> Option<TypeId> {
         let name = def.name().to_string();
@@ -524,25 +573,6 @@ impl World {
         self.types.len()
     }
 
-    /// Register a function signature. Returns false if the name is taken.
-    pub fn add_fn(&mut self, sig: FnSig) -> bool {
-        if self.fns.contains_key(&sig.name) {
-            return false;
-        }
-        self.fns.insert(sig.name.clone(), sig);
-        true
-    }
-
-    /// Look up a function signature by (unqualified) name.
-    pub fn fn_sig(&self, name: &str) -> Option<&FnSig> {
-        self.fns.get(name)
-    }
-
-    /// Iterate all function signatures.
-    pub fn fns(&self) -> impl Iterator<Item = &FnSig> {
-        self.fns.values()
-    }
-
     /// Find a constructor by name: the owning variant and ctor index.
     pub fn ctor(&self, name: &str) -> Option<(TypeId, usize)> {
         self.ctors.get(name).copied()
@@ -573,6 +603,18 @@ impl World {
             .iter()
             .find(|(_, g)| g.id == id)
             .map(|(n, _)| n.as_str())
+    }
+
+    /// Feed every table into `h`: statesets, types, constructors and
+    /// global keys. Nothing here
+    /// holds a span or a symbol number, so two worlds that agree on
+    /// these tables hash alike however their declarations are laid out.
+    pub fn hash_tables<H: std::hash::Hasher>(&self, h: &mut H) {
+        use std::hash::Hash;
+        self.states.hash(h);
+        self.types.hash(h);
+        self.ctors.hash(h);
+        self.globals.hash(h);
     }
 }
 

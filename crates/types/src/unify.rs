@@ -8,7 +8,7 @@
 
 use crate::key::{KeyId, KeyRef};
 use crate::state::StateVal;
-use crate::ty::{Arg, FnSig, GuardAtom, StateArg, Ty, World};
+use crate::ty::{Arg, FnSig, GuardAtom, StateArg, Tables, Ty};
 use crate::StateReq;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -128,7 +128,7 @@ impl std::error::Error for UnifyErr {}
 
 /// Unify a declared (polymorphic) type against an actual (concrete) type,
 /// extending `binds`.
-pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &World) -> Result<(), UnifyErr> {
+pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &Tables) -> Result<(), UnifyErr> {
     // Errors flow through silently so one bad expression doesn't cascade.
     if decl.is_error() || actual.is_error() {
         return Ok(());
@@ -185,7 +185,7 @@ pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &World) -> Res
     }
 }
 
-fn mismatch(decl: &Ty, actual: &Ty, world: &World) -> UnifyErr {
+fn mismatch(decl: &Ty, actual: &Ty, world: &Tables) -> UnifyErr {
     UnifyErr::Mismatch {
         expected: decl.display(world),
         found: actual.display(world),
@@ -196,7 +196,7 @@ fn unify_key(
     decl: &KeyRef,
     actual: &KeyRef,
     binds: &mut Bindings,
-    world: &World,
+    world: &Tables,
     actual_ty: &Ty,
 ) -> Result<(), UnifyErr> {
     match (decl, actual) {
@@ -214,7 +214,7 @@ fn unify_guard(
     decl: &GuardAtom,
     actual: &GuardAtom,
     binds: &mut Bindings,
-    world: &World,
+    world: &Tables,
     actual_ty: &Ty,
 ) -> Result<(), UnifyErr> {
     unify_key(&decl.key, &actual.key, binds, world, actual_ty)?;
@@ -235,7 +235,7 @@ fn unify_arg(
     decl: &Arg,
     actual: &Arg,
     binds: &mut Bindings,
-    world: &World,
+    world: &Tables,
     decl_ty: &Ty,
     actual_ty: &Ty,
 ) -> Result<(), UnifyErr> {
@@ -270,7 +270,7 @@ fn unify_fn(
     decl: &FnSig,
     actual: &FnSig,
     binds: &mut Bindings,
-    world: &World,
+    world: &Tables,
 ) -> Result<(), UnifyErr> {
     if decl.params.len() != actual.params.len() || decl.effect.len() != actual.effect.len() {
         return Err(UnifyErr::Mismatch {
@@ -349,7 +349,7 @@ impl Alpha<'_> {
     }
 }
 
-fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &World) -> Result<(), UnifyErr> {
+fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(), UnifyErr> {
     let fail = || {
         Err(UnifyErr::Mismatch {
             expected: d.display(world),
@@ -597,7 +597,7 @@ pub fn ty_eq_mod_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ty::{AbstractDef, TypeDef};
+    use crate::ty::{AbstractDef, TypeDef, World};
 
     fn world() -> (World, crate::ty::TypeId) {
         let mut w = World::new();
