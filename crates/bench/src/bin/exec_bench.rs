@@ -113,7 +113,7 @@ fn main() {
         }
         rows.push(Json::Obj(vec![
             ("kernel".to_string(), Json::str(p.id)),
-            ("result".to_string(), Json::str(&iv.to_string())),
+            ("result".to_string(), Json::str(iv.to_string())),
             ("fuel".to_string(), Json::num(ifuel)),
             ("interp_secs".to_string(), Json::Num(round6(interp_secs))),
             ("vm_secs".to_string(), Json::Num(round6(vm_secs))),

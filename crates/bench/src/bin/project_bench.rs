@@ -194,7 +194,7 @@ fn main() {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let jobs = cpus.min(4).max(1);
+    let jobs = cpus.clamp(1, 4);
     println!("floppy project: {n} units ({drivers} drivers); jobs={jobs}");
 
     // Kernel edit that cannot change the export surface: a comment.

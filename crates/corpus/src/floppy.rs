@@ -312,7 +312,7 @@ pub fn project_units() -> Vec<(&'static str, String)> {
 /// `(id, units, expected code)` rows — the interface units are always
 /// pristine, so every expected diagnostic must surface in the driver
 /// unit's report.
-pub fn project_mutants() -> Vec<(&'static str, Vec<(&'static str, String)>, Code)> {
+pub fn project_mutants() -> Vec<crate::ProjectMutant> {
     MUTANTS
         .iter()
         .map(|m| {

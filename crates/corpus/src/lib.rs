@@ -39,6 +39,10 @@ impl Expectation {
     }
 }
 
+/// One seeded bug applied to a project split: `(id, units, expected
+/// code)`, each unit a `(name, source)` pair.
+pub type ProjectMutant = (&'static str, Vec<(&'static str, String)>, Code);
+
 /// One corpus entry.
 #[derive(Clone, Debug)]
 pub struct CorpusProgram {

@@ -239,7 +239,7 @@ pub fn unused_cap_source() -> String {
 /// two units are always pristine, so the expected diagnostic must
 /// surface in the mutated unit's report (or, for the interface mutant,
 /// in the interface unit itself).
-pub fn project_mutants() -> Vec<(&'static str, Vec<(&'static str, String)>, Code)> {
+pub fn project_mutants() -> Vec<crate::ProjectMutant> {
     MUTANTS
         .iter()
         .map(|m| {

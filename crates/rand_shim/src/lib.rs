@@ -138,8 +138,8 @@ mod tests {
     #[test]
     fn gen_bool_respects_probability() {
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(!(0..100).map(|_| rng.gen_bool(0.0)).any(|b| b));
-        assert!((0..100).map(|_| rng.gen_bool(1.0)).all(|b| b));
+        assert!(!(0..100).any(|_| rng.gen_bool(0.0)));
+        assert!((0..100).all(|_| rng.gen_bool(1.0)));
         let hits = (0..10_000).filter(|_| rng.gen_bool(0.3)).count();
         assert!((2_500..3_500).contains(&hits), "hits={hits}");
     }

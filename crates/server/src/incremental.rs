@@ -59,17 +59,19 @@
 //!   spans shift by the length delta; a function whose verdict misses is
 //!   checked from a *mini-parse* of just its own declaration. A
 //!   mini-parse lexes only the declaration's byte range of the checked
-//!   text, with spans in whole-text coordinates, and yields exactly what
-//!   a parse of the text blanked outside that range would
-//!   ([`vault_syntax::parse_range_with_depth`]). The edited declaration
+//!   text, with spans in whole-text coordinates, numbers each token by
+//!   looking its name up in the cached environment's frozen interner,
+//!   and parses in that symbol space. It yields exactly what a parse of
+//!   the text blanked outside that range would, with the symbols of the
+//!   whole text ([`vault_syntax::parse_range_in`]). A name the frozen
+//!   interner lacks rejects it before parsing. The edited declaration
 //!   is mini-parsed even when its verdict hits: a verdict cached from a
 //!   recovered parse of the same text cannot tell that the text does not
 //!   parse. A mini-parse must be pristine: no diagnostic, exactly the
-//!   expected span, a body, and no identifier the frozen interner lacks.
-//!   Otherwise, or when a fresh verdict reaches outside its declaration,
-//!   the fast path abandons the check with nothing counted. The
-//!   environment entry is then refreshed with the new text and slots,
-//!   sharing the same [`Elaborated`].
+//!   expected span, and a body. Otherwise, or when a fresh verdict
+//!   reaches outside its declaration, the fast path abandons the check
+//!   with nothing counted. The environment entry is then refreshed with
+//!   the new text and slots, sharing the same [`Elaborated`].
 //! * **Full path, declarations first** — anything else (an edit outside
 //!   bodies or spanning two, a brace edit, a new identifier, an evicted
 //!   environment). The whole text is lexed once, so the frozen interner
@@ -134,7 +136,7 @@ use vault_core::{
 };
 use vault_syntax::intern::fnv1a;
 use vault_syntax::{
-    ast, parse_outline, parse_program_with_depth_timed, parse_range_with_depth, Attribution, Code,
+    ast, parse_outline, parse_program_with_depth_timed, parse_range_in, Attribution, Code,
     DiagSink, DiagView, Diagnostic, FrontEndTiming, Outline, Severity, Span,
 };
 
@@ -560,9 +562,12 @@ fn fn_key(base: u64, source: &str, decl: Span) -> u64 {
 }
 
 /// Parse exactly one declaration of the checked text `text` — only its
-/// byte range is lexed, spans stay in whole-text coordinates — and
-/// intern it against a cached environment. `Err` when the mini-parse is
-/// not [`pristine`], holding whether it reported a diagnostic.
+/// byte range is lexed, spans stay in whole-text coordinates — in the
+/// symbol space of a cached environment's frozen interner. `Err` when
+/// the mini-parse is not [`pristine`], holding whether it reported a
+/// diagnostic. A name the interner lacks rejects it before parsing, as
+/// `Err(false)`: a frozen interner cannot number a brand-new name
+/// (symbols are in string order), so the full path re-lexes the text.
 fn mini_parse(
     text: &str,
     decl: Span,
@@ -571,21 +576,15 @@ fn mini_parse(
 ) -> Result<ast::FunDecl, bool> {
     let mut diags = DiagSink::new();
     let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
-    let program = parse_range_with_depth(text, decl, &mut diags, depth);
+    let program = parse_range_in(text, decl, &elab.syms, &mut diags, depth).ok_or(false)?;
     let reported = !diags.diagnostics().is_empty();
-    pristine(program, &diags, decl, elab).ok_or(reported)
+    pristine(program, &diags, decl).ok_or(reported)
 }
 
-/// The one function a mini-parse of `decl` must yield, re-interned
-/// against `elab`'s frozen interner; `None` on any diagnostic, anything
-/// but one function declaration, a span that moved, a vanished body, or
-/// an identifier the frozen interner has never seen.
-fn pristine(
-    program: ast::Program,
-    diags: &DiagSink,
-    decl: Span,
-    elab: &Elaborated,
-) -> Option<ast::FunDecl> {
+/// The one function a mini-parse of `decl` must yield; `None` on any
+/// diagnostic, anything but one function declaration, a span that
+/// moved, or a vanished body.
+fn pristine(program: ast::Program, diags: &DiagSink, decl: Span) -> Option<ast::FunDecl> {
     if !diags.diagnostics().is_empty() {
         return None;
     }
@@ -593,25 +592,10 @@ fn pristine(
     if decls.len() != 1 {
         return None;
     }
-    let Some(ast::Decl::Fun(mut f)) = decls.pop() else {
+    let Some(ast::Decl::Fun(f)) = decls.pop() else {
         return None;
     };
-    if f.span != decl || f.body.is_none() {
-        return None;
-    }
-    // The mini-parse interned into its own throwaway interner, so the
-    // declaration's symbols live in the wrong symbol space. Re-intern
-    // every identifier against the cached unit's frozen interner. An
-    // edit that introduces a brand-new identifier cannot be interned
-    // into a frozen table (symbols are numbered in string order); it
-    // would check as `Symbol::UNKNOWN` and could alias another new name,
-    // so fall back to the full path.
-    let mut unknown = false;
-    vault_syntax::remap_idents_fun(&mut f, &mut |id| {
-        id.sym = elab.syms.sym(&id.name);
-        unknown |= id.sym == vault_syntax::Symbol::UNKNOWN;
-    });
-    (!unknown).then_some(f)
+    (f.span == decl && f.body.is_some()).then_some(f)
 }
 
 /// Recompute the verdict from assembled diagnostics, mirroring
@@ -1206,6 +1190,7 @@ impl IncrementalEngine {
 mod tests {
     use super::*;
     use vault_core::check_summary_with_limits;
+    use vault_syntax::parse_range_with_depth;
 
     const UNIT: &str = "\
 interface REGION {
@@ -1551,11 +1536,28 @@ void beta() {
         String::from_utf8(bytes).expect("blanking preserves UTF-8")
     }
 
+    /// What the oracle saw of one range: whether its parse in its own
+    /// symbol space was [`pristine`], and whether [`mini_parse`] took it.
+    struct RangeOutcome {
+        pristine: bool,
+        mini_parsed: bool,
+    }
+
     /// Parse `range` of `text` both ways — the range parse and the full
     /// parse of the blanked text — and assert they agree: the same
     /// declarations (symbols included), the same diagnostics, and the
-    /// same [`pristine`] outcome. Returns whether the range was pristine.
-    fn assert_range_parse_matches_oracle(text: &str, range: Span, elab: &Elaborated) -> bool {
+    /// same [`pristine`] outcome. Then hold [`mini_parse`], which numbers
+    /// the range's names through `elab`'s frozen interner instead of
+    /// freezing its own, to the two routes agreeing: it succeeds exactly
+    /// when the range parse is pristine and `elab` knows every name the
+    /// range lexed, and then yields `eager`, the whole-text parse's
+    /// declaration at `range`, symbols included.
+    fn assert_range_parse_matches_oracle(
+        text: &str,
+        range: Span,
+        elab: &Elaborated,
+        eager: Option<&ast::FunDecl>,
+    ) -> RangeOutcome {
         let depth = Limits::default()
             .parser_depth
             .saturating_sub(MINI_PARSE_DEPTH_MARGIN);
@@ -1580,35 +1582,51 @@ void beta() {
             "{}",
             context()
         );
-        let ranged = pristine(ranged, &ranged_diags, range, elab);
-        let oracle = pristine(oracle, &oracle_diags, range, elab);
+        let names_known = ranged
+            .syms
+            .names()
+            .all(|name| elab.syms.sym(name) != vault_syntax::Symbol::UNKNOWN);
+        let ranged = pristine(ranged, &ranged_diags, range);
+        let oracle = pristine(oracle, &oracle_diags, range);
         assert_eq!(
             format!("{ranged:?}"),
             format!("{oracle:?}"),
             "{}",
             context()
         );
+        let mini = mini_parse(text, range, elab, &Limits::default());
         assert_eq!(
-            mini_parse(text, range, elab, &Limits::default()).is_ok(),
-            ranged.is_some()
+            mini.is_ok(),
+            ranged.is_some() && names_known,
+            "{}",
+            context()
         );
-        ranged.is_some()
+        if let Ok(mini) = &mini {
+            let eager = eager.unwrap_or_else(|| panic!("no declaration at {}", context()));
+            assert_eq!(format!("{mini:?}"), format!("{eager:?}"), "{}", context());
+        }
+        RangeOutcome {
+            pristine: ranged.is_some(),
+            mini_parsed: mini.is_ok(),
+        }
     }
 
     /// Every declaration of `text`, mini-parsed at its own range and at
     /// ranges that cut it (a missing closing brace, a split first token,
     /// the bare body, an end inside its first string literal or
-    /// comment), against the blanked-text oracle. Returns `(pristine
-    /// declarations, declarations)`.
-    fn oracle_check_unit(text: &str) -> (usize, usize) {
+    /// comment), against the blanked-text oracle. Returns `(mini-parsed
+    /// declarations, declarations, cuts pristine on their own names but
+    /// rejected for a name the unit lacks)`.
+    fn oracle_check_unit(text: &str) -> (usize, usize, usize) {
         let mut diags = DiagSink::new();
         let program = vault_syntax::parse_program(text, &mut diags);
         let elab = vault_core::elaborate(&program, &mut diags);
-        let mut clean = 0;
+        let (mut clean, mut unknown_names) = (0, 0);
         for f in &elab.bodies {
             let body = f.body.as_ref().expect("collected with body").span;
             let (s, e) = (f.span.start, f.span.end);
-            clean += usize::from(assert_range_parse_matches_oracle(text, f.span, &elab));
+            let whole = assert_range_parse_matches_oracle(text, f.span, &elab, Some(f));
+            clean += usize::from(whole.mini_parsed);
             let decl_text = &text[s as usize..e as usize];
             let inside = ["\"", "//", "/*"]
                 .iter()
@@ -1621,11 +1639,13 @@ void beta() {
                 let on_chars = text.is_char_boundary(cut.start as usize)
                     && text.is_char_boundary(cut.end as usize);
                 if on_chars {
-                    assert!(!assert_range_parse_matches_oracle(text, cut, &elab));
+                    let cut = assert_range_parse_matches_oracle(text, cut, &elab, None);
+                    assert!(!cut.mini_parsed);
+                    unknown_names += usize::from(cut.pristine);
                 }
             }
         }
-        (clean, elab.bodies.len())
+        (clean, elab.bodies.len(), unknown_names)
     }
 
     /// The synth shapes every front-end oracle covers.
@@ -1699,16 +1719,20 @@ void beta() {
                 .to_string(),
         );
 
-        let (mut clean, mut total) = (0, 0);
+        let (mut clean, mut total, mut unknown_names) = (0, 0, 0);
         for text in &units {
-            let (c, t) = oracle_check_unit(text);
+            let (c, t, u) = oracle_check_unit(text);
             clean += c;
             total += t;
+            unknown_names += u;
         }
         assert!(total > 400, "only {total} declarations");
         // Nearly every declaration of a parseable unit mini-parses
         // pristine on its own; the oracle must see both outcomes.
         assert!(clean * 10 > total * 9, "{clean} of {total} pristine");
+        // A split first token (`oid okay() {…}`) parses cleanly on its
+        // own names, but names a type the unit never declared.
+        assert!(unknown_names > 0, "no cut rejected for its names alone");
     }
 
     /// Parse `text` declarations first, then every skipped body, and

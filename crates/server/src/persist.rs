@@ -286,7 +286,7 @@ pub struct VerdictStore {
 }
 
 fn other(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::Other, msg.to_string())
+    io::Error::other(msg.to_string())
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {

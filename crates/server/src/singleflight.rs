@@ -142,10 +142,10 @@ impl SingleFlight {
         lock_unpoisoned(&self.inflight).remove(&fp);
     }
 
-    /// Number of fingerprints currently in flight (tests).
+    /// Whether no fingerprint is in flight (tests).
     #[cfg(test)]
-    pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inflight).len()
+    pub fn is_empty(&self) -> bool {
+        lock_unpoisoned(&self.inflight).is_empty()
     }
 }
 
@@ -180,7 +180,7 @@ mod tests {
         cell.publish(summary("a"), true);
         sf.complete(7);
         sf.complete(8);
-        assert_eq!(sf.len(), 0);
+        assert!(sf.is_empty());
         // After completion the fingerprint claims fresh again.
         assert!(matches!(sf.claim(7), Claim::Leader(_)));
     }

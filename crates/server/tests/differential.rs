@@ -132,7 +132,7 @@ fn project_split_floppy_matches_flattened_modulo_attribution() {
     for s in &split {
         assert_eq!(s.verdict, flat.verdict, "unit {}", s.name);
     }
-    let split_triples: Vec<_> = split.iter().flat_map(|s| triples(s)).collect();
+    let split_triples: Vec<_> = split.iter().flat_map(triples).collect();
     assert_eq!(split_triples, triples(&flat));
 
     // Every seeded-bug mutant: the flattened corpus entry and the
@@ -152,7 +152,7 @@ fn project_split_floppy_matches_flattened_modulo_attribution() {
         let split = check_project(&units, &limits);
         assert_eq!(split[0].diagnostics.len(), 0, "{id}: kernel unit not clean");
         assert_eq!(split[1].diagnostics.len(), 0, "{id}: hw unit not clean");
-        let split_triples: Vec<_> = split.iter().flat_map(|s| triples(s)).collect();
+        let split_triples: Vec<_> = split.iter().flat_map(triples).collect();
         assert_eq!(split_triples, triples(&flat), "{id} diverged");
         assert!(
             split[2].diagnostics.iter().any(|d| d.code == code.as_str()),

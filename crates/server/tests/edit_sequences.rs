@@ -33,8 +33,10 @@
 //! The project leg edits the worker units of `synth` projects, one
 //! seeded edit per step, and re-checks the whole project through
 //! `CheckService::check_project` at jobs 1 and 2, with a roomy and a
-//! tiny (evicting) verdict cache. Every answer must equal the
-//! sequential `vault_project::check_project`.
+//! tiny (evicting) verdict cache. Some steps add or remove an `import`
+//! of another worker unit instead, closing and opening import cycles
+//! (`V601`), or of a unit the project lacks (`V602`). Every answer must
+//! equal the sequential `vault_project::check_project`.
 
 use std::sync::Arc;
 
@@ -489,10 +491,31 @@ fn run_restart_session(family: Family, seed: u64, jobs: usize) -> usize {
 /// comes on top).
 const PROJECT_WORKERS: usize = 4;
 
+/// A name no unit of a `synth` project has: importing it is a `V602`.
+const MISSING_UNIT: &str = "unit_9999";
+
+/// What the project sessions' answers held, summed over their steps.
+#[derive(Default)]
+struct ProjectCoverage {
+    /// Units answered with a `V601` import cycle.
+    cycles: usize,
+    /// Units answered with a `V602` unresolved import.
+    unresolved: usize,
+    /// Imports removed again.
+    removed: usize,
+}
+
 /// One seeded session over a whole `synth` project: each step edits one
 /// worker unit, then every service re-checks the project and must
-/// answer exactly what the sequential project checker does.
-fn run_project_session(seed: u64, services: &[(&str, CheckService)]) {
+/// answer exactly what the sequential project checker does. One step in
+/// four adds or removes an `import` at the top of the unit instead: of
+/// another worker unit, which may close a cycle, or now and then of a
+/// name no unit has.
+fn run_project_session(
+    seed: u64,
+    services: &[(&str, CheckService)],
+    coverage: &mut ProjectCoverage,
+) {
     let limits = Limits::default();
     let project = synth::generate_project(&ProjectConfig {
         units: PROJECT_WORKERS,
@@ -508,22 +531,54 @@ fn run_project_session(seed: u64, services: &[(&str, CheckService)]) {
         .map(|(_, s)| EditSession::new(s.as_str()))
         .collect();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e0f);
+    let mut imports: Vec<Vec<&str>> = vec![Vec::new(); sessions.len()];
     let mut clean = vec![true; sessions.len()];
     for step in 0..=EDITS {
         // Step 0 checks the project as generated.
         if step > 0 {
             let worker = rng.gen_range(1..sessions.len());
-            let kind = next_kind(clean[worker], &mut rng);
-            sessions[worker].apply(kind, &mut rng);
+            if rng.gen_bool(0.25) {
+                let target = if rng.gen_bool(0.125) {
+                    MISSING_UNIT
+                } else {
+                    let other = rng.gen_range(1..sessions.len() - 1);
+                    names[other + usize::from(other >= worker)].as_str()
+                };
+                let imported = &mut imports[worker];
+                if let Some(at) = imported.iter().position(|&n| n == target) {
+                    imported.remove(at);
+                    coverage.removed += 1;
+                } else {
+                    imported.push(target);
+                }
+            } else {
+                let kind = next_kind(clean[worker], &mut rng);
+                sessions[worker].apply(kind, &mut rng);
+            }
         }
-        let units: Vec<ProjectUnit> = names
+        let sources: Vec<String> = imports
             .iter()
             .zip(&sessions)
-            .map(|(n, s)| ProjectUnit::new(n.as_str(), s.source()))
+            .map(|(imported, s)| {
+                let mut source: String = imported
+                    .iter()
+                    .map(|n| format!("import \"{n}\";\n"))
+                    .collect();
+                source.push_str(s.source());
+                source
+            })
+            .collect();
+        let units: Vec<ProjectUnit> = names
+            .iter()
+            .zip(&sources)
+            .map(|(n, s)| ProjectUnit::new(n.as_str(), s.as_str()))
             .collect();
         let want = vault_project::check_project(&units, &limits);
         for (i, s) in want.iter().enumerate() {
             clean[i] = parses_cleanly(s);
+            let has = |code| s.diagnostics.iter().any(|d| d.code == code);
+            coverage.cycles += usize::from(has("V601"));
+            coverage.unresolved += usize::from(has("V602"));
         }
         for (label, svc) in services {
             let request: Vec<UnitIn> = units
@@ -562,9 +617,15 @@ fn project_edit_sequences_match_the_sequential_project_checker() {
         ("jobs 1, tiny", config(1, 2)),
         ("jobs 2, tiny", config(2, 2)),
     ];
+    let mut coverage = ProjectCoverage::default();
     for seed in 0..24 {
-        run_project_session(3000 + seed, &services);
+        run_project_session(3000 + seed, &services, &mut coverage);
     }
+    // The import edits closed cycles, named a missing unit, and were
+    // taken back again.
+    assert!(coverage.cycles > 0, "no import cycle");
+    assert!(coverage.unresolved > 0, "no unresolved import");
+    assert!(coverage.removed > 0, "no import removed");
     // The roomy services answered most unedited units from the cache.
     let status = services[0].1.status();
     assert!(status.units_reused > status.units_scheduled, "{status:?}");

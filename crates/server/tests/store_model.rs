@@ -82,12 +82,12 @@ impl Rng {
 fn summary_for(fp: u64) -> CheckSummary {
     CheckSummary {
         name: format!("unit-{fp:04}.vlt"),
-        verdict: if fp % 2 == 0 {
+        verdict: if fp.is_multiple_of(2) {
             Verdict::Accepted
         } else {
             Verdict::Rejected
         },
-        diagnostics: if fp % 2 == 0 {
+        diagnostics: if fp.is_multiple_of(2) {
             Vec::new()
         } else {
             vec![diag_for(fp)]

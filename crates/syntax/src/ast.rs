@@ -15,11 +15,12 @@ use std::sync::Arc;
 ///
 /// Parser-built identifiers carry both the shared text (`name`, an
 /// [`IStr`] refcount into the unit's interner — no per-occurrence heap
-/// copy) and the interned [`Symbol`], renumbered into string order when
-/// the parser freezes the interner. Synthesized identifiers (built
-/// outside a parse, e.g. in tests or lowering) carry
-/// [`Symbol::UNKNOWN`]; anything resolving them must go through the
-/// name, which is why equality ignores the symbol.
+/// copy) and the interned [`Symbol`]. The tokens are renumbered into the
+/// frozen interner's string order before parsing, so the parser builds
+/// each identifier from its final symbol and nothing assigns `sym`
+/// afterwards. Synthesized identifiers (built outside a parse, e.g. in
+/// tests or lowering) carry [`Symbol::UNKNOWN`]; anything resolving them
+/// must go through the name, which is why equality ignores the symbol.
 #[derive(Clone, Debug, Eq)]
 pub struct Ident {
     /// The name as written.
@@ -802,5 +803,27 @@ mod tests {
             .map(|f| f.name.name.clone())
             .collect();
         assert_eq!(names, vec!["create", "main"]);
+    }
+
+    /// Ceilings on the node sizes a parse allocates: growing one fails
+    /// here. A more compact layout lowers the pins.
+    #[test]
+    fn ast_node_sizes_stay_under_their_ceilings() {
+        use std::mem::size_of;
+        assert!(
+            size_of::<Stmt>() <= 208,
+            "Stmt is {} bytes",
+            size_of::<Stmt>()
+        );
+        assert!(
+            size_of::<Expr>() <= 96,
+            "Expr is {} bytes",
+            size_of::<Expr>()
+        );
+        assert!(
+            size_of::<Decl>() <= 216,
+            "Decl is {} bytes",
+            size_of::<Decl>()
+        );
     }
 }

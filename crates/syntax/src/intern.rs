@@ -9,11 +9,12 @@
 //! Since the zero-copy front-end overhaul the interner also serves the
 //! lexer: identifiers are interned *at lex time* (one shared [`IStr`]
 //! per distinct name instead of one `String` per occurrence), so the
-//! interner must be growable while a unit is being lexed and parsed.
+//! interner must be growable while a unit is being lexed.
 //! [`Interner::freeze_sorted`] then re-numbers the symbols into string
-//! order and the parser rewrites the AST through the returned remap
-//! table; after that the interner is frozen and shared (`Arc`) by
-//! elaboration and the checker.
+//! order, and the front end renumbers the tokens through the returned
+//! remap table before the parser reads them, so the AST is built with
+//! final symbols. After that the interner is frozen and shared (`Arc`)
+//! by the parser, elaboration and the checker.
 //!
 //! ## Ordering discipline
 //!
@@ -261,7 +262,7 @@ impl Interner {
         let mut interner = Interner::default();
         for name in names {
             debug_assert!(
-                interner.names.last().map_or(true, |p| &**p <= name),
+                interner.names.last().is_none_or(|p| &**p <= name),
                 "interner input must be sorted: `{name}` after `{}`",
                 interner.names.last().map_or("", |p| p)
             );

@@ -24,9 +24,10 @@ pub fn lex(src: &str, diags: &mut DiagSink) -> Vec<Token> {
 }
 
 /// Lex `src` into tokens, reporting lexical errors into `diags` and
-/// interning every identifier into `interner` (first-seen order; call
-/// [`Interner::freeze_sorted`] afterwards to establish the checker's
-/// ordering discipline).
+/// interning every identifier into `interner` in first-seen order. The
+/// parse entry points then freeze it ([`Interner::freeze_sorted`], the
+/// checker's ordering discipline) and renumber the tokens through the
+/// remap table before parsing.
 pub fn lex_into(src: &str, diags: &mut DiagSink, interner: &mut Interner) -> Vec<Token> {
     lex_range_into(src, Span::new(0, src.len() as u32), diags, interner)
 }

@@ -28,7 +28,6 @@
 
 pub mod ast;
 pub mod diag;
-pub mod idents;
 pub mod intern;
 pub mod lexer;
 pub mod parser;
@@ -38,11 +37,10 @@ pub mod token;
 
 pub use ast::{ImportDecl, Program};
 pub use diag::{Attribution, Code, DiagSink, DiagView, Diagnostic, LabelView, Severity};
-pub use idents::{remap_idents, remap_idents_expr, remap_idents_fun};
 pub use intern::{FnvBuildHasher, IStr, Interner, Symbol};
 pub use parser::{
     parse_expr, parse_outline, parse_program, parse_program_with_depth,
-    parse_program_with_depth_timed, parse_range_with_depth, FrontEndTiming, Outline,
-    DEFAULT_PARSER_DEPTH,
+    parse_program_with_depth_timed, parse_range_in, parse_range_with_depth, FrontEndTiming,
+    Outline, DEFAULT_PARSER_DEPTH,
 };
 pub use span::{SourceMap, Span};

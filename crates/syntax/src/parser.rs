@@ -8,7 +8,6 @@
 
 use crate::ast::*;
 use crate::diag::{Code, DiagSink};
-use crate::idents::{remap_idents, remap_idents_expr};
 use crate::intern::{Interner, Symbol};
 use crate::lexer::{lex_into, lex_range_into};
 use crate::span::Span;
@@ -34,8 +33,9 @@ pub fn parse_program(src: &str, diags: &mut DiagSink) -> Program {
 pub struct FrontEndTiming {
     /// Microseconds spent lexing (including identifier interning).
     pub lex_micros: u64,
-    /// Microseconds spent parsing, freezing the interner, and remapping
-    /// the AST's symbols into string order.
+    /// Microseconds spent freezing the interner, renumbering the tokens
+    /// into string order, and parsing: the freeze is charged here, not
+    /// to lexing.
     pub parse_micros: u64,
 }
 
@@ -78,51 +78,87 @@ fn parse_range_timed(
 ) -> (Program, FrontEndTiming) {
     let mut timing = FrontEndTiming::default();
     let started = std::time::Instant::now();
-    let mut interner = Interner::new();
-    let tokens = lex_range_into(src, range, diags, &mut interner);
+    let mut lexed = Interner::new();
+    let mut tokens = lex_range_into(src, range, diags, &mut lexed);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    let mut p = Parser::new(&tokens, diags, max_depth.max(1), &interner);
-    let mut program = p.program();
-    p.report_depth_exceeded(max_depth);
-    // Freeze the interner: add the resolver's sentinel names, renumber
-    // every symbol into string order (the checker's ordering
-    // discipline), and rewrite the AST through the remap table.
-    let remap = freeze(&mut interner);
-    remap_idents(&mut program, &mut |id| {
-        if id.sym != Symbol::UNKNOWN {
-            id.sym = remap[id.sym.index()];
-        }
-    });
-    program.syms = Arc::new(interner);
+    let syms = freeze_tokens(&mut tokens, lexed);
+    let program = parse_tokens(&tokens, syms, diags, max_depth);
     timing.parse_micros = started.elapsed().as_micros() as u64;
     (program, timing)
 }
 
-/// Parse a single expression (useful in tests and the REPL-ish CLI mode).
+/// [`parse_range_with_depth`] in the symbol space of an existing frozen
+/// interner `syms`, such as the one of an earlier parse of a text that
+/// holds `range`: each name the range lexes is looked up in `syms`, and
+/// the program shares it. `None`, before parsing, when `syms` lacks one
+/// of those names: a frozen interner cannot grow, since its symbols are
+/// numbered in string order.
+pub fn parse_range_in(
+    src: &str,
+    range: Span,
+    syms: &Arc<Interner>,
+    diags: &mut DiagSink,
+    max_depth: usize,
+) -> Option<Program> {
+    let mut lexed = Interner::new();
+    let mut tokens = lex_range_into(src, range, diags, &mut lexed);
+    let remap: Vec<Symbol> = lexed.names().map(|name| syms.sym(name)).collect();
+    if remap.contains(&Symbol::UNKNOWN) {
+        return None;
+    }
+    number_tokens(&mut tokens, &remap);
+    Some(parse_tokens(&tokens, Arc::clone(syms), diags, max_depth))
+}
+
+/// Parse a whole unit from tokens numbered in `syms`.
+fn parse_tokens(
+    tokens: &[Token],
+    syms: Arc<Interner>,
+    diags: &mut DiagSink,
+    max_depth: usize,
+) -> Program {
+    let mut p = Parser::new(tokens, diags, max_depth.max(1), &syms);
+    let mut program = p.program();
+    p.report_depth_exceeded(max_depth);
+    program.syms = syms;
+    program
+}
+
+/// Parse a single expression (used by tests).
 pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
-    let mut interner = Interner::new();
-    let tokens = lex_into(src, diags, &mut interner);
-    let mut p = Parser::new(&tokens, diags, DEFAULT_PARSER_DEPTH, &interner);
-    let mut e = p.expr()?;
+    let mut lexed = Interner::new();
+    let mut tokens = lex_into(src, diags, &mut lexed);
+    let syms = freeze_tokens(&mut tokens, lexed);
+    let mut p = Parser::new(&tokens, diags, DEFAULT_PARSER_DEPTH, &syms);
+    let e = p.expr()?;
     if !p.at(&TokenKind::Eof) {
         p.error_here(|_| "expected end of input after expression".into());
     }
-    let remap = interner.freeze_sorted();
-    remap_idents_expr(&mut e, &mut |id| {
-        if id.sym != Symbol::UNKNOWN {
-            id.sym = remap[id.sym.index()];
-        }
-    });
     Some(e)
 }
 
-/// Add the resolver's sentinel names to a lexed unit's interner and
-/// renumber every symbol into string order; returns the remap table.
-fn freeze(interner: &mut Interner) -> Vec<Symbol> {
-    interner.intern("<error>");
-    interner.intern("<fn>");
-    interner.freeze_sorted()
+/// Add the resolver's sentinel names to a lexed unit's interner, freeze
+/// it into string order (the checker's ordering discipline), and number
+/// its tokens in the frozen interner.
+fn freeze_tokens(tokens: &mut [Token], mut lexed: Interner) -> Arc<Interner> {
+    lexed.intern("<error>");
+    lexed.intern("<fn>");
+    let remap = lexed.freeze_sorted();
+    number_tokens(tokens, &remap);
+    Arc::new(lexed)
+}
+
+/// Renumber every identifier token through `remap`, indexed by the
+/// symbol the lexer gave it. Every parse numbers its tokens here before
+/// a [`Parser`] sees them, so each [`Ident`] is built with its final
+/// symbol and nothing rewrites the AST afterwards.
+fn number_tokens(tokens: &mut [Token], remap: &[Symbol]) {
+    for t in tokens {
+        if let TokenKind::Ident(sym) | TokenKind::CtorIdent(sym) = &mut t.kind {
+            *sym = remap[sym.index()];
+        }
+    }
 }
 
 /// A unit lexed once and parsed declarations first: every function
@@ -152,24 +188,16 @@ pub fn parse_outline(
 ) -> (Program, Outline, FrontEndTiming) {
     let mut timing = FrontEndTiming::default();
     let started = std::time::Instant::now();
-    let mut interner = Interner::new();
-    let mut tokens = lex_into(src, diags, &mut interner);
+    let mut lexed = Interner::new();
+    let mut tokens = lex_into(src, diags, &mut lexed);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    // Freeze before parsing, so the AST is built with final symbols and
-    // needs no remap walk.
-    let remap = freeze(&mut interner);
-    for t in &mut tokens {
-        if let TokenKind::Ident(sym) | TokenKind::CtorIdent(sym) = &mut t.kind {
-            *sym = remap[sym.index()];
-        }
-    }
+    let syms = freeze_tokens(&mut tokens, lexed);
     let max_depth = max_depth.max(1);
-    let mut p = Parser::new(&tokens, diags, max_depth, &interner);
+    let mut p = Parser::new(&tokens, diags, max_depth, &syms);
     p.skip_bodies = true;
     let mut program = p.program();
     p.report_depth_exceeded(max_depth);
-    let syms = Arc::new(interner);
     program.syms = Arc::clone(&syms);
     timing.parse_micros = started.elapsed().as_micros() as u64;
     let outline = Outline {
@@ -210,8 +238,9 @@ struct Parser<'t, 'd> {
     max_depth: usize,
     /// Whether the bound was ever hit (reported once, post-parse).
     depth_exceeded: bool,
-    /// The unit's interner: grown by the lexer, consulted here to turn
-    /// token symbols back into shared text.
+    /// The frozen interner the tokens are numbered in (see
+    /// [`number_tokens`]), consulted here to turn token symbols back
+    /// into shared text.
     interner: &'t Interner,
     /// Nesting depth of [`Self::ty_quiet`]. While positive, errors are
     /// counted in `suppressed` instead of being formatted and reported:

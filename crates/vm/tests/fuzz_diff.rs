@@ -31,7 +31,7 @@ fn mutate(src: &str, rng: &mut rand::rngs::StdRng) -> String {
             }
             let at = digits[rng.gen_range(0..digits.len())];
             let mut out = src.to_string();
-            let new = char::from(b'0' + rng.gen_range(0..10u8) as u8);
+            let new = char::from(b'0' + rng.gen_range(0..10u8));
             out.replace_range(at..at + 1, &new.to_string());
             out
         }
