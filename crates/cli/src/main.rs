@@ -20,7 +20,7 @@
 //! lines, `--timeout-ms N` gives each unit a checking deadline, and
 //! `--fuel N` caps loop-invariant fixpoint iterations. With `--socket`
 //! and/or `--listen` it serves event-driven: one readiness loop
-//! multiplexes every connection onto a bounded executor pool. `check
+//! multiplexes every connection onto a fixed set of executor threads. `check
 //! --socket` / `check --connect` retry transient connection failures
 //! with jittered exponential backoff (`--retries N` to tune, default 5).
 //!

@@ -66,6 +66,11 @@ pub struct ChaosConfig {
     pub stall_prob: f64,
     /// How long a stalled handler sleeps.
     pub stall: Duration,
+    /// Probability a request handler panics before it starts
+    /// ([`request_panic`]) — a fault outside every check job's own
+    /// containment, which the executor running the request must catch.
+    /// Zero (the default) draws nothing.
+    pub request_panic_prob: f64,
 }
 
 impl Default for ChaosConfig {
@@ -82,6 +87,7 @@ impl Default for ChaosConfig {
             disconnect_prob: 0.0,
             stall_prob: 0.0,
             stall: Duration::from_millis(10),
+            request_panic_prob: 0.0,
         }
     }
 }
@@ -130,6 +136,15 @@ pub fn stall() {
     };
     if let Some(d) = delay {
         std::thread::sleep(d);
+    }
+}
+
+/// Called by an executor before it handles a request: panics with
+/// [`PANIC_PAYLOAD`] if a request-level fault fires. The draw happens
+/// under the state lock, the panic after it is released.
+pub fn request_panic() {
+    if connection_fault(|cfg| cfg.request_panic_prob) {
+        panic!("{}", PANIC_PAYLOAD);
     }
 }
 

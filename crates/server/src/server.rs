@@ -104,7 +104,7 @@ fn refuse_over_cap(
 /// Answer one raw request line: parse failures and protocol errors get
 /// structured `"ok":false` replies (counted in `requests_failed`), and
 /// well-formed requests go through [`handle_request`]. Shared by the
-/// blocking front end here and the multiplexer's executor jobs
+/// blocking front end here and the multiplexer's executor threads
 /// ([`crate::mux`]) so every transport answers byte-identically.
 pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
     match parse(line) {

@@ -37,8 +37,17 @@
 //! of another worker unit instead, closing and opening import cycles
 //! (`V601`), or of a unit the project lacks (`V602`). Every answer must
 //! equal the sequential `vault_project::check_project`.
+//!
+//! The concurrent leg runs four seeded sessions at once, each a client
+//! of one `MuxServer` socket with two executors. Two of the sessions
+//! edit the same unit name from the same starting text, so their first
+//! requests collapse into one check and their edits contend for one
+//! cached environment. Every reply must equal `check_summary`'s answer,
+//! encoded as the daemon encodes it.
 
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::{Arc, Barrier};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +55,10 @@ use vault_core::{check_summary_with_limits, check_summary_with_prelude, CheckSum
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
 use vault_project::{ProjectPlan, ProjectUnit};
-use vault_server::{CheckService, IncrementalEngine, Metrics, ServiceConfig, ThreadPool, UnitIn};
+use vault_server::{
+    proto, CheckService, IncrementalEngine, Json, Metrics, MuxConfig, MuxServer, ServiceConfig,
+    ThreadPool, UnitIn, UnitReport,
+};
 use vault_syntax::{ast, DiagSink};
 
 /// Edits per seed.
@@ -647,4 +659,134 @@ fn service_edit_sequences_survive_restarts_part_way_through() {
     // Reopens land before about six edits of each of the 48 sessions;
     // make sure the hit assertion after a reopen really ran.
     assert!(asserted as u64 > 8 * RESTART_SEEDS, "{asserted}");
+}
+
+/// The concurrent leg's sessions: `(family, subject seed, edit seed)`.
+/// The last two share a subject, and so a unit name and a first text.
+const CONCURRENT_SESSIONS: [(Family, u64, u64); 4] = [
+    (Family::Mixed, 4000, 1),
+    (Family::Sockets, 4001, 2),
+    (Family::Mixed, 4002, 3),
+    (Family::Mixed, 4002, 4),
+];
+
+/// A reply's unit object with the fields that say where the answer came
+/// from (`cached`, `check_micros`) zeroed: concurrency may change those,
+/// never the answer.
+fn answer_only(unit: &Json) -> Json {
+    match unit {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .map(|(k, v)| match k.as_str() {
+                    "cached" => (k.clone(), Json::Bool(false)),
+                    "check_micros" => (k.clone(), Json::num(0)),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect(),
+        ),
+        other => other.clone(),
+    }
+}
+
+/// One seeded session as a socket client: the unit as generated, then
+/// [`EDITS`] edits, each sent as a one-unit `check` whose reply must
+/// equal the encoded `check_summary` answer.
+fn run_client_session(path: &std::path::Path, client: usize, start: &Barrier) {
+    let (family, subject_seed, edit_seed) = CONCURRENT_SESSIONS[client];
+    let limits = Limits::default();
+    let (name, prelude, source) = subject(family, subject_seed, (8, 6));
+    assert!(prelude.is_empty(), "the concurrent leg checks plain units");
+    let mut session = EditSession::new(source);
+    let mut rng = StdRng::seed_from_u64(edit_seed);
+    let stream = UnixStream::connect(path).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = &stream;
+    let mut clean = true;
+    start.wait();
+    for step in 0..=EDITS {
+        let kind = (step > 0).then(|| next_kind(clean, &mut rng));
+        if let Some(kind) = kind {
+            session.apply(kind, &mut rng);
+        }
+        let src = session.source();
+        let request = Json::Obj(vec![
+            ("op".to_string(), Json::str("check")),
+            ("id".to_string(), Json::num(step as u64)),
+            (
+                "units".to_string(),
+                Json::Arr(vec![Json::Obj(vec![
+                    ("name".to_string(), Json::str(&name)),
+                    ("source".to_string(), Json::str(src)),
+                ])]),
+            ),
+        ]);
+        writeln!(writer, "{}", request.to_line()).unwrap();
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "server hung up");
+        let reply = vault_server::parse_json(line.trim_end()).unwrap();
+        let want = check_summary_with_limits(&name, src, &limits);
+        clean = parses_cleanly(&want);
+        let report = UnitReport {
+            summary: Arc::new(want),
+            cached: false,
+            check_micros: 0,
+        };
+        let want = proto::encode_check(None, &[report], 0);
+        let unit =
+            |v: &Json| answer_only(&v.get("units").and_then(Json::as_arr).expect("units")[0]);
+        assert_eq!(reply.get("id").and_then(Json::as_u64), Some(step as u64));
+        assert!(
+            unit(&reply) == unit(&want),
+            "client {client} ({name}) step {step} ({}): reply diverged\n\
+             got:  {line}\nwant: {}\nsource:\n{src}",
+            kind.map_or("initial", |k| k.name()),
+            want.to_line(),
+        );
+    }
+}
+
+#[test]
+fn concurrent_clients_through_one_multiplexer_match_the_monolithic_checker() {
+    let svc = Arc::new(CheckService::new(ServiceConfig {
+        jobs: 2,
+        cache_capacity: 64,
+        ..Default::default()
+    }));
+    let path = std::env::temp_dir().join(format!("vault-edit-mux-{}.sock", std::process::id()));
+    let mut mux = MuxServer::new(
+        Arc::clone(&svc),
+        MuxConfig {
+            executors: 2,
+            ..Default::default()
+        },
+    );
+    mux.bind_unix(&path).expect("bind");
+    let server = std::thread::spawn(move || mux.run().expect("serve"));
+    let start = Arc::new(Barrier::new(CONCURRENT_SESSIONS.len()));
+    let clients: Vec<_> = (0..CONCURRENT_SESSIONS.len())
+        .map(|client| {
+            let (path, start) = (path.clone(), Arc::clone(&start));
+            std::thread::spawn(move || run_client_session(&path, client, &start))
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("a session diverged");
+    }
+    // The shared first request ran once: its twin joined the flight or
+    // hit the cache.
+    let status = svc.status();
+    assert!(
+        status.singleflight_joins + status.cache_hits >= 1,
+        "{status:?}"
+    );
+    assert_eq!(
+        status.units_checked,
+        (CONCURRENT_SESSIONS.len() * (EDITS + 1)) as u64
+    );
+    let mut stream = UnixStream::connect(&path).expect("connect for shutdown");
+    stream.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+    let mut ack = String::new();
+    BufReader::new(stream).read_line(&mut ack).unwrap();
+    server.join().unwrap();
 }
