@@ -20,9 +20,13 @@
 //! lines, `--timeout-ms N` gives each unit a checking deadline, and
 //! `--fuel N` caps loop-invariant fixpoint iterations. With `--socket`
 //! and/or `--listen` it serves event-driven: one readiness loop
-//! multiplexes every connection onto a fixed set of executor threads. `check
-//! --socket` / `check --connect` retry transient connection failures
-//! with jittered exponential backoff (`--retries N` to tune, default 5).
+//! multiplexes every connection onto the `--jobs` pool threads, which
+//! also run the checks, so `--jobs` bounds the checks running at once
+//! (`--executors N` is deprecated and ignored). `check --socket` /
+//! `check --connect` retry transient connection failures with jittered
+//! exponential backoff (`--retries N` to tune, default 5). A local
+//! `check --jobs N` runs `N` pool threads and checks on its own thread
+//! too.
 //!
 //! `check` defaults `--jobs` to the number of available hardware
 //! threads, dedupes repeated input paths (after canonicalization), and
@@ -79,7 +83,7 @@ fn usage() -> ExitCode {
          vaultc synth --out DIR [--units N] [--fns-per-unit N] [--stmts N]\n               \
          [--seed N] [--bug-rate R]\n  \
          vaultc serve [--socket PATH] [--listen ADDR:PORT] [--jobs N] [--cache N]\n               \
-         [--cache-dir PATH] [--cache-max-bytes N] [--executors N]\n               \
+         [--cache-dir PATH] [--cache-max-bytes N]\n               \
          [--max-request-bytes N] [--timeout-ms N] [--fuel N]"
     );
     ExitCode::from(2)
@@ -403,7 +407,6 @@ fn serve(rest: &[String]) -> ExitCode {
     let mut socket: Option<String> = None;
     let mut listen: Option<String> = None;
     let mut config = ServiceConfig::default();
-    let mut mux_config = MuxConfig::default();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -415,8 +418,12 @@ fn serve(rest: &[String]) -> ExitCode {
                 Some(addr) => listen = Some(addr.clone()),
                 None => return usage(),
             },
+            // Deprecated: requests run on the `--jobs` threads.
             "--executors" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => mux_config.executors = n,
+                Some(n) if n >= 1 => eprintln!(
+                    "vaultc serve: --executors is deprecated and ignored: \
+                     requests run on the --jobs threads"
+                ),
                 _ => return usage(),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
@@ -462,7 +469,7 @@ fn serve(rest: &[String]) -> ExitCode {
             }
         };
     }
-    let mut mux = MuxServer::new(Arc::clone(&svc), mux_config);
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
     if let Some(path) = &socket {
         if let Err(e) = mux.bind_unix(path) {
             eprintln!("vaultc: cannot bind `{path}`: {e}");

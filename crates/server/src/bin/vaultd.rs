@@ -2,23 +2,23 @@
 //!
 //! ```text
 //! vaultd [--socket PATH] [--listen ADDR:PORT] [--jobs N] [--cache N]
-//!        [--cache-dir PATH] [--cache-max-bytes N] [--executors N]
+//!        [--cache-dir PATH] [--cache-max-bytes N]
 //!        [--max-request-bytes N] [--timeout-ms N] [--fuel N]
 //! ```
 //!
 //! With `--socket` and/or `--listen`, serves the JSON-lines protocol on
 //! a Unix domain socket and/or a TCP listener until a client sends
 //! `{"op":"shutdown"}`. Serving is event-driven: one readiness loop
-//! multiplexes every connection onto a fixed set of executor threads,
-//! with per-connection backpressure so a stalled reader wedges only
-//! itself. `--executors` (default derived from `--jobs`) bounds how many
-//! requests run at once; each request runs start to finish on one
-//! executor, the most recently freed one. An executor checks one of its
-//! request's units itself only when a `--jobs` worker is idle to give it
-//! the seat, and the workers take the rest, so a busy pool gets no
-//! inline checks and at most `2 x jobs` checks run at once. Without either
-//! flag, serves a single session over stdin/stdout (exiting at EOF) —
-//! handy behind an inetd-style supervisor or for piping.
+//! multiplexes every connection onto the `--jobs` pool threads, with
+//! per-connection backpressure so a stalled reader wedges only itself.
+//! Each request runs start to finish on one pool thread, the most
+//! recently freed one, which checks the request's last unit itself and
+//! queues the rest; a thread waiting for queued checks runs them, so
+//! `--jobs` bounds both the requests and the checks running at once.
+//! Without either flag, serves a single session over stdin/stdout
+//! (exiting at EOF) — handy behind an inetd-style supervisor or for
+//! piping; that session's thread also checks units itself. The
+//! deprecated `--executors N` is accepted and ignored.
 //!
 //! `--cache-dir` names a directory for the persistent warm-start cache:
 //! verdicts journaled there by a previous run are replayed at boot, so
@@ -45,7 +45,7 @@ use vault_server::{CheckService, MuxConfig, MuxServer, ServiceConfig};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: vaultd [--socket PATH] [--listen ADDR:PORT] [--jobs N] [--cache N]\n              \
-         [--cache-dir PATH] [--cache-max-bytes N] [--executors N]\n              \
+         [--cache-dir PATH] [--cache-max-bytes N]\n              \
          [--max-request-bytes N] [--timeout-ms N] [--fuel N]"
     );
     ExitCode::from(2)
@@ -56,7 +56,6 @@ fn main() -> ExitCode {
     let mut socket: Option<String> = None;
     let mut listen: Option<String> = None;
     let mut config = ServiceConfig::default();
-    let mut mux_config = MuxConfig::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -68,8 +67,12 @@ fn main() -> ExitCode {
                 Some(addr) => listen = Some(addr.clone()),
                 None => return usage(),
             },
+            // Deprecated: requests run on the `--jobs` threads.
             "--executors" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => mux_config.executors = n,
+                Some(n) if n >= 1 => eprintln!(
+                    "vaultd: --executors is deprecated and ignored: \
+                     requests run on the --jobs threads"
+                ),
                 _ => return usage(),
             },
             "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
@@ -114,7 +117,7 @@ fn main() -> ExitCode {
             }
         };
     }
-    let mut mux = MuxServer::new(Arc::clone(&svc), mux_config);
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
     if let Some(path) = &socket {
         if let Err(e) = mux.bind_unix(path) {
             eprintln!("vaultd: cannot bind `{path}`: {e}");

@@ -17,9 +17,15 @@
 //! The injected panic carries the fixed payload [`PANIC_PAYLOAD`] so
 //! tests (and operators reading diagnostics) can tell an injected fault
 //! from a genuine checker bug.
+//!
+//! Armed or not, the feature also keeps a high-water mark of unit checks
+//! running at once ([`check_running`], [`take_checks_peak`]), so a test
+//! can hold the daemon to its `--jobs` bound while delays stretch every
+//! check.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{self, Write};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -60,7 +66,7 @@ pub struct ChaosConfig {
     /// socket closes. Zero (the default) draws nothing.
     pub disconnect_prob: f64,
     /// Probability a request handler stalls for [`ChaosConfig::stall`]
-    /// after computing its response ([`stall`]) — a slow executor the
+    /// after computing its response ([`stall`]) — a slow request the
     /// multiplexer must not let wedge other connections. Zero (the
     /// default) draws nothing.
     pub stall_prob: f64,
@@ -68,7 +74,7 @@ pub struct ChaosConfig {
     pub stall: Duration,
     /// Probability a request handler panics before it starts
     /// ([`request_panic`]) — a fault outside every check job's own
-    /// containment, which the executor running the request must catch.
+    /// containment, which the thread running the request must catch.
     /// Zero (the default) draws nothing.
     pub request_panic_prob: f64,
 }
@@ -122,7 +128,7 @@ pub fn disconnect_fault() -> bool {
 }
 
 /// Called after a request handler computes its response: sleeps for the
-/// configured stall, if one fires. A stalled executor must slow only
+/// configured stall, if one fires. A stalled request must slow only
 /// its own connection.
 pub fn stall() {
     let delay = {
@@ -139,7 +145,7 @@ pub fn stall() {
     }
 }
 
-/// Called by an executor before it handles a request: panics with
+/// Called by a pool thread before it handles a request: panics with
 /// [`PANIC_PAYLOAD`] if a request-level fault fires. The draw happens
 /// under the state lock, the panic after it is released.
 pub fn request_panic() {
@@ -190,10 +196,7 @@ static STATE: Mutex<Option<(ChaosConfig, StdRng)>> = Mutex::new(None);
 /// cannot happen — draws don't panic — but poisoning is contagious from
 /// the injected panics themselves if a guard were held) must not wedge it.
 fn state() -> MutexGuard<'static, Option<(ChaosConfig, StdRng)>> {
-    match STATE.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    crate::pool::lock_unpoisoned(&STATE)
 }
 
 /// Start injecting faults process-wide.
@@ -241,6 +244,31 @@ pub fn perturb_job() {
         Fault::Panic => panic!("{}", PANIC_PAYLOAD),
         Fault::Delay(d) => std::thread::sleep(d),
     }
+}
+
+static CHECKS_RUNNING: AtomicUsize = AtomicUsize::new(0);
+static CHECKS_PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts one unit check as running until dropped.
+pub struct CheckRunning(());
+
+impl Drop for CheckRunning {
+    fn drop(&mut self) {
+        CHECKS_RUNNING.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Called at the top of every unit check job, pooled or inline.
+pub fn check_running() -> CheckRunning {
+    let now = CHECKS_RUNNING.fetch_add(1, Ordering::SeqCst) + 1;
+    CHECKS_PEAK.fetch_max(now, Ordering::SeqCst);
+    CheckRunning(())
+}
+
+/// The most unit checks that ran at once since the previous call, which
+/// restarts the mark from the checks running now.
+pub fn take_checks_peak() -> usize {
+    CHECKS_PEAK.swap(CHECKS_RUNNING.load(Ordering::SeqCst), Ordering::SeqCst)
 }
 
 /// Current short-write chunk, if armed with one. Public so the

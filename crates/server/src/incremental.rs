@@ -127,7 +127,7 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use vault_core::check::{check_function_reading, CheckStats};
 use vault_core::interface::{Decls, Interface, ReadSet};
@@ -142,7 +142,7 @@ use vault_syntax::{
 
 use crate::cache::{fnv1a_64, LruCache};
 use crate::metrics::Metrics;
-use crate::pool::{panic_payload, ThreadPool};
+use crate::pool::{lock_unpoisoned as lock, panic_payload, ThreadPool};
 
 /// Headroom subtracted from the parser depth for a mini-parse. A
 /// declaration nested inside `interface { ... }` sits a few grammar
@@ -530,13 +530,6 @@ impl FnCache {
 pub struct IncrementalEngine {
     envs: Mutex<LruCache<Arc<CachedEnv>>>,
     fns: Arc<FnCache>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Hash of what shapes a check besides the text: the unit name, the

@@ -42,6 +42,7 @@ use vault_core::CheckSummary;
 use crate::incremental::IncrementalEngine;
 use crate::metrics::Metrics;
 use crate::persist::{Record, VerdictStore};
+use crate::pool::lock_unpoisoned as lock;
 
 /// Most whole-unit verdicts the queue holds before a submitting request
 /// waits. A batch larger than this is still accepted, alone, into an
@@ -81,13 +82,6 @@ struct Shared {
 pub struct Journal {
     shared: Arc<Shared>,
     writer: Option<JoinHandle<()>>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {

@@ -11,8 +11,9 @@
 //!   `clear-cache`, `shutdown`, with structured machine-readable
 //!   diagnostics (code, severity, span, rendered message).
 //! * **Parallelism** — each batch of compilation units fans out across
-//!   a std-only worker thread pool ([`pool`]); responses preserve input
-//!   order, so parallel checking is byte-identical to sequential.
+//!   a std-only thread pool ([`pool`]) whose `jobs` threads also serve
+//!   the multiplexer's requests; responses preserve input order, so
+//!   parallel checking is byte-identical to sequential.
 //! * **Incrementality** — per-unit verdicts are memoized in a
 //!   content-hash (FNV-1a) LRU cache ([`cache`]); re-checking unchanged
 //!   sources is a cache hit that skips the checker entirely. On a unit

@@ -4,24 +4,24 @@
 //! a handful of IDEs and fatal for a build farm, so [`MuxServer`]
 //! multiplexes instead: a single event loop `poll(2)`s a Unix listener,
 //! an optional TCP listener (`--listen addr:port`), and every live
-//! connection, frames request lines incrementally, and routes them to a
-//! small, fixed set of *executor* threads, each fed by its own channel.
-//! An executor runs the usual request handler, and checks the request's
-//! last cache miss itself while a worker is idle (the service queues the
-//! others on its worker pool). Completed responses come back over a queue and a
-//! [waker][crate::poll::Waker], get buffered per connection, and are
+//! connection, frames request lines incrementally, and hands each
+//! request to one of the service's `--jobs` pool threads
+//! (`ThreadPool::hand`), which runs the request handler,
+//! checks the request's last cache miss itself and runs queued checks
+//! while it waits for the others. Responses come back over a queue and
+//! a [waker][crate::poll::Waker], get buffered per connection, and are
 //! flushed as sockets accept them.
 //!
 //! ```text
-//!            poll(2) readiness loop (one thread)          executor threads
-//!   ┌─────────────────────────────────────────────────┐   (a channel each)
-//!   │ unix listener ─┐                                │   ┌───────────────┐
-//!   │ tcp  listener ─┼─ accept                        │   │ exec 0        │
-//!   │ conn 1 ────────┤               route: the most  │   │ exec 1   ...  │
-//!   │ conn 2 ────────┼─ read ─ frame ─ recently freed ┼──►│ handle_request│
-//!   │ conn N ────────┘  lines (bounded)  executor     │   │ + last miss   │
-//!   │ waker ── completions (frees the executor) ◄─────┼───┤               │
-//!   │        ◄── write-buffer flush ◄── responses     │   └───────────────┘
+//!            poll(2) readiness loop (one thread)          pool threads (--jobs)
+//!   ┌─────────────────────────────────────────────────┐   ┌──────────────────┐
+//!   │ unix listener ─┐                                │   │ thread 0  ...    │
+//!   │ tcp  listener ─┼─ accept               hand to  │   │ handed request:  │
+//!   │ conn 1 ────────┤                     the most   │   │  handle_request  │
+//!   │ conn 2 ────────┼─ read ─ frame ─ recently freed ┼──►│  + last miss     │
+//!   │ conn N ────────┘  lines (bounded)    thread     │   │ else, or waiting:│
+//!   │ waker ── completions (frees the thread) ◄───────┼───┤  queued checks ◄─┼─ check
+//!   │        ◄── write-buffer flush ◄── responses     │   └──────────────────┘  queue
 //!   └─────────────────────────────────────────────────┘
 //! ```
 //!
@@ -40,23 +40,24 @@
 //!   stalled reader wedges only itself; memory per connection stays
 //!   bounded.
 //! * **Fairness.** Ready connections are serviced in round-robin
-//!   rotation and each holds at most one executor, so a firehose
-//!   client cannot starve an IDE's single request.
-//! * **Warm routing.** The mux thread alone hands out work, and an
-//!   executor's completion tells it exactly when that executor is free,
-//!   so it keeps the free list without a lock. A request goes to the
-//!   most recently freed executor (the free list is a stack); with none
-//!   idle it waits in `pending`. A one-unit request thus runs start to
-//!   finish on one thread that is usually still warm.
+//!   rotation and each holds at most one thread, so a firehose client
+//!   cannot starve an IDE's single request.
+//! * **Warm routing.** The mux thread alone hands out requests, and a
+//!   request's completion tells it exactly when its thread holds no
+//!   request any more, so it keeps the free list without a lock. A
+//!   request goes to the most recently freed thread (the free list is a
+//!   stack), never through the check queue; with none free it waits in
+//!   `pending`. A thread counts as free from the moment it reports, so a
+//!   one-unit request runs start to finish on a thread that is usually
+//!   still warm; if that thread has meanwhile taken a queued check, the
+//!   request starts when the check ends.
 //!
-//! Shutdown uses the waker, not the old "poke via self-connect" hack: a
-//! `shutdown` request marks the server stopping, the ack is flushed to
-//! its requester, the loop exits, and in-flight work drains within
-//! [`crate::server::SHUTDOWN_GRACE`].
+//! A `shutdown` request marks the server stopping: the ack is flushed to
+//! its requester, the loop exits, and the pool drains in-flight work
+//! within [`crate::server::SHUTDOWN_GRACE`].
 
-use crate::json::Json;
 use crate::poll::{self, PollFd, Waker, POLLIN, POLLOUT};
-use crate::pool::panic_payload;
+use crate::pool::{lock_unpoisoned, panic_payload};
 use crate::proto;
 use crate::server::{respond_to_line, too_long_reply, SHUTDOWN_GRACE};
 use crate::service::CheckService;
@@ -67,18 +68,12 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tunables for a [`MuxServer`].
+/// Tunables for a [`MuxServer`] (its requests run on the service's pool).
 #[derive(Clone, Copy, Debug)]
 pub struct MuxConfig {
-    /// Executor threads (each runs one in-flight request, and may check
-    /// one unit of it inline). `0` derives a default from the service's
-    /// worker count.
-    pub executors: usize,
     /// Most parsed-but-unanswered requests buffered per connection
     /// before the loop stops reading it (read-ahead cap).
     pub max_pending_per_conn: usize,
@@ -91,7 +86,6 @@ pub struct MuxConfig {
 impl Default for MuxConfig {
     fn default() -> Self {
         MuxConfig {
-            executors: 0,
             max_pending_per_conn: 32,
             max_write_buffer: 256 * 1024,
         }
@@ -216,7 +210,7 @@ struct Conn {
     lines: LineAssembler,
     /// Framed requests waiting their turn (bounded read-ahead).
     pending: VecDeque<Framed>,
-    /// Is a request from this connection on an executor?
+    /// Is a request from this connection on a pool thread?
     executing: bool,
     /// Buffered response bytes not yet accepted by the socket.
     out: Vec<u8>,
@@ -400,122 +394,55 @@ impl Listener {
 }
 
 /// A response ready to be written back to its connection. It also
-/// tells the mux that executor `exec` is free again.
+/// tells the mux that pool thread `thread` holds no request any more.
 struct Completion {
     conn: u64,
-    exec: usize,
+    thread: usize,
     line: String,
     shutdown: bool,
 }
 
-/// The queue executors push completions onto for the mux thread.
-type Completions = Arc<Mutex<Vec<Completion>>>;
-
-/// A request line routed to an executor.
-struct Task {
-    conn: u64,
-    line: String,
+/// Where request turns report back to the mux thread: a queue it
+/// drains and the waker that rouses its `poll`.
+#[derive(Clone)]
+struct Reports {
+    done: Arc<Mutex<Vec<Completion>>>,
+    waker: Arc<Waker>,
 }
 
-/// The executor threads, each fed by its own channel. Only the mux
-/// thread sends on the channels, and every task ends in a
-/// [`Completion`], so the mux keeps `free` without a lock.
-struct Executors {
-    channels: Vec<Sender<Task>>,
-    threads: Vec<JoinHandle<()>>,
-    /// Idle executors, the most recently freed last.
-    free: Vec<usize>,
+impl Reports {
+    fn push(&self, done: Completion) {
+        lock_unpoisoned(&self.done).push(done);
+        self.waker.wake();
+    }
 }
 
-impl Executors {
-    /// Spawn `n` executors reporting to `completions` and `waker`.
-    fn spawn(
-        n: usize,
-        svc: &Arc<CheckService>,
-        completions: &Completions,
-        waker: &Arc<Waker>,
-    ) -> io::Result<Self> {
-        let mut channels = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        for exec in 0..n {
-            let (tx, rx) = channel::<Task>();
-            let svc = Arc::clone(svc);
-            let completions = Arc::clone(completions);
-            let waker = Arc::clone(waker);
-            let thread = std::thread::Builder::new()
-                .name(format!("vaultd-executor-{exec}"))
-                .spawn(move || {
-                    let report = |done: Completion| {
-                        match completions.lock() {
-                            Ok(mut g) => g.push(done),
-                            Err(poisoned) => poisoned.into_inner().push(done),
-                        }
-                        waker.wake();
-                    };
-                    for Task { conn, line } in rx {
-                        // A panic anywhere in the turn costs only this
-                        // request: it answers `"ok":false` and ticks
-                        // `panics_caught` and `requests_failed`, and the
-                        // executor still reports back exactly once, so
-                        // it is freed and the connection's next request
-                        // is served.
-                        let mut reported = false;
-                        let turn = catch_unwind(AssertUnwindSafe(|| {
-                            #[cfg(feature = "chaos")]
-                            crate::chaos::request_panic();
-                            let (response, shutdown) = respond_to_line(&svc, &line);
-                            let line = response.to_line();
-                            #[cfg(feature = "chaos")]
-                            crate::chaos::stall();
-                            reported = true;
-                            report(Completion {
-                                conn,
-                                exec,
-                                line,
-                                shutdown,
-                            });
-                        }));
-                        if let Err(e) = turn {
-                            if !reported {
-                                svc.metrics().panic_caught();
-                                svc.metrics().request_failed();
-                                let message = format!("internal error: {}", panic_payload(&*e));
-                                report(Completion {
-                                    conn,
-                                    exec,
-                                    line: proto::encode_error(None, &message).to_line(),
-                                    shutdown: false,
-                                });
-                            }
-                        }
-                    }
-                })?;
-            channels.push(tx);
-            threads.push(thread);
-        }
-        Ok(Executors {
-            channels,
-            threads,
-            free: (0..n).rev().collect(),
-        })
-    }
-
-    /// Close every channel and wait up to `grace` for the executors to
-    /// finish the requests they hold. One still running after that is
-    /// left detached rather than joined, so a wedged request cannot
-    /// hold the exit.
-    fn shutdown(self, grace: Duration) {
-        drop(self.channels);
-        let deadline = Instant::now() + grace;
-        while self.threads.iter().any(|t| !t.is_finished()) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for thread in self.threads {
-            if thread.is_finished() {
-                let _ = thread.join();
-            }
-        }
-    }
+/// One request turn on pool thread `thread`. A panic anywhere in the
+/// handler costs only this request: it answers `"ok":false` and ticks
+/// `panics_caught` and `requests_failed`. The report itself cannot
+/// panic, so the turn reports exactly once, the thread is freed and the
+/// connection's next request is served.
+fn turn(svc: &CheckService, reports: &Reports, conn: u64, thread: usize, line: &str) {
+    let answer = catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(feature = "chaos")]
+        crate::chaos::request_panic();
+        let (response, shutdown) = respond_to_line(svc, line);
+        #[cfg(feature = "chaos")]
+        crate::chaos::stall();
+        (response.to_line(), shutdown)
+    }));
+    let (line, shutdown) = answer.unwrap_or_else(|e| {
+        svc.metrics().panic_caught();
+        svc.metrics().request_failed();
+        let message = format!("internal error: {}", panic_payload(&*e));
+        (proto::encode_error(None, &message).to_line(), false)
+    });
+    reports.push(Completion {
+        conn,
+        thread,
+        line,
+        shutdown,
+    });
 }
 
 /// What a poll-set slot refers to.
@@ -598,14 +525,12 @@ impl MuxServer {
         }
         let svc = self.svc;
         let config = self.config;
-        let n_executors = if config.executors == 0 {
-            (svc.workers() * 4).clamp(4, 64)
-        } else {
-            config.executors
+        let reports = Reports {
+            done: Arc::new(Mutex::new(Vec::new())),
+            waker: Arc::new(Waker::new()?),
         };
-        let waker = Arc::new(Waker::new()?);
-        let completions: Completions = Arc::new(Mutex::new(Vec::new()));
-        let mut executors = Executors::spawn(n_executors, &svc, &completions, &waker)?;
+        // Pool threads holding no request, the most recently freed last.
+        let mut free: Vec<usize> = (0..svc.workers()).rev().collect();
         let mut listeners = self.listeners;
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_conn: u64 = 1;
@@ -618,7 +543,7 @@ impl MuxServer {
             // Build this round's poll set: the waker always; listeners
             // unless stopping or backing off; connections per their
             // read/write appetite.
-            let mut fds = vec![PollFd::new(waker.fd(), POLLIN)];
+            let mut fds = vec![PollFd::new(reports.waker.fd(), POLLIN)];
             let mut tags = vec![Tag::Waker];
             let mut timeout = -1i32;
             if !stopping {
@@ -650,26 +575,20 @@ impl MuxServer {
                 }
             }
             poll::wait(&mut fds, timeout)?;
-            waker.drain();
+            reports.waker.drain();
 
             // Deliver completed responses into their write buffers.
-            {
-                let mut done = match completions.lock() {
-                    Ok(g) => g,
-                    Err(poisoned) => poisoned.into_inner(),
+            for c in lock_unpoisoned(&reports.done).drain(..) {
+                free.push(c.thread);
+                let Some(conn) = conns.get_mut(&c.conn) else {
+                    continue; // connection died while its request ran
                 };
-                for c in done.drain(..) {
-                    executors.free.push(c.exec);
-                    let Some(conn) = conns.get_mut(&c.conn) else {
-                        continue; // connection died while its request ran
-                    };
-                    conn.executing = false;
-                    conn.push_response(&c.line);
-                    if c.shutdown {
-                        conn.close_after_flush = true;
-                        stopping = true;
-                        shutdown_conn = Some(c.conn);
-                    }
+                conn.executing = false;
+                conn.push_response(&c.line);
+                if c.shutdown {
+                    conn.close_after_flush = true;
+                    stopping = true;
+                    shutdown_conn = Some(c.conn);
                 }
             }
 
@@ -713,8 +632,8 @@ impl MuxServer {
             }
 
             // Dispatch: rotate over connections so no client gets
-            // systematic priority, each holding at most one executor
-            // and none while its responses are backed up.
+            // systematic priority, each holding at most one thread and
+            // none while its responses are backed up.
             let mut ids: Vec<u64> = conns.keys().copied().collect();
             ids.sort_unstable();
             if !ids.is_empty() {
@@ -727,13 +646,13 @@ impl MuxServer {
                 // Alternate dispatch and flush to a fixpoint: a flush
                 // can drop the backlog below the dispatch gate, so a
                 // single pass could end the round with queued requests,
-                // no executor taken, and no event to wake on —
+                // no thread taken, and no event to wake on —
                 // a self-deadlock. The opportunistic flush also saves a
                 // poll round of latency on every fresh response.
                 loop {
                     let before = (conn.pending.len(), conn.backlog());
                     if !stopping {
-                        dispatch(id, conn, &config, &svc, &mut executors);
+                        dispatch(id, conn, &config, &svc, &reports, &mut free);
                     }
                     if conn.wants_write() {
                         conn.flush();
@@ -756,11 +675,9 @@ impl MuxServer {
             }
         }
 
-        // Drain order matters: check jobs first (executors may be
-        // blocked on their results), then the executors themselves.
-        // Both are bounded, so a wedged unit cannot hold the exit.
+        // The pool finishes the requests and checks it holds, within a
+        // bound, so a wedged unit cannot hold the exit.
         svc.drain(SHUTDOWN_GRACE);
-        executors.shutdown(SHUTDOWN_GRACE);
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
         }
@@ -770,14 +687,15 @@ impl MuxServer {
 
 /// Pop this connection's next requests: over-long lines answer inline
 /// (order is safe — nothing pops while a request executes), blank lines
-/// vanish, and the first real request takes the most recently freed
-/// executor, or waits for one.
+/// vanish, and the first real request goes to the most recently freed
+/// pool thread, or waits for one.
 fn dispatch(
     id: u64,
     conn: &mut Conn,
     config: &MuxConfig,
-    svc: &CheckService,
-    executors: &mut Executors,
+    svc: &Arc<CheckService>,
+    reports: &Reports,
+    free: &mut Vec<usize>,
 ) {
     while !conn.executing
         && !conn.dead
@@ -793,23 +711,22 @@ fn dispatch(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let Some(exec) = executors.free.pop() else {
-                    // Every executor is busy: a completion wakes the
-                    // loop, and the request is dispatched then.
+                let Some(thread) = free.pop() else {
+                    // Every thread holds a request: a completion wakes
+                    // the loop, and the request is dispatched then.
                     conn.pending.push_front(Framed::Request(line));
                     break;
                 };
-                match executors.channels[exec].send(Task { conn: id, line }) {
+                let (turn_svc, turn_reports) = (Arc::clone(svc), reports.clone());
+                let request = move || turn(&turn_svc, &turn_reports, id, thread, &line);
+                match svc.pool().hand(thread, request) {
                     Ok(()) => conn.executing = true,
-                    Err(_) => {
-                        // The executor's thread is gone; it stays off the
-                        // free list. Answer rather than drop the request.
+                    Err(e) => {
+                        // The pool is shutting down: answer, don't drop.
+                        free.push(thread);
                         svc.metrics().request_failed();
-                        let response: Json = proto::encode_error(
-                            None,
-                            &format!("executor {exec} is unavailable; request not run"),
-                        );
-                        conn.push_response(&response.to_line());
+                        let message = format!("request not run: {e}");
+                        conn.push_response(&proto::encode_error(None, &message).to_line());
                     }
                 }
             }
@@ -820,6 +737,7 @@ fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::service::ServiceConfig;
 
     fn drainq(a: &mut LineAssembler, bytes: &[u8]) -> Vec<String> {

@@ -96,6 +96,7 @@ use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Severity, Span};
 
 use crate::incremental::FnVerdict;
 use crate::json::{self, Json};
+use crate::pool::lock_unpoisoned as lock;
 use crate::proto;
 
 /// Identifies a Vault verdict segment file.
@@ -287,13 +288,6 @@ pub struct VerdictStore {
 
 fn other(msg: &str) -> io::Error {
     io::Error::other(msg.to_string())
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Rename a segment aside as `<name>.bad` (best effort — quarantine

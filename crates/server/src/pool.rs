@@ -1,36 +1,32 @@
-//! A std-only worker thread pool, hardened against worker failure.
+//! The daemon's one thread set: `jobs` threads that serve requests and
+//! run check jobs, hardened against failure.
 //!
-//! `std::thread` workers pull boxed jobs off one shared `mpsc` channel
-//! (receiver behind a mutex — the standard single-consumer workaround).
-//! The pool is deliberately generic over `FnOnce` jobs rather than
-//! hard-wired to checking: the service submits unit checks, the
-//! incremental engine submits per-function prefetch helpers, and the
-//! throughput bench submits its own workload. The multiplexer's
-//! executors are not a `ThreadPool`: the mux thread routes each request
-//! to one executor's own channel (see [`crate::mux`]). A caller that
-//! would only sleep until its jobs finish can run its last job itself
-//! with [`ThreadPool::run_here`] when a worker would otherwise sit idle,
-//! so no more jobs run inline than there are workers; it refuses exactly
-//! when `submit` does.
+//! **Check jobs** (unit checks, the incremental engine's prefetch
+//! helpers, a bench's own workload) go into one shared queue, oldest
+//! first, and any thread takes them. **Requests** are handed to one
+//! chosen thread (`ThreadPool::hand`), never through the queue: the
+//! multiplexer picks the most recently freed, still warm thread, which
+//! starts the request as soon as it finishes what it is running.
 //!
-//! Fault containment (ISSUE 2): a panicking job must never cost a
-//! worker. Each job runs under `catch_unwind`, so the worker survives
-//! and keeps pulling; should the loop itself ever unwind (e.g. a panic
-//! in shared infrastructure), a drop guard respawns a replacement
-//! thread, so capacity self-heals instead of silently decaying. The
-//! queue mutex recovers from poisoning — a receiver guard holds no
-//! invariant worth dying for. [`ThreadPool::submit`] returns a
-//! `Result` instead of panicking when the pool is shutting down.
+//! A thread waiting for a check (its request's queued misses, another
+//! request's in-flight unit) runs queued jobs until its result is ready
+//! (`ThreadPool::help_until`) and blocks only while the queue is
+//! empty. It never runs a handed request, which would hold back its own
+//! reply. Each thread runs one check at a time, so at most `jobs` checks
+//! run on the pool's threads at once; a caller outside the pool
+//! (`vaultc check`, the stdio front end) checks on its own thread too.
 //!
-//! Determinism note: jobs complete in whatever order the scheduler
-//! picks, so anything order-sensitive must carry its index and let the
-//! caller reassemble.
+//! Fault containment: each job runs under `catch_unwind`, so a panicking
+//! job costs its own result, never a thread; should a thread's loop ever
+//! unwind, a drop guard respawns it. Locks recover from poisoning, and
+//! [`ThreadPool::submit`] returns a `Result` instead of panicking when
+//! the pool is shutting down. Jobs complete in whatever order the
+//! scheduler picks, so anything order-sensitive carries its index.
 
 use crate::metrics::Metrics;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -39,8 +35,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Why a job could not be queued.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The pool is shutting down (its queue is closed); the job was
-    /// dropped without running.
+    /// The pool is shutting down; the job was dropped without running.
     ShuttingDown,
 }
 
@@ -66,190 +61,255 @@ pub fn panic_payload(e: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Lock `m`, recovering the guard if a previous holder panicked.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the pool's threads, and the threads waiting on them, share.
+struct Shared {
+    state: Mutex<State>,
+    /// Signalled when a job is queued, a request handed over, a queued
+    /// job finished, the pool closed, or on [`ThreadPool::notify`].
+    wake: Condvar,
+    metrics: Arc<Metrics>,
+}
+
+struct State {
+    /// Check jobs, oldest first.
+    queue: VecDeque<Job>,
+    /// The requests handed to each thread and not yet started, oldest
+    /// first (the multiplexer hands a thread one at a time).
+    handed: Vec<VecDeque<Job>>,
+    /// `false` once shutdown has begun.
+    open: bool,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        lock_unpoisoned(&self.state)
+    }
+
+    fn wait<'a>(&self, state: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.wake
+            .wait(state)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Run one queued check job: a panic costs its own result, never
+    /// the thread. Then wake the waiting threads, since one may be
+    /// waiting on exactly this job.
+    fn run(&self, job: Job) {
+        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+            self.metrics.panic_caught();
+        }
+        self.metrics.job_done();
+        self.notify();
+    }
+
+    fn notify(&self) {
+        // Under the lock, so a waiter between its check and its wait
+        // cannot miss the signal.
+        let _state = self.lock();
+        self.wake.notify_all();
     }
 }
 
-/// A fixed-size pool of worker threads executing boxed jobs.
+/// A fixed set of threads serving handed requests and queued jobs.
 pub struct ThreadPool {
-    /// `None` once shutdown has begun. Behind a mutex so `shutdown` can
-    /// take it through `&self`; submitters clone the sender under a
-    /// short lock.
-    tx: Mutex<Option<Sender<Job>>>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    /// Worker count: queued, running and inline jobs share this many
-    /// seats (see [`Self::run_here`]).
-    seats: u64,
-    /// Jobs running on their callers' threads right now.
-    inline: AtomicU64,
-    metrics: Arc<Metrics>,
+    shared: Arc<Shared>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+    size: usize,
 }
 
 impl ThreadPool {
-    /// Spawn `jobs` workers (min 1) reporting queue depth into `metrics`.
+    /// Spawn `jobs` threads (min 1) reporting queue depth into `metrics`.
     pub fn new(jobs: usize, metrics: Arc<Metrics>) -> Self {
-        let jobs = jobs.max(1);
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..jobs)
-            .map(|i| spawn_worker(i, Arc::clone(&rx), Arc::clone(&metrics)))
+        let size = jobs.max(1);
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                handed: (0..size).map(|_| VecDeque::new()).collect(),
+                open: true,
+            }),
+            wake: Condvar::new(),
+            metrics,
+        });
+        let threads = (0..size)
+            .map(|i| spawn_thread(i, Arc::clone(&shared)))
             .collect();
         ThreadPool {
-            tx: Mutex::new(Some(tx)),
-            workers: Mutex::new(workers),
-            seats: jobs as u64,
-            inline: AtomicU64::new(0),
-            metrics,
+            shared,
+            threads: Mutex::new(threads),
+            size,
         }
     }
 
-    /// Number of worker threads the pool was built with.
+    /// Number of threads the pool was built with.
     pub fn workers(&self) -> usize {
-        lock_unpoisoned(&self.workers).len()
+        self.size
     }
 
-    /// Queue one job; `Err(ShuttingDown)` if the pool is draining.
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        let tx = match lock_unpoisoned(&self.tx).as_ref() {
-            Some(tx) => tx.clone(),
-            None => return Err(SubmitError::ShuttingDown),
-        };
-        self.metrics.job_enqueued();
-        match tx.send(Box::new(job)) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                // Every worker is gone (all receivers dropped) — treat it
-                // as shutdown rather than dying with the workers.
-                self.metrics.job_done();
-                Err(SubmitError::ShuttingDown)
-            }
+    /// `Err(ShuttingDown)` once shutdown has begun: what [`Self::submit`]
+    /// would answer now. A caller about to run a check job itself asks
+    /// first, so a drained pool refuses inline work alike.
+    pub(crate) fn check_open(&self) -> Result<(), SubmitError> {
+        if self.shared.lock().open {
+            Ok(())
+        } else {
+            Err(SubmitError::ShuttingDown)
         }
     }
 
-    /// Run `job` on the calling thread instead of queueing it (the
-    /// caller-runs policy), but only while the pool's jobs (queued or
-    /// running) and the other inline jobs leave a worker idle: the job
-    /// then takes that worker's seat. Otherwise the job is queued as by
-    /// [`Self::submit`]. Jobs queued later may still fill the workers
-    /// while it runs, so at most twice the worker count run at once.
-    /// While the pool is shutting down the job is
-    /// dropped unrun and `Err(ShuttingDown)` returned, exactly as
-    /// `submit` refuses it. An inline job runs without the workers'
-    /// `catch_unwind`: its caller contains its own panics.
-    pub fn run_here(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
-        if lock_unpoisoned(&self.tx).is_none() {
+    /// Queue one check job; `Err(ShuttingDown)` if the pool is draining.
+    pub fn submit(&self, job: impl FnOnce() + Send + 'static) -> Result<(), SubmitError> {
+        self.put(Box::new(job), None)
+    }
+
+    /// Hand `request` to thread `thread` (below [`Self::workers`]), which
+    /// starts it as soon as it finishes what it is running. The caller
+    /// learns from the request itself when it is done; the check queue
+    /// never sees it.
+    pub(crate) fn hand(
+        &self,
+        thread: usize,
+        request: impl FnOnce() + Send + 'static,
+    ) -> Result<(), SubmitError> {
+        self.put(Box::new(request), Some(thread))
+    }
+
+    /// Queue `job`, or hand it to `thread`, and wake the threads. A
+    /// refused job is dropped after the lock is released, so the leader
+    /// guard it may hold can wake its joiners.
+    fn put(&self, job: Job, thread: Option<usize>) -> Result<(), SubmitError> {
+        let mut state = self.shared.lock();
+        if !state.open {
             return Err(SubmitError::ShuttingDown);
         }
-        let queued = self.metrics.queue_depth.load(Ordering::Relaxed);
-        let seat = self
-            .inline
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |inline| {
-                (inline + queued < self.seats).then_some(inline + 1)
-            });
-        if seat.is_err() {
-            return self.submit(job);
-        }
-        /// Gives the seat back even if the job unwinds.
-        struct Seat<'a>(&'a AtomicU64);
-        impl Drop for Seat<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::AcqRel);
+        match thread {
+            Some(t) => state.handed[t].push_back(job),
+            None => {
+                state.queue.push_back(job);
+                self.shared.metrics.job_enqueued();
             }
         }
-        let _seat = Seat(&self.inline);
-        job();
+        drop(state);
+        self.shared.wake.notify_all();
         Ok(())
     }
 
-    /// Stop accepting jobs and wait up to `grace` for queued work to
-    /// drain. Returns `true` if the queue drained; `false` means jobs
-    /// were still in flight when the grace period expired — their
-    /// threads are detached rather than joined, so shutdown stays
-    /// bounded even against a wedged job.
-    pub fn shutdown(&self, grace: Duration) -> bool {
-        drop(lock_unpoisoned(&self.tx).take()); // close the channel
-        let deadline = Instant::now() + grace;
-        while self.metrics.snapshot().queue_depth > 0 {
-            if Instant::now() >= deadline {
-                // Leave the handles: joining could block forever on a
-                // wedged job. Workers exit on their own once it finishes.
-                lock_unpoisoned(&self.workers).clear();
-                return false;
+    /// Run queued jobs on the calling thread until `ready` yields a
+    /// value. Blocks only while the queue is empty; a queued or finished
+    /// job, or [`Self::notify`], wakes it to ask `ready` again. `ready`
+    /// runs under the pool's lock, so it must not touch the pool.
+    pub(crate) fn help_until<T>(&self, mut ready: impl FnMut() -> Option<T>) -> T {
+        let mut state = self.shared.lock();
+        loop {
+            if let Some(value) = ready() {
+                return value;
             }
+            match state.queue.pop_front() {
+                Some(job) => {
+                    drop(state);
+                    self.shared.run(job);
+                    state = self.shared.lock();
+                }
+                None => state = self.shared.wait(state),
+            }
+        }
+    }
+
+    /// Wake every thread waiting in [`Self::help_until`]: whoever makes
+    /// a waiter's `ready` true outside a queued job calls this after.
+    pub(crate) fn notify(&self) {
+        self.shared.notify();
+    }
+
+    /// Stop accepting work and wait up to `grace` for the threads to
+    /// finish what is queued and handed, then exit. Returns `true` if
+    /// they did; `false` means some were still busy when the grace
+    /// period expired — they are detached rather than joined, so
+    /// shutdown stays bounded even against a wedged job.
+    pub fn shutdown(&self, grace: Duration) -> bool {
+        self.close();
+        let deadline = Instant::now() + grace;
+        let mut threads = lock_unpoisoned(&self.threads);
+        while threads.iter().any(|t| !t.is_finished()) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        for w in lock_unpoisoned(&self.workers).drain(..) {
-            let _ = w.join();
-        }
-        true
+        // Finished threads need no join; busy ones are left detached.
+        let drained = threads.iter().all(JoinHandle::is_finished);
+        threads.clear();
+        drained
+    }
+
+    fn close(&self) {
+        self.shared.lock().open = false;
+        self.shared.wake.notify_all();
     }
 }
 
-/// Spawn one worker thread whose loop self-heals: if the loop unwinds,
-/// a drop guard spawns a replacement (detached — the original handle
+/// Spawn thread `index`, whose loop self-heals: if the loop unwinds, a
+/// drop guard spawns a replacement (detached — the original handle
 /// already belongs to the pool) so pool capacity is not silently lost.
-fn spawn_worker(
-    index: usize,
-    rx: Arc<Mutex<Receiver<Job>>>,
-    metrics: Arc<Metrics>,
-) -> JoinHandle<()> {
+fn spawn_thread(index: usize, shared: Arc<Shared>) -> JoinHandle<()> {
     struct Respawn {
         index: usize,
-        rx: Arc<Mutex<Receiver<Job>>>,
-        metrics: Arc<Metrics>,
+        shared: Arc<Shared>,
     }
     impl Drop for Respawn {
         fn drop(&mut self) {
             if std::thread::panicking() {
-                self.metrics.worker_respawned();
-                let _ = spawn_worker(self.index, Arc::clone(&self.rx), Arc::clone(&self.metrics));
+                self.shared.metrics.worker_respawned();
+                let _ = spawn_thread(self.index, Arc::clone(&self.shared));
             }
         }
     }
-    let name = format!("vaultd-worker-{index}");
     std::thread::Builder::new()
-        .name(name)
+        .name(format!("vaultd-worker-{index}"))
         .spawn(move || {
             let guard = Respawn {
                 index,
-                rx: Arc::clone(&rx),
-                metrics: Arc::clone(&metrics),
+                shared: Arc::clone(&shared),
             };
-            worker_loop(rx, metrics);
-            std::mem::forget(guard); // clean exit: channel closed
+            thread_loop(index, &shared);
+            std::mem::forget(guard); // clean exit: pool closed and idle
         })
-        .expect("spawn worker thread")
+        .expect("spawn pool thread")
 }
 
-fn worker_loop(rx: Arc<Mutex<Receiver<Job>>>, metrics: Arc<Metrics>) {
+/// A handed request first, then the oldest queued job; exit once the
+/// pool is closed and neither is left.
+fn thread_loop(index: usize, shared: &Shared) {
+    let mut state = shared.lock();
     loop {
-        // Hold the lock only while pulling the next job; recover from
-        // poisoning — a panic mid-`recv` leaves no broken invariant.
-        let job = match lock_unpoisoned(&rx).recv() {
-            Ok(job) => job,
-            Err(_) => return, // channel closed: pool shutting down
-        };
-        // First line of containment: a panicking job costs its own
-        // result, never the worker. (The service additionally wraps
-        // check jobs to turn panics into `internal-error` verdicts.)
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
-            metrics.panic_caught();
+        if let Some(request) = state.handed[index].pop_front() {
+            drop(state);
+            request(); // contains its own panics; the respawn guard backs it up
+        } else if let Some(job) = state.queue.pop_front() {
+            drop(state);
+            shared.run(job);
+        } else if state.open {
+            state = shared.wait(state);
+            continue;
+        } else {
+            return;
         }
-        metrics.job_done();
+        state = shared.lock();
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        // Unbounded drain: jobs already queued run to completion, same
-        // as the original pool. Bounded shutdown is available via
-        // `shutdown`.
-        drop(lock_unpoisoned(&self.tx).take());
-        for w in lock_unpoisoned(&self.workers).drain(..) {
-            let _ = w.join();
+        // Unbounded drain: jobs already queued run to completion.
+        // Bounded shutdown is available via `shutdown`. The last owner
+        // may be one of the pool's own threads, which cannot join
+        // itself; it exits once its current job returns.
+        self.close();
+        let me = std::thread::current().id();
+        for t in lock_unpoisoned(&self.threads).drain(..) {
+            if t.thread().id() != me {
+                let _ = t.join();
+            }
         }
     }
 }
@@ -267,6 +327,7 @@ pub struct UnitIn {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
 
     #[test]
     fn pool_runs_all_jobs() {
@@ -318,50 +379,66 @@ mod tests {
         let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         assert!(pool.shutdown(Duration::from_secs(5)));
         assert_eq!(pool.submit(|| {}), Err(SubmitError::ShuttingDown));
+        assert_eq!(pool.hand(0, || {}), Err(SubmitError::ShuttingDown));
+        assert_eq!(pool.check_open(), Err(SubmitError::ShuttingDown));
     }
 
     #[test]
-    fn run_here_queues_when_no_worker_is_idle() {
-        let metrics = Arc::new(Metrics::default());
-        let pool = ThreadPool::new(1, Arc::clone(&metrics));
+    fn a_waiting_thread_runs_a_job_queued_after_it_started_waiting() {
+        let pool = Arc::new(ThreadPool::new(1, Arc::new(Metrics::default())));
         // Hold the only worker until the test lets it go.
         let (release, hold) = channel::<()>();
+        let (started_tx, started) = channel();
         pool.submit(move || {
+            started_tx.send(()).unwrap();
             let _ = hold.recv();
         })
         .unwrap();
-        let caller = std::thread::current().id();
+        started.recv_timeout(Duration::from_secs(30)).unwrap();
+        let waiter = std::thread::current().id();
         let (tx, ran_on) = channel();
-        pool.run_here(move || tx.send(std::thread::current().id()).unwrap())
-            .unwrap();
-        // The job was queued behind the held one, not run here.
-        assert!(ran_on.try_recv().is_err());
+        let (waiting_tx, waiting) = channel();
+        let late = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || {
+                // The waiter's first look holds the pool's lock until it
+                // blocks, so this job is queued while it waits.
+                waiting.recv().unwrap();
+                pool.submit(move || tx.send(std::thread::current().id()).unwrap())
+                    .unwrap();
+            })
+        };
+        let ran = pool.help_until(|| {
+            let _ = waiting_tx.send(());
+            ran_on.try_recv().ok()
+        });
+        assert_eq!(ran, waiter, "the waiting thread ran the late job");
         release.send(()).unwrap();
-        let worker = ran_on.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_ne!(worker, caller);
-        assert_eq!(metrics.snapshot().queue_peak, 2);
+        late.join().unwrap();
     }
 
     #[test]
-    fn run_here_runs_inline_until_shutdown() {
-        let metrics = Arc::new(Metrics::default());
-        let pool = ThreadPool::new(1, Arc::clone(&metrics));
-        let caller = std::thread::current().id();
-        let (tx, ran_on) = channel();
-        pool.run_here(move || tx.send(std::thread::current().id()).unwrap())
-            .unwrap();
-        assert_eq!(ran_on.try_recv(), Ok(caller));
-        assert_eq!(metrics.snapshot().queue_peak, 0, "nothing was queued");
-        assert!(pool.shutdown(Duration::from_secs(5)));
-        let ran = Arc::new(AtomicUsize::new(0));
-        let job_ran = Arc::clone(&ran);
-        assert_eq!(
-            pool.run_here(move || {
-                job_ran.fetch_add(1, Ordering::SeqCst);
-            }),
-            Err(SubmitError::ShuttingDown)
+    fn a_request_handed_to_a_busy_thread_starts_when_its_job_ends() {
+        let pool = ThreadPool::new(1, Arc::new(Metrics::default()));
+        let (release, hold) = channel::<()>();
+        let (started_tx, started) = channel();
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            let _ = hold.recv();
+        })
+        .unwrap();
+        started.recv_timeout(Duration::from_secs(30)).unwrap();
+        let (tx, answered) = channel();
+        pool.hand(0, move || tx.send(()).unwrap()).unwrap();
+        assert!(
+            answered.try_recv().is_err(),
+            "the job still holds the thread"
         );
-        assert_eq!(ran.load(Ordering::SeqCst), 0);
+        // Ending the job is the only event: nothing else wakes the pool.
+        release.send(()).unwrap();
+        answered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the handed request starts when the job ends");
     }
 
     #[test]

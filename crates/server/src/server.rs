@@ -3,7 +3,7 @@
 //! Every transport speaks the same JSON-lines protocol (see
 //! [`crate::proto`]) against one shared [`CheckService`]: the blocking
 //! [`serve_connection`] loop here drives stdio, and the socket server
-//! ([`crate::mux::MuxServer`]) runs [`respond_to_line`] on its executor
+//! ([`crate::mux::MuxServer`]) runs [`respond_to_line`] on the pool
 //! threads, so every transport answers byte-identically.
 
 use crate::json::{parse, Json};
@@ -104,7 +104,7 @@ fn refuse_over_cap(
 /// Answer one raw request line: parse failures and protocol errors get
 /// structured `"ok":false` replies (counted in `requests_failed`), and
 /// well-formed requests go through [`handle_request`]. Shared by the
-/// blocking front end here and the multiplexer's executor threads
+/// blocking front end here and the multiplexer's request turns
 /// ([`crate::mux`]) so every transport answers byte-identically.
 pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
     match parse(line) {

@@ -1,31 +1,31 @@
 //! The checking service: pool + cache + metrics behind one façade.
 //!
 //! [`CheckService`] is the engine `vaultd` (and `vaultc check --jobs`)
-//! runs on. It fans batches of compilation units across the worker
-//! pool, memoizes per-unit verdicts under a content-hash key, and keeps
-//! the counters the `status` request reports. It is `Send + Sync`; the
-//! multiplexer's executor threads share one instance, so all clients see
-//! one cache and one set of counters.
+//! runs on. It fans batches of compilation units across the pool,
+//! memoizes per-unit verdicts under a content-hash key, and keeps the
+//! counters the `status` request reports. It is `Send + Sync`; the
+//! multiplexer runs every request on one of the pool's own threads, so
+//! all clients see one cache and one set of counters.
 //!
-//! The calling thread checks a request's last miss itself instead of
-//! sleeping until the pool is done (caller-runs), whenever a pool worker
-//! is idle to give it the seat: a one-unit request to an idle service
-//! runs start to finish on the thread that received it and touches no
-//! pool queue, apart from the incremental engine's prefetch helpers. A
-//! busy pool gets no inline checks, so at most `2 x jobs` checks run at
-//! once.
+//! The calling thread checks a request's last miss itself (caller-runs)
+//! and queues the others; while it waits for them, or for another
+//! request's in-flight unit, it runs queued checks instead of sleeping
+//! (`ThreadPool::help_until`). A one-unit request runs start to finish
+//! on the thread that received it and touches no pool queue, apart from
+//! the incremental engine's prefetch helpers. In `vaultd` that thread is
+//! a pool thread, so at most `jobs` checks run at once.
 
 use crate::cache::{unit_fingerprint, LruCache};
 use crate::incremental::IncrementalEngine;
 use crate::journal::{Journal, Pending};
 use crate::metrics::{Metrics, StatusSnapshot};
 use crate::persist::{StoreConfig, StoreHealth, VerdictStore};
-use crate::pool::{panic_payload, ThreadPool, UnitIn};
+use crate::pool::{lock_unpoisoned as lock, panic_payload, ThreadPool, UnitIn};
 use crate::proto::UnitReport;
 use crate::singleflight::{Claim, InFlight, LeaderGuard, SingleFlight};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vault_core::{check_source_with_limits, CheckSummary, Limits, Verdict};
@@ -117,16 +117,6 @@ fn shareable(summary: &CheckSummary) -> bool {
 /// The whole-unit verdict cache type: fingerprints to shared summaries.
 type UnitCache = LruCache<Arc<CheckSummary>>;
 
-/// Lock the verdict cache, recovering from poisoning: the cache holds
-/// no invariant a panicking inserter could have broken halfway (worst
-/// case a verdict is missing and gets re-checked).
-fn lock_cache(cache: &Mutex<UnitCache>) -> std::sync::MutexGuard<'_, UnitCache> {
-    match cache.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// How many per-function verdicts to keep per whole-unit cache slot.
 /// Function entries are small (declaration-relative diagnostics plus
 /// counters), and a typical unit holds many functions.
@@ -135,8 +125,12 @@ const FN_CACHE_FACTOR: usize = 16;
 /// A parallel, incremental protocol-checking service.
 pub struct CheckService {
     /// Shared (`Arc`) because unit-level check jobs, pooled or run by
-    /// the caller, submit their own per-function prefetch helpers to it.
+    /// the caller, submit their own per-function prefetch helpers to it,
+    /// and leaders wake the threads waiting on their units through it.
     pool: Arc<ThreadPool>,
+    /// Its lock recovers from poisoning: the cache holds no invariant a
+    /// panicking inserter could have broken halfway (worst case a
+    /// verdict is missing and gets re-checked).
     cache: Mutex<UnitCache>,
     incremental: Arc<IncrementalEngine>,
     cache_capacity: usize,
@@ -221,9 +215,15 @@ impl CheckService {
         &self.limits
     }
 
-    /// Number of pool workers.
+    /// Number of pool threads.
     pub fn workers(&self) -> usize {
         self.pool.workers()
+    }
+
+    /// The thread set requests and checks run on (the multiplexer hands
+    /// each request to one of its threads).
+    pub(crate) fn pool(&self) -> &ThreadPool {
+        &self.pool
     }
 
     /// Stop accepting work, wait up to `grace` for in-flight jobs, then
@@ -326,8 +326,8 @@ impl CheckService {
     /// `cell` meanwhile, the claim is retired, and the verdict returned
     /// to answer from, so the unit is not checked twice.
     fn cached_since_lookup(&self, fp: u64, cell: &InFlight) -> Option<Arc<CheckSummary>> {
-        let summary = lock_cache(&self.cache).get(fp)?;
-        cell.publish(Arc::clone(&summary), true);
+        let summary = lock(&self.cache).get(fp)?;
+        cell.publish(Arc::clone(&summary), true, &self.pool);
         self.in_flight.complete(fp);
         Some(summary)
     }
@@ -341,7 +341,7 @@ impl CheckService {
     ///
     /// Returns the reports in slot order, which slots the verdict cache
     /// answered, and how many checks ran (on the pool or, for the last
-    /// leader while a worker is idle, on the calling thread).
+    /// leader, on the calling thread).
     fn schedule(
         &self,
         jobs: Vec<(usize, u64, UnitIn)>,
@@ -362,7 +362,7 @@ impl CheckService {
             fingerprints[slot] = fp;
         }
         let mut reports: Vec<Option<UnitReport>> = {
-            let mut cache = lock_cache(&self.cache);
+            let mut cache = lock(&self.cache);
             fingerprints
                 .iter()
                 .map(|&fp| {
@@ -390,9 +390,9 @@ impl CheckService {
         let mut launched = 0u64;
         if hits < n {
             let (tx, rx) = channel::<(usize, Arc<CheckSummary>, u64)>();
-            // Check one unit on the pool, or on this thread when `here`
-            // and a worker is idle (`run_here`); the job reports on
-            // `tx`, and publishes to the unit's joiners when it leads. A pool shutting down refuses both
+            // Check one unit on the pool, or on this thread when `here`;
+            // the job reports on `tx`, and publishes to the unit's
+            // joiners when it leads. A pool shutting down refuses both
             // alike, and the request still gets an answer (the dropped
             // job's guard released any waiters the same way).
             let run = |slot: usize, unit: UnitIn, guard: Option<LeaderGuard>, here: bool| {
@@ -404,6 +404,8 @@ impl CheckService {
                 let pool = Arc::clone(&self.pool);
                 let plan = plan.cloned();
                 let job = move || {
+                    #[cfg(feature = "chaos")]
+                    let _running = crate::chaos::check_running();
                     let t = Instant::now();
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                         #[cfg(feature = "chaos")]
@@ -436,7 +438,7 @@ impl CheckService {
                     let _ = job_tx.send((slot, summary, t.elapsed().as_micros() as u64));
                 };
                 let ran = if here {
-                    self.pool.run_here(job)
+                    self.pool.check_open().map(|()| job())
                 } else {
                     self.pool.submit(job)
                 };
@@ -479,7 +481,7 @@ impl CheckService {
                         }
                         leader_fps.push(fp);
                         launched += 1;
-                        let guard = LeaderGuard::new(cell, &unit.name);
+                        let guard = LeaderGuard::new(cell, &unit.name, Arc::clone(&self.pool));
                         // A leader goes to the pool once a later one shows
                         // up: only the last stays behind.
                         if let Some((slot, unit, guard)) = last_leader.replace((slot, unit, guard))
@@ -489,22 +491,21 @@ impl CheckService {
                     }
                 }
             }
-            // Caller-runs: this thread would only sleep on `rx`, so it
-            // checks the last leader itself when a worker is idle. A
-            // one-unit request to an idle pool never leaves its thread,
-            // and every leader of this request has published (or is
-            // queued to) before a joiner below waits.
+            // Caller-runs: this thread would only wait on `rx`, so it
+            // checks the last leader itself. A one-unit request never
+            // leaves its thread, and every leader of this request has
+            // published (or is queued to) before a joiner below waits.
             if let Some((slot, unit, guard)) = last_leader {
                 run(slot, unit, Some(guard), true);
             }
-            // Joiners block on their leaders. A leader never waits on
-            // another request, so no wait can cycle across requests. A
-            // non-shareable result — the leader panicked or timed out —
-            // falls back to a private re-check on the pool: transient
-            // faults must not fan out.
+            // Joiners wait on their leaders, running queued checks
+            // meanwhile. A leader never waits on another request, so no
+            // wait can cycle across requests. A non-shareable result —
+            // the leader panicked or timed out — falls back to a private
+            // re-check on the pool: transient faults must not fan out.
             let mut joined: Vec<(usize, Arc<CheckSummary>)> = Vec::new();
             for (slot, unit, cell) in joiners {
-                let (summary, ok_to_share) = cell.wait();
+                let (summary, ok_to_share) = cell.wait(&self.pool);
                 if ok_to_share {
                     self.metrics.singleflight_join();
                     joined.push((slot, summary));
@@ -517,13 +518,22 @@ impl CheckService {
                 .cache_misses
                 .fetch_add(launched + inline, Ordering::Relaxed);
             drop(tx);
-            let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = rx.into_iter().collect();
+            // Every job drops its sender before the pool wakes this
+            // thread, so the last one gone ends the wait.
+            let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = Vec::new();
+            while let Some(result) = self.pool.help_until(|| match rx.try_recv() {
+                Ok(result) => Some(Some(result)),
+                Err(TryRecvError::Empty) => None,
+                Err(TryRecvError::Disconnected) => Some(None),
+            }) {
+                fresh.push(result);
+            }
             // Insert in slot order so concurrent requests populate the
             // recency list deterministically given identical traffic.
             fresh.sort_by_key(|(slot, _, _)| *slot);
             let mut to_journal: Vec<Pending> = Vec::new();
             {
-                let mut cache = lock_cache(&self.cache);
+                let mut cache = lock(&self.cache);
                 for (slot, summary, micros) in fresh {
                     match summary.verdict {
                         // Deterministic verdicts are worth memoizing.
@@ -644,7 +654,7 @@ impl CheckService {
     /// store's generation counter makes an in-flight compaction abandon
     /// its commit for the same reason.
     pub fn clear_cache(&self) {
-        lock_cache(&self.cache).clear();
+        lock(&self.cache).clear();
         match &self.journal {
             // The journal clears the engine under its commit lock.
             Some(journal) => journal.wipe(),
@@ -679,7 +689,7 @@ impl CheckService {
 
     /// Live cache entry count.
     pub fn cache_entries(&self) -> usize {
-        lock_cache(&self.cache).len()
+        lock(&self.cache).len()
     }
 
     /// Configured cache capacity.
@@ -1105,8 +1115,14 @@ void two() {
                 );
                 std::thread::spawn(move || {
                     let (mut before, mut after) = (Vec::new(), Vec::new());
-                    for k in 0..PER_THREAD {
+                    // At least PER_THREAD units, then on until one check
+                    // began after the wipe: a thread that outruns the
+                    // wipe would otherwise leave nothing to test there.
+                    let deadline = Instant::now() + Duration::from_secs(60);
+                    let mut k = 0;
+                    while k < PER_THREAD || (after.is_empty() && Instant::now() < deadline) {
                         let u = varied_unit(&format!("t{t}"), k);
+                        k += 1;
                         let late = finished.load(Ordering::SeqCst);
                         let report = svc.check_unit(u.clone());
                         assert_from_source(&report, &u);
@@ -1282,7 +1298,7 @@ void two() {
             .cached_since_lookup(fp, &cell)
             .expect("the verdict is cached");
         assert!(Arc::ptr_eq(&cached, &checked));
-        let (shared, shareable) = joined.wait();
+        let (shared, shareable) = joined.wait(&svc.pool);
         assert!(Arc::ptr_eq(&shared, &checked) && shareable);
         // The claim was retired: the next one leads again.
         assert!(matches!(svc.in_flight.claim(fp), Claim::Leader(_)));

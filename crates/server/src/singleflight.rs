@@ -5,9 +5,10 @@
 //! *finished* work. A [`SingleFlight`] table closes that window: the
 //! first request to miss the cache becomes the **leader** and runs the
 //! check; every other request that arrives while it is in flight
-//! becomes a **joiner**, blocks on the leader's [`InFlight`] cell, and
-//! receives the identical `Arc<CheckSummary>` (counted in
-//! `singleflight_joins`).
+//! becomes a **joiner**, waits on the leader's [`InFlight`] cell
+//! (running the pool's queued checks meanwhile, see
+//! `ThreadPool::help_until`), and receives the identical
+//! `Arc<CheckSummary>` (counted in `singleflight_joins`).
 //!
 //! Non-cacheable outcomes (resource-limit, internal-error) are
 //! published but flagged non-shareable: a transient fault on the
@@ -15,8 +16,9 @@
 //! innocent concurrent requests, so each joiner falls back to checking
 //! the unit itself, exactly as it would have without dedup.
 
+use crate::pool::{lock_unpoisoned, ThreadPool};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use vault_core::CheckSummary;
 
 /// The result a leader publishes for its waiters: the shared summary
@@ -24,45 +26,24 @@ use vault_core::CheckSummary;
 /// `Rejected` — the same rule the verdict cache applies).
 type Published = (Arc<CheckSummary>, bool);
 
-/// One in-flight check: a slot the leader fills exactly once and a
-/// condvar the joiners sleep on.
+/// One in-flight check: a slot the leader fills exactly once.
 pub struct InFlight {
-    slot: Mutex<Option<Published>>,
-    ready: Condvar,
+    slot: OnceLock<Published>,
 }
 
 impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        }
+    /// Fill the slot and wake the threads waiting on `pool`. Idempotent:
+    /// only the first publish sticks, so a racy double-publish cannot
+    /// change answers.
+    pub fn publish(&self, summary: Arc<CheckSummary>, shareable: bool, pool: &ThreadPool) {
+        let _ = self.slot.set((summary, shareable));
+        pool.notify();
     }
 
-    /// Fill the slot and wake every waiter. Idempotent: only the first
-    /// publish sticks, so a racy double-publish cannot change answers.
-    pub fn publish(&self, summary: Arc<CheckSummary>, shareable: bool) {
-        let mut slot = lock_unpoisoned(&self.slot);
-        if slot.is_none() {
-            *slot = Some((summary, shareable));
-        }
-        drop(slot);
-        self.ready.notify_all();
-    }
-
-    /// Block until the leader publishes; returns the shared summary and
-    /// whether it may be shared.
-    pub fn wait(&self) -> Published {
-        let mut slot = lock_unpoisoned(&self.slot);
-        loop {
-            if let Some(published) = slot.as_ref() {
-                return published.clone();
-            }
-            slot = match self.ready.wait(slot) {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-        }
+    /// Run `pool`'s queued jobs until the leader publishes; returns the
+    /// shared summary and whether it may be shared.
+    pub fn wait(&self, pool: &ThreadPool) -> Published {
+        pool.help_until(|| self.slot.get().cloned())
     }
 }
 
@@ -75,20 +56,24 @@ impl InFlight {
 pub struct LeaderGuard {
     cell: Arc<InFlight>,
     name: String,
+    /// Where the joiners wait.
+    pool: Arc<ThreadPool>,
 }
 
 impl LeaderGuard {
-    /// Bind the leader's cell to `name` (used in the fallback verdict).
-    pub fn new(cell: Arc<InFlight>, name: &str) -> Self {
+    /// Bind the leader's cell to `name` (used in the fallback verdict)
+    /// and to the `pool` its joiners wait on.
+    pub fn new(cell: Arc<InFlight>, name: &str, pool: Arc<ThreadPool>) -> Self {
         LeaderGuard {
             cell,
             name: name.to_string(),
+            pool,
         }
     }
 
     /// Publish the real result (see [`InFlight::publish`]).
     pub fn publish(&self, summary: Arc<CheckSummary>, shareable: bool) {
-        self.cell.publish(summary, shareable);
+        self.cell.publish(summary, shareable, &self.pool);
     }
 }
 
@@ -100,6 +85,7 @@ impl Drop for LeaderGuard {
                 "in-flight check abandoned before completion",
             )),
             false,
+            &self.pool,
         );
     }
 }
@@ -113,7 +99,10 @@ pub enum Claim {
     Joiner(Arc<InFlight>),
 }
 
-/// The table of in-flight checks, keyed by fingerprint.
+/// The table of in-flight checks, keyed by fingerprint. Its lock
+/// recovers from poisoning: the table holds no invariant a panicking
+/// thread could break halfway (worst case an entry lingers until its
+/// leader's `complete`, or a joiner re-checks).
 #[derive(Default)]
 pub struct SingleFlight {
     inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
@@ -129,7 +118,9 @@ impl SingleFlight {
         match map.get(&fp) {
             Some(cell) => Claim::Joiner(Arc::clone(cell)),
             None => {
-                let cell = Arc::new(InFlight::new());
+                let cell = Arc::new(InFlight {
+                    slot: OnceLock::new(),
+                });
                 map.insert(fp, Arc::clone(&cell));
                 Claim::Leader(cell)
             }
@@ -149,21 +140,16 @@ impl SingleFlight {
     }
 }
 
-/// Lock, recovering from poisoning: the table holds no invariant a
-/// panicking thread could break halfway (worst case an entry lingers
-/// until its leader's `complete`, or a joiner re-checks).
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
+
+    fn pool() -> Arc<ThreadPool> {
+        Arc::new(ThreadPool::new(1, Arc::new(Metrics::default())))
+    }
 
     fn summary(name: &str) -> Arc<CheckSummary> {
         Arc::new(vault_core::check_summary(name, "void f() { }"))
@@ -177,7 +163,7 @@ mod tests {
         };
         assert!(matches!(sf.claim(7), Claim::Joiner(_)));
         assert!(matches!(sf.claim(8), Claim::Leader(_)));
-        cell.publish(summary("a"), true);
+        cell.publish(summary("a"), true, &pool());
         sf.complete(7);
         sf.complete(8);
         assert!(sf.is_empty());
@@ -188,6 +174,7 @@ mod tests {
     #[test]
     fn joiners_all_receive_the_leaders_summary() {
         let sf = Arc::new(SingleFlight::default());
+        let pool = pool();
         let Claim::Leader(cell) = sf.claim(42) else {
             panic!("first claim must lead");
         };
@@ -198,12 +185,13 @@ mod tests {
                 let sf = Arc::clone(&sf);
                 let joins = Arc::clone(&joins);
                 let barrier = Arc::clone(&barrier);
+                let pool = Arc::clone(&pool);
                 std::thread::spawn(move || {
                     let Claim::Joiner(cell) = sf.claim(42) else {
                         panic!("claims while in flight must join");
                     };
                     barrier.wait();
-                    let (got, shareable) = cell.wait();
+                    let (got, shareable) = cell.wait(&pool);
                     assert!(shareable);
                     joins.fetch_add(1, Ordering::SeqCst);
                     got
@@ -212,7 +200,7 @@ mod tests {
             .collect();
         barrier.wait();
         let published = summary("shared");
-        cell.publish(Arc::clone(&published), true);
+        cell.publish(Arc::clone(&published), true, &pool);
         sf.complete(42);
         for h in handles {
             let got = h.join().unwrap();
@@ -227,10 +215,10 @@ mod tests {
         let Claim::Leader(cell) = sf.claim(1) else {
             panic!();
         };
-        let first = summary("first");
-        cell.publish(Arc::clone(&first), true);
-        cell.publish(summary("second"), false);
-        let (got, shareable) = cell.wait();
+        let (pool, first) = (pool(), summary("first"));
+        cell.publish(Arc::clone(&first), true, &pool);
+        cell.publish(summary("second"), false, &pool);
+        let (got, shareable) = cell.wait(&pool);
         assert!(Arc::ptr_eq(&got, &first));
         assert!(shareable);
     }

@@ -15,10 +15,14 @@
 //! 6. Verdict-store append faults, which fire on the journal writer
 //!    thread, tick `cache_append_errors` and never change an answer.
 //! 7. A panic that escapes a request handler answers `"ok":false`,
-//!    ticks `panics_caught` and `requests_failed`, and frees its
-//!    executor, so the connection's next request is answered.
-//! 8. An executor held by a slow request does not hold up another
+//!    ticks `panics_caught` and `requests_failed`, and frees its pool
+//!    thread, so the connection's next request is answered.
+//! 8. A pool thread held by a slow request does not hold up another
 //!    connection whose previous request it ran: an idle one serves it.
+//! 9. However many clients send cold units, at most `jobs` unit checks
+//!    run at once in the daemon.
+//! 10. A one-thread daemon answers batches, import cycles and
+//!     concurrent duplicates without waiting on itself.
 
 #![cfg(feature = "chaos")]
 
@@ -186,7 +190,7 @@ fn multiplexer_survives_connection_level_chaos_and_stays_correct() {
     let _guard = exclusive();
     // Everything at once, now including the connection-level faults the
     // multiplexer owns: dropped accepts, mid-response disconnects, and
-    // stalled executors, on top of job panics, delays, and short writes.
+    // stalled request handlers, on top of job panics, delays, and short writes.
     chaos::arm(ChaosConfig {
         seed: 0x0C0F_FEE5,
         panic_prob: 0.05,
@@ -290,15 +294,9 @@ fn multiplexer_survives_a_panicking_request() {
         ..Default::default()
     }));
     let path = std::env::temp_dir().join(format!("vaultd_chaos_panic_{}.sock", std::process::id()));
-    // One executor: unless the panicking request frees it, nothing
+    // One pool thread: unless the panicking request frees it, nothing
     // after it can be answered.
-    let mut mux = MuxServer::new(
-        Arc::clone(&svc),
-        MuxConfig {
-            executors: 1,
-            ..Default::default()
-        },
-    );
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
     mux.bind_unix(&path).expect("bind socket");
     let server_thread = std::thread::spawn(move || mux.run().expect("serve"));
 
@@ -324,7 +322,7 @@ fn multiplexer_survives_a_panicking_request() {
     assert!(error.contains("internal error"), "{error}");
     assert!(error.contains(chaos::PANIC_PAYLOAD), "{error}");
 
-    // The executor freed itself: the same connection is served next.
+    // The thread freed itself: the same connection is served next.
     chaos::disarm();
     let reply = ask(check);
     assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
@@ -349,18 +347,12 @@ fn a_connection_is_served_by_an_idle_executor_while_its_last_one_is_busy() {
     let _guard = exclusive();
     chaos::disarm();
     let svc = Arc::new(CheckService::new(ServiceConfig {
-        jobs: 1,
+        jobs: 2,
         cache_capacity: 16,
         ..Default::default()
     }));
     let path = std::env::temp_dir().join(format!("vaultd_chaos_busy_{}.sock", std::process::id()));
-    let mut mux = MuxServer::new(
-        Arc::clone(&svc),
-        MuxConfig {
-            executors: 2,
-            ..Default::default()
-        },
-    );
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
     mux.bind_unix(&path).expect("bind socket");
     let server_thread = std::thread::spawn(move || mux.run().expect("serve"));
     let ask = |stream: &UnixStream, line: &str| {
@@ -378,13 +370,13 @@ fn a_connection_is_served_by_an_idle_executor_while_its_last_one_is_busy() {
         reply
     };
 
-    // A's first request runs on an executor, which is then the most
+    // A's first request runs on a pool thread, which is then the most
     // recently freed one.
     let a = UnixStream::connect(&path).expect("connect a");
     ask(&a, r#"{"op":"status","id":1}"#);
 
     // From here every check job sleeps before it starts, so B's check
-    // holds that executor for seconds.
+    // holds that thread for seconds.
     chaos::arm(ChaosConfig {
         seed: 0xB5_5E,
         panic_prob: 0.0,
@@ -409,7 +401,7 @@ fn a_connection_is_served_by_an_idle_executor_while_its_last_one_is_busy() {
     }
 
     // A's next request (no check job, so no delay) must be answered by
-    // the other, idle executor while B's check still runs: the service
+    // the other, idle thread while B's check still runs: the service
     // counts B's miss only once its check returns.
     let status = ask(&a, r#"{"op":"status","id":3}"#);
     assert_eq!(
@@ -538,4 +530,209 @@ fn journal_append_faults_tick_errors_and_never_change_an_answer() {
         drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Send `line` on `stream` and read its reply within 60 s.
+fn ask_within(stream: &std::os::unix::net::UnixStream, line: &str) -> Json {
+    use std::io::{BufRead, BufReader, Write};
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut writer = stream;
+    writeln!(writer, "{line}").unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("the request must be answered in time");
+    vault_server::parse_json(reply.trim_end()).expect("well-formed reply")
+}
+
+/// A `check` (or `check-project`) request line for `units`.
+fn units_line(op: &str, id: usize, units: &[UnitIn]) -> String {
+    let units = units
+        .iter()
+        .map(|u| {
+            Json::Obj(vec![
+                ("name".to_string(), Json::str(&u.name)),
+                ("source".to_string(), Json::str(&u.source)),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        ("op".to_string(), Json::str(op)),
+        ("id".to_string(), Json::num(id as u64)),
+        ("units".to_string(), Json::Arr(units)),
+    ])
+    .to_line()
+}
+
+/// Each reply unit's verdict equals the sequential checker's.
+fn assert_verdicts(reply: &Json, units: &[UnitIn]) {
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    let got = reply.get("units").and_then(Json::as_arr).unwrap();
+    assert_eq!(got.len(), units.len());
+    for (g, u) in got.iter().zip(units) {
+        let want = vault_core::check_summary(&u.name, &u.source);
+        assert_eq!(
+            g.get("verdict").and_then(Json::as_str),
+            Some(want.verdict.as_str()),
+            "`{}`",
+            u.name
+        );
+    }
+}
+
+#[test]
+fn at_most_jobs_unit_checks_run_at_once_however_many_clients_send() {
+    use std::os::unix::net::UnixStream;
+    let _guard = exclusive();
+    const JOBS: usize = 2;
+    const ROUNDS: usize = 3;
+    // Every check job sleeps first, so checks overlap whenever the
+    // daemon lets them.
+    chaos::arm(ChaosConfig {
+        seed: 0x10B5,
+        panic_prob: 0.0,
+        delay_prob: 1.0,
+        delay: Duration::from_millis(20),
+        short_write_chunk: None,
+        ..Default::default()
+    });
+    let svc = Arc::new(CheckService::new(ServiceConfig {
+        jobs: JOBS,
+        cache_capacity: 1024,
+        ..Default::default()
+    }));
+    let path = std::env::temp_dir().join(format!("vaultd_chaos_bound_{}.sock", std::process::id()));
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
+    mux.bind_unix(&path).expect("bind socket");
+    let server_thread = std::thread::spawn(move || mux.run().expect("serve"));
+    chaos::take_checks_peak();
+
+    let start = Arc::new(std::sync::Barrier::new(4 * JOBS));
+    let clients: Vec<_> = (0..4 * JOBS)
+        .map(|c| {
+            let (path, start) = (path.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let stream = UnixStream::connect(&path).expect("connect");
+                start.wait();
+                for r in 0..ROUNDS {
+                    // Distinct cold units: nothing hits or joins.
+                    let units = [UnitIn {
+                        name: format!("c{c}_r{r}.vlt"),
+                        source: "type T;\nvoid f(int n) { n = n + 1; }\n".to_string(),
+                    }];
+                    let reply = ask_within(&stream, &units_line("check", r, &units));
+                    assert_verdicts(&reply, &units);
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("a client was not answered");
+    }
+    let peak = chaos::take_checks_peak();
+    chaos::disarm();
+    assert_eq!(svc.status().cache_misses, (4 * JOBS * ROUNDS) as u64);
+    assert!(
+        (1..=JOBS).contains(&peak),
+        "{peak} unit checks ran at once with --jobs {JOBS}"
+    );
+
+    let _ = Client::new(&path).shutdown();
+    server_thread.join().expect("server thread exits cleanly");
+}
+
+#[test]
+fn a_one_thread_daemon_answers_batches_cycles_and_duplicates() {
+    use std::os::unix::net::UnixStream;
+    let _guard = exclusive();
+    chaos::disarm();
+    let svc = Arc::new(CheckService::new(ServiceConfig {
+        jobs: 1,
+        cache_capacity: 64,
+        ..Default::default()
+    }));
+    let path = std::env::temp_dir().join(format!("vaultd_chaos_one_{}.sock", std::process::id()));
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
+    mux.bind_unix(&path).expect("bind socket");
+    let server_thread = std::thread::spawn(move || mux.run().expect("serve"));
+    let unit = |name: &str, source: &str| UnitIn {
+        name: name.to_string(),
+        source: source.to_string(),
+    };
+    let stream = UnixStream::connect(&path).expect("connect");
+
+    // A batch: the thread checks the last unit itself and must run the
+    // two it queued, since no other thread exists.
+    let batch = workload()
+        .into_iter()
+        .take(3)
+        .map(|(u, _, _)| u)
+        .collect::<Vec<_>>();
+    assert_verdicts(
+        &ask_within(&stream, &units_line("check", 1, &batch)),
+        &batch,
+    );
+
+    // A project with an import cycle beside an acyclic pair.
+    let project = vec![
+        unit("lib", "type T;\nvoid helper(int n) {\n  n = n + 1;\n}\n"),
+        unit("app", "import \"lib\";\nvoid run() {\n  helper(3);\n}\n"),
+        unit("c", "import \"d\";\ntype C;\n"),
+        unit("d", "import \"c\";\ntype D;\n"),
+    ];
+    let reply = ask_within(&stream, &units_line("check-project", 2, &project));
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    let verdicts: Vec<&str> = reply
+        .get("units")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|u| u.get("verdict").and_then(Json::as_str).unwrap())
+        .collect();
+    assert_eq!(verdicts, ["accepted", "accepted", "rejected", "rejected"]);
+
+    // The same unit from two connections at once, and a batch in which
+    // the unit's second copy joins its queued first copy's flight.
+    let dup = unit("dup.vlt", "type T;\nvoid g(int n) { n = n * 2; }\n");
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let twins: Vec<_> = (0..2)
+        .map(|i| {
+            let (path, start, dup) = (path.clone(), Arc::clone(&start), dup.clone());
+            std::thread::spawn(move || {
+                let stream = UnixStream::connect(&path).expect("connect");
+                start.wait();
+                let units = [dup];
+                let reply = ask_within(&stream, &units_line("check", 10 + i, &units));
+                assert_verdicts(&reply, &units);
+            })
+        })
+        .collect();
+    for twin in twins {
+        twin.join().expect("a twin was not answered");
+    }
+    let other = unit("other.vlt", "void h() { }");
+    let joined = vec![
+        unit("again.vlt", &dup.source),
+        other,
+        unit("again.vlt", &dup.source),
+    ];
+    let before = svc.status().singleflight_joins;
+    assert_verdicts(
+        &ask_within(&stream, &units_line("check", 3, &joined)),
+        &joined,
+    );
+    assert_eq!(svc.status().singleflight_joins, before + 1);
+
+    let _ = Client::new(&path).shutdown();
+    server_thread.join().expect("server thread exits cleanly");
 }

@@ -39,7 +39,7 @@
 //! equal the sequential `vault_project::check_project`.
 //!
 //! The concurrent leg runs four seeded sessions at once, each a client
-//! of one `MuxServer` socket with two executors. Two of the sessions
+//! of one `MuxServer` socket over two pool threads. Two of the sessions
 //! edit the same unit name from the same starting text, so their first
 //! requests collapse into one check and their edits contend for one
 //! cached environment. Every reply must equal `check_summary`'s answer,
@@ -754,13 +754,7 @@ fn concurrent_clients_through_one_multiplexer_match_the_monolithic_checker() {
         ..Default::default()
     }));
     let path = std::env::temp_dir().join(format!("vault-edit-mux-{}.sock", std::process::id()));
-    let mut mux = MuxServer::new(
-        Arc::clone(&svc),
-        MuxConfig {
-            executors: 2,
-            ..Default::default()
-        },
-    );
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
     mux.bind_unix(&path).expect("bind");
     let server = std::thread::spawn(move || mux.run().expect("serve"));
     let start = Arc::new(Barrier::new(CONCURRENT_SESSIONS.len()));

@@ -223,7 +223,6 @@ fn a_stalled_reader_cannot_wedge_other_clients() {
     let (_svc, path, _addr) = start_mux(MuxConfig {
         max_write_buffer: 4096,
         max_pending_per_conn: 4,
-        ..Default::default()
     });
 
     // Client A: fire a burst of requests and read NOTHING.
