@@ -26,18 +26,21 @@
 //!    signature and brace edits, two-body and syntax-breaking edits,
 //!    effect-clause changes, deleted callees, inserted types, undos),
 //!    each edit checked by the incremental engine on a 2-worker pool
-//!    right after the version it was made from. It records the
+//!    right after the version it was made from was checked twice (the
+//!    second check caches the declaration environment). It records the
 //!    function-cache hit rate, the mean number of functions re-checked
 //!    and the median latency per kind, and the
 //!    median cost of one length-changing body edit down the fast path,
 //!    down the full path with every unchanged verdict cached (the
-//!    environment evicted), and down the full path cold;
+//!    environment evicted), and down the full path cold; every sample
+//!    is asserted to have taken the path it is counted for;
 //! 7. **memory** — the heap bytes the incremental engine's caches
 //!    retain per unit, on the realistic-edits unit and on a cold
-//!    workload unit: one cached environment and the mean cached
-//!    function verdict, read off a counting global allocator that is
-//!    switched on only for this section (every timed section runs with
-//!    it off, paying one relaxed load per allocation).
+//!    workload unit: what a one-shot unit (checked once) leaves, one
+//!    cached environment and the mean cached function verdict, read off
+//!    a counting global allocator that is switched on only for this
+//!    section (every timed section runs with it off, paying one relaxed
+//!    load per allocation).
 //!
 //! The cold run also audits its own phase accounting: lex + parse +
 //! elaborate + lower + check + other must equal the measured wall
@@ -61,6 +64,7 @@ use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use vault_core::check::CheckStats;
 use vault_core::Limits;
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, Shape, SynthConfig};
@@ -361,6 +365,17 @@ fn main() {
     // function per unit, so every run is a genuine whole-unit cache miss
     // that exercises the function-granular engine: the edited function
     // re-checks, the other 23 hit the per-function verdict cache.
+    // A unit's declaration environment is cached on its second full
+    // check, so one more edit (a digit the loop never uses) stores it
+    // before the timed edits.
+    let primed: Vec<UnitIn> = units
+        .iter()
+        .map(|u| UnitIn {
+            name: u.name.clone(),
+            source: edit_one_function(&u.source, '0'),
+        })
+        .collect();
+    svc.check_units(primed);
     let mut incremental = f64::INFINITY;
     let mut edited: Vec<UnitIn> = Vec::new();
     for i in 0..iters {
@@ -674,12 +689,14 @@ fn realistic_edits_unit() -> synth::SynthProgram {
     })
 }
 
-/// The `memory` section (see the module docs) for one unit: what a
-/// cold check leaves in a fresh engine's caches. One engine keeps every
-/// function verdict, a second keeps one; their difference over the
-/// other verdicts is the mean verdict, and the rest of the second
-/// engine's retention is the environment. Sequential checks, so no
-/// pool thread allocates inside the window.
+/// The `memory` section (see the module docs) for one unit: what
+/// checks leave in a fresh engine's caches. A first check of a name
+/// leaves its function verdicts and a ghost: that is what a one-shot
+/// unit costs. One engine keeps every function verdict, a second keeps
+/// one; their difference over the other verdicts is the mean verdict.
+/// The second engine's second check admits the environment, and what
+/// it adds is the environment. Sequential checks, so no pool thread
+/// allocates inside the window.
 fn cache_memory(name: &str, source: &str) -> Json {
     let limits = Limits::default();
     let check = |engine: &IncrementalEngine| {
@@ -689,20 +706,27 @@ fn cache_memory(name: &str, source: &str) -> Json {
     // Warm every lazily initialized global first.
     check(&IncrementalEngine::new(1, 1));
     let all = IncrementalEngine::new(1, 4096);
-    let all_bytes = check(&all);
+    let one_shot = check(&all);
+    assert_eq!(all.entries().0, 0, "a first check caches no environment");
     let verdicts = all.entries().1 as i64;
-    let one_bytes = check(&IncrementalEngine::new(1, 1));
-    let per_fn = (all_bytes - one_bytes) / (verdicts - 1).max(1);
-    let env = one_bytes - per_fn;
+    let one = IncrementalEngine::new(1, 1);
+    let one_bytes = check(&one);
+    let per_fn = (one_shot - one_bytes) / (verdicts - 1).max(1);
+    let env = check(&one);
+    assert_eq!(one.entries().0, 1, "a second check caches the environment");
     let (ast, _) =
         heap_bytes(|| vault_syntax::parse_program(source, &mut vault_syntax::DiagSink::new()));
     println!(
-        "  {name}: {} source bytes, {ast} B parsed, env {env} B, \
+        "  {name}: {} source bytes, {ast} B parsed, one-shot {one_shot} B, env {env} B, \
          {verdicts} fn verdicts at {per_fn} B each",
         source.len()
     );
     Json::Obj(vec![
         ("source_bytes".to_string(), Json::num(source.len() as u64)),
+        (
+            "one_shot_bytes".to_string(),
+            Json::num(one_shot.max(0) as u64),
+        ),
         ("env_bytes".to_string(), Json::num(env.max(0) as u64)),
         ("fn_verdicts".to_string(), Json::num(verdicts as u64)),
         (
@@ -731,7 +755,17 @@ fn realistic_edits(iters: usize) -> Json {
             vault_core::check_summary(NAME, source),
             "incremental result diverged after an edit"
         );
-        took
+        (took, got.stats)
+    };
+    // A fresh engine with one environment slot checks the version an
+    // edit is made from twice: the second check caches its declaration
+    // environment.
+    let primed = |source: &str| {
+        let engine = IncrementalEngine::new(1, 4096);
+        let m = Metrics::default();
+        check(&engine, &m, source);
+        check(&engine, &m, source);
+        (engine, m)
     };
 
     // Per kind: a fresh engine has checked the version the edit is made
@@ -747,14 +781,13 @@ fn realistic_edits(iters: usize) -> Json {
             if kind == EditKind::Undo {
                 s.apply(EditKind::BodyLine, &mut rng);
             }
-            let engine = IncrementalEngine::new(4, 4096);
-            let m = Metrics::default();
-            check(&engine, &m, s.source());
+            let from = s.source().to_owned();
             if !s.apply(kind, &mut rng) {
                 continue;
             }
+            let (engine, m) = primed(&from);
             let before = m.snapshot();
-            times.push(check(&engine, &m, s.source()));
+            times.push(check(&engine, &m, s.source()).0);
             let after = m.snapshot();
             hits += after.fn_cache_hits - before.fn_cache_hits;
             misses += after.fn_cache_misses - before.fn_cache_misses;
@@ -793,20 +826,27 @@ fn realistic_edits(iters: usize) -> Json {
         if !s.apply(EditKind::BodyLine, &mut rng) {
             continue;
         }
-        let m = Metrics::default();
         // Fast path: the base version is the cached environment.
-        let engine = IncrementalEngine::new(1, 4096);
-        check(&engine, &m, base.source());
-        fast.push(check(&engine, &m, s.source()));
-        // Full path, every unchanged verdict cached: another unit
-        // evicts the one-slot environment cache first.
-        let engine = IncrementalEngine::new(1, 4096);
-        check(&engine, &m, base.source());
+        let (engine, m) = primed(base.source());
+        let (took, stats) = check(&engine, &m, s.source());
+        assert!(
+            took_fast_path(&stats),
+            "a fast-path sample took the full path"
+        );
+        fast.push(took);
+        // Full path, every unchanged verdict cached: another unit's
+        // ghost evicts the one-slot environment cache first.
+        let (engine, m) = primed(base.source());
         engine.check_unit_with_prelude_parallel("other.vlt", "", &other.source, &limits, &m, &pool);
-        full_hits.push(check(&engine, &m, s.source()));
+        let (took, stats) = check(&engine, &m, s.source());
+        assert!(
+            !took_fast_path(&stats),
+            "a full-path sample took the fast path"
+        );
+        full_hits.push(took);
         // Full path, nothing cached.
         let engine = IncrementalEngine::new(1, 4096);
-        full_cold.push(check(&engine, &m, s.source()));
+        full_cold.push(check(&engine, &Metrics::default(), s.source()).0);
     }
     let (fast, full_hits, full_cold) = (
         median_ms(&mut fast),
@@ -843,6 +883,13 @@ fn realistic_edits(iters: usize) -> Json {
             ]),
         ),
     ])
+}
+
+/// Whether a check with these counters took the fast path: only it
+/// reuses the cached elaboration, so only it neither lexes the whole
+/// unit nor elaborates it.
+fn took_fast_path(stats: &CheckStats) -> bool {
+    stats.lex_micros == 0 && stats.elaborate_micros == 0
 }
 
 fn round6(x: f64) -> f64 {

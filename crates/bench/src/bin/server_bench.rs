@@ -14,17 +14,23 @@
 //! times as many generated units) to stress larger batches without
 //! changing the corpus portion.
 //!
-//! Parallel speedup is bounded by the host: the JSON records
-//! `available_parallelism` so a single-core CI box reporting ~1x is
-//! interpretable. Cache-hit speedup is hardware-independent.
+//! The calling thread checks while it waits for the pool, so `jobs` N
+//! checks on up to N + 1 threads; each throughput point records that
+//! count, and its speedup is against the same workload checked on one
+//! thread (the incremental engine, no pool). Parallel speedup is
+//! bounded by the host: the JSON records `available_parallelism` so a
+//! single-core CI box reporting ~1x is interpretable. Cache-hit speedup
+//! is hardware-independent.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
+use vault_core::Limits;
 use vault_corpus::synth::{generate, Shape, SynthConfig};
 use vault_server::{
-    serve_connection, CheckService, Json, MuxConfig, MuxServer, ServiceConfig, UnitIn,
+    serve_connection, CheckService, IncrementalEngine, Json, Metrics, MuxConfig, MuxServer,
+    ServiceConfig, UnitIn,
 };
 
 /// The replayed workload: every corpus program plus `20 * scale`
@@ -224,6 +230,23 @@ fn cold_batch_secs(units: &[UnitIn], jobs: usize, runs: usize) -> f64 {
     best
 }
 
+/// Best-of-`runs` cold wall time for checking `units` one after another
+/// on the calling thread through a fresh engine: the work one checking
+/// thread does, without the service around it.
+fn one_thread_secs(units: &[UnitIn], runs: usize) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..runs {
+        let engine = IncrementalEngine::new(units.len() * 2, units.len() * 32);
+        let (limits, metrics) = (Limits::default(), Metrics::default());
+        let start = Instant::now();
+        for u in units {
+            engine.check_unit(&u.name, &u.source, &limits, &metrics);
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 fn main() {
     let mut out_path = "BENCH_server.json".to_string();
     let mut scale = 1usize;
@@ -255,18 +278,24 @@ fn main() {
 
     // --- throughput at several job counts (cold cache each run) -------
     // The calling thread checks too while it waits for the pool, so
-    // `jobs` N keeps up to N + 1 threads checking.
+    // `jobs` N keeps up to N + 1 threads checking; the reference is one
+    // thread checking alone.
     let runs = 3;
+    let t1 = one_thread_secs(&units, runs);
+    println!(
+        "one thread: {t1:.4} s  ({:.0} units/s)",
+        units.len() as f64 / t1
+    );
     let mut job_results: Vec<(usize, f64, f64)> = Vec::new(); // (jobs, secs, units/sec)
     for jobs in [1usize, 2, 4] {
         let secs = cold_batch_secs(&units, jobs, runs);
         let ups = units.len() as f64 / secs;
-        println!("jobs={jobs}: {secs:.4} s  ({ups:.0} units/s)");
+        println!(
+            "jobs={jobs} ({} checking threads): {secs:.4} s  ({ups:.0} units/s, {:.2}x one thread)",
+            jobs + 1,
+            t1 / secs
+        );
         job_results.push((jobs, secs, ups));
-    }
-    let t1 = job_results[0].1;
-    for &(jobs, secs, _) in &job_results[1..] {
-        println!("speedup at {jobs} jobs: {:.2}x", t1 / secs);
     }
 
     // --- cache hit vs miss latency ------------------------------------
@@ -422,6 +451,16 @@ fn main() {
         ("workload_loc".to_string(), Json::num(total_loc as u64)),
         ("runs_per_point".to_string(), Json::num(runs as u64)),
         (
+            "one_thread".to_string(),
+            Json::Obj(vec![
+                ("wall_secs".to_string(), Json::Num(t1)),
+                (
+                    "units_per_sec".to_string(),
+                    Json::Num((units.len() as f64 / t1).round()),
+                ),
+            ]),
+        ),
+        (
             "throughput".to_string(),
             Json::Arr(
                 job_results
@@ -429,10 +468,11 @@ fn main() {
                     .map(|&(jobs, secs, ups)| {
                         Json::Obj(vec![
                             ("jobs".to_string(), Json::num(jobs as u64)),
+                            ("checking_threads".to_string(), Json::num(jobs as u64 + 1)),
                             ("wall_secs".to_string(), Json::Num(secs)),
                             ("units_per_sec".to_string(), Json::Num(ups.round())),
                             (
-                                "speedup_vs_1_job".to_string(),
+                                "speedup_vs_1_thread".to_string(),
                                 Json::Num((t1 / secs * 100.0).round() / 100.0),
                             ),
                         ])

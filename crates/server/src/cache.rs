@@ -1,11 +1,11 @@
 //! Content-hash memoization of check verdicts.
 //!
 //! Checking is a pure function of `(unit name, source text)`, so the
-//! service can memoize [`CheckSummary`] values under a 64-bit FNV-1a
-//! fingerprint of both. The cache is a classic LRU: a hash map into a
-//! slab of entries threaded on an intrusive doubly-linked recency list,
-//! giving O(1) lookup, insert, touch, and eviction with no non-std
-//! dependencies.
+//! service can memoize [`vault_core::CheckSummary`] values under a
+//! 64-bit FNV-1a fingerprint of both. The cache is a classic LRU: a
+//! hash map into a slab of entries threaded on an intrusive
+//! doubly-linked recency list, giving O(1) lookup, insert, touch, and
+//! eviction with no non-std dependencies.
 
 use std::collections::HashMap;
 
@@ -81,6 +81,11 @@ impl<V: Clone> LruCache<V> {
     /// Total weight of the live entries.
     pub fn weight(&self) -> usize {
         self.weight
+    }
+
+    /// The live entries' values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values().map(|&i| &self.slab[i].value)
     }
 
     /// Whether the cache is empty.

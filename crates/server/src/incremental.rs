@@ -42,6 +42,19 @@
 //! 48-function unit that is about 69 KB (23 KB of it the text), against
 //! the 0.5 MB a cached copy of the body ASTs cost.
 //!
+//! Only a later check of the same unit name can reuse an environment,
+//! and most names a build farm sends are never checked again, so an
+//! environment is admitted on a name's *second* full check. The first
+//! leaves a ghost: an entry with no environment under the same key, in
+//! the same LRU, taking one slot of the same capacity. The fast path
+//! treats a ghost as a miss; a full check stores its environment when
+//! the name has an entry (ghost or environment) and a ghost otherwise.
+//! A ghost evicted before its name returns admits nothing, so a name
+//! must come back within one capacity's worth of other names. An
+//! edited file in an editor pays one more full check, with its
+//! function verdicts already cached, before edits take the fast path.
+//! The function-verdict cache admits on first sight as before.
+//!
 //! # One body loop
 //!
 //! Every check runs one loop: take each function's outcome in order (a
@@ -74,14 +87,14 @@
 //!   the new text and slots, sharing the same [`Elaborated`].
 //! * **Full path, declarations first** — anything else (an edit outside
 //!   bodies or spanning two, a brace edit, a new identifier, an evicted
-//!   environment). The whole text is lexed once, so the frozen interner
-//!   is exactly the eager parse's, and only the declarations are parsed:
-//!   each function body is skipped by brace matching over the tokens
-//!   ([`vault_syntax::parse_outline`]). After elaboration, a body is
-//!   parsed from its tokens only when its verdict misses. A body left
-//!   unparsed could hide a syntax error, so only a *pristine* verdict —
-//!   one checked from a body whose parse reported nothing — may stand in
-//!   for it. The monolithic checker parses every body before checking
+//!   environment or a ghost). The whole text is lexed once, so the
+//!   frozen interner is exactly the eager parse's, and only the
+//!   declarations are parsed: each function body is skipped by brace
+//!   matching over the tokens ([`vault_syntax::parse_outline`]). After
+//!   elaboration, a body is parsed from its tokens only when its verdict
+//!   misses. A body left unparsed could hide a syntax error, so only a
+//!   *pristine* verdict — one checked from a body whose parse reported
+//!   nothing — may stand in for it. The monolithic checker parses every body before checking
 //!   any, so when a verdict stops the loop ([`Code::LimitExceeded`]) the
 //!   bodies past it are parsed too. An environment is stored only once
 //!   every body was parsed or stood in for.
@@ -528,7 +541,10 @@ impl FnCache {
 /// verdict cache does: no entry holds an invariant a panicking inserter
 /// could break halfway, so the worst case is a missing entry.
 pub struct IncrementalEngine {
-    envs: Mutex<LruCache<Arc<CachedEnv>>>,
+    /// Declaration environments by unit-name hash. `None` is a ghost: a
+    /// name fully checked once, whose next full check admits its
+    /// environment (see the module docs).
+    envs: Mutex<LruCache<Option<Arc<CachedEnv>>>>,
     fns: Arc<FnCache>,
 }
 
@@ -891,9 +907,11 @@ impl IncrementalEngine {
         self.check(name, prelude, source, limits, metrics, Some(pool))
     }
 
-    /// Live entry counts `(environments, function verdicts)`.
+    /// Live entry counts `(environments, function verdicts)`. Ghosts
+    /// are not environments and are not counted.
     pub fn entries(&self) -> (usize, usize) {
-        (lock(&self.envs).len(), lock(&self.fns.lru).weight())
+        let envs = lock(&self.envs).values().flatten().count();
+        (envs, lock(&self.fns.lru).weight())
     }
 
     /// Drop every cached environment and function verdict, plus any
@@ -943,6 +961,7 @@ impl IncrementalEngine {
         let source = attr.full_text();
         let cached = lock(&self.envs)
             .get(fnv1a_64(name.as_bytes()))
+            .flatten()
             .ok_or(full)?;
         if !cached.clean || cached.base_hash != base_hash(name, limits, attr.prelude_len()) {
             return Err(full);
@@ -987,7 +1006,7 @@ impl IncrementalEngine {
         let stats = CheckStats::default();
         let summary =
             assemble(name, attr, &env.slots, Vec::new(), stats, metrics, outcome).ok_or(full)?;
-        lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
+        lock(&self.envs).put(fnv1a_64(name.as_bytes()), Some(Arc::new(env)));
         Ok(summary)
     }
 
@@ -1119,8 +1138,9 @@ impl IncrementalEngine {
 
     /// Run the body loop over the per-function cache (prefetching on
     /// `pool` when given one), taking over what an abandoned attempt
-    /// `spent`, and refresh the environment cache. `Err` with what this
-    /// attempt spent when a skipped body's parse reported something.
+    /// `spent`, and store the environment, or a ghost on a name's first
+    /// full check. `Err` with what this attempt spent when a skipped
+    /// body's parse reported something.
     #[allow(clippy::too_many_arguments)]
     fn run(
         &self,
@@ -1174,7 +1194,12 @@ impl IncrementalEngine {
             bodies.probe(i)
         })
         .ok_or_else(|| bodies.spent(front_stats))?;
-        lock(&self.envs).put(fnv1a_64(name.as_bytes()), Arc::new(env));
+        // Admission on second sight: only a name the cache already
+        // holds (as a ghost or an environment) keeps its environment.
+        let key = fnv1a_64(name.as_bytes());
+        let mut envs = lock(&self.envs);
+        let seen = envs.get(key).is_some();
+        envs.put(key, seen.then(|| Arc::new(env)));
         Ok(summary)
     }
 }
@@ -1214,6 +1239,17 @@ void beta() {
         (IncrementalEngine::new(64, 1024), Metrics::default())
     }
 
+    /// Check `prelude + text` as `name` twice, counting nothing: the
+    /// first check leaves a ghost, the second admits the environment.
+    /// Returns the elaboration it holds, which a fast-path edit keeps.
+    fn primed(eng: &IncrementalEngine, name: &str, prelude: &str, text: &str) -> Arc<Elaborated> {
+        let m = Metrics::default();
+        for _ in 0..2 {
+            eng.check_unit_with_prelude(name, prelude, text, &Limits::default(), &m);
+        }
+        cached_elaboration(eng, name)
+    }
+
     #[test]
     fn matches_monolithic_cold() {
         let (eng, m) = engine();
@@ -1227,7 +1263,7 @@ void beta() {
     fn same_length_body_edit_takes_the_fast_path() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let elab = primed(&eng, "u.vlt", "", UNIT);
         let baseline_misses = m.snapshot().fn_cache_misses;
         // Same-length edit inside `alpha`'s body only.
         let edited = UNIT.replace("{x=1; y=2;}", "{x=7; y=2;}");
@@ -1241,13 +1277,14 @@ void beta() {
             1,
             "alpha re-checked"
         );
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
 
     #[test]
     fn signature_edit_falls_back_to_the_full_path_and_still_matches() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let elab = primed(&eng, "u.vlt", "", UNIT);
         // Same length, but the edit is outside every body (a struct
         // rename), so elaboration must rerun — and the non-function
         // fingerprint every read set holds changes with it.
@@ -1255,6 +1292,7 @@ void beta() {
         assert_eq!(edited.len(), UNIT.len());
         let got = eng.check_unit("u.vlt", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
+        assert!(!Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
 
     /// `(hits, misses)` counted while checking `text` as `u.vlt`, which
@@ -1309,7 +1347,7 @@ void beta() {
     fn new_identifier_in_same_length_edit_is_checked_correctly() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        primed(&eng, "u.vlt", "", UNIT);
         // `qv` never appeared in the original unit, so the frozen
         // interner cannot intern it: the engine must fall back rather
         // than check with an unknown symbol.
@@ -1323,7 +1361,7 @@ void beta() {
     fn syntax_breaking_same_length_edit_matches_monolithic() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        primed(&eng, "u.vlt", "", UNIT);
         let edited = UNIT.replace("if (flag) { p.x++; }", "if (flag) { p.x+(; }");
         assert_eq!(edited.len(), UNIT.len());
         let got = eng.check_unit("u.vlt", &edited, &limits, &m);
@@ -1368,7 +1406,7 @@ void beta() {
         let limits = Limits::default();
         let prelude = "interface FS {\n  type FILE;\n  tracked(F) FILE fopen() [new F];\n  void fclose(tracked(F) FILE f) [-F];\n}\n";
         let unit = "void touched(int k) {\n  int x = 1;\n}\nvoid untouched() {\n  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n}\n";
-        eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
+        let elab = primed(&eng, "app", prelude, unit);
         let before = m.snapshot();
         // Same-length edit inside `touched`'s body only.
         let edited = unit.replace("int x = 1;", "int x = 7;");
@@ -1385,6 +1423,7 @@ void beta() {
             "untouched reused"
         );
         assert_eq!(snap.fn_cache_misses - before.fn_cache_misses, 1);
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "app")));
     }
 
     #[test]
@@ -1415,9 +1454,8 @@ void beta() {
 
     #[test]
     fn clear_drops_both_caches() {
-        let (eng, m) = engine();
-        let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let eng = IncrementalEngine::new(64, 1024);
+        primed(&eng, "u.vlt", "", UNIT);
         let (envs, fns) = eng.entries();
         assert_eq!(envs, 1);
         assert_eq!(fns, 2);
@@ -1482,6 +1520,7 @@ void beta() {
     fn cached_elaboration(eng: &IncrementalEngine, name: &str) -> Arc<Elaborated> {
         let env = lock(&eng.envs)
             .get(fnv1a_64(name.as_bytes()))
+            .flatten()
             .expect("environment cached");
         assert!(env.elaborated.bodies.is_empty(), "a cached body AST");
         Arc::clone(&env.elaborated)
@@ -1493,9 +1532,12 @@ void beta() {
         let m = Metrics::default();
         let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         let limits = Limits::default();
-        // Full path, sequential and fanned out.
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
-        eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
+        // Full path, sequential and fanned out, each name twice so that
+        // the second check stores its environment.
+        for _ in 0..2 {
+            eng.check_unit("u.vlt", UNIT, &limits, &m);
+            eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
+        }
         let elab = cached_elaboration(&eng, "u.vlt");
         cached_elaboration(&eng, "v.vlt");
         // Fast-path refresh: the same body-free environment is reused.
@@ -1507,8 +1549,10 @@ void beta() {
         // Project mode: a unit checked against a prelude.
         let prelude = "interface FS {\n  type FILE;\n  tracked(F) FILE fopen() [new F];\n  void fclose(tracked(F) FILE f) [-F];\n}\n";
         let unit = "void use_file() {\n  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n}\n";
-        eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
-        eng.check_unit_with_prelude_parallel("app2", prelude, unit, &limits, &m, &pool);
+        for _ in 0..2 {
+            eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
+            eng.check_unit_with_prelude_parallel("app2", prelude, unit, &limits, &m, &pool);
+        }
         cached_elaboration(&eng, "app");
         cached_elaboration(&eng, "app2");
     }
@@ -1817,8 +1861,7 @@ void beta() {
     fn length_changing_body_edit_takes_the_fast_path() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
-        let elab = cached_elaboration(&eng, "u.vlt");
+        let elab = primed(&eng, "u.vlt", "", UNIT);
         let before = m.snapshot();
         // A line inserted into `alpha` moves `beta` down by one line.
         let edited = UNIT.replace(
@@ -1845,8 +1888,7 @@ void beta() {
     fn successive_fast_path_edits_track_shifted_declarations() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
-        let elab = cached_elaboration(&eng, "u.vlt");
+        let elab = primed(&eng, "u.vlt", "", UNIT);
         // Shrink `alpha`, then edit `beta` at its shifted offsets, then
         // grow `alpha` again: each step diffs against the refreshed
         // environment, never the stale body ASTs.
@@ -1868,7 +1910,7 @@ void beta() {
     fn fast_path_fallback_counts_each_function_once() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let elab = primed(&eng, "u.vlt", "", UNIT);
         let before = m.snapshot();
         // Confined to `beta`'s body, but `q` is a new identifier: the
         // fast path gives up on `beta` after `alpha` hit, and the full
@@ -1882,6 +1924,7 @@ void beta() {
             - (before.fn_cache_hits + before.fn_cache_misses);
         assert_eq!(counted, 2, "one count per function");
         assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1, "alpha hit");
+        assert!(!Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
 
     #[test]
@@ -1987,16 +2030,20 @@ void four() { int z = 4; }
         let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         for pool in [None, Some(&pool)] {
             let (eng, m) = engine();
+            let check = |text: &str| match pool {
+                Some(pool) => {
+                    eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
+                }
+                None => eng.check_unit("l.vlt", text, &limits, &m),
+            };
+            // The first check leaves a ghost, so the environment is
+            // stored by the second.
+            check(LOOPY);
             let mut elab: Option<Arc<Elaborated>> = None;
             // Cold (full path), then a body edit in `three` (fast path).
             for text in [LOOPY, &edited] {
                 let before = m.snapshot();
-                let got = match pool {
-                    Some(pool) => {
-                        eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
-                    }
-                    None => eng.check_unit("l.vlt", text, &limits, &m),
-                };
+                let got = check(text);
                 assert_eq!(got, reference("l.vlt", text, &limits));
                 assert_eq!(got.verdict, Verdict::ResourceLimit);
                 let after = m.snapshot();
@@ -2046,14 +2093,18 @@ void three(int b) { int y = b }
         let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         for pool in [None, Some(&pool)] {
             let (eng, m) = engine();
+            let check = |text: &str| match pool {
+                Some(pool) => {
+                    eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
+                }
+                None => eng.check_unit("l.vlt", text, &limits, &m),
+            };
+            // The first check leaves a ghost, so the environment is
+            // stored by the second.
+            check(&texts[0]);
             let mut elab: Option<Arc<Elaborated>> = None;
             for (i, text) in texts.iter().enumerate() {
-                let got = match pool {
-                    Some(pool) => {
-                        eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
-                    }
-                    None => eng.check_unit("l.vlt", text, &limits, &m),
-                };
+                let got = check(text);
                 assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
                 assert_eq!(got.verdict, Verdict::ResourceLimit);
                 let now = cached_elaboration(&eng, "l.vlt");
@@ -2065,6 +2116,52 @@ void three(int b) { int y = b }
                 assert_eq!(kept, (i > 0).then_some(i == 3), "text {i}");
             }
         }
+    }
+
+    #[test]
+    fn one_shot_names_leave_only_ghosts() {
+        let (eng, m) = engine();
+        let limits = Limits::default();
+        for i in 0..100 {
+            let name = format!("once-{i}.vlt");
+            let got = eng.check_unit(&name, UNIT, &limits, &m);
+            assert_eq!(got, reference(&name, UNIT, &limits));
+        }
+        assert_eq!(eng.entries().0, 0);
+        assert_eq!(lock(&eng.envs).len(), 64, "ghosts fill the capacity");
+    }
+
+    #[test]
+    fn a_name_is_admitted_on_its_second_full_check() {
+        let (eng, m) = engine();
+        // Check 1: full path, a ghost.
+        assert_eq!(counted(&eng, &m, UNIT), (0, 2));
+        assert_eq!(eng.entries().0, 0);
+        // Check 2: full path (every function hits), stores the
+        // environment.
+        assert_eq!(counted(&eng, &m, UNIT), (2, 0));
+        assert_eq!(eng.entries().0, 1);
+        let elab = cached_elaboration(&eng, "u.vlt");
+        // Check 3: an in-body edit takes the fast path.
+        let edited = UNIT.replace("{x=3; y=4;}", "{x=3; y=5;}");
+        assert_eq!(counted(&eng, &m, &edited), (1, 1));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+    }
+
+    #[test]
+    fn an_evicted_ghost_admits_nothing() {
+        let eng = IncrementalEngine::new(2, 1024);
+        let m = Metrics::default();
+        let limits = Limits::default();
+        // `c` evicts `a`'s ghost, so the second `a` is a first sight.
+        for name in ["a", "b", "c", "a"] {
+            eng.check_unit(name, UNIT, &limits, &m);
+        }
+        assert_eq!(eng.entries().0, 0);
+        assert!(lock(&eng.envs).get(fnv1a_64(b"a")).is_some(), "a ghost");
+        eng.check_unit("a", UNIT, &limits, &m);
+        assert_eq!(eng.entries().0, 1);
+        cached_elaboration(&eng, "a");
     }
 
     #[test]

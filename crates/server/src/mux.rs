@@ -9,8 +9,8 @@
 //! (`ThreadPool::hand`), which runs the request handler,
 //! checks the request's last cache miss itself and runs queued checks
 //! while it waits for the others. Responses come back over a queue and
-//! a [waker][crate::poll::Waker], get buffered per connection, and are
-//! flushed as sockets accept them.
+//! a waker (a socket pair the loop polls), get buffered per connection,
+//! and are flushed as sockets accept them.
 //!
 //! ```text
 //!            poll(2) readiness loop (one thread)          pool threads (--jobs)
