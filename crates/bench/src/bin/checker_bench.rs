@@ -16,16 +16,16 @@
 //!    identical batch: the persisted verdict log must answer at close
 //!    to warm-cache speed instead of paying the cold path again;
 //! 5. **jobs scaling** (ISSUE 8) — a cold service check of a ~100 kLOC
-//!    workload at `jobs` ∈ {1, 2, 4, 8}, where units outnumber workers
-//!    only at the low end, so the curve exercises the per-function
-//!    fan-out, not just unit-level parallelism. On a 1-core host the
-//!    curve is honestly flat (the `host` block records the core count);
+//!    workload of four units at `jobs` ∈ {1, 2, 4, 8}. A unit is the
+//!    only grain of parallel work, so the curve can fall no further past
+//!    jobs=4. On a 1-core host the curve is honestly flat (the `host`
+//!    block records the core count);
 //! 6. **realistic edits** — a 48-function Mixed `synth` unit edited the
 //!    ways a person edits it ([`vault_corpus::edits`]: body line
 //!    inserts and deletes, literals, local renames, added functions,
 //!    signature and brace edits, two-body and syntax-breaking edits,
 //!    effect-clause changes, deleted callees, inserted types, undos),
-//!    each edit checked by the incremental engine on a 2-worker pool
+//!    each edit checked by the incremental engine on the calling thread
 //!    right after the version it was made from was checked twice (the
 //!    second check caches the declaration environment). It records the
 //!    function-cache hit rate, the mean number of functions re-checked
@@ -59,7 +59,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -68,9 +67,7 @@ use vault_core::check::CheckStats;
 use vault_core::Limits;
 use vault_corpus::edits::{EditKind, EditSession};
 use vault_corpus::synth::{self, Shape, SynthConfig};
-use vault_server::{
-    CheckService, IncrementalEngine, Json, Metrics, ServiceConfig, ThreadPool, UnitIn,
-};
+use vault_server::{CheckService, IncrementalEngine, Json, Metrics, ServiceConfig, UnitIn};
 
 /// Pre-optimization numbers, measured with this binary's `cold` loop on
 /// this exact workload at the commit preceding the zero-copy front end
@@ -228,9 +225,8 @@ fn workload() -> Vec<UnitIn> {
 }
 
 /// The scaling workload: four units of 212 functions each (~100 kLOC
-/// total), frozen like [`workload`]. Four units at `--jobs 8` leaves
-/// workers idle under unit-level parallelism alone, so any slope past
-/// jobs=4 can only come from the per-function fan-out.
+/// total), frozen like [`workload`]. Four units at `--jobs 8` leave
+/// workers idle: a unit's functions are checked on one thread.
 fn scaling_workload() -> Vec<UnitIn> {
     (0..4)
         .map(|i| {
@@ -456,7 +452,7 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&cache_dir);
 
-    // --- jobs scaling: per-function fan-out over ~100 kLOC -------------
+    // --- jobs scaling: unit-level parallelism over ~100 kLOC ------------
     // A fresh-cold service check per iteration (`clear_cache` between
     // runs), best-of-`iters` per job count. Output determinism across
     // job counts is asserted inline: every summary must equal the
@@ -500,7 +496,7 @@ fn main() {
     }
     let jobs1_secs = curve[0].1;
 
-    println!("realistic edits (48-function unit, jobs 2):");
+    println!("realistic edits (48-function unit):");
     let realistic = realistic_edits(iters);
 
     println!("memory retained by the incremental caches:");
@@ -744,11 +740,10 @@ fn realistic_edits(iters: usize) -> Json {
     let program = realistic_edits_unit();
     let base = EditSession::new(program.source.clone());
     let limits = Limits::default();
-    let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
     let mut rng = StdRng::seed_from_u64(0xed17);
     let check = |engine: &IncrementalEngine, m: &Metrics, source: &str| {
         let t = Instant::now();
-        let got = engine.check_unit_with_prelude_parallel(NAME, "", source, &limits, m, &pool);
+        let got = engine.check_unit_with_prelude(NAME, "", source, &limits, m);
         let took = t.elapsed();
         assert_eq!(
             got,
@@ -837,7 +832,7 @@ fn realistic_edits(iters: usize) -> Json {
         // Full path, every unchanged verdict cached: another unit's
         // ghost evicts the one-slot environment cache first.
         let (engine, m) = primed(base.source());
-        engine.check_unit_with_prelude_parallel("other.vlt", "", &other.source, &limits, &m, &pool);
+        engine.check_unit_with_prelude("other.vlt", "", &other.source, &limits, &m);
         let (took, stats) = check(&engine, &m, s.source());
         assert!(
             !took_fast_path(&stats),
@@ -866,7 +861,6 @@ fn realistic_edits(iters: usize) -> Json {
                 program.source.len()
             )),
         ),
-        ("jobs".to_string(), Json::num(2)),
         ("samples_per_kind".to_string(), Json::num(samples as u64)),
         ("kinds".to_string(), Json::Arr(per_kind)),
         (

@@ -21,12 +21,11 @@
 //! `--fuel N` caps loop-invariant fixpoint iterations. With `--socket`
 //! and/or `--listen` it serves event-driven: one readiness loop
 //! multiplexes every connection onto the `--jobs` pool threads, which
-//! also run the checks, so `--jobs` bounds the checks running at once
-//! (`--executors N` is deprecated and ignored). `check --socket` /
-//! `check --connect` retry transient connection failures with jittered
-//! exponential backoff (`--retries N` to tune, default 5). A local
-//! `check --jobs N` runs `N` pool threads and checks on its own thread
-//! too.
+//! also run the checks, so `--jobs` bounds the checks running at once.
+//! `check --socket` / `check --connect` retry transient connection
+//! failures with jittered exponential backoff (`--retries N` to tune,
+//! default 5). A local `check --jobs N` runs `N` pool threads and checks
+//! on its own thread too.
 //!
 //! `check` defaults `--jobs` to the number of available hardware
 //! threads, dedupes repeated input paths (after canonicalization), and
@@ -417,14 +416,6 @@ fn serve(rest: &[String]) -> ExitCode {
             "--listen" => match it.next() {
                 Some(addr) => listen = Some(addr.clone()),
                 None => return usage(),
-            },
-            // Deprecated: requests run on the `--jobs` threads.
-            "--executors" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => eprintln!(
-                    "vaultc serve: --executors is deprecated and ignored: \
-                     requests run on the --jobs threads"
-                ),
-                _ => return usage(),
             },
             "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => config.jobs = n,

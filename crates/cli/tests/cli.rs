@@ -125,7 +125,12 @@ fn explain_describes_codes() {
 
 #[test]
 fn usage_on_bad_arguments() {
-    for args in [&[][..], &["frobnicate"][..], &["check"][..]] {
+    for args in [
+        &[][..],
+        &["frobnicate"][..],
+        &["check"][..],
+        &["serve", "--executors", "2"][..],
+    ] {
         let out = vaultc(args);
         assert_eq!(out.status.code(), Some(2), "args {args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));

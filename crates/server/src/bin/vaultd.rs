@@ -17,8 +17,7 @@
 //! `--jobs` bounds both the requests and the checks running at once.
 //! Without either flag, serves a single session over stdin/stdout
 //! (exiting at EOF) — handy behind an inetd-style supervisor or for
-//! piping; that session's thread also checks units itself. The
-//! deprecated `--executors N` is accepted and ignored.
+//! piping; that session's thread also checks units itself.
 //!
 //! `--cache-dir` names a directory for the persistent warm-start cache:
 //! verdicts journaled there by a previous run are replayed at boot, so
@@ -66,14 +65,6 @@ fn main() -> ExitCode {
             "--listen" => match it.next() {
                 Some(addr) => listen = Some(addr.clone()),
                 None => return usage(),
-            },
-            // Deprecated: requests run on the `--jobs` threads.
-            "--executors" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => eprintln!(
-                    "vaultd: --executors is deprecated and ignored: \
-                     requests run on the --jobs threads"
-                ),
-                _ => return usage(),
             },
             "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n >= 1 => config.jobs = n,

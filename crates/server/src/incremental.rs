@@ -119,28 +119,20 @@
 //! verdict is not a pure function of the input, so caching any part of
 //! it could pin a transient timeout onto healthy re-checks.
 //!
-//! # Prefetch
+//! # One thread per unit
 //!
-//! Bodies are independent given the environment, so helper jobs on the
-//! worker pool may fill the full path's outcome slots ahead of the loop
-//! ([`IncrementalEngine::check_unit_with_prelude_parallel`]). Helpers
-//! and loop claim function indices from one atomic counter, and the loop
-//! claims only while the slot it needs is empty, so each body is parsed
-//! and checked once and a helper still queued behind other work never
-//! holds the loop up. The sequential check is the zero-helper case: the
-//! loop claims exactly the index it needs, and nothing past an early
-//! exit is checked. Per-function `frames_copied` counters stay exact
-//! because each body runs start to finish on one thread (see
-//! [`vault_core::flow::FrameCopyScope`]). A panicking check is caught
-//! where it runs and re-raised by the loop in function order, before the
-//! metrics are added or the environment cache is written, so the
-//! service's containment produces the same `internal-error` summary
-//! whichever thread ran it. The one divergence is warmth, not output:
-//! helpers may check and cache functions past an early exit or a panic.
+//! A unit's functions are checked in order on the thread that runs the
+//! unit; the engine schedules nothing. Units are the only grain of
+//! parallel work, and `CheckService` and its `ThreadPool` decide where
+//! each one runs. Nothing past an early exit is checked. Per-function
+//! `frames_copied` counters stay exact because each body runs start to
+//! finish on one thread (see [`vault_core::flow::FrameCopyScope`]). A
+//! panicking check unwinds out of the body loop before the metrics are
+//! added or the environment cache is written, and the service's
+//! containment turns it into an `internal-error` summary.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use vault_core::check::{check_function_reading, CheckStats};
 use vault_core::interface::{Decls, Interface, ReadSet};
@@ -155,7 +147,7 @@ use vault_syntax::{
 
 use crate::cache::{fnv1a_64, LruCache};
 use crate::metrics::Metrics;
-use crate::pool::{lock_unpoisoned as lock, panic_payload, ThreadPool};
+use crate::pool::lock_unpoisoned as lock;
 
 /// Headroom subtracted from the parser depth for a mini-parse. A
 /// declaration nested inside `interface { ... }` sits a few grammar
@@ -395,7 +387,6 @@ fn splice(
 }
 
 /// What one function contributes to a check.
-#[derive(Clone)]
 enum FnOutcome {
     /// The per-function cache already had a verdict that still holds.
     Hit(FnEntry),
@@ -403,18 +394,14 @@ enum FnOutcome {
     /// microseconds its body parse (zero when parsed before the loop)
     /// and its check took.
     Fresh(FnEntry, u64, u64),
-    /// The check panicked; [`assemble`] re-raises the payload in
-    /// function order.
-    Panicked(String),
 }
 
 /// The one body loop every check runs. Takes each function's outcome
 /// in order, counts hits and misses, splices the verdict at its
 /// declaration's current start, and stops where the monolithic checker
 /// stops. `outcome` returning `None` abandons the check with nothing
-/// counted. A panicked outcome re-raises its payload before anything is
-/// counted; callers write the environment cache only after this
-/// returns.
+/// counted, and so does a panicking `outcome`, which unwinds out of
+/// here; callers write the environment cache only after this returns.
 fn assemble(
     name: &str,
     attr: &Attribution,
@@ -437,7 +424,6 @@ fn assemble(
                 stats.check_micros += check_micros;
                 entry
             }
-            FnOutcome::Panicked(msg) => resume_unwind(Box::new(msg)),
         };
         if splice(&mut views, &mut stats, attr, decl.start, &entry) {
             break;
@@ -453,8 +439,7 @@ fn assemble(
     })
 }
 
-/// The per-function verdict cache. Shared (`Arc`) with the prefetch
-/// helpers of a full check.
+/// The per-function verdict cache.
 struct FnCache {
     /// Per key, up to [`MAX_VARIANTS`] verdicts, most recent first. Each
     /// verdict counts against the capacity.
@@ -505,8 +490,8 @@ impl FnCache {
 
     /// Check `f` against `elab` and remember the verdict under `key`:
     /// the miss step of every path. `pristine` says whether `f` came
-    /// from a parse that reported nothing. A panicking check is caught
-    /// here, on whichever thread ran it.
+    /// from a parse that reported nothing. Returns the verdict and the
+    /// microseconds the check took.
     fn check(
         &self,
         key: u64,
@@ -515,22 +500,14 @@ impl FnCache {
         f: &ast::FunDecl,
         limits: &Limits,
         pristine: bool,
-    ) -> FnOutcome {
-        let checked = catch_unwind(AssertUnwindSafe(|| {
-            let decls = Decls::of(elab);
-            let mut sink = DiagSink::new();
-            let stats = check_function_reading(&decls, f, &mut sink, limits);
-            let reads = iface.read_set(&decls.callees());
-            let verdict = FnVerdict::at(f.span.start, sink.into_vec(), reads, pristine);
-            (verdict, stats)
-        }));
-        match checked {
-            Ok((verdict, stats)) => {
-                let entry = self.remember(key, f.span, verdict, untimed(stats));
-                FnOutcome::Fresh(entry, 0, stats.check_micros)
-            }
-            Err(e) => FnOutcome::Panicked(panic_payload(&*e)),
-        }
+    ) -> (FnEntry, u64) {
+        let decls = Decls::of(elab);
+        let mut sink = DiagSink::new();
+        let stats = check_function_reading(&decls, f, &mut sink, limits);
+        let reads = iface.read_set(&decls.callees());
+        let verdict = FnVerdict::at(f.span.start, sink.into_vec(), reads, pristine);
+        let entry = self.remember(key, f.span, verdict, untimed(stats));
+        (entry, stats.check_micros)
     }
 }
 
@@ -545,7 +522,7 @@ pub struct IncrementalEngine {
     /// name fully checked once, whose next full check admits its
     /// environment (see the module docs).
     envs: Mutex<LruCache<Option<Arc<CachedEnv>>>>,
-    fns: Arc<FnCache>,
+    fns: FnCache,
 }
 
 /// Hash of what shapes a check besides the text: the unit name, the
@@ -663,88 +640,65 @@ struct Spent {
     fresh: Vec<(Arc<FnVerdict>, u64, u64)>,
 }
 
-/// A full check's function bodies, with one outcome slot each. The
-/// body loop fills the slot it needs next; prefetch helpers on the pool
-/// fill slots ahead of it. Every slot is claimed from `next`, in order,
-/// so each function is parsed and checked at most once.
-struct Bodies {
-    fns: Arc<FnCache>,
-    elaborated: Arc<Elaborated>,
-    iface: Arc<Interface>,
+/// A full check's function bodies, which the body loop takes in order.
+struct Bodies<'a> {
+    fns: &'a FnCache,
+    elaborated: &'a Elaborated,
+    iface: &'a Interface,
     /// The unit's declarations, moved from its [`FrontEnd`].
     bodies: Vec<ast::FunDecl>,
     /// Where unparsed bodies are parsed from (see [`FrontEnd::outline`]).
     outline: Option<Outline>,
     /// Whether a body parsed before the loop came from a clean parse.
     pristine: bool,
-    keys: Vec<u64>,
-    limits: Limits,
-    /// The lowest index nobody has claimed yet.
-    next: AtomicUsize,
-    /// One slot per function the loop may reach; `None` once a body
-    /// parse reported something, which abandons the check.
-    ready: Vec<OnceLock<Option<FnOutcome>>>,
+    keys: &'a [u64],
+    limits: &'a Limits,
     /// [`Spent::fresh`] of the attempt this check falls back from, each
     /// taken by the first function that reuses its verdict.
-    spent: Mutex<Vec<(Arc<FnVerdict>, u64, u64)>>,
+    spent: Vec<(Arc<FnVerdict>, u64, u64)>,
 }
 
-impl Bodies {
-    /// Claim the next unclaimed function and fill its slot; `false` once
-    /// every function is claimed.
-    fn claim(&self) -> bool {
-        let i = self.next.fetch_add(1, Ordering::Relaxed);
-        let Some(slot) = self.ready.get(i) else {
-            return false;
-        };
-        slot.get_or_init(|| self.outcome(i));
-        true
-    }
-
+impl Bodies<'_> {
     /// Function `i`'s outcome (see [`Self::reuse_or_check`]). When its
     /// verdict stops the loop and the declaration pass skipped bodies,
     /// every later body is parsed too: the monolithic checker parses them
     /// all before checking any, so their syntax errors are part of its
     /// answer. `None` when any body parse reports anything: the check is
-    /// abandoned, so nobody claims further functions.
-    fn outcome(&self, i: usize) -> Option<FnOutcome> {
-        let outcome = self.reuse_or_check(i);
-        let stops = match &outcome {
-            Some(FnOutcome::Hit((v, _)) | FnOutcome::Fresh((v, _), ..)) => {
-                v.diags.iter().any(|d| d.code == Code::LimitExceeded)
-            }
-            _ => false,
-        };
+    /// abandoned.
+    fn outcome(&mut self, i: usize) -> Option<FnOutcome> {
+        let outcome = self.reuse_or_check(i)?;
+        let (FnOutcome::Hit((v, _)) | FnOutcome::Fresh((v, _), ..)) = &outcome;
+        let stops = v.diags.iter().any(|d| d.code == Code::LimitExceeded);
         if let (true, Some(outline)) = (stops, &self.outline) {
             let rest = &self.bodies[i + 1..];
             let body = |f: &ast::FunDecl| f.body.as_ref().expect("collected with body").span;
             if !rest.iter().all(|f| outline.parse_body(body(f)).is_some()) {
-                self.next.fetch_max(self.ready.len(), Ordering::Relaxed);
                 return None;
             }
         }
-        outcome
+        Some(outcome)
     }
 
     /// Probe the per-function cache; on a miss, parse the body if the
     /// declaration pass skipped it, then check it. `None` when that
     /// parse reports anything.
-    fn reuse_or_check(&self, i: usize) -> Option<FnOutcome> {
+    fn reuse_or_check(&mut self, i: usize) -> Option<FnOutcome> {
         let key = self.keys[i];
-        let cached = self.fns.get(key, &self.iface);
+        let cached = self.fns.get(key, self.iface);
         let decl = &self.bodies[i];
         let Some(outline) = &self.outline else {
             if let Some(entry) = cached {
                 return Some(self.reused(entry));
             }
-            return Some(self.fns.check(
+            let (entry, check_micros) = self.fns.check(
                 key,
-                &self.elaborated,
-                &self.iface,
+                self.elaborated,
+                self.iface,
                 decl,
-                &self.limits,
+                self.limits,
                 self.pristine,
-            ));
+            );
+            return Some(FnOutcome::Fresh(entry, 0, check_micros));
         };
         // Only a pristine verdict may stand in for an unparsed body.
         if let Some(entry) = cached.filter(|(v, _)| v.pristine) {
@@ -752,70 +706,32 @@ impl Bodies {
         }
         let started = std::time::Instant::now();
         let body = decl.body.as_ref().expect("collected with body").span;
-        let Some(body) = outline.parse_body(body) else {
-            self.next.fetch_max(self.ready.len(), Ordering::Relaxed);
-            return None;
-        };
+        let body = outline.parse_body(body)?;
         let parsed = ast::FunDecl {
             body: Some(body),
             ..decl.clone()
         };
         let parse_micros = started.elapsed().as_micros() as u64;
-        let outcome = self.fns.check(
-            key,
-            &self.elaborated,
-            &self.iface,
-            &parsed,
-            &self.limits,
-            true,
-        );
-        Some(match outcome {
-            FnOutcome::Fresh(entry, _, check_micros) => {
-                FnOutcome::Fresh(entry, parse_micros, check_micros)
-            }
-            outcome => outcome,
-        })
+        let (entry, check_micros) =
+            self.fns
+                .check(key, self.elaborated, self.iface, &parsed, self.limits, true);
+        Some(FnOutcome::Fresh(entry, parse_micros, check_micros))
     }
 
     /// A cache hit on `entry`, or the miss it was when the abandoned
     /// attempt this check falls back from checked that very verdict.
-    fn reused(&self, entry: FnEntry) -> FnOutcome {
-        let mut spent = lock(&self.spent);
-        match spent.iter().position(|(v, ..)| Arc::ptr_eq(v, &entry.0)) {
+    fn reused(&mut self, entry: FnEntry) -> FnOutcome {
+        match self
+            .spent
+            .iter()
+            .position(|(v, ..)| Arc::ptr_eq(v, &entry.0))
+        {
             Some(i) => {
-                let (_, parse_micros, check_micros) = spent.swap_remove(i);
+                let (_, parse_micros, check_micros) = self.spent.swap_remove(i);
                 FnOutcome::Fresh(entry, parse_micros, check_micros)
             }
             None => FnOutcome::Hit(entry),
         }
-    }
-
-    /// What the check did before it was abandoned, for the fallback.
-    fn spent(&self, stats: CheckStats) -> Spent {
-        let fresh = self
-            .ready
-            .iter()
-            .filter_map(|slot| match slot.get() {
-                Some(Some(FnOutcome::Fresh((v, _), parse, check))) => {
-                    Some((Arc::clone(v), *parse, *check))
-                }
-                _ => None,
-            })
-            .collect();
-        Spent { stats, fresh }
-    }
-
-    /// What a helper job runs: claim until nothing is left.
-    fn prefetch(&self) {
-        while self.claim() {}
-    }
-
-    /// Function `i`'s outcome. Claims in order while slot `i` is empty;
-    /// once every function is claimed, waits for whoever holds `i`, or
-    /// fills it here if its claimant has not started on it.
-    fn probe(&self, i: usize) -> Option<FnOutcome> {
-        while self.ready[i].get().is_none() && self.claim() {}
-        self.ready[i].get_or_init(|| self.outcome(i)).clone()
     }
 }
 
@@ -825,11 +741,11 @@ impl IncrementalEngine {
     pub fn new(env_capacity: usize, fn_capacity: usize) -> Self {
         IncrementalEngine {
             envs: Mutex::new(LruCache::new(env_capacity)),
-            fns: Arc::new(FnCache {
+            fns: FnCache {
                 lru: Mutex::new(LruCache::new(fn_capacity)),
                 track_dirty: AtomicBool::new(false),
                 dirty: Mutex::new(Vec::new()),
-            }),
+            },
         }
     }
 
@@ -871,7 +787,7 @@ impl IncrementalEngine {
         limits: &Limits,
         metrics: &Metrics,
     ) -> CheckSummary {
-        self.check(name, "", source, limits, metrics, None)
+        self.check(name, "", source, limits, metrics)
     }
 
     /// [`Self::check_unit`] against a dependency-signature prelude
@@ -889,22 +805,7 @@ impl IncrementalEngine {
         limits: &Limits,
         metrics: &Metrics,
     ) -> CheckSummary {
-        self.check(name, prelude, source, limits, metrics, None)
-    }
-
-    /// [`Self::check_unit_with_prelude`], with a full check's function
-    /// bodies prefetched by helper jobs on `pool` (see the module docs).
-    /// Byte-identical to the sequential entry on every input.
-    pub fn check_unit_with_prelude_parallel(
-        &self,
-        name: &str,
-        prelude: &str,
-        source: &str,
-        limits: &Limits,
-        metrics: &Metrics,
-        pool: &ThreadPool,
-    ) -> CheckSummary {
-        self.check(name, prelude, source, limits, metrics, Some(pool))
+        self.check(name, prelude, source, limits, metrics)
     }
 
     /// Live entry counts `(environments, function verdicts)`. Ghosts
@@ -924,7 +825,7 @@ impl IncrementalEngine {
     }
 
     /// Every entry point: the fast path when it applies, else the full
-    /// path, prefetching on `pool` when given one.
+    /// path.
     fn check(
         &self,
         name: &str,
@@ -932,7 +833,6 @@ impl IncrementalEngine {
         source: &str,
         limits: &Limits,
         metrics: &Metrics,
-        pool: Option<&ThreadPool>,
     ) -> CheckSummary {
         if limits.deadline.is_some() {
             // Wall-clock verdicts are not pure functions of the input.
@@ -941,7 +841,7 @@ impl IncrementalEngine {
         let attr = Attribution::with_prelude(name, prelude, source);
         match self.try_fast_path(name, &attr, limits, metrics) {
             Ok(summary) => summary,
-            Err(front) => self.full_check(name, &attr, limits, metrics, pool, front),
+            Err(front) => self.full_check(name, &attr, limits, metrics, front),
         }
     }
 
@@ -992,16 +892,15 @@ impl IncrementalEngine {
                 Some(f) => f,
                 None => parse(decl).ok()?,
             };
-            let elab = &env.elaborated;
-            match self
-                .fns
-                .check(env.keys[i], elab, &env.iface, &f, limits, true)
-            {
-                // A verdict reaching outside its declaration may point
-                // at text this entry has shifted.
-                FnOutcome::Fresh((v, _), ..) if !v.self_contained(decl.len()) => None,
-                outcome => Some(outcome),
-            }
+            let (entry, check_micros) =
+                self.fns
+                    .check(env.keys[i], &env.elaborated, &env.iface, &f, limits, true);
+            // A verdict reaching outside its declaration may point at
+            // text this entry has shifted.
+            entry
+                .0
+                .self_contained(decl.len())
+                .then_some(FnOutcome::Fresh(entry, 0, check_micros))
         };
         let stats = CheckStats::default();
         let summary =
@@ -1118,30 +1017,25 @@ impl IncrementalEngine {
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
-        pool: Option<&ThreadPool>,
         front: Front,
     ) -> CheckSummary {
         let mut spent = Spent::default();
         if front == Front::DeclarationsFirst {
             let outline = self.outline_front(name, attr, limits);
-            match outline
-                .and_then(|front| self.run(front, name, attr, limits, metrics, pool, spent))
-            {
+            match outline.and_then(|front| self.run(front, name, attr, limits, metrics, spent)) {
                 Ok(summary) => return summary,
                 Err(abandoned) => spent = abandoned,
             }
         }
         let front = self.eager_front(name, attr, limits);
-        self.run(front, name, attr, limits, metrics, pool, spent)
+        self.run(front, name, attr, limits, metrics, spent)
             .expect("a parsed unit never abandons")
     }
 
-    /// Run the body loop over the per-function cache (prefetching on
-    /// `pool` when given one), taking over what an abandoned attempt
-    /// `spent`, and store the environment, or a ghost on a name's first
-    /// full check. `Err` with what this attempt spent when a skipped
-    /// body's parse reported something.
-    #[allow(clippy::too_many_arguments)]
+    /// Run the body loop over the per-function cache, taking over what
+    /// an abandoned attempt `spent`, and store the environment, or a
+    /// ghost on a name's first full check. `Err` with what this attempt
+    /// spent when a skipped body's parse reported something.
     fn run(
         &self,
         front: FrontEnd,
@@ -1149,7 +1043,6 @@ impl IncrementalEngine {
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
-        pool: Option<&ThreadPool>,
         spent: Spent,
     ) -> Result<CheckSummary, Spent> {
         let FrontEnd {
@@ -1163,37 +1056,30 @@ impl IncrementalEngine {
         } = front;
         let front_stats = stats;
         stats.absorb(spent.stats);
-        let bodies = Arc::new(Bodies {
-            fns: Arc::clone(&self.fns),
-            elaborated: Arc::clone(&env.elaborated),
-            iface: Arc::clone(&env.iface),
+        let mut bodies = Bodies {
+            fns: &self.fns,
+            elaborated: &env.elaborated,
+            iface: &env.iface,
             bodies,
             outline,
             pristine,
-            keys: env.keys.clone(),
-            limits: *limits,
-            next: AtomicUsize::new(0),
-            ready: (0..reach).map(|_| OnceLock::new()).collect(),
-            spent: Mutex::new(spent.fresh),
-        });
-        if let Some(pool) = pool {
-            // Helpers are an accelerant, never a dependency: a refused
-            // submission (pool draining) or a helper stuck behind queued
-            // work just means the loop claims more itself.
-            let helpers = pool
-                .workers()
-                .saturating_sub(1)
-                .min(reach.saturating_sub(1));
-            for _ in 0..helpers {
-                let bodies = Arc::clone(&bodies);
-                let _ = pool.submit(move || bodies.prefetch());
-            }
-        }
+            keys: &env.keys,
+            limits,
+            spent: spent.fresh,
+        };
+        let mut fresh = Vec::new();
         let slots = &env.slots[..reach];
         let summary = assemble(name, attr, slots, pre_views, stats, metrics, |i| {
-            bodies.probe(i)
+            let outcome = bodies.outcome(i)?;
+            if let FnOutcome::Fresh((v, _), parse_micros, check_micros) = &outcome {
+                fresh.push((Arc::clone(v), *parse_micros, *check_micros));
+            }
+            Some(outcome)
         })
-        .ok_or_else(|| bodies.spent(front_stats))?;
+        .ok_or(Spent {
+            stats: front_stats,
+            fresh,
+        })?;
         // Admission on second sight: only a name the cache already
         // holds (as a ghost or an environment) keeps its environment.
         let key = fnv1a_64(name.as_bytes());
@@ -1207,6 +1093,8 @@ impl IncrementalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::panic_payload;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use vault_core::check_summary_with_limits;
     use vault_syntax::parse_range_with_depth;
 
@@ -1479,11 +1367,10 @@ void beta() {
         // one's environment, so its re-check takes the full path.
         let eng = IncrementalEngine::new(1, 1024);
         let m = Metrics::default();
-        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         eng.enable_dirty_tracking();
         let limits = Limits::default();
         let cold = eng.check_unit("u.vlt", UNIT, &limits, &m);
-        eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
+        eng.check_unit("v.vlt", UNIT, &limits, &m);
         let timed = CheckStats {
             lex_micros: 3,
             check_micros: 99,
@@ -1497,7 +1384,7 @@ void beta() {
         eng.seed_fn(42, Arc::new(verdict), timed);
 
         // Every verdict the cache holds: the four remembered by the two
-        // checks (sequential and fanned out), plus the seeded one.
+        // checks, plus the seeded one.
         let dirty = eng.take_dirty();
         assert_eq!(dirty.len(), 4);
         for (_, _, stats) in &dirty {
@@ -1530,13 +1417,12 @@ void beta() {
     fn cached_environments_hold_no_bodies() {
         let eng = IncrementalEngine::new(8, 1024);
         let m = Metrics::default();
-        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
         let limits = Limits::default();
-        // Full path, sequential and fanned out, each name twice so that
-        // the second check stores its environment.
+        // Full path, two names, each twice so that the second check
+        // stores its environment.
         for _ in 0..2 {
             eng.check_unit("u.vlt", UNIT, &limits, &m);
-            eng.check_unit_with_prelude_parallel("v.vlt", "", UNIT, &limits, &m, &pool);
+            eng.check_unit("v.vlt", UNIT, &limits, &m);
         }
         let elab = cached_elaboration(&eng, "u.vlt");
         cached_elaboration(&eng, "v.vlt");
@@ -1551,7 +1437,7 @@ void beta() {
         let unit = "void use_file() {\n  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n}\n";
         for _ in 0..2 {
             eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
-            eng.check_unit_with_prelude_parallel("app2", prelude, unit, &limits, &m, &pool);
+            eng.check_unit_with_prelude("app2", prelude, unit, &limits, &m);
         }
         cached_elaboration(&eng, "app");
         cached_elaboration(&eng, "app2");
@@ -2027,38 +1913,25 @@ void four() { int z = 4; }
             ..Limits::default()
         };
         let edited = LOOPY.replace("int y = b;", "int y = b + b;");
-        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
-        for pool in [None, Some(&pool)] {
-            let (eng, m) = engine();
-            let check = |text: &str| match pool {
-                Some(pool) => {
-                    eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
-                }
-                None => eng.check_unit("l.vlt", text, &limits, &m),
-            };
-            // The first check leaves a ghost, so the environment is
-            // stored by the second.
-            check(LOOPY);
-            let mut elab: Option<Arc<Elaborated>> = None;
-            // Cold (full path), then a body edit in `three` (fast path).
-            for text in [LOOPY, &edited] {
-                let before = m.snapshot();
-                let got = check(text);
-                assert_eq!(got, reference("l.vlt", text, &limits));
-                assert_eq!(got.verdict, Verdict::ResourceLimit);
-                let after = m.snapshot();
-                let counted = (after.fn_cache_hits + after.fn_cache_misses)
-                    - (before.fn_cache_hits + before.fn_cache_misses);
-                assert_eq!(
-                    counted,
-                    2,
-                    "counted up to the stop, parallel: {}",
-                    pool.is_some()
-                );
-                let now = cached_elaboration(&eng, "l.vlt");
-                if let Some(prev) = elab.replace(Arc::clone(&now)) {
-                    assert!(Arc::ptr_eq(&prev, &now), "the edit took the fast path");
-                }
+        let (eng, m) = engine();
+        let check = |text: &str| eng.check_unit("l.vlt", text, &limits, &m);
+        // The first check leaves a ghost, so the environment is stored
+        // by the second.
+        check(LOOPY);
+        let mut elab: Option<Arc<Elaborated>> = None;
+        // Cold (full path), then a body edit in `three` (fast path).
+        for text in [LOOPY, &edited] {
+            let before = m.snapshot();
+            let got = check(text);
+            assert_eq!(got, reference("l.vlt", text, &limits));
+            assert_eq!(got.verdict, Verdict::ResourceLimit);
+            let after = m.snapshot();
+            let counted = (after.fn_cache_hits + after.fn_cache_misses)
+                - (before.fn_cache_hits + before.fn_cache_misses);
+            assert_eq!(counted, 2, "counted up to the stop");
+            let now = cached_elaboration(&eng, "l.vlt");
+            if let Some(prev) = elab.replace(Arc::clone(&now)) {
+                assert!(Arc::ptr_eq(&prev, &now), "the edit took the fast path");
             }
         }
     }
@@ -2090,31 +1963,23 @@ void three(int b) { int y = b }
             fixed.replace("int x = a;", "int x = a + 1;"),
             BROKEN.replace("int x = a;", "int x = a + 1;"),
         ];
-        let pool = ThreadPool::new(2, Arc::new(Metrics::default()));
-        for pool in [None, Some(&pool)] {
-            let (eng, m) = engine();
-            let check = |text: &str| match pool {
-                Some(pool) => {
-                    eng.check_unit_with_prelude_parallel("l.vlt", "", text, &limits, &m, pool)
-                }
-                None => eng.check_unit("l.vlt", text, &limits, &m),
-            };
-            // The first check leaves a ghost, so the environment is
-            // stored by the second.
-            check(&texts[0]);
-            let mut elab: Option<Arc<Elaborated>> = None;
-            for (i, text) in texts.iter().enumerate() {
-                let got = check(text);
-                assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
-                assert_eq!(got.verdict, Verdict::ResourceLimit);
-                let now = cached_elaboration(&eng, "l.vlt");
-                let kept = elab
-                    .replace(Arc::clone(&now))
-                    .map(|prev| Arc::ptr_eq(&prev, &now));
-                // Only the fixed text is stored clean, so only the edit
-                // after it takes the fast path.
-                assert_eq!(kept, (i > 0).then_some(i == 3), "text {i}");
-            }
+        let (eng, m) = engine();
+        let check = |text: &str| eng.check_unit("l.vlt", text, &limits, &m);
+        // The first check leaves a ghost, so the environment is stored
+        // by the second.
+        check(&texts[0]);
+        let mut elab: Option<Arc<Elaborated>> = None;
+        for (i, text) in texts.iter().enumerate() {
+            let got = check(text);
+            assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
+            assert_eq!(got.verdict, Verdict::ResourceLimit);
+            let now = cached_elaboration(&eng, "l.vlt");
+            let kept = elab
+                .replace(Arc::clone(&now))
+                .map(|prev| Arc::ptr_eq(&prev, &now));
+            // Only the fixed text is stored clean, so only the edit after
+            // it takes the fast path.
+            assert_eq!(kept, (i > 0).then_some(i == 3), "text {i}");
         }
     }
 
@@ -2165,7 +2030,7 @@ void three(int b) { int y = b }
     }
 
     #[test]
-    fn a_panicked_outcome_re_raises_its_payload_before_anything_is_counted() {
+    fn a_panicking_outcome_unwinds_before_anything_is_counted() {
         let m = Metrics::default();
         let attr = Attribution::plain("u.vlt", UNIT);
         let slots = [(Span::new(0, 1), Span::new(0, 1)); 2];
@@ -2175,11 +2040,9 @@ void three(int b) { int y = b }
             pristine: true,
         });
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let outcome = |i: usize| {
-                Some(match i {
-                    0 => FnOutcome::Hit((Arc::clone(&hit), CheckStats::default())),
-                    _ => FnOutcome::Panicked("boom".to_string()),
-                })
+            let outcome = |i: usize| match i {
+                0 => Some(FnOutcome::Hit((Arc::clone(&hit), CheckStats::default()))),
+                _ => panic!("boom"),
             };
             assemble(
                 "u.vlt",
@@ -2191,7 +2054,7 @@ void three(int b) { int y = b }
                 outcome,
             )
         }))
-        .expect_err("the panic is re-raised");
+        .expect_err("the panic unwinds");
         assert_eq!(panic_payload(&*caught), "boom");
         let snap = m.snapshot();
         assert_eq!((snap.fn_cache_hits, snap.fn_cache_misses), (0, 0));

@@ -1,9 +1,8 @@
 //! The daemon's one thread set: `jobs` threads that serve requests and
 //! run check jobs, hardened against failure.
 //!
-//! **Check jobs** (unit checks, the incremental engine's prefetch
-//! helpers, a bench's own workload) go into one shared queue, oldest
-//! first, and any thread takes them. **Requests** are handed to one
+//! **Check jobs** (unit checks, a bench's own workload) go into one
+//! shared queue, oldest first, and any thread takes them. **Requests** are handed to one
 //! chosen thread (`ThreadPool::hand`), never through the queue: the
 //! multiplexer picks the most recently freed, still warm thread, which
 //! starts the request as soon as it finishes what it is running.

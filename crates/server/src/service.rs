@@ -10,10 +10,12 @@
 //! The calling thread checks a request's last miss itself (caller-runs)
 //! and queues the others; while it waits for them, or for another
 //! request's in-flight unit, it runs queued checks instead of sleeping
-//! (`ThreadPool::help_until`). A one-unit request runs start to finish
-//! on the thread that received it and touches no pool queue, apart from
-//! the incremental engine's prefetch helpers. In `vaultd` that thread is
-//! a pool thread, so at most `jobs` checks run at once.
+//! (`ThreadPool::help_until`). A unit is the only grain of parallel
+//! work: the incremental engine checks a unit's functions in order on
+//! the thread that runs the unit. A one-unit request runs start to
+//! finish on the thread that received it and touches no pool queue. In
+//! `vaultd` that thread is a pool thread, so at most `jobs` checks run
+//! at once.
 
 use crate::cache::{unit_fingerprint, LruCache};
 use crate::incremental::IncrementalEngine;
@@ -124,9 +126,8 @@ const FN_CACHE_FACTOR: usize = 16;
 
 /// A parallel, incremental protocol-checking service.
 pub struct CheckService {
-    /// Shared (`Arc`) because unit-level check jobs, pooled or run by
-    /// the caller, submit their own per-function prefetch helpers to it,
-    /// and leaders wake the threads waiting on their units through it.
+    /// Shared (`Arc`) because leaders wake the threads waiting on their
+    /// units through it.
     pool: Arc<ThreadPool>,
     /// Its lock recovers from poisoning: the cache holds no invariant a
     /// panicking inserter could have broken halfway (worst case a
@@ -401,7 +402,6 @@ impl CheckService {
                 let limits = self.limits.checker_limits(Instant::now());
                 let metrics = Arc::clone(&self.metrics);
                 let engine = Arc::clone(&self.incremental);
-                let pool = Arc::clone(&self.pool);
                 let plan = plan.cloned();
                 let job = move || {
                     #[cfg(feature = "chaos")]
@@ -411,13 +411,12 @@ impl CheckService {
                         #[cfg(feature = "chaos")]
                         crate::chaos::perturb_job();
                         let up = plan.as_ref().map(|p| &p.units[slot]);
-                        let s = engine.check_unit_with_prelude_parallel(
+                        let s = engine.check_unit_with_prelude(
                             &unit.name,
                             up.map_or("", |up| &up.prelude),
                             &unit.source,
                             &limits,
                             &metrics,
-                            &pool,
                         );
                         match up {
                             Some(up) => vault_project::fold_graph_diags(up, s),
@@ -1306,22 +1305,37 @@ void two() {
 
     #[test]
     fn one_unit_check_runs_on_the_calling_thread() {
-        let svc = CheckService::new(ServiceConfig {
-            jobs: 2,
-            cache_capacity: 4,
-            ..Default::default()
-        });
-        // One function body each, so the engine starts no prefetch
-        // helper: whatever reaches the pool queue is a unit check job.
-        let report = svc.check_unit(unit("one.vlt", GOOD));
-        assert_eq!(report.summary.verdict, Verdict::Accepted);
-        assert!(!report.cached);
-        assert_eq!(svc.status().queue_peak, 0, "a one-unit check was queued");
-        // A batch queues every leader but the last.
-        let (reports, _) = svc.check_units(vec![unit("a.vlt", GOOD), unit("b.vlt", LEAKY)]);
-        assert_eq!(reports[0].summary.verdict, Verdict::Accepted);
-        assert_eq!(reports[1].summary.verdict, Verdict::Rejected);
-        assert_eq!(svc.status().queue_peak, 1);
+        use vault_corpus::synth::{self, SynthConfig};
+        // A unit's functions are checked on the thread that runs the
+        // unit, so only unit check jobs reach the pool queue, whether a
+        // unit has one function body or 48.
+        let many = |seed| {
+            let config = SynthConfig {
+                functions: 48,
+                seed,
+                ..SynthConfig::default()
+            };
+            synth::generate(&config).source
+        };
+        for (first, second) in [(GOOD.to_string(), LEAKY.to_string()), (many(1), many(2))] {
+            let svc = CheckService::new(ServiceConfig {
+                jobs: 2,
+                cache_capacity: 4,
+                ..Default::default()
+            });
+            let one = unit("one.vlt", &first);
+            let report = svc.check_unit(one.clone());
+            assert_from_source(&report, &one);
+            assert!(!report.cached);
+            assert_eq!(svc.status().queue_peak, 0, "a one-unit check was queued");
+            // A batch queues every leader but the last.
+            let batch = vec![unit("a.vlt", &first), unit("b.vlt", &second)];
+            let (reports, _) = svc.check_units(batch.clone());
+            for (report, unit) in reports.iter().zip(&batch) {
+                assert_from_source(report, unit);
+            }
+            assert_eq!(svc.status().queue_peak, 1);
+        }
     }
 
     #[test]

@@ -8,12 +8,11 @@
 //! signature renames, brace edits, edits spanning two bodies,
 //! syntax-breaking edits, effect-clause changes to a called function,
 //! deletions of a called function, a `struct` or type alias inserted
-//! ahead of every declaration, and undos. After every edit, engines in four
-//! configurations check the new text — a roomy function cache and a
-//! tiny one that forces eviction on every check, each at jobs 1 (the
-//! sequential entry) and jobs 2 (per-function fan-out over a 2-worker
-//! pool) — and every answer must equal the monolithic
-//! `check_summary_with_limits` / `check_summary_with_prelude`.
+//! ahead of every declaration, and undos. After every edit, two engines
+//! check the new text — one with a roomy function cache and one with a
+//! tiny cache that forces eviction on every check — and every answer
+//! must equal the monolithic `check_summary_with_limits` /
+//! `check_summary_with_prelude`.
 //!
 //! With the roomy cache, an edit confined to one body of a parseable
 //! unit must reuse the verdict of every other function, wherever the
@@ -57,7 +56,7 @@ use vault_corpus::synth::{self, ProjectConfig, Shape, SynthConfig};
 use vault_project::{ProjectPlan, ProjectUnit};
 use vault_server::{
     proto, CheckService, IncrementalEngine, Json, Metrics, MuxConfig, MuxServer, ServiceConfig,
-    ThreadPool, UnitIn, UnitReport,
+    UnitIn, UnitReport,
 };
 use vault_syntax::{ast, DiagSink};
 
@@ -235,39 +234,24 @@ struct Engine {
     label: &'static str,
     engine: IncrementalEngine,
     metrics: Metrics,
-    /// `Some` for jobs 2: checks go through the parallel entry.
-    pool: Option<Arc<ThreadPool>>,
     /// Whether the function cache holds the whole unit (hit ratios are
     /// asserted only then).
     roomy: bool,
 }
 
 impl Engine {
-    fn new(label: &'static str, fn_capacity: usize, pool: Option<&Arc<ThreadPool>>) -> Self {
+    fn new(label: &'static str, fn_capacity: usize) -> Self {
         Engine {
             label,
             engine: IncrementalEngine::new(2, fn_capacity),
             metrics: Metrics::default(),
-            pool: pool.cloned(),
             roomy: fn_capacity >= 1024,
         }
     }
 
     fn check(&self, name: &str, prelude: &str, source: &str, limits: &Limits) -> CheckSummary {
-        match &self.pool {
-            None => {
-                self.engine
-                    .check_unit_with_prelude(name, prelude, source, limits, &self.metrics)
-            }
-            Some(pool) => self.engine.check_unit_with_prelude_parallel(
-                name,
-                prelude,
-                source,
-                limits,
-                &self.metrics,
-                pool,
-            ),
-        }
+        self.engine
+            .check_unit_with_prelude(name, prelude, source, limits, &self.metrics)
     }
 
     fn counts(&self) -> (u64, u64) {
@@ -368,15 +352,9 @@ fn run_session(family: Family, seed: u64, size: Size, engines: &[Engine]) -> (us
 const SEEDS: u64 = 67;
 
 fn run_family(family: Family) {
-    let pool = Arc::new(ThreadPool::new(2, Arc::new(Metrics::default())));
     let (mut asserted, mut interface) = (0, 0);
     for seed in 0..SEEDS {
-        let engines = [
-            Engine::new("jobs 1, roomy", 1024, None),
-            Engine::new("jobs 2, roomy", 1024, Some(&pool)),
-            Engine::new("jobs 1, tiny", 4, None),
-            Engine::new("jobs 2, tiny", 4, Some(&pool)),
-        ];
+        let engines = [Engine::new("roomy", 1024), Engine::new("tiny", 4)];
         let (body, iface) = run_session(family, seed, (8, 6), &engines);
         asserted += body;
         interface += iface;
@@ -404,14 +382,10 @@ fn project_unit_edit_sequences_match_the_prelude_checker() {
 
 #[test]
 fn forty_eight_function_units_reuse_47_of_48_verdicts() {
-    let pool = Arc::new(ThreadPool::new(2, Arc::new(Metrics::default())));
     let mut asserted = 0;
     for family in [Family::Mixed, Family::Sockets] {
         for seed in 0..3 {
-            let engines = [
-                Engine::new("jobs 1, roomy", 1024, None),
-                Engine::new("jobs 2, roomy", 1024, Some(&pool)),
-            ];
+            let engines = [Engine::new("roomy", 1024)];
             asserted += run_session(family, 1000 + seed, (48, 12), &engines).0;
         }
     }

@@ -1,7 +1,9 @@
-//! Counter aggregation under per-function parallel checking (ISSUE 8).
+//! Counter aggregation under unit-level parallel checking.
 //!
-//! The per-function fan-out must not change any semantic counter:
-//! `CheckStats` (`snapshots`, `frames_copied`, `joins`,
+//! A service fans a batch's units across its pool threads, and each
+//! unit's functions are checked in order on the thread that runs the
+//! unit. Spreading units over threads must not change any semantic
+//! counter: `CheckStats` (`snapshots`, `frames_copied`, `joins`,
 //! `loop_iterations`) is summed from per-function deltas at assembly,
 //! and the fn-cache hit/miss metrics are counted in function order, so
 //! a service at `--jobs 4` must report exactly what `--jobs 1` does on
@@ -74,7 +76,7 @@ fn stats_counters_aggregate_identically_across_job_counts() {
     assert!(units.len() >= 2, "floppy corpus unexpectedly small");
     let one = run(1, units.clone(), false);
     let four = run(4, units, false);
-    assert!(four.fn_cache_misses > 0, "fan-out never checked a body");
+    assert!(four.fn_cache_misses > 0, "jobs 4 never checked a body");
     assert_eq!(one, four);
 }
 
@@ -83,15 +85,15 @@ fn project_stats_counters_aggregate_identically_across_job_counts() {
     let units = floppy_project();
     let one = run(1, units.clone(), true);
     let four = run(4, units, true);
-    assert!(four.fn_cache_misses > 0, "fan-out never checked a body");
+    assert!(four.fn_cache_misses > 0, "jobs 4 never checked a body");
     assert_eq!(one, four);
 }
 
 #[test]
 fn warm_fn_cache_hits_aggregate_identically_across_job_counts() {
     // A same-length body edit leaves every other function a fn-cache
-    // hit; the parallel assembly must count those hits exactly as the
-    // sequential loop does.
+    // hit; units checked on four threads must count those hits exactly
+    // as on one.
     let units = floppy_units();
     let edited: Vec<UnitIn> = units
         .iter()
