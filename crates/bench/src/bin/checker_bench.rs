@@ -1,6 +1,6 @@
-//! Checker hot-path benchmark (ISSUEs 3 and 4).
+//! Checker hot-path benchmark.
 //!
-//! Measures four things on a fixed, deterministic, check-heavy
+//! Measures seven things on a fixed, deterministic, check-heavy
 //! synthetic workload:
 //!
 //! 1. **cold** — whole-unit `check_summary` wall time (parse +
@@ -15,7 +15,7 @@
 //!    a fresh one on the same `--cache-dir`, then re-checking the
 //!    identical batch: the persisted verdict log must answer at close
 //!    to warm-cache speed instead of paying the cold path again;
-//! 5. **jobs scaling** (ISSUE 8) — a cold service check of a ~100 kLOC
+//! 5. **jobs scaling** — a cold service check of a ~100 kLOC
 //!    workload of four units at `jobs` ∈ {1, 2, 4, 8}. A unit is the
 //!    only grain of parallel work, so the curve can fall no further past
 //!    jobs=4. On a 1-core host the curve is honestly flat (the `host`
@@ -28,12 +28,16 @@
 //!    each edit checked by the incremental engine on the calling thread
 //!    right after the version it was made from was checked twice (the
 //!    second check caches the declaration environment). It records the
-//!    function-cache hit rate, the mean number of functions re-checked
-//!    and the median latency per kind, and the
-//!    median cost of one length-changing body edit down the fast path,
-//!    down the full path with every unchanged verdict cached (the
-//!    environment evicted), and down the full path cold; every sample
-//!    is asserted to have taken the path it is counted for;
+//!    function-cache hit rate, the mean number of functions re-checked,
+//!    the share of edited texts that do not parse (the reference
+//!    checker answers those, counting nothing) and the median latency
+//!    per kind; the median cost of one length-changing body edit down
+//!    the fast path, down the full path with every unchanged verdict
+//!    cached (the environment evicted), and down the full path cold,
+//!    each sample asserted to have taken the path it is counted for;
+//!    and, for syntax-breaking and brace edits whose text does not
+//!    parse, the median cost of the broken check and of the check that
+//!    fixes it by restoring the version it was made from;
 //! 7. **memory** — the heap bytes the incremental engine's caches
 //!    retain per unit, on the realistic-edits unit and on a cold
 //!    workload unit: what a one-shot unit (checked once) leaves, one
@@ -48,8 +52,8 @@
 //! interner teardown, the measurement loop itself), asserted at run
 //! time so the breakdown can never silently misattribute time again.
 //! The `sparse_fixpoint` block compares this run's check phase against
-//! the pre-sparse baseline recorded below (ISSUE 8's worklist fixpoint
-//! + `Arc` pointer-equality merge fast path).
+//! the pre-sparse baseline recorded below (the worklist fixpoint plus
+//! the `Arc` pointer-equality merge fast path).
 //!
 //! Results go to `BENCH_checker.json` (first argument overrides the
 //! path). `--iters N` shrinks the measurement loops for CI smoke runs.
@@ -308,7 +312,7 @@ fn main() {
         cold,
         cold * 1e6 / units.len() as f64
     );
-    // Phase-accounting audit (ISSUE 8): the breakdown plus an explicit
+    // Phase-accounting audit: the breakdown plus an explicit
     // `other` remainder must account for every wall microsecond of the
     // best cold run — a sum that exceeds the total means double
     // counting, a silent shortfall means misattribution.
@@ -520,7 +524,7 @@ fn main() {
     let json = Json::Obj(vec![
         (
             "bench".to_string(),
-            Json::str("checker hot + cold path, sparse fixpoint + jobs scaling (ISSUEs 3, 4, 8)"),
+            Json::str("checker hot + cold path, sparse fixpoint + jobs scaling"),
         ),
         (
             "command".to_string(),
@@ -770,7 +774,7 @@ fn realistic_edits(iters: usize) -> Json {
     let mut per_kind = Vec::new();
     for kind in EditKind::ALL {
         let mut times = Vec::new();
-        let (mut hits, mut misses) = (0u64, 0u64);
+        let (mut hits, mut misses, mut unparsed) = (0u64, 0u64, 0usize);
         while times.len() < samples {
             let mut s = base.clone();
             if kind == EditKind::Undo {
@@ -780,6 +784,7 @@ fn realistic_edits(iters: usize) -> Json {
             if !s.apply(kind, &mut rng) {
                 continue;
             }
+            unparsed += usize::from(!parses(s.source()));
             let (engine, m) = primed(&from);
             let before = m.snapshot();
             times.push(check(&engine, &m, s.source()).0);
@@ -789,10 +794,11 @@ fn realistic_edits(iters: usize) -> Json {
         }
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         let rechecked = misses as f64 / samples as f64;
+        let unparsed = unparsed as f64 / samples as f64;
         let median = median_ms(&mut times);
         println!(
             "  {:<22} median {median:.3} ms, fn-cache hit rate {hit_rate:.3}, \
-             {rechecked:.2} fns re-checked",
+             {rechecked:.2} fns re-checked, {unparsed:.2} unparsed",
             kind.name()
         );
         per_kind.push(Json::Obj(vec![
@@ -806,6 +812,7 @@ fn realistic_edits(iters: usize) -> Json {
                 "fns_rechecked_mean".to_string(),
                 Json::Num(round2(rechecked)),
             ),
+            ("unparsed_frac".to_string(), Json::Num(round2(unparsed))),
         ]));
     }
 
@@ -853,6 +860,47 @@ fn realistic_edits(iters: usize) -> Json {
          full path cold {full_cold:.3} ms ({:.1}x)",
         full_hits / fast
     );
+
+    // Break, then fix: an edit whose text does not parse, checked right
+    // after the version it was made from was checked twice, then that
+    // version again.
+    let mut break_then_fix = Vec::new();
+    for kind in [EditKind::SyntaxBreaking, EditKind::Brace] {
+        let (mut broken, mut fixing, mut both) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fast = 0;
+        while broken.len() < path_samples {
+            let mut s = base.clone();
+            if !s.apply(kind, &mut rng) || parses(s.source()) {
+                continue;
+            }
+            let (engine, m) = primed(base.source());
+            let (b, _) = check(&engine, &m, s.source());
+            let (f, stats) = check(&engine, &m, base.source());
+            fast += usize::from(took_fast_path(&stats));
+            broken.push(b);
+            fixing.push(f);
+            both.push(b + f);
+        }
+        let fast = fast as f64 / path_samples as f64;
+        let (broken, fixing, both) = (
+            median_ms(&mut broken),
+            median_ms(&mut fixing),
+            median_ms(&mut both),
+        );
+        println!(
+            "  break then fix ({}): broken {broken:.3} ms, fixing {fixing:.3} ms, \
+             both {both:.3} ms, {fast:.2} of fixes down the fast path",
+            kind.name()
+        );
+        break_then_fix.push(Json::Obj(vec![
+            ("kind".to_string(), Json::str(kind.name())),
+            ("samples".to_string(), Json::num(path_samples as u64)),
+            ("broken_ms".to_string(), Json::Num(broken)),
+            ("fixing_ms".to_string(), Json::Num(fixing)),
+            ("break_plus_fix_ms".to_string(), Json::Num(both)),
+            ("fix_fast_path_frac".to_string(), Json::Num(round2(fast))),
+        ]));
+    }
     Json::Obj(vec![
         (
             "unit".to_string(),
@@ -876,7 +924,15 @@ fn realistic_edits(iters: usize) -> Json {
                 ),
             ]),
         ),
+        ("break_then_fix".to_string(), Json::Arr(break_then_fix)),
     ])
+}
+
+/// Whether `source` lexes and parses with nothing reported.
+fn parses(source: &str) -> bool {
+    let mut sink = vault_syntax::DiagSink::new();
+    vault_syntax::parse_program(source, &mut sink);
+    sink.diagnostics().is_empty()
 }
 
 /// Whether a check with these counters took the fast path: only it

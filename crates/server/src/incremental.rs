@@ -55,13 +55,15 @@
 //! function verdicts already cached, before edits take the fast path.
 //! The function-verdict cache admits on first sight as before.
 //!
-//! # One body loop
+//! # One body loop, two paths
 //!
-//! Every check runs one loop: take each function's outcome in order (a
-//! cached verdict or a fresh check), splice it into the summary, and
-//! stop where the monolithic checker stops, after the first
-//! [`Code::LimitExceeded`]. Hits and misses are counted in that order,
-//! only up to the stop. The paths differ only in where an outcome comes
+//! Every check of a text that parses runs one loop: take each
+//! function's outcome in order (a cached verdict or a fresh check),
+//! splice it into the summary, and stop where the monolithic checker
+//! stops, after the first [`Code::LimitExceeded`]. Hits and misses are
+//! counted in that order, only up to the stop, and fresh verdicts are
+//! cached only once the loop has finished: an abandoned loop leaves
+//! nothing behind. The two paths differ only in where an outcome comes
 //! from:
 //!
 //! * **Fast path** — the environment cache holds a clean parse of an
@@ -77,14 +79,14 @@
 //!   and parses in that symbol space. It yields exactly what a parse of
 //!   the text blanked outside that range would, with the symbols of the
 //!   whole text ([`vault_syntax::parse_range_in`]). A name the frozen
-//!   interner lacks rejects it before parsing. The edited declaration
-//!   is mini-parsed even when its verdict hits: a verdict cached from a
-//!   recovered parse of the same text cannot tell that the text does not
-//!   parse. A mini-parse must be pristine: no diagnostic, exactly the
-//!   expected span, and a body. Otherwise, or when a fresh verdict
-//!   reaches outside its declaration, the fast path abandons the check
-//!   with nothing counted. The environment entry is then refreshed with
-//!   the new text and slots, sharing the same [`Elaborated`].
+//!   interner lacks rejects it before parsing. A mini-parse must be
+//!   clean: no diagnostic, exactly the expected span, and a body. The
+//!   edited declaration is mini-parsed before anything else runs; when
+//!   that reports a diagnostic the text does not parse (see below). Any
+//!   other failed mini-parse, or a fresh verdict reaching outside its
+//!   declaration, abandons the fast path for the full path. The
+//!   environment entry is then refreshed with the new text and slots,
+//!   sharing the same [`Elaborated`].
 //! * **Full path, declarations first** — anything else (an edit outside
 //!   bodies or spanning two, a brace edit, a new identifier, an evicted
 //!   environment or a ghost). The whole text is lexed once, so the
@@ -92,22 +94,23 @@
 //!   declarations are parsed: each function body is skipped by brace
 //!   matching over the tokens ([`vault_syntax::parse_outline`]). After
 //!   elaboration, a body is parsed from its tokens only when its verdict
-//!   misses. A body left unparsed could hide a syntax error, so only a
-//!   *pristine* verdict — one checked from a body whose parse reported
-//!   nothing — may stand in for it. The monolithic checker parses every body before checking
-//!   any, so when a verdict stops the loop ([`Code::LimitExceeded`]) the
-//!   bodies past it are parsed too. An environment is stored only once
-//!   every body was parsed or stood in for.
-//! * **Full path, eager** — the fallback. If the declaration pass or any
-//!   body parse reports anything, the declarations-first attempt is
-//!   abandoned with nothing counted, and the unit is parsed whole as the
-//!   monolithic checker parses it. The fallback takes over what the
-//!   attempt spent: its front-end timings join the request's, and a
-//!   function it checked counts as the miss it was, with that check's
-//!   time, not as a hit on its own verdict. Verdicts checked there are
-//!   pristine only when that parse reported nothing. A full check starts here
-//!   outright when the fast path's mini-parse of the edited declaration
-//!   reported a syntax error: declarations first would only fall back.
+//!   misses. Every verdict is checked from a body whose parse reported
+//!   nothing, and a declaration's text decides whether its body parses,
+//!   so a verdict that hits stands in for a body left unparsed. The
+//!   monolithic checker parses every body before checking any, so when
+//!   a verdict stops the loop ([`Code::LimitExceeded`]) the bodies past
+//!   it are parsed too. An environment is stored only once every body
+//!   was parsed or stood in for.
+//!
+//! # Text that does not parse
+//!
+//! A function's verdict is cacheable only when its unit parses. When the
+//! declaration pass, a body parse, or the fast path's mini-parse of the
+//! edited declaration reports a diagnostic, the engine answers with
+//! [`check_summary_with_prelude`], the reference checker, and caches
+//! nothing, counts nothing and leaves the environment entry as it was.
+//! The next text is then diffed against the last one that parsed, so
+//! fixing a syntax error inside one body takes the fast path.
 //!
 //! Either way the assembled [`CheckSummary`] is **byte-identical** to
 //! what a monolithic [`vault_core::check_summary_with_limits`] run would
@@ -115,9 +118,9 @@
 //! same counters, same verdict. The differential and edit-sequence test
 //! suites hold the engine to that.
 //!
-//! Deadline-bounded checks bypass the engine entirely: a wall-clock
-//! verdict is not a pure function of the input, so caching any part of
-//! it could pin a transient timeout onto healthy re-checks.
+//! Deadline-bounded checks go to the reference checker too: a
+//! wall-clock verdict is not a pure function of the input, so caching
+//! any part of it could pin a transient timeout onto healthy re-checks.
 //!
 //! # One thread per unit
 //!
@@ -128,8 +131,8 @@
 //! `frames_copied` counters stay exact because each body runs start to
 //! finish on one thread (see [`vault_core::flow::FrameCopyScope`]). A
 //! panicking check unwinds out of the body loop before the metrics are
-//! added or the environment cache is written, and the service's
-//! containment turns it into an `internal-error` summary.
+//! added or either cache is written, and the service's containment
+//! turns it into an `internal-error` summary.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -141,8 +144,8 @@ use vault_core::{
 };
 use vault_syntax::intern::fnv1a;
 use vault_syntax::{
-    ast, parse_outline, parse_program_with_depth_timed, parse_range_in, Attribution, Code,
-    DiagSink, DiagView, Diagnostic, FrontEndTiming, Outline, Severity, Span,
+    ast, parse_outline, parse_range_in, Attribution, Code, DiagSink, DiagView, Diagnostic, Outline,
+    Severity, Span,
 };
 
 use crate::cache::{fnv1a_64, LruCache};
@@ -154,8 +157,8 @@ use crate::pool::lock_unpoisoned as lock;
 /// levels deeper in the full parse than it does standing alone; parsing
 /// the standalone form with *less* fuel guarantees the mini-parse never
 /// succeeds where the full parse would have reported
-/// [`Code::LimitExceeded`] (the failure direction is harmless — it just
-/// falls back to the full path).
+/// [`Code::LimitExceeded`] (the failure direction is harmless — the
+/// reference checker answers instead).
 const MINI_PARSE_DEPTH_MARGIN: usize = 8;
 
 /// The memoized front half of the pipeline for one unit name.
@@ -176,13 +179,10 @@ struct CachedEnv {
     elaborated: Arc<Elaborated>,
     /// `elaborated`'s fingerprints, which read sets are checked against.
     iface: Arc<Interface>,
-    /// Whether parse + elaboration reported nothing, every body included:
-    /// a declarations-first check stores an entry only once each body was
-    /// parsed or stood in for by a pristine verdict (bodies past a
-    /// [`Code::LimitExceeded`] stop are parsed for this). The fast path
-    /// requires it: partial parses have unstable declaration tables, and
-    /// the monolithic checker's early-exit rules key off these
-    /// diagnostics.
+    /// Whether elaboration reported nothing. Only a text that parses is
+    /// stored, but elaboration errors (an unknown type, a duplicate
+    /// name) leave unstable declaration tables, and the fast path
+    /// carries no front-end diagnostics, so it requires this.
     clean: bool,
 }
 
@@ -277,7 +277,8 @@ fn common_suffix(a: &[u8], b: &[u8]) -> usize {
 /// The memoized verdict for one function body, independent of where
 /// its declaration sits, plus what says when it still holds. Shared
 /// (`Arc`) by the per-function cache, the assembly loop and the
-/// journal; its counters travel beside it.
+/// journal; its counters travel beside it. Always checked from a body
+/// whose parse reported nothing.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FnVerdict {
     /// The function's diagnostics in discovery order, every span taken
@@ -286,9 +287,6 @@ pub struct FnVerdict {
     pub diags: Vec<Diagnostic>,
     /// What the check read of the unit's declarations.
     pub reads: ReadSet,
-    /// Whether the body was checked from a parse that reported nothing:
-    /// only such a verdict may stand in for a body left unparsed.
-    pub pristine: bool,
 }
 
 /// `stats` with every phase timing zeroed: a request that reuses a
@@ -324,15 +322,11 @@ fn map_offsets(d: &mut Diagnostic, f: impl Fn(u32) -> u32) {
 impl FnVerdict {
     /// A verdict from diagnostics reported for a declaration starting at
     /// `start`.
-    fn at(start: u32, mut diags: Vec<Diagnostic>, reads: ReadSet, pristine: bool) -> Self {
+    fn at(start: u32, mut diags: Vec<Diagnostic>, reads: ReadSet) -> Self {
         for d in &mut diags {
             map_offsets(d, |o| o.wrapping_sub(start));
         }
-        FnVerdict {
-            diags,
-            reads,
-            pristine,
-        }
+        FnVerdict { diags, reads }
     }
 
     /// Whether every span and label lies inside a declaration of
@@ -344,6 +338,12 @@ impl FnVerdict {
         self.diags
             .iter()
             .all(|d| inside(d.span) && d.labels.iter().all(|l| inside(l.span)))
+    }
+
+    /// Whether this verdict stops the body loop: the monolithic checker
+    /// breaks its loop on the first [`Code::LimitExceeded`].
+    fn stops(&self) -> bool {
+        self.diags.iter().any(|d| d.code == Code::LimitExceeded)
     }
 }
 
@@ -368,8 +368,7 @@ const MAX_VARIANTS: usize = 6;
 /// Render `verdict`'s diagnostics re-based at `start`, the declaration's
 /// current offset, and fold them plus its stats into the running
 /// summary state. Returns `true` when checking must stop after this
-/// function (the monolithic checker breaks its loop on the first
-/// [`Code::LimitExceeded`] anywhere in the sink).
+/// function.
 fn splice(
     views: &mut Vec<DiagView>,
     stats: &mut CheckStats,
@@ -383,45 +382,49 @@ fn splice(
         views.push(attr.view(&d));
     }
     stats.absorb(*fn_stats);
-    verdict.diags.iter().any(|d| d.code == Code::LimitExceeded)
+    verdict.stops()
 }
 
 /// What one function contributes to a check.
 enum FnOutcome {
     /// The per-function cache already had a verdict that still holds.
     Hit(FnEntry),
-    /// Freshly checked (and cached when self-contained), with the
-    /// microseconds its body parse (zero when parsed before the loop)
-    /// and its check took.
+    /// Freshly checked, with the microseconds its body parse (zero for
+    /// a mini-parse) and its check took.
     Fresh(FnEntry, u64, u64),
 }
 
-/// The one body loop every check runs. Takes each function's outcome
-/// in order, counts hits and misses, splices the verdict at its
-/// declaration's current start, and stops where the monolithic checker
-/// stops. `outcome` returning `None` abandons the check with nothing
-/// counted, and so does a panicking `outcome`, which unwinds out of
-/// here; callers write the environment cache only after this returns.
+/// The verdicts a finished body loop checked, as `(key, declaration
+/// span, verdict)`, for [`FnCache::remember`].
+type FreshVerdicts = Vec<(u64, Span, FnEntry)>;
+
+/// The one body loop every check runs over `env`'s functions. Takes
+/// each function's outcome in order, counts hits and misses, splices
+/// the verdict at its declaration's current start, and stops where the
+/// monolithic checker stops. Returns the summary and the fresh
+/// verdicts, which the caller caches. `outcome` returning `None`
+/// abandons the check with nothing counted or cached, and so does a
+/// panicking `outcome`, which unwinds out of here.
 fn assemble(
     name: &str,
     attr: &Attribution,
-    slots: &[(Span, Span)],
+    env: &CachedEnv,
     mut views: Vec<DiagView>,
     mut stats: CheckStats,
     metrics: &Metrics,
     mut outcome: impl FnMut(usize) -> Option<FnOutcome>,
-) -> Option<CheckSummary> {
-    let (mut hits, mut misses) = (0u64, 0u64);
-    for (i, &(decl, _)) in slots.iter().enumerate() {
+) -> Option<(CheckSummary, FreshVerdicts)> {
+    let (mut hits, mut fresh) = (0u64, FreshVerdicts::new());
+    for (i, &(decl, _)) in env.slots.iter().enumerate() {
         let entry = match outcome(i)? {
             FnOutcome::Hit(entry) => {
                 hits += 1;
                 entry
             }
             FnOutcome::Fresh(entry, parse_micros, check_micros) => {
-                misses += 1;
                 stats.parse_micros += parse_micros;
                 stats.check_micros += check_micros;
+                fresh.push((env.keys[i], decl, entry.clone()));
                 entry
             }
         };
@@ -430,13 +433,32 @@ fn assemble(
         }
     }
     metrics.fn_cache_hits.fetch_add(hits, Ordering::Relaxed);
-    metrics.fn_cache_misses.fetch_add(misses, Ordering::Relaxed);
-    Some(CheckSummary {
+    metrics
+        .fn_cache_misses
+        .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+    let summary = CheckSummary {
         name: name.to_string(),
         verdict: verdict_of(&views),
         diagnostics: views,
         stats,
-    })
+    };
+    Some((summary, fresh))
+}
+
+/// Check `f` against `elab`: the miss step of both paths. Returns the
+/// verdict, not yet cached, and the microseconds the check took.
+fn check_fn(
+    elab: &Elaborated,
+    iface: &Interface,
+    f: &ast::FunDecl,
+    limits: &Limits,
+) -> (FnEntry, u64) {
+    let decls = Decls::of(elab);
+    let mut sink = DiagSink::new();
+    let stats = check_function_reading(&decls, f, &mut sink, limits);
+    let reads = iface.read_set(&decls.callees());
+    let verdict = FnVerdict::at(f.span.start, sink.into_vec(), reads);
+    ((Arc::new(verdict), untimed(stats)), stats.check_micros)
 }
 
 /// The per-function verdict cache.
@@ -474,40 +496,18 @@ impl FnCache {
         lru.put_weighted(key, variants, weight);
     }
 
-    /// Cache a freshly checked verdict under `key` (and queue it for the
-    /// persistence layer, when enabled) if it is self-contained within
-    /// `decl`. Returns it shared either way.
-    fn remember(&self, key: u64, decl: Span, verdict: FnVerdict, stats: CheckStats) -> FnEntry {
-        let entry = (Arc::new(verdict), stats);
-        if entry.0.self_contained(decl.len()) {
-            self.install(key, entry.clone());
-            if self.track_dirty.load(Ordering::Relaxed) {
-                lock(&self.dirty).push((key, entry.clone()));
+    /// Cache each fresh verdict that is self-contained within its
+    /// declaration (and queue it for the persistence layer, when
+    /// enabled).
+    fn remember(&self, fresh: FreshVerdicts) {
+        for (key, decl, entry) in fresh {
+            if entry.0.self_contained(decl.len()) {
+                self.install(key, entry.clone());
+                if self.track_dirty.load(Ordering::Relaxed) {
+                    lock(&self.dirty).push((key, entry));
+                }
             }
         }
-        entry
-    }
-
-    /// Check `f` against `elab` and remember the verdict under `key`:
-    /// the miss step of every path. `pristine` says whether `f` came
-    /// from a parse that reported nothing. Returns the verdict and the
-    /// microseconds the check took.
-    fn check(
-        &self,
-        key: u64,
-        elab: &Elaborated,
-        iface: &Interface,
-        f: &ast::FunDecl,
-        limits: &Limits,
-        pristine: bool,
-    ) -> (FnEntry, u64) {
-        let decls = Decls::of(elab);
-        let mut sink = DiagSink::new();
-        let stats = check_function_reading(&decls, f, &mut sink, limits);
-        let reads = iface.read_set(&decls.callees());
-        let verdict = FnVerdict::at(f.span.start, sink.into_vec(), reads, pristine);
-        let entry = self.remember(key, f.span, verdict, untimed(stats));
-        (entry, stats.check_micros)
     }
 }
 
@@ -550,7 +550,7 @@ fn fn_key(base: u64, source: &str, decl: Span) -> u64 {
 /// Parse exactly one declaration of the checked text `text` — only its
 /// byte range is lexed, spans stay in whole-text coordinates — in the
 /// symbol space of a cached environment's frozen interner. `Err` when
-/// the mini-parse is not [`pristine`], holding whether it reported a
+/// the mini-parse is not [`clean_fun`], holding whether it reported a
 /// diagnostic. A name the interner lacks rejects it before parsing, as
 /// `Err(false)`: a frozen interner cannot number a brand-new name
 /// (symbols are in string order), so the full path re-lexes the text.
@@ -564,13 +564,13 @@ fn mini_parse(
     let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
     let program = parse_range_in(text, decl, &elab.syms, &mut diags, depth).ok_or(false)?;
     let reported = !diags.diagnostics().is_empty();
-    pristine(program, &diags, decl).ok_or(reported)
+    clean_fun(program, &diags, decl).ok_or(reported)
 }
 
 /// The one function a mini-parse of `decl` must yield; `None` on any
 /// diagnostic, anything but one function declaration, a span that
 /// moved, or a vanished body.
-fn pristine(program: ast::Program, diags: &DiagSink, decl: Span) -> Option<ast::FunDecl> {
+fn clean_fun(program: ast::Program, diags: &DiagSink, decl: Span) -> Option<ast::FunDecl> {
     if !diags.diagnostics().is_empty() {
         return None;
     }
@@ -596,143 +596,77 @@ fn verdict_of(views: &[DiagView]) -> Verdict {
     }
 }
 
-/// Where a full check starts.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Front {
-    /// Parse declarations first, and a body only when its verdict misses.
-    DeclarationsFirst,
-    /// Parse the whole unit up front: the edit broke a body's syntax, so
-    /// declarations first would only fall back.
-    Eager,
-}
+/// The text being checked does not parse: the reference checker must
+/// answer (see the module docs).
+struct Unparsed;
 
-/// The front half of a full check: parse + elaborate, plus everything
-/// derived from them that body checking needs.
+/// The front half of a full check: the declaration pass and
+/// elaboration, plus everything derived from them that body checking
+/// needs.
 struct FrontEnd {
     /// What the environment cache keeps once the check ends.
     env: CachedEnv,
     /// The unit's function declarations, in check order, moved out of
-    /// the parse. Freed when the unit's check ends.
+    /// the parse, each with a statement-less body. Freed when the
+    /// unit's check ends.
     bodies: Vec<ast::FunDecl>,
-    /// The lexed unit, when `bodies` were skipped by the declaration
-    /// pass and are parsed only on a miss; `None` when they are parsed.
-    outline: Option<Outline>,
-    /// Whether the parse behind `bodies` reported nothing.
-    pristine: bool,
+    /// The lexed unit, which a body is parsed from on a miss.
+    outline: Outline,
+    /// Elaboration's diagnostics, rendered.
     pre_views: Vec<DiagView>,
-    /// How many functions the body loop may reach: only the first after
-    /// a front-end [`Code::LimitExceeded`], as in the monolithic checker.
-    reach: usize,
     /// Stats seeded with the front-end phase timings.
     stats: CheckStats,
 }
 
-/// What an abandoned declarations-first attempt already did. The eager
-/// fallback takes it over, so the request's timings include both front
-/// ends and a function checked before the abandonment counts as the miss
-/// it was, not as a hit on its own verdict.
-#[derive(Debug, Default)]
-struct Spent {
-    /// The abandoned attempt's front-end timings.
-    stats: CheckStats,
-    /// Verdicts it checked, with the microseconds their body parse and
-    /// check took.
-    fresh: Vec<(Arc<FnVerdict>, u64, u64)>,
-}
-
-/// A full check's function bodies, which the body loop takes in order.
-struct Bodies<'a> {
-    fns: &'a FnCache,
-    elaborated: &'a Elaborated,
-    iface: &'a Interface,
-    /// The unit's declarations, moved from its [`FrontEnd`].
-    bodies: Vec<ast::FunDecl>,
-    /// Where unparsed bodies are parsed from (see [`FrontEnd::outline`]).
-    outline: Option<Outline>,
-    /// Whether a body parsed before the loop came from a clean parse.
-    pristine: bool,
-    keys: &'a [u64],
-    limits: &'a Limits,
-    /// [`Spent::fresh`] of the attempt this check falls back from, each
-    /// taken by the first function that reuses its verdict.
-    spent: Vec<(Arc<FnVerdict>, u64, u64)>,
-}
-
-impl Bodies<'_> {
-    /// Function `i`'s outcome (see [`Self::reuse_or_check`]). When its
-    /// verdict stops the loop and the declaration pass skipped bodies,
-    /// every later body is parsed too: the monolithic checker parses them
-    /// all before checking any, so their syntax errors are part of its
-    /// answer. `None` when any body parse reports anything: the check is
-    /// abandoned.
-    fn outcome(&mut self, i: usize) -> Option<FnOutcome> {
-        let outcome = self.reuse_or_check(i)?;
-        let (FnOutcome::Hit((v, _)) | FnOutcome::Fresh((v, _), ..)) = &outcome;
-        let stops = v.diags.iter().any(|d| d.code == Code::LimitExceeded);
-        if let (true, Some(outline)) = (stops, &self.outline) {
-            let rest = &self.bodies[i + 1..];
-            let body = |f: &ast::FunDecl| f.body.as_ref().expect("collected with body").span;
-            if !rest.iter().all(|f| outline.parse_body(body(f)).is_some()) {
-                return None;
-            }
-        }
-        Some(outcome)
+/// The declarations-first front end: lex the whole text once, parse
+/// only the declarations, skipping every function body, then elaborate
+/// and key every function. The program is consumed: its function
+/// declarations move into the front end, the rest is dropped once
+/// elaborated.
+fn front_end(name: &str, attr: &Attribution, limits: &Limits) -> Result<FrontEnd, Unparsed> {
+    let source = attr.full_text();
+    let mut pre = DiagSink::new();
+    let (program, outline, timing) = parse_outline(source, &mut pre, limits.parser_depth);
+    if !pre.diagnostics().is_empty() {
+        return Err(Unparsed);
     }
-
-    /// Probe the per-function cache; on a miss, parse the body if the
-    /// declaration pass skipped it, then check it. `None` when that
-    /// parse reports anything.
-    fn reuse_or_check(&mut self, i: usize) -> Option<FnOutcome> {
-        let key = self.keys[i];
-        let cached = self.fns.get(key, self.iface);
-        let decl = &self.bodies[i];
-        let Some(outline) = &self.outline else {
-            if let Some(entry) = cached {
-                return Some(self.reused(entry));
-            }
-            let (entry, check_micros) = self.fns.check(
-                key,
-                self.elaborated,
-                self.iface,
-                decl,
-                self.limits,
-                self.pristine,
-            );
-            return Some(FnOutcome::Fresh(entry, 0, check_micros));
-        };
-        // Only a pristine verdict may stand in for an unparsed body.
-        if let Some(entry) = cached.filter(|(v, _)| v.pristine) {
-            return Some(self.reused(entry));
-        }
-        let started = std::time::Instant::now();
-        let body = decl.body.as_ref().expect("collected with body").span;
-        let body = outline.parse_body(body)?;
-        let parsed = ast::FunDecl {
-            body: Some(body),
-            ..decl.clone()
-        };
-        let parse_micros = started.elapsed().as_micros() as u64;
-        let (entry, check_micros) =
-            self.fns
-                .check(key, self.elaborated, self.iface, &parsed, self.limits, true);
-        Some(FnOutcome::Fresh(entry, parse_micros, check_micros))
-    }
-
-    /// A cache hit on `entry`, or the miss it was when the abandoned
-    /// attempt this check falls back from checked that very verdict.
-    fn reused(&mut self, entry: FnEntry) -> FnOutcome {
-        match self
-            .spent
-            .iter()
-            .position(|(v, ..)| Arc::ptr_eq(v, &entry.0))
-        {
-            Some(i) => {
-                let (_, parse_micros, check_micros) = self.spent.swap_remove(i);
-                FnOutcome::Fresh(entry, parse_micros, check_micros)
-            }
-            None => FnOutcome::Hit(entry),
-        }
-    }
+    let mut elaborated = elaborate_owned(program, &mut pre);
+    // Only a parse reports `LimitExceeded` before any body is
+    // checked, so every body is within the loop's reach.
+    debug_assert!(!pre.has_code(Code::LimitExceeded));
+    let bodies = std::mem::take(&mut elaborated.bodies);
+    let pre_views: Vec<DiagView> = pre.into_vec().iter().map(|d| attr.view(d)).collect();
+    let slots: Vec<(Span, Span)> = bodies
+        .iter()
+        .map(|f| (f.span, f.body.as_ref().expect("collected with body").span))
+        .collect();
+    let base = base_hash(name, limits, attr.prelude_len());
+    let keys = slots
+        .iter()
+        .map(|&(decl, _)| fn_key(base, source, decl))
+        .collect();
+    let stats = CheckStats {
+        lex_micros: timing.lex_micros,
+        parse_micros: timing.parse_micros,
+        elaborate_micros: elaborated.elaborate_micros,
+        lower_micros: elaborated.lower_micros,
+        ..CheckStats::default()
+    };
+    Ok(FrontEnd {
+        env: CachedEnv {
+            base_hash: base,
+            source: Arc::from(source),
+            slots,
+            keys,
+            iface: Arc::new(Interface::of(&elaborated)),
+            elaborated: Arc::new(elaborated),
+            clean: pre_views.is_empty(),
+        },
+        bodies,
+        outline,
+        pre_views,
+        stats,
+    })
 }
 
 impl IncrementalEngine {
@@ -825,7 +759,8 @@ impl IncrementalEngine {
     }
 
     /// Every entry point: the fast path when it applies, else the full
-    /// path.
+    /// path, and the reference checker for a text that does not parse
+    /// or a deadline.
     fn check(
         &self,
         name: &str,
@@ -839,48 +774,41 @@ impl IncrementalEngine {
             return check_summary_with_prelude(name, prelude, source, limits);
         }
         let attr = Attribution::with_prelude(name, prelude, source);
-        match self.try_fast_path(name, &attr, limits, metrics) {
-            Ok(summary) => summary,
-            Err(front) => self.full_check(name, &attr, limits, metrics, front),
-        }
+        let answer = match self.try_fast_path(name, &attr, limits, metrics) {
+            Some(answer) => answer,
+            None => self.full_check(name, &attr, limits, metrics),
+        };
+        answer.unwrap_or_else(|Unparsed| check_summary_with_prelude(name, prelude, source, limits))
     }
 
     /// Edit-region path: reuse the cached elaboration; a function whose
     /// verdict misses is checked from a mini-parse of its own
-    /// declaration. `Err` means the preconditions failed and the full
-    /// path must run, starting with the front end it names; nothing is
-    /// counted then, so the full path's counts are the unit's only ones.
+    /// declaration. `None` means the preconditions failed and the full
+    /// path must run; nothing is counted or cached then, so the full
+    /// path's counts are the unit's only ones.
     fn try_fast_path(
         &self,
         name: &str,
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
-    ) -> Result<CheckSummary, Front> {
-        let full = Front::DeclarationsFirst;
+    ) -> Option<Result<CheckSummary, Unparsed>> {
         let source = attr.full_text();
-        let cached = lock(&self.envs)
-            .get(fnv1a_64(name.as_bytes()))
-            .flatten()
-            .ok_or(full)?;
+        let cached = lock(&self.envs).get(fnv1a_64(name.as_bytes())).flatten()?;
         if !cached.clean || cached.base_hash != base_hash(name, limits, attr.prelude_len()) {
-            return Err(full);
+            return None;
         }
-        let (env, edited) = cached.edited_to(source).ok_or(full)?;
+        let (env, edited) = cached.edited_to(source)?;
         let parse = |decl| mini_parse(source, decl, &env.elaborated, limits);
-        // The edited declaration must parse pristine even when its
-        // verdict is cached: a verdict cached from a recovered parse of
-        // the same text says nothing about the syntax error. A failed
-        // mini-parse (syntax error, span drift, or a brand-new
-        // identifier) means only the full pipeline can say what the
-        // unit means now; after a syntax error, its body would not parse
-        // on its own either, so the full path starts eager.
-        let mut edited_fn = match edited {
-            Some(k) => match parse(env.slots[k].0) {
-                Ok(f) => Some(f),
-                Err(true) => return Err(Front::Eager),
-                Err(false) => return Err(full),
-            },
+        // The edited declaration is parsed first, whether or not its
+        // verdict is cached: a syntax error means the text does not
+        // parse. Any other failed mini-parse (span drift, or a
+        // brand-new identifier) means only the full path can say what
+        // the unit means now.
+        let mut edited_fn = match edited.map(|k| parse(env.slots[k].0)) {
+            Some(Ok(f)) => Some(f),
+            Some(Err(true)) => return Some(Err(Unparsed)),
+            Some(Err(false)) => return None,
             None => None,
         };
         let outcome = |i: usize| {
@@ -892,9 +820,7 @@ impl IncrementalEngine {
                 Some(f) => f,
                 None => parse(decl).ok()?,
             };
-            let (entry, check_micros) =
-                self.fns
-                    .check(env.keys[i], &env.elaborated, &env.iface, &f, limits, true);
+            let (entry, check_micros) = check_fn(&env.elaborated, &env.iface, &f, limits);
             // A verdict reaching outside its declaration may point at
             // text this entry has shifted.
             entry
@@ -903,183 +829,57 @@ impl IncrementalEngine {
                 .then_some(FnOutcome::Fresh(entry, 0, check_micros))
         };
         let stats = CheckStats::default();
-        let summary =
-            assemble(name, attr, &env.slots, Vec::new(), stats, metrics, outcome).ok_or(full)?;
+        let (summary, fresh) = assemble(name, attr, &env, Vec::new(), stats, metrics, outcome)?;
+        self.fns.remember(fresh);
         lock(&self.envs).put(fnv1a_64(name.as_bytes()), Some(Arc::new(env)));
-        Ok(summary)
+        Some(Ok(summary))
     }
 
-    /// The declarations-first front end: lex the whole text once and
-    /// parse only the declarations, skipping every function body. `Err`
-    /// when that pass reports anything, with what it spent.
-    fn outline_front(
-        &self,
-        name: &str,
-        attr: &Attribution,
-        limits: &Limits,
-    ) -> Result<FrontEnd, Spent> {
-        let mut pre = DiagSink::new();
-        let (program, outline, timing) =
-            parse_outline(attr.full_text(), &mut pre, limits.parser_depth);
-        if !pre.diagnostics().is_empty() {
-            let stats = CheckStats {
-                lex_micros: timing.lex_micros,
-                parse_micros: timing.parse_micros,
-                ..CheckStats::default()
-            };
-            return Err(Spent {
-                stats,
-                fresh: Vec::new(),
-            });
-        }
-        let front = self.elaborate(name, attr, limits, program, pre, timing);
-        Ok(FrontEnd {
-            outline: Some(outline),
-            ..front
-        })
-    }
-
-    /// The eager front end: parse the whole unit, bodies included, as
-    /// the monolithic checker does.
-    fn eager_front(&self, name: &str, attr: &Attribution, limits: &Limits) -> FrontEnd {
-        let mut pre = DiagSink::new();
-        let (program, timing) =
-            parse_program_with_depth_timed(attr.full_text(), &mut pre, limits.parser_depth);
-        let pristine = pre.diagnostics().is_empty();
-        let front = self.elaborate(name, attr, limits, program, pre, timing);
-        FrontEnd { pristine, ..front }
-    }
-
-    /// Elaborate a parsed program and key every function: everything a
-    /// full check does before touching a body. The program is consumed:
-    /// its function declarations move into the front end, the rest is
-    /// dropped once elaborated.
-    fn elaborate(
-        &self,
-        name: &str,
-        attr: &Attribution,
-        limits: &Limits,
-        program: ast::Program,
-        mut pre: DiagSink,
-        timing: FrontEndTiming,
-    ) -> FrontEnd {
-        let source = attr.full_text();
-        let mut elaborated = elaborate_owned(program, &mut pre);
-        let bodies = std::mem::take(&mut elaborated.bodies);
-        let reach = if pre.has_code(Code::LimitExceeded) {
-            bodies.len().min(1)
-        } else {
-            bodies.len()
-        };
-        let pre_views: Vec<DiagView> = pre.into_vec().iter().map(|d| attr.view(d)).collect();
-
-        let slots: Vec<(Span, Span)> = bodies
-            .iter()
-            .map(|f| (f.span, f.body.as_ref().expect("collected with body").span))
-            .collect();
-        let base = base_hash(name, limits, attr.prelude_len());
-        let keys = slots
-            .iter()
-            .map(|&(decl, _)| fn_key(base, source, decl))
-            .collect();
-        let stats = CheckStats {
-            lex_micros: timing.lex_micros,
-            parse_micros: timing.parse_micros,
-            elaborate_micros: elaborated.elaborate_micros,
-            lower_micros: elaborated.lower_micros,
-            ..CheckStats::default()
-        };
-        FrontEnd {
-            env: CachedEnv {
-                base_hash: base,
-                source: Arc::from(source),
-                slots,
-                keys,
-                iface: Arc::new(Interface::of(&elaborated)),
-                elaborated: Arc::new(elaborated),
-                clean: pre_views.is_empty(),
-            },
-            bodies,
-            outline: None,
-            pristine: true,
-            pre_views,
-            reach,
-            stats,
-        }
-    }
-
-    /// The full path from `front`: declarations first, falling back to
-    /// the eager front end when the declaration pass or a body parse
-    /// reports anything.
+    /// The full path: the declarations-first front end, then the body
+    /// loop, where a miss parses its body, and then the environment is
+    /// stored, or a ghost on a name's first full check.
     fn full_check(
         &self,
         name: &str,
         attr: &Attribution,
         limits: &Limits,
         metrics: &Metrics,
-        front: Front,
-    ) -> CheckSummary {
-        let mut spent = Spent::default();
-        if front == Front::DeclarationsFirst {
-            let outline = self.outline_front(name, attr, limits);
-            match outline.and_then(|front| self.run(front, name, attr, limits, metrics, spent)) {
-                Ok(summary) => return summary,
-                Err(abandoned) => spent = abandoned,
-            }
-        }
-        let front = self.eager_front(name, attr, limits);
-        self.run(front, name, attr, limits, metrics, spent)
-            .expect("a parsed unit never abandons")
-    }
-
-    /// Run the body loop over the per-function cache, taking over what
-    /// an abandoned attempt `spent`, and store the environment, or a
-    /// ghost on a name's first full check. `Err` with what this attempt
-    /// spent when a skipped body's parse reported something.
-    fn run(
-        &self,
-        front: FrontEnd,
-        name: &str,
-        attr: &Attribution,
-        limits: &Limits,
-        metrics: &Metrics,
-        spent: Spent,
-    ) -> Result<CheckSummary, Spent> {
+    ) -> Result<CheckSummary, Unparsed> {
         let FrontEnd {
             env,
             bodies,
             outline,
-            pristine,
             pre_views,
-            reach,
-            mut stats,
-        } = front;
-        let front_stats = stats;
-        stats.absorb(spent.stats);
-        let mut bodies = Bodies {
-            fns: &self.fns,
-            elaborated: &env.elaborated,
-            iface: &env.iface,
-            bodies,
-            outline,
-            pristine,
-            keys: &env.keys,
-            limits,
-            spent: spent.fresh,
-        };
-        let mut fresh = Vec::new();
-        let slots = &env.slots[..reach];
-        let summary = assemble(name, attr, slots, pre_views, stats, metrics, |i| {
-            let outcome = bodies.outcome(i)?;
-            if let FnOutcome::Fresh((v, _), parse_micros, check_micros) = &outcome {
-                fresh.push((Arc::clone(v), *parse_micros, *check_micros));
+            stats,
+        } = front_end(name, attr, limits)?;
+        let body = |f: &ast::FunDecl| f.body.as_ref().expect("collected with body").span;
+        let outcome = |i: usize| {
+            let outcome = match self.fns.get(env.keys[i], &env.iface) {
+                Some(entry) => FnOutcome::Hit(entry),
+                None => {
+                    let started = std::time::Instant::now();
+                    let f = ast::FunDecl {
+                        body: Some(outline.parse_body(body(&bodies[i]))?),
+                        ..bodies[i].clone()
+                    };
+                    let parse_micros = started.elapsed().as_micros() as u64;
+                    let (entry, check_micros) = check_fn(&env.elaborated, &env.iface, &f, limits);
+                    FnOutcome::Fresh(entry, parse_micros, check_micros)
+                }
+            };
+            // The monolithic checker parses every body before checking
+            // any, so when this verdict stops the loop, the syntax errors
+            // of the bodies past it are part of its answer.
+            let (FnOutcome::Hit((v, _)) | FnOutcome::Fresh((v, _), ..)) = &outcome;
+            let rest = &bodies[i + 1..];
+            if v.stops() && !rest.iter().all(|f| outline.parse_body(body(f)).is_some()) {
+                return None;
             }
             Some(outcome)
-        })
-        .ok_or(Spent {
-            stats: front_stats,
-            fresh,
-        })?;
+        };
+        let (summary, fresh) =
+            assemble(name, attr, &env, pre_views, stats, metrics, outcome).ok_or(Unparsed)?;
+        self.fns.remember(fresh);
         // Admission on second sight: only a name the cache already
         // holds (as a ghost or an environment) keeps its environment.
         let key = fnv1a_64(name.as_bytes());
@@ -1379,7 +1179,6 @@ void beta() {
         let verdict = FnVerdict {
             diags: Vec::new(),
             reads: ReadSet::default(),
-            pristine: true,
         };
         eng.seed_fn(42, Arc::new(verdict), timed);
 
@@ -1460,19 +1259,19 @@ void beta() {
     }
 
     /// What the oracle saw of one range: whether its parse in its own
-    /// symbol space was [`pristine`], and whether [`mini_parse`] took it.
+    /// symbol space was [`clean_fun`], and whether [`mini_parse`] took it.
     struct RangeOutcome {
-        pristine: bool,
+        clean: bool,
         mini_parsed: bool,
     }
 
     /// Parse `range` of `text` both ways — the range parse and the full
     /// parse of the blanked text — and assert they agree: the same
     /// declarations (symbols included), the same diagnostics, and the
-    /// same [`pristine`] outcome. Then hold [`mini_parse`], which numbers
+    /// same [`clean_fun`] outcome. Then hold [`mini_parse`], which numbers
     /// the range's names through `elab`'s frozen interner instead of
     /// freezing its own, to the two routes agreeing: it succeeds exactly
-    /// when the range parse is pristine and `elab` knows every name the
+    /// when the range parse is clean and `elab` knows every name the
     /// range lexed, and then yields `eager`, the whole-text parse's
     /// declaration at `range`, symbols included.
     fn assert_range_parse_matches_oracle(
@@ -1509,8 +1308,8 @@ void beta() {
             .syms
             .names()
             .all(|name| elab.syms.sym(name) != vault_syntax::Symbol::UNKNOWN);
-        let ranged = pristine(ranged, &ranged_diags, range);
-        let oracle = pristine(oracle, &oracle_diags, range);
+        let ranged = clean_fun(ranged, &ranged_diags, range);
+        let oracle = clean_fun(oracle, &oracle_diags, range);
         assert_eq!(
             format!("{ranged:?}"),
             format!("{oracle:?}"),
@@ -1529,7 +1328,7 @@ void beta() {
             assert_eq!(format!("{mini:?}"), format!("{eager:?}"), "{}", context());
         }
         RangeOutcome {
-            pristine: ranged.is_some(),
+            clean: ranged.is_some(),
             mini_parsed: mini.is_ok(),
         }
     }
@@ -1538,7 +1337,7 @@ void beta() {
     /// ranges that cut it (a missing closing brace, a split first token,
     /// the bare body, an end inside its first string literal or
     /// comment), against the blanked-text oracle. Returns `(mini-parsed
-    /// declarations, declarations, cuts pristine on their own names but
+    /// declarations, declarations, cuts clean on their own names but
     /// rejected for a name the unit lacks)`.
     fn oracle_check_unit(text: &str) -> (usize, usize, usize) {
         let mut diags = DiagSink::new();
@@ -1564,7 +1363,7 @@ void beta() {
                 if on_chars {
                     let cut = assert_range_parse_matches_oracle(text, cut, &elab, None);
                     assert!(!cut.mini_parsed);
-                    unknown_names += usize::from(cut.pristine);
+                    unknown_names += usize::from(cut.clean);
                 }
             }
         }
@@ -1651,8 +1450,8 @@ void beta() {
         }
         assert!(total > 400, "only {total} declarations");
         // Nearly every declaration of a parseable unit mini-parses
-        // pristine on its own; the oracle must see both outcomes.
-        assert!(clean * 10 > total * 9, "{clean} of {total} pristine");
+        // clean on its own; the oracle must see both outcomes.
+        assert!(clean * 10 > total * 9, "{clean} of {total} clean");
         // A split first token (`oid okay() {…}`) parses cleanly on its
         // own names, but names a type the unit never declared.
         assert!(unknown_names > 0, "no cut rejected for its names alone");
@@ -1662,8 +1461,9 @@ void beta() {
     /// hold the result to the eager parse: when neither pass reported
     /// anything, the same declarations and bodies (symbols included),
     /// the same frozen interner and no diagnostics; otherwise the eager
-    /// parse reports something too, and the engine falls back to it.
-    /// Returns whether the declarations-first parse stood.
+    /// parse reports something too, and the engine falls back to the
+    /// reference checker, which parses eagerly. Returns whether the
+    /// declarations-first parse stood.
     fn assert_outline_matches_eager(text: &str) -> bool {
         let depth = Limits::default().parser_depth;
         let mut eager_diags = DiagSink::new();
@@ -1712,7 +1512,7 @@ void beta() {
             assert!(assert_outline_matches_eager(text), "{text}");
         }
         // Brace and syntax-breaking edits: the parse either stands and
-        // equals the eager one, or falls back.
+        // equals the eager one, or falls back to the reference checker.
         let (mut stood, mut fell_back) = (0, 0);
         for shape in SHAPES {
             let source = synth::generate(&SynthConfig {
@@ -1817,10 +1617,10 @@ void beta() {
     fn returning_to_a_broken_body_reports_its_syntax_error() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        // The broken text goes through the full path first, which caches
-        // `alpha`'s verdict from the recovered parse. Returning to that
-        // text from a clean one is confined to `alpha`'s body, and the
-        // cached verdict hits: the fast path must still see the error.
+        // The broken text goes to the reference checker, and so does
+        // returning to it from a clean one: that edit is confined to
+        // `alpha`'s body, and the fast path's mini-parse of `alpha` must
+        // see the error.
         let broken = UNIT.replace(
             "  Region.delete(r);\n}\nvoid beta",
             "  @@;\n  Region.delete(r);\n}\nvoid beta",
@@ -1832,16 +1632,66 @@ void beta() {
     }
 
     #[test]
-    fn the_eager_fallback_counts_what_the_abandoned_attempt_checked() {
+    fn a_text_that_does_not_parse_counts_and_caches_nothing() {
+        // `two` exceeds the limit, so the body loop stops there after
+        // checking `one` and `two`; the bodies past the stop are parsed
+        // then, and `three` misses a semicolon (braces balanced, so the
+        // declaration pass does not see it). The reference checker
+        // answers; neither verdict is counted or cached, and no ghost is
+        // left.
+        const BROKEN: &str = "\
+void one(int a) { int x = a; }
+void two() {
+  int i = 0;
+  while (i < 10) { i = i + 1; }
+}
+void three(int b) { int y = b }
+";
+        let limits = Limits {
+            fixpoint_iters: 0,
+            ..Limits::default()
+        };
         let (eng, m) = engine();
-        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
+        let got = eng.check_unit("l.vlt", BROKEN, &limits, &m);
+        assert_eq!(got, check_summary_with_limits("l.vlt", BROKEN, &limits));
+        let snap = m.snapshot();
+        assert_eq!((snap.fn_cache_hits, snap.fn_cache_misses), (0, 0));
+        assert_eq!(eng.entries(), (0, 0));
+        assert_eq!(lock(&eng.envs).len(), 0, "no ghost");
+
         // `alpha`'s declaration changed, so declarations first checks it;
-        // then `beta`'s body fails to parse and the eager parse takes
-        // over. `alpha` is a miss there, not a hit on its own verdict.
+        // then `beta`'s body fails to parse. The ghost of the first check
+        // stays as it was, so the next clean check stores the environment.
+        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
         let edited = UNIT
             .replace("void alpha(bool flag) {", "void alpha(bool flag)  {")
             .replace("  p.x++;\n}\n", "  p.x++\n}\n");
-        assert_eq!(counted(&eng, &m, &edited), (0, 2));
+        assert_eq!(counted(&eng, &m, &edited), (0, 0));
+        assert_eq!(eng.entries(), (0, 2), "only the first check's verdicts");
+        assert!(lock(&eng.envs).get(fnv1a_64(b"u.vlt")).is_some(), "a ghost");
+        assert_eq!(counted(&eng, &m, UNIT), (2, 0));
+        assert_eq!(eng.entries().0, 1);
+    }
+
+    #[test]
+    fn fixing_a_syntax_error_takes_the_fast_path_from_the_last_clean_text() {
+        let (eng, m) = engine();
+        let elab = primed(&eng, "u.vlt", "", UNIT);
+        // Breaking `beta`'s body leaves the environment of the last text
+        // that parsed, so restoring it is no edit at all against that.
+        let broken = UNIT.replace("  p.x++;\n}\n", "  p.x++\n}\n");
+        assert_eq!(counted(&eng, &m, &broken), (0, 0));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+        assert_eq!(counted(&eng, &m, UNIT), (2, 0));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+        // The same from a fast-path edit: fixing the error returns to a
+        // text one body away from the cached one.
+        let edited = UNIT.replace("{x=1; y=2;}", "{x=7; y=2;}");
+        assert_eq!(counted(&eng, &m, &edited), (1, 1));
+        let broken = edited.replace("  p.x++;\n}\n", "  p.x++\n}\n");
+        assert_eq!(counted(&eng, &m, &broken), (0, 0));
+        assert_eq!(counted(&eng, &m, &edited), (2, 0));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
 
     #[test]
@@ -1874,7 +1724,7 @@ void beta() {
         let decl = Span::new(100, 140);
         let inside = Diagnostic::error(Code::KeyLeak, Span::new(120, 125), "leak")
             .with_label(Span::new(100, 101), "here");
-        let at = |d: Diagnostic| FnVerdict::at(decl.start, vec![d], ReadSet::default(), true);
+        let at = |d: Diagnostic| FnVerdict::at(decl.start, vec![d], ReadSet::default());
         let v = at(inside.clone());
         assert!(v.self_contained(decl.len()));
         assert_eq!(v.diags[0].span, Span::new(20, 25));
@@ -1891,7 +1741,8 @@ void beta() {
         }
         let eng = IncrementalEngine::new(4, 4);
         let outside = at(Diagnostic::error(Code::KeyLeak, Span::new(0, 1), "x"));
-        eng.fns.remember(7, decl, outside, CheckStats::default());
+        let outside = (Arc::new(outside), CheckStats::default());
+        eng.fns.remember(vec![(7, decl, outside)]);
         assert_eq!(eng.entries(), (0, 0));
     }
 
@@ -1964,22 +1815,31 @@ void three(int b) { int y = b }
             BROKEN.replace("int x = a;", "int x = a + 1;"),
         ];
         let (eng, m) = engine();
-        let check = |text: &str| eng.check_unit("l.vlt", text, &limits, &m);
-        // The first check leaves a ghost, so the environment is stored
-        // by the second.
-        check(&texts[0]);
-        let mut elab: Option<Arc<Elaborated>> = None;
+        // The entry under the name: `None` without one, `Some(None)` for
+        // a ghost.
+        let entry = || lock(&eng.envs).get(fnv1a_64(b"l.vlt"));
         for (i, text) in texts.iter().enumerate() {
-            let got = check(text);
+            let before = entry();
+            let got = eng.check_unit("l.vlt", text, &limits, &m);
             assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
             assert_eq!(got.verdict, Verdict::ResourceLimit);
-            let now = cached_elaboration(&eng, "l.vlt");
-            let kept = elab
-                .replace(Arc::clone(&now))
-                .map(|prev| Arc::ptr_eq(&prev, &now));
-            // Only the fixed text is stored clean, so only the edit after
-            // it takes the fast path.
-            assert_eq!(kept, (i > 0).then_some(i == 3), "text {i}");
+            let after = entry();
+            match i {
+                // The fixed text's first full check leaves a ghost, its
+                // second (after an edit) stores the environment.
+                2 => assert!(matches!(after, Some(None)), "text {i}"),
+                3 => {
+                    let env = after.flatten().expect("environment cached");
+                    assert_eq!(&*env.source, text.as_str());
+                }
+                // A broken text leaves the entry as it was.
+                _ => match (before, after) {
+                    (Some(Some(before)), Some(Some(after))) => {
+                        assert!(Arc::ptr_eq(&before, &after), "text {i}")
+                    }
+                    (before, after) => assert!(before.is_none() && after.is_none(), "text {i}"),
+                },
+            }
         }
     }
 
@@ -2033,11 +1893,15 @@ void three(int b) { int y = b }
     fn a_panicking_outcome_unwinds_before_anything_is_counted() {
         let m = Metrics::default();
         let attr = Attribution::plain("u.vlt", UNIT);
-        let slots = [(Span::new(0, 1), Span::new(0, 1)); 2];
+        let eng = IncrementalEngine::new(64, 1024);
+        primed(&eng, "u.vlt", "", UNIT);
+        let env = lock(&eng.envs)
+            .get(fnv1a_64(b"u.vlt"))
+            .flatten()
+            .expect("environment cached");
         let hit = Arc::new(FnVerdict {
             diags: Vec::new(),
             reads: ReadSet::default(),
-            pristine: true,
         });
         let caught = catch_unwind(AssertUnwindSafe(|| {
             let outcome = |i: usize| match i {
@@ -2047,7 +1911,7 @@ void three(int b) { int y = b }
             assemble(
                 "u.vlt",
                 &attr,
-                &slots,
+                &env,
                 Vec::new(),
                 CheckStats::default(),
                 &m,

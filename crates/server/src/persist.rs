@@ -107,8 +107,11 @@ const MAGIC: &[u8; 8] = b"VAULTCCH";
 /// Version 2: per-function records hold declaration-relative
 /// diagnostics under position-independent fingerprints. Version 3:
 /// per-function records are keyed by declaration text alone and carry
-/// their read set and pristine bit.
-pub const FORMAT_VERSION: u32 = 3;
+/// their read set. Version 4: every per-function verdict is checked
+/// from a body that parsed, so the records lose version 3's flag for
+/// verdicts checked from a recovered parse; a version 3 store, which
+/// may hold such verdicts, boots cold.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic plus version.
 const HEADER_LEN: u64 = 12;
@@ -174,8 +177,8 @@ pub enum Record {
         fp: u64,
         /// The function's diagnostics, every span relative to the
         /// declaration start and rendered only when a check assembles
-        /// them, with the read set and pristine bit that say when they
-        /// still hold. Shared with the engine's cache, never copied.
+        /// them, with the read set that says when they still hold.
+        /// Shared with the engine's cache, never copied.
         views: Arc<FnVerdict>,
         /// The function's checker counters.
         stats: CheckStats,
@@ -1051,7 +1054,6 @@ fn encode_record(record: &Record) -> Option<Json> {
                 ),
                 ("stats".to_string(), Json::Obj(counter_fields(stats))),
                 ("reads".to_string(), Json::str(encode_reads(&views.reads))),
-                ("pristine".to_string(), Json::Bool(views.pristine)),
             ]))
         }
     }
@@ -1094,7 +1096,6 @@ fn decode_record(j: &Json) -> Option<Record> {
             let views = FnVerdict {
                 diags,
                 reads: decode_reads(j.get("reads")?.as_str()?)?,
-                pristine: j.get("pristine")?.as_bool()?,
             };
             Some(Record::Fn {
                 fp,
@@ -1366,7 +1367,7 @@ mod tests {
         );
     }
 
-    /// A pristine function verdict that read one callee.
+    /// A function verdict that read one callee.
     fn fn_verdict(diags: Vec<Diagnostic>) -> Arc<FnVerdict> {
         Arc::new(FnVerdict {
             diags,
@@ -1374,7 +1375,6 @@ mod tests {
                 rest: 0x0123_4567_89ab_cdef,
                 fns: vec![(0xfeed, 0xbeef)].into(),
             },
-            pristine: true,
         })
     }
 
@@ -1467,7 +1467,7 @@ mod tests {
         );
         assert_eq!(
             encode_record(&func).unwrap().to_line(),
-            r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0},"reads":"0123456789abcdef000000000000feed000000000000beef","pristine":true}"#
+            r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0},"reads":"0123456789abcdef000000000000feed000000000000beef"}"#
         );
     }
 

@@ -869,42 +869,75 @@ void two() {
     }
 
     #[test]
-    fn format_2_store_boots_cold_with_no_wrong_answers() {
+    fn older_format_stores_boot_cold_with_no_wrong_answers() {
+        use crate::json::{self, Json};
         use crate::persist::{crc32, segment_file_name};
-        let dir = tmp_dir("format-2");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A store an older build wrote: its unit record claims the leaky
-        // unit is accepted, and its function records carry no read set.
+        // Format 2, a store an older build wrote: its unit record claims
+        // the leaky unit is accepted, and its function records carry no
+        // read set.
         let stats = r#"{"statements":0,"calls":0,"joins":0,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0}"#;
-        let payloads = [
+        let format_2 = vec![
             format!(
                 r#"{{"kind":"unit","fp":"{:016x}","name":"a.vlt","verdict":"accepted","diagnostics":[],"stats":{stats}}}"#,
                 crate::cache::unit_fingerprint("a.vlt", LEAKY)
             ),
             format!(r#"{{"kind":"fn","fp":"0000000000000001","diags":[],"stats":{stats}}}"#),
         ];
-        let mut bytes = b"VAULTCCH".to_vec();
-        bytes.extend(2u32.to_le_bytes());
-        for p in &payloads {
-            bytes.extend((p.len() as u32).to_le_bytes());
-            bytes.extend(crc32(p.as_bytes()).to_le_bytes());
-            bytes.extend(p.as_bytes());
+        // Format 3: the function records this build writes for the leaky
+        // unit, under their keys and with read sets that hold, but with
+        // no diagnostics and flagged as checked from a recovered parse,
+        // which format 3 allowed. Replayed, `leak` would be accepted.
+        let source = tmp_dir("format-3-source");
+        CheckService::new(persistent_config(&source)).check_unit(unit("a.vlt", LEAKY));
+        let bytes = std::fs::read(source.join(segment_file_name(0))).unwrap();
+        let _ = std::fs::remove_dir_all(&source);
+        let mut format_3 = Vec::new();
+        let mut at = 12;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            let payload = std::str::from_utf8(&bytes[at + 8..at + 8 + len]).unwrap();
+            at += 8 + len;
+            let Ok(Json::Obj(mut fields)) = json::parse(payload) else {
+                panic!("a record is an object: {payload}");
+            };
+            if fields[0] == ("kind".to_string(), Json::str("fn")) {
+                for (key, value) in &mut fields {
+                    if key == "diags" {
+                        *value = Json::Arr(Vec::new());
+                    }
+                }
+                fields.push(("pristine".to_string(), Json::Bool(false)));
+                format_3.push(Json::Obj(fields).to_line());
+            }
         }
-        std::fs::write(dir.join(segment_file_name(0)), bytes).unwrap();
+        assert!(!format_3.is_empty(), "the leaky unit wrote no fn record");
 
-        let svc = CheckService::new(persistent_config(&dir));
-        assert_eq!(
-            svc.status().cache_load_errors,
-            1,
-            "the old segment is set aside"
-        );
-        for (name, source) in [("a.vlt", LEAKY), ("b.vlt", GOOD), ("t.vlt", TWO_FNS)] {
-            let report = svc.check_unit(unit(name, source));
-            assert!(!report.cached, "{name} answered from the old store");
-            assert_eq!(*report.summary, vault_core::check_summary(name, source));
+        for (version, payloads) in [(2u32, format_2), (3, format_3)] {
+            let dir = tmp_dir(&format!("format-{version}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut bytes = b"VAULTCCH".to_vec();
+            bytes.extend(version.to_le_bytes());
+            for p in &payloads {
+                bytes.extend((p.len() as u32).to_le_bytes());
+                bytes.extend(crc32(p.as_bytes()).to_le_bytes());
+                bytes.extend(p.as_bytes());
+            }
+            std::fs::write(dir.join(segment_file_name(0)), bytes).unwrap();
+
+            let svc = CheckService::new(persistent_config(&dir));
+            assert_eq!(
+                svc.status().cache_load_errors,
+                1,
+                "the format {version} segment is set aside"
+            );
+            for (name, source) in [("a.vlt", LEAKY), ("b.vlt", GOOD), ("t.vlt", TWO_FNS)] {
+                let report = svc.check_unit(unit(name, source));
+                assert!(!report.cached, "{name} answered from the old store");
+                assert_eq!(*report.summary, vault_core::check_summary(name, source));
+            }
+            assert_eq!(svc.status().fn_cache_hits, 0, "format {version}");
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        assert_eq!(svc.status().fn_cache_hits, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -119,7 +119,7 @@ fn diag_for(fp: u64) -> DiagView {
 }
 
 /// The one true per-function record for fingerprint `fp`: diagnostics
-/// relative to the declaration start, a read set and a pristine bit.
+/// relative to the declaration start and a read set.
 fn fn_views_for(fp: u64) -> Arc<FnVerdict> {
     let diags = if fp.is_multiple_of(3) {
         Vec::new()
@@ -137,11 +137,7 @@ fn fn_views_for(fp: u64) -> Arc<FnVerdict> {
             .map(|k| (fp ^ k, fp.wrapping_mul(k + 1)))
             .collect(),
     };
-    Arc::new(FnVerdict {
-        diags,
-        reads,
-        pristine: fp.is_multiple_of(2),
-    })
+    Arc::new(FnVerdict { diags, reads })
 }
 
 fn fn_stats_for(fp: u64) -> CheckStats {
