@@ -30,8 +30,8 @@
 //!    second check caches the declaration environment). It records the
 //!    function-cache hit rate, the mean number of functions re-checked,
 //!    the share of edited texts that do not parse (the reference
-//!    checker answers those, counting nothing) and the median latency
-//!    per kind; the median cost of one length-changing body edit down
+//!    checker answers those, counting nothing), the share of edits
+//!    checked down the fast path and the median latency per kind; the median cost of one length-changing body edit down
 //!    the fast path, down the full path with every unchanged verdict
 //!    cached (the environment evicted), and down the full path cold,
 //!    each sample asserted to have taken the path it is counted for;
@@ -774,7 +774,7 @@ fn realistic_edits(iters: usize) -> Json {
     let mut per_kind = Vec::new();
     for kind in EditKind::ALL {
         let mut times = Vec::new();
-        let (mut hits, mut misses, mut unparsed) = (0u64, 0u64, 0usize);
+        let (mut hits, mut misses, mut unparsed, mut fast) = (0u64, 0u64, 0usize, 0usize);
         while times.len() < samples {
             let mut s = base.clone();
             if kind == EditKind::Undo {
@@ -787,7 +787,9 @@ fn realistic_edits(iters: usize) -> Json {
             unparsed += usize::from(!parses(s.source()));
             let (engine, m) = primed(&from);
             let before = m.snapshot();
-            times.push(check(&engine, &m, s.source()).0);
+            let (took, stats) = check(&engine, &m, s.source());
+            times.push(took);
+            fast += usize::from(took_fast_path(&stats));
             let after = m.snapshot();
             hits += after.fn_cache_hits - before.fn_cache_hits;
             misses += after.fn_cache_misses - before.fn_cache_misses;
@@ -795,10 +797,11 @@ fn realistic_edits(iters: usize) -> Json {
         let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
         let rechecked = misses as f64 / samples as f64;
         let unparsed = unparsed as f64 / samples as f64;
+        let fast = fast as f64 / samples as f64;
         let median = median_ms(&mut times);
         println!(
             "  {:<22} median {median:.3} ms, fn-cache hit rate {hit_rate:.3}, \
-             {rechecked:.2} fns re-checked, {unparsed:.2} unparsed",
+             {rechecked:.2} fns re-checked, {unparsed:.2} unparsed, {fast:.2} fast path",
             kind.name()
         );
         per_kind.push(Json::Obj(vec![
@@ -813,6 +816,7 @@ fn realistic_edits(iters: usize) -> Json {
                 Json::Num(round2(rechecked)),
             ),
             ("unparsed_frac".to_string(), Json::Num(round2(unparsed))),
+            ("fast_path_frac".to_string(), Json::Num(round2(fast))),
         ]));
     }
 

@@ -45,11 +45,8 @@
 //! exit code is 2 even when the rest were accepted.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 use vault_core::{check_source, CheckSummary, Verdict};
-use vault_server::{
-    CheckService, Client, Json, MuxConfig, MuxServer, RetryPolicy, ServiceConfig, UnitIn,
-};
+use vault_server::{CheckService, Client, Json, RetryPolicy, ServiceConfig, UnitIn};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -63,7 +60,7 @@ fn main() -> ExitCode {
             "explain" if rest.len() == 1 => explain(&rest[0]),
             "corpus" => run_corpus(rest.first().map(String::as_str)),
             "synth" => synth_cmd(rest),
-            "serve" => serve(rest),
+            "serve" => vault_server::serve_command("vaultc serve", rest, &["--jobs", "-j"], usage),
             _ => usage(),
         },
         None => usage(),
@@ -399,98 +396,6 @@ fn check_remote(
         ExitCode::from(1)
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn serve(rest: &[String]) -> ExitCode {
-    let mut socket: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut config = ServiceConfig::default();
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => match it.next() {
-                Some(path) => socket = Some(path.clone()),
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(addr) => listen = Some(addr.clone()),
-                None => return usage(),
-            },
-            "--jobs" | "-j" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.jobs = n,
-                _ => return usage(),
-            },
-            "--cache" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.cache_capacity = n,
-                _ => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => config.cache_dir = Some(dir.into()),
-                None => return usage(),
-            },
-            "--cache-max-bytes" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => config.cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--max-request-bytes" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.limits.max_request_bytes = n,
-                _ => return usage(),
-            },
-            "--timeout-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => {
-                    config.limits.timeout = Some(std::time::Duration::from_millis(n))
-                }
-                _ => return usage(),
-            },
-            "--fuel" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.limits.fixpoint_iters = n,
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let svc = Arc::new(CheckService::new(config));
-    if socket.is_none() && listen.is_none() {
-        return match vault_server::serve_stdio(&svc) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("vaultc serve: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
-    if let Some(path) = &socket {
-        if let Err(e) = mux.bind_unix(path) {
-            eprintln!("vaultc: cannot bind `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "vaultc serve: listening on {path} ({} worker(s), cache {})",
-            svc.workers(),
-            svc.cache_capacity()
-        );
-    }
-    if let Some(addr) = &listen {
-        match mux.bind_tcp(addr) {
-            Ok(local) => eprintln!(
-                "vaultc serve: listening on tcp {local} ({} worker(s), cache {})",
-                svc.workers(),
-                svc.cache_capacity()
-            ),
-            Err(e) => {
-                eprintln!("vaultc: cannot listen on `{addr}`: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    match mux.run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("vaultc serve: {e}");
-            ExitCode::FAILURE
-        }
     }
 }
 

@@ -206,8 +206,8 @@ pub fn check_function_reading(
 }
 
 struct FnChecker<'a, 'd> {
-    /// The unit's declaration tables and frozen interner (symbol order
-    /// == string order), reached only through this accessor.
+    /// The unit's declaration tables and interner, reached only through
+    /// this accessor.
     decls: &'a Decls<'a>,
     diags: &'d mut DiagSink,
     keys: KeyGen,

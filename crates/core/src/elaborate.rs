@@ -17,11 +17,11 @@ use vault_types::{
 pub struct Elaborated {
     /// The declaration tables.
     pub world: World,
-    /// The unit's frozen interner: every identifier in the program, plus
-    /// the resolver's sentinels, in string order (so symbol order equals
-    /// string order everywhere downstream). Shared with the parse that
-    /// produced the program — elaboration no longer re-walks the AST to
-    /// build it.
+    /// The unit's interner: every identifier in the program, plus the
+    /// resolver's sentinels, in first-seen order (no output depends on
+    /// that order; see [`vault_syntax::intern`]). Shared with the parse
+    /// that produced the program — elaboration no longer re-walks the
+    /// AST to build it.
     pub syms: Arc<Interner>,
     /// Type aliases (expanded at use sites).
     pub aliases: BTreeMap<Symbol, AliasEntry>,
@@ -83,8 +83,8 @@ pub fn elaborate_owned(program: ast::Program, diags: &mut DiagSink) -> Elaborate
 fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
     // The parser interned every identifier at lex time — plus the
     // `<error>`/`<fn>` sentinels lowering error paths can introduce —
-    // and froze the interner into string order, so elaboration reuses
-    // it instead of re-walking the whole AST to collect names.
+    // so elaboration reuses its interner instead of re-walking the
+    // whole AST to collect names.
     debug_assert!(
         program.decls.is_empty() || !program.syms.is_empty(),
         "elaborating a program the parser did not intern"
@@ -320,13 +320,15 @@ fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
                         .iter()
                         .map(|t| ctx.lower_type(&mut scope, t, diags))
                         .collect();
-                    let exist_keys: Vec<String> = scope
+                    // By name: the constructor table is fingerprinted.
+                    let mut exist_keys: Vec<String> = scope
                         .keyvars
                         .iter()
                         .map(|k| syms.resolve(*k))
                         .filter(|k| !param_names.contains(*k))
                         .map(str::to_string)
                         .collect();
+                    exist_keys.sort_unstable();
                     let mut captures = Vec::new();
                     for cap in &c.captures {
                         if !param_names.contains(cap.key.name.as_str()) {

@@ -231,17 +231,27 @@ pub fn merge(
     for (fi, (fa, fb)) in a.frames.iter().zip(&b.frames).enumerate() {
         if Arc::ptr_eq(fa, fb) {
             // Shared snapshot: bindings are identical by construction, and
-            // identical bindings correlate each key to itself.
+            // identical bindings correlate each key to itself. Each binding
+            // adds the same identity pairs in any order, so symbol order
+            // is fine here.
             for ba in fa.values().filter(|b| b.init) {
                 ty_eq_mod_keys(&ba.ty, &ba.ty, &mut map, &mut rev);
             }
             continue;
         }
-        for (name, ba) in fa.iter() {
+        // By name: which variable a conflicting correlation is blamed
+        // on, and the order of the problems, must not follow the symbol
+        // numbering.
+        let mut names: Vec<(&str, &Symbol, &Binding)> = fa
+            .iter()
+            .map(|(name, ba)| (syms.resolve(*name), name, ba))
+            .collect();
+        names.sort_unstable_by_key(|&(text, ..)| text);
+        for (text, name, ba) in names {
             let Some(bb) = fb.get(name) else {
                 // Structurally impossible for well-formed traversal; be
                 // permissive and poison.
-                poisoned.push(syms.resolve(*name).to_string());
+                poisoned.push(text.to_string());
                 continue;
             };
             match (ba.init, bb.init) {
@@ -250,7 +260,7 @@ pub fn merge(
                         problems.push(format!(
                             "variable `{}` has type `{}` on one path but `{}` on the \
                              other",
-                            syms.resolve(*name),
+                            text,
                             ba.ty.display(world),
                             bb.ty.display(world)
                         ));
@@ -409,6 +419,10 @@ mod tests {
                 params: vec![],
             }))
             .unwrap();
+        let mut syms = Interner::new();
+        for name in ["flag", "inner", "outer", "r", "rgn", "s", "x"] {
+            syms.intern(name);
+        }
         (
             w,
             KeyGen::new(),
@@ -416,7 +430,7 @@ mod tests {
                 id: region,
                 args: vec![],
             },
-            Interner::from_sorted(["flag", "inner", "outer", "r", "rgn", "s", "x"]),
+            syms,
         )
     }
 

@@ -81,24 +81,13 @@ impl<'a> Decls<'a> {
         }
     }
 
-    /// An accessor over an elaborated unit's tables.
-    pub fn of(elaborated: &'a Elaborated) -> Self {
-        Decls::new(
-            &elaborated.world,
-            &elaborated.syms,
-            &elaborated.aliases,
-            &elaborated.qualifiers,
-            &elaborated.base_keys,
-        )
-    }
-
     /// The type, constructor, stateset and global-key tables: everything
     /// but the signatures, which only [`Self::fn_sig`] reaches.
     pub fn tables(&self) -> &'a Tables {
         self.world
     }
 
-    /// The unit's frozen interner.
+    /// The unit's interner.
     pub fn syms(&self) -> &'a Interner {
         self.syms
     }
@@ -152,14 +141,27 @@ impl Interface {
     pub fn of(elaborated: &Elaborated) -> Self {
         let mut h = FnvHasher::default();
         elaborated.world.hash_tables(&mut h);
+        // Aliases and qualifiers by name, not by symbol number.
         let syms = &elaborated.syms;
-        for (name, alias) in &elaborated.aliases {
-            syms.resolve(*name).hash(&mut h);
+        let mut aliases: Vec<(&str, &AliasEntry)> = elaborated
+            .aliases
+            .iter()
+            .map(|(name, alias)| (syms.resolve(*name), alias))
+            .collect();
+        aliases.sort_unstable_by_key(|&(name, _)| name);
+        for (name, alias) in aliases {
+            name.hash(&mut h);
             alias.params.hash(&mut h);
             vault_syntax::pretty::type_to_string(&alias.body).hash(&mut h);
         }
-        for q in &elaborated.qualifiers {
-            syms.resolve(*q).hash(&mut h);
+        let mut qualifiers: Vec<&str> = elaborated
+            .qualifiers
+            .iter()
+            .map(|q| syms.resolve(*q))
+            .collect();
+        qualifiers.sort_unstable();
+        for q in qualifiers {
+            q.hash(&mut h);
         }
         elaborated.base_keys.hash(&mut h);
         let mut fns: Vec<(u64, u64)> = elaborated

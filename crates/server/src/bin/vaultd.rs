@@ -37,9 +37,6 @@
 //! in-flight work within a bounded grace period.
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Duration;
-use vault_server::{CheckService, MuxConfig, MuxServer, ServiceConfig};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -52,90 +49,5 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut socket: Option<String> = None;
-    let mut listen: Option<String> = None;
-    let mut config = ServiceConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--socket" => match it.next() {
-                Some(path) => socket = Some(path.clone()),
-                None => return usage(),
-            },
-            "--listen" => match it.next() {
-                Some(addr) => listen = Some(addr.clone()),
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.jobs = n,
-                _ => return usage(),
-            },
-            "--cache" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.cache_capacity = n,
-                _ => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => config.cache_dir = Some(dir.into()),
-                None => return usage(),
-            },
-            "--cache-max-bytes" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => config.cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--max-request-bytes" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.limits.max_request_bytes = n,
-                _ => return usage(),
-            },
-            "--timeout-ms" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => config.limits.timeout = Some(Duration::from_millis(n)),
-                _ => return usage(),
-            },
-            "--fuel" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => config.limits.fixpoint_iters = n,
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let svc = Arc::new(CheckService::new(config));
-    if socket.is_none() && listen.is_none() {
-        return match vault_server::serve_stdio(&svc) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("vaultd: stdio error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
-    if let Some(path) = &socket {
-        if let Err(e) = mux.bind_unix(path) {
-            eprintln!("vaultd: cannot bind `{path}`: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "vaultd: listening on {path} ({} worker(s), cache {})",
-            svc.workers(),
-            svc.cache_capacity()
-        );
-    }
-    if let Some(addr) = &listen {
-        match mux.bind_tcp(addr) {
-            Ok(local) => eprintln!(
-                "vaultd: listening on tcp {local} ({} worker(s), cache {})",
-                svc.workers(),
-                svc.cache_capacity()
-            ),
-            Err(e) => {
-                eprintln!("vaultd: cannot listen on `{addr}`: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Err(e) = mux.run() {
-        eprintln!("vaultd: serve error: {e}");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    vault_server::serve_command("vaultd", &args, &["--jobs"], usage)
 }

@@ -6,7 +6,7 @@
 //! splitting the pipeline's memoization in two:
 //!
 //! 1. **Declaration environment.** Parsing + elaboration produce an
-//!    [`Elaborated`] (declaration tables, frozen interner, base keys)
+//!    [`Elaborated`] (declaration tables, interner, base keys)
 //!    that depends only on the unit's *signatures*, never on function
 //!    body content. It is cached per unit name together with its
 //!    [`Interface`] fingerprints.
@@ -38,7 +38,7 @@
 //! the environment cache keeps only the declarations. A `CachedEnv`
 //! holds the checked text, the declaration slots and keys, the
 //! [`Interface`], and an [`Elaborated`] whose `bodies` is empty —
-//! declaration tables, frozen interner and base keys. On a 24 KB,
+//! declaration tables, interner and base keys. On a 24 KB,
 //! 48-function unit that is about 69 KB (23 KB of it the text), against
 //! the 0.5 MB a cached copy of the body ASTs cost.
 //!
@@ -74,33 +74,33 @@
 //!   spans shift by the length delta; a function whose verdict misses is
 //!   checked from a *mini-parse* of just its own declaration. A
 //!   mini-parse lexes only the declaration's byte range of the checked
-//!   text, with spans in whole-text coordinates, numbers each token by
-//!   looking its name up in the cached environment's frozen interner,
-//!   and parses in that symbol space. It yields exactly what a parse of
-//!   the text blanked outside that range would, with the symbols of the
-//!   whole text ([`vault_syntax::parse_range_in`]). A name the frozen
-//!   interner lacks rejects it before parsing. A mini-parse must be
-//!   clean: no diagnostic, exactly the expected span, and a body. The
-//!   edited declaration is mini-parsed before anything else runs; when
-//!   that reports a diagnostic the text does not parse (see below). Any
+//!   text, with spans in whole-text coordinates, into the cached
+//!   environment's interner ([`vault_syntax::parse_range_in`]), and
+//!   yields the declarations a parse of the text blanked outside that
+//!   range would. A name the unit lacked, such as a freshly typed
+//!   local, is numbered past the end of a copy made for this check; no
+//!   output depends on symbol numbering ([`vault_syntax::intern`]). A mini-parse must be clean: no
+//!   diagnostic, exactly the expected span, and a body. The edited
+//!   declaration is mini-parsed before anything else runs; when that
+//!   reports a diagnostic the text does not parse (see below). Any
 //!   other failed mini-parse, or a fresh verdict reaching outside its
 //!   declaration, abandons the fast path for the full path. The
 //!   environment entry is then refreshed with the new text and slots,
 //!   sharing the same [`Elaborated`].
 //! * **Full path, declarations first** — anything else (an edit outside
-//!   bodies or spanning two, a brace edit, a new identifier, an evicted
-//!   environment or a ghost). The whole text is lexed once, so the
-//!   frozen interner is exactly the eager parse's, and only the
-//!   declarations are parsed: each function body is skipped by brace
-//!   matching over the tokens ([`vault_syntax::parse_outline`]). After
-//!   elaboration, a body is parsed from its tokens only when its verdict
-//!   misses. Every verdict is checked from a body whose parse reported
-//!   nothing, and a declaration's text decides whether its body parses,
-//!   so a verdict that hits stands in for a body left unparsed. The
-//!   monolithic checker parses every body before checking any, so when
-//!   a verdict stops the loop ([`Code::LimitExceeded`]) the bodies past
-//!   it are parsed too. An environment is stored only once every body
-//!   was parsed or stood in for.
+//!   bodies or spanning two, a brace edit, an evicted environment or a
+//!   ghost). The whole text is lexed once, so the interner is exactly
+//!   the eager parse's, and only the declarations are parsed: each
+//!   function body is skipped by brace matching over the tokens
+//!   ([`vault_syntax::parse_outline`]). After elaboration, a body is
+//!   parsed from its tokens only when its verdict misses. Every verdict
+//!   is checked from a body whose parse reported nothing, and a
+//!   declaration's text decides whether its body parses, so a verdict
+//!   that hits stands in for a body left unparsed. The monolithic
+//!   checker parses every body before checking any, so when a verdict
+//!   stops the loop ([`Code::LimitExceeded`]) the bodies past it are
+//!   parsed too. An environment is stored only once every body was
+//!   parsed or stood in for.
 //!
 //! # Text that does not parse
 //!
@@ -144,8 +144,8 @@ use vault_core::{
 };
 use vault_syntax::intern::fnv1a;
 use vault_syntax::{
-    ast, parse_outline, parse_range_in, Attribution, Code, DiagSink, DiagView, Diagnostic, Outline,
-    Severity, Span,
+    ast, parse_outline, parse_range_in, Attribution, Code, DiagSink, DiagView, Diagnostic,
+    Interner, Outline, Severity, Span,
 };
 
 use crate::cache::{fnv1a_64, LruCache};
@@ -173,9 +173,9 @@ struct CachedEnv {
     slots: Vec<(Span, Span)>,
     /// Per-function verdict keys, parallel to `slots`.
     keys: Vec<u64>,
-    /// The reusable elaboration output: declaration tables and frozen
-    /// interner only. Its `bodies` is always empty; a body AST lives
-    /// only while its unit is being checked.
+    /// The reusable elaboration output: declaration tables and interner
+    /// only. Its `bodies` is always empty; a body AST lives only while
+    /// its unit is being checked.
     elaborated: Arc<Elaborated>,
     /// `elaborated`'s fingerprints, which read sets are checked against.
     iface: Arc<Interface>,
@@ -445,15 +445,24 @@ fn assemble(
     Some((summary, fresh))
 }
 
-/// Check `f` against `elab`: the miss step of both paths. Returns the
-/// verdict, not yet cached, and the microseconds the check took.
+/// Check `f` against `elab`'s tables, with `f`'s names numbered in
+/// `syms` (`elab`'s interner, or a fast-path copy of it): the miss step
+/// of both paths. Returns the verdict, not yet cached, and the
+/// microseconds the check took.
 fn check_fn(
     elab: &Elaborated,
+    syms: &Interner,
     iface: &Interface,
     f: &ast::FunDecl,
     limits: &Limits,
 ) -> (FnEntry, u64) {
-    let decls = Decls::of(elab);
+    let decls = Decls::new(
+        &elab.world,
+        syms,
+        &elab.aliases,
+        &elab.qualifiers,
+        &elab.base_keys,
+    );
     let mut sink = DiagSink::new();
     let stats = check_function_reading(&decls, f, &mut sink, limits);
     let reads = iface.read_set(&decls.callees());
@@ -548,21 +557,20 @@ fn fn_key(base: u64, source: &str, decl: Span) -> u64 {
 }
 
 /// Parse exactly one declaration of the checked text `text` — only its
-/// byte range is lexed, spans stay in whole-text coordinates — in the
-/// symbol space of a cached environment's frozen interner. `Err` when
-/// the mini-parse is not [`clean_fun`], holding whether it reported a
-/// diagnostic. A name the interner lacks rejects it before parsing, as
-/// `Err(false)`: a frozen interner cannot number a brand-new name
-/// (symbols are in string order), so the full path re-lexes the text.
+/// byte range is lexed, spans stay in whole-text coordinates — into
+/// `syms`, a cached environment's interner, copied for the check on the
+/// first name the unit lacked, which is numbered past its end. `Err`
+/// when the mini-parse is not [`clean_fun`], holding whether it
+/// reported a diagnostic.
 fn mini_parse(
     text: &str,
     decl: Span,
-    elab: &Elaborated,
+    syms: &mut Arc<Interner>,
     limits: &Limits,
 ) -> Result<ast::FunDecl, bool> {
     let mut diags = DiagSink::new();
     let depth = limits.parser_depth.saturating_sub(MINI_PARSE_DEPTH_MARGIN);
-    let program = parse_range_in(text, decl, &elab.syms, &mut diags, depth).ok_or(false)?;
+    let program = parse_range_in(text, decl, syms, &mut diags, depth);
     let reported = !diags.diagnostics().is_empty();
     clean_fun(program, &diags, decl).ok_or(reported)
 }
@@ -799,18 +807,18 @@ impl IncrementalEngine {
             return None;
         }
         let (env, edited) = cached.edited_to(source)?;
-        let parse = |decl| mini_parse(source, decl, &env.elaborated, limits);
+        let mut syms = Arc::clone(&env.elaborated.syms);
         // The edited declaration is parsed first, whether or not its
         // verdict is cached: a syntax error means the text does not
-        // parse. Any other failed mini-parse (span drift, or a
-        // brand-new identifier) means only the full path can say what
-        // the unit means now.
-        let mut edited_fn = match edited.map(|k| parse(env.slots[k].0)) {
-            Some(Ok(f)) => Some(f),
-            Some(Err(true)) => return Some(Err(Unparsed)),
-            Some(Err(false)) => return None,
-            None => None,
-        };
+        // parse. Any other failed mini-parse (span drift) means only the
+        // full path can say what the unit means now.
+        let mut edited_fn =
+            match edited.map(|k| mini_parse(source, env.slots[k].0, &mut syms, limits)) {
+                Some(Ok(f)) => Some(f),
+                Some(Err(true)) => return Some(Err(Unparsed)),
+                Some(Err(false)) => return None,
+                None => None,
+            };
         let outcome = |i: usize| {
             if let Some(entry) = self.fns.get(env.keys[i], &env.iface) {
                 return Some(FnOutcome::Hit(entry));
@@ -818,9 +826,9 @@ impl IncrementalEngine {
             let decl = env.slots[i].0;
             let f = match edited_fn.take_if(|_| edited == Some(i)) {
                 Some(f) => f,
-                None => parse(decl).ok()?,
+                None => mini_parse(source, decl, &mut syms, limits).ok()?,
             };
-            let (entry, check_micros) = check_fn(&env.elaborated, &env.iface, &f, limits);
+            let (entry, check_micros) = check_fn(&env.elaborated, &syms, &env.iface, &f, limits);
             // A verdict reaching outside its declaration may point at
             // text this entry has shifted.
             entry
@@ -863,7 +871,8 @@ impl IncrementalEngine {
                         ..bodies[i].clone()
                     };
                     let parse_micros = started.elapsed().as_micros() as u64;
-                    let (entry, check_micros) = check_fn(&env.elaborated, &env.iface, &f, limits);
+                    let elab = &env.elaborated;
+                    let (entry, check_micros) = check_fn(elab, &elab.syms, &env.iface, &f, limits);
                     FnOutcome::Fresh(entry, parse_micros, check_micros)
                 }
             };
@@ -1035,14 +1044,77 @@ void beta() {
     fn new_identifier_in_same_length_edit_is_checked_correctly() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        primed(&eng, "u.vlt", "", UNIT);
-        // `qv` never appeared in the original unit, so the frozen
-        // interner cannot intern it: the engine must fall back rather
-        // than check with an unknown symbol.
+        let elab = primed(&eng, "u.vlt", "", UNIT);
+        // `qv` never appeared in the original unit: the fast path
+        // numbers it past the cached interner's end, never as an
+        // unknown symbol.
         let edited = UNIT.replace("{ p.x++; } else", "{ qv.x++;} else");
         assert_eq!(edited.len(), UNIT.len());
         let got = eng.check_unit("u.vlt", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+    }
+
+    #[test]
+    fn a_fresh_local_name_takes_the_fast_path_and_numbering_moves_no_verdict() {
+        // Two aliases, two qualifiers and a constructor with two
+        // existential keys, each first seen in string order.
+        const NAMED: &str = "\
+interface ALPHA {
+  type region;
+  tracked(R) region create() [new R];
+  void delete(tracked(R) region) [-R];
+}
+interface ZETA {
+  void ping();
+}
+struct point { int x; int y; }
+type apt = point;
+type zpt = point;
+variant twopt [ 'Two(tracked(P) region, P:point, tracked(Q) region, Q:point) ];
+void one(bool flag) {
+  tracked(A) region rgn = ALPHA.create();
+  A:point p = new(rgn) point {x=1; y=2;};
+  if (flag) { p.x++; } else { p.y++; }
+  ALPHA.delete(rgn);
+}
+void two(apt a, zpt z) {
+  ZETA.ping();
+  a.x = z.y;
+}
+void three() {
+  tracked(B) region r = ALPHA.create();
+  ALPHA.delete(r);
+}
+";
+        let (eng, m) = engine();
+        let elab = primed(&eng, "u.vlt", "", NAMED);
+        assert!(!elab.syms.names().any(|n| n == "fresh"));
+        // Renaming a local to a name the unit never had is a fast-path
+        // edit that re-checks only its function.
+        let renamed = NAMED.replace("rgn", "fresh");
+        assert_eq!(counted(&eng, &m, &renamed), (2, 1));
+        assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+        // A function added above everything names the aliases, the
+        // qualifiers and the existential keys in reverse string order,
+        // so the full path numbers them the other way round. No
+        // fingerprint may notice: every untouched verdict hits.
+        let first = "\
+void first(zpt z, apt a) {
+  ZETA.ping();
+  tracked(Q) region q = ALPHA.create();
+  tracked(P) region p = ALPHA.create();
+  ALPHA.delete(q);
+  ALPHA.delete(p);
+}
+";
+        let reordered = format!("{first}{renamed}");
+        assert_eq!(counted(&eng, &m, &reordered), (3, 1));
+        assert!(!Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
+        let syms = &cached_elaboration(&eng, "u.vlt").syms;
+        for (later, earlier) in [("apt", "zpt"), ("ALPHA", "ZETA"), ("P", "Q")] {
+            assert!(syms.sym(earlier) < syms.sym(later), "{earlier} first");
+        }
     }
 
     #[test]
@@ -1258,21 +1330,23 @@ void beta() {
         String::from_utf8(bytes).expect("blanking preserves UTF-8")
     }
 
-    /// What the oracle saw of one range: whether its parse in its own
-    /// symbol space was [`clean_fun`], and whether [`mini_parse`] took it.
+    /// What the oracle saw of one range: whether [`mini_parse`] took
+    /// it, and whether it numbered a name the unit lacked.
     struct RangeOutcome {
-        clean: bool,
         mini_parsed: bool,
+        new_names: bool,
     }
 
     /// Parse `range` of `text` both ways — the range parse and the full
     /// parse of the blanked text — and assert they agree: the same
     /// declarations (symbols included), the same diagnostics, and the
-    /// same [`clean_fun`] outcome. Then hold [`mini_parse`], which numbers
-    /// the range's names through `elab`'s frozen interner instead of
-    /// freezing its own, to the two routes agreeing: it succeeds exactly
-    /// when the range parse is clean and `elab` knows every name the
-    /// range lexed, and then yields `eager`, the whole-text parse's
+    /// same [`clean_fun`] outcome. Then hold [`mini_parse`], which lexes
+    /// the range into `elab`'s interner instead of a fresh one, copying
+    /// it only for a new name, to the two routes agreeing: it succeeds
+    /// exactly when the range parse is clean, and then yields the
+    /// blanked text's declaration, equal in everything but symbol
+    /// numbers (the same spans and printed form). When the range names
+    /// nothing new, it equals `eager`, the whole-text parse's
     /// declaration at `range`, symbols included.
     fn assert_range_parse_matches_oracle(
         text: &str,
@@ -1304,10 +1378,6 @@ void beta() {
             "{}",
             context()
         );
-        let names_known = ranged
-            .syms
-            .names()
-            .all(|name| elab.syms.sym(name) != vault_syntax::Symbol::UNKNOWN);
         let ranged = clean_fun(ranged, &ranged_diags, range);
         let oracle = clean_fun(oracle, &oracle_diags, range);
         assert_eq!(
@@ -1316,20 +1386,21 @@ void beta() {
             "{}",
             context()
         );
-        let mini = mini_parse(text, range, elab, &Limits::default());
-        assert_eq!(
-            mini.is_ok(),
-            ranged.is_some() && names_known,
-            "{}",
-            context()
-        );
+        let mut syms = Arc::clone(&elab.syms);
+        let mini = mini_parse(text, range, &mut syms, &Limits::default());
+        assert_eq!(mini.is_ok(), ranged.is_some(), "{}", context());
+        let new_names = syms.len() > elab.syms.len();
+        assert_eq!(new_names, !Arc::ptr_eq(&syms, &elab.syms), "{}", context());
         if let Ok(mini) = &mini {
-            let eager = eager.unwrap_or_else(|| panic!("no declaration at {}", context()));
-            assert_eq!(format!("{mini:?}"), format!("{eager:?}"), "{}", context());
+            // `Ident` equality ignores symbols: same spans, same printed form.
+            assert_eq!(Some(mini), oracle.as_ref(), "{}", context());
+            if let (false, Some(eager)) = (new_names, eager) {
+                assert_eq!(format!("{mini:?}"), format!("{eager:?}"), "{}", context());
+            }
         }
         RangeOutcome {
-            clean: ranged.is_some(),
             mini_parsed: mini.is_ok(),
+            new_names,
         }
     }
 
@@ -1337,17 +1408,18 @@ void beta() {
     /// ranges that cut it (a missing closing brace, a split first token,
     /// the bare body, an end inside its first string literal or
     /// comment), against the blanked-text oracle. Returns `(mini-parsed
-    /// declarations, declarations, cuts clean on their own names but
-    /// rejected for a name the unit lacks)`.
+    /// declarations, declarations, mini-parsed cuts that name something
+    /// the unit lacks)`.
     fn oracle_check_unit(text: &str) -> (usize, usize, usize) {
         let mut diags = DiagSink::new();
         let program = vault_syntax::parse_program(text, &mut diags);
         let elab = vault_core::elaborate(&program, &mut diags);
-        let (mut clean, mut unknown_names) = (0, 0);
+        let (mut clean, mut new_name_cuts) = (0, 0);
         for f in &elab.bodies {
             let body = f.body.as_ref().expect("collected with body").span;
             let (s, e) = (f.span.start, f.span.end);
             let whole = assert_range_parse_matches_oracle(text, f.span, &elab, Some(f));
+            assert!(!whole.new_names, "{text}");
             clean += usize::from(whole.mini_parsed);
             let decl_text = &text[s as usize..e as usize];
             let inside = ["\"", "//", "/*"]
@@ -1362,12 +1434,11 @@ void beta() {
                     && text.is_char_boundary(cut.end as usize);
                 if on_chars {
                     let cut = assert_range_parse_matches_oracle(text, cut, &elab, None);
-                    assert!(!cut.mini_parsed);
-                    unknown_names += usize::from(cut.clean);
+                    new_name_cuts += usize::from(cut.mini_parsed && cut.new_names);
                 }
             }
         }
-        (clean, elab.bodies.len(), unknown_names)
+        (clean, elab.bodies.len(), new_name_cuts)
     }
 
     /// The synth shapes every front-end oracle covers.
@@ -1441,20 +1512,154 @@ void beta() {
                 .to_string(),
         );
 
-        let (mut clean, mut total, mut unknown_names) = (0, 0, 0);
+        let (mut clean, mut total, mut new_name_cuts) = (0, 0, 0);
         for text in &units {
-            let (c, t, u) = oracle_check_unit(text);
+            let (c, t, n) = oracle_check_unit(text);
             clean += c;
             total += t;
-            unknown_names += u;
+            new_name_cuts += n;
         }
         assert!(total > 400, "only {total} declarations");
         // Nearly every declaration of a parseable unit mini-parses
         // clean on its own; the oracle must see both outcomes.
         assert!(clean * 10 > total * 9, "{clean} of {total} clean");
-        // A split first token (`oid okay() {…}`) parses cleanly on its
-        // own names, but names a type the unit never declared.
-        assert!(unknown_names > 0, "no cut rejected for its names alone");
+        // A split first token (`oid okay() {…}`) parses cleanly, naming
+        // a type the unit never declared: a name numbered past the end.
+        assert!(new_name_cuts > 0, "no clean cut named something new");
+    }
+
+    /// The summary of checking `text` with its symbols numbered in
+    /// `order` instead of first-seen order: the whole text is parsed
+    /// into an interner seeded with `order` ([`parse_range_in`]), then
+    /// elaborated and checked function by function, stopping where the
+    /// monolithic checker stops.
+    fn summary_numbered(name: &str, text: &str, order: &[&str]) -> CheckSummary {
+        let limits = Limits::default();
+        let mut seeded = Interner::new();
+        for name in order {
+            seeded.intern(name);
+        }
+        let mut syms = Arc::new(seeded);
+        let mut diags = DiagSink::new();
+        let whole = Span::new(0, text.len() as u32);
+        let program = parse_range_in(text, whole, &mut syms, &mut diags, limits.parser_depth);
+        assert_eq!(syms.len(), order.len(), "a name outside the seeded order");
+        let elab = elaborate_owned(program, &mut diags);
+        let mut stats = CheckStats::default();
+        for f in &elab.bodies {
+            let decls = Decls::new(
+                &elab.world,
+                &elab.syms,
+                &elab.aliases,
+                &elab.qualifiers,
+                &elab.base_keys,
+            );
+            stats.absorb(check_function_reading(&decls, f, &mut diags, &limits));
+            if diags.has_code(Code::LimitExceeded) {
+                break;
+            }
+        }
+        let source = vault_syntax::SourceMap::new(name, text);
+        let views: Vec<DiagView> = diags
+            .diagnostics()
+            .iter()
+            .map(|d| DiagView::new(d, &source))
+            .collect();
+        CheckSummary {
+            name: name.to_string(),
+            verdict: verdict_of(&views),
+            diagnostics: views,
+            stats,
+        }
+    }
+
+    /// Check `text` with its symbols numbered in reverse string order,
+    /// in FNV-1a hash order and in a shuffle seeded by `seed`, and hold
+    /// each summary to the reference checker's, byte for byte.
+    fn assert_numbering_moves_nothing(text: &str, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let reference = check_summary_with_limits("u.vlt", text, &Limits::default());
+        let mut diags = DiagSink::new();
+        let program = vault_syntax::parse_program(text, &mut diags);
+        let mut reverse: Vec<&str> = program.syms.names().collect();
+        reverse.sort_unstable_by(|a, b| b.cmp(a));
+        let mut hashed = reverse.clone();
+        hashed.sort_unstable_by_key(|n| fnv1a(vault_syntax::intern::FNV_OFFSET, n.as_bytes()));
+        let mut shuffled = reverse.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        for order in [reverse, hashed, shuffled] {
+            let got = summary_numbered("u.vlt", text, &order);
+            assert_eq!(got, reference, "numbered {order:?}:\n{text}");
+        }
+    }
+
+    #[test]
+    fn symbol_numbering_changes_no_summary() {
+        use vault_corpus::synth::{self, Shape, SynthConfig};
+        // A join whose key correlation conflicts: which variables are
+        // blamed, and in what order, depends on the order the frames
+        // are walked in. First-seen, string and reverse string order of
+        // `mid`, `zed` and `alp` all differ.
+        const JOIN: &str = "\
+interface REGION {
+  type region;
+  tracked(R) region create() [new R];
+  void delete(tracked(R) region) [-R];
+}
+void join(bool c) {
+  tracked region mid = Region.create();
+  tracked region zed = Region.create();
+  tracked region alp = Region.create();
+  if (c) { zed = mid; alp = mid; } else { }
+  Region.delete(mid);
+}
+";
+        let join = check_summary_with_limits("u.vlt", JOIN, &Limits::default());
+        let mismatches = join
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::JoinMismatch.as_str() && d.message.starts_with("variable"));
+        assert_eq!(mismatches.count(), 2, "{}", join.render_diagnostics());
+        let mut units = vec![JOIN.to_string()];
+        units.extend(oracle_units());
+        // The golden differential suite's synthetic units
+        // (`tests/differential.rs`); its corpus programs are in
+        // `oracle_units`.
+        let golden_shapes = [
+            Shape::Mixed,
+            Shape::Straight,
+            Shape::Branchy,
+            Shape::Loopy,
+            Shape::VariantHeavy,
+        ];
+        for (i, shape) in golden_shapes.iter().cycle().take(10).enumerate() {
+            let config = SynthConfig {
+                functions: 6,
+                stmts_per_fn: 10,
+                seed: 0xD1FF + i as u64,
+                bug_rate: if i % 2 == 0 { 0.4 } else { 0.0 },
+                shape: *shape,
+            };
+            units.push(synth::generate(&config).source);
+        }
+        for shape in SHAPES {
+            for seed in 100..134 {
+                let config = SynthConfig {
+                    functions: 6,
+                    stmts_per_fn: 8,
+                    seed,
+                    bug_rate: 0.3,
+                    shape,
+                };
+                units.push(synth::generate(&config).source);
+            }
+        }
+        for (seed, text) in units.iter().enumerate() {
+            assert_numbering_moves_nothing(text, seed as u64);
+        }
     }
 
     /// Parse `text` declarations first, then every skipped body, and
@@ -1598,17 +1803,17 @@ void beta() {
         let limits = Limits::default();
         let elab = primed(&eng, "u.vlt", "", UNIT);
         let before = m.snapshot();
-        // Confined to `beta`'s body, but `q` is a new identifier: the
-        // fast path gives up on `beta` after `alpha` hit, and the full
-        // path answers. Only the full path's counts may land.
-        let edited = UNIT.replace("  p.x++;\n}\n", "  q.x++;\n}\n");
-        assert_eq!(edited.len(), UNIT.len());
+        // Confined to `beta`'s body, braces untouched, but it splits
+        // `beta` in two: the mini-parse of `beta` is clean yet yields
+        // two functions, and the full path answers. Only the full
+        // path's counts may land.
+        let edited = UNIT.replace("  p.x++;\n}\n", "}\nvoid q() {\n  int n = 1;\n}\n");
         let got = eng.check_unit("u.vlt", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         let snap = m.snapshot();
         let counted = (snap.fn_cache_hits + snap.fn_cache_misses)
             - (before.fn_cache_hits + before.fn_cache_misses);
-        assert_eq!(counted, 2, "one count per function");
+        assert_eq!(counted, 3, "one count per function");
         assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1, "alpha hit");
         assert!(!Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }

@@ -80,5 +80,5 @@ pub use mux::{MuxConfig, MuxServer};
 pub use persist::{StoreConfig, StoreHealth, VerdictStore};
 pub use pool::{SubmitError, ThreadPool, UnitIn};
 pub use proto::{Request, UnitReport};
-pub use server::{serve_connection, serve_stdio, SHUTDOWN_GRACE};
+pub use server::{serve_command, serve_connection, serve_stdio, SHUTDOWN_GRACE};
 pub use service::{CheckService, ServiceConfig, ServiceLimits};

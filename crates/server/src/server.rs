@@ -1,4 +1,5 @@
-//! Serving the wire protocol: request dispatch and the stdio front end.
+//! Serving the wire protocol: request dispatch, the stdio front end,
+//! and the start-up `vaultd` and `vaultc serve` share.
 //!
 //! Every transport speaks the same JSON-lines protocol (see
 //! [`crate::proto`]) against one shared [`CheckService`]: the blocking
@@ -7,12 +8,15 @@
 //! threads, so every transport answers byte-identically.
 
 use crate::json::{parse, Json};
-use crate::mux::{Framed, LineAssembler};
+use crate::mux::{Framed, LineAssembler, MuxConfig, MuxServer};
 use crate::pool::UnitIn;
 use crate::proto::{self, Request};
-use crate::service::CheckService;
+use crate::service::{CheckService, ServiceConfig};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Write};
+use std::process::ExitCode;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a shutting-down daemon waits for in-flight checks before
@@ -194,10 +198,110 @@ pub fn serve_stdio(svc: &CheckService) -> io::Result<()> {
     result.map(|_| svc.drain(SHUTDOWN_GRACE)).map(|_| ())
 }
 
+/// The `vaultd` and `vaultc serve` command: parse the serve flags, then
+/// serve one session over stdio, or serve `--socket` and/or `--listen`
+/// until a client sends `shutdown`. `jobs_flags` are the spellings of
+/// `--jobs` the command accepts. A usage error returns `usage()`, and
+/// every message starts with `program`. Exit codes: 0 after a clean
+/// shutdown or EOF, 1 on a serve error, 2 when an address cannot be
+/// bound.
+pub fn serve_command(
+    program: &str,
+    args: &[String],
+    jobs_flags: &[&str],
+    usage: fn() -> ExitCode,
+) -> ExitCode {
+    let Some(flags) = ServeFlags::parse(args, jobs_flags) else {
+        return usage();
+    };
+    let svc = Arc::new(CheckService::new(flags.config));
+    if flags.socket.is_none() && flags.listen.is_none() {
+        return match serve_stdio(&svc) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("{program}: stdio error: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
+    let pool = format!(
+        "{} worker(s), cache {}",
+        svc.workers(),
+        svc.cache_capacity()
+    );
+    let mut mux = MuxServer::new(Arc::clone(&svc), MuxConfig::default());
+    if let Some(path) = &flags.socket {
+        if let Err(e) = mux.bind_unix(path) {
+            eprintln!("{program}: cannot bind `{path}`: {e}");
+            return ExitCode::from(2);
+        }
+        eprintln!("{program}: listening on {path} ({pool})");
+    }
+    if let Some(addr) = &flags.listen {
+        match mux.bind_tcp(addr) {
+            Ok(local) => eprintln!("{program}: listening on tcp {local} ({pool})"),
+            Err(e) => {
+                eprintln!("{program}: cannot listen on `{addr}`: {e}");
+                return ExitCode::from(2);
+            }
+        }
+    }
+    match mux.run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{program}: serve error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// The serve flags: where to listen, and the service's tunables.
+struct ServeFlags {
+    socket: Option<String>,
+    listen: Option<String>,
+    config: ServiceConfig,
+}
+
+impl ServeFlags {
+    /// Parse `args`, every flag followed by its value; `None` on an
+    /// unknown flag, a missing value, or a count below 1.
+    fn parse(args: &[String], jobs_flags: &[&str]) -> Option<ServeFlags> {
+        let mut flags = ServeFlags {
+            socket: None,
+            listen: None,
+            config: ServiceConfig::default(),
+        };
+        let config = &mut flags.config;
+        let mut it = args.iter();
+        while let Some(flag) = it.next() {
+            let value = it.next()?;
+            match flag.as_str() {
+                "--socket" => flags.socket = Some(value.clone()),
+                "--listen" => flags.listen = Some(value.clone()),
+                f if jobs_flags.contains(&f) => config.jobs = positive(value)?,
+                "--cache" => config.cache_capacity = positive(value)?,
+                "--cache-dir" => config.cache_dir = Some(value.into()),
+                "--cache-max-bytes" => config.cache_max_bytes = Some(positive(value)?),
+                "--max-request-bytes" => config.limits.max_request_bytes = positive(value)?,
+                "--timeout-ms" => {
+                    config.limits.timeout = Some(Duration::from_millis(positive(value)?))
+                }
+                "--fuel" => config.limits.fixpoint_iters = positive(value)?,
+                _ => return None,
+            }
+        }
+        Some(flags)
+    }
+}
+
+/// `value` as a number of at least 1.
+fn positive<T: FromStr + PartialOrd + From<u8>>(value: &str) -> Option<T> {
+    value.parse().ok().filter(|n| *n >= T::from(1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
 
     fn svc() -> CheckService {
         CheckService::new(ServiceConfig {
@@ -360,5 +464,72 @@ mod tests {
         let r = &responses[0];
         assert_eq!(r.get("verdict").and_then(Json::as_str), Some("accepted"));
         assert!(r.get("c").and_then(Json::as_str).unwrap().contains("int f"));
+    }
+
+    fn args(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    fn usage() -> ExitCode {
+        ExitCode::from(2)
+    }
+
+    #[test]
+    fn serve_usage_errors_exit_2_before_serving() {
+        for bad in [
+            &["--bogus", "1"][..],
+            &["--executors", "2"],
+            &["--jobs", "0"],
+            &["--cache", "many"],
+            &["--socket"],
+            &["--fuel", "10", "--timeout-ms"],
+            &["-j", "2"],
+        ] {
+            assert!(
+                ServeFlags::parse(&args(bad), &["--jobs"]).is_none(),
+                "{bad:?}"
+            );
+            let code = serve_command("vaultd", &args(bad), &["--jobs"], usage);
+            assert_eq!(code, ExitCode::from(2), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn all_nine_serve_flags_reach_the_service_config() {
+        let given = args(&[
+            "--socket",
+            "/tmp/v.sock",
+            "--listen",
+            "127.0.0.1:0",
+            "--jobs",
+            "3",
+            "--cache",
+            "17",
+            "--cache-dir",
+            "store",
+            "--cache-max-bytes",
+            "4096",
+            "--max-request-bytes",
+            "512",
+            "--timeout-ms",
+            "250",
+            "--fuel",
+            "9",
+        ]);
+        let flags = ServeFlags::parse(&given, &["--jobs"]).expect("valid flags");
+        assert_eq!(flags.socket.as_deref(), Some("/tmp/v.sock"));
+        assert_eq!(flags.listen.as_deref(), Some("127.0.0.1:0"));
+        let c = flags.config;
+        assert_eq!((c.jobs, c.cache_capacity), (3, 17));
+        assert_eq!(c.cache_dir, Some("store".into()));
+        assert_eq!(c.cache_max_bytes, Some(4096));
+        assert_eq!(c.limits.max_request_bytes, 512);
+        assert_eq!(c.limits.timeout, Some(Duration::from_millis(250)));
+        assert_eq!(c.limits.fixpoint_iters, 9);
+        // `vaultc serve` also spells `--jobs` as `-j`.
+        let short = ServeFlags::parse(&args(&["-j", "5"]), &["--jobs", "-j"]).expect("-j");
+        assert_eq!(short.config.jobs, 5);
+        let none = ServeFlags::parse(&[], &["--jobs"]).expect("no flags");
+        assert!(none.socket.is_none() && none.listen.is_none());
     }
 }

@@ -15,12 +15,11 @@ use std::sync::Arc;
 ///
 /// Parser-built identifiers carry both the shared text (`name`, an
 /// [`IStr`] refcount into the unit's interner — no per-occurrence heap
-/// copy) and the interned [`Symbol`]. The tokens are renumbered into the
-/// frozen interner's string order before parsing, so the parser builds
-/// each identifier from its final symbol and nothing assigns `sym`
-/// afterwards. Synthesized identifiers (built outside a parse, e.g. in
-/// tests or lowering) carry [`Symbol::UNKNOWN`]; anything resolving them
-/// must go through the name, which is why equality ignores the symbol.
+/// copy) and the interned [`Symbol`], which the lexer numbered in
+/// first-seen order; nothing assigns `sym` afterwards. Synthesized
+/// identifiers (built outside a parse, e.g. in tests or lowering) carry
+/// [`Symbol::UNKNOWN`]; anything resolving them must go through the
+/// name, which is why equality ignores the symbol.
 #[derive(Clone, Debug, Eq)]
 pub struct Ident {
     /// The name as written.
@@ -72,7 +71,7 @@ impl fmt::Display for Ident {
 pub struct Program {
     /// Top-level declarations in source order.
     pub decls: Vec<Decl>,
-    /// The unit's interner, frozen into string order by the parser.
+    /// The unit's interner, in the lexer's first-seen order.
     /// Shared with elaboration and the checker; a program that was not
     /// parsed has an empty one and cannot be elaborated.
     pub syms: Arc<Interner>,

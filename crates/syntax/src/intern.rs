@@ -6,27 +6,34 @@
 //! handle into a per-unit [`Interner`], so comparisons are integer ops
 //! and map keys are `Copy`.
 //!
-//! Since the zero-copy front-end overhaul the interner also serves the
-//! lexer: identifiers are interned *at lex time* (one shared [`IStr`]
-//! per distinct name instead of one `String` per occurrence), so the
-//! interner must be growable while a unit is being lexed.
-//! [`Interner::freeze_sorted`] then re-numbers the symbols into string
-//! order, and the front end renumbers the tokens through the returned
-//! remap table before the parser reads them, so the AST is built with
-//! final symbols. After that the interner is frozen and shared (`Arc`)
-//! by the parser, elaboration and the checker.
+//! Since the zero-copy front end the interner also serves the lexer:
+//! identifiers are interned *at lex time* (one shared [`IStr`] per
+//! distinct name instead of one `String` per occurrence), in first-seen
+//! order, and that numbering is final. After the parse the interner is
+//! shared (`Arc`) by the parser, elaboration and the checker. A copy of
+//! it can still grow: the incremental engine lexes an edited
+//! declaration into a cached unit's interner, which is copied on the
+//! first name the unit lacked and numbers it past the end.
 //!
-//! ## Ordering discipline
+//! ## No output depends on symbol numbering
 //!
-//! The checker's diagnostics depend on `BTreeMap`/`BTreeSet` iteration
-//! order in several places (fresh-key numbering, join attribution), so
-//! symbol order **must** equal string order or output changes. A frozen
-//! interner guarantees `Symbol(a) < Symbol(b)` iff the interned strings
-//! satisfy `a < b`. Freezing never removes names, so the frozen set is
-//! a superset of the AST's identifiers (it also holds names that only
-//! occur in token soup the parser discarded); that is harmless because
-//! nothing depends on the *absolute* dense index of a symbol, only on
-//! the relative order.
+//! A unit's symbols are numbered in whatever order its names were first
+//! lexed, so the same name gets different numbers in different texts.
+//! Nothing a check reports or fingerprints may depend on that order:
+//! every iteration over a `Symbol`-keyed map whose order can reach a
+//! diagnostic, a fingerprint or generated C goes by name instead.
+//! These sites iterate by name:
+//!
+//! * the join (`vault_core::flow::merge`), which correlates keys and
+//!   lists problems and poisoned variables frame by frame;
+//! * a variant constructor's existential keys
+//!   (`vault_core::elaborate`), stored in the constructor table that
+//!   the unit's fingerprint hashes;
+//! * the aliases and qualifiers that `vault_core::interface::Interface`
+//!   hashes.
+//!
+//! Every other `Symbol`-keyed map is only looked up, or is copied into a
+//! map keyed by name before it is read in order.
 //!
 //! Names that were never interned (e.g. a reference to an undeclared
 //! variable) resolve to [`Symbol::UNKNOWN`]. That is sound for lookups
@@ -38,9 +45,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-/// An interned identifier: a dense `u32` whose ordering, once the
-/// interner is frozen, matches the string ordering of the underlying
-/// names (see module docs).
+/// An interned identifier: a dense `u32` in first-seen order. Its
+/// ordering says nothing about the names (see module docs).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
@@ -206,10 +212,9 @@ impl std::fmt::Debug for IStr {
     }
 }
 
-/// A per-unit string interner: growable while the lexer runs, then
-/// frozen into string order (see module docs for the ordering and
-/// immutability discipline).
-#[derive(Debug, Default)]
+/// A per-unit string interner, numbering names in first-seen order
+/// (see module docs).
+#[derive(Clone, Debug, Default)]
 pub struct Interner {
     names: Vec<Arc<str>>,
     map: HashMap<Arc<str>, u32, FnvBuildHasher>,
@@ -221,9 +226,7 @@ impl Interner {
         Interner::default()
     }
 
-    /// Intern `name`, growing the table if it is new. Symbols handed
-    /// out before [`Interner::freeze_sorted`] are in first-seen order
-    /// and must not be compared for order.
+    /// Intern `name`, numbering it past the end if it is new.
     pub fn intern(&mut self, name: &str) -> Symbol {
         if let Some(&id) = self.map.get(name) {
             return Symbol(id);
@@ -233,42 +236,6 @@ impl Interner {
         self.names.push(Arc::clone(&arc));
         self.map.insert(arc, id);
         Symbol(id)
-    }
-
-    /// Re-number every symbol into string order and return the remap
-    /// table: `remap[old.index()]` is the new symbol. After this call
-    /// the interner satisfies the ordering discipline and must not be
-    /// grown again.
-    pub fn freeze_sorted(&mut self) -> Vec<Symbol> {
-        let mut order: Vec<u32> = (0..self.names.len() as u32).collect();
-        order.sort_by(|&a, &b| self.names[a as usize].cmp(&self.names[b as usize]));
-        let mut remap = vec![Symbol::UNKNOWN; self.names.len()];
-        let mut names = Vec::with_capacity(self.names.len());
-        for (new, &old) in order.iter().enumerate() {
-            remap[old as usize] = Symbol(new as u32);
-            names.push(Arc::clone(&self.names[old as usize]));
-        }
-        for (name, id) in self.map.iter_mut() {
-            *id = remap[*id as usize].0;
-            debug_assert_eq!(&*names[*id as usize], &**name);
-        }
-        self.names = names;
-        remap
-    }
-
-    /// Build from names in **non-decreasing** string order, so that
-    /// symbol order equals string order. Duplicates are ignored.
-    pub fn from_sorted<'a, I: IntoIterator<Item = &'a str>>(names: I) -> Self {
-        let mut interner = Interner::default();
-        for name in names {
-            debug_assert!(
-                interner.names.last().is_none_or(|p| &**p <= name),
-                "interner input must be sorted: `{name}` after `{}`",
-                interner.names.last().map_or("", |p| p)
-            );
-            interner.intern(name);
-        }
-        interner
     }
 
     /// The symbol for `name`, or [`Symbol::UNKNOWN`] if it was never
@@ -314,18 +281,28 @@ impl Interner {
 mod tests {
     use super::*;
 
+    fn interner(names: &[&str]) -> Interner {
+        let mut i = Interner::new();
+        for name in names {
+            i.intern(name);
+        }
+        i
+    }
+
     #[test]
-    fn symbol_order_matches_string_order() {
-        let i = Interner::from_sorted(["<error>", "alpha", "beta", "gamma"]);
-        assert!(i.sym("<error>") < i.sym("alpha"));
-        assert!(i.sym("alpha") < i.sym("beta"));
-        assert!(i.sym("beta") < i.sym("gamma"));
-        assert!(i.sym("gamma") < Symbol::UNKNOWN);
+    fn symbols_are_numbered_in_first_seen_order() {
+        let mut i = Interner::new();
+        let zulu = i.intern("zulu");
+        let alpha = i.intern("alpha");
+        assert_eq!(i.intern("zulu"), zulu, "re-interning is stable");
+        assert_eq!((zulu.index(), alpha.index()), (0, 1));
+        assert!(i.names().eq(["zulu", "alpha"]));
+        assert!(alpha < Symbol::UNKNOWN);
     }
 
     #[test]
     fn unknown_names_resolve_to_sentinel() {
-        let i = Interner::from_sorted(["x"]);
+        let i = interner(&["x"]);
         assert_eq!(i.sym("y"), Symbol::UNKNOWN);
         assert_eq!(i.resolve(Symbol::UNKNOWN), "<unknown>");
         assert_eq!(i.resolve(i.sym("x")), "x");
@@ -333,34 +310,30 @@ mod tests {
 
     #[test]
     fn duplicates_are_collapsed() {
-        let i = Interner::from_sorted(["a", "a", "b"]);
+        let i = interner(&["b", "a", "b"]);
         assert_eq!(i.len(), 2);
-        assert_eq!(i.sym("a").index(), 0);
-        assert_eq!(i.sym("b").index(), 1);
+        assert_eq!(i.sym("b").index(), 0);
+        assert_eq!(i.sym("a").index(), 1);
     }
 
     #[test]
-    fn freeze_sorted_renumbers_into_string_order() {
-        let mut i = Interner::new();
-        let zulu = i.intern("zulu");
-        let alpha = i.intern("alpha");
-        let mike = i.intern("mike");
-        assert_eq!(i.intern("alpha"), alpha, "re-interning is stable");
-        let remap = i.freeze_sorted();
-        assert_eq!(remap[zulu.index()], i.sym("zulu"));
-        assert_eq!(remap[alpha.index()], i.sym("alpha"));
-        assert_eq!(remap[mike.index()], i.sym("mike"));
-        assert!(i.sym("alpha") < i.sym("mike"));
-        assert!(i.sym("mike") < i.sym("zulu"));
-        assert_eq!(i.resolve(i.sym("zulu")), "zulu");
-        assert_eq!(i.len(), 3);
+    fn a_copy_numbers_new_names_past_the_end() {
+        let base = interner(&["mike", "alpha"]);
+        let mut copy = base.clone();
+        let zulu = copy.intern("zulu");
+        assert_eq!(zulu.index(), 2);
+        assert_eq!(copy.sym("alpha"), base.sym("alpha"));
+        assert_eq!(
+            base.sym("zulu"),
+            Symbol::UNKNOWN,
+            "the original is untouched"
+        );
     }
 
     #[test]
     fn istr_round_trips_and_compares_with_str() {
         let mut i = Interner::new();
         let s = i.intern("hello");
-        i.freeze_sorted();
         let text = i.resolve_istr(s);
         assert_eq!(text, "hello");
         assert_eq!("hello", text);

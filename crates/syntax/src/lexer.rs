@@ -11,24 +11,25 @@
 //! (see [`lex_into`]).
 
 use crate::diag::{Code, DiagSink};
-use crate::intern::Interner;
+use crate::intern::{Interner, Symbol};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
+use std::sync::Arc;
 
 /// Lex `src` into tokens with a throwaway interner. Convenience for
 /// tests and token-shape probes; anything that later resolves the
 /// interned names must use [`lex_into`] and keep the interner.
 pub fn lex(src: &str, diags: &mut DiagSink) -> Vec<Token> {
-    let mut interner = Interner::new();
-    lex_into(src, diags, &mut interner)
+    lex_into(src, diags, &mut Arc::default())
 }
 
 /// Lex `src` into tokens, reporting lexical errors into `diags` and
-/// interning every identifier into `interner` in first-seen order. The
-/// parse entry points then freeze it ([`Interner::freeze_sorted`], the
-/// checker's ordering discipline) and renumber the tokens through the
-/// remap table before parsing.
-pub fn lex_into(src: &str, diags: &mut DiagSink, interner: &mut Interner) -> Vec<Token> {
+/// interning every identifier into `interner`: a name it already holds
+/// keeps its symbol, and a new one is numbered past its end. That
+/// first-seen numbering is final; the parser reads the tokens as they
+/// are. A shared `interner` is copied on its first new name
+/// ([`Arc::make_mut`]), so text that names nothing new copies nothing.
+pub fn lex_into(src: &str, diags: &mut DiagSink, interner: &mut Arc<Interner>) -> Vec<Token> {
     lex_range_into(src, Span::new(0, src.len() as u32), diags, interner)
 }
 
@@ -43,7 +44,7 @@ pub fn lex_range_into(
     src: &str,
     range: Span,
     diags: &mut DiagSink,
-    interner: &mut Interner,
+    interner: &mut Arc<Interner>,
 ) -> Vec<Token> {
     Lexer {
         src,
@@ -63,7 +64,7 @@ struct Lexer<'a, 'd> {
     bytes: &'a [u8],
     pos: usize,
     diags: &'d mut DiagSink,
-    interner: &'d mut Interner,
+    interner: &'d mut Arc<Interner>,
 }
 
 impl<'a, 'd> Lexer<'a, 'd> {
@@ -191,7 +192,7 @@ impl<'a, 'd> Lexer<'a, 'd> {
                 {
                     let istart = self.pos;
                     self.eat_ident_tail();
-                    Some(CtorIdent(self.interner.intern(&self.src[istart..self.pos])))
+                    Some(CtorIdent(self.intern(istart)))
                 } else {
                     self.diags.error(
                         Code::LexInvalidChar,
@@ -301,7 +302,16 @@ impl<'a, 'd> Lexer<'a, 'd> {
         self.bump();
         self.eat_ident_tail();
         let text = &self.src[start..self.pos];
-        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(self.interner.intern(text)))
+        TokenKind::keyword(text).unwrap_or_else(|| TokenKind::Ident(self.intern(start)))
+    }
+
+    /// The symbol of the identifier from `start` to here.
+    fn intern(&mut self, start: usize) -> Symbol {
+        let text = &self.src[start..self.pos];
+        match self.interner.sym(text) {
+            Symbol::UNKNOWN => Arc::make_mut(self.interner).intern(text),
+            sym => sym,
+        }
     }
 
     fn number(&mut self, start: usize) -> TokenKind {
@@ -414,9 +424,9 @@ mod tests {
 
     /// Lex error-free source, returning the kinds plus the interner so
     /// tests can look up expected identifier symbols by name.
-    fn kinds(src: &str) -> (Vec<TokenKind>, Interner) {
+    fn kinds(src: &str) -> (Vec<TokenKind>, Arc<Interner>) {
         let mut diags = DiagSink::new();
-        let mut interner = Interner::new();
+        let mut interner = Arc::default();
         let toks = lex_into(src, &mut diags, &mut interner);
         assert!(!diags.has_errors(), "unexpected lex errors: {:?}", diags);
         (toks.into_iter().map(|t| t.kind).collect(), interner)
@@ -594,8 +604,7 @@ mod tests {
             .map(|(i, b)| if i < 5 || b == b'\n' { b as char } else { ' ' })
             .collect();
         let (mut d1, mut d2) = (DiagSink::new(), DiagSink::new());
-        let mut i1 = Interner::new();
-        let ranged = lex_range_into(src, Span::new(0, 5), &mut d1, &mut i1);
+        let ranged = lex_range_into(src, Span::new(0, 5), &mut d1, &mut Arc::default());
         let whole = lex(&blanked, &mut d2);
         assert_eq!(ranged, whole);
         assert_eq!(d1.diagnostics(), d2.diagnostics());

@@ -33,9 +33,8 @@ pub fn parse_program(src: &str, diags: &mut DiagSink) -> Program {
 pub struct FrontEndTiming {
     /// Microseconds spent lexing (including identifier interning).
     pub lex_micros: u64,
-    /// Microseconds spent freezing the interner, renumbering the tokens
-    /// into string order, and parsing: the freeze is charged here, not
-    /// to lexing.
+    /// Microseconds spent parsing, including interning the resolver's
+    /// sentinel names.
     pub parse_micros: u64,
 }
 
@@ -78,37 +77,31 @@ fn parse_range_timed(
 ) -> (Program, FrontEndTiming) {
     let mut timing = FrontEndTiming::default();
     let started = std::time::Instant::now();
-    let mut lexed = Interner::new();
-    let mut tokens = lex_range_into(src, range, diags, &mut lexed);
+    let mut lexed = Arc::default();
+    let tokens = lex_range_into(src, range, diags, &mut lexed);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    let syms = freeze_tokens(&mut tokens, lexed);
-    let program = parse_tokens(&tokens, syms, diags, max_depth);
+    let program = parse_tokens(&tokens, with_sentinels(lexed), diags, max_depth);
     timing.parse_micros = started.elapsed().as_micros() as u64;
     (program, timing)
 }
 
-/// [`parse_range_with_depth`] in the symbol space of an existing frozen
+/// [`parse_range_with_depth`] in the symbol space of an existing
 /// interner `syms`, such as the one of an earlier parse of a text that
-/// holds `range`: each name the range lexes is looked up in `syms`, and
-/// the program shares it. `None`, before parsing, when `syms` lacks one
-/// of those names: a frozen interner cannot grow, since its symbols are
-/// numbered in string order.
+/// holds `range`: the range is lexed into `syms`, so a name it already
+/// holds keeps its symbol and a new name is numbered past its end, and
+/// the program shares it. A shared `syms` is copied on the range's
+/// first new name ([`Arc::make_mut`]), so an interner other parses hold
+/// never changes.
 pub fn parse_range_in(
     src: &str,
     range: Span,
-    syms: &Arc<Interner>,
+    syms: &mut Arc<Interner>,
     diags: &mut DiagSink,
     max_depth: usize,
-) -> Option<Program> {
-    let mut lexed = Interner::new();
-    let mut tokens = lex_range_into(src, range, diags, &mut lexed);
-    let remap: Vec<Symbol> = lexed.names().map(|name| syms.sym(name)).collect();
-    if remap.contains(&Symbol::UNKNOWN) {
-        return None;
-    }
-    number_tokens(&mut tokens, &remap);
-    Some(parse_tokens(&tokens, Arc::clone(syms), diags, max_depth))
+) -> Program {
+    let tokens = lex_range_into(src, range, diags, syms);
+    parse_tokens(&tokens, Arc::clone(syms), diags, max_depth)
 }
 
 /// Parse a whole unit from tokens numbered in `syms`.
@@ -127,9 +120,9 @@ fn parse_tokens(
 
 /// Parse a single expression (used by tests).
 pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
-    let mut lexed = Interner::new();
-    let mut tokens = lex_into(src, diags, &mut lexed);
-    let syms = freeze_tokens(&mut tokens, lexed);
+    let mut lexed = Arc::default();
+    let tokens = lex_into(src, diags, &mut lexed);
+    let syms = with_sentinels(lexed);
     let mut p = Parser::new(&tokens, diags, DEFAULT_PARSER_DEPTH, &syms);
     let e = p.expr()?;
     if !p.at(&TokenKind::Eof) {
@@ -138,34 +131,20 @@ pub fn parse_expr(src: &str, diags: &mut DiagSink) -> Option<Expr> {
     Some(e)
 }
 
-/// Add the resolver's sentinel names to a lexed unit's interner, freeze
-/// it into string order (the checker's ordering discipline), and number
-/// its tokens in the frozen interner.
-fn freeze_tokens(tokens: &mut [Token], mut lexed: Interner) -> Arc<Interner> {
-    lexed.intern("<error>");
-    lexed.intern("<fn>");
-    let remap = lexed.freeze_sorted();
-    number_tokens(tokens, &remap);
-    Arc::new(lexed)
-}
-
-/// Renumber every identifier token through `remap`, indexed by the
-/// symbol the lexer gave it. Every parse numbers its tokens here before
-/// a [`Parser`] sees them, so each [`Ident`] is built with its final
-/// symbol and nothing rewrites the AST afterwards.
-fn number_tokens(tokens: &mut [Token], remap: &[Symbol]) {
-    for t in tokens {
-        if let TokenKind::Ident(sym) | TokenKind::CtorIdent(sym) = &mut t.kind {
-            *sym = remap[sym.index()];
-        }
-    }
+/// A lexed unit's interner plus the resolver's sentinel names, ready to
+/// share: the lexer's first-seen numbering is final.
+fn with_sentinels(mut lexed: Arc<Interner>) -> Arc<Interner> {
+    let syms = Arc::make_mut(&mut lexed);
+    syms.intern("<error>");
+    syms.intern("<fn>");
+    lexed
 }
 
 /// A unit lexed once and parsed declarations first: every function
 /// body was skipped by brace matching over the tokens, and
 /// [`Self::parse_body`] parses one on demand from the same tokens.
 ///
-/// With every body parsed, the declarations, bodies, frozen interner
+/// With every body parsed, the declarations, bodies, interner
 /// and diagnostics equal [`parse_program_with_depth`]'s whenever neither
 /// the declaration pass nor any body parse reported anything: the
 /// parser reads the same tokens in the same state either way, since a
@@ -179,8 +158,8 @@ pub struct Outline {
 /// Lex `src` once and parse its declarations with every function body
 /// skipped. Each skipped body is a statement-less [`Block`] spanning its
 /// braces, to be replaced by [`Outline::parse_body`] before anything
-/// reads it. The program's interner is frozen and equals the eager
-/// parse's: the lexer interns every identifier of the text.
+/// reads it. The program's interner equals the eager parse's: the
+/// lexer interns every identifier of the text, in the same order.
 pub fn parse_outline(
     src: &str,
     diags: &mut DiagSink,
@@ -188,11 +167,11 @@ pub fn parse_outline(
 ) -> (Program, Outline, FrontEndTiming) {
     let mut timing = FrontEndTiming::default();
     let started = std::time::Instant::now();
-    let mut lexed = Interner::new();
-    let mut tokens = lex_into(src, diags, &mut lexed);
+    let mut lexed = Arc::default();
+    let tokens = lex_into(src, diags, &mut lexed);
     timing.lex_micros = started.elapsed().as_micros() as u64;
     let started = std::time::Instant::now();
-    let syms = freeze_tokens(&mut tokens, lexed);
+    let syms = with_sentinels(lexed);
     let max_depth = max_depth.max(1);
     let mut p = Parser::new(&tokens, diags, max_depth, &syms);
     p.skip_bodies = true;
@@ -238,9 +217,8 @@ struct Parser<'t, 'd> {
     max_depth: usize,
     /// Whether the bound was ever hit (reported once, post-parse).
     depth_exceeded: bool,
-    /// The frozen interner the tokens are numbered in (see
-    /// [`number_tokens`]), consulted here to turn token symbols back
-    /// into shared text.
+    /// The interner the lexer numbered the tokens in, consulted here to
+    /// turn token symbols back into shared text.
     interner: &'t Interner,
     /// Nesting depth of [`Self::ty_quiet`]. While positive, errors are
     /// counted in `suppressed` instead of being formatted and reported:
@@ -467,8 +445,7 @@ impl<'t, 'd> Parser<'t, 'd> {
                 // spelling "import" directly followed by a string
                 // literal can never start any other declaration, and
                 // keeping it out of the keyword table leaves every
-                // existing program's tokens (and frozen interner)
-                // untouched.
+                // existing program's tokens (and interner) untouched.
                 if let TokenKind::Ident(sym) = *self.peek() {
                     if self.interner.resolve(sym) == "import"
                         && matches!(self.nth(1), TokenKind::Str(_))
@@ -2106,7 +2083,7 @@ mod tests {
 
     /// Run `f` on a parser over `src` with a throwaway interner.
     fn with_parser<R>(src: &str, diags: &mut DiagSink, f: impl FnOnce(&mut Parser) -> R) -> R {
-        let mut interner = Interner::new();
+        let mut interner = Arc::default();
         let tokens = lex_into(src, diags, &mut interner);
         f(&mut Parser::new(
             &tokens,
