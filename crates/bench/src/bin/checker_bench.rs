@@ -701,7 +701,7 @@ fn cache_memory(name: &str, source: &str) -> Json {
     let limits = Limits::default();
     let check = |engine: &IncrementalEngine| {
         let m = Metrics::default();
-        heap_bytes(|| engine.check_unit(name, source, &limits, &m)).1
+        heap_bytes(|| engine.check_unit_with_prelude(name, "", source, &limits, &m)).1
     };
     // Warm every lazily initialized global first.
     check(&IncrementalEngine::new(1, 1));

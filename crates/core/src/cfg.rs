@@ -2,9 +2,9 @@
 //!
 //! The flow checker itself interprets the (reducible) AST structurally —
 //! which computes exactly the per-node held-key sets the paper describes —
-//! but an explicit CFG is useful for the CLI's `--dump-cfg` mode, for
-//! measuring program shape in the scaling benches, and as documentation of
-//! the analysis structure.
+//! so nothing in checking builds a CFG. The CLI does: `vaultc dump-cfg`
+//! prints each function's graph as dot, and `vaultc stats` reports the
+//! program's shape as block and edge counts.
 
 use vault_syntax::ast::{Block, Expr, FunDecl, Stmt, StmtKind};
 use vault_syntax::pretty;
@@ -70,47 +70,6 @@ impl Cfg {
         preds.iter().filter(|&&p| p > 1).count()
     }
 
-    /// Blocks in reverse post-order from the entry (block 0).
-    ///
-    /// This is the canonical iteration order for a forward-dataflow
-    /// worklist: every block appears before its successors except along
-    /// back edges, so a single sweep propagates facts as far as the
-    /// loop structure allows and only loop headers need re-queuing.
-    /// Blocks unreachable from the entry (the dead continuation blocks
-    /// minted after `return`) are excluded — the flow checker never
-    /// visits them either.
-    pub fn reverse_post_order(&self) -> Vec<BlockId> {
-        let n = self.blocks.len();
-        let mut visited = vec![false; n];
-        let mut post = Vec::with_capacity(n);
-        // Iterative DFS: (block, next successor index to explore).
-        let mut stack: Vec<(usize, usize)> = Vec::new();
-        if n > 0 {
-            visited[0] = true;
-            stack.push((0, 0));
-        }
-        while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if let Some(&(succ, _)) = self.blocks[b].succs.get(*i) {
-                *i += 1;
-                if !visited[succ.0] {
-                    visited[succ.0] = true;
-                    stack.push((succ.0, 0));
-                }
-            } else {
-                post.push(BlockId(b));
-                stack.pop();
-            }
-        }
-        post.reverse();
-        post
-    }
-
-    /// Make a worklist seeded with every reachable block, in
-    /// reverse-post-order priority. See [`Worklist`].
-    pub fn worklist(&self) -> Worklist {
-        Worklist::full(self)
-    }
-
     /// Render as Graphviz dot.
     pub fn to_dot(&self) -> String {
         use std::fmt::Write as _;
@@ -141,96 +100,6 @@ impl Cfg {
         }
         out.push_str("}\n");
         out
-    }
-}
-
-/// A deduplicating worklist that always yields the pending block that is
-/// earliest in reverse post-order.
-///
-/// Re-inserting a block that is already pending is a no-op, and popping
-/// in RPO priority means a forward analysis revisits loop headers before
-/// anything downstream of them — the sparse-fixpoint discipline: work is
-/// proportional to the number of blocks whose input state actually
-/// changed, not to `iterations × blocks`.
-#[derive(Clone, Debug)]
-pub struct Worklist {
-    /// RPO position per block id; `usize::MAX` for unreachable blocks.
-    pos: Vec<usize>,
-    /// Block id per RPO position (inverse of `pos`).
-    order: Vec<BlockId>,
-    /// `pending[p]` is true when the block at RPO position `p` is queued.
-    pending: Vec<bool>,
-    /// Lower bound on the first pending position (scan cursor).
-    cursor: usize,
-    /// Number of pending blocks.
-    len: usize,
-}
-
-impl Worklist {
-    /// An empty worklist over `cfg`'s reachable blocks.
-    pub fn new(cfg: &Cfg) -> Worklist {
-        let order = cfg.reverse_post_order();
-        let mut pos = vec![usize::MAX; cfg.blocks.len()];
-        for (p, b) in order.iter().enumerate() {
-            pos[b.0] = p;
-        }
-        let pending = vec![false; order.len()];
-        Worklist {
-            pos,
-            order,
-            pending,
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// A worklist seeded with every reachable block (one full sweep).
-    pub fn full(cfg: &Cfg) -> Worklist {
-        let mut w = Worklist::new(cfg);
-        for p in 0..w.pending.len() {
-            w.pending[p] = true;
-        }
-        w.len = w.pending.len();
-        w
-    }
-
-    /// Queue `b` for (re-)processing. Duplicate pushes and unreachable
-    /// blocks are ignored.
-    pub fn push(&mut self, b: BlockId) {
-        let Some(&p) = self.pos.get(b.0) else { return };
-        if p == usize::MAX || self.pending[p] {
-            return;
-        }
-        self.pending[p] = true;
-        self.len += 1;
-        if p < self.cursor {
-            self.cursor = p;
-        }
-    }
-
-    /// Remove and return the pending block earliest in reverse post-order.
-    pub fn pop(&mut self) -> Option<BlockId> {
-        while self.cursor < self.pending.len() {
-            if self.pending[self.cursor] {
-                self.pending[self.cursor] = false;
-                self.len -= 1;
-                let b = self.order[self.cursor];
-                self.cursor += 1;
-                return Some(b);
-            }
-            self.cursor += 1;
-        }
-        None
-    }
-
-    /// Number of blocks currently queued.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 }
 
@@ -408,71 +277,6 @@ mod tests {
             .filter(|(s, _)| *s == c.exit)
             .count();
         assert!(exit_preds >= 2, "dot: {}", c.to_dot());
-    }
-
-    #[test]
-    fn rpo_starts_at_entry_and_respects_forward_edges() {
-        let c = cfg_of("void f(bool b, int a) { if (b) { a = 1; } else { a = 2; } a = 3; }");
-        let rpo = c.reverse_post_order();
-        assert_eq!(rpo[0], BlockId(0), "entry first");
-        let pos: std::collections::BTreeMap<_, _> =
-            rpo.iter().enumerate().map(|(p, b)| (*b, p)).collect();
-        for (i, blk) in c.blocks.iter().enumerate() {
-            let Some(&pi) = pos.get(&BlockId(i)) else {
-                continue;
-            };
-            for (s, k) in &blk.succs {
-                if *k != EdgeKind::Back {
-                    assert!(
-                        pi < pos[s],
-                        "forward edge bb{} -> bb{} out of order in {:?}",
-                        i,
-                        s.0,
-                        rpo
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rpo_excludes_dead_continuation_blocks() {
-        let c = cfg_of("int f(bool b) { if (b) { return 1; } return 0; }");
-        let rpo = c.reverse_post_order();
-        assert!(rpo.len() < c.block_count(), "dot: {}", c.to_dot());
-        assert!(rpo.contains(&c.exit));
-    }
-
-    #[test]
-    fn worklist_pops_in_rpo_priority_and_dedups() {
-        let c = cfg_of("void f(bool b) { while (b) { b = false; } }");
-        let rpo = c.reverse_post_order();
-        let mut w = Worklist::new(&c);
-        assert!(w.is_empty());
-        // Push out of order, with a duplicate.
-        w.push(rpo[2]);
-        w.push(rpo[0]);
-        w.push(rpo[0]);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.pop(), Some(rpo[0]));
-        // Re-queuing an earlier block after popping past it still works
-        // (the loop-header revisit pattern).
-        w.push(rpo[1]);
-        assert_eq!(w.pop(), Some(rpo[1]));
-        assert_eq!(w.pop(), Some(rpo[2]));
-        assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn full_worklist_drains_every_reachable_block_once() {
-        let c = cfg_of("void f(bool b, int a) { while (b) { if (a > 0) { a = a - 1; } } }");
-        let rpo = c.reverse_post_order();
-        let mut w = c.worklist();
-        let mut seen = Vec::new();
-        while let Some(b) = w.pop() {
-            seen.push(b);
-        }
-        assert_eq!(seen, rpo);
     }
 
     #[test]

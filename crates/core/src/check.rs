@@ -1070,11 +1070,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     /// The loop-invariant fixpoint, iterated sparsely.
     ///
     /// The loop's CFG is `entry → head ⇄ body, head → exit` with one
-    /// back edge; [`crate::cfg::reverse_post_order`] visits the head
-    /// before the body, which is exactly the order the structural
-    /// re-check below performs, so the generic worklist discipline
-    /// ([`crate::cfg::Worklist`]) degenerates to "re-run the body while
-    /// the entry state still changes". What makes the iteration sparse
+    /// back edge. A forward worklist over it would visit the head before
+    /// the body, which is exactly the order the structural re-check
+    /// below performs, so the fixpoint is "re-run the body while the
+    /// entry state still changes". What makes the iteration sparse
     /// is convergence detection on the merge itself: a clean merge with
     /// nothing poisoned leaves the joined state literally identical to
     /// `cur` (the join only rewrites poisoned bindings), so the fixpoint

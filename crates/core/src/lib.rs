@@ -270,12 +270,6 @@ fn verdict_of(diagnostics: &[Diagnostic]) -> Verdict {
     }
 }
 
-/// Convenience: check and return only the verdict and error codes.
-pub fn quick_check(src: &str) -> (Verdict, Vec<Code>) {
-    let r = check_source("<input>", src);
-    (r.verdict(), r.error_codes())
-}
-
 /// A self-contained, thread-friendly summary of checking one unit.
 ///
 /// Unlike [`CheckResult`], this holds no AST or source map — only plain

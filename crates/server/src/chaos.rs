@@ -53,7 +53,7 @@ pub struct ChaosConfig {
     /// streams byte-identical.
     pub persist_fault_prob: f64,
     /// When set, only the named fault point (e.g. `"append.write"`,
-    /// `"compact.rename"`) may fire; every other point is inert. Lets
+    /// `"compact.unlink"`) may fire; every other point is inert. Lets
     /// a test crash the store at one exact place, deterministically.
     pub persist_fault_only: Option<&'static str>,
     /// Probability an accepted connection is dropped on the floor
@@ -164,9 +164,11 @@ pub enum PersistFault {
     ShortWrite,
 }
 
-/// Called at every verdict-store fault point (`append.write`,
-/// `append.sync`, `seal`, `compact.write`, `compact.sync`,
-/// `compact.rename`). Returns the fault to inject, if any. Draws from
+/// Called at every verdict-store fault point: `append.write` and
+/// `append.sync` in the one frame writer (so they fire for appends and
+/// for compaction's copies alike), `seal`, and `compact.unlink` between
+/// a compaction copy's fsync and the delete of its segment. Returns the
+/// fault to inject, if any. Draws from
 /// the shared seeded stream only when
 /// [`ChaosConfig::persist_fault_prob`] is nonzero.
 pub fn persist_fault(point: &str) -> Option<PersistFault> {

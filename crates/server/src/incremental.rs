@@ -718,27 +718,14 @@ impl IncrementalEngine {
         self.fns.install(key, (verdict, untimed(stats)));
     }
 
-    /// Check one unit, reusing whatever the caches already know.
-    ///
-    /// The result is byte-identical to
-    /// [`vault_core::check_summary_with_limits`] on the same inputs.
-    pub fn check_unit(
-        &self,
-        name: &str,
-        source: &str,
-        limits: &Limits,
-        metrics: &Metrics,
-    ) -> CheckSummary {
-        self.check(name, "", source, limits, metrics)
-    }
-
-    /// [`Self::check_unit`] against a dependency-signature prelude
-    /// (project mode). The checker runs over `prelude + source`, every
+    /// Check one unit, reusing whatever the caches already know,
+    /// against a dependency-signature prelude (project mode; empty
+    /// otherwise). The checker runs over `prelude + source`, every
     /// diagnostic is re-attributed to unit coordinates through
     /// [`Attribution`], and the base hash absorbs the prelude length, so
     /// a unit keeps its per-function cache across body edits even inside
     /// a project. The result is byte-identical to
-    /// [`vault_core::check_summary_with_prelude`].
+    /// [`vault_core::check_summary_with_prelude`] on the same inputs.
     pub fn check_unit_with_prelude(
         &self,
         name: &str,
@@ -951,7 +938,7 @@ void beta() {
     fn matches_monolithic_cold() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        let got = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         assert_eq!(got, reference("u.vlt", UNIT, &limits));
         assert_eq!(got.verdict, Verdict::Rejected); // beta dangles
     }
@@ -965,7 +952,7 @@ void beta() {
         // Same-length edit inside `alpha`'s body only.
         let edited = UNIT.replace("{x=1; y=2;}", "{x=7; y=2;}");
         assert_eq!(edited.len(), UNIT.len());
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         let snap = m.snapshot();
         assert_eq!(snap.fn_cache_hits, 1, "beta was untouched");
@@ -987,7 +974,7 @@ void beta() {
         // fingerprint every read set holds changes with it.
         let edited = UNIT.replace("struct point { int x;", "struct paint { int x;");
         assert_eq!(edited.len(), UNIT.len());
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         assert!(!Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
@@ -996,7 +983,7 @@ void beta() {
     /// must match the monolithic checker.
     fn counted(eng: &IncrementalEngine, m: &Metrics, text: &str) -> (u64, u64) {
         let before = m.snapshot();
-        let got = eng.check_unit("u.vlt", text, &Limits::default(), m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", text, &Limits::default(), m);
         assert_eq!(got, reference("u.vlt", text, &Limits::default()));
         let snap = m.snapshot();
         (
@@ -1008,7 +995,7 @@ void beta() {
     #[test]
     fn adding_a_function_rechecks_only_it_and_what_named_it() {
         let (eng, m) = engine();
-        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
+        eng.check_unit_with_prelude("u.vlt", "", UNIT, &Limits::default(), &m);
         // A new function no one calls: the others read nothing it
         // changed, so only it is checked.
         let added = format!("{UNIT}void gamma() {{ }}\n");
@@ -1030,10 +1017,10 @@ void beta() {
         // exact same source through the full path hits every function.
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         lock(&eng.envs).clear(); // simulate env eviction, keep fn cache
         let before = m.snapshot();
-        let got = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         assert_eq!(got, reference("u.vlt", UNIT, &limits));
         let snap = m.snapshot();
         assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 2);
@@ -1050,7 +1037,7 @@ void beta() {
         // unknown symbol.
         let edited = UNIT.replace("{ p.x++; } else", "{ qv.x++;} else");
         assert_eq!(edited.len(), UNIT.len());
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
     }
@@ -1124,7 +1111,7 @@ void first(zpt z, apt a) {
         primed(&eng, "u.vlt", "", UNIT);
         let edited = UNIT.replace("if (flag) { p.x++; }", "if (flag) { p.x+(; }");
         assert_eq!(edited.len(), UNIT.len());
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
     }
 
@@ -1135,7 +1122,7 @@ void first(zpt z, apt a) {
             deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(60)),
             ..Limits::default()
         };
-        let got = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         assert_eq!(got, reference("u.vlt", UNIT, &limits));
         assert_eq!(eng.entries(), (0, 0));
         assert_eq!(m.snapshot().fn_cache_hits, 0);
@@ -1213,6 +1200,44 @@ void first(zpt z, apt a) {
     }
 
     #[test]
+    fn preludes_of_two_lengths_declaring_the_same_things_match_the_reference() {
+        // Two preludes that declare the same interface, one longer by a
+        // comment. Every function key hashes the prelude length, so a
+        // verdict cached under one prelude is never probed under the
+        // other: the first check under each prelude misses every
+        // function, and a repeat under it hits every one.
+        let limits = Limits::default();
+        let short = "interface FS {\n  type FILE;\n  tracked(F) FILE fopen() [new F];\n  void fclose(tracked(F) FILE f) [-F];\n}\n";
+        let long = format!("// The file-system interface.\n\n{short}");
+        let unit = "void leak() {\n  tracked(F) FILE f = FS.fopen();\n}\nvoid tidy() {\n  tracked(F) FILE f = FS.fopen();\n  FS.fclose(f);\n}\n";
+        for (first, second) in [(short, long.as_str()), (long.as_str(), short)] {
+            let (eng, m) = engine();
+            for (prelude, counts) in [
+                (first, (0, 2)),
+                (second, (0, 2)),
+                (first, (2, 0)),
+                (second, (2, 0)),
+            ] {
+                let before = m.snapshot();
+                let got = eng.check_unit_with_prelude("app", prelude, unit, &limits, &m);
+                let want = check_summary_with_prelude("app", prelude, unit, &limits);
+                assert_eq!(got, want, "prelude of {} bytes", prelude.len());
+                assert_eq!(got.verdict, Verdict::Rejected, "leak drops F");
+                let snap = m.snapshot();
+                assert_eq!(
+                    (
+                        snap.fn_cache_hits - before.fn_cache_hits,
+                        snap.fn_cache_misses - before.fn_cache_misses
+                    ),
+                    counts,
+                    "prelude of {} bytes",
+                    prelude.len()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn clear_drops_both_caches() {
         let eng = IncrementalEngine::new(64, 1024);
         primed(&eng, "u.vlt", "", UNIT);
@@ -1241,8 +1266,8 @@ void first(zpt z, apt a) {
         let m = Metrics::default();
         eng.enable_dirty_tracking();
         let limits = Limits::default();
-        let cold = eng.check_unit("u.vlt", UNIT, &limits, &m);
-        eng.check_unit("v.vlt", UNIT, &limits, &m);
+        let cold = eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
+        eng.check_unit_with_prelude("v.vlt", "", UNIT, &limits, &m);
         let timed = CheckStats {
             lex_micros: 3,
             check_micros: 99,
@@ -1265,7 +1290,7 @@ void first(zpt z, apt a) {
         assert_eq!(timings(&seeded[0].1), [0; 5]);
 
         let before = m.snapshot();
-        let warm = eng.check_unit("u.vlt", UNIT, &limits, &m);
+        let warm = eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         let after = m.snapshot();
         assert_eq!(after.fn_cache_hits - before.fn_cache_hits, 2);
         assert_eq!(after.fn_cache_misses, before.fn_cache_misses);
@@ -1292,15 +1317,15 @@ void first(zpt z, apt a) {
         // Full path, two names, each twice so that the second check
         // stores its environment.
         for _ in 0..2 {
-            eng.check_unit("u.vlt", UNIT, &limits, &m);
-            eng.check_unit("v.vlt", UNIT, &limits, &m);
+            eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
+            eng.check_unit_with_prelude("v.vlt", "", UNIT, &limits, &m);
         }
         let elab = cached_elaboration(&eng, "u.vlt");
         cached_elaboration(&eng, "v.vlt");
         // Fast-path refresh: the same body-free environment is reused.
         let edited = UNIT.replace("{x=1; y=2;};", "{x=1; y=2;};\n  p.x = 4;");
         let before = m.snapshot();
-        eng.check_unit("u.vlt", &edited, &limits, &m);
+        eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(m.snapshot().fn_cache_hits - before.fn_cache_hits, 1);
         assert!(Arc::ptr_eq(&elab, &cached_elaboration(&eng, "u.vlt")));
         // Project mode: a unit checked against a prelude.
@@ -1759,7 +1784,7 @@ void join(bool c) {
             "  if (flag) { p.x++; }",
             "  p.y = p.y + 1;\n  if (flag) { p.x++; }",
         );
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         let snap = m.snapshot();
         assert_eq!(
@@ -1788,7 +1813,7 @@ void join(bool c) {
         let v3 = v2.replace("{x=1; y=2;};", "{x=1; y=2;};\n  p.x = 5;");
         for v in [&v1, &v2, &v3] {
             let before = m.snapshot();
-            let got = eng.check_unit("u.vlt", v, &limits, &m);
+            let got = eng.check_unit_with_prelude("u.vlt", "", v, &limits, &m);
             assert_eq!(got, reference("u.vlt", v, &limits));
             let snap = m.snapshot();
             assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1);
@@ -1808,7 +1833,7 @@ void join(bool c) {
         // two functions, and the full path answers. Only the full
         // path's counts may land.
         let edited = UNIT.replace("  p.x++;\n}\n", "}\nvoid q() {\n  int n = 1;\n}\n");
-        let got = eng.check_unit("u.vlt", &edited, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &edited, &limits, &m);
         assert_eq!(got, reference("u.vlt", &edited, &limits));
         let snap = m.snapshot();
         let counted = (snap.fn_cache_hits + snap.fn_cache_misses)
@@ -1831,7 +1856,7 @@ void join(bool c) {
             "  @@;\n  Region.delete(r);\n}\nvoid beta",
         );
         for v in [&broken, UNIT, &broken] {
-            let got = eng.check_unit("u.vlt", v, &limits, &m);
+            let got = eng.check_unit_with_prelude("u.vlt", "", v, &limits, &m);
             assert_eq!(got, reference("u.vlt", v, &limits));
         }
     }
@@ -1857,7 +1882,7 @@ void three(int b) { int y = b }
             ..Limits::default()
         };
         let (eng, m) = engine();
-        let got = eng.check_unit("l.vlt", BROKEN, &limits, &m);
+        let got = eng.check_unit_with_prelude("l.vlt", "", BROKEN, &limits, &m);
         assert_eq!(got, check_summary_with_limits("l.vlt", BROKEN, &limits));
         let snap = m.snapshot();
         assert_eq!((snap.fn_cache_hits, snap.fn_cache_misses), (0, 0));
@@ -1867,7 +1892,7 @@ void three(int b) { int y = b }
         // `alpha`'s declaration changed, so declarations first checks it;
         // then `beta`'s body fails to parse. The ghost of the first check
         // stays as it was, so the next clean check stores the environment.
-        eng.check_unit("u.vlt", UNIT, &Limits::default(), &m);
+        eng.check_unit_with_prelude("u.vlt", "", UNIT, &Limits::default(), &m);
         let edited = UNIT
             .replace("void alpha(bool flag) {", "void alpha(bool flag)  {")
             .replace("  p.x++;\n}\n", "  p.x++\n}\n");
@@ -1903,12 +1928,12 @@ void three(int b) { int y = b }
     fn full_path_reuses_functions_whose_text_is_unchanged() {
         let (eng, m) = engine();
         let limits = Limits::default();
-        eng.check_unit("u.vlt", UNIT, &limits, &m);
+        eng.check_unit_with_prelude("u.vlt", "", UNIT, &limits, &m);
         // A comment ahead of every declaration moves all of them but
         // changes no declaration: everything is reused.
         let moved = format!("// header\n{UNIT}");
         let before = m.snapshot();
-        let got = eng.check_unit("u.vlt", &moved, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &moved, &limits, &m);
         assert_eq!(got, reference("u.vlt", &moved, &limits));
         let snap = m.snapshot();
         assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 2);
@@ -1917,7 +1942,7 @@ void three(int b) { int y = b }
         // still reuses `alpha`.
         let brace = moved.replace("void beta() {", "void beta() {  ");
         let before = m.snapshot();
-        let got = eng.check_unit("u.vlt", &brace, &limits, &m);
+        let got = eng.check_unit_with_prelude("u.vlt", "", &brace, &limits, &m);
         assert_eq!(got, reference("u.vlt", &brace, &limits));
         let snap = m.snapshot();
         assert_eq!(snap.fn_cache_hits - before.fn_cache_hits, 1);
@@ -1970,7 +1995,7 @@ void four() { int z = 4; }
         };
         let edited = LOOPY.replace("int y = b;", "int y = b + b;");
         let (eng, m) = engine();
-        let check = |text: &str| eng.check_unit("l.vlt", text, &limits, &m);
+        let check = |text: &str| eng.check_unit_with_prelude("l.vlt", "", text, &limits, &m);
         // The first check leaves a ghost, so the environment is stored
         // by the second.
         check(LOOPY);
@@ -2025,7 +2050,7 @@ void three(int b) { int y = b }
         let entry = || lock(&eng.envs).get(fnv1a_64(b"l.vlt"));
         for (i, text) in texts.iter().enumerate() {
             let before = entry();
-            let got = eng.check_unit("l.vlt", text, &limits, &m);
+            let got = eng.check_unit_with_prelude("l.vlt", "", text, &limits, &m);
             assert_eq!(got, reference("l.vlt", text, &limits), "{text}");
             assert_eq!(got.verdict, Verdict::ResourceLimit);
             let after = entry();
@@ -2054,7 +2079,7 @@ void three(int b) { int y = b }
         let limits = Limits::default();
         for i in 0..100 {
             let name = format!("once-{i}.vlt");
-            let got = eng.check_unit(&name, UNIT, &limits, &m);
+            let got = eng.check_unit_with_prelude(&name, "", UNIT, &limits, &m);
             assert_eq!(got, reference(&name, UNIT, &limits));
         }
         assert_eq!(eng.entries().0, 0);
@@ -2085,11 +2110,11 @@ void three(int b) { int y = b }
         let limits = Limits::default();
         // `c` evicts `a`'s ghost, so the second `a` is a first sight.
         for name in ["a", "b", "c", "a"] {
-            eng.check_unit(name, UNIT, &limits, &m);
+            eng.check_unit_with_prelude(name, "", UNIT, &limits, &m);
         }
         assert_eq!(eng.entries().0, 0);
         assert!(lock(&eng.envs).get(fnv1a_64(b"a")).is_some(), "a ghost");
-        eng.check_unit("a", UNIT, &limits, &m);
+        eng.check_unit_with_prelude("a", "", UNIT, &limits, &m);
         assert_eq!(eng.entries().0, 1);
         cached_elaboration(&eng, "a");
     }

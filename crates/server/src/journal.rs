@@ -25,8 +25,9 @@
 //!   while it discards the queue, clears the engine (its dirty list with
 //!   it) and wipes the store. A verdict queued before the wipe was either
 //!   committed before it, and is wiped, or is discarded; none can be
-//!   committed after it. Compaction keeps the same promise through the
-//!   store's generation counter.
+//!   committed after it. Compaction keeps the same promise: the store's
+//!   wipe waits for an in-flight maintenance pass, so no copy it makes
+//!   lands after the wipe.
 //! * **Flush.** [`Journal::flush`] returns once every batch submitted
 //!   before the call is committed (or discarded by a wipe) and the
 //!   maintenance after it has run. Dropping the journal flushes and
@@ -293,10 +294,13 @@ mod tests {
     #[test]
     fn journal_commit_groups_every_queued_batch_into_one_append() {
         let (journal, dir) = manual("group");
-        journal
-            .shared
-            .engine
-            .check_unit("t.vlt", TWO_FNS, &Limits::default(), &Metrics::default());
+        journal.shared.engine.check_unit_with_prelude(
+            "t.vlt",
+            "",
+            TWO_FNS,
+            &Limits::default(),
+            &Metrics::default(),
+        );
         journal.submit(vec![pending(1), pending(2)]);
         journal.submit(vec![pending(3)]);
         journal.submit(Vec::new());
@@ -315,10 +319,13 @@ mod tests {
     #[test]
     fn journal_wipe_discards_queued_and_dirty_verdicts() {
         let (journal, dir) = manual("wipe");
-        journal
-            .shared
-            .engine
-            .check_unit("t.vlt", TWO_FNS, &Limits::default(), &Metrics::default());
+        journal.shared.engine.check_unit_with_prelude(
+            "t.vlt",
+            "",
+            TWO_FNS,
+            &Limits::default(),
+            &Metrics::default(),
+        );
         journal.submit(vec![pending(1)]);
         journal.wipe();
         // The writer's next commit finds nothing from before the wipe.

@@ -16,9 +16,9 @@
 //! or manifest beside them:
 //!
 //! * `seg-NNNNNN.vseg` — append-only segment files. The highest id is
-//!   the active tail; all lower ids are sealed (immutable except for
-//!   compaction and eviction). Every segment carries one header and a
-//!   run of CRC-framed payloads:
+//!   the active tail; all lower ids are sealed. A sealed segment is
+//!   never rewritten, only deleted (by compaction or eviction). Every
+//!   segment carries one header and a run of CRC-framed payloads:
 //!
 //!   ```text
 //!   [8-byte magic "VAULTCCH"][u32 LE format version]
@@ -30,8 +30,9 @@
 //!   fatal) and counted in `status` as `segments_quarantined`.
 //!
 //! Any other file in the directory (such as the single-file
-//! `verdicts.vcache` log of format version 1, or the live-frame index
-//! older builds kept) is ignored.
+//! `verdicts.vcache` log of format version 1, the live-frame index
+//! older builds kept, or a `seg-NNNNNN.vseg.tmp` their compaction could
+//! leave behind) is ignored.
 //!
 //! Every boot scans every frame of every segment, so every frame's CRC
 //! is checked on every boot, superseded frames included. Sealing a
@@ -49,15 +50,18 @@
 //!
 //! Appending a verdict for a fingerprint that already has one leaves
 //! the old frame on disk as dead bytes. [`VerdictStore::maintain`]
-//! (run by the journal writer after a commit) rewrites any sealed
-//! segment that is mostly dead into a temp file holding only its live
-//! frames, fsyncs, and atomically renames it into place — a crash at
-//! any point leaves either the old segment or the new one, never a
-//! blend. When `--cache-max-bytes` is set, maintenance then evicts
-//! whole segments oldest-first until the store fits; eviction only
-//! costs warmth, never answers. A concurrent `clear-cache` bumps a
-//! generation counter that makes an in-flight compaction abandon its
-//! rename instead of resurrecting wiped data.
+//! (run by the journal writer after a commit) compacts each sealed
+//! segment that holds dead bytes by copying its live frames forward
+//! into the tail, through the same frame writer appends use, fsyncing,
+//! and only then deleting the segment. A crash before that fsync leaves
+//! a torn tail, which boot truncates back to the old view; a crash
+//! after it leaves the segment beside its copies, which boot folds
+//! later-wins into the same verdicts, and the next pass deletes it.
+//! When `--cache-max-bytes` is set, maintenance then evicts whole
+//! segments oldest-first until the store fits; eviction only costs
+//! warmth, never answers. Maintenance and `clear-cache`'s wipe hold one
+//! lock, so a wipe waits for an in-flight pass and no copy lands after
+//! it.
 //!
 //! ## Integrity: cold fallback, never a wrong verdict
 //!
@@ -85,8 +89,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use vault_core::check::CheckStats;
 use vault_core::interface::ReadSet;
@@ -214,8 +218,8 @@ pub struct Loaded {
 pub struct StoreHealth {
     /// Tail segments sealed since boot.
     pub segments_sealed: u64,
-    /// Maintenance passes that committed at least one rewrite or
-    /// eviction.
+    /// Maintenance passes that compacted (copied forward and deleted)
+    /// at least one sealed segment.
     pub compactions_run: u64,
     /// Bytes of dead or evicted data reclaimed since boot.
     pub bytes_reclaimed: u64,
@@ -266,9 +270,6 @@ struct Inner {
     metas: BTreeMap<u32, SegMeta>,
     /// Fingerprint → newest frame holding its verdict.
     live: HashMap<RecKey, Loc>,
-    /// Bumped by `wipe`; an in-flight compaction that planned under an
-    /// older generation abandons its commit.
-    generation: u64,
     /// Set when a failed append could not be rolled back; the store
     /// refuses further appends until reopened (answers are unaffected).
     broken: bool,
@@ -280,8 +281,9 @@ pub struct VerdictStore {
     dir: PathBuf,
     cfg: StoreConfig,
     inner: Mutex<Inner>,
-    /// Single-flight latch for `maintain`.
-    compacting: AtomicBool,
+    /// Held through every `maintain` pass and every `wipe`: passes run
+    /// one at a time, and a wipe never overlaps a pass's copies.
+    maintenance: Mutex<()>,
     segments_sealed: AtomicU64,
     compactions_run: AtomicU64,
     bytes_reclaimed: AtomicU64,
@@ -334,17 +336,12 @@ impl VerdictStore {
         fs::create_dir_all(dir)?;
         let mut loaded = Loaded::default();
 
-        // Sweep temp files left by a crash mid-compaction: they were
-        // never renamed, so they hold no committed data.
         let mut seg_ids: Vec<u32> = Vec::new();
         let mut preexisting_bad = 0u64;
         for entry in fs::read_dir(dir)? {
-            let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy().into_owned();
-            if name.ends_with(".tmp") {
-                let _ = fs::remove_file(entry.path());
-            } else if name.ends_with(QUARANTINE_SUFFIX) {
+            let name = entry?.file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(QUARANTINE_SUFFIX) {
                 preexisting_bad += 1;
             } else if let Some(id) = parse_segment_id(&name) {
                 seg_ids.push(id);
@@ -450,10 +447,9 @@ impl VerdictStore {
                 tail_len,
                 metas,
                 live,
-                generation: 0,
                 broken: false,
             }),
-            compacting: AtomicBool::new(false),
+            maintenance: Mutex::new(()),
             segments_sealed: AtomicU64::new(0),
             compactions_run: AtomicU64::new(0),
             bytes_reclaimed: AtomicU64::new(0),
@@ -491,39 +487,49 @@ impl VerdictStore {
     /// Append a batch of records as CRC-framed payloads, then fsync
     /// once. Records that must never be persisted (non-deterministic
     /// verdicts, `V501`/`V502` diagnostics) are silently skipped.
-    /// Seals the tail first when the batch would overflow it. The fsync
-    /// runs after the store's lock is released, so [`Self::health`]
-    /// never waits for it.
     pub fn append(&self, records: &[Record]) -> io::Result<()> {
-        let mut frames: Vec<(RecKey, Vec<u8>)> = Vec::new();
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
         for record in records {
             let Some(payload) = encode_record(record) else {
                 continue;
             };
             let line = payload.to_line();
             let bytes = line.as_bytes();
-            let mut frame = Vec::with_capacity(8 + bytes.len());
-            frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-            frame.extend_from_slice(bytes);
-            frames.push((record.key(), frame));
+            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&crc32(bytes).to_le_bytes());
+            buf.extend_from_slice(bytes);
+            frames.push((record.key(), bytes.len() as u32));
         }
         if frames.is_empty() {
             return Ok(());
         }
-        let mut inner = lock(&self.inner);
+        self.write_frames(lock(&self.inner), &buf, &frames)?;
+        self.journal_commits.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The one path by which frames reach a segment after its header:
+    /// write `buf`, whole frames whose keys and payload lengths
+    /// `frames` lists in order, at the tail, sealing it first when they
+    /// would overflow it; point `live` at the new frames and count what
+    /// they supersede as dead. The fsync runs after the store's lock is
+    /// released, so [`Self::health`] never waits for it.
+    fn write_frames(
+        &self,
+        mut inner: MutexGuard<'_, Inner>,
+        buf: &[u8],
+        frames: &[(RecKey, u32)],
+    ) -> io::Result<()> {
         if inner.broken {
             return Err(other(
                 "verdict store offline after an unrecovered write error",
             ));
         }
-        let total: u64 = frames.iter().map(|(_, f)| f.len() as u64).sum();
-        if inner.tail_len > HEADER_LEN && inner.tail_len + total > self.cfg.segment_max_bytes {
+        if inner.tail_len > HEADER_LEN
+            && inner.tail_len + buf.len() as u64 > self.cfg.segment_max_bytes
+        {
             self.seal_tail(&mut inner)?;
-        }
-        let mut buf = Vec::with_capacity(total as usize);
-        for (_, f) in &frames {
-            buf.extend_from_slice(f);
         }
         let pre = inner.tail_len;
         match chaos_fault("append.write") {
@@ -542,14 +548,13 @@ impl VerdictStore {
             }
             None => {}
         }
-        if let Err(e) = inner.tail.write_all(&buf) {
+        if let Err(e) = inner.tail.write_all(buf) {
             // Roll the torn bytes back so the in-process store stays
             // usable; if even that fails, go offline (reopen recovers).
-            let pre_seek = pre;
             let rolled = inner
                 .tail
-                .set_len(pre_seek)
-                .and_then(|_| inner.tail.seek(SeekFrom::Start(pre_seek)).map(|_| ()));
+                .set_len(pre)
+                .and_then(|_| inner.tail.seek(SeekFrom::Start(pre)).map(|_| ()));
             if rolled.is_err() {
                 inner.broken = true;
             }
@@ -560,18 +565,18 @@ impl VerdictStore {
         // warmth at the next boot, never an answer).
         let mut off = pre;
         let tail_id = inner.tail_id;
-        for (key, frame) in &frames {
+        for &(key, len) in frames {
             let loc = Loc {
                 seg: tail_id,
                 off,
-                len: (frame.len() - 8) as u32,
+                len,
             };
-            if let Some(old) = inner.live.insert(*key, loc) {
+            if let Some(old) = inner.live.insert(key, loc) {
                 if let Some(meta) = inner.metas.get_mut(&old.seg) {
                     meta.dead_bytes += 8 + old.len as u64;
                 }
             }
-            off += frame.len() as u64;
+            off += 8 + len as u64;
         }
         inner.tail_len = off;
         if let Some(meta) = inner.metas.get_mut(&tail_id) {
@@ -582,9 +587,7 @@ impl VerdictStore {
         }
         let tail = inner.tail.try_clone()?;
         drop(inner);
-        tail.sync_data()?;
-        self.journal_commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        tail.sync_data()
     }
 
     /// Seal the current tail (fsync it) and start a fresh segment.
@@ -613,13 +616,21 @@ impl VerdictStore {
         Ok(())
     }
 
+    /// Delete segment `id` and forget any live frame it still holds.
+    /// Returns the bytes it held. Called with the lock held.
+    fn delete_segment(&self, inner: &mut Inner, id: u32) -> io::Result<u64> {
+        fs::remove_file(self.dir.join(segment_file_name(id)))?;
+        inner.live.retain(|_, l| l.seg != id);
+        Ok(inner.metas.remove(&id).map_or(0, |m| m.len))
+    }
+
     /// Discard every persisted verdict (`clear-cache` reaches the disk
-    /// through this): sealed segments are deleted, the tail is
-    /// truncated to a fresh header, and the generation bump makes any
-    /// in-flight compaction abandon its commit.
+    /// through this): sealed segments are deleted and the tail is
+    /// truncated to a fresh header. Waits for an in-flight maintenance
+    /// pass, so none of its copies can land after the wipe.
     pub fn wipe(&self) -> io::Result<()> {
+        let _pass = lock(&self.maintenance);
         let mut inner = lock(&self.inner);
-        inner.generation += 1;
         let sealed: Vec<u32> = inner
             .metas
             .keys()
@@ -663,196 +674,81 @@ impl VerdictStore {
             .any(|(&id, m)| id != inner.tail_id && m.dead_bytes > 0 && m.dead_bytes * 2 >= m.len)
     }
 
-    /// Run one maintenance pass: compact dead sealed segments, then
-    /// enforce the size bound. Single-flight — a pass that finds
-    /// another in progress returns immediately.
+    /// Run one maintenance pass: compact every sealed segment that
+    /// holds dead bytes, then enforce the size bound. A pass that finds
+    /// another in progress waits for it.
     pub fn maintain(&self) -> io::Result<()> {
-        if self.compacting.swap(true, Ordering::SeqCst) {
-            return Ok(());
-        }
-        let result = (|| {
-            let plan = self.compact_plan();
-            if !plan.segs.is_empty() {
-                let rewrite = self.compact_rewrite(plan)?;
-                self.compact_commit(rewrite)?;
-            }
-            self.enforce_bound()
-        })();
-        self.compacting.store(false, Ordering::SeqCst);
-        result
-    }
-
-    /// Phase 1 of compaction (public for crash-point tests): under the
-    /// lock, snapshot the generation and the live frames of every
-    /// sealed segment carrying dead bytes.
-    #[doc(hidden)]
-    pub fn compact_plan(&self) -> CompactPlan {
-        let inner = lock(&self.inner);
-        let mut segs = Vec::new();
-        for (&id, meta) in &inner.metas {
-            if id == inner.tail_id || meta.dead_bytes == 0 {
-                continue;
-            }
-            let mut frames: Vec<(RecKey, u64, u32)> = inner
-                .live
-                .iter()
-                .filter(|(_, l)| l.seg == id)
-                .map(|(k, l)| (*k, l.off, l.len))
-                .collect();
-            frames.sort_unstable_by_key(|&(_, off, _)| off);
-            segs.push(PlanSeg { id, frames });
-        }
-        CompactPlan {
-            generation: inner.generation,
-            segs,
-        }
-    }
-
-    /// Phase 2 (no lock held): copy each planned segment's live frames
-    /// into `seg-N.vseg.tmp`, CRC-verifying every frame on the way,
-    /// and fsync the temp file. A source segment that no longer checks
-    /// out is skipped, never propagated.
-    #[doc(hidden)]
-    pub fn compact_rewrite(&self, plan: CompactPlan) -> io::Result<CompactRewrite> {
-        let mut segs = Vec::new();
-        for ps in plan.segs {
-            if ps.frames.is_empty() {
-                // Nothing live: the commit phase just deletes the file.
-                segs.push(RewriteSeg {
-                    id: ps.id,
-                    frames: Vec::new(),
-                    new_len: HEADER_LEN,
-                });
-                continue;
-            }
-            let src = match fs::read(self.dir.join(segment_file_name(ps.id))) {
-                Ok(b) => b,
-                Err(_) => continue, // evicted or wiped meanwhile
-            };
-            let mut out = Vec::with_capacity(src.len());
-            out.extend_from_slice(MAGIC);
-            out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-            let mut frames = Vec::with_capacity(ps.frames.len());
-            let mut ok = true;
-            for (key, off, len) in ps.frames {
-                let start = off as usize;
-                let end = start + 8 + len as usize;
-                if end > src.len() {
-                    ok = false;
-                    break;
-                }
-                let frame = &src[start..end];
-                let stored_len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-                let stored_crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-                if stored_len != len || crc32(&frame[8..]) != stored_crc {
-                    ok = false;
-                    break;
-                }
-                frames.push((key, off, out.len() as u64, len));
-                out.extend_from_slice(frame);
-            }
-            if !ok {
-                continue; // the segment changed under us; leave it be
-            }
-            match chaos_fault("compact.write") {
-                Some(PersistFault::Error) => {
-                    return Err(other("chaos: injected compaction write error"));
-                }
-                Some(PersistFault::ShortWrite) => {
-                    let tmp = self.tmp_path(ps.id);
-                    let _ = fs::write(&tmp, &out[..out.len() / 2]);
-                    return Err(other("chaos: injected torn compaction write"));
-                }
-                None => {}
-            }
-            let tmp = self.tmp_path(ps.id);
-            let mut f = File::create(&tmp)?;
-            f.write_all(&out)?;
-            if chaos_fault("compact.sync").is_some() {
-                return Err(other("chaos: injected compaction fsync failure"));
-            }
-            f.sync_data()?;
-            segs.push(RewriteSeg {
-                id: ps.id,
-                frames,
-                new_len: out.len() as u64,
-            });
-        }
-        Ok(CompactRewrite {
-            generation: plan.generation,
-            segs,
-        })
-    }
-
-    /// Phase 3 (under the lock): atomically rename each temp file over
-    /// its segment and rewrite the live map to the new offsets — unless
-    /// a wipe bumped the generation meanwhile, in which case every temp
-    /// file is discarded and nothing is renamed. Returns whether the
-    /// commit happened.
-    #[doc(hidden)]
-    pub fn compact_commit(&self, rewrite: CompactRewrite) -> io::Result<bool> {
-        let mut inner = lock(&self.inner);
-        if inner.generation != rewrite.generation {
-            for seg in &rewrite.segs {
-                let _ = fs::remove_file(self.tmp_path(seg.id));
-            }
-            return Ok(false);
-        }
-        let mut reclaimed = 0u64;
-        let mut did_work = false;
-        for seg in rewrite.segs {
-            let path = self.dir.join(segment_file_name(seg.id));
-            let tmp = self.tmp_path(seg.id);
-            let Some(old_meta) = inner.metas.get(&seg.id).copied() else {
-                let _ = fs::remove_file(&tmp);
-                continue; // evicted meanwhile
-            };
-            if seg.id == inner.tail_id {
-                let _ = fs::remove_file(&tmp);
-                continue;
-            }
-            if seg.frames.is_empty() {
-                // No live frames at plan time, and sealed segments only
-                // ever lose liveness: delete the whole segment.
-                let _ = fs::remove_file(&tmp);
-                fs::remove_file(&path)?;
-                inner.metas.remove(&seg.id);
-                reclaimed += old_meta.len;
-                did_work = true;
-                continue;
-            }
-            if chaos_fault("compact.rename").is_some() {
-                let _ = fs::remove_file(&tmp);
-                return Err(other("chaos: injected rename failure"));
-            }
-            fs::rename(&tmp, &path)?;
-            let mut live_bytes = 0u64;
-            for (key, old_off, new_off, len) in seg.frames {
-                // A key superseded during the rewrite window now points
-                // at a newer frame elsewhere; its copy in the new file
-                // is dead bytes, accounted below.
-                if let Some(loc) = inner.live.get_mut(&key) {
-                    if loc.seg == seg.id && loc.off == old_off {
-                        loc.off = new_off;
-                        live_bytes += 8 + len as u64;
-                    }
+        let _pass = lock(&self.maintenance);
+        // Each victim's live frames, snapshotted under the lock.
+        let mut victims: BTreeMap<u32, Vec<(RecKey, Loc)>> = BTreeMap::new();
+        {
+            let inner = lock(&self.inner);
+            for (&id, meta) in &inner.metas {
+                if id != inner.tail_id && meta.dead_bytes > 0 {
+                    victims.insert(id, Vec::new());
                 }
             }
-            inner.metas.insert(
-                seg.id,
-                SegMeta {
-                    len: seg.new_len,
-                    dead_bytes: seg.new_len - HEADER_LEN - live_bytes,
-                },
-            );
-            reclaimed += old_meta.len.saturating_sub(seg.new_len);
-            did_work = true;
+            for (key, loc) in &inner.live {
+                if let Some(frames) = victims.get_mut(&loc.seg) {
+                    frames.push((*key, *loc));
+                }
+            }
         }
-        if did_work {
+        let mut compacted = false;
+        for (id, mut frames) in victims {
+            // File order, not `live`'s hash order: a seeded fault then
+            // tears the same copies on every run.
+            frames.sort_unstable_by_key(|(_, loc)| loc.off);
+            compacted |= self.compact_segment(id, &frames)?;
+        }
+        if compacted {
             self.compactions_run.fetch_add(1, Ordering::Relaxed);
-            self.bytes_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         }
-        Ok(did_work)
+        self.enforce_bound()
+    }
+
+    /// Copy sealed segment `id`'s live frames (`frames`, snapshotted in
+    /// file order) into the tail, then delete the segment once the
+    /// copies are durable. The read and the CRC checks run without the
+    /// store lock; a segment whose frames no longer check out is left
+    /// alone. Returns whether the segment was deleted.
+    fn compact_segment(&self, id: u32, frames: &[(RecKey, Loc)]) -> io::Result<bool> {
+        let mut copied = 0u64;
+        if !frames.is_empty() {
+            let Ok(src) = fs::read(self.dir.join(segment_file_name(id))) else {
+                return Ok(false);
+            };
+            let Some(bytes) = frames
+                .iter()
+                .map(|(_, loc)| frame_at(&src, loc))
+                .collect::<Option<Vec<&[u8]>>>()
+            else {
+                return Ok(false);
+            };
+            let inner = lock(&self.inner);
+            let mut buf = Vec::new();
+            let mut copies = Vec::new();
+            for ((key, loc), frame) in frames.iter().zip(bytes) {
+                // A frame superseded since the snapshot is dead already.
+                if inner.live.get(key) == Some(loc) {
+                    buf.extend_from_slice(frame);
+                    copies.push((*key, loc.len));
+                }
+            }
+            if !copies.is_empty() {
+                self.write_frames(inner, &buf, &copies)?;
+            }
+            copied = buf.len() as u64;
+        }
+        if chaos_fault("compact.unlink").is_some() {
+            return Err(other(
+                "chaos: injected crash before a compacted segment's delete",
+            ));
+        }
+        let freed = self.delete_segment(&mut lock(&self.inner), id)?;
+        self.bytes_reclaimed
+            .fetch_add(freed.saturating_sub(copied), Ordering::Relaxed);
+        Ok(true)
     }
 
     /// Enforce `--cache-max-bytes`: evict whole sealed segments oldest
@@ -871,12 +767,7 @@ impl VerdictStore {
             }
             let oldest = inner.metas.keys().copied().find(|&id| id != inner.tail_id);
             match oldest {
-                Some(id) => {
-                    fs::remove_file(self.dir.join(segment_file_name(id)))?;
-                    let meta = inner.metas.remove(&id).expect("present");
-                    inner.live.retain(|_, l| l.seg != id);
-                    evicted += meta.len;
-                }
+                Some(id) => evicted += self.delete_segment(&mut inner, id)?,
                 None => {
                     if inner.tail_len <= HEADER_LEN {
                         break; // an empty store that still exceeds the bound
@@ -890,10 +781,6 @@ impl VerdictStore {
         }
         Ok(())
     }
-
-    fn tmp_path(&self, id: u32) -> PathBuf {
-        self.dir.join(format!("{}.tmp", segment_file_name(id)))
-    }
 }
 
 impl SegMeta {
@@ -902,31 +789,14 @@ impl SegMeta {
     }
 }
 
-/// Compaction phase-1 output: see [`VerdictStore::compact_plan`].
-#[doc(hidden)]
-pub struct CompactPlan {
-    generation: u64,
-    segs: Vec<PlanSeg>,
-}
-
-struct PlanSeg {
-    id: u32,
-    /// Live frames in file order: (key, offset, payload len).
-    frames: Vec<(RecKey, u64, u32)>,
-}
-
-/// Compaction phase-2 output: see [`VerdictStore::compact_rewrite`].
-#[doc(hidden)]
-pub struct CompactRewrite {
-    generation: u64,
-    segs: Vec<RewriteSeg>,
-}
-
-struct RewriteSeg {
-    id: u32,
-    /// (key, old offset, new offset, payload len).
-    frames: Vec<(RecKey, u64, u64, u32)>,
-    new_len: u64,
+/// The whole frame `loc` names in segment image `seg`, if its length
+/// field and CRC still check out.
+fn frame_at<'a>(seg: &'a [u8], loc: &Loc) -> Option<&'a [u8]> {
+    let start = loc.off as usize;
+    let frame = seg.get(start..start + 8 + loc.len as usize)?;
+    let len = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+    (len == loc.len && crc32(&frame[8..]) == crc).then_some(frame)
 }
 
 /// Result of fully scanning one segment image.
@@ -1343,10 +1213,6 @@ mod tests {
         names
     }
 
-    fn no_tmp_files(dir: &Path) -> bool {
-        dir_listing(dir).iter().all(|name| !name.ends_with(".tmp"))
-    }
-
     fn unit_fps(loaded: &Loaded) -> Vec<u64> {
         loaded.units.iter().map(|(fp, _)| *fp).collect()
     }
@@ -1677,11 +1543,21 @@ mod tests {
         drop(store);
         let index = dir.join("index.vidx");
         std::fs::write(&index, b"VAULTIDX\x01\x00\x00\x00garbage").unwrap();
+        // Older builds compacted through `seg-N.vseg.tmp` files. A
+        // leftover one is never adopted, even when it holds a whole
+        // valid segment image.
+        let tmp = dir.join(format!("{}.tmp", segment_file_name(0)));
+        let other = tmp_dir("v1-leftover-tmp");
+        let (s, _) = open(&other);
+        s.append(&[unit(99, "z.vlt", Verdict::Rejected)]).unwrap();
+        std::fs::copy(s.tail_path(), &tmp).unwrap();
+        drop(s);
+        let _ = std::fs::remove_dir_all(&other);
         let (store, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
         assert_eq!((loaded.errors, loaded.quarantined), (0, 0));
         assert_eq!(unit_fps(&loaded), (1..=10).collect::<Vec<_>>());
         assert!(
-            index.exists() && v1.exists(),
+            index.exists() && v1.exists() && tmp.exists(),
             "unknown files are left alone"
         );
         drop(store);
@@ -1805,74 +1681,111 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn wipe_during_compaction_abandons_the_commit() {
-        let dir = tmp_dir("wipe-race");
-        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
-        append_units(&store, (1..=6).chain(1..=6));
-        // Interleave: plan + rewrite, then a clear-cache, then commit.
-        let plan = store.compact_plan();
-        let rewrite = store.compact_rewrite(plan).unwrap();
-        store.wipe().unwrap();
-        let committed = store.compact_commit(rewrite).unwrap();
-        assert!(!committed, "a wiped store must not resurrect old frames");
-        assert_eq!(store.health().live_frames, 0);
-        // No temp files were left behind, and reopen sees the wipe.
-        assert!(no_tmp_files(&dir));
+    /// Segments this size hold two unit frames each.
+    const PAIRS: StoreConfig = StoreConfig {
+        segment_max_bytes: 500,
+        max_bytes: None,
+    };
+
+    /// A store whose one compaction victim still holds a live frame:
+    /// units 1–6 accepted two to a segment, then unit 1 rejected in a
+    /// fresh tail, so segment 0 holds dead unit 1 and live unit 2.
+    /// Returns the store, reopened, with the view its boot replayed;
+    /// the caller runs the pass.
+    fn store_with_one_victim(dir: &Path) -> (VerdictStore, HashMap<u64, CheckSummary>) {
+        let (store, _) = VerdictStore::open(dir, PAIRS).unwrap();
+        append_units(&store, 1..=6);
+        store
+            .append(&[unit(1, "u.vlt", Verdict::Rejected)])
+            .unwrap();
         drop(store);
-        let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
-        assert!(
-            loaded.units.is_empty(),
-            "wipe wins over in-flight compaction"
-        );
+        let (store, loaded) = VerdictStore::open(dir, PAIRS).unwrap();
+        (store, live_units(&loaded))
+    }
+
+    /// One pass over [`store_with_one_victim`]: returns the victim's
+    /// path and bytes, the tail's path and its length before the copy.
+    fn compact_one_victim(store: &VerdictStore, dir: &Path) -> (PathBuf, Vec<u8>, PathBuf, u64) {
+        let victim = dir.join(segment_file_name(0));
+        let image = std::fs::read(&victim).unwrap();
+        let tail = store.tail_path();
+        let pre = std::fs::metadata(&tail).unwrap().len();
+        store.maintain().unwrap();
+        assert!(!victim.exists(), "the victim was deleted");
+        assert_eq!(store.tail_path(), tail, "the copy fit the tail");
+        let post = std::fs::metadata(&tail).unwrap().len();
+        assert!(post > pre, "the live frame was copied forward");
+        (victim, image, tail, pre)
+    }
+
+    #[test]
+    fn restart_between_copy_fsync_and_delete_keeps_the_newest_verdicts() {
+        let dir = tmp_dir("crash-pre-delete");
+        let (store, expected) = store_with_one_victim(&dir);
+        let (victim, image, _, _) = compact_one_victim(&store, &dir);
+        drop(store);
+        // Crash here: the copies are durable, the victim not yet gone.
+        std::fs::write(&victim, &image).unwrap();
+        let (store, recovered) = VerdictStore::open(&dir, PAIRS).unwrap();
+        assert_eq!(recovered.errors, 0, "victim and copies scan cleanly");
+        assert_eq!(live_units(&recovered), expected, "newest verdicts win");
+        assert_eq!(expected[&1].verdict, Verdict::Rejected);
+        // The victim is all dead now; the next pass deletes it.
+        assert!(store.needs_maintenance());
+        store.maintain().unwrap();
+        assert!(!victim.exists(), "the next pass deleted the victim");
+        drop(store);
+        let (_s, loaded) = VerdictStore::open(&dir, PAIRS).unwrap();
+        assert_eq!(loaded.errors, 0);
+        assert_eq!(live_units(&loaded), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn restart_between_temp_write_and_rename_keeps_the_old_view() {
-        let dir = tmp_dir("crash-pre-rename");
-        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
-        append_units(&store, (1..=6).chain(1..=6));
-        let expected = {
-            drop(store);
-            let (s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
-            let plan = s.compact_plan();
-            let _rewrite = s.compact_rewrite(plan).unwrap();
-            // Crash here: temp files written, nothing renamed.
-            drop(s);
-            live_units(&loaded)
-        };
-        let (_s, recovered) = VerdictStore::open(&dir, SMALL).unwrap();
+    fn restart_inside_a_torn_copy_keeps_the_old_view() {
+        let dir = tmp_dir("crash-torn-copy");
+        let (store, expected) = store_with_one_victim(&dir);
+        let (victim, image, tail, pre) = compact_one_victim(&store, &dir);
+        drop(store);
+        // Crash here: the copy is torn mid-frame and was never fsynced,
+        // so the victim was never deleted.
+        std::fs::write(&victim, &image).unwrap();
+        let f = OpenOptions::new().write(true).open(&tail).unwrap();
+        f.set_len(pre + 10).unwrap();
+        drop(f);
+        let (_s, recovered) = VerdictStore::open(&dir, PAIRS).unwrap();
+        assert_eq!(recovered.errors, 1, "the torn copy is cut away");
         assert_eq!(live_units(&recovered), expected, "old view, exactly");
-        assert_eq!(recovered.errors, 0);
-        // The orphaned temp files were swept.
-        assert!(no_tmp_files(&dir));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn restart_after_compaction_commit_keeps_the_new_view() {
-        let dir = tmp_dir("crash-post-commit");
-        let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
-        append_units(&store, (1..=6).chain(1..=6));
-        let expected = {
-            let plan = store.compact_plan();
-            let rewrite = store.compact_rewrite(plan).unwrap();
-            assert!(store.compact_commit(rewrite).unwrap());
-            // Crash here: segments renamed, nothing else written. The
-            // next boot must see the compacted segments and nothing else.
-            let h = store.health();
+    fn wipe_during_maintenance_never_resurrects_a_verdict() {
+        let dir = tmp_dir("wipe-race");
+        for round in 0..8 {
+            let (store, _) = VerdictStore::open(&dir, SMALL).unwrap();
+            append_units(&store, (1..=12).chain(1..=12));
+            assert!(store.needs_maintenance(), "round {round}");
+            let store = Arc::new(store);
+            let start = Arc::new(std::sync::Barrier::new(2));
+            let pass = {
+                let (store, start) = (Arc::clone(&store), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    store.maintain().unwrap();
+                })
+            };
+            start.wait();
+            store.wipe().unwrap();
+            pass.join().unwrap();
             drop(store);
-            h
-        };
-        let (s, recovered) = VerdictStore::open(&dir, SMALL).unwrap();
-        assert_eq!(recovered.errors, 0, "compacted segments scan cleanly");
-        let live = live_units(&recovered);
-        assert_eq!(live.len(), expected.live_frames as usize);
-        for fp in 1..=6 {
-            assert_eq!(live[&fp].verdict, Verdict::Accepted, "fp {fp}");
+            let (_s, loaded) = VerdictStore::open(&dir, SMALL).unwrap();
+            assert_eq!(loaded.errors, 0, "round {round}");
+            assert!(
+                loaded.units.is_empty(),
+                "round {round}: a verdict from before the wipe came back"
+            );
         }
-        drop(s);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -650,8 +650,8 @@ impl CheckService {
     /// unaffected). Verdicts queued for the journal are discarded and
     /// an in-flight commit finishes before the store is wiped, so no
     /// verdict checked before the wipe reappears after a restart; the
-    /// store's generation counter makes an in-flight compaction abandon
-    /// its commit for the same reason.
+    /// store's wipe waits for an in-flight maintenance pass for the
+    /// same reason.
     pub fn clear_cache(&self) {
         lock(&self.cache).clear();
         match &self.journal {

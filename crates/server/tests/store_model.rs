@@ -20,9 +20,10 @@
 //!    `vault_core::check_summary` computes from source.
 //! 3. `seeded_crash_schedules_recover_faithfully` (`--features chaos`):
 //!    ≥200 seeded schedules interleaving appends, supersedes, wipes,
-//!    maintenance, chaos persistence faults (short writes, fsync
-//!    failures, crash points inside compaction), direct file
-//!    mutilation, and reopens — after every recovery, `open` must
+//!    maintenance, chaos persistence faults (short writes and fsync
+//!    failures, compaction's copies included, and a crash between a
+//!    copy's fsync and its segment's delete), direct file mutilation,
+//!    and reopens — after every recovery, `open` must
 //!    succeed and replay only faithful records.
 
 use std::path::{Path, PathBuf};
@@ -190,7 +191,7 @@ fn assert_faithful(loaded: &Loaded, context: &str) {
 /// Damage the cache directory the way disks, crashes and downgrades do:
 /// truncate, flip bits, smash a segment header, leave a garbage
 /// `index.vidx` (an older build kept one), drop whole segments, leave
-/// stray temp files.
+/// a stray temp file (older builds' compaction could).
 fn mutilate(dir: &Path, rng: &mut Rng) {
     let segs: Vec<PathBuf> = std::fs::read_dir(dir)
         .map(|rd| {
@@ -255,8 +256,8 @@ fn mutilate(dir: &Path, rng: &mut Rng) {
             }
         }
         _ => {
-            // A crash mid-compaction leaves stray temp files; boot
-            // must sweep them, never adopt them.
+            // Older builds' compaction could leave stray temp files;
+            // boot must ignore them, never adopt them.
             let _ = std::fs::write(dir.join("seg-999999.vseg.tmp"), b"half-written garbage");
         }
     }
@@ -437,9 +438,10 @@ mod chaos_schedules {
                         .collect();
                     let _ = store.append(&records);
                 }
-                // Maintenance under fire: the compaction crash points
-                // (`compact.write`, `compact.sync`, `compact.rename`)
-                // and, when the bound forces one, `seal` fire in here.
+                // Maintenance under fire: compaction's copies go through
+                // the frame writer (`append.write`, `append.sync`, and
+                // `seal` when the tail fills), then `compact.unlink`
+                // may crash the pass before a copied segment's delete.
                 55..=69 => {
                     let _ = store.maintain();
                 }
@@ -481,6 +483,71 @@ mod chaos_schedules {
         );
         drop(store);
         let _ = reopen(&dir, cfg, &format!("seed {seed}: final boot"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `compact.unlink` fires after a compaction's copies are durable
+    /// and before its segment's delete: the pass fails, every verdict
+    /// survives in the copies and the segment both, boot folds them
+    /// cleanly, and the next pass deletes the segment.
+    #[test]
+    fn crash_before_a_compacted_segments_delete_keeps_every_verdict() {
+        let _guard = exclusive();
+        let dir = tmp_dir("chaos-unlink");
+        let cfg = StoreConfig {
+            segment_max_bytes: SEGMENT_MAX,
+            max_bytes: None,
+        };
+        let store = reopen(&dir, cfg, "first boot");
+        for fp in 0..24 {
+            store.append(&[unit_record(fp)]).unwrap();
+        }
+        // Supersede every other verdict: each sealed segment keeps
+        // live frames beside dead ones.
+        for fp in (0..24).step_by(2) {
+            store.append(&[unit_record(fp)]).unwrap();
+        }
+        let segments = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        let before = segments();
+        chaos::arm(ChaosConfig {
+            seed: 7,
+            persist_fault_prob: 1.0,
+            persist_fault_only: Some("compact.unlink"),
+            ..Default::default()
+        });
+        let crashed = store.maintain();
+        chaos::disarm();
+        assert!(crashed.is_err(), "the fault point fired");
+        assert!(
+            segments().starts_with(&before[..1]),
+            "the first victim outlived its copies"
+        );
+        drop(store);
+
+        let (store, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        assert_faithful(&loaded, "after the crash");
+        assert_eq!(loaded.errors, 0, "victim and copies scan cleanly");
+        let live: std::collections::BTreeSet<u64> =
+            loaded.units.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(live, (0..24).collect(), "every verdict survives");
+        store.maintain().unwrap();
+        assert!(
+            !segments().contains(&before[0]),
+            "the next pass deleted the victim"
+        );
+        drop(store);
+        let (_store, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        assert_faithful(&loaded, "after the next pass");
+        let live: std::collections::BTreeSet<u64> =
+            loaded.units.iter().map(|(fp, _)| *fp).collect();
+        assert_eq!(live, (0..24).collect());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
