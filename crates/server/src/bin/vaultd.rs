@@ -25,9 +25,9 @@
 //! (a corrupt or version-mismatched segment falls back to a cold start
 //! for the affected frames and shows up as `cache_load_errors` /
 //! `segments_quarantined` in `status`). `--cache-max-bytes` bounds that
-//! directory's size: the store compacts superseded frames first and then
-//! evicts whole oldest segments until it fits — evictions only cost
-//! warmth, never answers.
+//! directory's size: the store evicts whole oldest segments while it
+//! would not fit even with its superseded frames compacted away, then
+//! compacts the rest — evictions only cost warmth, never answers.
 //!
 //! `--max-request-bytes` caps how large one request line may grow,
 //! `--timeout-ms` gives every compilation unit a checking deadline, and

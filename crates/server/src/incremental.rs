@@ -726,37 +726,11 @@ impl IncrementalEngine {
     /// a unit keeps its per-function cache across body edits even inside
     /// a project. The result is byte-identical to
     /// [`vault_core::check_summary_with_prelude`] on the same inputs.
+    ///
+    /// The fast path runs when it applies, else the full path; the
+    /// reference checker answers a text that does not parse, and any
+    /// check under a deadline.
     pub fn check_unit_with_prelude(
-        &self,
-        name: &str,
-        prelude: &str,
-        source: &str,
-        limits: &Limits,
-        metrics: &Metrics,
-    ) -> CheckSummary {
-        self.check(name, prelude, source, limits, metrics)
-    }
-
-    /// Live entry counts `(environments, function verdicts)`. Ghosts
-    /// are not environments and are not counted.
-    pub fn entries(&self) -> (usize, usize) {
-        let envs = lock(&self.envs).values().flatten().count();
-        (envs, lock(&self.fns.lru).weight())
-    }
-
-    /// Drop every cached environment and function verdict, plus any
-    /// verdicts queued for persistence (the caller is about to wipe the
-    /// disk log too — journaling them afterwards would resurrect them).
-    pub fn clear(&self) {
-        lock(&self.envs).clear();
-        lock(&self.fns.lru).clear();
-        lock(&self.fns.dirty).clear();
-    }
-
-    /// Every entry point: the fast path when it applies, else the full
-    /// path, and the reference checker for a text that does not parse
-    /// or a deadline.
-    fn check(
         &self,
         name: &str,
         prelude: &str,
@@ -774,6 +748,22 @@ impl IncrementalEngine {
             None => self.full_check(name, &attr, limits, metrics),
         };
         answer.unwrap_or_else(|Unparsed| check_summary_with_prelude(name, prelude, source, limits))
+    }
+
+    /// Live entry counts `(environments, function verdicts)`. Ghosts
+    /// are not environments and are not counted.
+    pub fn entries(&self) -> (usize, usize) {
+        let envs = lock(&self.envs).values().flatten().count();
+        (envs, lock(&self.fns.lru).weight())
+    }
+
+    /// Drop every cached environment and function verdict, plus any
+    /// verdicts queued for persistence (the caller is about to wipe the
+    /// disk log too — journaling them afterwards would resurrect them).
+    pub fn clear(&self) {
+        lock(&self.envs).clear();
+        lock(&self.fns.lru).clear();
+        lock(&self.fns.dirty).clear();
     }
 
     /// Edit-region path: reuse the cached elaboration; a function whose

@@ -57,8 +57,11 @@
 //! a torn tail, which boot truncates back to the old view; a crash
 //! after it leaves the segment beside its copies, which boot folds
 //! later-wins into the same verdicts, and the next pass deletes it.
-//! When `--cache-max-bytes` is set, maintenance then evicts whole
-//! segments oldest-first until the store fits; eviction only costs
+//! When `--cache-max-bytes` is set, a pass first evicts whole sealed
+//! segments oldest-first while the store would not fit even once
+//! compacted, so no frame is copied out of a segment the same pass
+//! evicts, and nothing is evicted while the live frames fit; after the
+//! copies it evicts again until the store fits. Eviction only costs
 //! warmth, never answers. Maintenance and `clear-cache`'s wipe hold one
 //! lock, so a wipe waits for an in-flight pass and no copy lands after
 //! it.
@@ -150,9 +153,9 @@ pub struct StoreConfig {
     /// Seal the active tail and start a new segment once it reaches
     /// this many bytes.
     pub segment_max_bytes: u64,
-    /// Total on-disk bound (`--cache-max-bytes`); maintenance compacts
-    /// and then evicts oldest-first until the store fits. `None` means
-    /// unbounded.
+    /// Total on-disk bound (`--cache-max-bytes`); maintenance evicts
+    /// oldest-first and compacts the rest until the store fits. `None`
+    /// means unbounded.
     pub max_bytes: Option<u64>,
 }
 
@@ -674,15 +677,20 @@ impl VerdictStore {
             .any(|(&id, m)| id != inner.tail_id && m.dead_bytes > 0 && m.dead_bytes * 2 >= m.len)
     }
 
-    /// Run one maintenance pass: compact every sealed segment that
-    /// holds dead bytes, then enforce the size bound. A pass that finds
-    /// another in progress waits for it.
+    /// Run one maintenance pass: evict what the size bound cannot keep
+    /// even once compacted, compact every remaining sealed segment that
+    /// holds dead bytes, then enforce the bound on what is left. A pass
+    /// that finds another in progress waits for it.
     pub fn maintain(&self) -> io::Result<()> {
         let _pass = lock(&self.maintenance);
         // Each victim's live frames, snapshotted under the lock.
         let mut victims: BTreeMap<u32, Vec<(RecKey, Loc)>> = BTreeMap::new();
         {
-            let inner = lock(&self.inner);
+            let mut inner = lock(&self.inner);
+            // Evict first, counting every victim at its live bytes: no
+            // frame is copied out of a segment this pass evicts, and
+            // nothing is evicted while the live frames fit.
+            self.enforce_bound(&mut inner, true)?;
             for (&id, meta) in &inner.metas {
                 if id != inner.tail_id && meta.dead_bytes > 0 {
                     victims.insert(id, Vec::new());
@@ -704,7 +712,7 @@ impl VerdictStore {
         if compacted {
             self.compactions_run.fetch_add(1, Ordering::Relaxed);
         }
-        self.enforce_bound()
+        self.enforce_bound(&mut lock(&self.inner), false)
     }
 
     /// Copy sealed segment `id`'s live frames (`frames`, snapshotted in
@@ -753,26 +761,38 @@ impl VerdictStore {
 
     /// Enforce `--cache-max-bytes`: evict whole sealed segments oldest
     /// first until the store fits; if only the tail remains and still
-    /// overflows, seal it and evict that. Eviction costs warmth only.
-    fn enforce_bound(&self) -> io::Result<()> {
+    /// overflows, seal it and evict that. With `as_compacted`, a sealed
+    /// segment holding dead bytes counts only its live frames, the
+    /// bytes compaction would copy. Eviction costs warmth only. Called
+    /// with the lock held.
+    fn enforce_bound(&self, inner: &mut Inner, as_compacted: bool) -> io::Result<()> {
         let Some(max) = self.cfg.max_bytes else {
             return Ok(());
         };
-        let mut inner = lock(&self.inner);
         let mut evicted = 0u64;
         loop {
-            let total: u64 = inner.metas.values().map(|m| m.len).sum();
+            let tail_id = inner.tail_id;
+            let total: u64 = inner
+                .metas
+                .iter()
+                .map(|(&id, m)| {
+                    if as_compacted && id != tail_id && m.dead_bytes > 0 {
+                        m.len.saturating_sub(HEADER_LEN + m.dead_bytes)
+                    } else {
+                        m.len
+                    }
+                })
+                .sum();
             if total <= max {
                 break;
             }
-            let oldest = inner.metas.keys().copied().find(|&id| id != inner.tail_id);
-            match oldest {
-                Some(id) => evicted += self.delete_segment(&mut inner, id)?,
+            match inner.metas.keys().copied().find(|&id| id != tail_id) {
+                Some(id) => evicted += self.delete_segment(inner, id)?,
                 None => {
                     if inner.tail_len <= HEADER_LEN {
                         break; // an empty store that still exceeds the bound
                     }
-                    self.seal_tail(&mut inner)?;
+                    self.seal_tail(inner)?;
                 }
             }
         }
@@ -1815,6 +1835,47 @@ mod tests {
         let live = live_units(&loaded);
         assert!(live.contains_key(&40), "the newest verdict must survive");
         assert!(!live.contains_key(&1), "the oldest segment was evicted");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bounded_pass_evicts_the_oldest_segment_without_copying_it() {
+        let dir = tmp_dir("evict-first");
+        // Segment 0 holds dead unit 1 and live unit 2.
+        let (store, _) = store_with_one_victim(&dir);
+        let total = store.health().disk_bytes;
+        drop(store);
+        let victim = dir.join(segment_file_name(0));
+        let victim_len = std::fs::metadata(&victim).unwrap().len();
+        // Room for everything but segment 0, whose live frame alone
+        // keeps the store's live bytes over the bound.
+        let cfg = StoreConfig {
+            max_bytes: Some(total - victim_len),
+            ..PAIRS
+        };
+        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
+        assert!(store.needs_maintenance());
+        let tail = store.tail_path();
+        let pre = std::fs::metadata(&tail).unwrap().len();
+        store.maintain().unwrap();
+        assert!(!victim.exists(), "the oldest segment was evicted");
+        assert_eq!(store.tail_path(), tail);
+        assert_eq!(
+            std::fs::metadata(&tail).unwrap().len(),
+            pre,
+            "none of its frames were copied into the tail"
+        );
+        let health = store.health();
+        assert_eq!((health.compactions_run, health.live_frames), (0, 5));
+        assert_eq!(health.disk_bytes, total - victim_len);
+        drop(store);
+        let (_s, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        assert_eq!(loaded.errors, 0);
+        let live = live_units(&loaded);
+        let mut fps: Vec<u64> = live.keys().copied().collect();
+        fps.sort_unstable();
+        assert_eq!(fps, [1, 3, 4, 5, 6]);
+        assert_eq!(live[&1].verdict, Verdict::Rejected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,6 +7,15 @@
 //! multiplexer runs every request on one of the pool's own threads, so
 //! all clients see one cache and one set of counters.
 //!
+//! Per content key the service keeps one fact, in one table under one
+//! lock: the verdict is known, or a check computing it is in flight. A
+//! request sorts its units in one locked pass into hits, joins of a
+//! flight (another request's, or an earlier unit's of this request) and
+//! new flights it leads; waits once for every flight it leads or
+//! joined; and stores its fresh verdicts and retires its flights in one
+//! closing critical section, so a late arrival for the same key either
+//! joins the flight or finds the verdict.
+//!
 //! The calling thread checks a request's last miss itself (caller-runs)
 //! and queues the others; while it waits for them, or for another
 //! request's in-flight unit, it runs queued checks instead of sleeping
@@ -24,14 +33,14 @@ use crate::metrics::{Metrics, StatusSnapshot};
 use crate::persist::{StoreConfig, StoreHealth, VerdictStore};
 use crate::pool::{lock_unpoisoned as lock, panic_payload, ThreadPool, UnitIn};
 use crate::proto::UnitReport;
-use crate::singleflight::{Claim, InFlight, LeaderGuard, SingleFlight};
+use crate::singleflight::{shareable, InFlight, LeaderGuard};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use vault_core::{check_source_with_limits, CheckSummary, Limits, Verdict};
-use vault_project::{ProjectPlan, ProjectUnit};
+use vault_project::{ProjectPlan, ProjectUnit, UnitPlan};
 
 /// Resource bounds on what one request may cost the daemon.
 ///
@@ -90,8 +99,8 @@ pub struct ServiceConfig {
     /// `None` keeps all memoization in memory, as before.
     pub cache_dir: Option<std::path::PathBuf>,
     /// Total on-disk bound for the verdict store (`--cache-max-bytes`).
-    /// Background maintenance compacts and then evicts oldest segments
-    /// first until the store fits. `None` leaves it unbounded.
+    /// Background maintenance evicts oldest segments first and compacts
+    /// the rest until the store fits. `None` leaves it unbounded.
     pub cache_max_bytes: Option<u64>,
 }
 
@@ -109,15 +118,30 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Whether a verdict is deterministic enough to hand to concurrent
-/// waiters (the same rule the verdict cache applies: a deadline overrun
-/// or contained panic is transient and must not fan out).
-fn shareable(summary: &CheckSummary) -> bool {
-    matches!(summary.verdict, Verdict::Accepted | Verdict::Rejected)
+/// The unit table: per fingerprint, the finished verdict or the cell
+/// of the check computing it. One lock guards both, so a request that
+/// misses the verdict either finds the flight or starts one, and a
+/// flight retires in the same critical section that stores its verdict.
+/// The lock recovers from poisoning: the table holds no invariant a
+/// panicking thread could break halfway (worst case a verdict is
+/// missing and gets re-checked).
+struct Units {
+    done: LruCache<Arc<CheckSummary>>,
+    flying: HashMap<u64, Arc<InFlight>>,
 }
 
-/// The whole-unit verdict cache type: fingerprints to shared summaries.
-type UnitCache = LruCache<Arc<CheckSummary>>;
+/// What one slot of a request does with its fingerprint.
+enum Role<'a> {
+    /// The finished verdict was in the table.
+    Hit(Arc<CheckSummary>),
+    /// A cyclic project unit: its `V601` summary is assembled on the
+    /// calling thread, too cheap to be worth deduplicating.
+    Cyclic(&'a UnitPlan),
+    /// This slot added the flight and runs the check.
+    Lead(Arc<InFlight>),
+    /// Another request, or an earlier slot of this one, runs the check.
+    Join(Arc<InFlight>),
+}
 
 /// How many per-function verdicts to keep per whole-unit cache slot.
 /// Function entries are small (declaration-relative diagnostics plus
@@ -129,10 +153,8 @@ pub struct CheckService {
     /// Shared (`Arc`) because leaders wake the threads waiting on their
     /// units through it.
     pool: Arc<ThreadPool>,
-    /// Its lock recovers from poisoning: the cache holds no invariant a
-    /// panicking inserter could have broken halfway (worst case a
-    /// verdict is missing and gets re-checked).
-    cache: Mutex<UnitCache>,
+    /// Finished verdicts and checks in flight.
+    units: Mutex<Units>,
     incremental: Arc<IncrementalEngine>,
     cache_capacity: usize,
     limits: ServiceLimits,
@@ -143,9 +165,6 @@ pub struct CheckService {
     /// (the in-memory caches still answer), and a failure to open falls
     /// back to memory-only with a `cache_load_errors` tick.
     journal: Option<Journal>,
-    /// In-flight dedup table: concurrent requests for the same
-    /// fingerprint join one check instead of racing the pipeline.
-    in_flight: SingleFlight,
 }
 
 impl CheckService {
@@ -196,13 +215,15 @@ impl CheckService {
         }
         CheckService {
             pool: Arc::new(ThreadPool::new(config.jobs, Arc::clone(&metrics))),
-            cache: Mutex::new(cache),
+            units: Mutex::new(Units {
+                done: cache,
+                flying: HashMap::new(),
+            }),
             incremental,
             cache_capacity,
             limits: config.limits,
             metrics,
             journal,
-            in_flight: SingleFlight::default(),
         }
     }
 
@@ -321,18 +342,6 @@ impl CheckService {
         (reports, start.elapsed().as_micros() as u64)
     }
 
-    /// Called by the new leader of `fp`. Its previous leader may have
-    /// cached its verdict and retired between the caller's cache lookup
-    /// and the claim: then that verdict is handed to anyone who joined
-    /// `cell` meanwhile, the claim is retired, and the verdict returned
-    /// to answer from, so the unit is not checked twice.
-    fn cached_since_lookup(&self, fp: u64, cell: &InFlight) -> Option<Arc<CheckSummary>> {
-        let summary = lock(&self.cache).get(fp)?;
-        cell.publish(Arc::clone(&summary), true, &self.pool);
-        self.in_flight.complete(fp);
-        Some(summary)
-    }
-
     /// The scheduling pipeline behind [`Self::check_units`] and
     /// [`Self::check_project`]. `jobs` holds every unit of the request
     /// as `(slot, fingerprint, unit)`, in schedule order. For a project,
@@ -341,8 +350,8 @@ impl CheckService {
     /// `V601` rejection inline instead of a check.
     ///
     /// Returns the reports in slot order, which slots the verdict cache
-    /// answered, and how many checks ran (on the pool or, for the last
-    /// leader, on the calling thread).
+    /// answered, and how many checks ran (on the pool or on the calling
+    /// thread).
     fn schedule(
         &self,
         jobs: Vec<(usize, u64, UnitIn)>,
@@ -352,249 +361,209 @@ impl CheckService {
         self.metrics
             .units_checked
             .fetch_add(n as u64, Ordering::Relaxed);
-
-        // Phase 1: consult the cache under one short lock, in slot order
-        // whatever the schedule. A project fingerprint is a complete key
-        // of the unit's output (source, transitive export surfaces, and
-        // any graph diagnostics), so a hit is always the right answer
-        // regardless of which manifest computed it.
         let mut fingerprints = vec![0u64; n];
-        for &(slot, fp, _) in &jobs {
-            fingerprints[slot] = fp;
-        }
-        let mut reports: Vec<Option<UnitReport>> = {
-            let mut cache = lock(&self.cache);
-            fingerprints
-                .iter()
-                .map(|&fp| {
-                    cache.get(fp).map(|summary| UnitReport {
-                        summary,
-                        cached: true,
-                        check_micros: 0,
-                    })
+        let mut units: Vec<Option<UnitIn>> = (0..n).map(|_| None).collect();
+        let order: Vec<usize> = jobs
+            .into_iter()
+            .map(|(slot, fp, unit)| {
+                fingerprints[slot] = fp;
+                units[slot] = Some(unit);
+                slot
+            })
+            .collect();
+        let cyclic = |slot: usize| plan.map(|p| &p.units[slot]).filter(|up| up.cyclic);
+        let cached = |summary: &Arc<CheckSummary>| UnitReport {
+            summary: Arc::clone(summary),
+            cached: true,
+            check_micros: 0,
+        };
+
+        // One locked pass, in slot order whatever the schedule: each slot
+        // hits, joins a flight, or leads a new one. A project fingerprint
+        // is a complete key of the unit's output (source, transitive
+        // export surfaces, and any graph diagnostics), so a hit is always
+        // the right answer regardless of which manifest computed it.
+        let roles: Vec<Role> = {
+            let mut table = lock(&self.units);
+            let table = &mut *table;
+            (0..n)
+                .map(|slot| {
+                    let fp = fingerprints[slot];
+                    if let Some(summary) = table.done.get(fp) {
+                        Role::Hit(summary)
+                    } else if let Some(up) = cyclic(slot) {
+                        Role::Cyclic(up)
+                    } else if let Some(cell) = table.flying.get(&fp) {
+                        Role::Join(Arc::clone(cell))
+                    } else {
+                        let cell = Arc::new(InFlight::default());
+                        table.flying.insert(fp, Arc::clone(&cell));
+                        Role::Lead(cell)
+                    }
                 })
                 .collect()
         };
-        let mut hit: Vec<bool> = reports.iter().map(Option::is_some).collect();
-        let hits = hit.iter().filter(|&&h| h).count();
+        let hit: Vec<bool> = roles.iter().map(|r| matches!(r, Role::Hit(_))).collect();
         self.metrics
             .cache_hits
-            .fetch_add(hits as u64, Ordering::Relaxed);
+            .fetch_add(hit.iter().filter(|&&h| h).count() as u64, Ordering::Relaxed);
 
-        // Phase 2: fan misses out across the pool. Every unit gets its
-        // own deadline and panic containment: one hostile unit costs
-        // only its own verdict, never a worker or the request. Each
-        // fingerprint is first *claimed*: the claim winner (leader) runs
-        // the pipeline; a miss whose fingerprint is already in flight —
-        // under another connection's request, or earlier in this very
-        // request — joins the leader's result instead of racing it.
-        let mut launched = 0u64;
-        if hits < n {
-            let (tx, rx) = channel::<(usize, Arc<CheckSummary>, u64)>();
-            // Check one unit on the pool, or on this thread when `here`;
-            // the job reports on `tx`, and publishes to the unit's
-            // joiners when it leads. A pool shutting down refuses both
-            // alike, and the request still gets an answer (the dropped
-            // job's guard released any waiters the same way).
-            let run = |slot: usize, unit: UnitIn, guard: Option<LeaderGuard>, here: bool| {
-                let name = unit.name.clone();
-                let job_tx = tx.clone();
-                let limits = self.limits.checker_limits(Instant::now());
-                let metrics = Arc::clone(&self.metrics);
-                let engine = Arc::clone(&self.incremental);
-                let plan = plan.cloned();
-                let job = move || {
-                    #[cfg(feature = "chaos")]
-                    let _running = crate::chaos::check_running();
-                    let t = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        #[cfg(feature = "chaos")]
-                        crate::chaos::perturb_job();
-                        let up = plan.as_ref().map(|p| &p.units[slot]);
-                        let s = engine.check_unit_with_prelude(
-                            &unit.name,
-                            up.map_or("", |up| &up.prelude),
-                            &unit.source,
-                            &limits,
-                            &metrics,
-                        );
-                        match up {
-                            Some(up) => vault_project::fold_graph_diags(up, s),
-                            None => s,
-                        }
-                    }));
-                    let summary = match outcome {
-                        Ok(summary) => summary,
-                        Err(e) => {
-                            metrics.panic_caught();
-                            CheckSummary::internal_error(&unit.name, &panic_payload(&*e))
-                        }
-                    };
-                    let summary = Arc::new(summary);
-                    if let Some(guard) = guard {
-                        guard.publish(Arc::clone(&summary), shareable(&summary));
-                    }
-                    let _ = job_tx.send((slot, summary, t.elapsed().as_micros() as u64));
-                };
-                let ran = if here {
-                    self.pool.check_open().map(|()| job())
-                } else {
-                    self.pool.submit(job)
-                };
-                if let Err(e) = ran {
-                    let _ = tx.send((
-                        slot,
-                        Arc::new(CheckSummary::internal_error(&name, &e.to_string())),
-                        0,
-                    ));
-                }
-            };
-            let mut inline = 0u64;
-            let mut leader_fps: Vec<u64> = Vec::new();
-            let mut last_leader: Option<(usize, UnitIn, LeaderGuard)> = None;
-            let mut joiners: Vec<(usize, UnitIn, Arc<InFlight>)> = Vec::new();
-            for (slot, fp, unit) in jobs {
-                if hit[slot] {
-                    continue;
-                }
-                if let Some(up) = plan.map(|p| &p.units[slot]).filter(|up| up.cyclic) {
-                    // Nothing to check: the V601 summary is assembled on
-                    // the calling thread (and is too cheap to be worth
-                    // deduplicating).
-                    inline += 1;
-                    let _ = tx.send((slot, Arc::new(vault_project::cyclic_summary(up)), 0));
-                    continue;
-                }
-                match self.in_flight.claim(fp) {
-                    Claim::Joiner(cell) => joiners.push((slot, unit, cell)),
-                    Claim::Leader(cell) => {
-                        if let Some(summary) = self.cached_since_lookup(fp, &cell) {
-                            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                            hit[slot] = true;
-                            reports[slot] = Some(UnitReport {
-                                summary,
-                                cached: true,
-                                check_micros: 0,
-                            });
-                            continue;
-                        }
-                        leader_fps.push(fp);
-                        launched += 1;
-                        let guard = LeaderGuard::new(cell, &unit.name, Arc::clone(&self.pool));
-                        // A leader goes to the pool once a later one shows
-                        // up: only the last stays behind.
-                        if let Some((slot, unit, guard)) = last_leader.replace((slot, unit, guard))
-                        {
-                            run(slot, unit, Some(guard), false);
-                        }
-                    }
-                }
-            }
-            // Caller-runs: this thread would only wait on `rx`, so it
-            // checks the last leader itself. A one-unit request never
-            // leaves its thread, and every leader of this request has
-            // published (or is queued to) before a joiner below waits.
-            if let Some((slot, unit, guard)) = last_leader {
-                run(slot, unit, Some(guard), true);
-            }
-            // Joiners wait on their leaders, running queued checks
-            // meanwhile. A leader never waits on another request, so no
-            // wait can cycle across requests. A non-shareable result —
-            // the leader panicked or timed out — falls back to a private
-            // re-check on the pool: transient faults must not fan out.
-            let mut joined: Vec<(usize, Arc<CheckSummary>)> = Vec::new();
-            for (slot, unit, cell) in joiners {
-                let (summary, ok_to_share) = cell.wait(&self.pool);
-                if ok_to_share {
-                    self.metrics.singleflight_join();
-                    joined.push((slot, summary));
-                } else {
-                    launched += 1;
-                    run(slot, unit, None, false);
-                }
-            }
-            self.metrics
-                .cache_misses
-                .fetch_add(launched + inline, Ordering::Relaxed);
-            drop(tx);
-            // Every job drops its sender before the pool wakes this
-            // thread, so the last one gone ends the wait.
-            let mut fresh: Vec<(usize, Arc<CheckSummary>, u64)> = Vec::new();
-            while let Some(result) = self.pool.help_until(|| match rx.try_recv() {
-                Ok(result) => Some(Some(result)),
-                Err(TryRecvError::Empty) => None,
-                Err(TryRecvError::Disconnected) => Some(None),
-            }) {
-                fresh.push(result);
-            }
-            // Insert in slot order so concurrent requests populate the
-            // recency list deterministically given identical traffic.
-            fresh.sort_by_key(|(slot, _, _)| *slot);
-            let mut to_journal: Vec<Pending> = Vec::new();
-            {
-                let mut cache = lock(&self.cache);
-                for (slot, summary, micros) in fresh {
-                    match summary.verdict {
-                        // Deterministic verdicts are worth memoizing.
-                        Verdict::Accepted | Verdict::Rejected => {
-                            cache.put(fingerprints[slot], Arc::clone(&summary));
-                            if self.journal.is_some() {
-                                to_journal.push((fingerprints[slot], Arc::clone(&summary)));
-                            }
-                        }
-                        // A deadline overrun depends on the wall clock and a
-                        // panic may be chaos-injected: caching either would
-                        // pin a transient failure onto healthy re-checks.
-                        Verdict::ResourceLimit => self.metrics.deadline_hit(),
-                        Verdict::InternalError => {}
-                    }
-                    self.metrics
-                        .check_micros
-                        .fetch_add(micros, Ordering::Relaxed);
-                    self.metrics.absorb_phases(&summary.stats);
-                    reports[slot] = Some(UnitReport {
-                        summary,
-                        cached: false,
-                        check_micros: micros,
-                    });
-                }
-            }
-            // Hand the verdicts to the journal writer outside the cache
-            // lock; the reply does not wait for the disk.
-            self.journal(to_journal);
-            // Retire in-flight entries only now, after the verdicts hit
-            // the LRU: a late arrival either joins the flight or hits
-            // the cache (at its lookup, or at the re-check after its
-            // claim) — there is no window where it re-runs.
-            for fp in leader_fps {
-                self.in_flight.complete(fp);
-            }
-            for (slot, summary) in joined {
-                reports[slot] = Some(UnitReport {
-                    summary,
-                    cached: true,
-                    check_micros: 0,
-                });
-            }
-        }
-
-        let reports = reports
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                r.unwrap_or_else(|| UnitReport {
-                    // Unreachable with containment in place, but a lost
-                    // slot must answer, not panic the connection.
-                    summary: Arc::new(CheckSummary::internal_error(
-                        &format!("unit-{i}"),
-                        "no worker reported a result",
-                    )),
-                    cached: false,
-                    check_micros: 0,
-                })
+        // Leaders launch in schedule order, all but the last to the pool:
+        // this thread checks the last one itself (caller-runs), so a
+        // one-unit request never leaves its thread.
+        let leaders: Vec<(usize, &Arc<InFlight>)> = order
+            .iter()
+            .filter_map(|&slot| match &roles[slot] {
+                Role::Lead(cell) => Some((slot, cell)),
+                _ => None,
             })
             .collect();
+        for (i, &(slot, cell)) in leaders.iter().enumerate() {
+            let here = i + 1 == leaders.len();
+            self.launch(slot, units[slot].take(), Arc::clone(cell), plan, here);
+        }
+        let mut launched = leaders.len() as u64;
+
+        // One wait for every cell this request leads or joined, running
+        // queued checks meanwhile. A leader never waits on another
+        // request, so no wait can cycle across requests.
+        let mut pending = roles
+            .iter()
+            .filter_map(|r| match r {
+                Role::Lead(cell) | Role::Join(cell) => Some(cell),
+                _ => None,
+            })
+            .peekable();
+        self.pool.help_until(|| {
+            while pending.next_if(|c| c.published().is_some()).is_some() {}
+            pending.peek().is_none().then_some(())
+        });
+
+        let mut inline = 0u64;
+        let mut reports = Vec::with_capacity(n);
+        for (slot, role) in roles.iter().enumerate() {
+            let (summary, micros) = match role {
+                Role::Hit(summary) => {
+                    reports.push(cached(summary));
+                    continue;
+                }
+                Role::Cyclic(up) => {
+                    inline += 1;
+                    (Arc::new(vault_project::cyclic_summary(up)), 0)
+                }
+                Role::Lead(cell) => cell.published().cloned().expect("every cell published"),
+                Role::Join(cell) => {
+                    let (summary, _) = cell.published().expect("every cell published");
+                    if shareable(summary) {
+                        self.metrics.singleflight_join();
+                        reports.push(cached(summary));
+                        continue;
+                    }
+                    // The leader panicked or timed out: transient faults
+                    // must not fan out, so this slot re-checks privately.
+                    launched += 1;
+                    let own = Arc::new(InFlight::default());
+                    self.launch(slot, units[slot].take(), Arc::clone(&own), plan, true);
+                    own.published()
+                        .cloned()
+                        .expect("a check run here publishes")
+                }
+            };
+            if summary.verdict == Verdict::ResourceLimit {
+                self.metrics.deadline_hit();
+            }
+            self.metrics
+                .check_micros
+                .fetch_add(micros, Ordering::Relaxed);
+            self.metrics.absorb_phases(&summary.stats);
+            reports.push(UnitReport {
+                summary,
+                cached: false,
+                check_micros: micros,
+            });
+        }
+        self.metrics
+            .cache_misses
+            .fetch_add(launched + inline, Ordering::Relaxed);
+
+        // One closing critical section, in slot order so concurrent
+        // requests populate the recency list deterministically given
+        // identical traffic: store the shareable fresh verdicts and
+        // retire this request's flights. A late arrival either joined the
+        // flight or finds the verdict.
+        let mut to_journal: Vec<Pending> = Vec::new();
+        {
+            let mut table = lock(&self.units);
+            for (slot, report) in reports.iter().enumerate() {
+                let fp = fingerprints[slot];
+                if matches!(roles[slot], Role::Lead(_)) {
+                    table.flying.remove(&fp);
+                }
+                if !report.cached && shareable(&report.summary) {
+                    table.done.put(fp, Arc::clone(&report.summary));
+                    if self.journal.is_some() {
+                        to_journal.push((fp, Arc::clone(&report.summary)));
+                    }
+                }
+            }
+        }
+        // Hand the verdicts to the journal writer outside the lock; the
+        // reply does not wait for the disk.
+        self.journal(to_journal);
         (reports, hit, launched)
+    }
+
+    /// Check `slot`'s unit and publish its summary and wall time to
+    /// `cell`: on the pool, or on this thread when `here`. Every unit
+    /// gets its own deadline and panic containment: one hostile unit
+    /// costs only its own verdict, never a thread or the request. A pool
+    /// shutting down refuses both alike; the refused job's guard then
+    /// publishes an internal error, so `cell` is always published.
+    fn launch(
+        &self,
+        slot: usize,
+        unit: Option<UnitIn>,
+        cell: Arc<InFlight>,
+        plan: Option<&Arc<ProjectPlan>>,
+        here: bool,
+    ) {
+        let unit = unit.expect("a slot's unit is checked once");
+        let guard = LeaderGuard::new(cell, &unit.name, Arc::clone(&self.pool));
+        let limits = self.limits.checker_limits(Instant::now());
+        let metrics = Arc::clone(&self.metrics);
+        let engine = Arc::clone(&self.incremental);
+        let plan = plan.cloned();
+        let job = move || {
+            #[cfg(feature = "chaos")]
+            let _running = crate::chaos::check_running();
+            let t = Instant::now();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "chaos")]
+                crate::chaos::perturb_job();
+                let up = plan.as_ref().map(|p| &p.units[slot]);
+                let s = engine.check_unit_with_prelude(
+                    &unit.name,
+                    up.map_or("", |up| &up.prelude),
+                    &unit.source,
+                    &limits,
+                    &metrics,
+                );
+                match up {
+                    Some(up) => vault_project::fold_graph_diags(up, s),
+                    None => s,
+                }
+            }));
+            let summary = outcome.unwrap_or_else(|e| {
+                metrics.panic_caught();
+                CheckSummary::internal_error(&unit.name, &panic_payload(&*e))
+            });
+            guard.publish((Arc::new(summary), t.elapsed().as_micros() as u64));
+        };
+        let _ = if here {
+            self.pool.check_open().map(|()| job())
+        } else {
+            self.pool.submit(job)
+        };
     }
 
     /// Check one unit and, when accepted, translate it to C.
@@ -653,7 +622,7 @@ impl CheckService {
     /// store's wipe waits for an in-flight maintenance pass for the
     /// same reason.
     pub fn clear_cache(&self) {
-        lock(&self.cache).clear();
+        lock(&self.units).done.clear();
         match &self.journal {
             // The journal clears the engine under its commit lock.
             Some(journal) => journal.wipe(),
@@ -688,7 +657,7 @@ impl CheckService {
 
     /// Live cache entry count.
     pub fn cache_entries(&self) -> usize {
-        lock(&self.cache).len()
+        lock(&self.units).done.len()
     }
 
     /// Configured cache capacity.
@@ -1301,42 +1270,6 @@ void two() {
     }
 
     #[test]
-    fn a_claim_made_after_the_verdict_was_cached_answers_from_the_cache() {
-        let svc = CheckService::new(ServiceConfig {
-            jobs: 1,
-            cache_capacity: 4,
-            ..Default::default()
-        });
-        let fp = unit_fingerprint("one.vlt", GOOD);
-        let Claim::Leader(cell) = svc.in_flight.claim(fp) else {
-            panic!("nothing is in flight yet");
-        };
-        assert!(svc.cached_since_lookup(fp, &cell).is_none());
-        // The claim still stands: a second claimant joins it.
-        assert!(matches!(svc.in_flight.claim(fp), Claim::Joiner(_)));
-        svc.in_flight.complete(fp);
-
-        // The unit's verdict is cached and its flight retired; a request
-        // that looked before the insert claims afresh, with a joiner
-        // already behind it.
-        let checked = svc.check_unit(unit("one.vlt", GOOD)).summary;
-        let Claim::Leader(cell) = svc.in_flight.claim(fp) else {
-            panic!("the first check retired its flight");
-        };
-        let Claim::Joiner(joined) = svc.in_flight.claim(fp) else {
-            panic!("the claim is in flight");
-        };
-        let cached = svc
-            .cached_since_lookup(fp, &cell)
-            .expect("the verdict is cached");
-        assert!(Arc::ptr_eq(&cached, &checked));
-        let (shared, shareable) = joined.wait(&svc.pool);
-        assert!(Arc::ptr_eq(&shared, &checked) && shareable);
-        // The claim was retired: the next one leads again.
-        assert!(matches!(svc.in_flight.claim(fp), Claim::Leader(_)));
-    }
-
-    #[test]
     fn one_unit_check_runs_on_the_calling_thread() {
         use vault_corpus::synth::{self, SynthConfig};
         // A unit's functions are checked on the thread that runs the
@@ -1611,6 +1544,104 @@ void two() {
                 deadline_exceeded: 0,
             }
         );
+    }
+
+    /// How many checks are in flight in `svc`'s unit table.
+    fn flights(svc: &CheckService) -> usize {
+        lock(&svc.units).flying.len()
+    }
+
+    #[test]
+    fn no_flight_outlives_its_request() {
+        let fresh = |svc: &CheckService, name: &str, source: &str| {
+            let delta = counter_delta(svc, || {
+                let report = svc.check_unit(unit(name, source));
+                assert!(!report.cached, "{name} answered without a check");
+            });
+            assert_eq!(flights(svc), 0, "{name} left a flight behind");
+            assert_eq!((delta.cache_misses, delta.singleflight_joins), (1, 0));
+        };
+        // An accepted unit: its flight retires with the verdict stored,
+        // and once the verdict is dropped the next request leads again.
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 2,
+            cache_capacity: 4,
+            ..Default::default()
+        });
+        fresh(&svc, "ok.vlt", GOOD);
+        assert!(svc.check_unit(unit("ok.vlt", GOOD)).cached);
+        svc.clear_cache();
+        fresh(&svc, "ok.vlt", GOOD);
+        // A project: every leader retires, the cyclic pair claimed none.
+        let project = vec![
+            unit("lib", "type T;\nvoid helper(int n) {\n  n = n + 1;\n}\n"),
+            unit("app", "import \"lib\";\nvoid run() {\n  helper(3);\n}\n"),
+            unit("c", "import \"d\";\ntype C;\n"),
+            unit("d", "import \"c\";\ntype D;\n"),
+        ];
+        svc.check_project(project.clone());
+        assert_eq!(flights(&svc), 0);
+        svc.clear_cache();
+        let delta = counter_delta(&svc, || {
+            svc.check_project(project);
+        });
+        assert_eq!((delta.units_scheduled, delta.singleflight_joins), (2, 0));
+
+        // A timed-out unit: nothing is stored, and nothing is in flight.
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 2,
+            cache_capacity: 4,
+            limits: ServiceLimits {
+                timeout: Some(Duration::ZERO),
+                ..ServiceLimits::default()
+            },
+            ..Default::default()
+        });
+        fresh(&svc, "slow.vlt", GOOD);
+        fresh(&svc, "slow.vlt", GOOD);
+
+        // A drained pool: the refused check's guard publishes, and the
+        // flight retires all the same.
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 1,
+            cache_capacity: 4,
+            ..Default::default()
+        });
+        assert!(svc.drain(Duration::from_secs(1)));
+        fresh(&svc, "late.vlt", GOOD);
+        let (reports, _) = svc.check_units(vec![unit("a.vlt", GOOD), unit("b.vlt", LEAKY)]);
+        assert!(reports
+            .iter()
+            .all(|r| r.summary.verdict == Verdict::InternalError));
+        assert_eq!(flights(&svc), 0);
+        fresh(&svc, "late.vlt", GOOD);
+    }
+
+    #[test]
+    fn one_unit_three_times_in_a_batch_is_checked_once() {
+        let svc = CheckService::new(ServiceConfig {
+            jobs: 2,
+            cache_capacity: 4,
+            ..Default::default()
+        });
+        let batch = vec![unit("a.vlt", LEAKY); 3];
+        let mut reports = Vec::new();
+        let delta = counter_delta(&svc, || reports = svc.check_units(batch).0);
+        assert_eq!(
+            (
+                delta.cache_misses,
+                delta.singleflight_joins,
+                delta.cache_hits
+            ),
+            (1, 2, 0)
+        );
+        let cached: Vec<bool> = reports.iter().map(|r| r.cached).collect();
+        assert_eq!(cached, [false, true, true]);
+        assert!(reports
+            .iter()
+            .all(|r| Arc::ptr_eq(&r.summary, &reports[0].summary)));
+        assert_from_source(&reports[0], &unit("a.vlt", LEAKY));
+        assert_eq!(flights(&svc), 0);
     }
 
     #[test]

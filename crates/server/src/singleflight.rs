@@ -1,58 +1,62 @@
-//! Singleflight dedup: one in-flight check per fingerprint.
+//! The cell a unit check publishes to, and the rule for sharing it.
 //!
-//! Concurrent requests for the same unit/project fingerprint used to
-//! race each other through the full pipeline — the cache only dedupes
-//! *finished* work. A [`SingleFlight`] table closes that window: the
-//! first request to miss the cache becomes the **leader** and runs the
-//! check; every other request that arrives while it is in flight
-//! becomes a **joiner**, waits on the leader's [`InFlight`] cell
-//! (running the pool's queued checks meanwhile, see
-//! `ThreadPool::help_until`), and receives the identical
-//! `Arc<CheckSummary>` (counted in `singleflight_joins`).
+//! The service's unit table (see `service.rs`) keeps, per fingerprint,
+//! either the finished verdict or the [`InFlight`] cell of the check
+//! computing it. The first request to miss both becomes the **leader**:
+//! it adds a cell and runs the check. Every later request, or later slot
+//! of the same request, that misses the verdict while the cell is in
+//! the table becomes a **joiner**: it waits for the cell (running the
+//! pool's queued checks meanwhile, see `ThreadPool::help_until`) and
+//! receives the identical `Arc<CheckSummary>` (counted in
+//! `singleflight_joins`).
 //!
-//! Non-cacheable outcomes (resource-limit, internal-error) are
-//! published but flagged non-shareable: a transient fault on the
+//! Only a [`shareable`] verdict is handed on: a transient fault on the
 //! leader — a chaos panic, an expired deadline — must not fan out to
-//! innocent concurrent requests, so each joiner falls back to checking
-//! the unit itself, exactly as it would have without dedup.
+//! innocent concurrent requests, so each joiner then checks the unit
+//! itself, exactly as it would have without dedup.
 
-use crate::pool::{lock_unpoisoned, ThreadPool};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
-use vault_core::CheckSummary;
+use crate::pool::ThreadPool;
+use std::sync::{Arc, OnceLock};
+use vault_core::{CheckSummary, Verdict};
 
-/// The result a leader publishes for its waiters: the shared summary
-/// plus whether it is deterministic enough to share (`Accepted` /
-/// `Rejected` — the same rule the verdict cache applies).
-type Published = (Arc<CheckSummary>, bool);
+/// What a check publishes: its summary and its wall time in
+/// microseconds.
+pub type Published = (Arc<CheckSummary>, u64);
 
-/// One in-flight check: a slot the leader fills exactly once.
+/// Whether a verdict is deterministic enough to cache and to hand to
+/// joiners: a deadline overrun depends on the wall clock and a panic may
+/// be chaos-injected, so either would pin a transient failure onto
+/// healthy re-checks.
+pub fn shareable(summary: &CheckSummary) -> bool {
+    matches!(summary.verdict, Verdict::Accepted | Verdict::Rejected)
+}
+
+/// One check's result slot, filled exactly once.
+#[derive(Default)]
 pub struct InFlight {
     slot: OnceLock<Published>,
 }
 
 impl InFlight {
-    /// Fill the slot and wake the threads waiting on `pool`. Idempotent:
-    /// only the first publish sticks, so a racy double-publish cannot
-    /// change answers.
-    pub fn publish(&self, summary: Arc<CheckSummary>, shareable: bool, pool: &ThreadPool) {
-        let _ = self.slot.set((summary, shareable));
+    /// Fill the slot and wake the threads waiting on `pool`. Only the
+    /// first publish sticks, so a racy double-publish cannot change
+    /// answers.
+    pub fn publish(&self, published: Published, pool: &ThreadPool) {
+        let _ = self.slot.set(published);
         pool.notify();
     }
 
-    /// Run `pool`'s queued jobs until the leader publishes; returns the
-    /// shared summary and whether it may be shared.
-    pub fn wait(&self, pool: &ThreadPool) -> Published {
-        pool.help_until(|| self.slot.get().cloned())
+    /// The published result, once there is one.
+    pub fn published(&self) -> Option<&Published> {
+        self.slot.get()
     }
 }
 
-/// A leader's obligation to publish, enforced by `Drop`: if the
-/// leader's job is torn down without ever publishing — dropped unrun by
-/// a pool shutting down, say — the guard fills the slot with a
+/// A check's obligation to publish, enforced by `Drop`: if the job is
+/// torn down without ever publishing — refused or dropped unrun by a
+/// pool shutting down, say — the guard fills the cell with a
 /// non-shareable internal error so waiters wake and re-check instead of
-/// hanging forever. Publishing is first-wins, so the fallback never
-/// overwrites a real result.
+/// hanging forever.
 pub struct LeaderGuard {
     cell: Arc<InFlight>,
     name: String,
@@ -61,8 +65,8 @@ pub struct LeaderGuard {
 }
 
 impl LeaderGuard {
-    /// Bind the leader's cell to `name` (used in the fallback verdict)
-    /// and to the `pool` its joiners wait on.
+    /// Bind `cell` to the unit `name` (used in the fallback verdict) and
+    /// to the `pool` its joiners wait on.
     pub fn new(cell: Arc<InFlight>, name: &str, pool: Arc<ThreadPool>) -> Self {
         LeaderGuard {
             cell,
@@ -72,71 +76,20 @@ impl LeaderGuard {
     }
 
     /// Publish the real result (see [`InFlight::publish`]).
-    pub fn publish(&self, summary: Arc<CheckSummary>, shareable: bool) {
-        self.cell.publish(summary, shareable, &self.pool);
+    pub fn publish(&self, published: Published) {
+        self.cell.publish(published, &self.pool);
     }
 }
 
 impl Drop for LeaderGuard {
     fn drop(&mut self) {
-        self.cell.publish(
-            Arc::new(CheckSummary::internal_error(
+        if self.cell.published().is_none() {
+            let summary = CheckSummary::internal_error(
                 &self.name,
                 "in-flight check abandoned before completion",
-            )),
-            false,
-            &self.pool,
-        );
-    }
-}
-
-/// Outcome of claiming a fingerprint.
-pub enum Claim {
-    /// This request runs the check and must `publish` + `complete`.
-    Leader(Arc<InFlight>),
-    /// Another request is already checking this fingerprint; `wait` on
-    /// the cell.
-    Joiner(Arc<InFlight>),
-}
-
-/// The table of in-flight checks, keyed by fingerprint. Its lock
-/// recovers from poisoning: the table holds no invariant a panicking
-/// thread could break halfway (worst case an entry lingers until its
-/// leader's `complete`, or a joiner re-checks).
-#[derive(Default)]
-pub struct SingleFlight {
-    inflight: Mutex<HashMap<u64, Arc<InFlight>>>,
-}
-
-impl SingleFlight {
-    /// Claim `fp`: the first claimant per fingerprint leads, later ones
-    /// join. The leader must eventually call [`SingleFlight::complete`]
-    /// (after publishing *and* inserting the verdict into the cache, so
-    /// late arrivals either join or hit — never re-run).
-    pub fn claim(&self, fp: u64) -> Claim {
-        let mut map = lock_unpoisoned(&self.inflight);
-        match map.get(&fp) {
-            Some(cell) => Claim::Joiner(Arc::clone(cell)),
-            None => {
-                let cell = Arc::new(InFlight {
-                    slot: OnceLock::new(),
-                });
-                map.insert(fp, Arc::clone(&cell));
-                Claim::Leader(cell)
-            }
+            );
+            self.publish((Arc::new(summary), 0));
         }
-    }
-
-    /// Retire `fp`'s entry. Joiners already holding the cell still read
-    /// the published result; new requests consult the cache afresh.
-    pub fn complete(&self, fp: u64) {
-        lock_unpoisoned(&self.inflight).remove(&fp);
-    }
-
-    /// Whether no fingerprint is in flight (tests).
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        lock_unpoisoned(&self.inflight).is_empty()
     }
 }
 
@@ -144,8 +97,6 @@ impl SingleFlight {
 mod tests {
     use super::*;
     use crate::metrics::Metrics;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Barrier;
 
     fn pool() -> Arc<ThreadPool> {
         Arc::new(ThreadPool::new(1, Arc::new(Metrics::default())))
@@ -156,70 +107,32 @@ mod tests {
     }
 
     #[test]
-    fn first_claim_leads_later_claims_join() {
-        let sf = SingleFlight::default();
-        let Claim::Leader(cell) = sf.claim(7) else {
-            panic!("first claim must lead");
-        };
-        assert!(matches!(sf.claim(7), Claim::Joiner(_)));
-        assert!(matches!(sf.claim(8), Claim::Leader(_)));
-        cell.publish(summary("a"), true, &pool());
-        sf.complete(7);
-        sf.complete(8);
-        assert!(sf.is_empty());
-        // After completion the fingerprint claims fresh again.
-        assert!(matches!(sf.claim(7), Claim::Leader(_)));
-    }
-
-    #[test]
-    fn joiners_all_receive_the_leaders_summary() {
-        let sf = Arc::new(SingleFlight::default());
-        let pool = pool();
-        let Claim::Leader(cell) = sf.claim(42) else {
-            panic!("first claim must lead");
-        };
-        let joins = Arc::new(AtomicUsize::new(0));
-        let barrier = Arc::new(Barrier::new(9));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let sf = Arc::clone(&sf);
-                let joins = Arc::clone(&joins);
-                let barrier = Arc::clone(&barrier);
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    let Claim::Joiner(cell) = sf.claim(42) else {
-                        panic!("claims while in flight must join");
-                    };
-                    barrier.wait();
-                    let (got, shareable) = cell.wait(&pool);
-                    assert!(shareable);
-                    joins.fetch_add(1, Ordering::SeqCst);
-                    got
-                })
-            })
-            .collect();
-        barrier.wait();
-        let published = summary("shared");
-        cell.publish(Arc::clone(&published), true, &pool);
-        sf.complete(42);
-        for h in handles {
-            let got = h.join().unwrap();
-            assert!(Arc::ptr_eq(&got, &published), "byte-equal by identity");
-        }
-        assert_eq!(joins.load(Ordering::SeqCst), 8);
-    }
-
-    #[test]
     fn double_publish_keeps_the_first_result() {
-        let sf = SingleFlight::default();
-        let Claim::Leader(cell) = sf.claim(1) else {
-            panic!();
-        };
-        let (pool, first) = (pool(), summary("first"));
-        cell.publish(Arc::clone(&first), true, &pool);
-        cell.publish(summary("second"), false, &pool);
-        let (got, shareable) = cell.wait(&pool);
-        assert!(Arc::ptr_eq(&got, &first));
-        assert!(shareable);
+        let (pool, cell, first) = (pool(), InFlight::default(), summary("first"));
+        cell.publish((Arc::clone(&first), 7), &pool);
+        cell.publish((summary("second"), 9), &pool);
+        let (got, micros) = cell.published().expect("published");
+        assert!(Arc::ptr_eq(got, &first));
+        assert_eq!(*micros, 7);
+    }
+
+    #[test]
+    fn a_dropped_guard_publishes_only_if_the_check_did_not() {
+        let pool = pool();
+        let abandoned = Arc::new(InFlight::default());
+        drop(LeaderGuard::new(
+            Arc::clone(&abandoned),
+            "a.vlt",
+            Arc::clone(&pool),
+        ));
+        let (got, _) = abandoned.published().expect("the guard published");
+        assert_eq!(got.verdict, Verdict::InternalError);
+        assert!(!shareable(got));
+
+        let done = Arc::new(InFlight::default());
+        let checked = summary("b.vlt");
+        LeaderGuard::new(Arc::clone(&done), "b.vlt", pool).publish((Arc::clone(&checked), 3));
+        let (got, _) = done.published().expect("published");
+        assert!(Arc::ptr_eq(got, &checked) && shareable(got));
     }
 }
