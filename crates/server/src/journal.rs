@@ -4,11 +4,16 @@
 //! without waiting for the disk. One writer thread per service takes
 //! everything queued, adds the function verdicts the incremental engine
 //! produced meanwhile ([`IncrementalEngine::take_dirty`]), and commits
-//! the lot with one [`VerdictStore::append`]: one write, one
+//! the lot with one `VerdictStore::append_borrowed`: one write, one
 //! `sync_data`, shared by every request whose verdicts arrived while the
-//! previous commit was on the disk. After a commit the writer runs store maintenance
-//! (compaction and the size bound) inline, so it is the store's only
-//! writer apart from `clear-cache`'s wipe.
+//! previous commit was on the disk. The records are handed over by
+//! reference: each queued `Arc<CheckSummary>` (the one the unit cache
+//! holds) and each drained function verdict is written into the frame
+//! buffer where it sits, never cloned, and the frames on disk are byte
+//! for byte what [`VerdictStore::append`] writes for owned records.
+//! After a commit the writer runs store maintenance (compaction and the
+//! size bound) inline, so it is the store's only writer apart from
+//! `clear-cache`'s wipe.
 //!
 //! The store changes speed, never an answer, so this moves only *when*
 //! a verdict becomes durable: a crash loses at most the verdicts of
@@ -42,7 +47,7 @@ use vault_core::CheckSummary;
 
 use crate::incremental::IncrementalEngine;
 use crate::metrics::Metrics;
-use crate::persist::{Record, VerdictStore};
+use crate::persist::{RecordRef, VerdictStore};
 use crate::pool::lock_unpoisoned as lock;
 
 /// Most whole-unit verdicts the queue holds before a submitting request
@@ -235,20 +240,16 @@ impl Shared {
             (std::mem::take(&mut q.units), q.taken)
         };
         self.progress.notify_all();
-        let mut records: Vec<Record> = units
-            .into_iter()
-            .map(|(fp, summary)| Record::Unit {
-                fp,
-                summary: (*summary).clone(),
-            })
-            .collect();
-        records.extend(
-            self.engine
-                .take_dirty()
-                .into_iter()
-                .map(|(fp, views, stats)| Record::Fn { fp, views, stats }),
-        );
-        if self.store.append(&records).is_err() {
+        let fns = self.engine.take_dirty();
+        let records = units
+            .iter()
+            .map(|(fp, summary)| RecordRef::Unit { fp: *fp, summary })
+            .chain(fns.iter().map(|(fp, views, stats)| RecordRef::Fn {
+                fp: *fp,
+                views,
+                stats,
+            }));
+        if self.store.append_borrowed(records).is_err() {
             self.metrics.cache_append_error();
         }
         drop(commit);

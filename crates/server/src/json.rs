@@ -8,8 +8,11 @@
 //!
 //! Supported: the full JSON grammar except that numbers are held as
 //! `f64` (every counter the protocol ships fits losslessly below 2^53).
-
-use std::fmt::Write as _;
+//!
+//! Large outputs skip the tree: `check` replies and verdict-store
+//! payloads are written field by field with the crate's `Obj` writer,
+//! whose string escaping and integer printing are the very functions
+//! [`Json::to_line`] uses, so both routes print a value identically.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,67 +98,180 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    fn write<O: Out>(&self, out: &mut O) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
+            Json::Null => out.put("null"),
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Num(n) => write_num(out, *n),
             Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_arr(out, items, |out, item| item.write(out)),
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write(out);
+                let mut obj = Obj::open(out);
+                for (k, v) in pairs {
+                    v.write(obj.key(k));
                 }
-                out.push('}');
+                obj.close();
             }
         }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Where JSON text is written: a `String` for reply lines, or the
+/// verdict store's frame buffer, which holds binary frame headers
+/// between payloads. [`Json::to_line`] and the direct writers (reply
+/// lines in [`crate::proto`], store payloads in [`crate::persist`])
+/// produce their bytes through the same primitives below, so a value
+/// written either way comes out byte-identical.
+pub(crate) trait Out {
+    /// Append `s` verbatim.
+    fn put(&mut self, s: &str);
+}
+
+impl Out for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl Out for Vec<u8> {
+    fn put(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Write `s` as a JSON string. Unescaped runs are copied whole; only
+/// `"`, `\` and control characters are escaped (`\u{7f}` and
+/// non-ASCII text pass through). Every byte that needs an escape is
+/// ASCII, so each run ends on a character boundary.
+pub(crate) fn write_escaped<O: Out>(out: &mut O, s: &str) {
+    const HEX: &str = "0123456789abcdef";
+    out.put("\"");
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.put(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            _ => {
+                let (hi, lo) = ((b >> 4) as usize, (b & 0xf) as usize);
+                out.put("\\u00");
+                out.put(&HEX[hi..hi + 1]);
+                out.put(&HEX[lo..lo + 1]);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.put(&s[run..]);
+    out.put("\"");
+}
+
+/// Write a number as [`Json::Num`] holds it: integers below 2^53 in
+/// plain decimal without going through `fmt`, anything else (a fraction,
+/// or an integer an `f64` may have rounded) as `f64` prints.
+fn write_num<O: Out>(out: &mut O, n: f64) {
+    if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+        let n = n as i64;
+        if n < 0 {
+            out.put("-");
+        }
+        write_u64(out, n.unsigned_abs());
+    } else {
+        out.put(&n.to_string());
+    }
+}
+
+/// Write `n` in decimal.
+fn write_u64<O: Out>(out: &mut O, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.put(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+fn write_bool<O: Out>(out: &mut O, b: bool) {
+    out.put(if b { "true" } else { "false" });
+}
+
+/// Write `items` as a JSON array, each element by `item`.
+pub(crate) fn write_arr<O: Out, T>(
+    out: &mut O,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut O, T),
+) {
+    out.put("[");
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.put(",");
+        }
+        item(out, x);
+    }
+    out.put("]");
+}
+
+/// A JSON object being written field by field, in call order, with the
+/// separators [`Json::to_line`] uses.
+pub(crate) struct Obj<'a, O: Out> {
+    out: &'a mut O,
+    empty: bool,
+}
+
+impl<'a, O: Out> Obj<'a, O> {
+    /// Write the opening brace.
+    pub(crate) fn open(out: &'a mut O) -> Self {
+        out.put("{");
+        Obj { out, empty: true }
+    }
+
+    /// Write `"key":` and return the output for the value.
+    pub(crate) fn key(&mut self, key: &str) -> &mut O {
+        if !self.empty {
+            self.out.put(",");
+        }
+        self.empty = false;
+        write_escaped(self.out, key);
+        self.out.put(":");
+        self.out
+    }
+
+    /// A string field.
+    pub(crate) fn str(&mut self, key: &str, value: &str) {
+        write_escaped(self.key(key), value);
+    }
+
+    /// A counter field, printed exactly as [`Json::num`] would print it.
+    pub(crate) fn num(&mut self, key: &str, value: u64) {
+        write_num(self.key(key), value as f64);
+    }
+
+    /// A boolean field.
+    pub(crate) fn bool(&mut self, key: &str, value: bool) {
+        write_bool(self.key(key), value);
+    }
+
+    /// Write the closing brace.
+    pub(crate) fn close(self) {
+        self.out.put("}");
+    }
 }
 
 /// Parse one JSON document, requiring the whole input to be consumed
 /// (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -184,6 +300,7 @@ impl std::fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -340,18 +457,16 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Bulk-copy the run up to the next structural byte.
-                    // Validating from here to end-of-input per character
-                    // made large strings O(n^2); one validation per run
-                    // keeps parsing linear. `"` and `\` are ASCII, so a
-                    // run always ends on a character boundary.
+                    // The input is a `&str`, so it is valid UTF-8
+                    // already, and `"` and `\` are ASCII, so the run's
+                    // bounds are character boundaries: slicing it needs
+                    // no second validation.
                     let rest = &self.bytes[self.pos..];
                     let run = rest
                         .iter()
                         .position(|&b| b == b'"' || b == b'\\')
                         .unwrap_or(rest.len());
-                    let s =
-                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
                     self.pos += run;
                 }
             }
@@ -363,8 +478,10 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        let s = self
+            .text
+            .get(self.pos..end)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -393,8 +510,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }

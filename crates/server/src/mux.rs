@@ -426,10 +426,10 @@ fn turn(svc: &CheckService, reports: &Reports, conn: u64, thread: usize, line: &
     let answer = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "chaos")]
         crate::chaos::request_panic();
-        let (response, shutdown) = respond_to_line(svc, line);
+        let reply = respond_to_line(svc, line);
         #[cfg(feature = "chaos")]
         crate::chaos::stall();
-        (response.to_line(), shutdown)
+        reply
     }));
     let (line, shutdown) = answer.unwrap_or_else(|e| {
         svc.metrics().panic_caught();
@@ -706,7 +706,7 @@ fn dispatch(
             break;
         };
         match framed {
-            Framed::TooLong(n) => conn.push_response(&too_long_reply(svc, n).to_line()),
+            Framed::TooLong(n) => conn.push_response(&too_long_reply(svc, n)),
             Framed::Request(line) => {
                 if line.trim().is_empty() {
                     continue;

@@ -39,32 +39,39 @@
 //! segment is just an fsync of the old tail and a fresh header for the
 //! new one; nothing else is rewritten.
 //!
-//! Each payload is one JSON object (the same hand-rolled [`Json`] the
-//! wire protocol uses) describing either a whole-unit record
-//! (`"kind":"unit"`) or a per-function record (`"kind":"fn"`). Keys are
-//! 64-bit fingerprints; they are serialized as 16-digit hex strings
-//! because [`Json`] holds numbers as `f64`, which silently loses
-//! precision above 2^53.
+//! Each payload is one JSON object describing either a whole-unit
+//! record (`"kind":"unit"`) or a per-function record (`"kind":"fn"`).
+//! [`VerdictStore::append`] writes it straight into the frame buffer
+//! behind a placeholder `[len][crc]`, then fills in both: no [`Json`]
+//! value, no per-frame `String`, and the journal's queued summaries are
+//! read in place through `RecordRef`, never cloned. The bytes are
+//! exactly what [`Json::to_line`] prints for the same object (the writer
+//! shares its escaping and integer primitives), and boot decodes them
+//! with the wire protocol's [`json::parse`]. Keys are 64-bit
+//! fingerprints; they are serialized as 16-digit hex strings because
+//! [`Json`] holds numbers as `f64`, which silently loses precision above
+//! 2^53.
 //!
 //! ## Compaction and the size bound
 //!
 //! Appending a verdict for a fingerprint that already has one leaves
 //! the old frame on disk as dead bytes. [`VerdictStore::maintain`]
 //! (run by the journal writer after a commit) compacts each sealed
-//! segment that holds dead bytes by copying its live frames forward
-//! into the tail, through the same frame writer appends use, fsyncing,
-//! and only then deleting the segment. A crash before that fsync leaves
-//! a torn tail, which boot truncates back to the old view; a crash
-//! after it leaves the segment beside its copies, which boot folds
-//! later-wins into the same verdicts, and the next pass deletes it.
-//! When `--cache-max-bytes` is set, a pass first evicts whole sealed
-//! segments oldest-first while the store would not fit even once
-//! compacted, so no frame is copied out of a segment the same pass
-//! evicts, and nothing is evicted while the live frames fit; after the
-//! copies it evicts again until the store fits. Eviction only costs
-//! warmth, never answers. Maintenance and `clear-cache`'s wipe hold one
-//! lock, so a wipe waits for an in-flight pass and no copy lands after
-//! it.
+//! segment at least a third of whose frame bytes are dead (the same
+//! predicate that decides whether a pass runs at all) by copying its
+//! live frames forward into the tail, through the same frame writer
+//! appends use, fsyncing, and only then deleting the segment. A crash
+//! before that fsync leaves a torn tail, which boot truncates back to
+//! the old view; a crash after it leaves the segment beside its copies,
+//! which boot folds later-wins into the same verdicts, and the next
+//! pass deletes it. When `--cache-max-bytes` is set, a pass first
+//! evicts whole sealed segments oldest-first while the store would not
+//! fit even with its victims compacted, so no frame is copied out of a
+//! segment the same pass evicts, and nothing is evicted while the live
+//! frames fit; after the copies it evicts again until the store fits.
+//! Eviction only costs warmth, never answers. Maintenance and
+//! `clear-cache`'s wipe hold one lock, so a wipe waits for an in-flight
+//! pass and no copy lands after it.
 //!
 //! ## Integrity: cold fallback, never a wrong verdict
 //!
@@ -102,7 +109,7 @@ use vault_syntax::diag::Label;
 use vault_syntax::{Code, DiagView, Diagnostic, LabelView, Severity, Span};
 
 use crate::incremental::FnVerdict;
-use crate::json::{self, Json};
+use crate::json::{self, write_arr, Json, Obj};
 use crate::pool::lock_unpoisoned as lock;
 use crate::proto;
 
@@ -193,10 +200,60 @@ pub enum Record {
 }
 
 impl Record {
+    /// The record as the frame writer reads it.
+    pub(crate) fn as_ref(&self) -> RecordRef<'_> {
+        match self {
+            Record::Unit { fp, summary } => RecordRef::Unit { fp: *fp, summary },
+            Record::Fn { fp, views, stats } => RecordRef::Fn {
+                fp: *fp,
+                views,
+                stats,
+            },
+        }
+    }
+}
+
+/// A [`Record`] borrowed: what [`VerdictStore::append_borrowed`] writes,
+/// so the journal hands over the summaries its queue shares with the
+/// unit cache without copying them.
+#[derive(Clone, Copy)]
+pub(crate) enum RecordRef<'a> {
+    /// A whole-unit verdict.
+    Unit {
+        /// The unit fingerprint.
+        fp: u64,
+        /// The memoized summary.
+        summary: &'a CheckSummary,
+    },
+    /// A per-function verdict.
+    Fn {
+        /// The function key.
+        fp: u64,
+        /// The function's relative diagnostics and read set.
+        views: &'a FnVerdict,
+        /// The function's checker counters.
+        stats: &'a CheckStats,
+    },
+}
+
+impl RecordRef<'_> {
     fn key(&self) -> RecKey {
         match self {
-            Record::Unit { fp, .. } => RecKey::Unit(*fp),
-            Record::Fn { fp, .. } => RecKey::Fn(*fp),
+            RecordRef::Unit { fp, .. } => RecKey::Unit(*fp),
+            RecordRef::Fn { fp, .. } => RecKey::Fn(*fp),
+        }
+    }
+
+    /// Whether the record may be written at all (see [`persistable`]).
+    fn persistable(&self) -> bool {
+        match self {
+            RecordRef::Unit { summary, .. } => persistable(
+                Some(summary.verdict),
+                summary.diagnostics.iter().map(|d| d.code.as_str()),
+            ),
+            RecordRef::Fn { views, .. } => {
+                persistable(None, views.diags.iter().map(|d| d.code.as_str()))
+            }
         }
     }
 }
@@ -491,18 +548,30 @@ impl VerdictStore {
     /// once. Records that must never be persisted (non-deterministic
     /// verdicts, `V501`/`V502` diagnostics) are silently skipped.
     pub fn append(&self, records: &[Record]) -> io::Result<()> {
+        self.append_borrowed(records.iter().map(Record::as_ref))
+    }
+
+    /// [`Self::append`] over borrowed records. Each payload is written
+    /// straight into the frame buffer behind a placeholder header, which
+    /// is then filled in with the payload's length and CRC.
+    pub(crate) fn append_borrowed<'a>(
+        &self,
+        records: impl IntoIterator<Item = RecordRef<'a>>,
+    ) -> io::Result<()> {
         let mut buf = Vec::new();
         let mut frames = Vec::new();
         for record in records {
-            let Some(payload) = encode_record(record) else {
+            if !record.persistable() {
                 continue;
-            };
-            let line = payload.to_line();
-            let bytes = line.as_bytes();
-            buf.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(bytes).to_le_bytes());
-            buf.extend_from_slice(bytes);
-            frames.push((record.key(), bytes.len() as u32));
+            }
+            let start = buf.len();
+            buf.extend_from_slice(&[0; 8]);
+            write_record(&mut buf, record);
+            let len = (buf.len() - start - 8) as u32;
+            let crc = crc32(&buf[start + 8..]);
+            buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+            frames.push((record.key(), len));
         }
         if frames.is_empty() {
             return Ok(());
@@ -661,8 +730,8 @@ impl VerdictStore {
     }
 
     /// Whether background maintenance would accomplish anything:
-    /// either a sealed segment is at least half dead, or the store
-    /// exceeds its size bound.
+    /// either a sealed segment is worth compacting (at least a third of
+    /// its frame bytes are dead), or the store exceeds its size bound.
     pub fn needs_maintenance(&self) -> bool {
         let inner = lock(&self.inner);
         if let Some(max) = self.cfg.max_bytes {
@@ -674,13 +743,15 @@ impl VerdictStore {
         inner
             .metas
             .iter()
-            .any(|(&id, m)| id != inner.tail_id && m.dead_bytes > 0 && m.dead_bytes * 2 >= m.len)
+            .any(|(&id, m)| id != inner.tail_id && m.worth_compacting())
     }
 
     /// Run one maintenance pass: evict what the size bound cannot keep
-    /// even once compacted, compact every remaining sealed segment that
-    /// holds dead bytes, then enforce the bound on what is left. A pass
-    /// that finds another in progress waits for it.
+    /// even once compacted, compact every remaining sealed segment worth
+    /// compacting, then evict oldest-first until the bound holds. A
+    /// segment with a few dead frames is left alone, unread: copying its
+    /// live frames would cost a whole read for little space. A pass that
+    /// finds another in progress waits for it.
     pub fn maintain(&self) -> io::Result<()> {
         let _pass = lock(&self.maintenance);
         // Each victim's live frames, snapshotted under the lock.
@@ -692,7 +763,7 @@ impl VerdictStore {
             // nothing is evicted while the live frames fit.
             self.enforce_bound(&mut inner, true)?;
             for (&id, meta) in &inner.metas {
-                if id != inner.tail_id && meta.dead_bytes > 0 {
+                if id != inner.tail_id && meta.worth_compacting() {
                     victims.insert(id, Vec::new());
                 }
             }
@@ -762,9 +833,9 @@ impl VerdictStore {
     /// Enforce `--cache-max-bytes`: evict whole sealed segments oldest
     /// first until the store fits; if only the tail remains and still
     /// overflows, seal it and evict that. With `as_compacted`, a sealed
-    /// segment holding dead bytes counts only its live frames, the
-    /// bytes compaction would copy. Eviction costs warmth only. Called
-    /// with the lock held.
+    /// segment worth compacting counts only its live frames, the bytes
+    /// compaction would copy. Eviction costs warmth only. Called with
+    /// the lock held.
     fn enforce_bound(&self, inner: &mut Inner, as_compacted: bool) -> io::Result<()> {
         let Some(max) = self.cfg.max_bytes else {
             return Ok(());
@@ -776,7 +847,7 @@ impl VerdictStore {
                 .metas
                 .iter()
                 .map(|(&id, m)| {
-                    if as_compacted && id != tail_id && m.dead_bytes > 0 {
+                    if as_compacted && id != tail_id && m.worth_compacting() {
                         m.len.saturating_sub(HEADER_LEN + m.dead_bytes)
                     } else {
                         m.len
@@ -806,6 +877,15 @@ impl VerdictStore {
 impl SegMeta {
     fn default_with_len(len: u64) -> SegMeta {
         SegMeta { len, dead_bytes: 0 }
+    }
+
+    /// The one victim predicate, for a sealed segment: at least a third
+    /// of its frame bytes are dead, so a compaction reads at most three
+    /// bytes per byte it frees. A segment where every other verdict was
+    /// superseded qualifies even when its dead frames are a little
+    /// shorter than its live ones.
+    fn worth_compacting(&self) -> bool {
+        self.dead_bytes > 0 && self.dead_bytes * 3 >= self.len.saturating_sub(HEADER_LEN)
     }
 }
 
@@ -882,7 +962,9 @@ fn scan_segment(bytes: &[u8], is_tail: bool) -> Scan {
             .and_then(|s| json::parse(s).ok())
             .and_then(|j| decode_record(&j))
         {
-            Some(record) => scan.records.push((record.key(), pos as u64, len, record)),
+            Some(record) => scan
+                .records
+                .push((record.as_ref().key(), pos as u64, len, record)),
             None => scan.errors += 1, // CRC fine but schema violated: skip
         }
         pos += 8 + len as usize;
@@ -901,52 +983,53 @@ fn persistable<'a>(verdict: Option<Verdict>, mut codes: impl Iterator<Item = &'a
     ) && codes.all(|c| c != "V501" && c != "V502")
 }
 
-fn encode_record(record: &Record) -> Option<Json> {
+/// Write one record's payload, a JSON object, to `out`. The caller has
+/// checked that the record is [`persistable`].
+fn write_record(out: &mut Vec<u8>, record: RecordRef<'_>) {
+    let mut o = Obj::open(out);
     match record {
-        Record::Unit { fp, summary } => {
-            if !persistable(
-                Some(summary.verdict),
-                summary.diagnostics.iter().map(|d| d.code.as_str()),
-            ) {
-                return None;
-            }
-            Some(Json::Obj(vec![
-                ("kind".to_string(), Json::str("unit")),
-                ("fp".to_string(), Json::str(format!("{fp:016x}"))),
-                ("name".to_string(), Json::str(&summary.name)),
-                (
-                    "verdict".to_string(),
-                    Json::str(match summary.verdict {
-                        Verdict::Accepted => "accepted",
-                        _ => "rejected",
-                    }),
-                ),
-                (
-                    "diagnostics".to_string(),
-                    Json::Arr(summary.diagnostics.iter().map(proto::encode_diag).collect()),
-                ),
-                (
-                    "stats".to_string(),
-                    Json::Obj(counter_fields(&summary.stats)),
-                ),
-            ]))
+        RecordRef::Unit { fp, summary } => {
+            o.str("kind", "unit");
+            write_hex(o.key("fp"), [fp]);
+            o.str("name", &summary.name);
+            o.str(
+                "verdict",
+                match summary.verdict {
+                    Verdict::Accepted => "accepted",
+                    _ => "rejected",
+                },
+            );
+            write_arr(
+                o.key("diagnostics"),
+                &summary.diagnostics,
+                proto::write_diag,
+            );
+            write_counters(o.key("stats"), &summary.stats);
         }
-        Record::Fn { fp, views, stats } => {
-            if !persistable(None, views.diags.iter().map(|d| d.code.as_str())) {
-                return None;
-            }
-            Some(Json::Obj(vec![
-                ("kind".to_string(), Json::str("fn")),
-                ("fp".to_string(), Json::str(format!("{fp:016x}"))),
-                (
-                    "diags".to_string(),
-                    Json::Arr(views.diags.iter().map(encode_relative_diag).collect()),
-                ),
-                ("stats".to_string(), Json::Obj(counter_fields(stats))),
-                ("reads".to_string(), Json::str(encode_reads(&views.reads))),
-            ]))
+        RecordRef::Fn { fp, views, stats } => {
+            o.str("kind", "fn");
+            write_hex(o.key("fp"), [fp]);
+            write_arr(o.key("diags"), &views.diags, write_relative_diag);
+            write_counters(o.key("stats"), stats);
+            let callees = views.reads.fns.iter().flat_map(|&(name, sig)| [name, sig]);
+            write_hex(
+                o.key("reads"),
+                std::iter::once(views.reads.rest).chain(callees),
+            );
         }
     }
+    o.close();
+}
+
+/// Write `words` as one JSON string of 16 lowercase hex digits each:
+/// keys are hex strings because [`Json`] holds numbers as `f64`.
+fn write_hex(out: &mut Vec<u8>, words: impl IntoIterator<Item = u64>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    for word in words {
+        out.extend((0..16).rev().map(|i| HEX[(word >> (4 * i)) as usize & 0xf]));
+    }
+    out.push(b'"');
 }
 
 fn decode_record(j: &Json) -> Option<Record> {
@@ -998,15 +1081,8 @@ fn decode_record(j: &Json) -> Option<Record> {
 }
 
 /// A read set as one hex string: the non-function fingerprint, then a
-/// `(name hash, signature fingerprint)` pair per callee, 16 digits each.
-fn encode_reads(reads: &ReadSet) -> String {
-    let mut out = format!("{:016x}", reads.rest);
-    for (name, sig) in reads.fns.iter() {
-        out.push_str(&format!("{name:016x}{sig:016x}"));
-    }
-    out
-}
-
+/// `(name hash, signature fingerprint)` pair per callee, 16 digits each
+/// (written by [`write_record`]).
 fn decode_reads(hex: &str) -> Option<ReadSet> {
     if !hex.is_ascii() || hex.len() % 32 != 16 {
         return None;
@@ -1023,33 +1099,21 @@ fn decode_reads(hex: &str) -> Option<ReadSet> {
 /// A declaration-relative diagnostic: spans as offsets from the
 /// declaration start, no line/column and no rendering (both depend on
 /// where the declaration sits when a check assembles it).
-fn encode_relative_diag(d: &Diagnostic) -> Json {
-    let span = |s: Span| {
-        [
-            ("start".to_string(), Json::num(s.start as u64)),
-            ("end".to_string(), Json::num(s.end as u64)),
-        ]
-    };
-    let mut fields = vec![
-        ("code".to_string(), Json::str(d.code.as_str())),
-        ("severity".to_string(), Json::str(d.severity.as_str())),
-        ("message".to_string(), Json::str(&d.message)),
-    ];
-    fields.extend(span(d.span));
-    fields.push((
-        "labels".to_string(),
-        Json::Arr(
-            d.labels
-                .iter()
-                .map(|l| {
-                    let mut label = vec![("message".to_string(), Json::str(&l.message))];
-                    label.extend(span(l.span));
-                    Json::Obj(label)
-                })
-                .collect(),
-        ),
-    ));
-    Json::Obj(fields)
+fn write_relative_diag(out: &mut Vec<u8>, d: &Diagnostic) {
+    let mut o = Obj::open(out);
+    o.str("code", d.code.as_str());
+    o.str("severity", d.severity.as_str());
+    o.str("message", &d.message);
+    o.num("start", d.span.start as u64);
+    o.num("end", d.span.end as u64);
+    write_arr(o.key("labels"), &d.labels, |out, l| {
+        let mut o = Obj::open(out);
+        o.str("message", &l.message);
+        o.num("start", l.span.start as u64);
+        o.num("end", l.span.end as u64);
+        o.close();
+    });
+    o.close();
 }
 
 fn decode_relative_diag(j: &Json) -> Option<Diagnostic> {
@@ -1106,28 +1170,27 @@ fn decode_diag(j: &Json) -> Option<DiagView> {
     })
 }
 
-/// The checker counters as object fields, without the phase timings: a
-/// replayed verdict did none of that work. The wire encoding of
-/// [`CheckStats`] extends these.
-pub(crate) fn counter_fields(s: &CheckStats) -> Vec<(String, Json)> {
-    vec![
-        ("statements".to_string(), Json::num(s.statements as u64)),
-        ("calls".to_string(), Json::num(s.calls as u64)),
-        ("joins".to_string(), Json::num(s.joins as u64)),
-        (
-            "loop_iterations".to_string(),
-            Json::num(s.loop_iterations as u64),
-        ),
-        (
-            "keys_allocated".to_string(),
-            Json::num(s.keys_allocated as u64),
-        ),
-        ("snapshots".to_string(), Json::num(s.snapshots as u64)),
-        (
-            "frames_copied".to_string(),
-            Json::num(s.frames_copied as u64),
-        ),
+/// The checker counters, without the phase timings: a replayed verdict
+/// did none of that work. The wire encoding of [`CheckStats`] extends
+/// these.
+pub(crate) fn counters(s: &CheckStats) -> [(&'static str, u64); 7] {
+    [
+        ("statements", s.statements as u64),
+        ("calls", s.calls as u64),
+        ("joins", s.joins as u64),
+        ("loop_iterations", s.loop_iterations as u64),
+        ("keys_allocated", s.keys_allocated as u64),
+        ("snapshots", s.snapshots as u64),
+        ("frames_copied", s.frames_copied as u64),
     ]
+}
+
+fn write_counters(out: &mut Vec<u8>, s: &CheckStats) {
+    let mut o = Obj::open(out);
+    for (key, value) in counters(s) {
+        o.num(key, value);
+    }
+    o.close();
 }
 
 fn decode_stats(j: &Json) -> Option<CheckStats> {
@@ -1145,32 +1208,70 @@ fn decode_stats(j: &Json) -> Option<CheckStats> {
     })
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), the same
-/// checksum gzip and PNG use. Table-driven; the table is built at
-/// compile time.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// The CRC-32 lookup tables for slicing by 8, built at compile time:
+/// `CRC_TABLES[0]` is the classic bytewise table, and `CRC_TABLES[k][b]`
+/// is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), the same
+/// checksum gzip and PNG use. Slice-by-8: eight table lookups fold in
+/// eight bytes at a time, and the last `len % 8` bytes go one at a time.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    !crc
+}
+
+/// The bytewise CRC-32 loop, the oracle [`crc32`] is tested against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -1240,6 +1341,78 @@ mod tests {
     /// The live unit view after replay: later records win.
     fn live_units(loaded: &Loaded) -> HashMap<u64, CheckSummary> {
         loaded.units.iter().cloned().collect()
+    }
+
+    /// The payload the frame writer writes for `record`, or `None` when
+    /// the record may not be persisted.
+    fn payload(record: &Record) -> Option<String> {
+        let record = record.as_ref();
+        record.persistable().then(|| {
+            let mut out = Vec::new();
+            write_record(&mut out, record);
+            String::from_utf8(out).expect("payloads are UTF-8")
+        })
+    }
+
+    #[test]
+    fn record_writer_and_crc_match_their_oracles() {
+        let (summaries, mut records) = crate::proto::tests::writer_inputs();
+        records.extend(
+            summaries
+                .into_iter()
+                .enumerate()
+                .map(|(i, summary)| Record::Unit {
+                    fp: (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    summary,
+                }),
+        );
+        let mut written = (0, 0);
+        for record in &records {
+            let Some(line) = payload(record) else {
+                continue;
+            };
+            let parsed = json::parse(&line).unwrap();
+            assert_eq!(parsed.to_line(), line, "a payload is canonical JSON");
+            let decoded = decode_record(&parsed).expect("a payload decodes");
+            assert_eq!(payload(&decoded).as_deref(), Some(line.as_str()));
+            match (record, &decoded) {
+                (Record::Unit { fp, summary }, Record::Unit { fp: f, summary: s }) => {
+                    assert_eq!(
+                        (fp, &summary.name, summary.verdict),
+                        (f, &s.name, s.verdict)
+                    );
+                    assert_eq!(summary.diagnostics, s.diagnostics);
+                    assert_eq!(counters(&summary.stats), counters(&s.stats));
+                    written.0 += 1;
+                }
+                (
+                    Record::Fn { fp, views, stats },
+                    Record::Fn {
+                        fp: f,
+                        views: v,
+                        stats: t,
+                    },
+                ) => {
+                    assert_eq!((fp, views), (f, v));
+                    assert_eq!(counters(stats), counters(t));
+                    written.1 += 1;
+                }
+                _ => panic!("a record decoded as the other kind"),
+            }
+        }
+        assert!(written.0 > 500 && written.1 > 1000, "walked {written:?}");
+
+        // Slice-by-8 against the bytewise loop: every length 0..=4096 at
+        // every start offset modulo 8, over random bytes.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..4096 + 8).map(|_| rng.gen_range(0..=255u8)).collect();
+        for off in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &buf[off..off + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "off {off} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -1348,11 +1521,11 @@ mod tests {
             },
         };
         assert_eq!(
-            encode_record(&unit).unwrap().to_line(),
+            payload(&unit).unwrap(),
             r#"{"kind":"unit","fp":"0123456789abcdef","name":"a.vlt","verdict":"rejected","diagnostics":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"line":2,"col":3,"labels":[{"message":"declared here","line":1,"col":1}],"rendered":"error[V304]: key `F` leaks\n  --> a.vlt:2:3\n   |   tracked(F) FILE x = fopen();\n   |   ^^^^^^^^^^^^^^^^^^^^^^^^^^^\n   = note: declared here (at a.vlt:1:1)\n"}],"stats":{"statements":4,"calls":1,"joins":0,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":2}}"#
         );
         assert_eq!(
-            encode_record(&func).unwrap().to_line(),
+            payload(&func).unwrap(),
             r#"{"kind":"fn","fp":"0000000000000007","diags":[{"code":"V304","severity":"error","message":"key `F` leaks","start":13,"end":40,"labels":[{"message":"declared here","start":0,"end":8}]}],"stats":{"statements":0,"calls":0,"joins":3,"loop_iterations":0,"keys_allocated":0,"snapshots":0,"frames_copied":0},"reads":"0123456789abcdef000000000000feed000000000000beef"}"#
         );
     }
@@ -1876,6 +2049,55 @@ mod tests {
         fps.sort_unstable();
         assert_eq!(fps, [1, 3, 4, 5, 6]);
         assert_eq!(live[&1].verdict, Verdict::Rejected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bounded_pass_leaves_a_lightly_dead_segment_unread() {
+        let dir = tmp_dir("light-dead");
+        // Ten unit frames to a segment: units 1–30 fill segments 0–2,
+        // then unit 11 again seals segment 2 and lands in tail 3, so
+        // segment 1 is 10% dead.
+        let frame = payload(&unit(1, "u.vlt", Verdict::Accepted)).unwrap().len() as u64 + 8;
+        let seg_len = HEADER_LEN + 10 * frame;
+        let cfg = StoreConfig {
+            segment_max_bytes: seg_len,
+            // Room for everything but segment 0.
+            max_bytes: Some(4 * HEADER_LEN + 31 * frame - seg_len),
+        };
+        let (store, _) = VerdictStore::open(&dir, cfg).unwrap();
+        append_units(&store, 1..=30);
+        store
+            .append(&[unit(11, "u.vlt", Verdict::Rejected)])
+            .unwrap();
+        assert_eq!(store.health().segments_sealed, 3);
+        assert!(store.needs_maintenance(), "the store is over its bound");
+        let light = dir.join(segment_file_name(1));
+        let image = std::fs::read(&light).unwrap();
+        let tail = store.tail_path();
+        let pre = std::fs::metadata(&tail).unwrap().len();
+        store.maintain().unwrap();
+        assert!(!dir.join(segment_file_name(0)).exists(), "oldest evicted");
+        assert_eq!(
+            std::fs::read(&light).unwrap(),
+            image,
+            "the 10%-dead segment was left as it was"
+        );
+        assert_eq!(store.tail_path(), tail);
+        assert_eq!(
+            std::fs::metadata(&tail).unwrap().len(),
+            pre,
+            "none of its frames were copied into the tail"
+        );
+        let health = store.health();
+        assert_eq!((health.compactions_run, health.live_frames), (0, 20));
+        assert!(health.disk_bytes <= cfg.max_bytes.unwrap());
+        drop(store);
+        let (_s, loaded) = VerdictStore::open(&dir, cfg).unwrap();
+        assert_eq!(loaded.errors, 0);
+        let live = live_units(&loaded);
+        assert_eq!(live.len(), 20);
+        assert_eq!(live[&11].verdict, Verdict::Rejected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

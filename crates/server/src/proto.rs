@@ -25,8 +25,17 @@
 //! `"ok":false` with an `"error"` string. Diagnostics are structured
 //! (code, severity, span, line/col, message, rendered) so clients never
 //! parse human-readable output.
+//!
+//! The daemon writes `check` and `check-project` replies, the large ones,
+//! straight to text with [`check_reply`] and [`check_project_reply`],
+//! through the diagnostic writer the verdict store's unit records use.
+//! [`encode_check`] and [`encode_check_project`] build the same replies as
+//! [`Json`] trees: they are the reference encoders that tests and the
+//! end-to-end benchmark compare the written lines against, byte for byte,
+//! and the daemon never calls them. The other replies are small and go
+//! through [`Json::to_line`].
 
-use crate::json::Json;
+use crate::json::{write_arr, write_escaped, Json, Obj, Out};
 use crate::metrics::StatusSnapshot;
 use crate::pool::UnitIn;
 use vault_core::{CheckStats, CheckSummary, Verdict};
@@ -146,8 +155,10 @@ fn verdict_str(v: Verdict) -> &'static str {
     v.as_str()
 }
 
-/// One rendered diagnostic, as replies and the verdict store carry it.
-pub(crate) fn encode_diag(d: &DiagView) -> Json {
+/// One rendered diagnostic as a [`Json`] value, for the reference
+/// encoders and `emit-c` replies. [`write_diag`] writes the same bytes
+/// directly.
+fn encode_diag(d: &DiagView) -> Json {
     Json::Obj(vec![
         ("code".to_string(), Json::str(&d.code)),
         ("severity".to_string(), Json::str(&d.severity)),
@@ -175,20 +186,45 @@ pub(crate) fn encode_diag(d: &DiagView) -> Json {
     ])
 }
 
+/// Write one rendered diagnostic: the routine `check` and
+/// `check-project` replies and the verdict store's unit records share.
+pub(crate) fn write_diag<O: Out>(out: &mut O, d: &DiagView) {
+    let mut o = Obj::open(out);
+    o.str("code", &d.code);
+    o.str("severity", &d.severity);
+    o.str("message", &d.message);
+    o.num("start", d.start as u64);
+    o.num("end", d.end as u64);
+    o.num("line", d.line as u64);
+    o.num("col", d.col as u64);
+    write_arr(o.key("labels"), &d.labels, |out, l| {
+        let mut o = Obj::open(out);
+        o.str("message", &l.message);
+        o.num("line", l.line as u64);
+        o.num("col", l.col as u64);
+        o.close();
+    });
+    o.str("rendered", &d.rendered);
+    o.close();
+}
+
 /// The verdict store's counter fields plus the five phase timings.
 fn encode_stats(s: &CheckStats) -> Json {
-    let mut fields = crate::persist::counter_fields(s);
-    fields.extend([
-        ("lex_micros".to_string(), Json::num(s.lex_micros)),
-        ("parse_micros".to_string(), Json::num(s.parse_micros)),
-        (
-            "elaborate_micros".to_string(),
-            Json::num(s.elaborate_micros),
-        ),
-        ("lower_micros".to_string(), Json::num(s.lower_micros)),
-        ("check_micros".to_string(), Json::num(s.check_micros)),
-    ]);
-    Json::Obj(fields)
+    let counters = crate::persist::counters(s);
+    let timings = [
+        ("lex_micros", s.lex_micros),
+        ("parse_micros", s.parse_micros),
+        ("elaborate_micros", s.elaborate_micros),
+        ("lower_micros", s.lower_micros),
+        ("check_micros", s.check_micros),
+    ];
+    Json::Obj(
+        counters
+            .into_iter()
+            .chain(timings)
+            .map(|(key, value)| (key.to_string(), Json::num(value)))
+            .collect(),
+    )
 }
 
 /// The outcome of one unit within a `check` response.
@@ -202,14 +238,62 @@ pub struct UnitReport {
     pub check_micros: u64,
 }
 
-/// Encode the response to a `check` request.
+/// The reply line to a `check` request, written straight to text; what
+/// the daemon sends. Byte-identical to [`encode_check`]'s line.
+pub fn check_reply(id: Option<u64>, reports: &[UnitReport], wall_micros: u64) -> String {
+    write_check_reply(id, "check", reports, wall_micros)
+}
+
+/// The reply line to a `check-project` request, written straight to
+/// text; what the daemon sends. Byte-identical to
+/// [`encode_check_project`]'s line.
+pub fn check_project_reply(id: Option<u64>, reports: &[UnitReport], wall_micros: u64) -> String {
+    write_check_reply(id, "check-project", reports, wall_micros)
+}
+
+fn write_check_reply(
+    id: Option<u64>,
+    op: &str,
+    reports: &[UnitReport],
+    wall_micros: u64,
+) -> String {
+    let mut line = String::new();
+    let mut o = Obj::open(&mut line);
+    if let Some(id) = id {
+        o.num("id", id);
+    }
+    o.str("op", op);
+    o.bool("ok", true);
+    o.num("wall_micros", wall_micros);
+    write_arr(o.key("units"), reports, |out, r| {
+        let mut o = Obj::open(out);
+        o.str("name", &r.summary.name);
+        o.str("verdict", verdict_str(r.summary.verdict));
+        o.bool("cached", r.cached);
+        o.num("check_micros", r.check_micros);
+        write_arr(
+            o.key("error_codes"),
+            r.summary.error_codes(),
+            |out, code| write_escaped(out, &code),
+        );
+        write_arr(o.key("diagnostics"), &r.summary.diagnostics, write_diag);
+        o.close();
+    });
+    o.close();
+    line
+}
+
+/// The reference encoder of the reply to a `check` request: builds the
+/// [`Json`] tree whose `to_line` [`check_reply`] must equal byte for
+/// byte. Tests and the end-to-end benchmark's reference call it; the
+/// daemon does not.
 pub fn encode_check(id: Option<u64>, reports: &[UnitReport], wall_micros: u64) -> Json {
     encode_check_as(id, "check", reports, wall_micros)
 }
 
-/// Encode the response to a `check-project` request: the same per-unit
-/// report shape as `check`, in manifest order, under the
-/// `check-project` op.
+/// The reference encoder of the reply to a `check-project` request: the
+/// same per-unit report shape as `check`, in manifest order, under the
+/// `check-project` op. [`check_project_reply`] must equal its line.
 pub fn encode_check_project(id: Option<u64>, reports: &[UnitReport], wall_micros: u64) -> Json {
     encode_check_as(id, "check-project", reports, wall_micros)
 }
@@ -327,9 +411,155 @@ pub fn encode_ack(id: Option<u64>, op: &str) -> Json {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::incremental::{FnVerdict, IncrementalEngine};
     use crate::json::parse;
+    use crate::persist::Record;
+    use std::sync::Arc;
+    use vault_core::Limits;
+    use vault_syntax::{Code, Diagnostic, LabelView, Span};
+
+    /// Strings a writer must escape exactly as [`Json::to_line`] does:
+    /// quotes, backslashes, every control byte, `\u{7f}` and non-ASCII.
+    fn hostile_strings() -> Vec<String> {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        vec![
+            String::new(),
+            "\"".to_string(),
+            "\\".to_string(),
+            "\\\"\"\\".to_string(),
+            controls.clone(),
+            "\u{7f}".to_string(),
+            "ünïcodé ✓ 😀".to_string(),
+            format!("a\"b\\c{controls}\u{7f}é😀\"\\"),
+        ]
+    }
+
+    /// What the writer oracles walk: every corpus program and 504 small
+    /// synth units (84 seeds of each of the six shapes), checked by the
+    /// incremental engine so each unit also yields its function
+    /// verdicts, plus a unit and a function verdict per hostile string.
+    /// Returns the unit summaries and the function records.
+    pub(crate) fn writer_inputs() -> (Vec<CheckSummary>, Vec<Record>) {
+        use vault_corpus::synth::{self, Shape, SynthConfig};
+        let mut sources: Vec<(String, String)> = vault_corpus::all_programs()
+            .into_iter()
+            .map(|p| (format!("{}.vlt", p.id), p.source))
+            .collect();
+        for shape in [
+            Shape::Mixed,
+            Shape::Straight,
+            Shape::Branchy,
+            Shape::Loopy,
+            Shape::VariantHeavy,
+            Shape::Sockets,
+        ] {
+            for seed in 1..=84 {
+                let config = SynthConfig {
+                    functions: 3,
+                    stmts_per_fn: 6,
+                    seed,
+                    bug_rate: 0.5,
+                    shape,
+                };
+                let name = format!("{shape:?}-{seed}.vlt");
+                sources.push((name, synth::generate(&config).source));
+            }
+        }
+        let engine = IncrementalEngine::new(8, 1 << 16);
+        engine.enable_dirty_tracking();
+        let (limits, metrics) = (Limits::default(), crate::metrics::Metrics::default());
+        let mut summaries: Vec<CheckSummary> = sources
+            .iter()
+            .map(|(name, source)| {
+                engine.check_unit_with_prelude(name, "", source, &limits, &metrics)
+            })
+            .collect();
+        let mut fns: Vec<Record> = engine
+            .take_dirty()
+            .into_iter()
+            .map(|(fp, views, stats)| Record::Fn { fp, views, stats })
+            .collect();
+        for (k, s) in hostile_strings().into_iter().enumerate() {
+            let diag = DiagView {
+                code: "V304".to_string(),
+                severity: "error".to_string(),
+                message: s.clone(),
+                start: k as u32,
+                end: 2 * k as u32,
+                line: 1,
+                col: k as u32 + 1,
+                labels: vec![LabelView {
+                    message: s.clone(),
+                    line: 2,
+                    col: 3,
+                }],
+                rendered: s.clone(),
+            };
+            let summary = CheckSummary {
+                name: s.clone(),
+                verdict: Verdict::Rejected,
+                diagnostics: vec![diag],
+                stats: CheckStats {
+                    calls: k,
+                    ..Default::default()
+                },
+            };
+            let views = FnVerdict {
+                diags: vec![Diagnostic::error(Code::KeyLeak, Span::new(0, 3), s.clone())
+                    .with_label(Span::new(1, 2), s)],
+                reads: Default::default(),
+            };
+            summaries.push(summary);
+            fns.push(Record::Fn {
+                fp: k as u64,
+                views: Arc::new(views),
+                stats: CheckStats {
+                    joins: k,
+                    ..Default::default()
+                },
+            });
+        }
+        (summaries, fns)
+    }
+
+    #[test]
+    fn check_replies_match_the_reference_encoder() {
+        let reports: Vec<UnitReport> = writer_inputs()
+            .0
+            .into_iter()
+            .enumerate()
+            .map(|(i, summary)| UnitReport {
+                summary: Arc::new(summary),
+                cached: i % 3 == 0,
+                check_micros: i as u64 * 37,
+            })
+            .collect();
+        let mut rejected = 0;
+        for (i, report) in reports.iter().enumerate() {
+            let one = std::slice::from_ref(report);
+            let id = (i % 2 == 0).then_some(i as u64);
+            let line = check_reply(id, one, 1000 + i as u64);
+            assert_eq!(line, encode_check(id, one, 1000 + i as u64).to_line());
+            let line = check_project_reply(id, one, i as u64);
+            assert_eq!(line, encode_check_project(id, one, i as u64).to_line());
+            rejected += usize::from(report.summary.verdict == Verdict::Rejected);
+        }
+        assert!(rejected > 100, "the walk covers diagnostics: {rejected}");
+        // Whole batches, as `check` and `check-project` answer them, and
+        // ids an `f64` holds exactly, rounds, or saturates.
+        for id in [u64::MAX >> 11, 1 << 60, u64::MAX] {
+            assert_eq!(
+                check_reply(Some(id), &reports, 0),
+                encode_check(Some(id), &reports, 0).to_line()
+            );
+        }
+        assert_eq!(
+            check_project_reply(None, &reports, 7),
+            encode_check_project(None, &reports, 7).to_line()
+        );
+    }
 
     #[test]
     fn parses_every_op() {

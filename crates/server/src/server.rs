@@ -23,37 +23,42 @@ use std::time::{Duration, Instant};
 /// abandoning them. Bounded so one wedged unit can't hold the exit.
 pub const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
-/// Dispatch one decoded request. Returns the response and whether the
-/// client asked the daemon to shut down.
-pub fn handle_request(svc: &CheckService, id: Option<u64>, req: Request) -> (Json, bool) {
+/// Dispatch one decoded request. Returns the reply line (without its
+/// newline) and whether the client asked the daemon to shut down.
+/// `check` and `check-project` replies are written straight to text;
+/// the other, small replies go through a [`Json`] value.
+pub fn handle_request(svc: &CheckService, id: Option<u64>, req: Request) -> (String, bool) {
     let start = Instant::now();
     svc.metrics()
         .requests
         .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let (response, shutdown) = match req {
         Request::Check { units } => match refuse_over_cap(svc, id, "check", &units) {
-            Some(refusal) => (refusal, false),
+            Some(refusal) => (refusal.to_line(), false),
             None => {
                 let (reports, wall) = svc.check_units(units);
-                (proto::encode_check(id, &reports, wall), false)
+                (proto::check_reply(id, &reports, wall), false)
             }
         },
         Request::CheckProject { units } => {
             match refuse_over_cap(svc, id, "check-project", &units) {
-                Some(refusal) => (refusal, false),
+                Some(refusal) => (refusal.to_line(), false),
                 None => {
                     let (reports, wall) = svc.check_project(units);
-                    (proto::encode_check_project(id, &reports, wall), false)
+                    (proto::check_project_reply(id, &reports, wall), false)
                 }
             }
         }
         Request::EmitC { unit } => {
             let (summary, c) = svc.emit_c(&unit);
-            (proto::encode_emit_c(id, &summary, c.as_deref()), false)
+            (
+                proto::encode_emit_c(id, &summary, c.as_deref()).to_line(),
+                false,
+            )
         }
         Request::Stats { unit } => {
             let report = svc.check_unit(unit);
-            (proto::encode_stats_response(id, &report), false)
+            (proto::encode_stats_response(id, &report).to_line(), false)
         }
         Request::Status => {
             let snap = svc.status();
@@ -65,15 +70,16 @@ pub fn handle_request(svc: &CheckService, id: Option<u64>, req: Request) -> (Jso
                     svc.cache_entries(),
                     svc.cache_capacity(),
                     svc.store_health(),
-                ),
+                )
+                .to_line(),
                 false,
             )
         }
         Request::ClearCache => {
             svc.clear_cache();
-            (proto::encode_ack(id, "clear-cache"), false)
+            (proto::encode_ack(id, "clear-cache").to_line(), false)
         }
-        Request::Shutdown => (proto::encode_ack(id, "shutdown"), true),
+        Request::Shutdown => (proto::encode_ack(id, "shutdown").to_line(), true),
     };
     svc.metrics().request_micros.fetch_add(
         start.elapsed().as_micros() as u64,
@@ -110,18 +116,19 @@ fn refuse_over_cap(
 /// well-formed requests go through [`handle_request`]. Shared by the
 /// blocking front end here and the multiplexer's request turns
 /// ([`crate::mux`]) so every transport answers byte-identically.
-pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
+pub fn respond_to_line(svc: &CheckService, line: &str) -> (String, bool) {
     match parse(line) {
         Err(e) => {
             svc.metrics().request_failed();
-            (proto::encode_error(None, &format!("bad JSON: {e}")), false)
+            let reply = proto::encode_error(None, &format!("bad JSON: {e}"));
+            (reply.to_line(), false)
         }
         Ok(v) => {
             let (id, req) = proto::parse_request(&v);
             match req {
                 Err(e) => {
                     svc.metrics().request_failed();
-                    (proto::encode_error(id, &e), false)
+                    (proto::encode_error(id, &e).to_line(), false)
                 }
                 Ok(req) => handle_request(svc, id, req),
             }
@@ -131,13 +138,14 @@ pub fn respond_to_line(svc: &CheckService, line: &str) -> (Json, bool) {
 
 /// The error reply for a request line of `n`+ bytes that overran
 /// `max_request_bytes` and was skipped (counted in `requests_failed`).
-pub(crate) fn too_long_reply(svc: &CheckService, n: usize) -> Json {
+pub(crate) fn too_long_reply(svc: &CheckService, n: usize) -> String {
     svc.metrics().request_failed();
     let max = svc.limits().max_request_bytes;
     proto::encode_error(
         None,
         &format!("request line of {n}+ bytes exceeds the {max}-byte limit; line skipped"),
     )
+    .to_line()
 }
 
 /// Serve one JSON-lines connection until EOF or a `shutdown` request.
@@ -173,7 +181,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
             Framed::Request(line) if line.trim().is_empty() => continue,
             Framed::Request(line) => respond_to_line(svc, &line),
         };
-        writer.write_all(response.to_line().as_bytes())?;
+        writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
         if shutdown {
