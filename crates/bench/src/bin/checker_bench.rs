@@ -4,8 +4,11 @@
 //! synthetic workload:
 //!
 //! 1. **cold** — whole-unit `check_summary` wall time (parse +
-//!    elaborate + check, no caches anywhere), with a per-phase
-//!    breakdown (lex/parse/elaborate/lower/check micros);
+//!    elaborate + check, no caches anywhere): the best run with its
+//!    per-phase breakdown (lex/parse/elaborate/lower/check micros), and
+//!    the median and interquartile spread of all runs; `cold_allocs`
+//!    counts the allocation calls of each cold phase over a
+//!    `cold_batch`-shaped pool of units, which needs no timing;
 //! 2. **warm** — re-checking the identical batch through the service's
 //!    whole-unit verdict cache (pure cache hit);
 //! 3. **incremental** — re-checking after a one-function, same-length
@@ -62,7 +65,7 @@
 //! speedup claims stay auditable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicIsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -89,16 +92,44 @@ const BASELINE_COMMIT: &str = "33ddf53 (pre-overhaul)";
 const SPARSE_BASELINE_CHECK_MICROS: u64 = 95757;
 const SPARSE_BASELINE_COMMIT: &str = "b28fa92 (pre-sparse)";
 
-/// The system allocator, counting live heap bytes while [`COUNTING`] is
-/// set.
+/// `cold_allocs` per unit on the same pool at the commit before the
+/// checker stopped cloning signatures and types per call.
+struct AllocBaseline {
+    commit: &'static str,
+    lex: f64,
+    parse: f64,
+    elaborate_lower: f64,
+    check: f64,
+    check_per_statement: f64,
+}
+
+const BASELINE_ALLOCS: AllocBaseline = AllocBaseline {
+    commit: "ea8a187 (signatures and types cloned per call)",
+    lex: 82.88,
+    parse: 624.62,
+    elaborate_lower: 328.71,
+    check: 1803.19,
+    check_per_statement: 10.11,
+};
+
+/// The system allocator, counting live heap bytes and allocation calls
+/// (reallocations included) while [`COUNTING`] is set.
 struct CountingAlloc;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 fn count(delta: isize) {
     if COUNTING.load(Relaxed) {
         LIVE_BYTES.fetch_add(delta, Relaxed);
+    }
+}
+
+fn count_alloc(delta: isize) {
+    if COUNTING.load(Relaxed) {
+        LIVE_BYTES.fetch_add(delta, Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
     }
 }
 
@@ -108,7 +139,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size() as isize);
         }
         p
     }
@@ -116,7 +147,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            count(layout.size() as isize);
+            count_alloc(layout.size() as isize);
         }
         p
     }
@@ -129,7 +160,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            count(new_size as isize - layout.size() as isize);
+            count_alloc(new_size as isize - layout.size() as isize);
         }
         p
     }
@@ -149,6 +180,16 @@ fn heap_bytes<T>(f: impl FnOnce() -> T) -> (i64, i64) {
     drop(result);
     COUNTING.store(false, Relaxed);
     (held as i64, LIVE_BYTES.load(Relaxed) as i64)
+}
+
+/// Heap allocations (reallocations included) `f` makes. Only the
+/// calling thread may be busy while it runs: the counter is global.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    ALLOCS.store(0, Relaxed);
+    COUNTING.store(true, Relaxed);
+    let result = f();
+    COUNTING.store(false, Relaxed);
+    (result, ALLOCS.load(Relaxed))
 }
 
 const PRELUDE: &str = r#"
@@ -264,10 +305,12 @@ fn edit_one_function(source: &str, digit: char) -> String {
 }
 
 /// Best-of-`iters` wall time for sequentially checking all `units`,
-/// plus the per-phase breakdown (summed over units) from the best run.
-fn cold_secs(units: &[UnitIn], iters: usize) -> (f64, vault_core::check::CheckStats) {
+/// plus the per-phase breakdown (summed over units) from the best run
+/// and every run's time.
+fn cold_secs(units: &[UnitIn], iters: usize) -> (f64, vault_core::check::CheckStats, Vec<f64>) {
     let mut best = f64::INFINITY;
     let mut phases = vault_core::check::CheckStats::default();
+    let mut runs = Vec::with_capacity(iters);
     for _ in 0..iters {
         let mut run_phases = vault_core::check::CheckStats::default();
         let start = Instant::now();
@@ -277,12 +320,26 @@ fn cold_secs(units: &[UnitIn], iters: usize) -> (f64, vault_core::check::CheckSt
             run_phases.absorb(s.stats);
         }
         let secs = start.elapsed().as_secs_f64();
+        runs.push(secs);
         if secs < best {
             best = secs;
             phases = run_phases;
         }
     }
-    (best, phases)
+    (best, phases, runs)
+}
+
+/// The first quartile, median and third quartile of `samples`, each
+/// interpolated linearly between the two nearest ranks.
+fn quartiles(samples: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
 }
 
 fn main() {
@@ -306,11 +363,14 @@ fn main() {
     println!("workload: {} units, {total_loc} LOC", units.len());
 
     // --- cold: the raw checker, no caches ------------------------------
-    let (cold, phases) = cold_secs(&units, iters);
+    let (cold, phases, cold_runs) = cold_secs(&units, iters);
+    let (cold_q1, cold_median, cold_q3) = quartiles(&cold_runs);
     println!(
-        "cold:        {:.4} s ({:.1} us/unit)",
+        "cold:        {:.4} s best ({:.1} us/unit), median {:.4} s, interquartile {:.4} s",
         cold,
-        cold * 1e6 / units.len() as f64
+        cold * 1e6 / units.len() as f64,
+        cold_median,
+        cold_q3 - cold_q1
     );
     // Phase-accounting audit: the breakdown plus an explicit
     // `other` remainder must account for every wall microsecond of the
@@ -341,6 +401,23 @@ fn main() {
         phases.check_micros,
         other_micros,
         cold_total_micros
+    );
+
+    // --- cold_allocs: allocation calls per cold phase -------------------
+    let allocs = cold_allocs();
+    let per_unit = |n: u64| round2(n as f64 / allocs.units as f64);
+    let check_per_statement = round2(allocs.check as f64 / allocs.statements as f64);
+    println!(
+        "cold allocs: {} units, {} statements; per unit lex {}, parse {}, elaborate+lower {}, check {} ({} per statement; {} at {})",
+        allocs.units,
+        allocs.statements,
+        per_unit(allocs.lex),
+        per_unit(allocs.parse),
+        per_unit(allocs.elaborate_lower),
+        per_unit(allocs.check),
+        check_per_statement,
+        BASELINE_ALLOCS.check_per_statement,
+        BASELINE_ALLOCS.commit,
     );
 
     // --- warm: whole-unit verdict cache hit ----------------------------
@@ -536,6 +613,14 @@ fn main() {
         ("iters".to_string(), Json::num(iters as u64)),
         ("cold_secs".to_string(), Json::Num(round6(cold))),
         (
+            "cold_median_secs".to_string(),
+            Json::Num(round6(cold_median)),
+        ),
+        (
+            "cold_iqr_secs".to_string(),
+            Json::Num(round6(cold_q3 - cold_q1)),
+        ),
+        (
             "cold_total_micros".to_string(),
             Json::num(cold_total_micros),
         ),
@@ -548,6 +633,64 @@ fn main() {
                 ("lower".to_string(), Json::num(phases.lower_micros)),
                 ("check".to_string(), Json::num(phases.check_micros)),
                 ("other".to_string(), Json::num(other_micros)),
+            ]),
+        ),
+        (
+            "cold_allocs".to_string(),
+            Json::Obj(vec![
+                (
+                    "pool".to_string(),
+                    Json::str(
+                        "cold_batch-shaped: every corpus program plus 96 synth units \
+                         over all six shapes",
+                    ),
+                ),
+                ("units".to_string(), Json::num(allocs.units)),
+                ("statements".to_string(), Json::num(allocs.statements)),
+                (
+                    "per_unit".to_string(),
+                    Json::Obj(vec![
+                        ("lex".to_string(), Json::Num(per_unit(allocs.lex))),
+                        ("parse".to_string(), Json::Num(per_unit(allocs.parse))),
+                        (
+                            "elaborate_lower".to_string(),
+                            Json::Num(per_unit(allocs.elaborate_lower)),
+                        ),
+                        ("check".to_string(), Json::Num(per_unit(allocs.check))),
+                    ]),
+                ),
+                (
+                    "check_per_statement".to_string(),
+                    Json::Num(check_per_statement),
+                ),
+                (
+                    "baseline".to_string(),
+                    Json::Obj(vec![
+                        ("commit".to_string(), Json::str(BASELINE_ALLOCS.commit)),
+                        (
+                            "per_unit".to_string(),
+                            Json::Obj(vec![
+                                ("lex".to_string(), Json::Num(BASELINE_ALLOCS.lex)),
+                                ("parse".to_string(), Json::Num(BASELINE_ALLOCS.parse)),
+                                (
+                                    "elaborate_lower".to_string(),
+                                    Json::Num(BASELINE_ALLOCS.elaborate_lower),
+                                ),
+                                ("check".to_string(), Json::Num(BASELINE_ALLOCS.check)),
+                            ]),
+                        ),
+                        (
+                            "check_per_statement".to_string(),
+                            Json::Num(BASELINE_ALLOCS.check_per_statement),
+                        ),
+                    ]),
+                ),
+                (
+                    "check_reduction_vs_baseline".to_string(),
+                    Json::Num(round2(
+                        BASELINE_ALLOCS.check_per_statement / check_per_statement.max(0.01),
+                    )),
+                ),
             ]),
         ),
         ("warm_unit_cache_secs".to_string(), Json::Num(round6(warm))),
@@ -944,6 +1087,89 @@ fn parses(source: &str) -> bool {
 /// unit nor elaborates it.
 fn took_fast_path(stats: &CheckStats) -> bool {
     stats.lex_micros == 0 && stats.elaborate_micros == 0
+}
+
+/// Allocation calls of each cold phase, summed over [`cold_batch_pool`].
+#[derive(Default)]
+struct ColdAllocs {
+    units: u64,
+    statements: u64,
+    lex: u64,
+    parse: u64,
+    elaborate_lower: u64,
+    check: u64,
+}
+
+/// Sources shaped like the `cold_batch` end-to-end workload's pool:
+/// every corpus program plus 96 `synth` units cycling through all six
+/// shapes (4 to 24 functions of 12 statements, bug rate 0.2). Frozen,
+/// like [`workload`].
+fn cold_batch_pool() -> Vec<String> {
+    const SHAPES: [Shape; 6] = [
+        Shape::Mixed,
+        Shape::Straight,
+        Shape::Branchy,
+        Shape::Loopy,
+        Shape::VariantHeavy,
+        Shape::Sockets,
+    ];
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut pool: Vec<String> = vault_corpus::all_programs()
+        .into_iter()
+        .map(|p| p.source)
+        .collect();
+    for (i, shape) in SHAPES.iter().cycle().take(96).enumerate() {
+        let program = synth::generate(&SynthConfig {
+            functions: 4 + (i * 7) % 21,
+            stmts_per_fn: 12,
+            seed: rand::Rng::gen_range(&mut rng, 0..u64::MAX),
+            bug_rate: 0.2,
+            shape: *shape,
+        });
+        pool.push(program.source);
+    }
+    pool
+}
+
+/// Count the allocations of each cold phase of every pool unit, one
+/// phase at a time on this thread: lex (the lexer alone), parse (the
+/// whole front end minus the lexer's share), elaborate + lower, and the
+/// check of every body. Deterministic for a given toolchain, so a change
+/// in the check phase's allocations shows without timing noise.
+fn cold_allocs() -> ColdAllocs {
+    let limits = Limits::default();
+    let mut c = ColdAllocs::default();
+    for source in cold_batch_pool() {
+        let mut diags = vault_syntax::DiagSink::new();
+        let (_, lex) =
+            allocations(|| vault_syntax::lexer::lex(&source, &mut vault_syntax::DiagSink::new()));
+        let (program, front) = allocations(|| vault_syntax::parse_program(&source, &mut diags));
+        let (elaborated, elaborate) =
+            allocations(|| vault_core::elaborate_owned(program, &mut diags));
+        let (stats, check) = allocations(|| {
+            let mut stats = CheckStats::default();
+            for f in &elaborated.bodies {
+                stats.absorb(vault_core::check::check_function_with_limits(
+                    &elaborated.world,
+                    &elaborated.syms,
+                    &elaborated.aliases,
+                    &elaborated.qualifiers,
+                    &elaborated.base_keys,
+                    f,
+                    &mut diags,
+                    &limits,
+                ));
+            }
+            stats
+        });
+        c.units += 1;
+        c.statements += stats.statements as u64;
+        c.lex += lex;
+        c.parse += front.saturating_sub(lex);
+        c.elaborate_lower += elaborate;
+        c.check += check;
+    }
+    c
 }
 
 fn round6(x: f64) -> f64 {

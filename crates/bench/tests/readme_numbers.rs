@@ -2,10 +2,12 @@
 //!
 //! Each row names, in its `field` column, the `BENCH_checker.json` field
 //! its seconds come from (a dotted path into nested objects; a
-//! `_micros` field is shown in seconds). Its speedup either names its
-//! own field in backticks or reads `N× vs cold`, the cold time over the
-//! row's, rounded. Re-taking the bench without regenerating the table
-//! fails here.
+//! `_micros` field is shown in seconds). Its spread is `—` or
+//! `IQR <seconds> (`field`)`, naming the field it comes from. Its
+//! speedup either names its own field in backticks or reads
+//! `N× vs cold`, the best cold time (`cold_secs`) over the row's,
+//! rounded. Re-taking the bench without regenerating the table fails
+//! here.
 
 use vault_server::{parse_json, Json};
 
@@ -13,7 +15,7 @@ const ROOT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
 /// The fields the table must show, in row order.
 const FIELDS: [&str; 5] = [
-    "cold_secs",
+    "cold_median_secs",
     "warm_unit_cache_secs",
     "one_fn_edit_incremental_secs",
     "restart_warm_secs",
@@ -50,8 +52,8 @@ fn recorded_numbers_match_the_checker_bench_file() {
     let shown: Vec<&str> = rows.iter().filter_map(|r| quoted(r[1])).collect();
     assert_eq!(shown, FIELDS, "the table's rows and their fields");
     for row in &rows {
-        let [scenario, name, seconds, speedup] = row[..] else {
-            panic!("a row without four columns: {row:?}");
+        let [scenario, name, seconds, spread, speedup] = row[..] else {
+            panic!("a row without five columns: {row:?}");
         };
         let name = quoted(name).expect("a field in backticks");
         let value = field(&bench, name);
@@ -61,6 +63,14 @@ fn recorded_numbers_match_the_checker_bench_file() {
             value
         };
         assert_eq!(seconds, format!("{secs:.6}"), "{scenario}: `{name}`");
+        match quoted(spread) {
+            Some(iqr) => assert_eq!(
+                spread,
+                format!("IQR {:.6} (`{iqr}`)", field(&bench, iqr)),
+                "{scenario}: spread"
+            ),
+            None => assert_eq!(spread, "—", "{scenario}: spread"),
+        }
         let (ratio, rest) = speedup.split_once('×').expect("a speedup in ×");
         let ratio: f64 = ratio.parse().expect("a numeric speedup");
         let want = match quoted(rest) {

@@ -17,17 +17,20 @@ use crate::elaborate::lower_fn_decl_in;
 use crate::flow::{merge, states_agree, Binding, FlowState, Frame};
 use crate::interface::Decls;
 use crate::lower::{
-    is_keyed_variant, param_map, subst_by_name, subst_eff_by_name, AliasEntry, LowerCtx, Scope,
+    is_keyed_variant, param_map, subst_by_name, subst_eff_by_name, AliasEntry, ArgMap, LowerCtx,
+    Scope,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::Arc;
 use vault_syntax::ast::{self, Expr, ExprKind, Stmt, StmtKind};
 use vault_syntax::diag::{Code, DiagSink, Diagnostic};
 use vault_syntax::span::Span;
 use vault_types::{
     unify, Arg, Bindings, CtorDef, EffItem, FnSig, GuardAtom, Interner, KeyGen, KeyId, KeyInfo,
-    KeyOrigin, KeyRef, StateArg, StateReq, StateVal, Symbol, Tables, Ty, TypeDef, VariantDef,
-    World,
+    KeyOrigin, KeyRef, Name, Resource, StateArg, StateReq, StateVal, Symbol, Tables, Ty, TypeDef,
+    VariantDef, World,
 };
 
 /// Counters reported per function check (used by the scaling benches).
@@ -119,7 +122,7 @@ enum ExitExpect {
     /// A concrete key must be held in the given state.
     Key { key: KeyId, state: StateVal },
     /// A `[new K]` key, identified by unifying the return type.
-    FreshVar { var: String, state: StateVal },
+    FreshVar { var: Name, state: StateVal },
 }
 
 /// Check one function body against its signature.
@@ -180,7 +183,7 @@ pub fn check_function_reading(
         local_fns: BTreeMap::new(),
         captured: Vec::new(),
         statevars: BTreeMap::new(),
-        keyenv: BTreeMap::new(),
+        keyenv: Arc::default(),
         ret_ty: Ty::Void,
         fn_name: f.name.name.to_string(),
         expected_exit: Vec::new(),
@@ -189,6 +192,7 @@ pub fn check_function_reading(
         stats: CheckStats::default(),
         limits: *limits,
         gave_up: false,
+        nested: false,
     };
     // Copy-on-write accounting: one function check is one job, and the
     // scope windows the thread-local counter over exactly this call, so
@@ -205,6 +209,24 @@ pub fn check_function_reading(
     checker.stats
 }
 
+/// A resolved callee signature: borrowed from the unit's declarations,
+/// or shared with a nested function or a function value.
+enum Callee<'a> {
+    Decl(&'a FnSig),
+    Local(Arc<FnSig>),
+}
+
+impl std::ops::Deref for Callee<'_> {
+    type Target = FnSig;
+
+    fn deref(&self) -> &FnSig {
+        match self {
+            Callee::Decl(sig) => sig,
+            Callee::Local(sig) => sig,
+        }
+    }
+}
+
 struct FnChecker<'a, 'd> {
     /// The unit's declaration tables and interner, reached only through
     /// this accessor.
@@ -213,13 +235,13 @@ struct FnChecker<'a, 'd> {
     keys: KeyGen,
     abs_counter: u32,
     /// Nested functions in scope, by name.
-    local_fns: BTreeMap<Symbol, FnSig>,
+    local_fns: BTreeMap<Symbol, Arc<FnSig>>,
     /// Read-only frames captured from an enclosing function.
     captured: Vec<Arc<Frame>>,
     /// Instantiated state variables of this function's signature.
     statevars: BTreeMap<Symbol, StateVal>,
     /// Key names in scope (parameters, locals, enclosing keys).
-    keyenv: BTreeMap<Symbol, KeyRef>,
+    keyenv: Arc<BTreeMap<Symbol, KeyRef>>,
     /// Concrete return type (fresh keys still variables).
     ret_ty: Ty,
     fn_name: String,
@@ -234,6 +256,8 @@ struct FnChecker<'a, 'd> {
     limits: crate::Limits,
     /// Set once the deadline trips; every further statement is skipped.
     gave_up: bool,
+    /// Whether this checks a function nested in another's body.
+    nested: bool,
 }
 
 impl<'a, 'd> FnChecker<'a, 'd> {
@@ -250,11 +274,15 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     /// preludes and the interface cutoff is preserved). Functions with
     /// no `uses` items opt out entirely: they impose no requirement on
     /// callers and incur none themselves.
-    fn require_cap(&mut self, cap: &str, what: &str, span: Span) {
+    ///
+    /// `what` is formatted only when the diagnostic is reported.
+    fn require_cap(&mut self, cap: &str, what: fmt::Arguments<'_>, span: Span) {
         if self.caps_declared.is_empty() {
             return;
         }
-        self.caps_used.insert(cap.to_string());
+        if !self.caps_used.contains(cap) {
+            self.caps_used.insert(cap.to_string());
+        }
         if !self.caps_declared.iter().any(|c| c == cap) {
             self.diags.error(
                 Code::CapMissing,
@@ -271,6 +299,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     /// Snapshot the flow state for a branch, loop, or switch arm. With
     /// copy-on-write frames this is O(frames) `Arc` bumps; frames are
     /// only deep-copied when a side later writes to them.
+    fn describe(&self, k: KeyId) -> String {
+        self.keys.describe(k, self.decls.tables())
+    }
+
     fn snapshot(&mut self, st: &FlowState) -> FlowState {
         self.stats.snapshots += 1;
         st.clone()
@@ -284,7 +316,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
     }
 
-    fn fresh_key(&mut self, name: Option<String>, resource: String, origin: KeyOrigin) -> KeyId {
+    fn fresh_key(&mut self, name: Option<Name>, resource: Resource, origin: KeyOrigin) -> KeyId {
         self.stats.keys_allocated += 1;
         self.keys.fresh(KeyInfo {
             name,
@@ -309,13 +341,13 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // error — the program is still protocol-correct.
         if !self.caps_declared.is_empty() && !self.gave_up {
             let eff_span = f.effect.as_ref().map(|e| e.span).unwrap_or(f.name.span);
-            for cap in self.caps_declared.clone() {
+            for cap in &self.caps_declared {
                 // Unknown capabilities already got a `V702` error at the
                 // declaration site; an unused-warning on top is noise.
                 if !crate::KNOWN_CAPS.contains(&cap.as_str()) {
                     continue;
                 }
-                if !self.caps_used.contains(&cap) {
+                if !self.caps_used.contains(cap) {
                     self.diags.push(Diagnostic::warning(
                         Code::CapUnused,
                         eff_span,
@@ -347,51 +379,53 @@ impl<'a, 'd> FnChecker<'a, 'd> {
 
     /// Build the entry state from the function's signature.
     fn instantiate(&mut self, f: &ast::FunDecl) -> FlowState {
-        let outer_keys = self.keyenv.clone();
-        let mut scope = Scope::signature();
-        scope.bound_keys = outer_keys;
-        let sig = {
-            let ctx = self.ctx();
-            lower_fn_decl_in(&ctx, f, scope, self.diags)
+        // Elaboration already lowered a top-level signature; where that
+        // lowering reported nothing and no other declaration shares the
+        // name, lowering it again here would give the same signature and
+        // report nothing, so it is borrowed instead.
+        let reusable = if self.nested {
+            None
+        } else {
+            self.decls.reusable_sig(&f.name.name)
+        };
+        let sig: Cow<'a, FnSig> = match reusable {
+            Some(sig) => Cow::Borrowed(sig),
+            None => {
+                let mut scope = Scope::signature();
+                scope.bound_keys = self.keyenv.clone();
+                let ctx = self.ctx();
+                Cow::Owned(lower_fn_decl_in(&ctx, f, scope, self.diags))
+            }
         };
         self.caps_declared = sig.caps.clone();
 
-        // Which key variables does the signature bind, and where?
-        let fresh_vars: BTreeSet<String> = sig
-            .effect
-            .iter()
-            .filter_map(|i| match i {
-                EffItem::Fresh { var, .. } => Some(var.clone()),
-                _ => None,
-            })
-            .collect();
-        // Unbound effect/return keys and duplicated effect items are
-        // reported by `validate_signature` during elaboration (and for
-        // nested functions, by `check_nested_fun`); here we only need the
+        // Which key variables does the signature bind? Unbound
+        // effect/return keys and duplicated effect items are reported by
+        // `validate_signature` during elaboration (and for nested
+        // functions, by `check_nested_fun`); here we only need the
         // variable sets for instantiation.
-        let mut param_keyvars: BTreeSet<String> = BTreeSet::new();
+        let mut param_keyvars: BTreeSet<Name> = BTreeSet::new();
         for p in &sig.params {
             crate::lower::collect_keyvars(p, &mut param_keyvars);
         }
-        let _ = &fresh_vars;
 
         // Instantiate key variables with fresh concrete keys.
-        let mut imap: BTreeMap<String, Arg> = BTreeMap::new();
+        let mut imap: ArgMap<'_> = BTreeMap::new();
         for v in &param_keyvars {
-            let resource = key_resource(&sig.params, v).unwrap_or_else(|| "resource".into());
+            let resource = key_resource(&sig.params, v).unwrap_or(Resource::Static("resource"));
             let k = self.fresh_key(Some(v.clone()), resource, KeyOrigin::Param);
-            self.keyenv.insert(self.decls.syms().sym(v), KeyRef::Id(k));
-            imap.insert(v.clone(), Arg::Key(KeyRef::Id(k)));
+            Arc::make_mut(&mut self.keyenv).insert(self.decls.syms().sym(v), KeyRef::Id(k));
+            imap.insert(v, Arg::Key(KeyRef::Id(k)));
         }
 
         // Instantiate state variables with abstract states.
-        let mut svars: BTreeMap<String, Option<vault_types::StateId>> = BTreeMap::new();
+        let mut svars: BTreeMap<Name, Option<vault_types::StateId>> = BTreeMap::new();
         for tp in &f.tparams {
             if let ast::TParam::State { name, bound } = tp {
                 let b = bound
                     .as_ref()
                     .and_then(|b| self.decls.tables().states.state(&b.name));
-                svars.insert(name.name.to_string(), b);
+                svars.insert(name.name.as_str().into(), b);
             }
         }
         for item in &sig.effect {
@@ -403,7 +437,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         for (v, bound) in &svars {
             let val = self.fresh_abs(*bound);
             self.statevars.insert(self.decls.syms().sym(v), val);
-            imap.insert(v.clone(), Arg::State(StateArg::Val(val)));
+            imap.insert(v, Arg::State(StateArg::Val(val)));
         }
 
         // Concrete parameter types; anonymous tracked parameters are
@@ -414,8 +448,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let mut cty = subst_by_name(ty, &imap);
             if let Ty::TrackedAnon(inner) = &cty {
                 let k = self.fresh_key(
-                    name.clone(),
-                    inner.display(self.decls.tables()),
+                    name.as_deref().map(Name::from),
+                    Resource::Type((**inner).clone()),
                     KeyOrigin::Param,
                 );
                 entry_anon_keys.push(k);
@@ -502,8 +536,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // Unmentioned global keys are held in a polymorphic state that the
         // function must not disturb.
         for (name, g) in self.decls.tables().global_keys() {
-            self.keyenv
-                .insert(self.decls.syms().sym(name), KeyRef::Id(g.id));
+            Arc::make_mut(&mut self.keyenv).insert(self.decls.syms().sym(name), KeyRef::Id(g.id));
             if !mentioned.contains(&g.id) {
                 let val = self.fresh_abs(None);
                 st.held.insert(g.id, val).expect("globals are distinct");
@@ -606,7 +639,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "cannot return `{}`: its key {} is not held",
                             actual.display(self.decls.tables()),
-                            self.keys.describe(*k)
+                            self.describe(*k)
                         ),
                     );
                 }
@@ -649,7 +682,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "effect clause promises key {} at exit, but it is not held \
                              here",
-                            self.keys.describe(*k)
+                            self.describe(*k)
                         ),
                     );
                 }
@@ -659,7 +692,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         span,
                         format!(
                             "key {} must be in state `{}` at exit, but is in `{}`",
-                            self.keys.describe(*k),
+                            self.describe(*k),
                             want.display(&self.decls.tables().states),
                             cur.display(&self.decls.tables().states)
                         ),
@@ -670,15 +703,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
         for (k, _) in st.held.iter() {
             if !expected.contains_key(&k) {
-                let info = self.keys.info(k);
                 self.diags.error(
                     Code::KeyLeak,
                     span,
                     format!(
                         "key {} ({}) is still held at exit of `{}` but its effect clause \
                          does not return it — leaked resource",
-                        self.keys.describe(k),
-                        info.resource,
+                        self.describe(k),
+                        self.keys.resource(k, self.decls.tables()),
                         self.fn_name
                     ),
                 );
@@ -760,7 +792,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             StmtKind::Switch { scrutinee, arms } => self.check_switch(st, scrutinee, arms, s.span),
             StmtKind::Return(v) => self.do_return(st, v.as_ref(), s.span),
             StmtKind::Free(e) => {
-                self.require_cap("alloc", "`free`", s.span);
+                self.require_cap("alloc", format_args!("`free`"), s.span);
                 let t = self.eval(st, e, None);
                 match t {
                     Ty::Tracked {
@@ -779,7 +811,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 e.span,
                                 format!(
                                     "cannot free: key {} is not in the held-key set",
-                                    self.keys.describe(k)
+                                    self.describe(k)
                                 ),
                             );
                         }
@@ -824,8 +856,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let ctx = self.ctx();
             ctx.lower_type(&mut scope, ty, self.diags)
         };
-        let binders = scope.binders.clone();
-        let state_binders = scope.state_binders.clone();
+        let binders = std::mem::take(&mut scope.binders);
+        let state_binders = std::mem::take(&mut scope.state_binders);
         let (final_ty, decl_ty, init_ok) = match init {
             Some(e) => {
                 let expected = lowered.clone();
@@ -849,7 +881,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 for b in &binders {
                     match binds.keys.get(b) {
                         Some(k) => {
-                            self.keyenv.insert(self.decls.syms().sym(b), KeyRef::Id(*k));
+                            Arc::make_mut(&mut self.keyenv)
+                                .insert(self.decls.syms().sym(b), KeyRef::Id(*k));
                             if self.keys.info(*k).name.is_none() {
                                 self.keys.info_mut(*k).name = Some(b.clone());
                             }
@@ -869,7 +902,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 }
                 // Bind fresh state variables (`KIRQL<old> prev = ...`).
                 for b in &state_binders {
-                    match binds.states.get(b) {
+                    match binds.states.get(b.as_str()) {
                         Some(v) => {
                             self.statevars.insert(self.decls.syms().sym(b), *v);
                         }
@@ -1059,12 +1092,13 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             stats: CheckStats::default(),
             limits: self.limits,
             gave_up: self.gave_up,
+            nested: true,
         };
         child.run(f);
         let child_stats = child.stats;
         self.stats.absorb(child_stats);
         self.local_fns
-            .insert(self.decls.syms().sym(&f.name.name), sig);
+            .insert(self.decls.syms().sym(&f.name.name), Arc::new(sig));
     }
 
     /// The loop-invariant fixpoint, iterated sparsely.
@@ -1179,7 +1213,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "cannot switch on `{}`: its key {} is not held",
                             sty.display(self.decls.tables()),
-                            self.keys.describe(*k)
+                            self.describe(*k)
                         ),
                     );
                 }
@@ -1224,9 +1258,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             );
             return;
         };
-        let def = def.clone();
         let pre = self.snapshot(st);
-        let mut covered: BTreeSet<String> = BTreeSet::new();
+        let mut covered: BTreeSet<&str> = BTreeSet::new();
         let mut result: Option<FlowState> = None;
         for arm in arms {
             let Some((_, cdef)) = def.ctor(&arm.ctor.name) else {
@@ -1240,16 +1273,15 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 );
                 continue;
             };
-            let cdef = cdef.clone();
-            covered.insert(arm.ctor.name.to_string());
+            covered.insert(&cdef.name);
             let mut s = self.snapshot(&pre);
-            self.check_arm(&mut s, &def, &cdef, &vargs, arm);
+            self.check_arm(&mut s, def, cdef, &vargs, arm);
             result = Some(match result {
                 None => s,
                 Some(prev) => self.join(&prev, &s, arm.span),
             });
         }
-        let all_covered = def.ctors.iter().all(|c| covered.contains(&c.name));
+        let all_covered = def.ctors.iter().all(|c| covered.contains(c.name.as_str()));
         if keyed && !all_covered {
             self.diags.error(
                 Code::NonExhaustiveSwitch,
@@ -1260,7 +1292,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     def.name,
                     def.ctors
                         .iter()
-                        .filter(|c| !covered.contains(&c.name))
+                        .filter(|c| !covered.contains(c.name.as_str()))
                         .map(|c| format!("'{}", c.name))
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -1281,8 +1313,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     fn check_arm(
         &mut self,
         s: &mut FlowState,
-        def: &VariantDef,
-        cdef: &CtorDef,
+        def: &'a VariantDef,
+        cdef: &'a CtorDef,
         vargs: &[Arg],
         arm: &ast::SwitchArm,
     ) {
@@ -1290,7 +1322,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // Restore captured parameter keys (paper §2.1: pattern matching
         // "restores the key to the held-key set").
         for (pname, req) in &cdef.captures {
-            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname) else {
+            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname.as_str()) else {
                 continue;
             };
             let k = *k;
@@ -1306,7 +1338,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     format!(
                         "matching `'{}` would restore key {} which is already held",
                         cdef.name,
-                        self.keys.describe(k)
+                        self.describe(k)
                     ),
                 );
             }
@@ -1314,10 +1346,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // Fresh keys for the constructor-scoped existentials: this is the
         // "anonymity" of tracked collections (paper §2.4, Fig. 4).
         for v in &cdef.exist_keys {
-            let k = self.fresh_key(None, format!("unpacked `{v}`"), KeyOrigin::Unpacked);
+            let k = self.fresh_key(None, Resource::Unpacked(v.clone()), KeyOrigin::Unpacked);
             let state = self.fresh_abs(None);
             s.held.insert(k, state).expect("fresh key");
-            pmap.insert(v.clone(), Arg::Key(KeyRef::Id(k)));
+            pmap.insert(v, Arg::Key(KeyRef::Id(k)));
         }
         // Bind the value components.
         if !arm.binders.is_empty() && arm.binders.len() != cdef.args.len() {
@@ -1338,11 +1370,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             let binder = arm.binders.get(i);
             // Anonymous tracked components unpack to fresh keys.
             if let Ty::TrackedAnon(inner) = &ty {
-                let k = self.fresh_key(
-                    None,
-                    inner.display(self.decls.tables()),
-                    KeyOrigin::Unpacked,
-                );
+                let k =
+                    self.fresh_key(None, Resource::Type((**inner).clone()), KeyOrigin::Unpacked);
                 let state = self.fresh_abs(None);
                 s.held.insert(k, state).expect("fresh key");
                 ty = Ty::Tracked {
@@ -1537,10 +1566,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
         // A function used as a value.
         if let Some(sig) = self.local_fns.get(&sym) {
-            return Ty::Fn(Box::new(sig.clone()));
+            return Ty::Fn(sig.clone());
         }
         if let Some(sig) = self.decls.fn_sig(&name.name) {
-            return Ty::Fn(Box::new(sig.clone()));
+            return Ty::Fn(Arc::new(sig.clone()));
         }
         self.diags.error(
             Code::UnknownName,
@@ -1563,7 +1592,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     format!(
                         "key {} is not in the held-key set, so this value is not \
                          accessible here",
-                        self.keys.describe(k)
+                        self.describe(k)
                     ),
                 );
                 continue;
@@ -1578,7 +1607,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "key {} must be in state `{}` to access this value, but \
                                  is in `{}`",
-                                self.keys.describe(k),
+                                self.describe(k),
                                 self.decls.tables().states.state_name(*t),
                                 cur.display(&self.decls.tables().states)
                             ),
@@ -1593,7 +1622,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "key {} must be at or below `{}` to access this value, \
                                  but is in `{}`",
-                                self.keys.describe(k),
+                                self.describe(k),
                                 self.decls.tables().states.state_name(*bound),
                                 cur.display(&self.decls.tables().states)
                             ),
@@ -1608,7 +1637,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             span,
                             format!(
                                 "key {} is not in the state bound to `{v}`",
-                                self.keys.describe(k)
+                                self.describe(k)
                             ),
                         );
                     }
@@ -1634,7 +1663,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "key {} is not in the held-key set; the object it tracks \
                                  cannot be accessed",
-                                self.keys.describe(k)
+                                self.describe(k)
                             ),
                         );
                     }
@@ -1748,8 +1777,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 return Ty::Error;
             }
         };
-        for cap in sig.caps.clone() {
-            self.require_cap(&cap, &format!("calling `{}`", sig.name), span);
+        if !self.caps_declared.is_empty() {
+            for cap in &sig.caps {
+                self.require_cap(cap, format_args!("calling `{}`", sig.name), span);
+            }
         }
         if sig.params.len() != args.len() {
             self.diags.error(
@@ -1768,7 +1799,9 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             return Ty::Error;
         }
         let mut binds = Bindings::new();
-        let mut arg_tys = Vec::with_capacity(args.len());
+        // Keys of arguments passed at anonymous tracked type, packed once
+        // every argument is checked.
+        let mut packed: Vec<(KeyId, Span)> = Vec::new();
         for (decl, arg) in sig.params.iter().zip(args) {
             let aty = self.eval(st, arg, Some(decl));
             if !decl.is_error() && !aty.is_error() {
@@ -1808,27 +1841,26 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     );
                 }
             }
-            arg_tys.push(aty);
-        }
-        // Pack arguments passed at anonymous tracked type.
-        for (decl, (aty, arg)) in sig.params.iter().zip(arg_tys.iter().zip(args)) {
             if let (
                 Ty::TrackedAnon(_),
                 Ty::Tracked {
                     key: KeyRef::Id(k), ..
                 },
-            ) = (decl, aty)
+            ) = (decl, &aty)
             {
-                if st.held.remove(*k).is_err() {
-                    self.diags.error(
-                        Code::KeyNotHeld,
-                        arg.span,
-                        format!(
-                            "passing this value consumes key {}, which is not held",
-                            self.keys.describe(*k)
-                        ),
-                    );
-                }
+                packed.push((*k, arg.span));
+            }
+        }
+        for (k, arg_span) in packed {
+            if st.held.remove(k).is_err() {
+                self.diags.error(
+                    Code::KeyNotHeld,
+                    arg_span,
+                    format!(
+                        "passing this value consumes key {}, which is not held",
+                        self.describe(k)
+                    ),
+                );
             }
         }
         self.apply_effect(st, &sig, &mut binds, span);
@@ -1845,7 +1877,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         // Returned anonymous tracked values unpack immediately.
         if let Ty::TrackedAnon(inner) = &ret {
-            let k = self.fresh_key(None, inner.display(self.decls.tables()), KeyOrigin::Fresh);
+            let k = self.fresh_key(None, Resource::Type((**inner).clone()), KeyOrigin::Fresh);
             let state = self.fresh_abs(None);
             st.held.insert(k, state).expect("fresh key");
             return Ty::Tracked {
@@ -1856,13 +1888,15 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         ret
     }
 
-    fn resolve_callee(&mut self, st: &FlowState, callee: &Expr) -> Option<FnSig> {
+    /// The signature a call instantiates: borrowed from the unit's
+    /// declarations, or shared with a nested function or function value.
+    fn resolve_callee(&mut self, st: &FlowState, callee: &Expr) -> Option<Callee<'a>> {
         match &callee.kind {
             ExprKind::Var(name) => {
                 // A local variable holding a function value.
                 if let Some(b) = st.lookup(self.decls.syms().sym(&name.name)) {
                     if let Ty::Fn(sig) = &b.ty {
-                        return Some((**sig).clone());
+                        return Some(Callee::Local(sig.clone()));
                     }
                     self.diags.error(
                         Code::TypeMismatch,
@@ -1872,10 +1906,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     return None;
                 }
                 if let Some(sig) = self.local_fns.get(&self.decls.syms().sym(&name.name)) {
-                    return Some(sig.clone());
+                    return Some(Callee::Local(sig.clone()));
                 }
                 if let Some(sig) = self.decls.fn_sig(&name.name) {
-                    return Some(sig.clone());
+                    return Some(Callee::Decl(sig));
                 }
                 self.diags.error(
                     Code::UnknownName,
@@ -1897,7 +1931,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             // segment, but note the suspicious module.
                         }
                         if let Some(sig) = self.decls.fn_sig(&fname.name) {
-                            return Some(sig.clone());
+                            return Some(Callee::Decl(sig));
                         }
                         self.diags.error(
                             Code::UnknownName,
@@ -1957,7 +1991,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "`{}` would consume global key {}, which cannot be removed",
                                 sig.name,
-                                self.keys.describe(k)
+                                self.describe(k)
                             ),
                         );
                         continue;
@@ -1984,7 +2018,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 "`{}` would add key {} to the held-key set, but it is \
                                  already held (keys are linear)",
                                 sig.name,
-                                self.keys.describe(k)
+                                self.describe(k)
                             ),
                         );
                     }
@@ -1992,7 +2026,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 EffItem::Fresh { var, state } => {
                     let k = self.fresh_key(
                         Some(var.clone()),
-                        format!("fresh key from `{}`", sig.name),
+                        Resource::FreshFrom(sig.name.clone()),
                         KeyOrigin::Fresh,
                     );
                     let val = self.resolve_call_state(state, binds, span);
@@ -2032,7 +2066,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             span,
             format!(
                 "`{callee}` requires key {} in the held-key set, but it is not held here",
-                self.keys.describe(k)
+                self.describe(k)
             ),
         );
     }
@@ -2057,7 +2091,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         span,
                         format!(
                             "`{callee}` requires key {} in state `{}`, but it is in `{}`",
-                            self.keys.describe(k),
+                            self.describe(k),
                             self.decls.tables().states.state_name(*t),
                             cur.display(&self.decls.tables().states)
                         ),
@@ -2078,7 +2112,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "`{callee}` requires key {} at or below `{}`, but it is in \
                              `{}`",
-                            self.keys.describe(k),
+                            self.describe(k),
                             self.decls.tables().states.state_name(*bound),
                             cur.display(&self.decls.tables().states)
                         ),
@@ -2101,7 +2135,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "`{callee}` requires key {} in state `{}`, but it is in \
                                  `{}`",
-                                self.keys.describe(k),
+                                self.describe(k),
                                 w.display(&self.decls.tables().states),
                                 cur.display(&self.decls.tables().states)
                             ),
@@ -2167,11 +2201,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         let TypeDef::Variant(def) = self.decls.tables().typedef(vid) else {
             unreachable!("ctor table only points at variants");
         };
-        let def = def.clone();
-        let cdef = def.ctors[idx].clone();
+        let cdef = &def.ctors[idx];
 
         // Seed parameter bindings from the expected type.
-        let mut pmap: BTreeMap<String, Arg> = BTreeMap::new();
+        let mut pmap: ArgMap<'a> = BTreeMap::new();
         if let Some(exp) = expected {
             if let Ty::Named { id, args: eargs } = peel_expected(exp) {
                 if *id == vid {
@@ -2207,7 +2240,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     });
                 match resolved {
                     Some(r) => {
-                        if let Some(Arg::Key(prev)) = pmap.get(pname) {
+                        if let Some(Arg::Key(prev)) = pmap.get(pname.as_str()) {
                             if *prev != r {
                                 self.diags.error(
                                     Code::TypeMismatch,
@@ -2220,7 +2253,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 );
                             }
                         }
-                        pmap.insert(pname.clone(), Arg::Key(r));
+                        pmap.insert(pname, Arg::Key(r));
                     }
                     None => {
                         self.diags.error(
@@ -2248,19 +2281,19 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             );
         }
         let mut binds = Bindings::new();
-        for (p, a) in &pmap {
+        for (&p, a) in &pmap {
             match a {
                 Arg::Key(KeyRef::Id(k)) => {
-                    let _ = binds.bind_key(p, *k);
+                    let _ = binds.bind_key(&p.into(), *k);
                 }
                 Arg::State(StateArg::Val(v)) => {
-                    let _ = binds.bind_state(p, *v);
+                    let _ = binds.bind_state(&p.into(), *v);
                 }
                 Arg::State(StateArg::Token(t)) => {
-                    let _ = binds.bind_state(p, StateVal::Token(*t));
+                    let _ = binds.bind_state(&p.into(), StateVal::Token(*t));
                 }
                 Arg::Ty(t) => {
-                    let _ = binds.bind_ty(p, t.clone());
+                    let _ = binds.bind_ty(&p.into(), t.clone());
                 }
                 _ => {}
             }
@@ -2292,7 +2325,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         arg.span,
                         format!(
                             "storing this value consumes key {}, which is not held",
-                            self.keys.describe(*k)
+                            self.describe(*k)
                         ),
                     );
                 }
@@ -2309,7 +2342,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             format!(
                                 "constructing `'{}` consumes key {}, which is not held",
                                 cdef.name,
-                                self.keys.describe(*k)
+                                self.describe(*k)
                             ),
                         );
                     }
@@ -2333,17 +2366,17 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
             let arg = match p {
                 vault_types::ParamKind::Key(n) => {
-                    binds.keys.get(n).map(|k| Arg::Key(KeyRef::Id(*k)))
+                    binds.keys.get(n.as_str()).map(|k| Arg::Key(KeyRef::Id(*k)))
                 }
                 vault_types::ParamKind::State { name, .. } => binds
                     .states
-                    .get(name)
+                    .get(name.as_str())
                     .map(|v| Arg::State(StateArg::Val(*v))),
-                vault_types::ParamKind::Type(n) => binds.tys.get(n).cloned().map(Arg::Ty),
+                vault_types::ParamKind::Type(n) => binds.tys.get(n.as_str()).cloned().map(Arg::Ty),
             };
             match arg {
                 Some(a) => {
-                    pmap.insert(p.name().to_string(), a);
+                    pmap.insert(p.name(), a);
                 }
                 None => {
                     self.diags.error(
@@ -2356,14 +2389,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             def.name
                         ),
                     );
-                    pmap.insert(p.name().to_string(), Arg::Ty(Ty::Error));
+                    pmap.insert(p.name(), Arg::Ty(Ty::Error));
                 }
             }
         }
 
         // Consume the captured keys (they move into the value).
         for (pname, req) in &cdef.captures {
-            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname) else {
+            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname.as_str()) else {
                 continue;
             };
             let k = *k;
@@ -2375,7 +2408,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         format!(
                             "constructing `'{}` requires key {} in the held-key set",
                             cdef.name,
-                            self.keys.describe(k)
+                            self.describe(k)
                         ),
                     );
                 }
@@ -2402,17 +2435,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             .iter()
             .map(|p| pmap.get(p.name()).cloned().unwrap_or(Arg::Ty(Ty::Error)))
             .collect();
-        let named = Ty::Named {
-            id: vid,
-            args: result_args,
-        };
+        let named = Ty::named(vid, result_args);
         if is_keyed_variant(self.decls.tables(), vid) {
-            let k = self.fresh_key(None, def.name.clone(), KeyOrigin::Fresh);
+            let k = self.fresh_key(None, Resource::TypeName(vid), KeyOrigin::Fresh);
             st.held.insert(k, StateVal::DEFAULT).expect("fresh key");
-            Ty::Tracked {
-                key: KeyRef::Id(k),
-                inner: Box::new(named),
-            }
+            Ty::tracked(KeyRef::Id(k), named)
         } else {
             named
         }
@@ -2427,7 +2454,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         inits: &[ast::FieldInit],
         span: Span,
     ) -> Ty {
-        self.require_cap("alloc", "`new`", span);
+        self.require_cap("alloc", format_args!("`new`"), span);
         // Lower the allocated type.
         let mut scope = Scope::body(self.keyenv.clone());
         let lowered = {
@@ -2450,13 +2477,12 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // Check the field initializers.
         match self.decls.tables().typedef(*id) {
             TypeDef::Struct(sd) => {
-                let sd = sd.clone();
                 let map = param_map(&sd.params, args);
-                let mut seen: BTreeSet<String> = BTreeSet::new();
+                let mut seen: BTreeSet<&str> = BTreeSet::new();
                 for init in inits {
                     match sd.fields.iter().find(|(n, _)| n == &init.name.name) {
                         Some((_, fty)) => {
-                            if !seen.insert(init.name.name.to_string()) {
+                            if !seen.insert(init.name.name.as_str()) {
                                 self.diags.error(
                                     Code::DuplicateDecl,
                                     init.name.span,
@@ -2499,7 +2525,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     }
                 }
                 for (fname, _) in &sd.fields {
-                    if !seen.contains(fname) {
+                    if !seen.contains(fname.as_str()) {
                         self.diags.error(
                             Code::TypeMismatch,
                             span,
@@ -2519,12 +2545,16 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         match region {
             None => {
                 // `new tracked T {...}`: fresh heap object with a fresh key.
-                let k = self.fresh_key(None, tyname.name.to_string(), KeyOrigin::Fresh);
+                // The surface name, which differs from the type's when
+                // `tyname` is an alias.
+                let resource = if self.decls.tables().type_name(*id) == tyname.name.as_str() {
+                    Resource::TypeName(*id)
+                } else {
+                    Resource::Text(tyname.name.as_str().into())
+                };
+                let k = self.fresh_key(None, resource, KeyOrigin::Fresh);
                 st.held.insert(k, StateVal::DEFAULT).expect("fresh key");
-                Ty::Tracked {
-                    key: KeyRef::Id(k),
-                    inner: Box::new(lowered),
-                }
+                Ty::tracked(KeyRef::Id(k), lowered)
             }
             Some(r) => {
                 // `new(rgn) T {...}`: guarded by the region's key.
@@ -2540,17 +2570,17 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 r.span,
                                 format!(
                                     "cannot allocate from this region: key {} is not held",
-                                    self.keys.describe(*rk)
+                                    self.describe(*rk)
                                 ),
                             );
                         }
-                        Ty::Guarded {
-                            guards: vec![GuardAtom {
+                        Ty::guarded(
+                            vec![GuardAtom {
                                 key: KeyRef::Id(*rk),
                                 req: StateReq::Any,
                             }],
-                            inner: Box::new(lowered),
-                        }
+                            lowered,
+                        )
                     }
                     Ty::Error => Ty::Error,
                     other => {
@@ -2616,31 +2646,28 @@ impl FnChecker<'_, '_> {
     /// function's state variables) into a type, leaving other variables
     /// untouched (used to resolve binder keys in local declarations).
     fn subst_binds(&self, t: &Ty, binds: &Bindings) -> Ty {
-        let mut map: BTreeMap<String, Arg> = binds
+        let mut map: ArgMap<'_> = binds
             .keys
             .iter()
-            .map(|(n, k)| (n.clone(), Arg::Key(KeyRef::Id(*k))))
+            .map(|(n, k)| (&**n, Arg::Key(KeyRef::Id(*k))))
             .collect();
         for (n, v) in &self.statevars {
-            map.insert(
-                self.decls.syms().resolve(*n).to_string(),
-                Arg::State(StateArg::Val(*v)),
-            );
+            map.insert(self.decls.syms().resolve(*n), Arg::State(StateArg::Val(*v)));
         }
         for (n, v) in &binds.states {
-            map.insert(n.clone(), Arg::State(StateArg::Val(*v)));
+            map.insert(n, Arg::State(StateArg::Val(*v)));
         }
         subst_by_name(t, &map)
     }
 }
 
-fn collect_statevars_ty(t: &Ty, out: &mut BTreeMap<String, Option<vault_types::StateId>>) {
+fn collect_statevars_ty(t: &Ty, out: &mut BTreeMap<Name, Option<vault_types::StateId>>) {
     match t {
         Ty::Tracked { inner, .. } | Ty::TrackedAnon(inner) | Ty::Array(inner) => {
             collect_statevars_ty(inner, out)
         }
         Ty::Guarded { guards, inner } => {
-            for g in guards {
+            for g in guards.iter() {
                 match &g.req {
                     StateReq::Var(v) => {
                         out.entry(v.clone()).or_insert(None);
@@ -2657,12 +2684,12 @@ fn collect_statevars_ty(t: &Ty, out: &mut BTreeMap<String, Option<vault_types::S
             collect_statevars_ty(inner, out);
         }
         Ty::Tuple(ts) => {
-            for t in ts {
+            for t in ts.iter() {
                 collect_statevars_ty(t, out);
             }
         }
         Ty::Named { args, .. } => {
-            for a in args {
+            for a in args.iter() {
                 match a {
                     Arg::Ty(t) => collect_statevars_ty(t, out),
                     Arg::State(StateArg::Var(v)) => {
@@ -2676,7 +2703,7 @@ fn collect_statevars_ty(t: &Ty, out: &mut BTreeMap<String, Option<vault_types::S
     }
 }
 
-fn collect_statevars_eff(item: &EffItem, out: &mut BTreeMap<String, Option<vault_types::StateId>>) {
+fn collect_statevars_eff(item: &EffItem, out: &mut BTreeMap<Name, Option<vault_types::StateId>>) {
     let mut add_req = |r: &StateReq| match r {
         StateReq::AtMost {
             var: Some(v),
@@ -2705,15 +2732,16 @@ fn collect_statevars_eff(item: &EffItem, out: &mut BTreeMap<String, Option<vault
     }
 }
 
-fn key_resource(params: &[Ty], var: &str) -> Option<String> {
-    fn find(t: &Ty, var: &str) -> Option<String> {
+/// What the key variable `var` of a parameter list tracks.
+fn key_resource(params: &[Ty], var: &str) -> Option<Resource> {
+    fn find(t: &Ty, var: &str) -> Option<Resource> {
         match t {
             Ty::Tracked {
                 key: KeyRef::Var(v),
                 inner,
-            } if v == var => Some(match &**inner {
-                Ty::Var(v) => v.clone(),
-                _ => "tracked object".to_string(),
+            } if &**v == var => Some(match &**inner {
+                Ty::Var(v) => Resource::Text(v.clone()),
+                _ => Resource::Static("tracked object"),
             }),
             Ty::Tracked { inner, .. } | Ty::TrackedAnon(inner) | Ty::Array(inner) => {
                 find(inner, var)

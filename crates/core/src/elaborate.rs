@@ -8,8 +8,8 @@ use std::sync::Arc;
 use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_types::{
-    AbstractDef, CtorDef, FnSig, GlobalKey, Interner, KeyGen, KeyInfo, KeyOrigin, KeyRef,
-    ParamKind, StateTable, StructDef, Symbol, Tables, Ty, TypeDef, VariantDef, World,
+    AbstractDef, CtorDef, FnSig, GlobalKey, Interner, KeyGen, KeyInfo, KeyOrigin, KeyRef, Name,
+    ParamKind, Resource, StateTable, StructDef, Symbol, Tables, Ty, TypeDef, VariantDef, World,
 };
 
 /// The result of elaboration: the world plus everything the flow checker
@@ -171,8 +171,8 @@ fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
                 None => StateTable::DEFAULT_SET,
             };
             let id = base_keys.fresh(KeyInfo {
-                name: Some(k.name.name.to_string()),
-                resource: format!("global key {}", k.name),
+                name: Some(k.name.name.as_str().into()),
+                resource: Resource::Text(format!("global key {}", k.name).into()),
                 origin: KeyOrigin::Global,
                 stateset,
                 global: true,
@@ -321,12 +321,12 @@ fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
                         .map(|t| ctx.lower_type(&mut scope, t, diags))
                         .collect();
                     // By name: the constructor table is fingerprinted.
-                    let mut exist_keys: Vec<String> = scope
+                    let mut exist_keys: Vec<Name> = scope
                         .keyvars
                         .iter()
                         .map(|k| syms.resolve(*k))
                         .filter(|k| !param_names.contains(*k))
-                        .map(str::to_string)
+                        .map(Name::from)
                         .collect();
                     exist_keys.sort_unstable();
                     let mut captures = Vec::new();
@@ -373,9 +373,17 @@ fn elaborate_decls(program: &ast::Program, diags: &mut DiagSink) -> Elaborated {
                 aliases: &aliases,
                 syms: &syms,
             };
+            let reported = diags.diagnostics().len();
             let sig = lower_fn_decl(&ctx, f, diags);
+            let clean = diags.diagnostics().len() == reported;
             validate_signature(&sig, f, diags);
-            if !world.add_fn(sig) {
+            let name = sig.name.clone();
+            if world.add_fn(sig) {
+                world.set_reusable(&name, clean);
+            } else {
+                // The body of this declaration would borrow the first
+                // one's signature.
+                world.set_reusable(&name, false);
                 diags.error(
                     Code::DuplicateDecl,
                     f.name.span,
@@ -442,7 +450,7 @@ pub fn lower_fn_decl_in(
     };
     let ret = ctx.lower_type(&mut scope, &f.ret, diags);
     FnSig {
-        name: f.name.name.to_string(),
+        name: f.name.name.as_str().into(),
         params,
         param_names,
         ret,
@@ -498,7 +506,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
         .effect
         .iter()
         .filter_map(|i| match i {
-            EffItem::Fresh { var, .. } => Some(var.as_str()),
+            EffItem::Fresh { var, .. } => Some(&**var),
             _ => None,
         })
         .collect();
@@ -522,7 +530,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
             );
         }
         if let KeyRef::Var(v) = &key {
-            if !param_keys.contains(v) && !fresh.contains(v.as_str()) {
+            if !param_keys.contains(v) && !fresh.contains(&**v) {
                 diags.error(
                     Code::BadEffect,
                     eff_span,
@@ -538,7 +546,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
     let mut ret_keys = Set::new();
     crate::lower::collect_keyvars(&sig.ret, &mut ret_keys);
     for v in &ret_keys {
-        if !param_keys.contains(v) && !fresh.contains(v.as_str()) {
+        if !param_keys.contains(v) && !fresh.contains(&**v) {
             diags.error(
                 Code::BadEffect,
                 f.ret.span,
@@ -588,7 +596,7 @@ fn param_scope(params: &[ParamKind], syms: &Interner) -> Scope {
                 scope.tyvars.insert(syms.sym(n));
             }
             ParamKind::Key(n) => {
-                scope.bound_keys.insert(syms.sym(n), KeyRef::var(n));
+                Arc::make_mut(&mut scope.bound_keys).insert(syms.sym(n), KeyRef::var(n.as_str()));
             }
             ParamKind::State { name, .. } => {
                 scope.statevars.insert(syms.sym(name));
@@ -616,6 +624,63 @@ mod tests {
         (e, diags)
     }
 
+    /// Every signature the checker borrows instead of lowering again
+    /// equals that lowering and stood for a lowering that reported
+    /// nothing; duplicated names and signatures with errors are lowered
+    /// again.
+    #[test]
+    fn reusable_signatures_equal_their_relowering() {
+        use vault_corpus::synth::{self, Shape, SynthConfig};
+        let mut sources: Vec<String> = vault_corpus::all_programs()
+            .into_iter()
+            .map(|p| p.source)
+            .collect();
+        for (i, shape) in [Shape::Mixed, Shape::VariantHeavy, Shape::Sockets]
+            .into_iter()
+            .enumerate()
+        {
+            let config = SynthConfig {
+                functions: 12,
+                stmts_per_fn: 8,
+                seed: 7 + i as u64,
+                bug_rate: 0.3,
+                shape,
+            };
+            sources.push(synth::generate(&config).source);
+        }
+        sources.push("void f(int x) { }\nvoid f(bool y) { }\n".into());
+        sources.push("void g(nosuchtype x) { }\nint h() { return 1; }\n".into());
+        let (mut reused, mut relowered) = (0, 0);
+        for src in &sources {
+            let mut diags = DiagSink::new();
+            let program = parse_program(src, &mut diags);
+            let e = elaborate_owned(program, &mut diags);
+            let ctx = LowerCtx {
+                world: &e.world,
+                aliases: &e.aliases,
+                syms: &e.syms,
+            };
+            for f in &e.bodies {
+                let mut sink = DiagSink::new();
+                let again = lower_fn_decl(&ctx, f, &mut sink);
+                match e.world.reusable_sig(&f.name.name) {
+                    Some(sig) => {
+                        assert_eq!(sig, &again, "`{}` in {src}", f.name);
+                        assert!(sink.diagnostics().is_empty(), "`{}` in {src}", f.name);
+                        reused += 1;
+                    }
+                    None => relowered += 1,
+                }
+            }
+        }
+        assert!(reused > 200, "{reused} signatures reused");
+        // Both `f`s, and `g` with its unknown type.
+        assert!(relowered >= 3, "{relowered} signatures lowered again");
+        let (e, _) = elab("void f(int x) { }\nvoid f(bool y) { }\nint h() { return 1; }\n");
+        assert!(e.world.reusable_sig("f").is_none());
+        assert!(e.world.reusable_sig("h").is_some());
+    }
+
     #[test]
     fn elaborates_region_interface() {
         let (e, diags) = elab(
@@ -628,11 +693,11 @@ mod tests {
         assert!(!diags.has_errors(), "{:?}", diags.diagnostics());
         assert!(e.world.type_id("region").is_some());
         let create = e.world.fn_sig("create").unwrap();
-        assert!(matches!(&create.effect[0], EffItem::Fresh { var, .. } if var == "R"));
-        assert!(matches!(&create.ret, Ty::Tracked { key: KeyRef::Var(v), .. } if v == "R"));
+        assert!(matches!(&create.effect[0], EffItem::Fresh { var, .. } if &**var == "R"));
+        assert!(matches!(&create.ret, Ty::Tracked { key: KeyRef::Var(v), .. } if &**v == "R"));
         let delete = e.world.fn_sig("delete").unwrap();
         assert!(
-            matches!(&delete.effect[0], EffItem::Consume { key: KeyRef::Var(v), .. } if v == "R")
+            matches!(&delete.effect[0], EffItem::Consume { key: KeyRef::Var(v), .. } if &**v == "R")
         );
         assert!(e.qualifiers.contains(&e.syms.sym("REGION")));
     }
@@ -678,7 +743,7 @@ mod tests {
         let TypeDef::Variant(v) = e.world.typedef(id) else {
             panic!()
         };
-        assert_eq!(v.ctors[0].exist_keys, vec!["R".to_string()]);
+        assert_eq!(v.ctors[0].exist_keys, vec![Name::from("R")]);
         assert!(v.is_keyed());
     }
 
@@ -731,7 +796,7 @@ mod tests {
         assert!(matches!(
             &foo.params[1],
             Ty::Guarded { guards, .. }
-                if matches!(&guards[0].key, KeyRef::Var(v) if v == "F")
+                if matches!(&guards[0].key, KeyRef::Var(v) if &**v == "F")
         ));
     }
 
@@ -753,6 +818,8 @@ mod tests {
         assert_eq!(sig.params.len(), 2);
         assert_eq!(sig.effect.len(), 1);
         // The alias argument `I` flowed into the routine's effect.
-        assert!(matches!(&sig.effect[0], EffItem::Consume { key: KeyRef::Var(v), .. } if v == "I"));
+        assert!(
+            matches!(&sig.effect[0], EffItem::Consume { key: KeyRef::Var(v), .. } if &**v == "I")
+        );
     }
 }

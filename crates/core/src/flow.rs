@@ -17,7 +17,7 @@
 //! only on the first write after a snapshot ([`frame_mut`]). Most arms
 //! touch one or two scopes, so untouched frames stay shared.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use vault_types::{ty_eq_mod_keys, HeldSet, Interner, KeyGen, KeyId, StateVal, Symbol, Tables, Ty};
@@ -39,7 +39,13 @@ pub type Frame = BTreeMap<Symbol, Binding>;
 
 thread_local! {
     static FRAMES_COPIED: Cell<u64> = const { Cell::new(0) };
+    /// Emptied frames that no snapshot shared when their scope closed,
+    /// kept for the next scope to open on this thread.
+    static SPARE_FRAMES: RefCell<Vec<Arc<Frame>>> = const { RefCell::new(Vec::new()) };
 }
+
+/// How many emptied frames a thread keeps for reuse.
+const SPARE_FRAMES_MAX: usize = 64;
 
 /// How many shared frames this thread has deep-copied on first write
 /// (monotonic; callers take deltas). Feeds `CheckStats::frames_copied`.
@@ -84,8 +90,15 @@ pub fn frame_mut(frame: &mut Arc<Frame>) -> &mut Frame {
     Arc::make_mut(frame)
 }
 
+/// An empty, unshared frame: a spare one when this thread has one.
+fn empty_frame() -> Arc<Frame> {
+    SPARE_FRAMES
+        .with(|s| s.borrow_mut().pop())
+        .unwrap_or_else(|| Arc::new(Frame::new()))
+}
+
 /// The abstract state at a program point.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct FlowState {
     /// Stack of scopes, innermost last. Shared with snapshots until
     /// written (see module docs); mutate only through [`frame_mut`].
@@ -100,20 +113,34 @@ impl FlowState {
     /// A fresh state with one empty scope.
     pub fn new() -> Self {
         FlowState {
-            frames: vec![Arc::new(Frame::new())],
+            frames: vec![empty_frame()],
             held: HeldSet::new(),
             reachable: true,
         }
     }
 
-    /// Enter a nested scope.
+    /// Enter a nested scope. The frame is a spare one when this thread
+    /// has one, so a scope that never declares anything allocates
+    /// nothing; it is unshared either way.
     pub fn push_frame(&mut self) {
-        self.frames.push(Arc::new(Frame::new()));
+        self.frames.push(empty_frame());
     }
 
-    /// Leave the innermost scope, dropping its variables.
+    /// Leave the innermost scope, dropping its variables. A frame no
+    /// snapshot shares is emptied and kept for the next
+    /// [`FlowState::push_frame`].
     pub fn pop_frame(&mut self) {
-        self.frames.pop();
+        if let Some(mut frame) = self.frames.pop() {
+            if let Some(vars) = Arc::get_mut(&mut frame) {
+                vars.clear();
+                SPARE_FRAMES.with(|s| {
+                    let mut spare = s.borrow_mut();
+                    if spare.len() < SPARE_FRAMES_MAX {
+                        spare.push(frame);
+                    }
+                });
+            }
+        }
         debug_assert!(!self.frames.is_empty(), "popped the outermost frame");
     }
 
@@ -143,6 +170,20 @@ impl FlowState {
     /// join compares positionally per frame so shadowing is consistent).
     pub fn bindings(&self) -> impl Iterator<Item = (&Symbol, &Binding)> {
         self.frames.iter().flat_map(|f| f.iter())
+    }
+}
+
+/// A snapshot: the frame list is copied with room for two more scopes,
+/// so the branch that opens one does not reallocate it.
+impl Clone for FlowState {
+    fn clone(&self) -> Self {
+        let mut frames = Vec::with_capacity(self.frames.len() + 2);
+        frames.extend(self.frames.iter().cloned());
+        FlowState {
+            frames,
+            held: self.held.clone(),
+            reachable: self.reachable,
+        }
     }
 }
 
@@ -298,7 +339,7 @@ pub fn merge(
                     if !stateval_compat(sa, sb, &mut absmap, &mut absrev) {
                         problems.push(format!(
                             "key {} is in state `{}` on one path but `{}` on the other",
-                            keys.describe(k),
+                            keys.describe(k, world),
                             sa.display(&world.states),
                             sb.display(&world.states)
                         ));
@@ -336,9 +377,9 @@ fn held_disagreement(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &Tables
             .iter()
             .map(|(k, s)| {
                 if s == StateVal::DEFAULT {
-                    keys.describe(k)
+                    keys.describe(k, world)
                 } else {
-                    format!("{}@{}", keys.describe(k), s.display(&world.states))
+                    format!("{}@{}", keys.describe(k, world), s.display(&world.states))
                 }
             })
             .collect();
@@ -409,7 +450,9 @@ pub fn states_agree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vault_types::{AbstractDef, KeyInfo, KeyOrigin, KeyRef, StateTable, TypeDef, World};
+    use vault_types::{
+        AbstractDef, KeyInfo, KeyOrigin, KeyRef, Resource, StateTable, TypeDef, World,
+    };
 
     fn setup() -> (World, KeyGen, Ty, Interner) {
         let mut w = World::new();
@@ -428,7 +471,7 @@ mod tests {
             KeyGen::new(),
             Ty::Named {
                 id: region,
-                args: vec![],
+                args: vec![].into(),
             },
             syms,
         )
@@ -437,7 +480,7 @@ mod tests {
     fn fresh(keys: &mut KeyGen) -> KeyId {
         keys.fresh(KeyInfo {
             name: None,
-            resource: "region".into(),
+            resource: Resource::Static("region"),
             origin: KeyOrigin::Fresh,
             stateset: StateTable::DEFAULT_SET,
             global: false,

@@ -118,6 +118,14 @@ impl<'a> Decls<'a> {
         self.world.fn_sig(name)
     }
 
+    /// The elaborated signature of the function declared once under
+    /// `name`, when lowering its declaration again would give the same
+    /// signature and report nothing. Not a read: a check that uses it
+    /// produces exactly what re-lowering its own declaration would.
+    pub fn reusable_sig(&self, name: &str) -> Option<&'a FnSig> {
+        self.world.reusable_sig(name)
+    }
+
     /// Every function name looked up so far, as sorted, distinct hashes.
     pub fn callees(&self) -> Vec<u64> {
         let mut names = self.callees.borrow().clone();
@@ -265,5 +273,47 @@ mod tests {
         ] {
             assert_ne!(base.rest, interface(&edited).rest, "{edited}");
         }
+    }
+
+    /// The fingerprints of a fixed unit, pinned to the values the
+    /// store's format 4 has always computed. Persisted verdicts are
+    /// validated against these hashes, so a representation change that
+    /// moves one must fail here rather than silently re-check every
+    /// stored function.
+    #[test]
+    fn fingerprints_of_a_fixed_unit_are_pinned() {
+        let mut diags = DiagSink::new();
+        let program = vault_syntax::parse_program(vault_corpus::FINGERPRINT_UNIT, &mut diags);
+        let elab = crate::elaborate(&program, &mut diags);
+        assert!(diags.diagnostics().is_empty(), "{:?}", diags.diagnostics());
+        let iface = Interface::of(&elab);
+        let sigs: Vec<(&str, u64)> = elab
+            .world
+            .fns()
+            .map(|sig| (&*sig.name, sig_print(sig)))
+            .collect();
+        assert_eq!(
+            sigs,
+            vec![
+                ("IoSetCompletionRoutine", 13597580034610357503),
+                ("KeAcquireSpinLock", 3747750003284263765),
+                ("KeInitializeSpinLock", 9992393195420007184),
+                ("KeReleaseSpinLock", 3007557924305934960),
+                ("bind", 1590670903549091385),
+                ("bind2", 14833264256381356638),
+                ("close", 2306445442658755888),
+                ("create", 9200831855721471598),
+                ("delete", 2970842772564996817),
+                ("read_paged", 12484678015235531847),
+                ("regions", 11278621997730334859),
+                ("serve", 97757511041863558),
+                ("socket", 5857836686657861691),
+            ],
+            "signature fingerprints"
+        );
+        let mut fns: Vec<(u64, u64)> = sigs.iter().map(|&(n, fp)| (name_hash(n), fp)).collect();
+        fns.sort_unstable();
+        assert_eq!(iface.fns, fns);
+        assert_eq!(iface.rest, 6493549560536694186, "rest fingerprint");
     }
 }

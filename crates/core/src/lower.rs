@@ -8,11 +8,14 @@
 //! freshly bound to the initializer's key.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
+use std::sync::{Arc, LazyLock};
 use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_syntax::span::Span;
+use vault_types::unify::share;
 use vault_types::{
-    Arg, EffItem, FnSig, GuardAtom, Interner, KeyRef, ParamKind, StateArg, StateReq, Symbol,
+    Arg, EffItem, FnSig, GuardAtom, Interner, KeyRef, Name, ParamKind, StateArg, StateReq, Symbol,
     Tables, Ty, TypeDef,
 };
 
@@ -36,7 +39,7 @@ pub struct LowerCtx<'a> {
 }
 
 /// A lexical scope for lowering.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Scope {
     /// `<type T>` variables in scope.
     pub tyvars: BTreeSet<Symbol>,
@@ -49,18 +52,28 @@ pub struct Scope {
     /// Signature key variables in scope (auto-collected in signature mode).
     pub keyvars: BTreeSet<Symbol>,
     /// Bound key names: function-body key environment or alias arguments.
-    pub bound_keys: BTreeMap<Symbol, KeyRef>,
+    /// Shared with the checker's key environment until a binder is added.
+    pub bound_keys: Arc<BTreeMap<Symbol, KeyRef>>,
     /// Whether unknown key/state names auto-bind as variables.
     pub sig_mode: bool,
     /// Key names freshly introduced by `tracked(K)` binder positions in
     /// body mode, in order of appearance.
-    pub binders: Vec<String>,
+    pub binders: Vec<Name>,
     /// Whether unknown state names may bind fresh state variables (local
     /// declarations like `KIRQL<old> prev = KeAcquireSpinLock(l);`).
     pub allow_state_binders: bool,
     /// State variables freshly introduced this way.
     pub state_binders: Vec<String>,
     depth: u32,
+}
+
+impl Default for Scope {
+    /// An empty body-mode scope. Every empty scope shares one empty key
+    /// map, so making one allocates nothing.
+    fn default() -> Self {
+        static NO_KEYS: LazyLock<Arc<BTreeMap<Symbol, KeyRef>>> = LazyLock::new(Arc::default);
+        Scope::body(NO_KEYS.clone())
+    }
 }
 
 impl Scope {
@@ -73,10 +86,19 @@ impl Scope {
     }
 
     /// A fresh body-mode scope with the given key environment.
-    pub fn body(bound_keys: BTreeMap<Symbol, KeyRef>) -> Self {
+    pub fn body(bound_keys: Arc<BTreeMap<Symbol, KeyRef>>) -> Self {
         Scope {
+            tyvars: BTreeSet::new(),
+            bound_tys: BTreeMap::new(),
+            statevars: BTreeSet::new(),
+            bound_states: BTreeMap::new(),
+            keyvars: BTreeSet::new(),
             bound_keys,
-            ..Scope::default()
+            sig_mode: false,
+            binders: Vec::new(),
+            allow_state_binders: false,
+            state_binders: Vec::new(),
+            depth: 0,
         }
     }
 
@@ -101,7 +123,7 @@ impl<'a> LowerCtx<'a> {
             ast::TypeKind::Byte => Ty::Byte,
             ast::TypeKind::Str => Ty::Str,
             ast::TypeKind::Array(inner) => {
-                Ty::Array(Box::new(self.lower_type(scope, inner, diags)))
+                Ty::Array(Arc::new(self.lower_type(scope, inner, diags)))
             }
             ast::TypeKind::Tuple(ts) => Ty::Tuple(
                 ts.iter()
@@ -113,9 +135,9 @@ impl<'a> LowerCtx<'a> {
                 match key {
                     Some(k) => Ty::Tracked {
                         key: self.resolve_key(scope, &k.name, k.span, diags),
-                        inner: Box::new(inner_ty),
+                        inner: Arc::new(inner_ty),
                     },
-                    None => Ty::TrackedAnon(Box::new(inner_ty)),
+                    None => Ty::TrackedAnon(Arc::new(inner_ty)),
                 }
             }
             ast::TypeKind::Guarded { guards, inner } => {
@@ -128,13 +150,13 @@ impl<'a> LowerCtx<'a> {
                     .collect();
                 Ty::Guarded {
                     guards: atoms,
-                    inner: Box::new(self.lower_type(scope, inner, diags)),
+                    inner: Arc::new(self.lower_type(scope, inner, diags)),
                 }
             }
             ast::TypeKind::Named { name, args } => {
                 self.lower_named(scope, name, args, t.span, diags)
             }
-            ast::TypeKind::Fn(ft) => Ty::Fn(Box::new(self.lower_fn_type(scope, ft, diags))),
+            ast::TypeKind::Fn(ft) => Ty::Fn(Arc::new(self.lower_fn_type(scope, ft, diags))),
         }
     }
 
@@ -220,7 +242,7 @@ impl<'a> LowerCtx<'a> {
                     format!("type variable `{name}` takes no arguments"),
                 );
             }
-            return Ty::Var(name.name.to_string());
+            return Ty::Var(name.name.as_str().into());
         }
         if let Some(alias) = self.aliases.get(&self.syms.sym(&name.name)) {
             return self.expand_alias(scope, name, alias, args, span, diags);
@@ -233,7 +255,7 @@ impl<'a> LowerCtx<'a> {
             );
             return Ty::Error;
         };
-        let params = self.world.typedef(id).params().to_vec();
+        let params = self.world.typedef(id).params();
         if params.len() != args.len() {
             diags.error(
                 Code::BadTypeArgs,
@@ -246,11 +268,15 @@ impl<'a> LowerCtx<'a> {
             );
             return Ty::Error;
         }
-        let mut lowered = Vec::with_capacity(args.len());
-        for (param, arg) in params.iter().zip(args) {
-            lowered.push(self.lower_arg(scope, param, arg, diags));
+        if params.is_empty() {
+            return Ty::named(id, Vec::new());
         }
-        Ty::Named { id, args: lowered }
+        let args = params
+            .iter()
+            .zip(args)
+            .map(|(param, arg)| self.lower_arg(scope, param, arg, diags))
+            .collect();
+        Ty::Named { id, args }
     }
 
     fn lower_arg(
@@ -324,7 +350,7 @@ impl<'a> LowerCtx<'a> {
                     child.bound_tys.insert(self.syms.sym(param.name()), t);
                 }
                 Arg::Key(k) => {
-                    child.bound_keys.insert(self.syms.sym(param.name()), k);
+                    Arc::make_mut(&mut child.bound_keys).insert(self.syms.sym(param.name()), k);
                 }
                 Arg::State(s) => {
                     child.bound_states.insert(self.syms.sym(param.name()), s);
@@ -359,9 +385,11 @@ impl<'a> LowerCtx<'a> {
             KeyRef::var(name)
         } else {
             // Body mode: a fresh binder, to be bound by the initializer.
-            scope.binders.push(name.to_string());
-            let r = KeyRef::var(name);
-            scope.bound_keys.insert(self.syms.sym(name), r.clone());
+            let name = Name::from(name);
+            scope.binders.push(name.clone());
+            let sym = self.syms.sym(&name);
+            let r = KeyRef::Var(name);
+            Arc::make_mut(&mut scope.bound_keys).insert(sym, r.clone());
             let _ = span;
             let _ = diags;
             r
@@ -411,11 +439,11 @@ impl<'a> LowerCtx<'a> {
                 {
                     match scope.bound_states.get(&self.syms.sym(&n.name)) {
                         Some(StateArg::Token(t)) => StateReq::Exact(*t),
-                        _ => StateReq::Var(n.name.to_string()),
+                        _ => StateReq::Var(n.name.as_str().into()),
                     }
                 } else if scope.sig_mode {
                     scope.statevars.insert(self.syms.sym(&n.name));
-                    StateReq::Var(n.name.to_string())
+                    StateReq::Var(n.name.as_str().into())
                 } else {
                     diags.error(
                         Code::UnknownState,
@@ -436,7 +464,7 @@ impl<'a> LowerCtx<'a> {
                 };
                 scope.statevars.insert(self.syms.sym(&var.name));
                 StateReq::AtMost {
-                    var: Some(var.name.to_string()),
+                    var: Some(var.name.as_str().into()),
                     bound: tok,
                 }
             }
@@ -458,15 +486,15 @@ impl<'a> LowerCtx<'a> {
             return bound.clone();
         }
         if scope.statevars.contains(&self.syms.sym(name)) {
-            return StateArg::Var(name.to_string());
+            return StateArg::Var(name.into());
         }
         if scope.sig_mode {
             scope.statevars.insert(self.syms.sym(name));
-            StateArg::Var(name.to_string())
+            StateArg::Var(name.into())
         } else if scope.allow_state_binders {
             scope.statevars.insert(self.syms.sym(name));
             scope.state_binders.push(name.to_string());
-            StateArg::Var(name.to_string())
+            StateArg::Var(name.into())
         } else {
             diags.error(
                 Code::UnknownState,
@@ -511,17 +539,18 @@ impl<'a> LowerCtx<'a> {
                 ast::EffectItem::Fresh { key, state } => {
                     // The fresh key's name becomes a signature key variable
                     // (visible in the return type).
-                    scope.keyvars.insert(self.syms.sym(&key.name));
-                    scope
-                        .bound_keys
-                        .entry(self.syms.sym(&key.name))
-                        .or_insert_with(|| KeyRef::var(key.name.as_str()));
+                    let sym = self.syms.sym(&key.name);
+                    scope.keyvars.insert(sym);
+                    if !scope.bound_keys.contains_key(&sym) {
+                        Arc::make_mut(&mut scope.bound_keys)
+                            .insert(sym, KeyRef::var(key.name.as_str()));
+                    }
                     let state = match state {
                         Some(s) => self.resolve_state_arg(scope, &s.name, s.span, diags),
                         None => StateArg::Token(vault_types::StateTable::DEFAULT),
                     };
                     items.push(EffItem::Fresh {
-                        var: key.name.to_string(),
+                        var: key.name.as_str().into(),
                         state,
                     });
                 }
@@ -565,111 +594,143 @@ pub fn bare_name(t: &ast::Type) -> Option<&ast::Ident> {
     }
 }
 
+/// Parameter name → instantiation argument, for [`subst_by_name`].
+pub type ArgMap<'n> = BTreeMap<&'n str, Arg>;
+
 /// Substitute named parameters by arguments inside a member type (struct
 /// field or constructor argument). `map` sends parameter names to the
-/// instantiation arguments; unknown variables are left in place.
-pub fn subst_by_name(t: &Ty, map: &BTreeMap<String, Arg>) -> Ty {
+/// instantiation arguments; unknown variables are left in place. Parts
+/// the map leaves unchanged are shared with `t`, not copied.
+pub fn subst_by_name(t: &Ty, map: &ArgMap<'_>) -> Ty {
+    if map.is_empty() {
+        return t.clone();
+    }
+    subst_changed(t, map).unwrap_or_else(|| t.clone())
+}
+
+/// [`subst_by_name`], or `None` when `map` changes nothing in `t`.
+fn subst_changed(t: &Ty, map: &ArgMap<'_>) -> Option<Ty> {
     match t {
-        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => t.clone(),
-        Ty::Var(v) => match map.get(v) {
-            Some(Arg::Ty(ty)) => ty.clone(),
-            _ => t.clone(),
+        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => None,
+        Ty::Var(v) => match map.get(&**v) {
+            Some(Arg::Ty(ty)) => Some(ty.clone()),
+            _ => None,
         },
-        Ty::Array(inner) => Ty::Array(Box::new(subst_by_name(inner, map))),
-        Ty::Tuple(ts) => Ty::Tuple(ts.iter().map(|t| subst_by_name(t, map)).collect()),
-        Ty::Tracked { key, inner } => Ty::Tracked {
-            key: subst_keyref(key, map),
-            inner: Box::new(subst_by_name(inner, map)),
+        Ty::Array(inner) => subst_changed(inner, map).map(|i| Ty::Array(Arc::new(i))),
+        Ty::Tuple(ts) => subst_slice(ts, |t| subst_changed(t, map)).map(Ty::Tuple),
+        Ty::Tracked { key, inner } => match (subst_keyref(key, map), subst_changed(inner, map)) {
+            (None, None) => None,
+            (k, i) => Some(Ty::Tracked {
+                key: k.unwrap_or_else(|| key.clone()),
+                inner: share(inner, i),
+            }),
         },
-        Ty::TrackedAnon(inner) => Ty::TrackedAnon(Box::new(subst_by_name(inner, map))),
-        Ty::Guarded { guards, inner } => Ty::Guarded {
-            guards: guards
-                .iter()
-                .map(|g| GuardAtom {
-                    key: subst_keyref(&g.key, map),
-                    req: subst_statereq(&g.req, map),
-                })
-                .collect(),
-            inner: Box::new(subst_by_name(inner, map)),
-        },
-        Ty::Named { id, args } => Ty::Named {
-            id: *id,
-            args: args
-                .iter()
-                .map(|a| match a {
-                    Arg::Ty(t) => Arg::Ty(subst_by_name(t, map)),
-                    Arg::Key(k) => Arg::Key(subst_keyref(k, map)),
-                    Arg::State(s) => Arg::State(subst_statearg(s, map)),
-                })
-                .collect(),
-        },
+        Ty::TrackedAnon(inner) => subst_changed(inner, map).map(|i| Ty::TrackedAnon(Arc::new(i))),
+        Ty::Guarded { guards, inner } => {
+            let g = subst_slice(guards, |g| {
+                match (subst_keyref(&g.key, map), subst_statereq(&g.req, map)) {
+                    (None, None) => None,
+                    (key, req) => Some(GuardAtom {
+                        key: key.unwrap_or_else(|| g.key.clone()),
+                        req: req.unwrap_or_else(|| g.req.clone()),
+                    }),
+                }
+            });
+            match (g, subst_changed(inner, map)) {
+                (None, None) => None,
+                (g, i) => Some(Ty::Guarded {
+                    guards: g.unwrap_or_else(|| guards.clone()),
+                    inner: share(inner, i),
+                }),
+            }
+        }
+        Ty::Named { id, args } => subst_slice(args, |a| match a {
+            Arg::Ty(t) => subst_changed(t, map).map(Arg::Ty),
+            Arg::Key(k) => subst_keyref(k, map).map(Arg::Key),
+            Arg::State(s) => subst_statearg(s, map).map(Arg::State),
+        })
+        .map(|args| Ty::Named { id: *id, args }),
         Ty::Fn(sig) => {
             let mut s = (**sig).clone();
             s.params = s.params.iter().map(|p| subst_by_name(p, map)).collect();
             s.ret = subst_by_name(&s.ret, map);
             s.effect = s.effect.iter().map(|e| subst_eff_by_name(e, map)).collect();
-            Ty::Fn(Box::new(s))
+            Some(Ty::Fn(Arc::new(s)))
         }
     }
 }
 
-fn subst_keyref(k: &KeyRef, map: &BTreeMap<String, Arg>) -> KeyRef {
+/// [`vault_types::unify::subst_slice`] for a substitution that cannot
+/// fail.
+fn subst_slice<T: Clone>(items: &Arc<[T]>, mut f: impl FnMut(&T) -> Option<T>) -> Option<Arc<[T]>> {
+    match vault_types::unify::subst_slice(items, |t| Ok::<_, Infallible>(f(t))) {
+        Ok(changed) => changed,
+        Err(never) => match never {},
+    }
+}
+
+fn subst_keyref(k: &KeyRef, map: &ArgMap<'_>) -> Option<KeyRef> {
     match k {
-        KeyRef::Var(v) => match map.get(v) {
-            Some(Arg::Key(nk)) => nk.clone(),
-            _ => k.clone(),
+        KeyRef::Var(v) => match map.get(&**v) {
+            Some(Arg::Key(nk)) => Some(nk.clone()),
+            _ => None,
         },
-        KeyRef::Id(_) => k.clone(),
+        KeyRef::Id(_) => None,
     }
 }
 
-fn subst_statereq(r: &StateReq, map: &BTreeMap<String, Arg>) -> StateReq {
+fn subst_statereq(r: &StateReq, map: &ArgMap<'_>) -> Option<StateReq> {
     match r {
-        StateReq::Var(v) => match map.get(v) {
-            Some(Arg::State(StateArg::Token(t))) => StateReq::Exact(*t),
-            Some(Arg::State(StateArg::Val(vault_types::StateVal::Token(t)))) => StateReq::Exact(*t),
-            _ => r.clone(),
+        StateReq::Var(v) => match map.get(&**v) {
+            Some(Arg::State(StateArg::Token(t))) => Some(StateReq::Exact(*t)),
+            Some(Arg::State(StateArg::Val(vault_types::StateVal::Token(t)))) => {
+                Some(StateReq::Exact(*t))
+            }
+            _ => None,
         },
-        other => other.clone(),
+        _ => None,
     }
 }
 
-fn subst_statearg(s: &StateArg, map: &BTreeMap<String, Arg>) -> StateArg {
+fn subst_statearg(s: &StateArg, map: &ArgMap<'_>) -> Option<StateArg> {
     match s {
-        StateArg::Var(v) => match map.get(v) {
-            Some(Arg::State(ns)) => ns.clone(),
-            _ => s.clone(),
+        StateArg::Var(v) => match map.get(&**v) {
+            Some(Arg::State(ns)) => Some(ns.clone()),
+            _ => None,
         },
-        other => other.clone(),
+        _ => None,
     }
 }
 
 /// Substitute named parameters by arguments inside an effect item.
-pub fn subst_eff_by_name(e: &EffItem, map: &BTreeMap<String, Arg>) -> EffItem {
+pub fn subst_eff_by_name(e: &EffItem, map: &ArgMap<'_>) -> EffItem {
+    let key = |k: &KeyRef| subst_keyref(k, map).unwrap_or_else(|| k.clone());
+    let req = |r: &StateReq| subst_statereq(r, map).unwrap_or_else(|| r.clone());
+    let arg = |s: &StateArg| subst_statearg(s, map).unwrap_or_else(|| s.clone());
     match e {
-        EffItem::Keep { key, from, to } => EffItem::Keep {
-            key: subst_keyref(key, map),
-            from: subst_statereq(from, map),
-            to: to.as_ref().map(|t| subst_statearg(t, map)),
+        EffItem::Keep { key: k, from, to } => EffItem::Keep {
+            key: key(k),
+            from: req(from),
+            to: to.as_ref().map(arg),
         },
-        EffItem::Consume { key, from } => EffItem::Consume {
-            key: subst_keyref(key, map),
-            from: subst_statereq(from, map),
+        EffItem::Consume { key: k, from } => EffItem::Consume {
+            key: key(k),
+            from: req(from),
         },
-        EffItem::Produce { key, state } => EffItem::Produce {
-            key: subst_keyref(key, map),
-            state: subst_statearg(state, map),
+        EffItem::Produce { key: k, state } => EffItem::Produce {
+            key: key(k),
+            state: arg(state),
         },
         EffItem::Fresh { var, state } => EffItem::Fresh {
             var: var.clone(),
-            state: subst_statearg(state, map),
+            state: arg(state),
         },
     }
 }
 
 /// Collect every key variable mentioned in a type (tracking positions,
 /// guards, and key arguments of named types).
-pub fn collect_keyvars(t: &Ty, out: &mut std::collections::BTreeSet<String>) {
+pub fn collect_keyvars(t: &Ty, out: &mut BTreeSet<Name>) {
     match t {
         Ty::Tracked { key, inner } => {
             if let KeyRef::Var(v) = key {
@@ -679,7 +740,7 @@ pub fn collect_keyvars(t: &Ty, out: &mut std::collections::BTreeSet<String>) {
         }
         Ty::TrackedAnon(inner) | Ty::Array(inner) => collect_keyvars(inner, out),
         Ty::Guarded { guards, inner } => {
-            for g in guards {
+            for g in guards.iter() {
                 if let KeyRef::Var(v) = &g.key {
                     out.insert(v.clone());
                 }
@@ -687,12 +748,12 @@ pub fn collect_keyvars(t: &Ty, out: &mut std::collections::BTreeSet<String>) {
             collect_keyvars(inner, out);
         }
         Ty::Tuple(ts) => {
-            for t in ts {
+            for t in ts.iter() {
                 collect_keyvars(t, out);
             }
         }
         Ty::Named { args, .. } => {
-            for a in args {
+            for a in args.iter() {
                 match a {
                     Arg::Ty(t) => collect_keyvars(t, out),
                     Arg::Key(KeyRef::Var(v)) => {
@@ -707,11 +768,11 @@ pub fn collect_keyvars(t: &Ty, out: &mut std::collections::BTreeSet<String>) {
 }
 
 /// Build the parameter-name → argument map for an instantiated named type.
-pub fn param_map(params: &[ParamKind], args: &[Arg]) -> BTreeMap<String, Arg> {
+pub fn param_map<'n>(params: &'n [ParamKind], args: &[Arg]) -> ArgMap<'n> {
     params
         .iter()
         .zip(args)
-        .map(|(p, a)| (p.name().to_string(), a.clone()))
+        .map(|(p, a)| (p.name(), a.clone()))
         .collect()
 }
 

@@ -73,6 +73,61 @@ pub fn count_loc(src: &str) -> usize {
         .count()
 }
 
+/// A frozen multi-function unit whose declaration fingerprints and
+/// function keys are pinned to literal values by
+/// `vault_core::interface` and `vault_server::incremental` tests: every
+/// kind of declaration the fingerprints hash (statesets, a global key,
+/// parameterized types, keyed variants, a function-type alias, a guarded
+/// alias, an interface block, effects with states, fresh keys, `uses`
+/// items and type parameters) appears once. A change to how types or
+/// signatures hash fails those tests instead of silently booting every
+/// persisted verdict store cold. Do not edit this text.
+pub const FINGERPRINT_UNIT: &str = r#"stateset IRQ_LEVEL = [ PASSIVE_LEVEL < APC_LEVEL < DISPATCH_LEVEL ];
+key IRQL @ IRQ_LEVEL;
+stateset SOCK_STATE = [ raw < named < ready ];
+type KIRQL<state S>;
+type sock;
+type DEVICE_OBJECT;
+type IRP;
+type KSPIN_LOCK<key K>;
+struct sockaddr { int addr; int port; }
+variant status<key K> [ 'Ok {K@named} | 'Error(int) {K@raw} ];
+variant opt_irp [ 'NoIrp | 'GotIrp(tracked IRP) ];
+variant COMPLETION_RESULT<key I> [ 'MoreProcessingRequired | 'Finished(int) {I} ];
+type COMPLETION_ROUTINE<key K> =
+  tracked COMPLETION_RESULT<K> Routine(DEVICE_OBJECT, tracked(K) IRP)
+    [-K, IRQL@(crl <= DISPATCH_LEVEL)];
+type paged<type T> = (IRQL@(pl <= APC_LEVEL)):T;
+interface REGION {
+  type region;
+  tracked(R) region create() [new R];
+  void delete(tracked(R) region) [-R];
+}
+struct point { int x; int y; }
+tracked(S) sock socket(int proto) [new S@raw, uses net];
+void bind(tracked(S) sock s, sockaddr a) [S@raw->named, uses net];
+tracked status<S> bind2(tracked(S) sock s, sockaddr a) [-S@raw, uses net];
+void close(tracked(S) sock s) [-S, uses net];
+KSPIN_LOCK<K> KeInitializeSpinLock<type T>(tracked(K) T data) [-K, IRQL@PASSIVE_LEVEL];
+KIRQL<level> KeAcquireSpinLock(KSPIN_LOCK<K> lock)
+  [+K, IRQL@(level <= DISPATCH_LEVEL) -> DISPATCH_LEVEL];
+void KeReleaseSpinLock(KSPIN_LOCK<K> lock, KIRQL<old> prev)
+  [-K, IRQL@DISPATCH_LEVEL -> old];
+void IoSetCompletionRoutine(tracked(I) IRP irp, COMPLETION_ROUTINE<I> routine) [I];
+int read_paged(paged<int> v) [IRQL@PASSIVE_LEVEL];
+void serve(sockaddr a) [uses net] {
+  tracked(S) sock s = socket(0);
+  bind(s, a);
+  close(s);
+}
+void regions(bool flag) {
+  tracked(R) region rgn = Region.create();
+  R:point pt = new(rgn) point {x=1; y=2;};
+  if (flag) { pt.x++; } else { pt.y = pt.y - 1; }
+  Region.delete(rgn);
+}
+"#;
+
 /// Every corpus program, across all experiments.
 pub fn all_programs() -> Vec<CorpusProgram> {
     let mut v = Vec::new();

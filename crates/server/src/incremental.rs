@@ -924,6 +924,19 @@ void beta() {
         cached_elaboration(eng, name)
     }
 
+    /// Function keys of a fixed unit, pinned like the declaration
+    /// fingerprints in `vault_core::interface`: a persisted verdict is
+    /// found by this key, so moving it boots every store cold.
+    #[test]
+    fn function_keys_of_a_fixed_unit_are_pinned() {
+        let text = vault_corpus::FINGERPRINT_UNIT;
+        let attr = Attribution::plain("pinned.vlt", text);
+        let Ok(fe) = front_end("pinned.vlt", &attr, &Limits::default()) else {
+            panic!("the pinned unit parses");
+        };
+        assert_eq!(fe.env.keys, vec![15102361740920519066, 5469842570659541855]);
+    }
+
     #[test]
     fn matches_monolithic_cold() {
         let (eng, m) = engine();

@@ -249,8 +249,10 @@ impl Shared {
                 views,
                 stats,
             }));
-        if self.store.append_borrowed(records).is_err() {
-            self.metrics.cache_append_error();
+        match self.store.append_borrowed(records) {
+            Ok(Some(took)) => self.metrics.journal_committed(took),
+            Ok(None) => {}
+            Err(_) => self.metrics.cache_append_error(),
         }
         drop(commit);
         if self.store.needs_maintenance() && self.store.maintain().is_err() {
@@ -312,8 +314,8 @@ mod tests {
         );
         assert_eq!(journal.shared.commit(), 3);
         // Three unit verdicts and both function verdicts, one fsync.
-        let health = journal.store().health();
-        assert_eq!((health.live_frames, health.journal_commits), (5, 1));
+        let commits = journal.shared.metrics.snapshot().journal_commits;
+        assert_eq!((live(&journal), commits), (5, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -120,6 +120,14 @@ counters! {
     /// Verdict-store appends or maintenance passes that failed (the
     /// in-memory caches keep answering; only warmth is at risk).
     cache_append_errors,
+    /// Journal appends that wrote and fsynced at least one frame. The
+    /// journal writer makes one per group commit, so fewer commits than
+    /// journaled requests means grouping happened. Zero without a
+    /// `--cache-dir`.
+    journal_commits,
+    /// Cumulative microseconds those appends spent writing their
+    /// frames and waiting for the fsync (encoding excluded).
+    journal_sync_micros,
 }
 
 impl Metrics {
@@ -132,6 +140,13 @@ impl Metrics {
     /// Record a job leaving the pool (completed).
     pub fn job_done(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Record one journal append that reached the disk in `took`.
+    pub fn journal_committed(&self, took: std::time::Duration) {
+        self.journal_commits.fetch_add(1, Ordering::Relaxed);
+        self.journal_sync_micros
+            .fetch_add(took.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// Record a panic caught and contained.

@@ -101,6 +101,7 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use vault_core::check::CheckStats;
 use vault_core::interface::ReadSet;
@@ -290,10 +291,6 @@ pub struct StoreHealth {
     pub live_frames: u64,
     /// Total bytes across all segment files.
     pub disk_bytes: u64,
-    /// Appends that wrote and fsynced at least one frame since boot.
-    /// The service's journal writer makes one per group commit, so
-    /// fewer commits than journaled requests means grouping happened.
-    pub journal_commits: u64,
 }
 
 /// What a live frame is keyed by. Unit and function fingerprints are
@@ -348,7 +345,6 @@ pub struct VerdictStore {
     compactions_run: AtomicU64,
     bytes_reclaimed: AtomicU64,
     segments_quarantined: AtomicU64,
-    journal_commits: AtomicU64,
 }
 
 fn other(msg: &str) -> io::Error {
@@ -514,7 +510,6 @@ impl VerdictStore {
             compactions_run: AtomicU64::new(0),
             bytes_reclaimed: AtomicU64::new(0),
             segments_quarantined: AtomicU64::new(preexisting_bad + loaded.quarantined),
-            journal_commits: AtomicU64::new(0),
         };
         Ok((store, loaded))
     }
@@ -540,7 +535,6 @@ impl VerdictStore {
             segments_quarantined: self.segments_quarantined.load(Ordering::Relaxed),
             live_frames: inner.live.len() as u64,
             disk_bytes: inner.metas.values().map(|m| m.len).sum(),
-            journal_commits: self.journal_commits.load(Ordering::Relaxed),
         }
     }
 
@@ -549,15 +543,18 @@ impl VerdictStore {
     /// verdicts, `V501`/`V502` diagnostics) are silently skipped.
     pub fn append(&self, records: &[Record]) -> io::Result<()> {
         self.append_borrowed(records.iter().map(Record::as_ref))
+            .map(|_| ())
     }
 
     /// [`Self::append`] over borrowed records. Each payload is written
     /// straight into the frame buffer behind a placeholder header, which
-    /// is then filled in with the payload's length and CRC.
+    /// is then filled in with the payload's length and CRC. Returns the
+    /// time the write and its fsync took, or `None` when no record was
+    /// persistable and nothing was written.
     pub(crate) fn append_borrowed<'a>(
         &self,
         records: impl IntoIterator<Item = RecordRef<'a>>,
-    ) -> io::Result<()> {
+    ) -> io::Result<Option<Duration>> {
         let mut buf = Vec::new();
         let mut frames = Vec::new();
         for record in records {
@@ -574,11 +571,11 @@ impl VerdictStore {
             frames.push((record.key(), len));
         }
         if frames.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
+        let started = Instant::now();
         self.write_frames(lock(&self.inner), &buf, &frames)?;
-        self.journal_commits.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(Some(started.elapsed()))
     }
 
     /// The one path by which frames reach a segment after its header:

@@ -393,7 +393,6 @@ pub fn encode_status(
         for (key, value) in [
             ("cache_disk_bytes", h.disk_bytes),
             ("segments_sealed", h.segments_sealed),
-            ("journal_commits", h.journal_commits),
             ("compactions_run", h.compactions_run),
             ("bytes_reclaimed", h.bytes_reclaimed),
             ("segments_quarantined", h.segments_quarantined),
@@ -657,6 +656,8 @@ pub(crate) mod tests {
             units_scheduled: 23,
             units_reused: 24,
             cutoff_hits: 25,
+            journal_commits: 37,
+            journal_sync_micros: 38,
             uptime_micros: 26_500_000, // 26.5s → 26 whole seconds
         };
         // Memory-only daemon: no store-health keys at all.
@@ -668,7 +669,6 @@ pub(crate) mod tests {
         for key in [
             "cache_disk_bytes",
             "segments_sealed",
-            "journal_commits",
             "compactions_run",
             "bytes_reclaimed",
             "segments_quarantined",
@@ -679,7 +679,6 @@ pub(crate) mod tests {
         // With --cache-dir: every store-health key is carried.
         let health = crate::persist::StoreHealth {
             segments_sealed: 31,
-            journal_commits: 32,
             compactions_run: 33,
             bytes_reclaimed: 34,
             segments_quarantined: 35,
@@ -696,9 +695,10 @@ pub(crate) mod tests {
              \"accept_errors\":12,\"panics_caught\":14,\"deadline_exceeded\":15,\
              \"workers_respawned\":16,\"lex_micros\":17,\"parse_micros\":18,\
              \"elaborate_micros\":19,\"lower_micros\":20,\"cache_load_errors\":21,\
-             \"cache_append_errors\":22,\"uptime_micros\":26500000,\"uptime_seconds\":26,\
+             \"cache_append_errors\":22,\"journal_commits\":37,\"journal_sync_micros\":38,\
+             \"uptime_micros\":26500000,\"uptime_seconds\":26,\
              \"workers\":27,\"cache_entries\":28,\"cache_capacity\":29,\
-             \"cache_disk_bytes\":30,\"segments_sealed\":31,\"journal_commits\":32,\
+             \"cache_disk_bytes\":30,\"segments_sealed\":31,\
              \"compactions_run\":33,\"bytes_reclaimed\":34,\"segments_quarantined\":35,\
              \"live_frames\":36}"
         );

@@ -10,6 +10,7 @@ use crate::key::KeyId;
 use crate::state::StateVal;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from held-key-set operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,9 +34,15 @@ impl fmt::Display for HeldErr {
 impl std::error::Error for HeldErr {}
 
 /// The held-key set at one program point.
+///
+/// A vector sorted by key, shared copy-on-write: the checker snapshots
+/// the set at every branch, loop iteration and switch arm, so a clone is
+/// a reference-count bump, and the first change to a shared set copies
+/// it in one allocation where a B-tree's copy takes one per node. Sets
+/// hold tens of keys, so the linear inserts cost less than tree walks.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HeldSet {
-    map: BTreeMap<KeyId, StateVal>,
+    entries: Arc<Vec<(KeyId, StateVal)>>,
 }
 
 impl HeldSet {
@@ -44,12 +51,16 @@ impl HeldSet {
         Self::default()
     }
 
+    fn find(&self, key: KeyId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&key, |&(k, _)| k)
+    }
+
     /// Add a key in the given state. Errors if the key is already held.
     pub fn insert(&mut self, key: KeyId, state: StateVal) -> Result<(), HeldErr> {
-        match self.map.entry(key) {
-            std::collections::btree_map::Entry::Occupied(_) => Err(HeldErr::Duplicate(key)),
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(state);
+        match self.find(key) {
+            Ok(_) => Err(HeldErr::Duplicate(key)),
+            Err(at) => {
+                Arc::make_mut(&mut self.entries).insert(at, (key, state));
                 Ok(())
             }
         }
@@ -57,55 +68,62 @@ impl HeldSet {
 
     /// Remove a key. Errors if it is not held.
     pub fn remove(&mut self, key: KeyId) -> Result<StateVal, HeldErr> {
-        self.map.remove(&key).ok_or(HeldErr::NotHeld(key))
+        match self.find(key) {
+            Ok(at) => Ok(Arc::make_mut(&mut self.entries).remove(at).1),
+            Err(_) => Err(HeldErr::NotHeld(key)),
+        }
     }
 
     /// Current state of a held key.
     pub fn get(&self, key: KeyId) -> Option<StateVal> {
-        self.map.get(&key).copied()
+        self.find(key).ok().map(|at| self.entries[at].1)
     }
 
     /// Whether the key is held.
     pub fn holds(&self, key: KeyId) -> bool {
-        self.map.contains_key(&key)
+        self.find(key).is_ok()
     }
 
     /// Change the state of a held key. Errors if it is not held.
     pub fn set_state(&mut self, key: KeyId, state: StateVal) -> Result<(), HeldErr> {
-        match self.map.get_mut(&key) {
-            Some(s) => {
-                *s = state;
+        match self.find(key) {
+            Ok(at) => {
+                if self.entries[at].1 != state {
+                    Arc::make_mut(&mut self.entries)[at].1 = state;
+                }
                 Ok(())
             }
-            None => Err(HeldErr::NotHeld(key)),
+            Err(_) => Err(HeldErr::NotHeld(key)),
         }
     }
 
     /// Iterate over `(key, state)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (KeyId, StateVal)> + '_ {
-        self.map.iter().map(|(&k, &s)| (k, s))
+        self.entries.iter().copied()
     }
 
     /// All held keys, in order.
     pub fn keys(&self) -> impl Iterator<Item = KeyId> + '_ {
-        self.map.keys().copied()
+        self.entries.iter().map(|&(k, _)| k)
     }
 
     /// Number of held keys.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Apply a key renaming. Keys not in `rename` keep their ids. Errors
     /// with [`HeldErr::Duplicate`] if the renaming would merge two keys —
     /// renamings must be injective on the held set.
     pub fn rename(&self, rename: &BTreeMap<KeyId, KeyId>) -> Result<HeldSet, HeldErr> {
-        let mut out = HeldSet::new();
+        let mut out = HeldSet {
+            entries: Arc::new(Vec::with_capacity(self.len())),
+        };
         for (k, s) in self.iter() {
             let nk = rename.get(&k).copied().unwrap_or(k);
             out.insert(nk, s)?;
@@ -134,7 +152,12 @@ impl FromIterator<(KeyId, StateVal)> for HeldSet {
         let mut s = HeldSet::new();
         for (k, v) in iter {
             // FromIterator is used for test fixtures; last write wins.
-            s.map.insert(k, v);
+            let found = s.find(k);
+            let entries = Arc::make_mut(&mut s.entries);
+            match found {
+                Ok(at) => entries[at].1 = v,
+                Err(at) => entries.insert(at, (k, v)),
+            }
         }
         s
     }

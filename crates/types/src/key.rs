@@ -5,7 +5,16 @@
 //! keys through [`KeyRef`]s, which may be variables instantiated per call.
 
 use crate::state::StatesetId;
+use crate::ty::{Tables, Ty, TypeId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// A variable or declaration name inside types and signatures. Cloning
+/// one bumps a reference count instead of copying the text, and it
+/// hashes, compares and orders exactly as the `String` it replaced, so
+/// every fingerprint over types and signatures keeps its value.
+pub type Name = Arc<str>;
 
 /// A concrete key instance during checking of one function body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -21,14 +30,14 @@ impl fmt::Display for KeyId {
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KeyRef {
     /// A key variable, scoped to a signature or type declaration.
-    Var(String),
+    Var(Name),
     /// A concrete key (a global key, or an instance during checking).
     Id(KeyId),
 }
 
 impl KeyRef {
     /// Shorthand for a variable reference.
-    pub fn var(name: impl Into<String>) -> Self {
+    pub fn var(name: impl Into<Name>) -> Self {
         KeyRef::Var(name.into())
     }
 
@@ -65,13 +74,63 @@ pub enum KeyOrigin {
     Produced,
 }
 
+/// What resource a key tracks, kept in parts and rendered only when a
+/// diagnostic names it ([`KeyGen::resource`]).
+#[derive(Clone, Debug)]
+pub enum Resource {
+    /// Ready text, such as a type name.
+    Text(Name),
+    /// Fixed text.
+    Static(&'static str),
+    /// The name of a declared type.
+    TypeName(TypeId),
+    /// A key the named function's `[new K]` effect created.
+    FreshFrom(Name),
+    /// A key unpacked from the named variant binder.
+    Unpacked(Name),
+    /// The key packed in an anonymous tracked value of this type.
+    Type(Ty),
+}
+
+impl Resource {
+    /// The text diagnostics show.
+    pub fn render(&self, tables: &Tables) -> String {
+        match self {
+            Resource::Text(t) => t.to_string(),
+            Resource::Static(t) => t.to_string(),
+            Resource::TypeName(id) => tables.type_name(*id).to_string(),
+            Resource::FreshFrom(f) => format!("fresh key from `{f}`"),
+            Resource::Unpacked(v) => format!("unpacked `{v}`"),
+            Resource::Type(t) => t.display(tables),
+        }
+    }
+}
+
+/// [`Resource::Text`] and [`Resource::Static`] hash as the `String`
+/// they used to be, so the base keys' part of a unit's fingerprint
+/// (global keys carry text) keeps its value. The other forms only
+/// describe keys made while checking a body, which no fingerprint
+/// covers; they hash their parts under a distinct tag.
+impl Hash for Resource {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        match self {
+            Resource::Text(t) => t.hash(h),
+            Resource::Static(t) => t.hash(h),
+            Resource::FreshFrom(f) => (1u8, f).hash(h),
+            Resource::Unpacked(v) => (2u8, v).hash(h),
+            Resource::Type(t) => (3u8, t).hash(h),
+            Resource::TypeName(id) => (4u8, id).hash(h),
+        }
+    }
+}
+
 /// Metadata about one key instance.
 #[derive(Clone, Debug, Hash)]
 pub struct KeyInfo {
     /// The surface name if the programmer gave one (`tracked(R) ...`).
-    pub name: Option<String>,
+    pub name: Option<Name>,
     /// What resource type the key tracks, for diagnostics.
-    pub resource: String,
+    pub resource: Resource,
     /// How the key came to exist.
     pub origin: KeyOrigin,
     /// Stateset governing its local states.
@@ -121,12 +180,17 @@ impl KeyGen {
 
     /// A human-readable name for diagnostics: the surface name if known,
     /// otherwise the resource type.
-    pub fn describe(&self, id: KeyId) -> String {
+    pub fn describe(&self, id: KeyId, tables: &Tables) -> String {
         let info = self.info(id);
         match &info.name {
-            Some(n) => n.clone(),
-            None => format!("<{}>", info.resource),
+            Some(n) => n.to_string(),
+            None => format!("<{}>", info.resource.render(tables)),
         }
+    }
+
+    /// The resource a key tracks, rendered for a diagnostic.
+    pub fn resource(&self, id: KeyId, tables: &Tables) -> String {
+        self.info(id).resource.render(tables)
     }
 }
 
@@ -137,8 +201,8 @@ mod tests {
 
     fn info(name: Option<&str>) -> KeyInfo {
         KeyInfo {
-            name: name.map(str::to_string),
-            resource: "region".into(),
+            name: name.map(Name::from),
+            resource: Resource::Static("region"),
             origin: KeyOrigin::Fresh,
             stateset: StateTable::DEFAULT_SET,
             global: false,
@@ -152,8 +216,9 @@ mod tests {
         let b = g.fresh(info(None));
         assert_ne!(a, b);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.describe(a), "R");
-        assert_eq!(g.describe(b), "<region>");
+        let tables = Tables::default();
+        assert_eq!(g.describe(a, &tables), "R");
+        assert_eq!(g.describe(b, &tables), "<region>");
     }
 
     #[test]
@@ -169,6 +234,6 @@ mod tests {
         let mut g = KeyGen::new();
         let a = g.fresh(info(None));
         g.info_mut(a).name = Some("S".into());
-        assert_eq!(g.describe(a), "S");
+        assert_eq!(g.describe(a, &Tables::default()), "S");
     }
 }

@@ -43,7 +43,7 @@ pub use heldset::{HeldErr, HeldSet};
 // Interning moved into `vault-syntax` so the lexer can intern at lex
 // time (the zero-copy front end); re-exported here so the checker's
 // existing `vault_types::{Interner, Symbol}` imports keep working.
-pub use key::{KeyGen, KeyId, KeyInfo, KeyOrigin, KeyRef};
+pub use key::{KeyGen, KeyId, KeyInfo, KeyOrigin, KeyRef, Name, Resource};
 pub use state::{StateId, StateReq, StateTable, StateVal, StatesetError, StatesetId};
 pub use ty::{
     AbstractDef, Arg, CtorDef, EffItem, FnSig, GlobalKey, GuardAtom, ParamKind, StateArg,

@@ -273,13 +273,13 @@ pub enum StateReq {
     /// matched state is bound to that state variable.
     AtMost {
         /// Optional state-variable name the matched state binds.
-        var: Option<String>,
+        var: Option<crate::key::Name>,
         /// Inclusive upper bound.
         bound: StateId,
     },
     /// Exactly the state bound to a state variable (from an earlier match
     /// or a parameter's type).
-    Var(String),
+    Var(crate::key::Name),
 }
 
 impl StateReq {

@@ -12,16 +12,24 @@
 //!   ([`CtorDef::exist_keys`]) are the existentially bound names that make
 //!   collections "anonymizing" (paper §2.4).
 
-use crate::key::{KeyId, KeyRef};
+use crate::key::{KeyId, KeyRef, Name};
 use crate::state::{StateId, StateReq, StateTable, StateVal, StatesetId};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// Identifies a named type (struct/variant/abstract) in a [`World`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(pub u32);
 
 /// An internal type.
+///
+/// Every heap part is shared: nested types, argument and guard lists and
+/// function signatures sit behind [`Arc`]s and names are [`Name`]s, so
+/// cloning a type never allocates — the checker clones a variable's type
+/// on every read. `Arc<T>` and `Arc<[T]>` hash as `T` and `[T]` (and so
+/// as the `Box<T>` and `Vec<T>` they replaced), which keeps every
+/// fingerprint over types unchanged.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Ty {
     /// `void`
@@ -41,50 +49,62 @@ pub enum Ty {
         /// Which declaration.
         id: TypeId,
         /// Instantiation arguments, matching the declaration's parameters.
-        args: Vec<Arg>,
+        args: Arc<[Arg]>,
     },
     /// `T[]`
-    Array(Box<Ty>),
+    Array(Arc<Ty>),
     /// `(T1, ..., Tn)`
-    Tuple(Vec<Ty>),
+    Tuple(Arc<[Ty]>),
     /// The singleton type `s(ρ)`: a handle to the unique resource named by
     /// the key, remembering the underlying resource type.
     Tracked {
         /// The key (a variable in signatures, concrete during checking).
         key: KeyRef,
         /// The resource type.
-        inner: Box<Ty>,
+        inner: Arc<Ty>,
     },
     /// Anonymous tracked type: `∃[ρ | {ρ@τ}]. s(ρ)`.
-    TrackedAnon(Box<Ty>),
+    TrackedAnon(Arc<Ty>),
     /// Guarded type `C ▷ τ`: access requires every guard atom to hold.
     Guarded {
         /// The guard conjunction.
-        guards: Vec<GuardAtom>,
+        guards: Arc<[GuardAtom]>,
         /// The guarded type.
-        inner: Box<Ty>,
+        inner: Arc<Ty>,
     },
     /// A function type (completion routines, §4.3).
-    Fn(Box<FnSig>),
+    Fn(Arc<FnSig>),
     /// A type variable from a `<type T>` parameter.
-    Var(String),
+    Var(Name),
 }
 
 impl Ty {
-    /// Boxed convenience constructor for [`Ty::Tracked`].
+    /// Convenience constructor for [`Ty::Tracked`].
     pub fn tracked(key: KeyRef, inner: Ty) -> Ty {
         Ty::Tracked {
             key,
-            inner: Box::new(inner),
+            inner: Arc::new(inner),
         }
     }
 
-    /// Boxed convenience constructor for [`Ty::Guarded`].
+    /// Convenience constructor for [`Ty::Guarded`].
     pub fn guarded(guards: Vec<GuardAtom>, inner: Ty) -> Ty {
         Ty::Guarded {
-            guards,
-            inner: Box::new(inner),
+            guards: guards.into(),
+            inner: Arc::new(inner),
         }
+    }
+
+    /// Convenience constructor for [`Ty::Named`]. Every type without
+    /// arguments shares one empty list, so it allocates nothing.
+    pub fn named(id: TypeId, args: Vec<Arg>) -> Ty {
+        static NO_ARGS: LazyLock<Arc<[Arg]>> = LazyLock::new(|| Arc::from([]));
+        let args = if args.is_empty() {
+            NO_ARGS.clone()
+        } else {
+            args.into()
+        };
+        Ty::Named { id, args }
     }
 
     /// Whether this is the error type.
@@ -104,7 +124,7 @@ impl Ty {
             }
             Ty::TrackedAnon(inner) => inner.concrete_keys(out),
             Ty::Guarded { guards, inner } => {
-                for g in guards {
+                for g in guards.iter() {
                     if let KeyRef::Id(k) = &g.key {
                         out.push(*k);
                     }
@@ -112,7 +132,7 @@ impl Ty {
                 inner.concrete_keys(out);
             }
             Ty::Named { args, .. } => {
-                for a in args {
+                for a in args.iter() {
                     match a {
                         Arg::Ty(t) => t.concrete_keys(out),
                         Arg::Key(KeyRef::Id(k)) => out.push(*k),
@@ -122,7 +142,7 @@ impl Ty {
             }
             Ty::Array(t) => t.concrete_keys(out),
             Ty::Tuple(ts) => {
-                for t in ts {
+                for t in ts.iter() {
                     t.concrete_keys(out);
                 }
             }
@@ -146,7 +166,7 @@ impl Ty {
             Ty::Byte => "byte".into(),
             Ty::Str => "string".into(),
             Ty::Error => "<error>".into(),
-            Ty::Var(v) => v.clone(),
+            Ty::Var(v) => v.to_string(),
             Ty::Named { id, args } => {
                 let name = world.type_name(*id);
                 if args.is_empty() {
@@ -229,7 +249,7 @@ pub enum StateArg {
     /// A concrete state token.
     Token(StateId),
     /// A state variable, resolved during instantiation.
-    Var(String),
+    Var(Name),
     /// An already-instantiated state value (checker-internal).
     Val(StateVal),
 }
@@ -239,7 +259,7 @@ impl StateArg {
     pub fn display(&self, states: &StateTable) -> String {
         match self {
             StateArg::Token(t) => states.state_name(*t).to_string(),
-            StateArg::Var(v) => v.clone(),
+            StateArg::Var(v) => v.to_string(),
             StateArg::Val(v) => v.display(states),
         }
     }
@@ -274,7 +294,7 @@ pub enum EffItem {
     /// A fresh key held on return (`[new K]`).
     Fresh {
         /// The key variable bound in the signature scope.
-        var: String,
+        var: Name,
         /// State created in.
         state: StateArg,
     },
@@ -298,7 +318,7 @@ impl EffItem {
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FnSig {
     /// Function name (for diagnostics).
-    pub name: String,
+    pub name: Name,
     /// Parameter types, over key/state/type variables.
     pub params: Vec<Ty>,
     /// Parameter names (if declared).
@@ -359,7 +379,7 @@ pub struct CtorDef {
     pub name: String,
     /// Existentially bound, constructor-scoped key variables appearing in
     /// `args` (these make collection elements anonymous — paper §2.4).
-    pub exist_keys: Vec<String>,
+    pub exist_keys: Vec<Name>,
     /// Argument types, over the variant's parameters plus `exist_keys`.
     pub args: Vec<Ty>,
     /// Captured keys: each names a *key parameter* of the variant together
@@ -474,7 +494,9 @@ pub struct Tables {
 #[derive(Clone, Debug, Default)]
 pub struct World {
     tables: Tables,
-    fns: BTreeMap<String, FnSig>,
+    /// Each signature, with whether it may stand in for lowering its
+    /// declaration again (see [`World::reusable_sig`]).
+    fns: BTreeMap<String, (FnSig, bool)>,
 }
 
 impl std::ops::Deref for World {
@@ -505,21 +527,40 @@ impl World {
 
     /// Register a function signature. Returns false if the name is taken.
     pub fn add_fn(&mut self, sig: FnSig) -> bool {
-        if self.fns.contains_key(&sig.name) {
+        if self.fns.contains_key(&*sig.name) {
             return false;
         }
-        self.fns.insert(sig.name.clone(), sig);
+        self.fns.insert(sig.name.to_string(), (sig, false));
         true
     }
 
     /// Look up a function signature by (unqualified) name.
     pub fn fn_sig(&self, name: &str) -> Option<&FnSig> {
-        self.fns.get(name)
+        self.fns.get(name).map(|(sig, _)| sig)
+    }
+
+    /// Record whether the signature registered under `name` may stand in
+    /// for lowering its declaration again: true only when that lowering
+    /// reported nothing and no other declaration shares the name.
+    pub fn set_reusable(&mut self, name: &str, reusable: bool) {
+        if let Some((_, flag)) = self.fns.get_mut(name) {
+            *flag = reusable;
+        }
+    }
+
+    /// The signature of the one declaration named `name`, if lowering
+    /// that declaration again would give exactly this signature and
+    /// report nothing (see [`World::set_reusable`]).
+    pub fn reusable_sig(&self, name: &str) -> Option<&FnSig> {
+        match self.fns.get(name) {
+            Some((sig, true)) => Some(sig),
+            _ => None,
+        }
     }
 
     /// Iterate all function signatures.
     pub fn fns(&self) -> impl Iterator<Item = &FnSig> {
-        self.fns.values()
+        self.fns.values().map(|(sig, _)| sig)
     }
 }
 
@@ -724,7 +765,7 @@ mod tests {
             ctors: vec![CtorDef {
                 name: "Cons".into(),
                 exist_keys: vec![],
-                args: vec![Ty::TrackedAnon(Box::new(Ty::Var("r".into())))],
+                args: vec![Ty::TrackedAnon(Arc::new(Ty::Var("r".into())))],
                 captures: vec![],
             }],
         };
@@ -735,14 +776,8 @@ mod tests {
     fn concrete_keys_collects_all_positions() {
         let w = sample_world();
         let point = w.type_id("point").unwrap();
-        let t = Ty::Tuple(vec![
-            Ty::tracked(
-                KeyRef::Id(KeyId(1)),
-                Ty::Named {
-                    id: point,
-                    args: vec![],
-                },
-            ),
+        let t = Ty::Tuple(Arc::from(vec![
+            Ty::tracked(KeyRef::Id(KeyId(1)), Ty::named(point, vec![])),
             Ty::guarded(
                 vec![GuardAtom {
                     key: KeyRef::Id(KeyId(2)),
@@ -750,11 +785,8 @@ mod tests {
                 }],
                 Ty::Int,
             ),
-            Ty::Named {
-                id: point,
-                args: vec![Arg::Key(KeyRef::Id(KeyId(3)))],
-            },
-        ]);
+            Ty::named(point, vec![Arg::Key(KeyRef::Id(KeyId(3)))]),
+        ]));
         let mut keys = Vec::new();
         t.concrete_keys(&mut keys);
         assert_eq!(keys, vec![KeyId(1), KeyId(2), KeyId(3)]);
@@ -764,13 +796,7 @@ mod tests {
     fn display_formats() {
         let w = sample_world();
         let point = w.type_id("point").unwrap();
-        let t = Ty::tracked(
-            KeyRef::var("R"),
-            Ty::Named {
-                id: point,
-                args: vec![],
-            },
-        );
+        let t = Ty::tracked(KeyRef::var("R"), Ty::named(point, vec![]));
         assert_eq!(t.display(&w), "tracked(R) point");
         let g = Ty::guarded(
             vec![GuardAtom {

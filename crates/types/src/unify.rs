@@ -6,22 +6,23 @@
 //! types to discover the key/state/type bindings, then applies the effect
 //! clause under those bindings.
 
-use crate::key::{KeyId, KeyRef};
+use crate::key::{KeyId, KeyRef, Name};
 use crate::state::StateVal;
 use crate::ty::{Arg, FnSig, GuardAtom, StateArg, Tables, Ty};
 use crate::StateReq;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Accumulated variable bindings from unification.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bindings {
     /// Key variable → concrete key.
-    pub keys: BTreeMap<String, KeyId>,
+    pub keys: BTreeMap<Name, KeyId>,
     /// State variable → state value.
-    pub states: BTreeMap<String, StateVal>,
+    pub states: BTreeMap<Name, StateVal>,
     /// Type variable → type.
-    pub tys: BTreeMap<String, Ty>,
+    pub tys: BTreeMap<Name, Ty>,
 }
 
 impl Bindings {
@@ -31,37 +32,39 @@ impl Bindings {
     }
 
     /// Bind a key variable; errors if already bound to a different key.
-    pub fn bind_key(&mut self, var: &str, key: KeyId) -> Result<(), UnifyErr> {
+    pub fn bind_key(&mut self, var: &Name, key: KeyId) -> Result<(), UnifyErr> {
         match self.keys.get(var) {
             Some(&k) if k != key => Err(UnifyErr::KeyConflict {
                 var: var.to_string(),
                 first: k,
                 second: key,
             }),
-            _ => {
-                self.keys.insert(var.to_string(), key);
+            Some(_) => Ok(()),
+            None => {
+                self.keys.insert(var.clone(), key);
                 Ok(())
             }
         }
     }
 
     /// Bind a state variable; errors on conflicting rebinding.
-    pub fn bind_state(&mut self, var: &str, val: StateVal) -> Result<(), UnifyErr> {
+    pub fn bind_state(&mut self, var: &Name, val: StateVal) -> Result<(), UnifyErr> {
         match self.states.get(var) {
             Some(v) if *v != val => Err(UnifyErr::StateConflict(var.to_string())),
-            _ => {
-                self.states.insert(var.to_string(), val);
+            Some(_) => Ok(()),
+            None => {
+                self.states.insert(var.clone(), val);
                 Ok(())
             }
         }
     }
 
     /// Bind a type variable; errors if already bound to a different type.
-    pub fn bind_ty(&mut self, var: &str, ty: Ty) -> Result<(), UnifyErr> {
+    pub fn bind_ty(&mut self, var: &Name, ty: Ty) -> Result<(), UnifyErr> {
         match self.tys.get(var) {
             Some(t) if *t != ty => Err(UnifyErr::TyConflict(var.to_string())),
             _ => {
-                self.tys.insert(var.to_string(), ty);
+                self.tys.insert(var.clone(), ty);
                 Ok(())
             }
         }
@@ -144,7 +147,7 @@ pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &Tables) -> Re
         (Ty::Byte, Ty::Int) | (Ty::Int, Ty::Byte) => Ok(()),
         (Ty::Array(d), Ty::Array(a)) => unify(d, a, binds, world),
         (Ty::Tuple(ds), Ty::Tuple(as_)) if ds.len() == as_.len() => {
-            for (d, a) in ds.iter().zip(as_) {
+            for (d, a) in ds.iter().zip(as_.iter()) {
                 unify(d, a, binds, world)?;
             }
             Ok(())
@@ -167,7 +170,7 @@ pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &Tables) -> Re
                 inner: ai,
             },
         ) if dg.len() == ag.len() => {
-            for (d, a) in dg.iter().zip(ag) {
+            for (d, a) in dg.iter().zip(ag.iter()) {
                 unify_guard(d, a, binds, world, actual)?;
             }
             unify(di, ai, binds, world)
@@ -175,7 +178,7 @@ pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &Tables) -> Re
         (Ty::Named { id: did, args: da }, Ty::Named { id: aid, args: aa })
             if did == aid && da.len() == aa.len() =>
         {
-            for (d, a) in da.iter().zip(aa) {
+            for (d, a) in da.iter().zip(aa.iter()) {
                 unify_arg(d, a, binds, world, decl, actual)?;
             }
             Ok(())
@@ -297,9 +300,7 @@ fn unify_fn(
             (Keep { key: dk, .. }, Keep { key: ak, .. })
             | (Consume { key: dk, .. }, Consume { key: ak, .. })
             | (Produce { key: dk, .. }, Produce { key: ak, .. }) => alpha.key(dk, ak),
-            (Fresh { var: dv, .. }, Fresh { var: av, .. }) => {
-                alpha.key(&KeyRef::Var(dv.clone()), &KeyRef::Var(av.clone()))
-            }
+            (Fresh { var: dv, .. }, Fresh { var: av, .. }) => alpha.var(dv, av),
             _ => false,
         };
         if !ok {
@@ -315,9 +316,9 @@ fn unify_fn(
 /// Tracks the variable correspondence while matching two function types.
 struct Alpha<'b> {
     /// decl var → actual var (for var-var pairs).
-    fwd: BTreeMap<String, String>,
+    fwd: BTreeMap<Name, Name>,
     /// actual var → decl var.
-    bwd: BTreeMap<String, String>,
+    bwd: BTreeMap<Name, Name>,
     /// Outer bindings, for decl-var-to-concrete-key pairs.
     binds: &'b mut Bindings,
 }
@@ -327,25 +328,28 @@ impl Alpha<'_> {
         match (d, a) {
             (KeyRef::Id(x), KeyRef::Id(y)) => x == y,
             (KeyRef::Var(x), KeyRef::Id(y)) => self.binds.bind_key(x, *y).is_ok(),
-            (KeyRef::Var(x), KeyRef::Var(y)) => {
-                let f_ok = match self.fwd.get(x) {
-                    Some(mapped) => mapped == y,
-                    None => {
-                        self.fwd.insert(x.clone(), y.clone());
-                        true
-                    }
-                };
-                let b_ok = match self.bwd.get(y) {
-                    Some(mapped) => mapped == x,
-                    None => {
-                        self.bwd.insert(y.clone(), x.clone());
-                        true
-                    }
-                };
-                f_ok && b_ok
-            }
+            (KeyRef::Var(x), KeyRef::Var(y)) => self.var(x, y),
             (KeyRef::Id(_), KeyRef::Var(_)) => false,
         }
+    }
+
+    /// Pair two key variables, keeping the correspondence a bijection.
+    fn var(&mut self, x: &Name, y: &Name) -> bool {
+        let f_ok = match self.fwd.get(x) {
+            Some(mapped) => mapped == y,
+            None => {
+                self.fwd.insert(x.clone(), y.clone());
+                true
+            }
+        };
+        let b_ok = match self.bwd.get(y) {
+            Some(mapped) => mapped == x,
+            None => {
+                self.bwd.insert(y.clone(), x.clone());
+                true
+            }
+        };
+        f_ok && b_ok
     }
 }
 
@@ -367,7 +371,7 @@ fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(),
         (Ty::Var(x), Ty::Var(y)) if x == y => Ok(()),
         (Ty::Array(x), Ty::Array(y)) => alpha_eq(x, y, alpha, world),
         (Ty::Tuple(xs), Ty::Tuple(ys)) if xs.len() == ys.len() => {
-            for (x, y) in xs.iter().zip(ys) {
+            for (x, y) in xs.iter().zip(ys.iter()) {
                 alpha_eq(x, y, alpha, world)?;
             }
             Ok(())
@@ -389,7 +393,7 @@ fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(),
                 inner: ai,
             },
         ) if dg.len() == ag.len() => {
-            for (x, y) in dg.iter().zip(ag) {
+            for (x, y) in dg.iter().zip(ag.iter()) {
                 if !alpha.key(&x.key, &y.key) {
                     return fail();
                 }
@@ -399,7 +403,7 @@ fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(),
         (Ty::Named { id: di, args: da }, Ty::Named { id: ai, args: aa })
             if di == ai && da.len() == aa.len() =>
         {
-            for (x, y) in da.iter().zip(aa) {
+            for (x, y) in da.iter().zip(aa.iter()) {
                 match (x, y) {
                     (Arg::Ty(x), Arg::Ty(y)) => alpha_eq(x, y, alpha, world)?,
                     (Arg::Key(x), Arg::Key(y)) => {
@@ -422,84 +426,126 @@ fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(),
 
 /// Instantiate a type under bindings: replace key/state/type variables by
 /// their bound values. Unbound key variables are an error (they would leave
-/// the caller unable to track the key).
+/// the caller unable to track the key). Parts the bindings leave
+/// unchanged are shared with `t`, not copied.
 pub fn subst_ty(t: &Ty, binds: &Bindings) -> Result<Ty, UnifyErr> {
+    Ok(subst_changed(t, binds)?.unwrap_or_else(|| t.clone()))
+}
+
+/// [`subst_ty`], or `None` when the bindings change nothing in `t`.
+fn subst_changed(t: &Ty, binds: &Bindings) -> Result<Option<Ty>, UnifyErr> {
     Ok(match t {
-        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => t.clone(),
-        Ty::Var(v) => match binds.tys.get(v) {
-            Some(b) => b.clone(),
-            None => Ty::Var(v.clone()),
-        },
-        Ty::Array(inner) => Ty::Array(Box::new(subst_ty(inner, binds)?)),
-        Ty::Tuple(ts) => Ty::Tuple(
-            ts.iter()
-                .map(|t| subst_ty(t, binds))
-                .collect::<Result<_, _>>()?,
-        ),
-        Ty::Tracked { key, inner } => Ty::Tracked {
-            key: subst_key(key, binds)?,
-            inner: Box::new(subst_ty(inner, binds)?),
-        },
-        Ty::TrackedAnon(inner) => Ty::TrackedAnon(Box::new(subst_ty(inner, binds)?)),
-        Ty::Guarded { guards, inner } => Ty::Guarded {
-            guards: guards
-                .iter()
-                .map(|g| {
-                    Ok(GuardAtom {
-                        key: subst_key(&g.key, binds)?,
-                        req: subst_req(&g.req, binds),
-                    })
+        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => None,
+        Ty::Var(v) => binds.tys.get(v).cloned(),
+        Ty::Array(inner) => subst_changed(inner, binds)?.map(|i| Ty::Array(Arc::new(i))),
+        Ty::Tuple(ts) => subst_slice(ts, |t| subst_changed(t, binds))?.map(Ty::Tuple),
+        Ty::Tracked { key, inner } => {
+            let k = subst_key(key, binds)?;
+            let i = subst_changed(inner, binds)?;
+            match (k, i) {
+                (None, None) => None,
+                (k, i) => Some(Ty::Tracked {
+                    key: k.unwrap_or_else(|| key.clone()),
+                    inner: share(inner, i),
+                }),
+            }
+        }
+        Ty::TrackedAnon(inner) => {
+            subst_changed(inner, binds)?.map(|i| Ty::TrackedAnon(Arc::new(i)))
+        }
+        Ty::Guarded { guards, inner } => {
+            let g = subst_slice(guards, |g| {
+                let key = subst_key(&g.key, binds)?;
+                let req = subst_req(&g.req, binds);
+                Ok(match (key, req) {
+                    (None, None) => None,
+                    (key, req) => Some(GuardAtom {
+                        key: key.unwrap_or_else(|| g.key.clone()),
+                        req: req.unwrap_or_else(|| g.req.clone()),
+                    }),
                 })
-                .collect::<Result<_, UnifyErr>>()?,
-            inner: Box::new(subst_ty(inner, binds)?),
-        },
-        Ty::Named { id, args } => Ty::Named {
-            id: *id,
-            args: args
-                .iter()
-                .map(|a| {
-                    Ok(match a {
-                        Arg::Ty(t) => Arg::Ty(subst_ty(t, binds)?),
-                        Arg::Key(k) => Arg::Key(subst_key(k, binds)?),
-                        Arg::State(s) => Arg::State(subst_state(s, binds)),
-                    })
-                })
-                .collect::<Result<_, UnifyErr>>()?,
-        },
+            })?;
+            let i = subst_changed(inner, binds)?;
+            match (g, i) {
+                (None, None) => None,
+                (g, i) => Some(Ty::Guarded {
+                    guards: g.unwrap_or_else(|| guards.clone()),
+                    inner: share(inner, i),
+                }),
+            }
+        }
+        Ty::Named { id, args } => subst_slice(args, |a| {
+            Ok(match a {
+                Arg::Ty(t) => subst_changed(t, binds)?.map(Arg::Ty),
+                Arg::Key(k) => subst_key(k, binds)?.map(Arg::Key),
+                Arg::State(s) => subst_state_changed(s, binds).map(Arg::State),
+            })
+        })?
+        .map(|args| Ty::Named { id: *id, args }),
         // Function values are not re-instantiated: their signatures stay
         // polymorphic and are matched by alpha-equivalence.
-        Ty::Fn(sig) => Ty::Fn(sig.clone()),
+        Ty::Fn(_) => None,
     })
 }
 
-fn subst_key(k: &KeyRef, binds: &Bindings) -> Result<KeyRef, UnifyErr> {
+/// `old`, or a new node holding `new` when substitution changed it.
+pub fn share(old: &Arc<Ty>, new: Option<Ty>) -> Arc<Ty> {
+    new.map_or_else(|| old.clone(), Arc::new)
+}
+
+/// Substitute every item of `items` with `f` (`Ok(None)` = unchanged),
+/// in order, stopping at the first error. `Ok(None)` when no item
+/// changed, so the caller can keep sharing `items`.
+pub fn subst_slice<T: Clone, E>(
+    items: &Arc<[T]>,
+    mut f: impl FnMut(&T) -> Result<Option<T>, E>,
+) -> Result<Option<Arc<[T]>>, E> {
+    let mut out: Option<Vec<T>> = None;
+    for (i, item) in items.iter().enumerate() {
+        match (f(item)?, &mut out) {
+            (Some(new), Some(out)) => out.push(new),
+            (Some(new), None) => {
+                let mut v = Vec::with_capacity(items.len());
+                v.extend_from_slice(&items[..i]);
+                v.push(new);
+                out = Some(v);
+            }
+            (None, Some(out)) => out.push(item.clone()),
+            (None, None) => {}
+        }
+    }
+    Ok(out.map(Arc::from))
+}
+
+fn subst_key(k: &KeyRef, binds: &Bindings) -> Result<Option<KeyRef>, UnifyErr> {
     match k {
-        KeyRef::Id(_) => Ok(k.clone()),
+        KeyRef::Id(_) => Ok(None),
         KeyRef::Var(v) => match binds.keys.get(v) {
-            Some(id) => Ok(KeyRef::Id(*id)),
-            None => Err(UnifyErr::Unresolved(v.clone())),
+            Some(id) => Ok(Some(KeyRef::Id(*id))),
+            None => Err(UnifyErr::Unresolved(v.to_string())),
         },
     }
 }
 
-fn subst_req(r: &StateReq, binds: &Bindings) -> StateReq {
+fn subst_req(r: &StateReq, binds: &Bindings) -> Option<StateReq> {
     match r {
         StateReq::Var(v) => match binds.states.get(v) {
-            Some(StateVal::Token(t)) => StateReq::Exact(*t),
-            _ => r.clone(),
+            Some(StateVal::Token(t)) => Some(StateReq::Exact(*t)),
+            _ => None,
         },
-        other => other.clone(),
+        _ => None,
     }
 }
 
 /// Resolve a state argument to a value under bindings.
 pub fn subst_state(s: &StateArg, binds: &Bindings) -> StateArg {
+    subst_state_changed(s, binds).unwrap_or_else(|| s.clone())
+}
+
+fn subst_state_changed(s: &StateArg, binds: &Bindings) -> Option<StateArg> {
     match s {
-        StateArg::Var(v) => match binds.states.get(v) {
-            Some(val) => StateArg::Val(*val),
-            None => s.clone(),
-        },
-        other => other.clone(),
+        StateArg::Var(v) => binds.states.get(v).map(|val| StateArg::Val(*val)),
+        _ => None,
     }
 }
 
@@ -555,7 +601,7 @@ pub fn ty_eq_mod_keys(
             xs.len() == ys.len()
                 && xs
                     .iter()
-                    .zip(ys)
+                    .zip(ys.iter())
                     .all(|(x, y)| ty_eq_mod_keys(x, y, map, rev))
         }
         (Ty::Tracked { key: ka, inner: ia }, Ty::Tracked { key: kb, inner: ib }) => {
@@ -575,14 +621,14 @@ pub fn ty_eq_mod_keys(
             ga.len() == gb.len()
                 && ga
                     .iter()
-                    .zip(gb)
+                    .zip(gb.iter())
                     .all(|(x, y)| key_eq(&x.key, &y.key, map, rev) && x.req == y.req)
                 && ty_eq_mod_keys(ia, ib, map, rev)
         }
         (Ty::Named { id: ia, args: aa }, Ty::Named { id: ib, args: ab }) => {
             ia == ib
                 && aa.len() == ab.len()
-                && aa.iter().zip(ab).all(|(x, y)| match (x, y) {
+                && aa.iter().zip(ab.iter()).all(|(x, y)| match (x, y) {
                     (Arg::Ty(x), Arg::Ty(y)) => ty_eq_mod_keys(x, y, map, rev),
                     (Arg::Key(x), Arg::Key(y)) => key_eq(x, y, map, rev),
                     (Arg::State(x), Arg::State(y)) => x == y,
@@ -611,7 +657,10 @@ mod tests {
     }
 
     fn named(id: crate::ty::TypeId) -> Ty {
-        Ty::Named { id, args: vec![] }
+        Ty::Named {
+            id,
+            args: vec![].into(),
+        }
     }
 
     #[test]
@@ -627,14 +676,20 @@ mod tests {
     #[test]
     fn unify_key_var_conflict() {
         let (w, region) = world();
-        let decl = Ty::Tuple(vec![
-            Ty::tracked(KeyRef::var("R"), named(region)),
-            Ty::tracked(KeyRef::var("R"), named(region)),
-        ]);
-        let actual = Ty::Tuple(vec![
-            Ty::tracked(KeyRef::Id(KeyId(1)), named(region)),
-            Ty::tracked(KeyRef::Id(KeyId(2)), named(region)),
-        ]);
+        let decl = Ty::Tuple(
+            vec![
+                Ty::tracked(KeyRef::var("R"), named(region)),
+                Ty::tracked(KeyRef::var("R"), named(region)),
+            ]
+            .into(),
+        );
+        let actual = Ty::Tuple(
+            vec![
+                Ty::tracked(KeyRef::Id(KeyId(1)), named(region)),
+                Ty::tracked(KeyRef::Id(KeyId(2)), named(region)),
+            ]
+            .into(),
+        );
         let mut b = Bindings::new();
         assert!(matches!(
             unify(&decl, &actual, &mut b, &w),
@@ -645,7 +700,7 @@ mod tests {
     #[test]
     fn unify_anon_accepts_tracked() {
         let (w, region) = world();
-        let decl = Ty::TrackedAnon(Box::new(named(region)));
+        let decl = Ty::TrackedAnon(Arc::new(named(region)));
         let actual = Ty::tracked(KeyRef::Id(KeyId(3)), named(region));
         let mut b = Bindings::new();
         unify(&decl, &actual, &mut b, &w).unwrap();
@@ -665,9 +720,9 @@ mod tests {
     #[test]
     fn unify_ty_var_binds_and_conflicts() {
         let (w, region) = world();
-        let decl = Ty::Tuple(vec![Ty::Var("T".into()), Ty::Var("T".into())]);
-        let ok = Ty::Tuple(vec![Ty::Int, Ty::Int]);
-        let bad = Ty::Tuple(vec![Ty::Int, named(region)]);
+        let decl = Ty::Tuple(vec![Ty::Var("T".into()), Ty::Var("T".into())].into());
+        let ok = Ty::Tuple(vec![Ty::Int, Ty::Int].into());
+        let bad = Ty::Tuple(vec![Ty::Int, named(region)].into());
         let mut b = Bindings::new();
         unify(&decl, &ok, &mut b, &w).unwrap();
         assert_eq!(b.tys.get("T"), Some(&Ty::Int));
@@ -682,7 +737,7 @@ mod tests {
     fn subst_resolves_keys() {
         let (_w, region) = world();
         let mut b = Bindings::new();
-        b.bind_key("R", KeyId(4)).unwrap();
+        b.bind_key(&"R".into(), KeyId(4)).unwrap();
         let decl = Ty::tracked(KeyRef::var("R"), named(region));
         let t = subst_ty(&decl, &b).unwrap();
         assert_eq!(t, Ty::tracked(KeyRef::Id(KeyId(4)), named(region)));
@@ -715,36 +770,45 @@ mod tests {
     #[test]
     fn ty_eq_mod_keys_consistency_across_positions() {
         let (_w, region) = world();
-        let pair_a = Ty::Tuple(vec![
-            Ty::tracked(KeyRef::Id(KeyId(1)), named(region)),
-            Ty::guarded(
-                vec![GuardAtom {
-                    key: KeyRef::Id(KeyId(1)),
-                    req: StateReq::Any,
-                }],
-                Ty::Int,
-            ),
-        ]);
-        let pair_b_consistent = Ty::Tuple(vec![
-            Ty::tracked(KeyRef::Id(KeyId(5)), named(region)),
-            Ty::guarded(
-                vec![GuardAtom {
-                    key: KeyRef::Id(KeyId(5)),
-                    req: StateReq::Any,
-                }],
-                Ty::Int,
-            ),
-        ]);
-        let pair_b_mixed = Ty::Tuple(vec![
-            Ty::tracked(KeyRef::Id(KeyId(5)), named(region)),
-            Ty::guarded(
-                vec![GuardAtom {
-                    key: KeyRef::Id(KeyId(6)),
-                    req: StateReq::Any,
-                }],
-                Ty::Int,
-            ),
-        ]);
+        let pair_a = Ty::Tuple(
+            vec![
+                Ty::tracked(KeyRef::Id(KeyId(1)), named(region)),
+                Ty::guarded(
+                    vec![GuardAtom {
+                        key: KeyRef::Id(KeyId(1)),
+                        req: StateReq::Any,
+                    }],
+                    Ty::Int,
+                ),
+            ]
+            .into(),
+        );
+        let pair_b_consistent = Ty::Tuple(
+            vec![
+                Ty::tracked(KeyRef::Id(KeyId(5)), named(region)),
+                Ty::guarded(
+                    vec![GuardAtom {
+                        key: KeyRef::Id(KeyId(5)),
+                        req: StateReq::Any,
+                    }],
+                    Ty::Int,
+                ),
+            ]
+            .into(),
+        );
+        let pair_b_mixed = Ty::Tuple(
+            vec![
+                Ty::tracked(KeyRef::Id(KeyId(5)), named(region)),
+                Ty::guarded(
+                    vec![GuardAtom {
+                        key: KeyRef::Id(KeyId(6)),
+                        req: StateReq::Any,
+                    }],
+                    Ty::Int,
+                ),
+            ]
+            .into(),
+        );
         let mut m = BTreeMap::new();
         let mut r = BTreeMap::new();
         assert!(ty_eq_mod_keys(&pair_a, &pair_b_consistent, &mut m, &mut r));
@@ -757,7 +821,7 @@ mod tests {
     fn fn_sig_alpha_equivalence() {
         let (w, region) = world();
         let sig = |kv: &str| FnSig {
-            name: format!("f_{kv}"),
+            name: format!("f_{kv}").into(),
             params: vec![Ty::tracked(KeyRef::var(kv), named(region))],
             param_names: vec![None],
             ret: Ty::Void,
@@ -768,8 +832,8 @@ mod tests {
             caps: vec![],
             ty_params: vec![],
         };
-        let d = Ty::Fn(Box::new(sig("K")));
-        let a = Ty::Fn(Box::new(sig("J")));
+        let d = Ty::Fn(Arc::new(sig("K")));
+        let a = Ty::Fn(Arc::new(sig("J")));
         let mut b = Bindings::new();
         unify(&d, &a, &mut b, &w).unwrap();
     }
@@ -804,8 +868,8 @@ mod tests {
         };
         let mut b = Bindings::new();
         assert!(unify(
-            &Ty::Fn(Box::new(keep)),
-            &Ty::Fn(Box::new(consume)),
+            &Ty::Fn(Arc::new(keep)),
+            &Ty::Fn(Arc::new(consume)),
             &mut b,
             &w
         )
