@@ -8,7 +8,7 @@
 //! vaultc emit-c <file.vlt>                check, then print the generated C
 //! vaultc dump-cfg <file.vlt>              print each function's CFG as dot
 //! vaultc stats <file.vlt>                 checker-effort statistics per unit
-//! vaultc run [--engine interp|vm] [--fuel N] <file.vlt> <entry>
+//! vaultc run [--fuel N] <file.vlt> <entry>
 //!                                         check, then execute an entry function
 //! vaultc explain <Vnnn>                   explain a diagnostic code
 //! vaultc corpus [experiment]              run the built-in paper corpus
@@ -32,10 +32,10 @@
 //! with `--project` checks a whole manifest of importing units through
 //! the DAG scheduler. `--verbose` echoes the resolved job count.
 //!
-//! `run` executes through the tree-walking interpreter by default;
-//! `--engine vm` compiles the checked program to register bytecode and
-//! runs it on the `vault-vm` backend — same fault vocabulary, same fuel
-//! accounting, proven outcome-identical by the differential suite.
+//! `run` compiles the checked program to register bytecode and runs it
+//! on the `vault-vm` backend. The tree-walking interpreter of
+//! `vault-eval` stays the oracle the differential suites hold the VM to:
+//! same fault vocabulary, same fuel accounting, same outcomes.
 //! `--fuel N` bounds execution; exhaustion is a distinct verdict.
 //!
 //! Exit code 0 when every input is accepted, 1 on protocol violations,
@@ -74,7 +74,7 @@ fn usage() -> ExitCode {
          vaultc check --project <vault.toml> [--jobs N] [--verbose]\n  \
          vaultc emit-c <file.vlt>\n  \
          vaultc dump-cfg <file.vlt>\n  vaultc stats <file.vlt>\n  \
-         vaultc run [--engine interp|vm] [--fuel N] <file.vlt> <entry>\n  \
+         vaultc run [--fuel N] <file.vlt> <entry>\n  \
          vaultc explain <Vnnn>\n  vaultc corpus [E1..E15|X1..X6]\n  \
          vaultc synth --out DIR [--units N] [--fns-per-unit N] [--stmts N]\n               \
          [--seed N] [--bug-rate R]\n  \
@@ -477,28 +477,14 @@ fn stats(path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Which execution engine `run` uses.
-enum Engine {
-    /// The `vault-eval` tree-walking interpreter.
-    Interp,
-    /// The `vault-vm` register-bytecode backend.
-    Vm,
-}
-
-/// Parse `run` arguments: `--engine interp|vm` and `--fuel N` anywhere
-/// around the two positional arguments `<file.vlt> <entry>`.
-fn parse_run_args(rest: &[String]) -> Option<(Engine, Option<u64>, String, String)> {
-    let mut engine = Engine::Interp;
+/// Parse `run` arguments: `--fuel N` anywhere around the two positional
+/// arguments `<file.vlt> <entry>`.
+fn parse_run_args(rest: &[String]) -> Option<(Option<u64>, String, String)> {
     let mut fuel: Option<u64> = None;
     let mut positional = Vec::new();
     let mut it = rest.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--engine" => match it.next().map(String::as_str) {
-                Some("interp") => engine = Engine::Interp,
-                Some("vm") => engine = Engine::Vm,
-                _ => return None,
-            },
             "--fuel" => match it.next().and_then(|n| n.parse::<u64>().ok()) {
                 Some(n) => fuel = Some(n),
                 None => return None,
@@ -510,11 +496,11 @@ fn parse_run_args(rest: &[String]) -> Option<(Engine, Option<u64>, String, Strin
     let [path, entry] = positional.as_slice() else {
         return None;
     };
-    Some((engine, fuel, path.clone(), entry.clone()))
+    Some((fuel, path.clone(), entry.clone()))
 }
 
 fn run_cmd(rest: &[String]) -> ExitCode {
-    let Some((engine, fuel, path, entry)) = parse_run_args(rest) else {
+    let Some((fuel, path, entry)) = parse_run_args(rest) else {
         return usage();
     };
     let src = match read(&path) {
@@ -530,27 +516,12 @@ fn run_cmd(rest: &[String]) -> ExitCode {
         );
         return ExitCode::from(1);
     }
-    // Both engines share fault vocabulary, extern table, and fuel
-    // accounting — the differential suite in `vault-vm` holds them
-    // outcome-identical, so `--engine` only selects speed.
-    let out = match engine {
-        Engine::Interp => {
-            let mut machine =
-                vault_eval::Machine::new(&result.program, vault_eval::ExternTable::with_regions());
-            if let Some(fuel) = fuel {
-                machine.set_fuel(fuel);
-            }
-            machine.run(&entry, vec![])
-        }
-        Engine::Vm => {
-            let compiled = vault_vm::compile(&result.program);
-            let mut vm = vault_vm::Vm::new(&compiled, vault_eval::ExternTable::with_regions());
-            if let Some(fuel) = fuel {
-                vm.set_fuel(fuel);
-            }
-            vm.run(&entry, vec![])
-        }
-    };
+    let compiled = vault_vm::compile(&result.program);
+    let mut vm = vault_vm::Vm::new(&compiled, vault_eval::ExternTable::with_regions());
+    if let Some(fuel) = fuel {
+        vm.set_fuel(fuel);
+    }
+    let out = vm.run(&entry, vec![]);
     match out.result {
         Ok(v) => {
             println!("{entry} returned {v} ({} fuel)", out.fuel_used);

@@ -166,6 +166,31 @@ fn run_subcommand_refuses_rejected_programs() {
 }
 
 #[test]
+fn run_subcommand_stops_a_loop_when_fuel_runs_out() {
+    let path = write_temp(
+        "spin.vlt",
+        "int spin() {
+           int i = 0;
+           while (i >= 0) { i = i + 1; }
+           return i;
+         }",
+    );
+    let out = vaultc(&["run", "--fuel", "10", path.to_str().unwrap(), "spin"]);
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("ran out of fuel"));
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn run_subcommand_has_no_engine_flag() {
+    let path = write_temp("engine.vlt", "int one() { return 1; }");
+    let out = vaultc(&["run", "--engine", "vm", path.to_str().unwrap(), "one"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn shipped_vlt_examples_have_documented_verdicts() {
     let base = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/vlt");
     for good in ["regions.vlt", "sockets.vlt", "driver_snippet.vlt"] {

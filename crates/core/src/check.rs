@@ -16,17 +16,16 @@
 use crate::elaborate::lower_fn_decl_in;
 use crate::flow::{merge, states_agree, Binding, FlowState, Frame};
 use crate::interface::Decls;
-use crate::lower::{
-    is_keyed_variant, param_map, subst_by_name, subst_eff_by_name, AliasEntry, ArgMap, LowerCtx,
-    Scope,
-};
+use crate::lower::{is_keyed_variant, AliasEntry, LowerCtx, Scope};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 use vault_syntax::ast::{self, Expr, ExprKind, Stmt, StmtKind};
 use vault_syntax::diag::{Code, DiagSink, Diagnostic};
 use vault_syntax::span::Span;
+use vault_types::subst::{self, Kind, Lookup, Mention, Params};
 use vault_types::{
     unify, Arg, Bindings, CtorDef, EffItem, FnSig, GuardAtom, Interner, KeyGen, KeyId, KeyInfo,
     KeyOrigin, KeyRef, Name, Resource, StateArg, StateReq, StateVal, Symbol, Tables, Ty, TypeDef,
@@ -195,12 +194,10 @@ pub fn check_function_reading(
         nested: false,
     };
     // Copy-on-write accounting: one function check is one job, and the
-    // scope windows the thread-local counter over exactly this call, so
-    // the delta is correct even when other function jobs from the same
-    // unit run concurrently on other pool workers. The window spans
-    // nested functions too, so only the top-level entry point reports
-    // the delta (child checkers leave `frames_copied` at zero);
-    // reassembly sums the per-job deltas.
+    // scope windows the thread-local counter over exactly this call. The
+    // window spans nested functions too, so only the top-level entry
+    // point reports the delta (child checkers leave `frames_copied` at
+    // zero); the unit's total sums the per-job deltas.
     let copies = crate::flow::FrameCopyScope::begin();
     let started = std::time::Instant::now();
     checker.run(f);
@@ -399,26 +396,38 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         self.caps_declared = sig.caps.clone();
 
-        // Which key variables does the signature bind? Unbound
-        // effect/return keys and duplicated effect items are reported by
-        // `validate_signature` during elaboration (and for nested
-        // functions, by `check_nested_fun`); here we only need the
-        // variable sets for instantiation.
-        let mut param_keyvars: BTreeSet<Name> = BTreeSet::new();
+        // Instantiate the key variables of the parameters with fresh
+        // concrete keys, in name order. Unbound effect/return keys and
+        // duplicated effect items are reported by `validate_signature`
+        // during elaboration (and for nested functions, by
+        // `check_nested_fun`).
+        // A key's resource is what the first `tracked(K) T` among the
+        // parameters tracks.
+        let mut key_vars: BTreeMap<&Name, Option<Resource>> = BTreeMap::new();
         for p in &sig.params {
-            crate::lower::collect_keyvars(p, &mut param_keyvars);
+            subst::visit_ty(p, &mut |m| {
+                if let Mention::Key(KeyRef::Var(v), tracks) = m {
+                    let resource = key_vars.entry(v).or_insert(None);
+                    if resource.is_none() {
+                        *resource = tracks.map(|t| match t {
+                            Ty::Var(t) => Resource::Text(t.clone()),
+                            _ => Resource::Static("tracked object"),
+                        });
+                    }
+                }
+            });
         }
-
-        // Instantiate key variables with fresh concrete keys.
-        let mut imap: ArgMap<'_> = BTreeMap::new();
-        for v in &param_keyvars {
-            let resource = key_resource(&sig.params, v).unwrap_or(Resource::Static("resource"));
+        let mut entry = Bindings::new();
+        for (v, resource) in key_vars {
+            let resource = resource.unwrap_or(Resource::Static("resource"));
             let k = self.fresh_key(Some(v.clone()), resource, KeyOrigin::Param);
             Arc::make_mut(&mut self.keyenv).insert(self.decls.syms().sym(v), KeyRef::Id(k));
-            imap.insert(v, Arg::Key(KeyRef::Id(k)));
+            entry.keys.insert(v.clone(), k);
         }
 
-        // Instantiate state variables with abstract states.
+        // Instantiate state variables with abstract states. A bounded
+        // requirement in the effect sets its variable's bound; any other
+        // mention keeps the first bound seen.
         let mut svars: BTreeMap<Name, Option<vault_types::StateId>> = BTreeMap::new();
         for tp in &f.tparams {
             if let ast::TParam::State { name, bound } = tp {
@@ -428,24 +437,36 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 svars.insert(name.name.as_str().into(), b);
             }
         }
+        let mut add = |m: Mention<'_>, bounded_wins: bool| {
+            if let Mention::State(v, bound) = m {
+                let slot = svars.entry(v.clone()).or_insert(bound);
+                if bounded_wins && bound.is_some() {
+                    *slot = bound;
+                }
+            }
+        };
         for item in &sig.effect {
-            collect_statevars_eff(item, &mut svars);
+            subst::visit_effect(item, &mut |m| add(m, true));
         }
         for p in &sig.params {
-            collect_statevars_ty(p, &mut svars);
+            subst::visit_ty(p, &mut |m| add(m, false));
         }
-        for (v, bound) in &svars {
-            let val = self.fresh_abs(*bound);
-            self.statevars.insert(self.decls.syms().sym(v), val);
-            imap.insert(v, Arg::State(StateArg::Val(val)));
+        for (v, bound) in svars {
+            let val = self.fresh_abs(bound);
+            self.statevars.insert(self.decls.syms().sym(&v), val);
+            entry.states.insert(v, val);
         }
+        let lookup = Local {
+            binds: &entry,
+            statevars: None,
+        };
 
         // Concrete parameter types; anonymous tracked parameters are
         // unpacked on entry (paper §3.3).
         let mut st = FlowState::new();
         let mut entry_anon_keys = Vec::new();
         for (ty, name) in sig.params.iter().zip(&sig.param_names) {
-            let mut cty = subst_by_name(ty, &imap);
+            let Ok(mut cty) = subst::ty(ty, &lookup);
             if let Ty::TrackedAnon(inner) = &cty {
                 let k = self.fresh_key(
                     name.as_deref().map(Name::from),
@@ -476,25 +497,24 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
         }
 
-        // Entry held-key set and exit expectations from the effect.
-        let effect: Vec<EffItem> = sig
-            .effect
-            .iter()
-            .map(|i| subst_eff_by_name(i, &imap))
-            .collect();
+        // Entry held-key set and exit expectations from the effect. The
+        // lookup bound every state variable the effect mentions, so a
+        // state argument is now a value, and a requirement still naming
+        // a variable names one of `entry`'s abstract states.
         let eff_span = f.effect.as_ref().map(|e| e.span).unwrap_or(f.span);
         let mut mentioned: BTreeSet<KeyId> = BTreeSet::new();
-        for item in &effect {
-            match item {
+        for item in &sig.effect {
+            let Ok(item) = subst::effect(item, &lookup);
+            match &item {
                 EffItem::Keep { key, from, to } => {
                     let Some(k) = key.id() else { continue };
                     mentioned.insert(k);
-                    let entry = self.entry_state_of(from, eff_span);
+                    let state = self.entry_state(from, &entry);
                     // Duplicate keys were reported by validate_signature.
-                    let _ = st.held.insert(k, entry);
+                    let _ = st.held.insert(k, state);
                     let exit = match to {
-                        None => entry,
-                        Some(arg) => self.resolve_state_arg_val(arg, eff_span),
+                        None => state,
+                        Some(arg) => self.resolve_call_state(arg, &entry, eff_span),
                     };
                     self.expected_exit.push(ExitExpect::Key {
                         key: k,
@@ -504,18 +524,18 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 EffItem::Consume { key, from } => {
                     let Some(k) = key.id() else { continue };
                     mentioned.insert(k);
-                    let entry = self.entry_state_of(from, eff_span);
-                    let _ = st.held.insert(k, entry);
+                    let state = self.entry_state(from, &entry);
+                    let _ = st.held.insert(k, state);
                 }
                 EffItem::Produce { key, state } => {
                     let Some(k) = key.id() else { continue };
                     mentioned.insert(k);
-                    let val = self.resolve_state_arg_val(state, eff_span);
+                    let val = self.resolve_call_state(state, &entry, eff_span);
                     self.expected_exit
                         .push(ExitExpect::Key { key: k, state: val });
                 }
                 EffItem::Fresh { var, state } => {
-                    let val = self.resolve_state_arg_val(state, eff_span);
+                    let val = self.resolve_call_state(state, &entry, eff_span);
                     self.expected_exit.push(ExitExpect::FreshVar {
                         var: var.clone(),
                         state: val,
@@ -547,54 +567,20 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
         }
 
-        self.ret_ty = subst_by_name(&sig.ret, &imap);
+        let Ok(ret) = subst::ty(&sig.ret, &lookup);
+        self.ret_ty = ret;
         st
     }
 
-    fn entry_state_of(&mut self, req: &StateReq, span: Span) -> StateVal {
+    /// The state a key enters the function in, for an effect
+    /// precondition instantiated by `entry` (which holds every state
+    /// variable the effect mentions).
+    fn entry_state(&mut self, req: &StateReq, entry: &Bindings) -> StateVal {
         match req {
             StateReq::Any => self.fresh_abs(None),
             StateReq::Exact(t) => StateVal::Token(*t),
-            StateReq::AtMost { var, bound } => match var {
-                Some(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
-                    Some(val) => *val,
-                    None => {
-                        let val = self.fresh_abs(Some(*bound));
-                        self.statevars.insert(self.decls.syms().sym(v), val);
-                        val
-                    }
-                },
-                None => self.fresh_abs(Some(*bound)),
-            },
-            StateReq::Var(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
-                Some(val) => *val,
-                None => {
-                    self.diags.error(
-                        Code::BadEffect,
-                        span,
-                        format!("state variable `{v}` is not bound by any parameter"),
-                    );
-                    self.fresh_abs(None)
-                }
-            },
-        }
-    }
-
-    fn resolve_state_arg_val(&mut self, arg: &StateArg, span: Span) -> StateVal {
-        match arg {
-            StateArg::Token(t) => StateVal::Token(*t),
-            StateArg::Val(v) => *v,
-            StateArg::Var(v) => match self.statevars.get(&self.decls.syms().sym(v)) {
-                Some(val) => *val,
-                None => {
-                    self.diags.error(
-                        Code::BadEffect,
-                        span,
-                        format!("state variable `{v}` is not bound here"),
-                    );
-                    self.fresh_abs(None)
-                }
-            },
+            StateReq::AtMost { var: None, bound } => self.fresh_abs(Some(*bound)),
+            StateReq::AtMost { var: Some(v), .. } | StateReq::Var(v) => entry.states[v],
         }
     }
 
@@ -763,7 +749,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             StmtKind::Incr(e) | StmtKind::Decr(e) => {
                 let t = self.eval(st, e, None);
                 self.use_value(st, &t, e.span);
-                if !matches!(value_ty(&t), Ty::Int | Ty::Byte | Ty::Error) {
+                if !matches!(peel_guards(&t), Ty::Int | Ty::Byte | Ty::Error) {
                     self.diags.error(
                         Code::TypeMismatch,
                         e.span,
@@ -921,7 +907,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 }
                 let stored = if ok && !actual.is_error() && !is_anon_decl(&lowered) {
                     // Prefer the declared shape with keys/states resolved.
-                    let resolved = self.subst_binds(&lowered, &binds);
+                    let local = Local {
+                        binds: &binds,
+                        statevars: Some((&self.statevars, self.decls.syms())),
+                    };
+                    let Ok(resolved) = subst::ty(&lowered, &local);
                     if matches!(resolved, Ty::Error) {
                         actual
                     } else {
@@ -1033,8 +1023,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     && !actual.is_error()
                     && unify(&lhs_ty, &actual, &mut binds, self.decls.tables()).is_err()
                     && unify(
-                        value_ty(&lhs_ty),
-                        value_ty(&actual),
+                        peel_guards(&lhs_ty),
+                        peel_guards(&actual),
                         &mut binds,
                         self.decls.tables(),
                     )
@@ -1318,11 +1308,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         vargs: &[Arg],
         arm: &ast::SwitchArm,
     ) {
-        let mut pmap = param_map(&def.params, vargs);
+        let vargs = Params(&def.params, vargs);
         // Restore captured parameter keys (paper §2.1: pattern matching
         // "restores the key to the held-key set").
         for (pname, req) in &cdef.captures {
-            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname.as_str()) else {
+            let Some(Arg::Key(KeyRef::Id(k))) = vargs.arg(pname) else {
                 continue;
             };
             let k = *k;
@@ -1345,12 +1335,18 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
         // Fresh keys for the constructor-scoped existentials: this is the
         // "anonymity" of tracked collections (paper §2.4, Fig. 4).
+        let mut keys = Vec::with_capacity(cdef.exist_keys.len());
         for v in &cdef.exist_keys {
             let k = self.fresh_key(None, Resource::Unpacked(v.clone()), KeyOrigin::Unpacked);
             let state = self.fresh_abs(None);
             s.held.insert(k, state).expect("fresh key");
-            pmap.insert(v, Arg::Key(KeyRef::Id(k)));
+            keys.push(k);
         }
+        let inst = Arm {
+            vargs,
+            exist: &cdef.exist_keys,
+            keys: &keys,
+        };
         // Bind the value components.
         if !arm.binders.is_empty() && arm.binders.len() != cdef.args.len() {
             self.diags.error(
@@ -1366,7 +1362,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         }
         s.push_frame();
         for (i, aty) in cdef.args.iter().enumerate() {
-            let mut ty = subst_by_name(aty, &pmap);
+            let Ok(mut ty) = subst::ty(aty, &inst);
             let binder = arm.binders.get(i);
             // Anonymous tracked components unpack to fresh keys.
             if let Ty::TrackedAnon(inner) = &ty {
@@ -1447,7 +1443,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     fn expect_bool(&mut self, st: &mut FlowState, e: &Expr) {
         let t = self.eval(st, e, Some(&Ty::Bool));
         self.use_value(st, &t, e.span);
-        if !matches!(value_ty(&t), Ty::Bool | Ty::Error) {
+        if !matches!(peel_guards(&t), Ty::Bool | Ty::Error) {
             self.diags.error(
                 Code::TypeMismatch,
                 e.span,
@@ -1472,7 +1468,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             ExprKind::Index(base, idx) => {
                 let bty = self.eval(st, base, None);
                 let ity = self.eval(st, idx, Some(&Ty::Int));
-                if !matches!(value_ty(&ity), Ty::Int | Ty::Byte | Ty::Error) {
+                if !matches!(peel_guards(&ity), Ty::Int | Ty::Byte | Ty::Error) {
                     self.diags.error(
                         Code::TypeMismatch,
                         idx.span,
@@ -1508,7 +1504,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 self.use_value(st, &t, inner.span);
                 match op {
                     ast::UnOp::Not => {
-                        if !matches!(value_ty(&t), Ty::Bool | Ty::Error) {
+                        if !matches!(peel_guards(&t), Ty::Bool | Ty::Error) {
                             self.diags.error(
                                 Code::TypeMismatch,
                                 inner.span,
@@ -1518,7 +1514,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         Ty::Bool
                     }
                     ast::UnOp::Neg => {
-                        if !matches!(value_ty(&t), Ty::Int | Ty::Byte | Ty::Error) {
+                        if !matches!(peel_guards(&t), Ty::Int | Ty::Byte | Ty::Error) {
                             self.diags.error(
                                 Code::TypeMismatch,
                                 inner.span,
@@ -1687,8 +1683,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                         );
                         return Ty::Error;
                     };
-                    let map = param_map(&sd.params, &args);
-                    subst_by_name(fty, &map)
+                    let Ok(fty) = subst::ty(fty, &Params(&sd.params, &args));
+                    fty
                 }
                 _ => {
                     self.diags.error(
@@ -1715,8 +1711,8 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     }
 
     fn binary_ty(&mut self, op: ast::BinOp, lt: &Ty, rt: &Ty, span: Span) -> Ty {
-        let l = value_ty(lt);
-        let r = value_ty(rt);
+        let l = peel_guards(lt);
+        let r = peel_guards(rt);
         if l.is_error() || r.is_error() {
             return if op.is_arith() { Ty::Int } else { Ty::Bool };
         }
@@ -1813,7 +1809,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                     // guard must hold here.
                     Err(_) => {
                         let stripped_ok =
-                            unify(decl, value_ty(&aty), &mut binds, self.decls.tables()).is_ok();
+                            unify(decl, peel_guards(&aty), &mut binds, self.decls.tables()).is_ok();
                         if stripped_ok {
                             self.use_value(st, &aty, arg.span);
                         }
@@ -1864,7 +1860,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
             }
         }
         self.apply_effect(st, &sig, &mut binds, span);
-        let ret = match vault_types::subst_ty(&sig.ret, &binds) {
+        let ret = match subst::ty(&sig.ret, &binds) {
             Ok(t) => t,
             Err(e) => {
                 self.diags.error(
@@ -2203,15 +2199,16 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         };
         let cdef = &def.ctors[idx];
 
-        // Seed parameter bindings from the expected type.
-        let mut pmap: ArgMap<'a> = BTreeMap::new();
-        if let Some(exp) = expected {
-            if let Ty::Named { id, args: eargs } = peel_expected(exp) {
-                if *id == vid {
-                    pmap = param_map(&def.params, eargs);
-                }
+        // The variant's parameter arguments, by position: seeded from the
+        // expected type, then from explicit captures and the arguments.
+        let slot = |name: &str| def.params.iter().rposition(|p| p.name() == name);
+        let mut known: Vec<Option<Arg>> = match expected.map(peel_expected) {
+            Some(Ty::Named { id, args: eargs }) if *id == vid => {
+                eargs.iter().cloned().map(Some).collect()
             }
-        }
+            _ => Vec::new(),
+        };
+        known.resize(def.params.len(), None);
 
         // Explicit key captures: `'SomeKey{F}`.
         if !keys.is_empty() {
@@ -2238,9 +2235,9 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             .global_key(&kref.key.name)
                             .map(|g| KeyRef::Id(g.id))
                     });
-                match resolved {
-                    Some(r) => {
-                        if let Some(Arg::Key(prev)) = pmap.get(pname.as_str()) {
+                match (resolved, slot(pname)) {
+                    (Some(r), Some(i)) => {
+                        if let Some(Arg::Key(prev)) = &known[i] {
                             if *prev != r {
                                 self.diags.error(
                                     Code::TypeMismatch,
@@ -2253,9 +2250,10 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                 );
                             }
                         }
-                        pmap.insert(pname, Arg::Key(r));
+                        known[i] = Some(Arg::Key(r));
                     }
-                    None => {
+                    (Some(_), None) => {}
+                    (None, _) => {
                         self.diags.error(
                             Code::UnknownName,
                             kref.key.span,
@@ -2280,26 +2278,19 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 ),
             );
         }
+        // A known abstract state joins the bindings: a guard on it stays
+        // a variable after substitution, so an argument whose guard
+        // names another state must conflict with it there. (Every other
+        // known argument is substituted away.)
         let mut binds = Bindings::new();
-        for (&p, a) in &pmap {
-            match a {
-                Arg::Key(KeyRef::Id(k)) => {
-                    let _ = binds.bind_key(&p.into(), *k);
-                }
-                Arg::State(StateArg::Val(v)) => {
-                    let _ = binds.bind_state(&p.into(), *v);
-                }
-                Arg::State(StateArg::Token(t)) => {
-                    let _ = binds.bind_state(&p.into(), StateVal::Token(*t));
-                }
-                Arg::Ty(t) => {
-                    let _ = binds.bind_ty(&p.into(), t.clone());
-                }
-                _ => {}
+        let params = Params(&def.params, &known);
+        for p in &def.params {
+            if let Some(Arg::State(StateArg::Val(v))) = params.arg(p.name()) {
+                let _ = binds.bind_state(&p.name().into(), *v);
             }
         }
         for (decl, arg) in cdef.args.iter().zip(args) {
-            let decl_inst = subst_by_name(decl, &pmap);
+            let Ok(decl_inst) = subst::ty(decl, &params);
             let aty = self.eval(st, arg, Some(&decl_inst));
             if !aty.is_error() {
                 if let Err(e) = unify(&decl_inst, &aty, &mut binds, self.decls.tables()) {
@@ -2359,25 +2350,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                 }
             }
         }
-        // Fold argument-derived bindings back into the parameter map.
+        // Fold argument-derived bindings back into the parameter slots.
         for p in &def.params {
-            if pmap.contains_key(p.name()) {
+            let i = slot(p.name()).expect("a parameter has a slot");
+            if known[i].is_some() {
                 continue;
             }
-            let arg = match p {
-                vault_types::ParamKind::Key(n) => {
-                    binds.keys.get(n.as_str()).map(|k| Arg::Key(KeyRef::Id(*k)))
-                }
-                vault_types::ParamKind::State { name, .. } => binds
-                    .states
-                    .get(name.as_str())
-                    .map(|v| Arg::State(StateArg::Val(*v))),
-                vault_types::ParamKind::Type(n) => binds.tys.get(n.as_str()).cloned().map(Arg::Ty),
-            };
-            match arg {
-                Some(a) => {
-                    pmap.insert(p.name(), a);
-                }
+            known[i] = Some(match binds.get(p.kind(), p.name()).ok().flatten() {
+                Some(a) => a,
                 None => {
                     self.diags.error(
                         Code::BadTypeArgs,
@@ -2389,14 +2369,15 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                             def.name
                         ),
                     );
-                    pmap.insert(p.name(), Arg::Ty(Ty::Error));
+                    Arg::Ty(Ty::Error)
                 }
-            }
+            });
         }
+        let params = Params(&def.params, &known);
 
         // Consume the captured keys (they move into the value).
         for (pname, req) in &cdef.captures {
-            let Some(Arg::Key(KeyRef::Id(k))) = pmap.get(pname.as_str()) else {
+            let Some(Arg::Key(KeyRef::Id(k))) = params.arg(pname) else {
                 continue;
             };
             let k = *k;
@@ -2433,7 +2414,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         let result_args: Vec<Arg> = def
             .params
             .iter()
-            .map(|p| pmap.get(p.name()).cloned().unwrap_or(Arg::Ty(Ty::Error)))
+            .map(|p| params.arg(p.name()).cloned().unwrap_or(Arg::Ty(Ty::Error)))
             .collect();
         let named = Ty::named(vid, result_args);
         if is_keyed_variant(self.decls.tables(), vid) {
@@ -2459,7 +2440,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         let mut scope = Scope::body(self.keyenv.clone());
         let lowered = {
             let ctx = self.ctx();
-            ctx.lower_named_public(&mut scope, tyname, targs, span, self.diags)
+            ctx.lower_named(&mut scope, tyname, targs, span, self.diags)
         };
         let Ty::Named { id, args } = &lowered else {
             if !lowered.is_error() {
@@ -2477,7 +2458,7 @@ impl<'a, 'd> FnChecker<'a, 'd> {
         // Check the field initializers.
         match self.decls.tables().typedef(*id) {
             TypeDef::Struct(sd) => {
-                let map = param_map(&sd.params, args);
+                let params = Params(&sd.params, args);
                 let mut seen: BTreeSet<&str> = BTreeSet::new();
                 for init in inits {
                     match sd.fields.iter().find(|(n, _)| n == &init.name.name) {
@@ -2489,14 +2470,14 @@ impl<'a, 'd> FnChecker<'a, 'd> {
                                     format!("field `{}` initialized twice", init.name),
                                 );
                             }
-                            let want = subst_by_name(fty, &map);
+                            let Ok(want) = subst::ty(fty, &params);
                             let got = self.eval(st, &init.value, Some(&want));
                             let mut b = Bindings::new();
                             if !got.is_error()
                                 && unify(&want, &got, &mut b, self.decls.tables()).is_err()
                                 && unify(
-                                    value_ty(&want),
-                                    value_ty(&got),
+                                    peel_guards(&want),
+                                    peel_guards(&got),
                                     &mut b,
                                     self.decls.tables(),
                                 )
@@ -2600,19 +2581,11 @@ impl<'a, 'd> FnChecker<'a, 'd> {
     }
 }
 
-/// Strip guard layers without checking (for type-shape dispatch).
+/// Strip guard layers without checking, down to the value type (for
+/// type-shape dispatch; an access checks the guards itself).
 fn peel_guards(t: &Ty) -> &Ty {
     match t {
         Ty::Guarded { inner, .. } => peel_guards(inner),
-        other => other,
-    }
-}
-
-/// Strip guards and tracking to the underlying value type (guards must have
-/// been checked at the access point).
-fn value_ty(t: &Ty) -> &Ty {
-    match t {
-        Ty::Guarded { inner, .. } => value_ty(inner),
         other => other,
     }
 }
@@ -2636,124 +2609,50 @@ fn is_anon_decl(t: &Ty) -> bool {
 fn is_guarded_init(decl: &Ty, actual: &Ty, world: &Tables) -> bool {
     if let Ty::Guarded { inner, .. } = decl {
         let mut b = Bindings::new();
-        return unify(inner, value_ty(actual), &mut b, world).is_ok();
+        return unify(inner, peel_guards(actual), &mut b, world).is_ok();
     }
     false
 }
 
-impl FnChecker<'_, '_> {
-    /// Substitute the key and state bindings of `binds` (plus this
-    /// function's state variables) into a type, leaving other variables
-    /// untouched (used to resolve binder keys in local declarations).
-    fn subst_binds(&self, t: &Ty, binds: &Bindings) -> Ty {
-        let mut map: ArgMap<'_> = binds
-            .keys
-            .iter()
-            .map(|(n, k)| (&**n, Arg::Key(KeyRef::Id(*k))))
-            .collect();
-        for (n, v) in &self.statevars {
-            map.insert(self.decls.syms().resolve(*n), Arg::State(StateArg::Val(*v)));
-        }
-        for (n, v) in &binds.states {
-            map.insert(n, Arg::State(StateArg::Val(*v)));
-        }
-        subst_by_name(t, &map)
+/// Instantiates a type inside a function body: the keys and states
+/// `binds` holds, then the function's own state variables (`statevars`,
+/// by symbol). A name bound as a state is a state wherever it appears;
+/// unbound variables stay.
+struct Local<'b> {
+    binds: &'b Bindings,
+    statevars: Option<(&'b BTreeMap<Symbol, StateVal>, &'b Interner)>,
+}
+
+impl Lookup for Local<'_> {
+    type Err = Infallible;
+
+    fn get(&self, _: Kind, var: &str) -> Result<Option<Arg>, Infallible> {
+        let own = || {
+            self.statevars
+                .and_then(|(vars, syms)| vars.get(&syms.sym(var)))
+        };
+        Ok(match self.binds.states.get(var).or_else(own) {
+            Some(v) => Some(Arg::State(StateArg::Val(*v))),
+            None => self.binds.keys.get(var).map(|k| Arg::Key(KeyRef::Id(*k))),
+        })
     }
 }
 
-fn collect_statevars_ty(t: &Ty, out: &mut BTreeMap<Name, Option<vault_types::StateId>>) {
-    match t {
-        Ty::Tracked { inner, .. } | Ty::TrackedAnon(inner) | Ty::Array(inner) => {
-            collect_statevars_ty(inner, out)
-        }
-        Ty::Guarded { guards, inner } => {
-            for g in guards.iter() {
-                match &g.req {
-                    StateReq::Var(v) => {
-                        out.entry(v.clone()).or_insert(None);
-                    }
-                    StateReq::AtMost {
-                        var: Some(v),
-                        bound,
-                    } => {
-                        out.entry(v.clone()).or_insert(Some(*bound));
-                    }
-                    _ => {}
-                }
-            }
-            collect_statevars_ty(inner, out);
-        }
-        Ty::Tuple(ts) => {
-            for t in ts.iter() {
-                collect_statevars_ty(t, out);
-            }
-        }
-        Ty::Named { args, .. } => {
-            for a in args.iter() {
-                match a {
-                    Arg::Ty(t) => collect_statevars_ty(t, out),
-                    Arg::State(StateArg::Var(v)) => {
-                        out.entry(v.clone()).or_insert(None);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        _ => {}
-    }
+/// A pattern arm's instantiation: a fresh key for each of the
+/// constructor's existential keys, then the variant's arguments.
+struct Arm<'b> {
+    exist: &'b [Name],
+    keys: &'b [KeyId],
+    vargs: Params<'b, Arg>,
 }
 
-fn collect_statevars_eff(item: &EffItem, out: &mut BTreeMap<Name, Option<vault_types::StateId>>) {
-    let mut add_req = |r: &StateReq| match r {
-        StateReq::AtMost {
-            var: Some(v),
-            bound,
-        } => {
-            out.insert(v.clone(), Some(*bound));
-        }
-        StateReq::Var(v) => {
-            out.entry(v.clone()).or_insert(None);
-        }
-        _ => {}
-    };
-    match item {
-        EffItem::Keep { from, to, .. } => {
-            add_req(from);
-            if let Some(StateArg::Var(v)) = to {
-                out.entry(v.clone()).or_insert(None);
-            }
-        }
-        EffItem::Consume { from, .. } => add_req(from),
-        EffItem::Produce { state, .. } | EffItem::Fresh { state, .. } => {
-            if let StateArg::Var(v) = state {
-                out.entry(v.clone()).or_insert(None);
-            }
-        }
-    }
-}
+impl Lookup for Arm<'_> {
+    type Err = Infallible;
 
-/// What the key variable `var` of a parameter list tracks.
-fn key_resource(params: &[Ty], var: &str) -> Option<Resource> {
-    fn find(t: &Ty, var: &str) -> Option<Resource> {
-        match t {
-            Ty::Tracked {
-                key: KeyRef::Var(v),
-                inner,
-            } if &**v == var => Some(match &**inner {
-                Ty::Var(v) => Resource::Text(v.clone()),
-                _ => Resource::Static("tracked object"),
-            }),
-            Ty::Tracked { inner, .. } | Ty::TrackedAnon(inner) | Ty::Array(inner) => {
-                find(inner, var)
-            }
-            Ty::Guarded { inner, .. } => find(inner, var),
-            Ty::Tuple(ts) => ts.iter().find_map(|t| find(t, var)),
-            Ty::Named { args, .. } => args.iter().find_map(|a| match a {
-                Arg::Ty(t) => find(t, var),
-                _ => None,
-            }),
-            _ => None,
+    fn get(&self, kind: Kind, var: &str) -> Result<Option<Arg>, Infallible> {
+        match self.exist.iter().position(|v| **v == *var) {
+            Some(i) => Ok(Some(Arg::Key(KeyRef::Id(self.keys[i])))),
+            None => self.vargs.get(kind, var),
         }
     }
-    params.iter().find_map(|p| find(p, var))
 }

@@ -8,8 +8,9 @@ use std::sync::Arc;
 use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_types::{
-    AbstractDef, CtorDef, FnSig, GlobalKey, Interner, KeyGen, KeyInfo, KeyOrigin, KeyRef, Name,
-    ParamKind, Resource, StateTable, StructDef, Symbol, Tables, Ty, TypeDef, VariantDef, World,
+    subst, AbstractDef, CtorDef, FnSig, GlobalKey, Interner, KeyGen, KeyInfo, KeyOrigin, KeyRef,
+    Name, ParamKind, Resource, StateTable, StructDef, Symbol, Tables, Ty, TypeDef, VariantDef,
+    World,
 };
 
 /// The result of elaboration: the world plus everything the flow checker
@@ -510,10 +511,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
             _ => None,
         })
         .collect();
-    let mut param_keys = Set::new();
-    for p in &sig.params {
-        crate::lower::collect_keyvars(p, &mut param_keys);
-    }
+    let param_keys = subst::key_vars(&sig.params);
     let mut seen: Set<String> = Set::new();
     for item in &sig.effect {
         let key = item.key();
@@ -543,9 +541,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
             }
         }
     }
-    let mut ret_keys = Set::new();
-    crate::lower::collect_keyvars(&sig.ret, &mut ret_keys);
-    for v in &ret_keys {
+    for v in subst::key_vars([&sig.ret]) {
         if !param_keys.contains(v) && !fresh.contains(&**v) {
             diags.error(
                 Code::BadEffect,

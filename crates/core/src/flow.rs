@@ -57,10 +57,10 @@ pub fn frames_copied_count() -> u64 {
 ///
 /// One function check is one job: the counter is thread-local and a
 /// check runs start to finish on a single thread, so the delta between
-/// `begin` and `delta` is exactly the copies that job caused — even
-/// when many function jobs from the same unit run concurrently on
-/// different pool workers. Reassembly sums the per-job deltas, which
-/// equals the single-thread total by construction.
+/// `begin` and `delta` is exactly the copies that job caused. A unit's
+/// functions run in order on the one thread that checks the unit, and
+/// other units' checks on other threads touch their own counters.
+/// Summing the per-job deltas gives the unit's total.
 pub struct FrameCopyScope {
     start: u64,
 }

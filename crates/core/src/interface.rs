@@ -58,7 +58,7 @@ pub struct Decls<'a> {
     aliases: &'a BTreeMap<Symbol, AliasEntry>,
     qualifiers: &'a BTreeSet<Symbol>,
     base_keys: &'a KeyGen,
-    /// Name hashes of every function looked up, in lookup order.
+    /// Name hashes of every function looked up, sorted and distinct.
     callees: RefCell<Vec<u64>>,
 }
 
@@ -114,7 +114,11 @@ impl<'a> Decls<'a> {
     /// The signature declared under `name`, recording the lookup whether
     /// or not one exists.
     pub fn fn_sig(&self, name: &str) -> Option<&'a FnSig> {
-        self.callees.borrow_mut().push(name_hash(name));
+        let h = name_hash(name);
+        let mut callees = self.callees.borrow_mut();
+        if let Err(i) = callees.binary_search(&h) {
+            callees.insert(i, h);
+        }
         self.world.fn_sig(name)
     }
 
@@ -128,10 +132,7 @@ impl<'a> Decls<'a> {
 
     /// Every function name looked up so far, as sorted, distinct hashes.
     pub fn callees(&self) -> Vec<u64> {
-        let mut names = self.callees.borrow().clone();
-        names.sort_unstable();
-        names.dedup();
-        names
+        self.callees.borrow().clone()
     }
 }
 

@@ -8,12 +8,10 @@
 //! freshly bound to the initializer's key.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::convert::Infallible;
 use std::sync::{Arc, LazyLock};
 use vault_syntax::ast;
 use vault_syntax::diag::{Code, DiagSink};
 use vault_syntax::span::Span;
-use vault_types::unify::share;
 use vault_types::{
     Arg, EffItem, FnSig, GuardAtom, Interner, KeyRef, Name, ParamKind, StateArg, StateReq, Symbol,
     Tables, Ty, TypeDef,
@@ -204,19 +202,9 @@ impl<'a> LowerCtx<'a> {
         }
     }
 
-    /// Lower a `name<args>` type reference (public entry for `new` exprs).
-    pub fn lower_named_public(
-        &self,
-        scope: &mut Scope,
-        name: &ast::Ident,
-        args: &[ast::TypeArg],
-        span: Span,
-        diags: &mut DiagSink,
-    ) -> Ty {
-        self.lower_named(scope, name, args, span, diags)
-    }
-
-    fn lower_named(
+    /// Lower a `name<args>` type reference (also the entry for `new`
+    /// expressions).
+    pub fn lower_named(
         &self,
         scope: &mut Scope,
         name: &ast::Ident,
@@ -592,188 +580,6 @@ pub fn bare_name(t: &ast::Type) -> Option<&ast::Ident> {
         ast::TypeKind::Named { name, args } if args.is_empty() => Some(name),
         _ => None,
     }
-}
-
-/// Parameter name → instantiation argument, for [`subst_by_name`].
-pub type ArgMap<'n> = BTreeMap<&'n str, Arg>;
-
-/// Substitute named parameters by arguments inside a member type (struct
-/// field or constructor argument). `map` sends parameter names to the
-/// instantiation arguments; unknown variables are left in place. Parts
-/// the map leaves unchanged are shared with `t`, not copied.
-pub fn subst_by_name(t: &Ty, map: &ArgMap<'_>) -> Ty {
-    if map.is_empty() {
-        return t.clone();
-    }
-    subst_changed(t, map).unwrap_or_else(|| t.clone())
-}
-
-/// [`subst_by_name`], or `None` when `map` changes nothing in `t`.
-fn subst_changed(t: &Ty, map: &ArgMap<'_>) -> Option<Ty> {
-    match t {
-        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => None,
-        Ty::Var(v) => match map.get(&**v) {
-            Some(Arg::Ty(ty)) => Some(ty.clone()),
-            _ => None,
-        },
-        Ty::Array(inner) => subst_changed(inner, map).map(|i| Ty::Array(Arc::new(i))),
-        Ty::Tuple(ts) => subst_slice(ts, |t| subst_changed(t, map)).map(Ty::Tuple),
-        Ty::Tracked { key, inner } => match (subst_keyref(key, map), subst_changed(inner, map)) {
-            (None, None) => None,
-            (k, i) => Some(Ty::Tracked {
-                key: k.unwrap_or_else(|| key.clone()),
-                inner: share(inner, i),
-            }),
-        },
-        Ty::TrackedAnon(inner) => subst_changed(inner, map).map(|i| Ty::TrackedAnon(Arc::new(i))),
-        Ty::Guarded { guards, inner } => {
-            let g = subst_slice(guards, |g| {
-                match (subst_keyref(&g.key, map), subst_statereq(&g.req, map)) {
-                    (None, None) => None,
-                    (key, req) => Some(GuardAtom {
-                        key: key.unwrap_or_else(|| g.key.clone()),
-                        req: req.unwrap_or_else(|| g.req.clone()),
-                    }),
-                }
-            });
-            match (g, subst_changed(inner, map)) {
-                (None, None) => None,
-                (g, i) => Some(Ty::Guarded {
-                    guards: g.unwrap_or_else(|| guards.clone()),
-                    inner: share(inner, i),
-                }),
-            }
-        }
-        Ty::Named { id, args } => subst_slice(args, |a| match a {
-            Arg::Ty(t) => subst_changed(t, map).map(Arg::Ty),
-            Arg::Key(k) => subst_keyref(k, map).map(Arg::Key),
-            Arg::State(s) => subst_statearg(s, map).map(Arg::State),
-        })
-        .map(|args| Ty::Named { id: *id, args }),
-        Ty::Fn(sig) => {
-            let mut s = (**sig).clone();
-            s.params = s.params.iter().map(|p| subst_by_name(p, map)).collect();
-            s.ret = subst_by_name(&s.ret, map);
-            s.effect = s.effect.iter().map(|e| subst_eff_by_name(e, map)).collect();
-            Some(Ty::Fn(Arc::new(s)))
-        }
-    }
-}
-
-/// [`vault_types::unify::subst_slice`] for a substitution that cannot
-/// fail.
-fn subst_slice<T: Clone>(items: &Arc<[T]>, mut f: impl FnMut(&T) -> Option<T>) -> Option<Arc<[T]>> {
-    match vault_types::unify::subst_slice(items, |t| Ok::<_, Infallible>(f(t))) {
-        Ok(changed) => changed,
-        Err(never) => match never {},
-    }
-}
-
-fn subst_keyref(k: &KeyRef, map: &ArgMap<'_>) -> Option<KeyRef> {
-    match k {
-        KeyRef::Var(v) => match map.get(&**v) {
-            Some(Arg::Key(nk)) => Some(nk.clone()),
-            _ => None,
-        },
-        KeyRef::Id(_) => None,
-    }
-}
-
-fn subst_statereq(r: &StateReq, map: &ArgMap<'_>) -> Option<StateReq> {
-    match r {
-        StateReq::Var(v) => match map.get(&**v) {
-            Some(Arg::State(StateArg::Token(t))) => Some(StateReq::Exact(*t)),
-            Some(Arg::State(StateArg::Val(vault_types::StateVal::Token(t)))) => {
-                Some(StateReq::Exact(*t))
-            }
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-fn subst_statearg(s: &StateArg, map: &ArgMap<'_>) -> Option<StateArg> {
-    match s {
-        StateArg::Var(v) => match map.get(&**v) {
-            Some(Arg::State(ns)) => Some(ns.clone()),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Substitute named parameters by arguments inside an effect item.
-pub fn subst_eff_by_name(e: &EffItem, map: &ArgMap<'_>) -> EffItem {
-    let key = |k: &KeyRef| subst_keyref(k, map).unwrap_or_else(|| k.clone());
-    let req = |r: &StateReq| subst_statereq(r, map).unwrap_or_else(|| r.clone());
-    let arg = |s: &StateArg| subst_statearg(s, map).unwrap_or_else(|| s.clone());
-    match e {
-        EffItem::Keep { key: k, from, to } => EffItem::Keep {
-            key: key(k),
-            from: req(from),
-            to: to.as_ref().map(arg),
-        },
-        EffItem::Consume { key: k, from } => EffItem::Consume {
-            key: key(k),
-            from: req(from),
-        },
-        EffItem::Produce { key: k, state } => EffItem::Produce {
-            key: key(k),
-            state: arg(state),
-        },
-        EffItem::Fresh { var, state } => EffItem::Fresh {
-            var: var.clone(),
-            state: arg(state),
-        },
-    }
-}
-
-/// Collect every key variable mentioned in a type (tracking positions,
-/// guards, and key arguments of named types).
-pub fn collect_keyvars(t: &Ty, out: &mut BTreeSet<Name>) {
-    match t {
-        Ty::Tracked { key, inner } => {
-            if let KeyRef::Var(v) = key {
-                out.insert(v.clone());
-            }
-            collect_keyvars(inner, out);
-        }
-        Ty::TrackedAnon(inner) | Ty::Array(inner) => collect_keyvars(inner, out),
-        Ty::Guarded { guards, inner } => {
-            for g in guards.iter() {
-                if let KeyRef::Var(v) = &g.key {
-                    out.insert(v.clone());
-                }
-            }
-            collect_keyvars(inner, out);
-        }
-        Ty::Tuple(ts) => {
-            for t in ts.iter() {
-                collect_keyvars(t, out);
-            }
-        }
-        Ty::Named { args, .. } => {
-            for a in args.iter() {
-                match a {
-                    Arg::Ty(t) => collect_keyvars(t, out),
-                    Arg::Key(KeyRef::Var(v)) => {
-                        out.insert(v.clone());
-                    }
-                    _ => {}
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Build the parameter-name → argument map for an instantiated named type.
-pub fn param_map<'n>(params: &'n [ParamKind], args: &[Arg]) -> ArgMap<'n> {
-    params
-        .iter()
-        .zip(args)
-        .map(|(p, a)| (p.name(), a.clone()))
-        .collect()
 }
 
 /// Shorthand: is this declaration a variant whose values carry keys?

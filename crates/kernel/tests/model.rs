@@ -1,11 +1,11 @@
 //! Model-based property tests for the kernel's synchronization objects:
 //! random operation sequences against simple reference models.
+//!
+//! Every property runs over a fixed set of seeds of the workspace `rand`
+//! generator, so a failure names the seed that reproduces it.
 
-// Requires the real `proptest` crate, unavailable in the offline build
-// environment; enable the `proptests` feature after vendoring it.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vault_kernel::{Irql, Kernel, Violation};
 
 #[derive(Clone, Copy, Debug)]
@@ -14,18 +14,21 @@ enum LockOp {
     Release,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Spin locks against a boolean model: the kernel flags exactly the
-    /// off-model operations and tracks IRQL like a stack of one.
-    #[test]
-    fn spinlock_matches_reference_model(
-        ops in proptest::collection::vec(
-            prop_oneof![Just(LockOp::Acquire), Just(LockOp::Release)],
-            1..40,
-        )
-    ) {
+/// Spin locks against a boolean model: the kernel flags exactly the
+/// off-model operations and tracks IRQL like a stack of one.
+#[test]
+fn spinlock_matches_reference_model() {
+    for seed in 0..128 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ops: Vec<LockOp> = (0..rng.gen_range(1..40usize))
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    LockOp::Acquire
+                } else {
+                    LockOp::Release
+                }
+            })
+            .collect();
         let mut k = Kernel::new(1);
         let lock = k.create_spinlock();
         let mut model_held = false;
@@ -40,10 +43,10 @@ proptest! {
                     saved = k.irql();
                     let prev = k.acquire_spinlock(lock);
                     if !model_held {
-                        prop_assert_eq!(prev, saved);
+                        assert_eq!(prev, saved);
                     }
                     model_held = true;
-                    prop_assert_eq!(k.irql(), Irql::Dispatch);
+                    assert_eq!(k.irql(), Irql::Dispatch);
                 }
                 LockOp::Release => {
                     if !model_held {
@@ -52,7 +55,7 @@ proptest! {
                     } else {
                         k.release_spinlock(lock, saved);
                         model_held = false;
-                        prop_assert_eq!(k.irql(), saved);
+                        assert_eq!(k.irql(), saved);
                     }
                 }
             }
@@ -61,46 +64,53 @@ proptest! {
         if model_held {
             expected_violations += 1; // leak at audit
         }
-        prop_assert_eq!(
+        assert_eq!(
             k.violations().len(),
             expected_violations,
-            "{:?}",
+            "seed {seed}: {:?}",
             k.violations()
         );
     }
+}
 
-    /// Events: waiting with no pending work that can signal is always a
-    /// deadlock; signal-then-wait never is.
-    #[test]
-    fn event_wait_discipline(signal_first in any::<bool>()) {
+/// Events: waiting with no pending work that can signal is always a
+/// deadlock; signal-then-wait never is.
+#[test]
+fn event_wait_discipline() {
+    for signal_first in [false, true] {
         let mut k = Kernel::new(2);
         let e = k.create_event();
         if signal_first {
             k.signal_event(e);
             k.wait_event(e);
-            prop_assert!(k.violations().is_empty());
+            assert!(k.violations().is_empty());
         } else {
             k.wait_event(e);
-            prop_assert!(k
+            assert!(k
                 .violations()
                 .iter()
                 .any(|v| matches!(v, Violation::Deadlock(_))));
         }
     }
+}
 
-    /// Paged memory: below DISPATCH_LEVEL the page fault is always
-    /// serviced and the value survives; at DISPATCH_LEVEL a paged-out
-    /// access always deadlocks, a resident one never does.
-    #[test]
-    fn paged_memory_model(value in any::<i64>(), paged_out in any::<bool>()) {
+/// Paged memory: below DISPATCH_LEVEL the page fault is always
+/// serviced and the value survives; at DISPATCH_LEVEL a paged-out
+/// access always deadlocks, a resident one never does.
+#[test]
+fn paged_memory_model() {
+    for seed in 0..128 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let value = rng.gen_range(i64::MIN..=i64::MAX);
+        let paged_out = rng.gen_bool(0.5);
         let mut k = Kernel::new(3);
         let cell = k.alloc_paged(value);
         if paged_out {
             k.page_out(cell);
         }
         // Passive access always fine.
-        prop_assert_eq!(k.read_paged(cell), value);
-        prop_assert!(k.violations().is_empty());
+        assert_eq!(k.read_paged(cell), value);
+        assert!(k.violations().is_empty());
         // Raise to dispatch via a lock.
         let lock = k.create_spinlock();
         let prev = k.acquire_spinlock(lock);
@@ -111,10 +121,10 @@ proptest! {
                 .violations()
                 .iter()
                 .any(|v| matches!(v, Violation::PagedAccessAtHighIrql { .. }));
-            prop_assert!(deadlocked);
+            assert!(deadlocked);
         } else {
             let _ = k.read_paged(cell);
-            prop_assert!(k.violations().is_empty());
+            assert!(k.violations().is_empty());
         }
         k.release_spinlock(lock, prev);
     }

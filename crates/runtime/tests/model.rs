@@ -1,12 +1,12 @@
 //! Model-based property tests: the socket simulator against a reference
 //! state machine, and the region heap against a map model, under random
 //! operation sequences.
+//!
+//! Every property runs over a fixed set of seeds of the workspace `rand`
+//! generator, so a failure names the seed that reproduces it.
 
-// Requires the real `proptest` crate, unavailable in the offline build
-// environment; enable the `proptests` feature after vendoring it.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use vault_runtime::{CommStyle, Domain, Network, RegionHeap, SockId, SockState, SocketError};
 
@@ -18,25 +18,30 @@ enum SockOp {
     Close { sock: usize },
 }
 
-fn sock_ops() -> impl Strategy<Value = Vec<SockOp>> {
-    proptest::collection::vec(
-        prop_oneof![
-            Just(SockOp::Socket),
-            (0usize..8, 1u16..5).prop_map(|(sock, port)| SockOp::Bind { sock, port }),
-            (0usize..8).prop_map(|sock| SockOp::Listen { sock }),
-            (0usize..8).prop_map(|sock| SockOp::Close { sock }),
-        ],
-        1..50,
-    )
+fn sock_ops(rng: &mut StdRng) -> Vec<SockOp> {
+    (0..rng.gen_range(1..50usize))
+        .map(|_| match rng.gen_range(0u8..4) {
+            0 => SockOp::Socket,
+            1 => SockOp::Bind {
+                sock: rng.gen_range(0..8usize),
+                port: rng.gen_range(1u16..5),
+            },
+            2 => SockOp::Listen {
+                sock: rng.gen_range(0..8usize),
+            },
+            _ => SockOp::Close {
+                sock: rng.gen_range(0..8usize),
+            },
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The simulator's state transitions match the Fig. 3 state machine,
-    /// tracked independently by a reference model.
-    #[test]
-    fn socket_simulator_matches_state_machine(ops in sock_ops()) {
+/// The simulator's state transitions match the Fig. 3 state machine,
+/// tracked independently by a reference model.
+#[test]
+fn socket_simulator_matches_state_machine() {
+    for seed in 0..96 {
+        let ops = sock_ops(&mut StdRng::seed_from_u64(seed));
         let mut net = Network::new();
         let mut created: Vec<SockId> = Vec::new();
         let mut model: BTreeMap<usize, SockState> = BTreeMap::new();
@@ -49,50 +54,57 @@ proptest! {
                     created.push(id);
                 }
                 SockOp::Bind { sock, port } => {
-                    let Some(&id) = created.get(sock) else { continue };
+                    let Some(&id) = created.get(sock) else {
+                        continue;
+                    };
                     let expect_state = model[&sock];
                     let r = net.bind(id, port);
                     match (expect_state, ports_in_use.contains_key(&port)) {
                         (SockState::Raw, false) => {
-                            prop_assert!(r.is_ok());
+                            assert!(r.is_ok(), "seed {seed}");
                             ports_in_use.insert(port, sock);
                             model.insert(sock, SockState::Named);
                         }
                         (SockState::Raw, true) => {
-                            prop_assert_eq!(r, Err(SocketError::AddrInUse(port)));
+                            assert_eq!(r, Err(SocketError::AddrInUse(port)), "seed {seed}");
                             // §2.3: the socket stays raw.
-                            prop_assert_eq!(net.state(id), Some(SockState::Raw));
+                            assert_eq!(net.state(id), Some(SockState::Raw), "seed {seed}");
                         }
                         (actual, _) => {
-                            prop_assert_eq!(
+                            assert_eq!(
                                 r,
                                 Err(SocketError::WrongState {
                                     expected: SockState::Raw,
                                     actual,
-                                })
+                                }),
+                                "seed {seed}"
                             );
                         }
                     }
                 }
                 SockOp::Listen { sock } => {
-                    let Some(&id) = created.get(sock) else { continue };
+                    let Some(&id) = created.get(sock) else {
+                        continue;
+                    };
                     let expect_state = model[&sock];
                     let r = net.listen(id, 4);
                     if expect_state == SockState::Named {
-                        prop_assert!(r.is_ok());
+                        assert!(r.is_ok(), "seed {seed}");
                         model.insert(sock, SockState::Listening);
                     } else {
-                        prop_assert!(r.is_err());
+                        assert!(r.is_err(), "seed {seed}");
                     }
                 }
                 SockOp::Close { sock } => {
-                    let Some(&id) = created.get(sock) else { continue };
+                    let Some(&id) = created.get(sock) else {
+                        continue;
+                    };
                     let expect_state = model[&sock];
                     let r = net.close(id);
                     if expect_state == SockState::Closed {
-                        prop_assert!(r.is_err());
+                        assert!(r.is_err(), "seed {seed}");
                     } else {
-                        prop_assert!(r.is_ok());
+                        assert!(r.is_ok(), "seed {seed}");
                         model.insert(sock, SockState::Closed);
                         ports_in_use.retain(|_, &mut s| s != sock);
                     }
@@ -100,20 +112,30 @@ proptest! {
             }
             // The simulator's view agrees with the model at every step.
             for (i, &id) in created.iter().enumerate() {
-                prop_assert_eq!(net.state(id), Some(model[&i]));
+                assert_eq!(net.state(id), Some(model[&i]), "seed {seed}");
             }
         }
         // Leak accounting agrees.
         let model_leaked = model.values().filter(|&&s| s != SockState::Closed).count();
-        prop_assert_eq!(net.leaked(), model_leaked);
+        assert_eq!(net.leaked(), model_leaked, "seed {seed}");
     }
+}
 
-    /// Region heap against a map model: values survive exactly while the
-    /// region lives, and leak counts match.
-    #[test]
-    fn region_heap_matches_map_model(
-        ops in proptest::collection::vec((0usize..6, any::<bool>(), any::<i32>()), 1..60)
-    ) {
+/// Region heap against a map model: values survive exactly while the
+/// region lives, and leak counts match.
+#[test]
+fn region_heap_matches_map_model() {
+    for seed in 0..96 {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let ops: Vec<(usize, bool, i32)> = (0..rng.gen_range(1..60usize))
+            .map(|_| {
+                (
+                    rng.gen_range(0..6usize),
+                    rng.gen_bool(0.5),
+                    rng.gen_range(i32::MIN..=i32::MAX),
+                )
+            })
+            .collect();
         let mut heap: RegionHeap<i32> = RegionHeap::new();
         let mut regions = Vec::new();
         let mut model: Vec<(bool, Vec<i32>)> = Vec::new(); // (live, values)
@@ -136,21 +158,21 @@ proptest! {
                     }
                 } else {
                     // Dead region: everything errors.
-                    prop_assert!(heap.alloc(rgn, value).is_err());
-                    prop_assert!(heap.delete(rgn).is_err());
+                    assert!(heap.alloc(rgn, value).is_err(), "seed {seed}");
+                    assert!(heap.delete(rgn).is_err(), "seed {seed}");
                 }
             }
             // Every recorded pointer reads back correctly iff its region
             // is live.
             for &(idx, vi, p) in &ptrs {
                 if model[idx].0 {
-                    prop_assert_eq!(heap.get(p), Ok(&model[idx].1[vi]));
+                    assert_eq!(heap.get(p), Ok(&model[idx].1[vi]), "seed {seed}");
                 } else {
-                    prop_assert!(heap.get(p).is_err());
+                    assert!(heap.get(p).is_err(), "seed {seed}");
                 }
             }
         }
         let model_leaked = model.iter().filter(|(live, _)| *live).count();
-        prop_assert_eq!(heap.leaked(), model_leaked);
+        assert_eq!(heap.leaked(), model_leaked, "seed {seed}");
     }
 }

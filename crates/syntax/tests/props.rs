@@ -1,150 +1,186 @@
-//! Property-based round-trip tests: pretty-printing a parsed program and
+//! Property tests of round-tripping: pretty-printing a parsed program and
 //! re-parsing it reaches a fixpoint, for randomly generated expressions,
 //! types, and effect clauses.
+//!
+//! Every property runs over a fixed set of seeds of the workspace `rand`
+//! generator, so a failure names the seed that reproduces it.
 
-// Requires the real `proptest` crate, unavailable in the offline build
-// environment; enable the `proptests` feature after vendoring it.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vault_syntax::{parse_expr, parse_program, pretty, DiagSink};
 
 // ---------------------------------------------------------------------
 // Random source generators (strings in the surface grammar)
 // ---------------------------------------------------------------------
 
-fn ident() -> impl Strategy<Value = String> {
-    "[a-z][a-z0-9_]{0,6}".prop_filter("not a keyword", |s| {
-        vault_syntax::token::TokenKind::keyword(s).is_none()
-    })
+fn pick<'s>(rng: &mut StdRng, items: &[&'s str]) -> &'s str {
+    items[rng.gen_range(0..items.len())]
 }
 
-fn expr_src(depth: u32) -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0i64..1000).prop_map(|n| n.to_string()),
-        ident(),
-        Just("true".to_string()),
-        Just("false".to_string()),
-    ];
-    leaf.prop_recursive(depth, 64, 4, |inner| {
-        prop_oneof![
-            (
-                inner.clone(),
-                inner.clone(),
-                prop_oneof![
-                    Just("+"),
-                    Just("-"),
-                    Just("*"),
-                    Just("/"),
-                    Just("=="),
-                    Just("!="),
-                    Just("<"),
-                    Just("<="),
-                    Just("&&"),
-                    Just("||"),
-                ]
-            )
-                .prop_map(|(a, b, op)| format!("({a} {op} {b})")),
-            (inner.clone(),).prop_map(|(a,)| format!("!({a})")),
-            (ident(), proptest::collection::vec(inner.clone(), 0..3))
-                .prop_map(|(f, args)| format!("{f}({})", args.join(", "))),
-            (inner, ident()).prop_map(|(a, f)| format!("({a}).{f}")),
-        ]
-    })
-    .boxed()
+/// `[a-z][a-z0-9_]{0,6}`, never a keyword.
+fn ident(rng: &mut StdRng) -> String {
+    const FIRST: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+    const REST: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_";
+    loop {
+        let mut s = String::new();
+        s.push(FIRST[rng.gen_range(0..FIRST.len())] as char);
+        for _ in 0..rng.gen_range(0..=6usize) {
+            s.push(REST[rng.gen_range(0..REST.len())] as char);
+        }
+        if vault_syntax::token::TokenKind::keyword(&s).is_none() {
+            return s;
+        }
+    }
 }
 
-fn type_src() -> impl Strategy<Value = String> {
-    prop_oneof![
-        Just("int".to_string()),
-        Just("bool".to_string()),
-        Just("void".to_string()),
-        Just("byte[]".to_string()),
-        ident(),
-        ident().prop_map(|k| format!("tracked({}) sometype", k.to_uppercase())),
-        Just("tracked sometype".to_string()),
-    ]
+fn expr_src(rng: &mut StdRng, depth: u32) -> String {
+    if depth == 0 || rng.gen_bool(0.3) {
+        return match rng.gen_range(0u8..4) {
+            0 => rng.gen_range(0i64..1000).to_string(),
+            1 => ident(rng),
+            2 => "true".to_string(),
+            _ => "false".to_string(),
+        };
+    }
+    match rng.gen_range(0u8..4) {
+        0 => {
+            let ops = ["+", "-", "*", "/", "==", "!=", "<", "<=", "&&", "||"];
+            let (a, op, b) = (
+                expr_src(rng, depth - 1),
+                pick(rng, &ops),
+                expr_src(rng, depth - 1),
+            );
+            format!("({a} {op} {b})")
+        }
+        1 => format!("!({})", expr_src(rng, depth - 1)),
+        2 => {
+            let f = ident(rng);
+            let args: Vec<String> = (0..rng.gen_range(0..3usize))
+                .map(|_| expr_src(rng, depth - 1))
+                .collect();
+            format!("{f}({})", args.join(", "))
+        }
+        _ => {
+            let a = expr_src(rng, depth - 1);
+            format!("({a}).{}", ident(rng))
+        }
+    }
 }
 
-fn effect_src() -> impl Strategy<Value = String> {
-    let item = prop_oneof![
-        ident().prop_map(|k| k.to_uppercase()),
-        ident().prop_map(|k| format!("-{}", k.to_uppercase())),
-        ident().prop_map(|k| format!("+{}", k.to_uppercase())),
-        ident().prop_map(|k| format!("new {}", k.to_uppercase())),
-        (ident(), ident()).prop_map(|(k, s)| format!("{}@{s}", k.to_uppercase())),
-        (ident(), ident(), ident())
-            .prop_map(|(k, a, b)| format!("{}@{a} -> {b}", k.to_uppercase())),
-    ];
-    proptest::collection::vec(item, 1..4).prop_map(|items| format!("[{}]", items.join(", ")))
+fn type_src(rng: &mut StdRng) -> String {
+    match rng.gen_range(0u8..7) {
+        0 => "int".to_string(),
+        1 => "bool".to_string(),
+        2 => "void".to_string(),
+        3 => "byte[]".to_string(),
+        4 => ident(rng),
+        5 => format!("tracked({}) sometype", ident(rng).to_uppercase()),
+        _ => "tracked sometype".to_string(),
+    }
 }
 
-fn parse_print_fixpoint(src: &str) -> Result<(), TestCaseError> {
+fn effect_src(rng: &mut StdRng) -> String {
+    let items: Vec<String> = (0..rng.gen_range(1..4usize))
+        .map(|_| {
+            let k = ident(rng).to_uppercase();
+            match rng.gen_range(0u8..6) {
+                0 => k,
+                1 => format!("-{k}"),
+                2 => format!("+{k}"),
+                3 => format!("new {k}"),
+                4 => format!("{k}@{}", ident(rng)),
+                _ => format!("{k}@{} -> {}", ident(rng), ident(rng)),
+            }
+        })
+        .collect();
+    format!("[{}]", items.join(", "))
+}
+
+/// Print → parse → print is a fixpoint for `src`, unless `src` itself
+/// does not parse (the generators may produce junk identifiers only).
+/// Returns whether `src` parsed.
+fn parse_print_fixpoint(seed: u64, src: &str) -> bool {
     let mut d1 = DiagSink::new();
     let p1 = parse_program(src, &mut d1);
-    prop_assume!(!d1.has_errors()); // generator may produce junk idents only
+    if d1.has_errors() {
+        return false;
+    }
     let printed1 = pretty::program_to_string(&p1);
     let mut d2 = DiagSink::new();
     let p2 = parse_program(&printed1, &mut d2);
-    prop_assert!(
+    assert!(
         !d2.has_errors(),
-        "printed output failed to reparse:\n{printed1}\n{:?}",
+        "seed {seed}: printed output failed to reparse:\n{printed1}\n{:?}",
         d2.diagnostics()
     );
-    let printed2 = pretty::program_to_string(&p2);
-    prop_assert_eq!(printed1, printed2);
-    Ok(())
+    assert_eq!(printed1, pretty::program_to_string(&p2), "seed {seed}");
+    true
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Run `property` once per seed in `0..128`.
+fn for_seeds(mut property: impl FnMut(u64, &mut StdRng)) {
+    for seed in 0..128 {
+        property(seed, &mut StdRng::seed_from_u64(seed));
+    }
+}
 
-    /// Expressions round-trip through print → parse → print.
-    #[test]
-    fn expr_round_trip(src in expr_src(3)) {
+/// Expressions round-trip through print → parse → print.
+#[test]
+fn expr_round_trip() {
+    for_seeds(|seed, rng| {
+        let src = expr_src(rng, 3);
         let mut d1 = DiagSink::new();
         let Some(e1) = parse_expr(&src, &mut d1) else {
-            return Err(TestCaseError::fail(format!("generator produced unparseable `{src}`")));
+            panic!("seed {seed}: generator produced unparseable `{src}`");
         };
-        prop_assert!(!d1.has_errors(), "{src}: {:?}", d1.diagnostics());
+        assert!(
+            !d1.has_errors(),
+            "seed {seed}: {src}: {:?}",
+            d1.diagnostics()
+        );
         let printed1 = pretty::expr_to_string(&e1);
         let mut d2 = DiagSink::new();
         let e2 = parse_expr(&printed1, &mut d2).expect("reparse");
-        prop_assert!(!d2.has_errors());
-        let printed2 = pretty::expr_to_string(&e2);
-        prop_assert_eq!(printed1, printed2);
-    }
+        assert!(!d2.has_errors(), "seed {seed}: {printed1}");
+        assert_eq!(printed1, pretty::expr_to_string(&e2), "seed {seed}");
+    });
+}
 
-    /// Function signatures with random types and effects round-trip.
-    #[test]
-    fn signature_round_trip(
-        ret in type_src(),
-        name in ident(),
-        ptys in proptest::collection::vec(type_src(), 0..3),
-        eff in effect_src(),
-    ) {
-        prop_assume!(ret != "byte[]"); // return arrays aside, keep it simple
-        let params: Vec<String> = ptys
-            .iter()
-            .enumerate()
-            .map(|(i, t)| format!("{t} p{i}"))
+/// Function signatures with random types and effects round-trip.
+#[test]
+fn signature_round_trip() {
+    let mut parsed = 0;
+    for_seeds(|seed, rng| {
+        let ret = type_src(rng);
+        if ret == "byte[]" {
+            return; // return arrays aside, keep it simple
+        }
+        let name = ident(rng);
+        let params: Vec<String> = (0..rng.gen_range(0..3usize))
+            .map(|i| format!("{} p{i}", type_src(rng)))
             .collect();
+        let eff = effect_src(rng);
         let src = format!("type sometype;\n{ret} {name}({}) {eff};", params.join(", "));
-        parse_print_fixpoint(&src)?;
-    }
+        parsed += usize::from(parse_print_fixpoint(seed, &src));
+    });
+    assert!(parsed > 64, "only {parsed} generated signatures parsed");
+}
 
-    /// Statement-heavy bodies round-trip.
-    #[test]
-    fn body_round_trip(
-        exprs in proptest::collection::vec(expr_src(2), 1..6),
-        cond in expr_src(1),
-    ) {
-        let stmts: Vec<String> = exprs.iter().map(|e| format!("  x = {e};")).collect();
+/// Statement-heavy bodies round-trip.
+#[test]
+fn body_round_trip() {
+    let mut parsed = 0;
+    for_seeds(|seed, rng| {
+        let stmts: Vec<String> = (0..rng.gen_range(1..6usize))
+            .map(|_| format!("  x = {};", expr_src(rng, 2)))
+            .collect();
+        let cond = expr_src(rng, 1);
         let src = format!(
             "void f(int x, bool b) {{\n{}\n  if ({cond}) {{ x = 1; }} else {{ x = 2; }}\n  \
              while (b) {{ x = x + 1; }}\n  return;\n}}",
             stmts.join("\n")
         );
-        parse_print_fixpoint(&src)?;
-    }
+        parsed += usize::from(parse_print_fixpoint(seed, &src));
+    });
+    assert!(parsed > 64, "only {parsed} generated bodies parsed");
 }

@@ -13,8 +13,10 @@
 //! * [`HeldSet`] — the held-key set with linearity-enforcing operations;
 //! * [`Ty`] / [`FnSig`] / [`World`] — singleton, guarded, existential,
 //!   and function types plus the declaration tables;
-//! * [`unify()`] / [`subst_ty`] / [`ty_eq_mod_keys`] — call-site
-//!   instantiation and the join-point key abstraction.
+//! * [`unify()`] / [`ty_eq_mod_keys`] — call-site matching and the
+//!   join-point key abstraction;
+//! * [`subst`] — the one substitution and the one variable walk over
+//!   types and effects, through which every instantiation goes.
 //!
 //! ## Example
 //!
@@ -36,6 +38,7 @@
 pub mod heldset;
 pub mod key;
 pub mod state;
+pub mod subst;
 pub mod ty;
 pub mod unify;
 
@@ -49,5 +52,5 @@ pub use ty::{
     AbstractDef, Arg, CtorDef, EffItem, FnSig, GlobalKey, GuardAtom, ParamKind, StateArg,
     StructDef, Tables, Ty, TypeDef, TypeId, VariantDef, World,
 };
-pub use unify::{subst_state, subst_ty, ty_eq_mod_keys, unify, Bindings, UnifyErr};
+pub use unify::{ty_eq_mod_keys, unify, Bindings, UnifyErr};
 pub use vault_syntax::intern::{FnvBuildHasher, Interner, Symbol};

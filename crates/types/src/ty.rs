@@ -112,51 +112,6 @@ impl Ty {
         matches!(self, Ty::Error)
     }
 
-    /// Collect every concrete key mentioned in the type (tracking keys,
-    /// guard keys, and key arguments of named types).
-    pub fn concrete_keys(&self, out: &mut Vec<KeyId>) {
-        match self {
-            Ty::Tracked { key, inner } => {
-                if let KeyRef::Id(k) = key {
-                    out.push(*k);
-                }
-                inner.concrete_keys(out);
-            }
-            Ty::TrackedAnon(inner) => inner.concrete_keys(out),
-            Ty::Guarded { guards, inner } => {
-                for g in guards.iter() {
-                    if let KeyRef::Id(k) = &g.key {
-                        out.push(*k);
-                    }
-                }
-                inner.concrete_keys(out);
-            }
-            Ty::Named { args, .. } => {
-                for a in args.iter() {
-                    match a {
-                        Arg::Ty(t) => t.concrete_keys(out),
-                        Arg::Key(KeyRef::Id(k)) => out.push(*k),
-                        Arg::Key(KeyRef::Var(_)) | Arg::State(_) => {}
-                    }
-                }
-            }
-            Ty::Array(t) => t.concrete_keys(out),
-            Ty::Tuple(ts) => {
-                for t in ts.iter() {
-                    t.concrete_keys(out);
-                }
-            }
-            Ty::Fn(_)
-            | Ty::Void
-            | Ty::Int
-            | Ty::Bool
-            | Ty::Byte
-            | Ty::Str
-            | Ty::Error
-            | Ty::Var(_) => {}
-        }
-    }
-
     /// Human-readable rendering against a world's tables.
     pub fn display(&self, world: &Tables) -> String {
         match self {
@@ -770,26 +725,6 @@ mod tests {
             }],
         };
         assert!(anon_carrying.is_keyed());
-    }
-
-    #[test]
-    fn concrete_keys_collects_all_positions() {
-        let w = sample_world();
-        let point = w.type_id("point").unwrap();
-        let t = Ty::Tuple(Arc::from(vec![
-            Ty::tracked(KeyRef::Id(KeyId(1)), Ty::named(point, vec![])),
-            Ty::guarded(
-                vec![GuardAtom {
-                    key: KeyRef::Id(KeyId(2)),
-                    req: StateReq::Any,
-                }],
-                Ty::Int,
-            ),
-            Ty::named(point, vec![Arg::Key(KeyRef::Id(KeyId(3)))]),
-        ]));
-        let mut keys = Vec::new();
-        t.concrete_keys(&mut keys);
-        assert_eq!(keys, vec![KeyId(1), KeyId(2), KeyId(3)]);
     }
 
     #[test]

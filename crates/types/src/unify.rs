@@ -12,7 +12,6 @@ use crate::ty::{Arg, FnSig, GuardAtom, StateArg, Tables, Ty};
 use crate::StateReq;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Accumulated variable bindings from unification.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -424,131 +423,6 @@ fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(),
     }
 }
 
-/// Instantiate a type under bindings: replace key/state/type variables by
-/// their bound values. Unbound key variables are an error (they would leave
-/// the caller unable to track the key). Parts the bindings leave
-/// unchanged are shared with `t`, not copied.
-pub fn subst_ty(t: &Ty, binds: &Bindings) -> Result<Ty, UnifyErr> {
-    Ok(subst_changed(t, binds)?.unwrap_or_else(|| t.clone()))
-}
-
-/// [`subst_ty`], or `None` when the bindings change nothing in `t`.
-fn subst_changed(t: &Ty, binds: &Bindings) -> Result<Option<Ty>, UnifyErr> {
-    Ok(match t {
-        Ty::Void | Ty::Int | Ty::Bool | Ty::Byte | Ty::Str | Ty::Error => None,
-        Ty::Var(v) => binds.tys.get(v).cloned(),
-        Ty::Array(inner) => subst_changed(inner, binds)?.map(|i| Ty::Array(Arc::new(i))),
-        Ty::Tuple(ts) => subst_slice(ts, |t| subst_changed(t, binds))?.map(Ty::Tuple),
-        Ty::Tracked { key, inner } => {
-            let k = subst_key(key, binds)?;
-            let i = subst_changed(inner, binds)?;
-            match (k, i) {
-                (None, None) => None,
-                (k, i) => Some(Ty::Tracked {
-                    key: k.unwrap_or_else(|| key.clone()),
-                    inner: share(inner, i),
-                }),
-            }
-        }
-        Ty::TrackedAnon(inner) => {
-            subst_changed(inner, binds)?.map(|i| Ty::TrackedAnon(Arc::new(i)))
-        }
-        Ty::Guarded { guards, inner } => {
-            let g = subst_slice(guards, |g| {
-                let key = subst_key(&g.key, binds)?;
-                let req = subst_req(&g.req, binds);
-                Ok(match (key, req) {
-                    (None, None) => None,
-                    (key, req) => Some(GuardAtom {
-                        key: key.unwrap_or_else(|| g.key.clone()),
-                        req: req.unwrap_or_else(|| g.req.clone()),
-                    }),
-                })
-            })?;
-            let i = subst_changed(inner, binds)?;
-            match (g, i) {
-                (None, None) => None,
-                (g, i) => Some(Ty::Guarded {
-                    guards: g.unwrap_or_else(|| guards.clone()),
-                    inner: share(inner, i),
-                }),
-            }
-        }
-        Ty::Named { id, args } => subst_slice(args, |a| {
-            Ok(match a {
-                Arg::Ty(t) => subst_changed(t, binds)?.map(Arg::Ty),
-                Arg::Key(k) => subst_key(k, binds)?.map(Arg::Key),
-                Arg::State(s) => subst_state_changed(s, binds).map(Arg::State),
-            })
-        })?
-        .map(|args| Ty::Named { id: *id, args }),
-        // Function values are not re-instantiated: their signatures stay
-        // polymorphic and are matched by alpha-equivalence.
-        Ty::Fn(_) => None,
-    })
-}
-
-/// `old`, or a new node holding `new` when substitution changed it.
-pub fn share(old: &Arc<Ty>, new: Option<Ty>) -> Arc<Ty> {
-    new.map_or_else(|| old.clone(), Arc::new)
-}
-
-/// Substitute every item of `items` with `f` (`Ok(None)` = unchanged),
-/// in order, stopping at the first error. `Ok(None)` when no item
-/// changed, so the caller can keep sharing `items`.
-pub fn subst_slice<T: Clone, E>(
-    items: &Arc<[T]>,
-    mut f: impl FnMut(&T) -> Result<Option<T>, E>,
-) -> Result<Option<Arc<[T]>>, E> {
-    let mut out: Option<Vec<T>> = None;
-    for (i, item) in items.iter().enumerate() {
-        match (f(item)?, &mut out) {
-            (Some(new), Some(out)) => out.push(new),
-            (Some(new), None) => {
-                let mut v = Vec::with_capacity(items.len());
-                v.extend_from_slice(&items[..i]);
-                v.push(new);
-                out = Some(v);
-            }
-            (None, Some(out)) => out.push(item.clone()),
-            (None, None) => {}
-        }
-    }
-    Ok(out.map(Arc::from))
-}
-
-fn subst_key(k: &KeyRef, binds: &Bindings) -> Result<Option<KeyRef>, UnifyErr> {
-    match k {
-        KeyRef::Id(_) => Ok(None),
-        KeyRef::Var(v) => match binds.keys.get(v) {
-            Some(id) => Ok(Some(KeyRef::Id(*id))),
-            None => Err(UnifyErr::Unresolved(v.to_string())),
-        },
-    }
-}
-
-fn subst_req(r: &StateReq, binds: &Bindings) -> Option<StateReq> {
-    match r {
-        StateReq::Var(v) => match binds.states.get(v) {
-            Some(StateVal::Token(t)) => Some(StateReq::Exact(*t)),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-/// Resolve a state argument to a value under bindings.
-pub fn subst_state(s: &StateArg, binds: &Bindings) -> StateArg {
-    subst_state_changed(s, binds).unwrap_or_else(|| s.clone())
-}
-
-fn subst_state_changed(s: &StateArg, binds: &Bindings) -> Option<StateArg> {
-    match s {
-        StateArg::Var(v) => binds.states.get(v).map(|val| StateArg::Val(*val)),
-        _ => None,
-    }
-}
-
 /// Structural equality of two concrete types modulo a *bijective* renaming
 /// of concrete keys, extending `map`/`rev`. This is the join-point
 /// abstraction (paper §3): two branches agree if their environments are
@@ -644,6 +518,7 @@ pub fn ty_eq_mod_keys(
 mod tests {
     use super::*;
     use crate::ty::{AbstractDef, TypeDef, World};
+    use std::sync::Arc;
 
     fn world() -> (World, crate::ty::TypeId) {
         let mut w = World::new();
@@ -730,26 +605,6 @@ mod tests {
         assert!(matches!(
             unify(&decl, &bad, &mut b2, &w),
             Err(UnifyErr::TyConflict(_))
-        ));
-    }
-
-    #[test]
-    fn subst_resolves_keys() {
-        let (_w, region) = world();
-        let mut b = Bindings::new();
-        b.bind_key(&"R".into(), KeyId(4)).unwrap();
-        let decl = Ty::tracked(KeyRef::var("R"), named(region));
-        let t = subst_ty(&decl, &b).unwrap();
-        assert_eq!(t, Ty::tracked(KeyRef::Id(KeyId(4)), named(region)));
-    }
-
-    #[test]
-    fn subst_unbound_key_errors() {
-        let (_w, region) = world();
-        let decl = Ty::tracked(KeyRef::var("N"), named(region));
-        assert!(matches!(
-            subst_ty(&decl, &Bindings::new()),
-            Err(UnifyErr::Unresolved(_))
         ));
     }
 

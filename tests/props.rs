@@ -1,27 +1,25 @@
 //! Whole-pipeline property tests: for randomly generated programs with
 //! known ground truth, the checker's verdict is exactly right.
+//!
+//! Every property runs over a fixed set of seeds of the workspace `rand`
+//! generator, so a failure names the seed that reproduces it.
 
-// Requires the real `proptest` crate, unavailable in the offline build
-// environment; enable the `proptests` feature after vendoring it.
-#![cfg(feature = "proptests")]
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use vault::core::{check_source, Verdict};
 use vault::corpus::synth::{generate, SeededBug, Shape, SynthConfig};
 use vault::syntax::Code;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Clean generated programs are always accepted; buggy ones are
-    /// always rejected with a diagnostic matching the seeded class.
-    #[test]
-    fn checker_matches_ground_truth(
-        functions in 1usize..6,
-        stmts in 4usize..16,
-        seed in any::<u64>(),
-        bug_rate in prop_oneof![Just(0.0f64), Just(0.5), Just(1.0)],
-    ) {
+/// Clean generated programs are always accepted; buggy ones are always
+/// rejected with a diagnostic matching the seeded class.
+#[test]
+fn checker_matches_ground_truth() {
+    for case in 0..24 {
+        let rng = &mut StdRng::seed_from_u64(case);
+        let functions = rng.gen_range(1..6usize);
+        let stmts = rng.gen_range(4..16usize);
+        let seed = rng.gen_range(0..=u64::MAX);
+        let bug_rate = [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
         let p = generate(&SynthConfig {
             functions,
             stmts_per_fn: stmts,
@@ -31,7 +29,7 @@ proptest! {
         });
         let r = check_source("synth", &p.source);
         if p.expect_accept() {
-            prop_assert_eq!(
+            assert_eq!(
                 r.verdict(),
                 Verdict::Accepted,
                 "false positive on clean program:\n{}\n{}",
@@ -39,19 +37,27 @@ proptest! {
                 r.render_diagnostics()
             );
         } else {
-            prop_assert_eq!(r.verdict(), Verdict::Rejected, "missed seeded bug {:?}", p.seeded);
+            assert_eq!(
+                r.verdict(),
+                Verdict::Rejected,
+                "seed {seed}: missed seeded bug {:?}",
+                p.seeded
+            );
             if p.seeded.iter().any(|(_, b)| *b == SeededBug::Leak) {
-                prop_assert!(r.has_code(Code::KeyLeak));
+                assert!(r.has_code(Code::KeyLeak));
             }
             if p.seeded.iter().any(|(_, b)| *b == SeededBug::Dangling) {
-                prop_assert!(r.has_code(Code::KeyNotHeld));
+                assert!(r.has_code(Code::KeyNotHeld));
             }
         }
     }
+}
 
-    /// Checking is deterministic: same source, same diagnostics.
-    #[test]
-    fn checking_is_deterministic(seed in any::<u64>()) {
+/// Checking is deterministic: same source, same diagnostics.
+#[test]
+fn checking_is_deterministic() {
+    for case in 0..24 {
+        let seed = StdRng::seed_from_u64(case).gen_range(0..=u64::MAX);
         let p = generate(&SynthConfig {
             functions: 3,
             stmts_per_fn: 10,
@@ -61,19 +67,22 @@ proptest! {
         });
         let a = check_source("a", &p.source);
         let b = check_source("b", &p.source);
-        prop_assert_eq!(a.error_codes(), b.error_codes());
-        prop_assert_eq!(a.stats, b.stats);
+        assert_eq!(a.error_codes(), b.error_codes());
+        assert_eq!(a.stats, b.stats);
     }
+}
 
-    /// The kernel workload is clean for every seed when the driver is
-    /// clean (no flaky false positives in the oracle).
-    #[test]
-    fn clean_workloads_never_report(seed in any::<u64>()) {
+/// The kernel workload is clean for every seed when the driver is clean
+/// (no flaky false positives in the oracle).
+#[test]
+fn clean_workloads_never_report() {
+    for case in 0..24 {
+        let seed = StdRng::seed_from_u64(case).gen_range(0..=u64::MAX);
         let r = vault::kernel::run_floppy_workload(&vault::kernel::WorkloadConfig {
             ops: 40,
             seed,
             bugs: vault::kernel::FloppyBugs::none(),
         });
-        prop_assert!(r.clean(), "seed {seed}: {:?}", r.violations);
+        assert!(r.clean(), "seed {seed}: {:?}", r.violations);
     }
 }
