@@ -461,13 +461,15 @@ pub fn lower_fn_decl_in(
     }
 }
 
-/// Validate a lowered signature: every effect key and return-type key must
-/// be bound by a parameter type (or be a `new` key), and no key may appear
-/// in two effect items. This runs for signatures with and without bodies.
+/// Validate a lowered signature: no type parameter is declared twice,
+/// every effect key and return-type key must be bound by a parameter type
+/// (or be a `new` key), and no key may appear in two effect items. This
+/// runs for signatures with and without bodies.
 pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
     use std::collections::BTreeSet as Set;
     use vault_types::{EffItem, KeyRef};
 
+    report_duplicate_params(&f.tparams, diags);
     let eff_span = f.effect.as_ref().map(|e| e.span).unwrap_or(f.span);
     // Capability declarations (`uses c`): names come from a closed
     // universe and may appear at most once. Checked on the *surface*
@@ -557,6 +559,7 @@ pub fn validate_signature(sig: &FnSig, f: &ast::FunDecl, diags: &mut DiagSink) {
 }
 
 fn lower_params(world: &Tables, params: &[ast::TParam], diags: &mut DiagSink) -> Vec<ParamKind> {
+    report_duplicate_params(params, diags);
     params
         .iter()
         .map(|p| match p {
@@ -581,6 +584,21 @@ fn lower_params(world: &Tables, params: &[ast::TParam], diags: &mut DiagSink) ->
             }
         })
         .collect()
+}
+
+/// Report each parameter whose name an earlier one in `params` declares.
+fn report_duplicate_params(params: &[ast::TParam], diags: &mut DiagSink) {
+    let mut seen = BTreeSet::new();
+    for p in params {
+        let name = p.name();
+        if !seen.insert(name.name.as_str()) {
+            diags.error(
+                Code::DuplicateDecl,
+                name.span,
+                format!("type parameter `{name}` is declared twice"),
+            );
+        }
+    }
 }
 
 /// A signature-mode scope with a type's parameters pre-bound.

@@ -20,7 +20,8 @@
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use vault_types::{ty_eq_mod_keys, HeldSet, Interner, KeyGen, KeyId, StateVal, Symbol, Tables, Ty};
+use vault_types::subst;
+use vault_types::{Bijection, HeldSet, Interner, KeyGen, KeyId, StateVal, Symbol, Tables, Ty};
 
 /// What the checker knows about one variable.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -265,9 +266,8 @@ pub fn merge(
     let mut problems = Vec::new();
     let mut poisoned = Vec::new();
 
-    // Correlate keys through the environments.
-    let mut map: BTreeMap<KeyId, KeyId> = BTreeMap::new(); // a → b
-    let mut rev: BTreeMap<KeyId, KeyId> = BTreeMap::new(); // b → a
+    // Correlate keys through the environments, a's keys to b's.
+    let mut renaming = Bijection::default();
     debug_assert_eq!(a.frames.len(), b.frames.len(), "unbalanced scopes at join");
     for (fi, (fa, fb)) in a.frames.iter().zip(&b.frames).enumerate() {
         if Arc::ptr_eq(fa, fb) {
@@ -276,7 +276,7 @@ pub fn merge(
             // adds the same identity pairs in any order, so symbol order
             // is fine here.
             for ba in fa.values().filter(|b| b.init) {
-                ty_eq_mod_keys(&ba.ty, &ba.ty, &mut map, &mut rev);
+                renaming.pair_itself(&ba.ty);
             }
             continue;
         }
@@ -297,13 +297,14 @@ pub fn merge(
             };
             match (ba.init, bb.init) {
                 (true, true) => {
-                    if !ty_eq_mod_keys(&ba.ty, &bb.ty, &mut map, &mut rev) {
+                    if let Err(clash) = subst::zip(&ba.ty, &bb.ty, &mut renaming) {
                         problems.push(format!(
                             "variable `{}` has type `{}` on one path but `{}` on the \
-                             other",
+                             other{}",
                             text,
                             ba.ty.display(world),
-                            bb.ty.display(world)
+                            bb.ty.display(world),
+                            clash.map_or(String::new(), |(x, y)| unpaired(&renaming, x, y))
                         ));
                         poison(&mut out, fi, *name, syms, &mut poisoned);
                     }
@@ -315,19 +316,26 @@ pub fn merge(
     }
 
     // Pair up keys not correlated by any variable, in id order.
-    let a_orphans: Vec<KeyId> = a.held.keys().filter(|k| !map.contains_key(k)).collect();
-    let b_orphans: Vec<KeyId> = b.held.keys().filter(|k| !rev.contains_key(k)).collect();
+    let a_orphans: Vec<KeyId> = a
+        .held
+        .keys()
+        .filter(|k| !renaming.fwd.contains_key(k))
+        .collect();
+    let b_orphans: Vec<KeyId> = b
+        .held
+        .keys()
+        .filter(|k| !renaming.bwd.contains_key(k))
+        .collect();
     if a_orphans.len() == b_orphans.len() {
         for (ka, kb) in a_orphans.iter().zip(&b_orphans) {
-            rev.insert(*kb, *ka);
+            renaming.bwd.insert(*kb, *ka);
         }
     }
 
     // Rename b's held set into a's key names and compare.
-    match b.held.rename(&rev) {
+    match b.held.rename(&renaming.bwd) {
         Ok(renamed) => {
-            let mut absmap: BTreeMap<u32, u32> = BTreeMap::new();
-            let mut absrev: BTreeMap<u32, u32> = BTreeMap::new();
+            let mut abstract_states = Bijection::default();
             let a_keys: Vec<KeyId> = a.held.keys().collect();
             let b_keys: Vec<KeyId> = renamed.keys().collect();
             if a_keys != b_keys {
@@ -336,7 +344,7 @@ pub fn merge(
                 for k in a_keys {
                     let sa = a.held.get(k).expect("listed");
                     let sb = renamed.get(k).expect("listed");
-                    if !stateval_compat(sa, sb, &mut absmap, &mut absrev) {
+                    if !stateval_compat(sa, sb, &mut abstract_states) {
                         problems.push(format!(
                             "key {} is in state `{}` on one path but `{}` on the other",
                             keys.describe(k, world),
@@ -371,6 +379,22 @@ fn poison(
     poisoned.push(syms.resolve(name).to_string());
 }
 
+/// Why one path's key `x` cannot pair with the other path's `y`: the
+/// partner either of them already has.
+fn unpaired(renaming: &Bijection<KeyId>, x: KeyId, y: KeyId) -> String {
+    let mut why = Vec::new();
+    if let Some(p) = renaming.fwd.get(&x).filter(|&&p| p != y) {
+        why.push(format!("it already pairs with the other path's {p}"));
+    }
+    if let Some(p) = renaming.bwd.get(&y).filter(|&&p| p != x) {
+        why.push(format!("the other path's {y} already pairs with {p}"));
+    }
+    format!(
+        ": key {x} cannot pair with the other path's {y}, because {}",
+        why.join(" and ")
+    )
+}
+
 fn held_disagreement(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &Tables) -> String {
     let describe = |h: &HeldSet| -> String {
         let items: Vec<String> = h
@@ -393,33 +417,11 @@ fn held_disagreement(a: &FlowState, b: &FlowState, keys: &KeyGen, world: &Tables
 }
 
 /// Compare two state values modulo a bijection of abstract-state ids.
-fn stateval_compat(
-    a: StateVal,
-    b: StateVal,
-    absmap: &mut BTreeMap<u32, u32>,
-    absrev: &mut BTreeMap<u32, u32>,
-) -> bool {
+fn stateval_compat(a: StateVal, b: StateVal, abs: &mut Bijection<u32>) -> bool {
     match (a, b) {
         (StateVal::Token(x), StateVal::Token(y)) => x == y,
         (StateVal::Abs { id: ia, bound: ba }, StateVal::Abs { id: ib, bound: bb }) => {
-            if ba != bb {
-                return false;
-            }
-            let f_ok = match absmap.get(&ia) {
-                Some(m) => *m == ib,
-                None => {
-                    absmap.insert(ia, ib);
-                    true
-                }
-            };
-            let b_ok = match absrev.get(&ib) {
-                Some(m) => *m == ia,
-                None => {
-                    absrev.insert(ib, ia);
-                    true
-                }
-            };
-            f_ok && b_ok
+            ba == bb && abs.pair(&ia, &ib)
         }
         _ => false,
     }
@@ -532,6 +534,32 @@ mod tests {
         let m = merge(&a, &b, &keys, &w, &syms);
         assert!(m.clean(), "{:?}", m.problems);
         assert!(m.state.held.holds(k0));
+    }
+
+    #[test]
+    fn merge_names_the_keys_a_variable_cannot_pair() {
+        // `r` pairs k0 with k2 and `s` pairs k1 with k3, so `x` (k0 on
+        // one path, k3 on the other) finds both keys taken.
+        let (w, mut keys, region, syms) = setup();
+        let k: Vec<KeyId> = (0..4).map(|_| fresh(&mut keys)).collect();
+        let (mut a, mut b) = (FlowState::new(), FlowState::new());
+        for (var, ka, kb) in [("r", k[0], k[2]), ("s", k[1], k[3]), ("x", k[0], k[3])] {
+            a.declare(
+                syms.sym(var),
+                bind(Ty::tracked(KeyRef::Id(ka), region.clone())),
+            );
+            b.declare(
+                syms.sym(var),
+                bind(Ty::tracked(KeyRef::Id(kb), region.clone())),
+            );
+        }
+        let m = merge(&a, &b, &keys, &w, &syms);
+        assert_eq!(
+            m.problems[0],
+            "variable `x` has type `tracked(k0) region` on one path but `tracked(k3) region` \
+             on the other: key k0 cannot pair with the other path's k3, because it already \
+             pairs with the other path's k2 and the other path's k3 already pairs with k1"
+        );
     }
 
     #[test]

@@ -50,6 +50,47 @@ fn redeclaration_in_same_scope_rejected() {
 }
 
 #[test]
+fn type_parameter_declared_twice_rejected_at_the_second_name() {
+    let src = "variant v<key K, key K> [ 'A | 'B ];
+         struct s<key K, type K> { int x; }
+         type a<type X, type X> = int;
+         type h<state S, key S>;
+         void f<type T, type T>(T x) {}";
+    let r = check_source("<edge>", src);
+    assert_eq!(r.verdict(), Verdict::Rejected);
+    let mut dups = Vec::new();
+    for d in r
+        .diagnostics
+        .iter()
+        .filter(|d| d.code == Code::DuplicateDecl)
+    {
+        let (start, end) = (d.span.start as usize, d.span.end as usize);
+        let name = &src[start..end];
+        // The report points at the second declaration of the name.
+        let line = src[..start].rfind('\n').map_or(0, |i| i + 1);
+        let first = line + src[line..].find(&format!(" {name}")).unwrap() + 1;
+        assert!(
+            first < start,
+            "{} reported at its first declaration",
+            d.message
+        );
+        dups.push((name, d.message.as_str()));
+    }
+    assert_eq!(
+        dups,
+        [
+            ("K", "type parameter `K` is declared twice"),
+            ("K", "type parameter `K` is declared twice"),
+            ("S", "type parameter `S` is declared twice"),
+            ("X", "type parameter `X` is declared twice"),
+            ("T", "type parameter `T` is declared twice"),
+        ],
+        "{}",
+        r.render_diagnostics()
+    );
+}
+
+#[test]
 fn branch_local_variables_drop_at_join() {
     accepts(
         "int f(bool b) {

@@ -125,8 +125,12 @@ const MAGIC: &[u8; 8] = b"VAULTCCH";
 /// their read set. Version 4: every per-function verdict is checked
 /// from a body that parsed, so the records lose version 3's flag for
 /// verdicts checked from a recovered parse; a version 3 store, which
-/// may hold such verdicts, boots cold.
-pub const FORMAT_VERSION: u32 = 4;
+/// may hold such verdicts, boots cold. Version 5: the payloads are
+/// version 4's, but the checker's verdicts changed (a type parameter
+/// declared twice is V202, and a V306 key-pairing conflict names its
+/// keys), so a version 4 store, which may hold the old verdicts, boots
+/// cold.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Magic plus version.
 const HEADER_LEN: u64 = 12;

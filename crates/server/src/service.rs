@@ -701,6 +701,16 @@ void leak() {
   tracked(F) FILE f = fopen(\"x\");
 }";
 
+    /// Accepted before a type parameter declared twice was an error.
+    const DUPLICATE_PARAM: &str = "type FILE;
+variant opt<key K, key K> [ 'Some {K} | 'None ];
+tracked(F) FILE fopen(string p) [new F];
+void fclose(tracked(F) FILE f) [-F];
+void ok() {
+  tracked(F) FILE f = fopen(\"x\");
+  fclose(f);
+}";
+
     /// Two independent function bodies, so a restart plus a one-body
     /// edit can demonstrate per-function verdict recovery.
     const TWO_FNS: &str = "type FILE;
@@ -852,23 +862,31 @@ void two() {
             ),
             format!(r#"{{"kind":"fn","fp":"0000000000000001","diags":[],"stats":{stats}}}"#),
         ];
+        // The records this build writes for one unit, as JSON objects.
+        let records_of = |name: &str, text: &str| {
+            let source = tmp_dir(&format!("records-of-{name}"));
+            CheckService::new(persistent_config(&source)).check_unit(unit(name, text));
+            let bytes = std::fs::read(source.join(segment_file_name(0))).unwrap();
+            let _ = std::fs::remove_dir_all(&source);
+            let mut records = Vec::new();
+            let mut at = 12;
+            while at < bytes.len() {
+                let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+                let payload = std::str::from_utf8(&bytes[at + 8..at + 8 + len]).unwrap();
+                at += 8 + len;
+                let Ok(Json::Obj(fields)) = json::parse(payload) else {
+                    panic!("a record is an object: {payload}");
+                };
+                records.push(fields);
+            }
+            records
+        };
         // Format 3: the function records this build writes for the leaky
         // unit, under their keys and with read sets that hold, but with
         // no diagnostics and flagged as checked from a recovered parse,
         // which format 3 allowed. Replayed, `leak` would be accepted.
-        let source = tmp_dir("format-3-source");
-        CheckService::new(persistent_config(&source)).check_unit(unit("a.vlt", LEAKY));
-        let bytes = std::fs::read(source.join(segment_file_name(0))).unwrap();
-        let _ = std::fs::remove_dir_all(&source);
         let mut format_3 = Vec::new();
-        let mut at = 12;
-        while at < bytes.len() {
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            let payload = std::str::from_utf8(&bytes[at + 8..at + 8 + len]).unwrap();
-            at += 8 + len;
-            let Ok(Json::Obj(mut fields)) = json::parse(payload) else {
-                panic!("a record is an object: {payload}");
-            };
+        for mut fields in records_of("a.vlt", LEAKY) {
             if fields[0] == ("kind".to_string(), Json::str("fn")) {
                 for (key, value) in &mut fields {
                     if key == "diags" {
@@ -880,8 +898,30 @@ void two() {
             }
         }
         assert!(!format_3.is_empty(), "the leaky unit wrote no fn record");
+        // Format 4: the records of a unit that declares a type parameter
+        // twice, with the verdict format 4's checker gave it: accepted,
+        // with no diagnostics.
+        let format_4: Vec<String> = records_of("d.vlt", DUPLICATE_PARAM)
+            .into_iter()
+            .map(|mut fields| {
+                for (key, value) in &mut fields {
+                    match key.as_str() {
+                        "verdict" => *value = Json::str("accepted"),
+                        "diagnostics" | "diags" => *value = Json::Arr(Vec::new()),
+                        _ => {}
+                    }
+                }
+                Json::Obj(fields).to_line()
+            })
+            .collect();
+        assert!(
+            format_4
+                .iter()
+                .any(|r| r.contains(r#""verdict":"accepted""#)),
+            "the duplicate-parameter unit wrote no unit record: {format_4:?}"
+        );
 
-        for (version, payloads) in [(2u32, format_2), (3, format_3)] {
+        for (version, payloads) in [(2u32, format_2), (3, format_3), (4, format_4)] {
             let dir = tmp_dir(&format!("format-{version}"));
             std::fs::create_dir_all(&dir).unwrap();
             let mut bytes = b"VAULTCCH".to_vec();
@@ -899,10 +939,19 @@ void two() {
                 1,
                 "the format {version} segment is set aside"
             );
-            for (name, source) in [("a.vlt", LEAKY), ("b.vlt", GOOD), ("t.vlt", TWO_FNS)] {
+            let units = [
+                ("a.vlt", LEAKY),
+                ("b.vlt", GOOD),
+                ("t.vlt", TWO_FNS),
+                ("d.vlt", DUPLICATE_PARAM),
+            ];
+            for (name, source) in units {
                 let report = svc.check_unit(unit(name, source));
                 assert!(!report.cached, "{name} answered from the old store");
                 assert_eq!(*report.summary, vault_core::check_summary(name, source));
+                if name == "d.vlt" {
+                    assert_eq!(report.summary.error_codes(), ["V202"]);
+                }
             }
             assert_eq!(svc.status().fn_cache_hits, 0, "format {version}");
             let _ = std::fs::remove_dir_all(&dir);

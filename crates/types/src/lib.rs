@@ -13,10 +13,11 @@
 //! * [`HeldSet`] — the held-key set with linearity-enforcing operations;
 //! * [`Ty`] / [`FnSig`] / [`World`] — singleton, guarded, existential,
 //!   and function types plus the declaration tables;
-//! * [`unify()`] / [`ty_eq_mod_keys`] — call-site matching and the
-//!   join-point key abstraction;
-//! * [`subst`] — the one substitution and the one variable walk over
-//!   types and effects, through which every instantiation goes.
+//! * [`unify()`] / [`Bijection`] — call-site matching and the
+//!   join-point key abstraction, two matchers over one pair walk;
+//! * [`subst`] — the one substitution, the one variable walk and the one
+//!   pair walk ([`subst::zip`]) over types and effects, through which
+//!   every instantiation and every matching goes.
 //!
 //! ## Example
 //!
@@ -52,5 +53,5 @@ pub use ty::{
     AbstractDef, Arg, CtorDef, EffItem, FnSig, GlobalKey, GuardAtom, ParamKind, StateArg,
     StructDef, Tables, Ty, TypeDef, TypeId, VariantDef, World,
 };
-pub use unify::{ty_eq_mod_keys, unify, Bindings, UnifyErr};
+pub use unify::{unify, Bijection, Bindings, UnifyErr};
 pub use vault_syntax::intern::{FnvBuildHasher, Interner, Symbol};

@@ -4,16 +4,20 @@
 //! types (paper §2–3); the checker instantiates them at every function
 //! entry, call, constructor, pattern arm and field read. This module is
 //! the one place that knows where those variables sit in a [`Ty`] or an
-//! [`EffItem`]. It has two operations:
+//! [`EffItem`], and how two types line up. It has three operations:
 //!
 //! * [`ty`] / [`effect`] rewrite the variables a [`Lookup`] binds,
 //!   sharing every type node they leave unchanged;
 //! * [`visit_ty`] / [`visit_effect`] report every variable or concrete
-//!   key a type or effect item mentions, as a [`Mention`].
+//!   key a type or effect item mentions, as a [`Mention`];
+//! * [`zip`] walks a declared and an actual type side by side, handing
+//!   each pair of variables, keys and function types to a [`Match`].
 //!
 //! What differs between instantiations — whether an unbound key is an
 //! error, whether function types are entered — belongs to the lookup each
-//! caller passes, never to the walker.
+//! caller passes, never to the walker; what differs between matchings —
+//! a call's bindings, function-type alpha-equivalence, the join's key
+//! renaming — belongs to the matcher.
 
 use crate::key::{KeyRef, Name};
 use crate::state::{StateId, StateReq, StateVal};
@@ -86,8 +90,8 @@ impl Lookup for Bindings {
 
 /// A named type's parameters bound by position to the arguments of one
 /// instantiation: [`Arg`]s, or `Option<Arg>`s while a constructor is
-/// still inferring some. A name declared twice stands for its last
-/// position.
+/// still inferring some. Elaboration rejects a parameter list that
+/// declares one name twice (V202).
 pub struct Params<'a, A>(pub &'a [ParamKind], pub &'a [A]);
 
 /// One argument position of [`Params`]: known, or not yet.
@@ -357,6 +361,89 @@ fn visit_req<'t>(r: &'t StateReq, f: &mut impl FnMut(Mention<'t>)) {
 fn visit_state<'t>(s: &'t StateArg, f: &mut impl FnMut(Mention<'t>)) {
     if let StateArg::Var(v) = s {
         f(Mention::State(v, None));
+    }
+}
+
+/// What differs between ways of matching a declared type against an
+/// actual one. [`zip`] finds the pairs; the matcher judges each pair of
+/// variables, keys, guard requirements, state arguments and function
+/// types, and says why a pair of shapes differs.
+pub trait Match {
+    /// Why two types do not match.
+    type Err;
+    /// Whether `byte` and `int` match each other and an anonymous tracked
+    /// declaration accepts a tracked value (a call's argument rules).
+    const LOOSE: bool = false;
+    /// The types `d` and `a` differ in shape.
+    fn mismatch(&mut self, d: &Ty, a: &Ty) -> Self::Err;
+    /// The declared type variable `v` against the actual type `a`; by
+    /// default only the same variable matches.
+    fn var(&mut self, v: &Name, a: &Ty) -> Result<(), Self::Err> {
+        match a {
+            Ty::Var(w) if w == v => Ok(()),
+            _ => Err(self.mismatch(&Ty::Var(v.clone()), a)),
+        }
+    }
+    /// Two keys at one position of the types `at`.
+    fn key(&mut self, d: &KeyRef, a: &KeyRef, at: (&Ty, &Ty)) -> Result<(), Self::Err>;
+    /// The state requirements of two guards whose keys matched.
+    fn req(&mut self, d: &GuardAtom, a: &GuardAtom) -> Result<(), Self::Err>;
+    /// Two state arguments of the named types `at`.
+    fn state(&mut self, d: &StateArg, a: &StateArg, at: (&Ty, &Ty)) -> Result<(), Self::Err>;
+    /// Two function types.
+    fn sig(&mut self, d: &FnSig, a: &FnSig) -> Result<(), Self::Err>;
+}
+
+/// Match the declared type `d` against the actual type `a` under `m`,
+/// left to right, stopping at the first pair `m` rejects. `Error` on
+/// either side matches anything, so one bad expression does not cascade.
+pub fn zip<M: Match + ?Sized>(d: &Ty, a: &Ty, m: &mut M) -> Result<(), M::Err> {
+    match (d, a) {
+        (Ty::Error, _) | (_, Ty::Error) => Ok(()),
+        (Ty::Var(v), _) => m.var(v, a),
+        (Ty::Void, Ty::Void)
+        | (Ty::Int, Ty::Int)
+        | (Ty::Bool, Ty::Bool)
+        | (Ty::Byte, Ty::Byte)
+        | (Ty::Str, Ty::Str) => Ok(()),
+        (Ty::Byte, Ty::Int) | (Ty::Int, Ty::Byte) if M::LOOSE => Ok(()),
+        (Ty::Array(x), Ty::Array(y)) | (Ty::TrackedAnon(x), Ty::TrackedAnon(y)) => zip(x, y, m),
+        (Ty::TrackedAnon(x), Ty::Tracked { inner: y, .. }) if M::LOOSE => zip(x, y, m),
+        (Ty::Tuple(xs), Ty::Tuple(ys)) if xs.len() == ys.len() => {
+            xs.iter().zip(ys.iter()).try_for_each(|(x, y)| zip(x, y, m))
+        }
+        (Ty::Tracked { key: dk, inner: x }, Ty::Tracked { key: ak, inner: y }) => {
+            m.key(dk, ak, (d, a))?;
+            zip(x, y, m)
+        }
+        (
+            Ty::Guarded {
+                guards: dg,
+                inner: x,
+            },
+            Ty::Guarded {
+                guards: ag,
+                inner: y,
+            },
+        ) if dg.len() == ag.len() => {
+            for (g, h) in dg.iter().zip(ag.iter()) {
+                m.key(&g.key, &h.key, (d, a))?;
+                m.req(g, h)?;
+            }
+            zip(x, y, m)
+        }
+        (Ty::Named { id: i, args: xs }, Ty::Named { id: j, args: ys })
+            if i == j && xs.len() == ys.len() =>
+        {
+            xs.iter().zip(ys.iter()).try_for_each(|pair| match pair {
+                (Arg::Ty(x), Arg::Ty(y)) => zip(x, y, m),
+                (Arg::Key(x), Arg::Key(y)) => m.key(x, y, (d, a)),
+                (Arg::State(x), Arg::State(y)) => m.state(x, y, (d, a)),
+                _ => Err(m.mismatch(d, a)),
+            })
+        }
+        (Ty::Fn(x), Ty::Fn(y)) => m.sig(x, y),
+        _ => Err(m.mismatch(d, a)),
     }
 }
 

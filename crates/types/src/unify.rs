@@ -1,14 +1,17 @@
-//! Instantiation and matching of polymorphic signatures.
+//! Matching of polymorphic signatures and of join-point environments.
 //!
 //! Vault functions are polymorphic in the keys of their arguments, in key
 //! states, and in the rest of the held-key set (paper §3.2). At each call
 //! the checker *unifies* declared parameter types against actual argument
 //! types to discover the key/state/type bindings, then applies the effect
-//! clause under those bindings.
+//! clause under those bindings. At a join (§3) it matches two
+//! environments up to a [`Bijection`] of keys. Both walk the pair of types
+//! with [`subst::zip`]; the matchers here hold what differs.
 
 use crate::key::{KeyId, KeyRef, Name};
 use crate::state::StateVal;
-use crate::ty::{Arg, FnSig, GuardAtom, StateArg, Tables, Ty};
+use crate::subst::{self, Match, Mention};
+use crate::ty::{FnSig, GuardAtom, StateArg, Tables, Ty};
 use crate::StateReq;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,60 +134,7 @@ impl std::error::Error for UnifyErr {}
 /// Unify a declared (polymorphic) type against an actual (concrete) type,
 /// extending `binds`.
 pub fn unify(decl: &Ty, actual: &Ty, binds: &mut Bindings, world: &Tables) -> Result<(), UnifyErr> {
-    // Errors flow through silently so one bad expression doesn't cascade.
-    if decl.is_error() || actual.is_error() {
-        return Ok(());
-    }
-    match (decl, actual) {
-        (Ty::Var(v), t) => binds.bind_ty(v, t.clone()),
-        (Ty::Void, Ty::Void)
-        | (Ty::Int, Ty::Int)
-        | (Ty::Bool, Ty::Bool)
-        | (Ty::Byte, Ty::Byte)
-        | (Ty::Str, Ty::Str) => Ok(()),
-        // byte/int interchange keeps driver buffer code simple.
-        (Ty::Byte, Ty::Int) | (Ty::Int, Ty::Byte) => Ok(()),
-        (Ty::Array(d), Ty::Array(a)) => unify(d, a, binds, world),
-        (Ty::Tuple(ds), Ty::Tuple(as_)) if ds.len() == as_.len() => {
-            for (d, a) in ds.iter().zip(as_.iter()) {
-                unify(d, a, binds, world)?;
-            }
-            Ok(())
-        }
-        (Ty::Tracked { key: dk, inner: di }, Ty::Tracked { key: ak, inner: ai }) => {
-            unify_key(dk, ak, binds, world, actual)?;
-            unify(di, ai, binds, world)
-        }
-        // An anonymous tracked parameter accepts any tracked value: the
-        // key is packed away (the checker consumes it separately).
-        (Ty::TrackedAnon(di), Ty::Tracked { inner: ai, .. }) => unify(di, ai, binds, world),
-        (Ty::TrackedAnon(di), Ty::TrackedAnon(ai)) => unify(di, ai, binds, world),
-        (
-            Ty::Guarded {
-                guards: dg,
-                inner: di,
-            },
-            Ty::Guarded {
-                guards: ag,
-                inner: ai,
-            },
-        ) if dg.len() == ag.len() => {
-            for (d, a) in dg.iter().zip(ag.iter()) {
-                unify_guard(d, a, binds, world, actual)?;
-            }
-            unify(di, ai, binds, world)
-        }
-        (Ty::Named { id: did, args: da }, Ty::Named { id: aid, args: aa })
-            if did == aid && da.len() == aa.len() =>
-        {
-            for (d, a) in da.iter().zip(aa.iter()) {
-                unify_arg(d, a, binds, world, decl, actual)?;
-            }
-            Ok(())
-        }
-        (Ty::Fn(d), Ty::Fn(a)) => unify_fn(d, a, binds, world),
-        _ => Err(mismatch(decl, actual, world)),
-    }
+    subst::zip(decl, actual, &mut Call { binds, world })
 }
 
 fn mismatch(decl: &Ty, actual: &Ty, world: &Tables) -> UnifyErr {
@@ -194,72 +144,70 @@ fn mismatch(decl: &Ty, actual: &Ty, world: &Tables) -> UnifyErr {
     }
 }
 
-fn unify_key(
-    decl: &KeyRef,
-    actual: &KeyRef,
-    binds: &mut Bindings,
-    world: &Tables,
-    actual_ty: &Ty,
-) -> Result<(), UnifyErr> {
-    match (decl, actual) {
-        (KeyRef::Var(v), KeyRef::Id(k)) => binds.bind_key(v, *k),
-        (KeyRef::Id(a), KeyRef::Id(b)) if a == b => Ok(()),
-        (KeyRef::Var(v), KeyRef::Var(w)) if v == w => Ok(()),
-        _ => Err(UnifyErr::Mismatch {
-            expected: decl.to_string(),
-            found: actual_ty.display(world),
-        }),
-    }
+/// A call's matcher: the declared side's variables bind into the call's
+/// [`Bindings`].
+struct Call<'b> {
+    binds: &'b mut Bindings,
+    world: &'b Tables,
 }
 
-fn unify_guard(
-    decl: &GuardAtom,
-    actual: &GuardAtom,
-    binds: &mut Bindings,
-    world: &Tables,
-    actual_ty: &Ty,
-) -> Result<(), UnifyErr> {
-    unify_key(&decl.key, &actual.key, binds, world, actual_ty)?;
-    // Guard state requirements must be compatible; state variables bind.
-    match (&decl.req, &actual.req) {
-        (StateReq::Any, _) | (_, StateReq::Any) => Ok(()),
-        (StateReq::Exact(a), StateReq::Exact(b)) if a == b => Ok(()),
-        (StateReq::Var(v), StateReq::Exact(s)) => binds.bind_state(v, StateVal::Token(*s)),
-        (StateReq::AtMost { .. }, _) | (_, StateReq::AtMost { .. }) => Ok(()),
-        _ => Err(UnifyErr::Mismatch {
-            expected: decl.display(&world.states),
-            found: actual.display(&world.states),
-        }),
-    }
-}
+impl Match for Call<'_> {
+    type Err = UnifyErr;
+    // byte/int interchange keeps driver buffer code simple, and an
+    // anonymous tracked parameter accepts any tracked value: the key is
+    // packed away (the checker consumes it separately).
+    const LOOSE: bool = true;
 
-fn unify_arg(
-    decl: &Arg,
-    actual: &Arg,
-    binds: &mut Bindings,
-    world: &Tables,
-    decl_ty: &Ty,
-    actual_ty: &Ty,
-) -> Result<(), UnifyErr> {
-    match (decl, actual) {
-        (Arg::Ty(d), Arg::Ty(a)) => unify(d, a, binds, world),
-        (Arg::Key(d), Arg::Key(a)) => unify_key(d, a, binds, world, actual_ty),
-        (Arg::State(d), Arg::State(a)) => {
-            let aval = match a {
-                StateArg::Val(v) => *v,
-                StateArg::Token(t) => StateVal::Token(*t),
-                StateArg::Var(_) => {
-                    return Err(mismatch(decl_ty, actual_ty, world));
-                }
-            };
-            match d {
-                StateArg::Var(v) => binds.bind_state(v, aval),
-                StateArg::Token(t) if StateVal::Token(*t) == aval => Ok(()),
-                StateArg::Val(v) if *v == aval => Ok(()),
-                _ => Err(mismatch(decl_ty, actual_ty, world)),
-            }
+    fn mismatch(&mut self, d: &Ty, a: &Ty) -> UnifyErr {
+        mismatch(d, a, self.world)
+    }
+
+    fn var(&mut self, v: &Name, a: &Ty) -> Result<(), UnifyErr> {
+        self.binds.bind_ty(v, a.clone())
+    }
+
+    fn key(&mut self, d: &KeyRef, a: &KeyRef, at: (&Ty, &Ty)) -> Result<(), UnifyErr> {
+        match (d, a) {
+            (KeyRef::Var(v), KeyRef::Id(k)) => self.binds.bind_key(v, *k),
+            (KeyRef::Id(x), KeyRef::Id(y)) if x == y => Ok(()),
+            (KeyRef::Var(v), KeyRef::Var(w)) if v == w => Ok(()),
+            _ => Err(UnifyErr::Mismatch {
+                expected: d.to_string(),
+                found: at.1.display(self.world),
+            }),
         }
-        _ => Err(mismatch(decl_ty, actual_ty, world)),
+    }
+
+    /// Guard state requirements must be compatible; state variables bind.
+    fn req(&mut self, d: &GuardAtom, a: &GuardAtom) -> Result<(), UnifyErr> {
+        match (&d.req, &a.req) {
+            (StateReq::Any, _) | (_, StateReq::Any) => Ok(()),
+            (StateReq::Exact(x), StateReq::Exact(y)) if x == y => Ok(()),
+            (StateReq::Var(v), StateReq::Exact(s)) => self.binds.bind_state(v, StateVal::Token(*s)),
+            (StateReq::AtMost { .. }, _) | (_, StateReq::AtMost { .. }) => Ok(()),
+            _ => Err(UnifyErr::Mismatch {
+                expected: d.display(&self.world.states),
+                found: a.display(&self.world.states),
+            }),
+        }
+    }
+
+    fn state(&mut self, d: &StateArg, a: &StateArg, at: (&Ty, &Ty)) -> Result<(), UnifyErr> {
+        let val = match a {
+            StateArg::Val(v) => *v,
+            StateArg::Token(t) => StateVal::Token(*t),
+            StateArg::Var(_) => return Err(self.mismatch(at.0, at.1)),
+        };
+        match d {
+            StateArg::Var(v) => self.binds.bind_state(v, val),
+            StateArg::Token(t) if StateVal::Token(*t) == val => Ok(()),
+            StateArg::Val(v) if *v == val => Ok(()),
+            _ => Err(self.mismatch(at.0, at.1)),
+        }
+    }
+
+    fn sig(&mut self, d: &FnSig, a: &FnSig) -> Result<(), UnifyErr> {
+        unify_fn(d, a, self.binds, self.world)
     }
 }
 
@@ -281,25 +229,21 @@ fn unify_fn(
         });
     }
     let mut alpha = Alpha {
-        fwd: BTreeMap::new(),
-        bwd: BTreeMap::new(),
+        vars: Bijection::default(),
         binds,
+        world,
     };
-    for (d, a) in decl
-        .params
-        .iter()
-        .zip(&actual.params)
-        .chain(std::iter::once((&decl.ret, &actual.ret)))
-    {
-        alpha_eq(d, a, &mut alpha, world)?;
+    for (d, a) in decl.params.iter().zip(&actual.params) {
+        subst::zip(d, a, &mut alpha)?;
     }
+    subst::zip(&decl.ret, &actual.ret, &mut alpha)?;
     for (d, a) in decl.effect.iter().zip(&actual.effect) {
         use crate::ty::EffItem::*;
         let ok = match (d, a) {
             (Keep { key: dk, .. }, Keep { key: ak, .. })
             | (Consume { key: dk, .. }, Consume { key: ak, .. })
-            | (Produce { key: dk, .. }, Produce { key: ak, .. }) => alpha.key(dk, ak),
-            (Fresh { var: dv, .. }, Fresh { var: av, .. }) => alpha.var(dv, av),
+            | (Produce { key: dk, .. }, Produce { key: ak, .. }) => alpha.pair(dk, ak),
+            (Fresh { var: dv, .. }, Fresh { var: av, .. }) => alpha.vars.pair(dv, av),
             _ => false,
         };
         if !ok {
@@ -312,205 +256,133 @@ fn unify_fn(
     Ok(())
 }
 
-/// Tracks the variable correspondence while matching two function types.
+/// The matcher of two function types' parts: key variables pair up one
+/// to one, a declared key variable may bind a concrete key in the outer
+/// [`Bindings`], and guard requirements are not compared.
 struct Alpha<'b> {
-    /// decl var → actual var (for var-var pairs).
-    fwd: BTreeMap<Name, Name>,
-    /// actual var → decl var.
-    bwd: BTreeMap<Name, Name>,
-    /// Outer bindings, for decl-var-to-concrete-key pairs.
+    vars: Bijection<Name>,
     binds: &'b mut Bindings,
+    world: &'b Tables,
 }
 
 impl Alpha<'_> {
-    fn key(&mut self, d: &KeyRef, a: &KeyRef) -> bool {
+    fn pair(&mut self, d: &KeyRef, a: &KeyRef) -> bool {
         match (d, a) {
             (KeyRef::Id(x), KeyRef::Id(y)) => x == y,
             (KeyRef::Var(x), KeyRef::Id(y)) => self.binds.bind_key(x, *y).is_ok(),
-            (KeyRef::Var(x), KeyRef::Var(y)) => self.var(x, y),
+            (KeyRef::Var(x), KeyRef::Var(y)) => self.vars.pair(x, y),
             (KeyRef::Id(_), KeyRef::Var(_)) => false,
         }
     }
+}
 
-    /// Pair two key variables, keeping the correspondence a bijection.
-    fn var(&mut self, x: &Name, y: &Name) -> bool {
-        let f_ok = match self.fwd.get(x) {
-            Some(mapped) => mapped == y,
-            None => {
-                self.fwd.insert(x.clone(), y.clone());
-                true
-            }
-        };
-        let b_ok = match self.bwd.get(y) {
-            Some(mapped) => mapped == x,
-            None => {
-                self.bwd.insert(y.clone(), x.clone());
-                true
-            }
-        };
-        f_ok && b_ok
+impl Match for Alpha<'_> {
+    type Err = UnifyErr;
+
+    fn mismatch(&mut self, d: &Ty, a: &Ty) -> UnifyErr {
+        mismatch(d, a, self.world)
+    }
+
+    fn key(&mut self, d: &KeyRef, a: &KeyRef, at: (&Ty, &Ty)) -> Result<(), UnifyErr> {
+        if self.pair(d, a) {
+            Ok(())
+        } else {
+            Err(self.mismatch(at.0, at.1))
+        }
+    }
+
+    fn req(&mut self, _: &GuardAtom, _: &GuardAtom) -> Result<(), UnifyErr> {
+        Ok(())
+    }
+
+    fn state(&mut self, d: &StateArg, a: &StateArg, at: (&Ty, &Ty)) -> Result<(), UnifyErr> {
+        match (d, a) {
+            (StateArg::Var(_), _) | (_, StateArg::Var(_)) => Ok(()),
+            _ if d == a => Ok(()),
+            _ => Err(self.mismatch(at.0, at.1)),
+        }
+    }
+
+    fn sig(&mut self, d: &FnSig, a: &FnSig) -> Result<(), UnifyErr> {
+        unify_fn(d, a, self.binds, self.world)
     }
 }
 
-fn alpha_eq(d: &Ty, a: &Ty, alpha: &mut Alpha<'_>, world: &Tables) -> Result<(), UnifyErr> {
-    let fail = || {
-        Err(UnifyErr::Mismatch {
-            expected: d.display(world),
-            found: a.display(world),
-        })
-    };
-    match (d, a) {
-        (Ty::Void, Ty::Void)
-        | (Ty::Int, Ty::Int)
-        | (Ty::Bool, Ty::Bool)
-        | (Ty::Byte, Ty::Byte)
-        | (Ty::Str, Ty::Str)
-        | (Ty::Error, _)
-        | (_, Ty::Error) => Ok(()),
-        (Ty::Var(x), Ty::Var(y)) if x == y => Ok(()),
-        (Ty::Array(x), Ty::Array(y)) => alpha_eq(x, y, alpha, world),
-        (Ty::Tuple(xs), Ty::Tuple(ys)) if xs.len() == ys.len() => {
-            for (x, y) in xs.iter().zip(ys.iter()) {
-                alpha_eq(x, y, alpha, world)?;
-            }
-            Ok(())
+/// A one-to-one correspondence between two sides, grown pair by pair.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Bijection<T> {
+    /// Left side → right side.
+    pub fwd: BTreeMap<T, T>,
+    /// Right side → left side.
+    pub bwd: BTreeMap<T, T>,
+}
+
+impl<T> Default for Bijection<T> {
+    fn default() -> Self {
+        Bijection {
+            fwd: BTreeMap::new(),
+            bwd: BTreeMap::new(),
         }
-        (Ty::Tracked { key: dk, inner: di }, Ty::Tracked { key: ak, inner: ai }) => {
-            if !alpha.key(dk, ak) {
-                return fail();
-            }
-            alpha_eq(di, ai, alpha, world)
-        }
-        (Ty::TrackedAnon(x), Ty::TrackedAnon(y)) => alpha_eq(x, y, alpha, world),
-        (
-            Ty::Guarded {
-                guards: dg,
-                inner: di,
-            },
-            Ty::Guarded {
-                guards: ag,
-                inner: ai,
-            },
-        ) if dg.len() == ag.len() => {
-            for (x, y) in dg.iter().zip(ag.iter()) {
-                if !alpha.key(&x.key, &y.key) {
-                    return fail();
-                }
-            }
-            alpha_eq(di, ai, alpha, world)
-        }
-        (Ty::Named { id: di, args: da }, Ty::Named { id: ai, args: aa })
-            if di == ai && da.len() == aa.len() =>
-        {
-            for (x, y) in da.iter().zip(aa.iter()) {
-                match (x, y) {
-                    (Arg::Ty(x), Arg::Ty(y)) => alpha_eq(x, y, alpha, world)?,
-                    (Arg::Key(x), Arg::Key(y)) => {
-                        if !alpha.key(x, y) {
-                            return fail();
-                        }
-                    }
-                    (Arg::State(x), Arg::State(y)) if x == y => {}
-                    (Arg::State(StateArg::Var(_)), Arg::State(_))
-                    | (Arg::State(_), Arg::State(StateArg::Var(_))) => {}
-                    _ => return fail(),
-                }
-            }
-            Ok(())
-        }
-        (Ty::Fn(x), Ty::Fn(y)) => unify_fn(x, y, alpha.binds, world),
-        _ => fail(),
     }
 }
 
-/// Structural equality of two concrete types modulo a *bijective* renaming
-/// of concrete keys, extending `map`/`rev`. This is the join-point
-/// abstraction (paper §3): two branches agree if their environments are
-/// identical once local key names are abstracted.
-pub fn ty_eq_mod_keys(
-    a: &Ty,
-    b: &Ty,
-    map: &mut BTreeMap<KeyId, KeyId>,
-    rev: &mut BTreeMap<KeyId, KeyId>,
-) -> bool {
-    fn key_eq(
-        a: &KeyRef,
-        b: &KeyRef,
-        map: &mut BTreeMap<KeyId, KeyId>,
-        rev: &mut BTreeMap<KeyId, KeyId>,
-    ) -> bool {
-        match (a, b) {
-            (KeyRef::Id(x), KeyRef::Id(y)) => {
-                let f_ok = match map.get(x) {
-                    Some(m) => m == y,
-                    None => {
-                        map.insert(*x, *y);
-                        true
-                    }
-                };
-                let b_ok = match rev.get(y) {
-                    Some(m) => m == x,
-                    None => {
-                        rev.insert(*y, *x);
-                        true
-                    }
-                };
-                f_ok && b_ok
-            }
-            (KeyRef::Var(x), KeyRef::Var(y)) => x == y,
-            _ => false,
+impl<T: Ord + Clone> Bijection<T> {
+    /// Pair `x` with `y`, recording each of them that has no partner yet;
+    /// whether the correspondence is still one to one.
+    pub fn pair(&mut self, x: &T, y: &T) -> bool {
+        let fwd_ok = self.fwd.entry(x.clone()).or_insert_with(|| y.clone()) == y;
+        let bwd_ok = self.bwd.entry(y.clone()).or_insert_with(|| x.clone()) == x;
+        fwd_ok && bwd_ok
+    }
+}
+
+/// The join's matcher (paper §3): two environments agree when their
+/// types are equal once concrete keys are renamed by one bijection, from
+/// the first path's keys to the second's.
+impl Match for Bijection<KeyId> {
+    /// The pair of keys that would break the bijection, or `None` when the
+    /// types differ otherwise.
+    type Err = Option<(KeyId, KeyId)>;
+
+    fn mismatch(&mut self, _: &Ty, _: &Ty) -> Self::Err {
+        None
+    }
+
+    fn key(&mut self, d: &KeyRef, a: &KeyRef, _: (&Ty, &Ty)) -> Result<(), Self::Err> {
+        match (d, a) {
+            (KeyRef::Id(x), KeyRef::Id(y)) => self.pair(x, y).then_some(()).ok_or(Some((*x, *y))),
+            _ => same(d, a),
         }
     }
-    match (a, b) {
-        (Ty::Void, Ty::Void)
-        | (Ty::Int, Ty::Int)
-        | (Ty::Bool, Ty::Bool)
-        | (Ty::Byte, Ty::Byte)
-        | (Ty::Str, Ty::Str)
-        | (Ty::Error, _)
-        | (_, Ty::Error) => true,
-        (Ty::Var(x), Ty::Var(y)) => x == y,
-        (Ty::Array(x), Ty::Array(y)) => ty_eq_mod_keys(x, y, map, rev),
-        (Ty::Tuple(xs), Ty::Tuple(ys)) => {
-            xs.len() == ys.len()
-                && xs
-                    .iter()
-                    .zip(ys.iter())
-                    .all(|(x, y)| ty_eq_mod_keys(x, y, map, rev))
-        }
-        (Ty::Tracked { key: ka, inner: ia }, Ty::Tracked { key: kb, inner: ib }) => {
-            key_eq(ka, kb, map, rev) && ty_eq_mod_keys(ia, ib, map, rev)
-        }
-        (Ty::TrackedAnon(x), Ty::TrackedAnon(y)) => ty_eq_mod_keys(x, y, map, rev),
-        (
-            Ty::Guarded {
-                guards: ga,
-                inner: ia,
-            },
-            Ty::Guarded {
-                guards: gb,
-                inner: ib,
-            },
-        ) => {
-            ga.len() == gb.len()
-                && ga
-                    .iter()
-                    .zip(gb.iter())
-                    .all(|(x, y)| key_eq(&x.key, &y.key, map, rev) && x.req == y.req)
-                && ty_eq_mod_keys(ia, ib, map, rev)
-        }
-        (Ty::Named { id: ia, args: aa }, Ty::Named { id: ib, args: ab }) => {
-            ia == ib
-                && aa.len() == ab.len()
-                && aa.iter().zip(ab.iter()).all(|(x, y)| match (x, y) {
-                    (Arg::Ty(x), Arg::Ty(y)) => ty_eq_mod_keys(x, y, map, rev),
-                    (Arg::Key(x), Arg::Key(y)) => key_eq(x, y, map, rev),
-                    (Arg::State(x), Arg::State(y)) => x == y,
-                    _ => false,
-                })
-        }
-        (Ty::Fn(x), Ty::Fn(y)) => x == y,
-        _ => false,
+
+    fn req(&mut self, d: &GuardAtom, a: &GuardAtom) -> Result<(), Self::Err> {
+        same(&d.req, &a.req)
+    }
+
+    fn state(&mut self, d: &StateArg, a: &StateArg, _: (&Ty, &Ty)) -> Result<(), Self::Err> {
+        same(d, a)
+    }
+
+    fn sig(&mut self, d: &FnSig, a: &FnSig) -> Result<(), Self::Err> {
+        same(d, a)
+    }
+}
+
+fn same<T: PartialEq>(d: &T, a: &T) -> Result<(), Option<(KeyId, KeyId)>> {
+    (d == a).then_some(()).ok_or(None)
+}
+
+impl Bijection<KeyId> {
+    /// Pair every concrete key `t` mentions with itself, as matching `t`
+    /// against itself would: up to the first key already paired with
+    /// another.
+    pub fn pair_itself(&mut self, t: &Ty) {
+        let mut ok = true;
+        subst::visit_ty(t, &mut |m| {
+            if let (true, Mention::Key(KeyRef::Id(k), _)) = (ok, m) {
+                ok = self.pair(k, k);
+            }
+        });
     }
 }
 
@@ -609,21 +481,23 @@ mod tests {
     }
 
     #[test]
-    fn ty_eq_mod_keys_bijective() {
+    fn join_renaming_is_bijective() {
         let (_w, region) = world();
         let a = Ty::tracked(KeyRef::Id(KeyId(1)), named(region));
         let b = Ty::tracked(KeyRef::Id(KeyId(9)), named(region));
-        let mut map = BTreeMap::new();
-        let mut rev = BTreeMap::new();
-        assert!(ty_eq_mod_keys(&a, &b, &mut map, &mut rev));
-        assert_eq!(map.get(&KeyId(1)), Some(&KeyId(9)));
+        let mut keys = Bijection::default();
+        assert_eq!(subst::zip(&a, &b, &mut keys), Ok(()));
+        assert_eq!(keys.fwd.get(&KeyId(1)), Some(&KeyId(9)));
         // Non-injective renaming rejected: k1→k9 established, now k2→k9.
         let c = Ty::tracked(KeyRef::Id(KeyId(2)), named(region));
-        assert!(!ty_eq_mod_keys(&c, &b, &mut map, &mut rev));
+        assert_eq!(
+            subst::zip(&c, &b, &mut keys),
+            Err(Some((KeyId(2), KeyId(9))))
+        );
     }
 
     #[test]
-    fn ty_eq_mod_keys_consistency_across_positions() {
+    fn join_renaming_is_consistent_across_positions() {
         let (_w, region) = world();
         let pair_a = Ty::Tuple(
             vec![
@@ -664,12 +538,10 @@ mod tests {
             ]
             .into(),
         );
-        let mut m = BTreeMap::new();
-        let mut r = BTreeMap::new();
-        assert!(ty_eq_mod_keys(&pair_a, &pair_b_consistent, &mut m, &mut r));
-        let mut m2 = BTreeMap::new();
-        let mut r2 = BTreeMap::new();
-        assert!(!ty_eq_mod_keys(&pair_a, &pair_b_mixed, &mut m2, &mut r2));
+        let mut keys = Bijection::default();
+        assert!(subst::zip(&pair_a, &pair_b_consistent, &mut keys).is_ok());
+        let mut keys = Bijection::default();
+        assert!(subst::zip(&pair_a, &pair_b_mixed, &mut keys).is_err());
     }
 
     #[test]
